@@ -28,6 +28,7 @@ from repro import (
     TransactionBatch,
     WorkloadOracle,
 )
+from repro.chain import MigrationRequestBatch
 
 ALICE, BOB, CAROL, DAVE = 0, 1, 2, 3
 
@@ -73,7 +74,9 @@ def main() -> None:
         f"epoch 0 committed: {stats.intra_shard} intra-shard, "
         f"{stats.cross_shard} cross-shard transactions"
     )
-    ledger.submit_migrations([request])
+    ledger.submit_migration_batch(
+        MigrationRequestBatch.from_requests([request])
+    )
     report = ledger.commit_migrations(capacity=int(params.derive_capacity(4)))
     print(
         f"beacon chain committed {report.committed_count} migration "

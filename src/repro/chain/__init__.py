@@ -14,7 +14,7 @@ from repro.chain.block import Block, BlockHeader, compute_block_hash, GENESIS_HA
 from repro.chain.mapping import ShardMapping
 from repro.chain.mempool import Mempool
 from repro.chain.shard import ShardChain
-from repro.chain.beacon import BatchCommitReport, BeaconChain, CommitReport
+from repro.chain.beacon import BeaconChain, CommitReport
 from repro.chain.segments import DEFAULT_SEGMENT_ROWS, SegmentedCommitLog
 from repro.chain.migration import MigrationRequest, MigrationRequestBatch
 from repro.chain.miner import Miner, MinerPool, ReshuffleReport
@@ -63,7 +63,6 @@ __all__ = [
     "ShardMapping",
     "Mempool",
     "ShardChain",
-    "BatchCommitReport",
     "BeaconChain",
     "CommitReport",
     "SegmentedCommitLog",

@@ -6,51 +6,35 @@ the beacon chain; miners of the beacon chain run ordinary consensus to
 commit them. Per epoch, at most ``capacity`` MRs can commit — the paper
 bounds this by the shard capacity ``lambda`` — and when over-subscribed,
 requests with the largest potential improvement win (Section V-A).
+
+Requests arrive as columnar :class:`MigrationRequestBatch` rounds and
+commit through :func:`~repro.chain.kernels.select_migrations_kernel`,
+the single commitment rule in the code base.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
-
-from pathlib import Path
 
 from repro.chain.block import GENESIS_HASH, Block, BlockHeader
 from repro.chain.kernels import select_migrations_kernel
 from repro.chain.mapping import ShardMapping
-from repro.chain.migration import MigrationRequest, MigrationRequestBatch
+from repro.chain.migration import MigrationRequestBatch
 from repro.chain.segments import DEFAULT_SEGMENT_ROWS, SegmentedCommitLog
-from repro.errors import BlockLinkError, MigrationError, ValidationError
+from repro.errors import BlockLinkError, MigrationError
 
 
 @dataclass
 class CommitReport:
-    """Outcome of one epoch's migration-request commitment round."""
+    """Outcome of one epoch's migration-request commitment round.
 
-    epoch: int
-    proposed: int
-    committed: List[MigrationRequest] = field(default_factory=list)
-    rejected: List[MigrationRequest] = field(default_factory=list)
-
-    @property
-    def committed_count(self) -> int:
-        return len(self.committed)
-
-    @property
-    def rejected_count(self) -> int:
-        return len(self.rejected)
-
-
-@dataclass
-class BatchCommitReport:
-    """Columnar commitment outcome (the batch path's :class:`CommitReport`).
-
-    ``committed_batch`` is the committed rows in commitment order; the
-    object views (``committed`` / ``rejected``) materialise lazily so
-    million-row rounds never build per-request objects unless a caller
-    actually inspects them.
+    ``committed_batch`` holds the committed rows in commitment order;
+    ``rejected_batch`` the stale, duplicate and over-capacity rows in no
+    particular order.
     """
 
     epoch: int
@@ -66,16 +50,6 @@ class BatchCommitReport:
     def rejected_count(self) -> int:
         return len(self.rejected_batch)
 
-    @property
-    def committed(self) -> List[MigrationRequest]:
-        batch = self.committed_batch
-        return batch.take(np.arange(len(batch)))
-
-    @property
-    def rejected(self) -> List[MigrationRequest]:
-        batch = self.rejected_batch
-        return batch.take(np.arange(len(batch)))
-
 
 def apply_batch_to_mapping(
     batch: MigrationRequestBatch, mapping: ShardMapping
@@ -85,7 +59,7 @@ def apply_batch_to_mapping(
     In-universe rows assign through ``assign_many`` (deduplicated
     keep-last within the block, preserving sequential last-write-wins
     semantics; commitment rounds dedup per account anyway). Returns the
-    number of applied rows, duplicates included, matching the scalar
+    number of applied rows, duplicates included, matching a sequential
     per-request loop.
     """
     in_universe = batch.accounts < mapping.n_accounts
@@ -114,67 +88,19 @@ def mr_announcement_bytes(request_count: int) -> float:
     return float(max(int(request_count), 0) * MR_RECORD_BYTES)
 
 
-def _expand_entries(
-    entries: Sequence[object],
-) -> List[MigrationRequest]:
-    """Materialise a mixed request/batch sequence as objects, in order."""
-    requests: List[MigrationRequest] = []
-    for entry in entries:
-        if isinstance(entry, MigrationRequestBatch):
-            requests.extend(entry.take(np.arange(len(entry))))
-        elif isinstance(entry, MigrationRequest):
-            requests.append(entry)
-    return requests
-
-
-def prioritize_requests(
-    requests: Sequence[MigrationRequest], capacity: Optional[int]
-) -> Tuple[List[MigrationRequest], List[MigrationRequest]]:
-    """Split ``requests`` into (committed, rejected) under ``capacity``.
-
-    Duplicate requests for one account keep only the highest-gain request
-    (a client controls its own account; conflicting requests are a client
-    bug, but the chain must still be deterministic about them). The
-    survivors are ordered by descending gain, ties broken by account id
-    for determinism, and the top ``capacity`` commit.
-    """
-    best_per_account: Dict[int, MigrationRequest] = {}
-    duplicates: List[MigrationRequest] = []
-    for request in requests:
-        current = best_per_account.get(request.account)
-        if current is None or request.gain > current.gain:
-            if current is not None:
-                duplicates.append(current)
-            best_per_account[request.account] = request
-        else:
-            duplicates.append(request)
-    ordered = sorted(
-        best_per_account.values(), key=lambda r: (-r.gain, r.account)
-    )
-    if capacity is None or capacity >= len(ordered):
-        return ordered, duplicates
-    if capacity < 0:
-        raise ValidationError(f"capacity must be >= 0, got {capacity}")
-    return ordered[:capacity], ordered[capacity:] + duplicates
-
-
 class BeaconChain:
     """The beacon chain ``BC`` storing committed migration requests.
 
     Two storage modes share one protocol:
 
     * **in-memory** (default, ``spill_dir=None``) — every block and its
-      committed payload stays resident. This is the equivalence
-      reference; its behaviour is byte-for-byte the pre-spill chain.
+      committed batch stays resident.
     * **segment-spilled** (``spill_dir=<path>``) — committed batches
       append to a height-indexed on-disk
       :class:`~repro.chain.segments.SegmentedCommitLog` and only block
       *headers* stay in memory, so an unbounded run's beacon footprint
-      is O(epoch window), not O(run). Commit decisions (and every
-      pure-batch round's block hashes) are identical to in-memory mode;
-      scalar/mixed rounds canonicalise their payload to one columnar
-      batch per block (dropping per-request fee metadata), since a
-      segment stores rows, not objects.
+      is O(epoch window), not O(run). Commit decisions and block hashes
+      are identical to in-memory mode.
     """
 
     CHAIN_ID = "beacon"
@@ -188,12 +114,8 @@ class BeaconChain:
         self._blocks: List[Block] = []
         #: Spill mode keeps headers only; payloads live in segments.
         self._headers: List[BlockHeader] = []
-        #: Pending submissions in order; scalar requests and columnar
-        #: batches interleave freely.
-        self._pending: List[Union[MigrationRequest, MigrationRequestBatch]] = []
-        self._committed_log: List[
-            Union[MigrationRequest, MigrationRequestBatch]
-        ] = []
+        #: Pending submissions, in submission order.
+        self._pending: List[MigrationRequestBatch] = []
         self._committed_count = 0
         self._spill: Optional[SegmentedCommitLog] = (
             SegmentedCommitLog(
@@ -252,30 +174,8 @@ class BeaconChain:
 
     @property
     def committed_count(self) -> int:
-        """Total MRs ever committed — O(1), never re-expands the log."""
+        """Total MRs ever committed — O(1), never re-reads the log."""
         return self._committed_count
-
-    @property
-    def committed_requests(self) -> Sequence[MigrationRequest]:
-        """Every MR ever committed, in commit order (the set ``MR``).
-
-        Materialises the **full** log as per-request objects — O(all
-        committed MRs), kept for API compatibility and small chains.
-        Hot paths use :meth:`committed_count` for cardinality and
-        :meth:`iter_committed_batches`/:meth:`batches_since` for
-        windowed access.
-        """
-        if self._spill is not None:
-            requests: List[MigrationRequest] = []
-            for batch in self.iter_committed_batches():
-                requests.extend(batch.take(np.arange(len(batch))))
-            return tuple(requests)
-        return tuple(_expand_entries(self._committed_log))
-
-    @property
-    def pending_requests(self) -> Sequence[MigrationRequest]:
-        """Requests submitted but not yet committed."""
-        return tuple(_expand_entries(self._pending))
 
     def verify(self) -> None:
         """Re-verify the beacon chain's hash links.
@@ -303,19 +203,6 @@ class BeaconChain:
 
     # -- request lifecycle -----------------------------------------------------
 
-    def submit(self, request: MigrationRequest) -> None:
-        """Accept a client's migration request into the beacon mempool."""
-        if not isinstance(request, MigrationRequest):
-            raise MigrationError(
-                f"expected MigrationRequest, got {type(request).__name__}"
-            )
-        self._pending.append(request)
-
-    def submit_many(self, requests: Sequence[MigrationRequest]) -> None:
-        """Accept several requests at once."""
-        for request in requests:
-            self.submit(request)
-
     def submit_batch(self, batch: MigrationRequestBatch) -> None:
         """Accept a columnar batch of requests into the beacon mempool.
 
@@ -333,95 +220,21 @@ class BeaconChain:
         epoch: int,
         capacity: Optional[int] = None,
         mapping: Optional[ShardMapping] = None,
-    ) -> Union[CommitReport, "BatchCommitReport"]:
+    ) -> CommitReport:
         """Run one commitment round: validate, prioritise, and block-commit.
 
         When ``mapping`` is provided, requests whose ``from_shard`` no
         longer matches the account's current shard are rejected (stale
-        requests, e.g. the client raced a previous migration). The
-        committed requests are packed into one beacon block.
-
-        When every pending submission arrived as a
-        :class:`MigrationRequestBatch`, the whole round runs columnar
-        (:func:`~repro.chain.kernels.select_migrations_kernel` — the
-        same stale filter, per-account dedup and gain prioritisation,
-        element-for-element) and returns a :class:`BatchCommitReport`
-        whose block payload is the committed batch, not per-request
-        objects. Mixed rounds (scalar requests alongside batches)
-        expand the batches and take the object path, so per-request
-        metadata the columnar form does not carry — proposal epochs,
-        fees — survives verbatim; the engine's hot path is pure-batch,
-        so this never costs where it matters.
-        """
-        proposed = list(self._pending)
-        self._pending.clear()
-        batch_count = sum(
-            isinstance(entry, MigrationRequestBatch) for entry in proposed
-        )
-        if batch_count:
-            if batch_count == len(proposed):
-                return self._commit_epoch_batch(epoch, capacity, mapping, proposed)
-            proposed = list(_expand_entries(proposed))
-
-        valid: List[MigrationRequest] = []
-        stale: List[MigrationRequest] = []
-        for request in proposed:
-            if mapping is not None:
-                if request.account >= mapping.n_accounts:
-                    stale.append(request)
-                    continue
-                if mapping.shard_of(request.account) != request.from_shard:
-                    stale.append(request)
-                    continue
-                if request.to_shard >= mapping.k:
-                    stale.append(request)
-                    continue
-            valid.append(request)
-
-        committed, rejected = prioritize_requests(valid, capacity)
-        if self._spill is not None:
-            # Spill mode canonicalises the payload columnar: segments
-            # store rows, so the block commits to the same batch that
-            # lands on disk (per-request fees are not carried).
-            committed_batch = (
-                MigrationRequestBatch.from_requests(committed)
-                if committed
-                else MigrationRequestBatch.empty(epoch=epoch)
-            )
-            self._append_block(
-                epoch, committed_batch, store_batch=committed_batch
-            )
-        else:
-            block = Block.build(
-                chain_id=self.CHAIN_ID,
-                height=len(self._blocks),
-                parent_hash=self.tip_hash,
-                payload=committed,
-                epoch=epoch,
-            )
-            self._blocks.append(block)
-            self._committed_log.extend(committed)
-        self._committed_count += len(committed)
-        return CommitReport(
-            epoch=epoch,
-            proposed=len(proposed),
-            committed=committed,
-            rejected=rejected + stale,
-        )
-
-    def _commit_epoch_batch(
-        self,
-        epoch: int,
-        capacity: Optional[int],
-        mapping: Optional[ShardMapping],
-        proposed: Sequence[MigrationRequestBatch],
-    ) -> "BatchCommitReport":
-        """The columnar commitment round (see :meth:`commit_epoch`).
+        requests, e.g. the client raced a previous migration). The round
+        runs through :func:`~repro.chain.kernels.select_migrations_kernel`
+        and the committed batch becomes the block payload.
 
         The proposal epoch survives when all pending batches agree on
         one; otherwise the committed batch carries the commit round's
         epoch (a batch has a single epoch column).
         """
+        proposed = self._pending
+        self._pending = []
         proposal_epochs = {batch.epoch for batch in proposed}
         combined = MigrationRequestBatch.concat(
             proposed,
@@ -439,93 +252,35 @@ class BeaconChain:
             capacity,
         )
         committed_batch = combined.take_batch(committed_idx)
+        block = Block.build(
+            chain_id=self.CHAIN_ID,
+            height=len(self),
+            parent_hash=self.tip_hash,
+            payload=[committed_batch] if len(committed_batch) else [],
+            epoch=epoch,
+        )
         if self._spill is not None:
-            self._append_block(
-                epoch, committed_batch, store_batch=committed_batch
-            )
-        else:
-            block = Block.build(
-                chain_id=self.CHAIN_ID,
-                height=len(self._blocks),
-                parent_hash=self.tip_hash,
-                payload=[committed_batch] if len(committed_batch) else [],
-                epoch=epoch,
-            )
-            self._blocks.append(block)
+            self._headers.append(block.header)
             if len(committed_batch):
-                self._committed_log.append(committed_batch)
+                self._spill.append(block.header.height, committed_batch)
+        else:
+            self._blocks.append(block)
         self._committed_count += len(committed_batch)
-        return BatchCommitReport(
+        return CommitReport(
             epoch=epoch,
             proposed=len(combined),
             committed_batch=committed_batch,
             rejected_batch=combined.take_batch(rejected_idx),
         )
 
-    def _append_block(
-        self,
-        epoch: int,
-        committed_batch: MigrationRequestBatch,
-        store_batch: MigrationRequestBatch,
-    ) -> None:
-        """Spill-mode block append: keep the header, spill the payload."""
-        block = Block.build(
-            chain_id=self.CHAIN_ID,
-            height=len(self._headers),
-            parent_hash=self.tip_hash,
-            payload=[committed_batch] if len(committed_batch) else [],
-            epoch=epoch,
-        )
-        self._headers.append(block.header)
-        if len(store_batch):
-            self._spill.append(block.header.height, store_batch)
-
     # -- miner-side synchronisation ---------------------------------------------
-
-    def requests_since(self, block_height: int) -> List[MigrationRequest]:
-        """MRs committed in blocks at height >= ``block_height``.
-
-        Miners call this during epoch reconfiguration to update their
-        locally stored mapping ``phi`` from the latest beacon blocks.
-        Batch payloads are materialised to objects — the batched
-        reconfigurator uses :meth:`batches_since` instead.
-        """
-        if self._spill is not None:
-            requests: List[MigrationRequest] = []
-            for batch in self.iter_committed_batches(block_height):
-                requests.extend(batch.take(np.arange(len(batch))))
-            return requests
-        requests = []
-        for block in self._blocks[max(0, block_height):]:
-            requests.extend(_expand_entries(block.payload))
-        return requests
-
-    def _block_payload_batch(self, block: Block) -> MigrationRequestBatch:
-        """One block's committed payload as a single columnar batch."""
-        block_batches: List[MigrationRequestBatch] = []
-        block_objects: List[MigrationRequest] = []
-        for item in block.payload:
-            if isinstance(item, MigrationRequestBatch):
-                block_batches.append(item)
-            elif isinstance(item, MigrationRequest):
-                block_objects.append(item)
-        if block_objects:
-            block_batches.append(
-                MigrationRequestBatch.from_requests(block_objects)
-            )
-        if len(block_batches) == 1:
-            return block_batches[0]
-        return MigrationRequestBatch.concat(
-            block_batches, epoch=block.header.epoch
-        )
 
     def iter_committed_batches(
         self, block_height: int = 0
     ) -> Iterator[MigrationRequestBatch]:
         """Lazily yield per-block committed batches from ``block_height``.
 
-        The windowed replacement for :attr:`committed_requests`: one
-        non-empty batch per block, in block order, holding a single
+        One non-empty batch per block, in block order, holding a single
         block's rows at a time. In spill mode the rows stream straight
         off the segment files.
         """
@@ -536,17 +291,15 @@ class BeaconChain:
                 yield batch
             return
         for block in self._blocks[max(0, block_height):]:
-            batch = self._block_payload_batch(block)
-            if len(batch):
-                yield batch
+            if block.payload:
+                yield block.payload[0]
 
     def batches_since(self, block_height: int) -> List[MigrationRequestBatch]:
         """Per-block committed MRs as columnar batches, in block order.
 
-        One batch per non-empty block (object payloads are converted),
-        so callers that must preserve cross-block ordering — the same
-        account can legitimately move twice across two epochs' blocks —
-        can apply them block by block without materialising objects.
+        One batch per non-empty block, so callers that must preserve
+        cross-block ordering — the same account can legitimately move
+        twice across two epochs' blocks — can apply them block by block.
         Materialises only the requested height window; unbounded-run
         consumers with a sync height never touch the full log.
         """

@@ -71,8 +71,8 @@ class Block:
     """A block: header plus an opaque tuple of payload items.
 
     Shard blocks carry :class:`repro.chain.transaction.Transaction` ids or
-    counts; beacon blocks carry
-    :class:`repro.core.migration.MigrationRequest` objects. The chain
+    counts; beacon blocks carry one committed
+    :class:`repro.chain.migration.MigrationRequestBatch`. The chain
     classes enforce payload types; ``Block`` itself stays generic.
     """
 

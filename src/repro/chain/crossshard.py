@@ -666,38 +666,12 @@ class CrossShardExecutor:
 
     # -- migration interaction -------------------------------------------------------
 
-    def apply_migration(self, account: int, to_shard: int) -> int:
-        """Move an account's state when its allocation changes.
-
-        Returns the bytes of state moved. The caller is responsible for
-        updating ``self.mapping`` (they share the object in the ledger).
-        """
-        current = self.registry.locate(account)
-        if current is None or current == to_shard:
-            return 0
-        return self.registry.migrate(account, current, to_shard)
-
-    def apply_migrations(
-        self, accounts: np.ndarray, to_shards: np.ndarray
-    ) -> int:
-        """Apply committed migrations one by one; returns bytes moved.
-
-        The per-account reference loop — the batched reconfiguration
-        path uses :meth:`apply_migration_batch` instead, and the
-        equivalence suite pins the two to identical outcomes.
-        """
-        if len(accounts) != len(to_shards):
-            raise ValidationError("accounts/to_shards length mismatch")
-        moved = 0
-        for account, shard in zip(accounts.tolist(), to_shards.tolist()):
-            moved += self.apply_migration(int(account), int(shard))
-        return moved
-
     def apply_migration_batch(
         self, accounts: np.ndarray, to_shards: np.ndarray
     ) -> int:
-        """Columnar :meth:`apply_migrations`; returns bytes moved.
+        """Move migrated accounts' state between shards; returns bytes moved.
 
+        The caller updates ``self.mapping`` (the ledger shares it).
         Residency resolves through the registry's index in one
         vectorised lookup and state moves as grouped per-shard
         gather/scatter (see :meth:`StateRegistry.migrate_batch`).

@@ -23,14 +23,14 @@ instead of a uniform synthetic supply.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.chain.beacon import prioritize_requests
+from repro.chain.kernels import select_migrations_kernel
 from repro.chain.migration import MigrationRequest
 from repro.chain.transaction import TransactionBatch
-from repro.errors import ConfigurationError, ValidationError
+from repro.errors import ConfigurationError, MigrationError, ValidationError
 
 
 #: Canonical accumulation granularity for observed funding. Float
@@ -303,27 +303,35 @@ def simulate_flooding(
     gains outbid squatters in any fee auction; here we model the
     paper's simpler gain-prioritised rule).
     """
-    attack_requests = [
-        MigrationRequest(
-            account=int(account),
-            from_shard=0,
-            to_shard=1,
-            gain=attacker_gain,
+    attackers = np.asarray(attacker_accounts, dtype=np.int64)
+    if (attackers < 0).any():
+        raise MigrationError(
+            f"account must be >= 0, got {int(attackers[attackers < 0][0])}"
         )
-        for account in attacker_accounts
-    ]
-    all_requests: List[MigrationRequest] = list(honest_requests) + attack_requests
-    committed, _rejected = prioritize_requests(all_requests, capacity)
-
-    honest_accounts = {r.account for r in honest_requests}
-    honest_committed = sum(1 for r in committed if r.account in honest_accounts)
+    honest_accounts = np.array(
+        [r.account for r in honest_requests], dtype=np.int64
+    )
+    accounts = np.concatenate([honest_accounts, attackers])
+    gains = np.concatenate(
+        [
+            np.array([r.gain for r in honest_requests], dtype=np.float64),
+            np.full(len(attackers), float(attacker_gain)),
+        ]
+    )
+    # Without a mapping the kernel skips the stale filter, so the shard
+    # columns play no part in the round.
+    shards = np.zeros(len(accounts), dtype=np.int64)
+    committed, _rejected = select_migrations_kernel(
+        accounts, shards, shards, gains, None, None, capacity
+    )
+    honest_committed = int(np.isin(accounts[committed], honest_accounts).sum())
     attacker_committed = len(committed) - honest_committed
 
-    demand = len(all_requests)
+    demand = len(accounts)
     fee = schedule.fee(demand, capacity)
     return FloodingOutcome(
         honest_committed=honest_committed,
         attacker_committed=attacker_committed,
-        attacker_cost=len(attack_requests) * fee,
+        attacker_cost=len(attackers) * fee,
         honest_cost=len(honest_requests) * fee,
     )

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from repro.chain.beacon import BeaconChain, apply_batch_to_mapping, mr_announcement_bytes
 from repro.chain.mapping import ShardMapping
 from repro.chain.miner import MinerPool, ReshuffleReport
@@ -69,7 +67,6 @@ class EpochReconfigurator:
         beacon: BeaconChain,
         miner_pool: Optional[MinerPool] = None,
         executor: Optional["CrossShardExecutor"] = None,
-        batched: bool = True,
         compact_slack: Optional[float] = None,
         bus: Optional[MessageBus] = None,
     ) -> None:
@@ -86,9 +83,6 @@ class EpochReconfigurator:
         #: analytic model only charges bytes for).
         self._bus = bus
         self._synced_height = 0
-        #: ``batched=False`` selects the per-request reference path
-        #: (same observable behaviour, used by the equivalence tests).
-        self.batched = batched
         #: When set, each reconfiguration ends with a dense-store
         #: compaction pass: any store whose vacated slots exceed
         #: ``compact_slack`` x its live population is re-slotted so
@@ -122,45 +116,22 @@ class EpochReconfigurator:
         # Account state follows the allocation: when the reconfigurator
         # drives an executor, the same committed MRs move balances
         # between shard stores, riding the state-sync phase as in
-        # Section III-B-2. The batched path never materialises request
-        # objects: each block's committed batch applies as grouped
-        # gather/scatter moves (per source, then per target shard);
-        # blocks apply in order because an account can legitimately
-        # move in two different epochs' blocks.
+        # Section III-B-2. Each block's committed batch applies as
+        # grouped gather/scatter moves (per source, then per target
+        # shard); blocks apply in order because an account can
+        # legitimately move in two different epochs' blocks.
         state_moved_bytes = 0.0
-        if self.batched:
-            batches = self._beacon.batches_since(synced_from)
-            request_count = sum(len(b) for b in batches)
-            applied = 0
-            for batch in batches:
-                applied += apply_batch_to_mapping(batch, mapping)
-                if self._executor is not None:
-                    in_universe = batch.accounts < mapping.n_accounts
-                    state_moved_bytes += float(
-                        self._executor.apply_migration_batch(
-                            batch.accounts[in_universe],
-                            batch.to_shards[in_universe],
-                        )
-                    )
-        else:
-            requests = self._beacon.requests_since(synced_from)
-            request_count = len(requests)
-            applied = 0
-            for request in requests:
-                if request.account < mapping.n_accounts:
-                    mapping.assign(request.account, request.to_shard)
-                    applied += 1
-            if self._executor is not None and requests:
-                accounts = np.array(
-                    [r.account for r in requests], dtype=np.int64
-                )
-                to_shards = np.array(
-                    [r.to_shard for r in requests], dtype=np.int64
-                )
-                in_universe = accounts < mapping.n_accounts
-                state_moved_bytes = float(
-                    self._executor.apply_migrations(
-                        accounts[in_universe], to_shards[in_universe]
+        request_count = 0
+        applied = 0
+        for batch in self._beacon.iter_committed_batches(synced_from):
+            request_count += len(batch)
+            applied += apply_batch_to_mapping(batch, mapping)
+            if self._executor is not None:
+                in_universe = batch.accounts < mapping.n_accounts
+                state_moved_bytes += float(
+                    self._executor.apply_migration_batch(
+                        batch.accounts[in_universe],
+                        batch.to_shards[in_universe],
                     )
                 )
         beacon_sync_bytes = float(request_count * MR_RECORD_BYTES)

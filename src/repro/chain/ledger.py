@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional
 
 import numpy as np
 
-from repro.chain.beacon import BatchCommitReport, BeaconChain, CommitReport
+from repro.chain.beacon import BeaconChain, CommitReport
 from repro.chain.crossshard import CrossShardExecutor, ExecutionReport
 from repro.chain.epoch import EpochReconfigurator, ReconfigurationReport
 from repro.chain.mapping import ShardMapping
 from repro.chain.mempool import Mempool, classify_transactions, shard_workloads
-from repro.chain.migration import MigrationRequest, MigrationRequestBatch
+from repro.chain.migration import MigrationRequestBatch
 from repro.chain.miner import MinerPool
 from repro.chain.params import ProtocolParams
 from repro.chain.shard import ShardChain
@@ -184,23 +184,12 @@ class Ledger:
 
     # -- migration & reconfiguration ----------------------------------------------
 
-    def submit_migrations(self, requests: Sequence[MigrationRequest]) -> None:
-        """Forward client migration requests to the beacon chain."""
-        self.beacon.submit_many(requests)
-
     def submit_migration_batch(self, batch: MigrationRequestBatch) -> None:
-        """Forward a columnar batch of migration requests to the beacon."""
+        """Forward a columnar batch of client migration requests."""
         self.beacon.submit_batch(batch)
 
-    def commit_migrations(
-        self, capacity: Optional[int]
-    ) -> Union[CommitReport, BatchCommitReport]:
-        """Commit this epoch's MRs on the beacon chain (capacity-capped).
-
-        Batch-submitted rounds return a
-        :class:`~repro.chain.beacon.BatchCommitReport` (columnar, lazy
-        object views); scalar rounds the classic :class:`CommitReport`.
-        """
+    def commit_migrations(self, capacity: Optional[int]) -> CommitReport:
+        """Commit this epoch's MRs on the beacon chain (capacity-capped)."""
         return self.beacon.commit_epoch(
             epoch=self._epoch, capacity=capacity, mapping=self.mapping
         )

@@ -6,9 +6,9 @@ carry the potential gain the client computed so that, when more requests
 are proposed than the beacon chain can commit in one epoch, the ones with
 the largest improvement are prioritised (Section V-A, Parameters).
 
-:class:`MigrationRequest` is the friendly per-object view;
-:class:`MigrationRequestBatch` is the columnar view the vectorised
-migration-accounting kernel operates on (struct-of-arrays, mirroring
+:class:`MigrationRequest` is the one-request view a client builds;
+:class:`MigrationRequestBatch` is the columnar form the beacon chain
+and the commitment kernel accept (struct-of-arrays, mirroring
 ``TransactionBatch``).
 """
 
@@ -63,10 +63,10 @@ class MigrationRequest:
 class MigrationRequestBatch:
     """Columnar batch of migration requests (struct-of-arrays).
 
-    One epoch of client proposals as parallel arrays; the vectorised
-    commitment policy (``core/migration.py``) filters and prioritises
-    directly on the arrays, materialising :class:`MigrationRequest`
-    objects only for the committed/rejected views callers inspect.
+    One epoch of client proposals as parallel arrays; the beacon chain
+    and the commitment policy (``core/migration.py``) filter and
+    prioritise directly on the arrays. :meth:`from_requests` and
+    :meth:`take` convert to and from :class:`MigrationRequest` objects.
     """
 
     __slots__ = ("accounts", "from_shards", "to_shards", "gains", "epoch")
@@ -149,9 +149,18 @@ class MigrationRequestBatch:
     def from_requests(
         cls, requests: Sequence[MigrationRequest]
     ) -> "MigrationRequestBatch":
-        """Build a batch from request objects (epoch taken from the first)."""
+        """Build a batch from request objects of one proposal epoch.
+
+        A batch has a single epoch column, so requests from different
+        epochs raise :class:`MigrationError` instead of being relabelled.
+        """
         if not requests:
             return cls.empty()
+        epochs = {r.epoch for r in requests}
+        if len(epochs) > 1:
+            raise MigrationError(
+                f"requests span epochs {sorted(epochs)}; a batch holds one"
+            )
         return cls(
             np.array([r.account for r in requests], dtype=np.int64),
             np.array([r.from_shard for r in requests], dtype=np.int64),

@@ -564,10 +564,7 @@ def _command_bench(args: argparse.Namespace) -> int:
     print(f"kernel_seconds  : {payload['kernel_seconds']}")
     print(f"smoke_seconds   : {payload['smoke_seconds']}")
     if "reconfig_seconds_batch_1m" in payload:
-        print(
-            f"reconfig 1M     : {payload['reconfig_seconds_batch_1m']}s "
-            f"batch vs {payload['reconfig_seconds_object_1m']}s object"
-        )
+        print(f"reconfig 1M     : {payload['reconfig_seconds_batch_1m']}s")
     if "ingest_seconds_streamed_1m" in payload:
         line = (
             f"ingest 1M       : {payload['ingest_seconds_streamed_1m']}s "

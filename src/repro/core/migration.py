@@ -4,43 +4,30 @@ The beacon chain can commit at most ``lambda`` migration requests per
 epoch (it runs the same consensus as a shard, Section V-A). When clients
 propose more, "the migration requests that offer the most significant
 improvements in P will be prioritized for commitment". This module
-packages that policy so both the Mosaic allocator and the full
-beacon-chain substrate apply identical rules.
+packages that policy over columnar request batches; it and the beacon
+chain share one rule,
+:func:`~repro.chain.kernels.select_migrations_kernel`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.chain.beacon import prioritize_requests
 from repro.chain.kernels import select_migrations_kernel
 from repro.chain.mapping import ShardMapping
-from repro.chain.migration import MigrationRequest, MigrationRequestBatch
+from repro.chain.migration import MigrationRequestBatch
 from repro.errors import MigrationError
 
 
 @dataclass(frozen=True)
-class PolicyOutcome:
-    """Result of filtering one epoch's migration proposals."""
-
-    committed: Tuple[MigrationRequest, ...]
-    rejected: Tuple[MigrationRequest, ...]
-
-    @property
-    def committed_count(self) -> int:
-        return len(self.committed)
-
-
-@dataclass(frozen=True)
 class BatchOutcome:
-    """Columnar policy outcome: index arrays into the request batch.
+    """Policy outcome: index arrays into the request batch.
 
-    ``committed_idx`` is in commitment order. The object views are
-    materialised lazily via :meth:`to_policy_outcome` for callers that
-    want :class:`PolicyOutcome` ergonomics.
+    ``committed_idx`` is in commitment order; ``rejected_idx`` carries
+    no order guarantee.
     """
 
     batch: MigrationRequestBatch
@@ -50,12 +37,6 @@ class BatchOutcome:
     @property
     def committed_count(self) -> int:
         return len(self.committed_idx)
-
-    def to_policy_outcome(self) -> PolicyOutcome:
-        return PolicyOutcome(
-            committed=tuple(self.batch.take(self.committed_idx)),
-            rejected=tuple(self.batch.take(self.rejected_idx)),
-        )
 
 
 class MigrationPolicy:
@@ -74,74 +55,12 @@ class MigrationPolicy:
         self.capacity = capacity
         self.fifo = fifo
 
-    def select(
-        self,
-        requests: Sequence[MigrationRequest],
-        mapping: Optional[ShardMapping] = None,
-    ) -> PolicyOutcome:
-        """Validate and choose which requests commit this epoch."""
-        valid: List[MigrationRequest] = []
-        stale: List[MigrationRequest] = []
-        for request in requests:
-            if mapping is not None:
-                if (
-                    request.account >= mapping.n_accounts
-                    or request.to_shard >= mapping.k
-                    or mapping.shard_of(request.account) != request.from_shard
-                ):
-                    stale.append(request)
-                    continue
-            valid.append(request)
-
-        if self.fifo:
-            seen = set()
-            deduped: List[MigrationRequest] = []
-            dropped: List[MigrationRequest] = []
-            for request in valid:
-                if request.account in seen:
-                    dropped.append(request)
-                    continue
-                seen.add(request.account)
-                deduped.append(request)
-            if self.capacity is None or self.capacity >= len(deduped):
-                committed, over = deduped, []
-            else:
-                committed = deduped[: self.capacity]
-                over = deduped[self.capacity :]
-            return PolicyOutcome(
-                committed=tuple(committed),
-                rejected=tuple(over + dropped + stale),
-            )
-
-        committed, rejected = prioritize_requests(valid, self.capacity)
-        return PolicyOutcome(
-            committed=tuple(committed), rejected=tuple(rejected + stale)
-        )
-
-    def apply(
-        self,
-        requests: Sequence[MigrationRequest],
-        mapping: ShardMapping,
-    ) -> PolicyOutcome:
-        """Select and apply the committed requests to ``mapping`` in place."""
-        outcome = self.select(requests, mapping)
-        for request in outcome.committed:
-            mapping.assign(request.account, request.to_shard)
-        return outcome
-
-    # -- vectorised path ---------------------------------------------------
-
     def select_batch(
         self,
         batch: MigrationRequestBatch,
         mapping: Optional[ShardMapping] = None,
     ) -> BatchOutcome:
-        """Vectorised :meth:`select` over a columnar request batch.
-
-        Element-for-element equivalent to the scalar path (committed set
-        and commitment order match exactly; the rejected *set* matches
-        but carries no order guarantee).
-        """
+        """Validate and choose which requests of ``batch`` commit."""
         committed_idx, rejected_idx = select_migrations_kernel(
             batch.accounts,
             batch.from_shards,

@@ -23,17 +23,17 @@ tens of thousands of clients stay fast. The per-client cost accounting
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.allocation.base import AllocationUpdate, Allocator, UpdateContext
 from repro.chain.mapping import ShardMapping
-from repro.chain.migration import MigrationRequest, MigrationRequestBatch
+from repro.chain.migration import MigrationRequestBatch
 from repro.chain.params import ProtocolParams
 from repro.chain.transaction import TransactionBatch
 from repro.core.interaction import interaction_matrix
-from repro.core.migration import MigrationPolicy, PolicyOutcome
+from repro.core.migration import BatchOutcome, MigrationPolicy
 from repro.core.pilot import batch_pilot_decisions
 from repro.data.trace import Trace
 from repro.workload.observer import OMEGA_ENTRY_BYTES, WorkloadOracle
@@ -75,8 +75,9 @@ class MosaicAllocator(Allocator):
         self._edge_v = np.zeros(0, dtype=np.int64)
         self._edge_w = np.zeros(0, dtype=np.float64)
         self._tx_count = np.zeros(0, dtype=np.int64)
-        self._last_request_batch: Optional[MigrationRequestBatch] = None
-        self.last_outcome: Optional[PolicyOutcome] = None
+        #: The last epoch's commitment outcome (columnar; ``None``
+        #: before the first update).
+        self.last_outcome: Optional[BatchOutcome] = None
 
     # -- history bookkeeping ---------------------------------------------------
 
@@ -189,18 +190,11 @@ class MosaicAllocator(Allocator):
     # -- Allocator interface ---------------------------------------------------------
 
     @property
-    def last_requests(self) -> List[MigrationRequest]:
-        """Last epoch's migration requests, materialised lazily.
-
-        The update loop keeps only the columnar request batch; request
-        objects are built on access (observability/tests), never on the
-        per-epoch hot path.
-        """
-        if self._last_request_batch is None:
-            return []
-        return self._last_request_batch.take(
-            np.arange(len(self._last_request_batch))
-        )
+    def last_request_batch(self) -> Optional[MigrationRequestBatch]:
+        """The last epoch's proposed migration requests, as one batch."""
+        if self.last_outcome is None:
+            return None
+        return self.last_outcome.batch
 
     def initialize(self, history: Trace, params: ProtocolParams) -> ShardMapping:
         self._ensure_accounts(history.n_accounts)
@@ -260,14 +254,11 @@ class MosaicAllocator(Allocator):
 
         # 4. The beacon chain commits at most lambda requests, by gain.
         # Selection and application run on the columnar batch (the
-        # vectorised migration-accounting kernel); the object views are
-        # materialised afterwards for observability.
+        # vectorised migration-accounting kernel).
         capacity = None if self.unlimited_migrations else int(context.capacity)
         policy = MigrationPolicy(capacity=capacity, fifo=self.fifo_commitment)
         new_mapping = mapping.copy()
-        batch_outcome = policy.apply_batch(request_batch, new_mapping)
-        self._last_request_batch = request_batch
-        self.last_outcome = batch_outcome.to_policy_outcome()
+        self.last_outcome = policy.apply_batch(request_batch, new_mapping)
 
         n_active = max(1, len(active))
         input_bytes = self._mean_pilot_input_bytes(
@@ -278,7 +269,7 @@ class MosaicAllocator(Allocator):
             execution_time=elapsed,
             unit_time=elapsed / n_active,
             input_bytes=input_bytes,
-            migrations=batch_outcome.committed_count,
+            migrations=self.last_outcome.committed_count,
             proposed_migrations=len(request_batch),
         )
 

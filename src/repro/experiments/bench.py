@@ -165,7 +165,6 @@ def reconfig_microbench(
     n_accounts: int = 1_000_000,
     k: int = 16,
     seed: int = 0,
-    mode: str = "batch",
     backend: str = "dense",
     move_fraction: float = 1.0,
 ) -> float:
@@ -176,22 +175,16 @@ def reconfig_microbench(
     so ~(k-1)/k of the universe moves), and times the complete
     reconfiguration pipeline: request construction, beacon submission,
     the uncapped commitment round, mapping sync, and account state
-    movement between the shard stores. ``mode`` selects the columnar
-    path (``"batch"``: one :class:`MigrationRequestBatch`, vectorised
-    commitment, grouped gather/scatter state moves) or the per-account
-    object path (``"object"``: one ``MigrationRequest`` per move and a
-    locate loop). The results feed the snapshot's
-    ``reconfig_seconds_{object,batch}_1m`` entries and the CI gate.
+    movement between the shard stores. The result feeds the snapshot's
+    ``reconfig_seconds_batch_1m`` entry and the CI gate.
     """
     from repro.chain.beacon import BeaconChain
     from repro.chain.crossshard import CrossShardExecutor
     from repro.chain.epoch import EpochReconfigurator
     from repro.chain.mapping import ShardMapping
-    from repro.chain.migration import MigrationRequest, MigrationRequestBatch
+    from repro.chain.migration import MigrationRequestBatch
     from repro.chain.state import StateRegistry
 
-    if mode not in ("object", "batch"):
-        raise ExperimentError(f"mode must be 'object' or 'batch', got {mode!r}")
     rng = np.random.default_rng(seed)
     mapping = ShardMapping(rng.integers(0, k, size=n_accounts), k=k)
     registry = StateRegistry(k=k, backend=backend, n_accounts=n_accounts)
@@ -205,28 +198,10 @@ def reconfig_microbench(
     from_shards = mapping.as_array()[moved].copy()
     to_shards = target[moved]
     beacon = BeaconChain()
-    reconfigurator = EpochReconfigurator(
-        beacon, executor=executor, batched=(mode == "batch")
-    )
+    reconfigurator = EpochReconfigurator(beacon, executor=executor)
 
     started = time.perf_counter()
-    if mode == "batch":
-        beacon.submit_batch(
-            MigrationRequestBatch(moved, from_shards, to_shards)
-        )
-    else:
-        beacon.submit_many(
-            [
-                MigrationRequest(
-                    account=int(account),
-                    from_shard=int(from_shard),
-                    to_shard=int(to_shard),
-                )
-                for account, from_shard, to_shard in zip(
-                    moved.tolist(), from_shards.tolist(), to_shards.tolist()
-                )
-            ]
-        )
+    beacon.submit_batch(MigrationRequestBatch(moved, from_shards, to_shards))
     beacon.commit_epoch(epoch=0, capacity=None, mapping=mapping)
     reconfigurator.run(0, mapping)
     return time.perf_counter() - started
@@ -611,13 +586,8 @@ def run_bench(
         executor_microbench(n_accounts=1_000_000, backend="dense")
         for _ in range(2)
     )
-    # Best of two for the batch path (first run pays dense-column page
-    # faults); the object path is dominated by per-request Python work,
-    # one run is representative.
-    reconfig_batch_1m = min(
-        reconfig_microbench(mode="batch") for _ in range(2)
-    )
-    reconfig_object_1m = reconfig_microbench(mode="object")
+    # Best of two (the first run pays dense-column page faults).
+    reconfig_batch_1m = min(reconfig_microbench() for _ in range(2))
     # The CSV is written once (untimed) and shared by both modes; each
     # timed decode is preceded by an untimed warm read of the file, so
     # ordering cannot hand either mode a page-cache advantage.
@@ -666,9 +636,8 @@ def run_bench(
         "kernel_seconds: columnar cross-shard executor microbenchmark",
         "kernel_seconds_{dict,dense}_1m: the same executor workload over "
         "a 1M-account universe, per state-store backend",
-        "reconfig_seconds_{object,batch}_1m: metis-style full repartition "
-        "of a 1M-account executed universe (beacon commit + state "
-        "movement), per migration path",
+        "reconfig_seconds_batch_1m: metis-style full repartition of a "
+        "1M-account executed universe (beacon commit + state movement)",
         "ingest_seconds_{materialised,streamed}_1m: decode a 1M-row "
         "valued ethereum-etl CSV into a Trace, eager reader vs chunked "
         "bounded-memory CsvTraceSource (python reference decoder)",
@@ -716,7 +685,6 @@ def run_bench(
     payload["kernel_seconds"] = round(kernel_seconds, 3)
     payload["kernel_seconds_dict_1m"] = round(kernel_dict_1m, 3)
     payload["kernel_seconds_dense_1m"] = round(kernel_dense_1m, 3)
-    payload["reconfig_seconds_object_1m"] = round(reconfig_object_1m, 3)
     payload["reconfig_seconds_batch_1m"] = round(reconfig_batch_1m, 3)
     payload["ingest_seconds_materialised_1m"] = round(ingest_materialised_1m, 3)
     payload["ingest_seconds_streamed_1m"] = round(ingest_streamed_1m, 3)

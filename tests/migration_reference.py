@@ -1,0 +1,157 @@
+"""Per-request reference for the migration-request path (a test oracle).
+
+Production commits migration requests (MRs) through one columnar rule,
+``select_migrations_kernel``, and moves account state with
+``StateRegistry.migrate_batch``. This module keeps the object-at-a-time
+formulation of the same protocol so property tests can check
+``select_migrations_kernel``, ``BeaconChain.commit_epoch`` and
+``EpochReconfigurator.run`` against it:
+
+* :func:`select_requests` — stale filter, per-account dedup and a
+  gain-prioritised (or FIFO) capacity cap over ``MigrationRequest``
+  objects; :func:`prioritize_requests` is its gain rule alone;
+* :class:`ReferenceChain` — an object beacon plus reconfigurator that
+  commits with :func:`select_requests` and replays each committed
+  request through ``mapping.assign`` and ``StateRegistry.migrate``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.chain.mapping import ShardMapping
+from repro.chain.migration import MigrationRequest
+from repro.chain.state import StateRegistry
+from repro.errors import ValidationError
+
+Requests = List[MigrationRequest]
+
+
+def is_stale(request: MigrationRequest, mapping: ShardMapping) -> bool:
+    """True when ``request`` no longer matches ``mapping``."""
+    return (
+        request.account >= mapping.n_accounts
+        or request.to_shard >= mapping.k
+        or mapping.shard_of(request.account) != request.from_shard
+    )
+
+
+def prioritize_requests(
+    requests: Sequence[MigrationRequest], capacity: Optional[int]
+) -> Tuple[Requests, Requests]:
+    """Split ``requests`` into (committed, rejected) under ``capacity``.
+
+    Duplicate requests for one account keep only the highest-gain
+    request (the earliest wins a tie). The survivors are ordered by
+    descending gain, ties broken by account id, and the top
+    ``capacity`` commit.
+    """
+    best_per_account: Dict[int, MigrationRequest] = {}
+    duplicates: Requests = []
+    for request in requests:
+        current = best_per_account.get(request.account)
+        if current is None or request.gain > current.gain:
+            if current is not None:
+                duplicates.append(current)
+            best_per_account[request.account] = request
+        else:
+            duplicates.append(request)
+    ordered = sorted(
+        best_per_account.values(), key=lambda r: (-r.gain, r.account)
+    )
+    if capacity is None or capacity >= len(ordered):
+        return ordered, duplicates
+    if capacity < 0:
+        raise ValidationError(f"capacity must be >= 0, got {capacity}")
+    return ordered[:capacity], ordered[capacity:] + duplicates
+
+
+def select_requests(
+    requests: Sequence[MigrationRequest],
+    capacity: Optional[int] = None,
+    mapping: Optional[ShardMapping] = None,
+    fifo: bool = False,
+) -> Tuple[Requests, Requests]:
+    """One commitment round over objects: (committed, rejected).
+
+    ``committed`` is in commitment order. FIFO keeps each account's
+    first request and commits in submission order.
+    """
+    valid: Requests = []
+    stale: Requests = []
+    for request in requests:
+        if mapping is not None and is_stale(request, mapping):
+            stale.append(request)
+        else:
+            valid.append(request)
+    if not fifo:
+        committed, rejected = prioritize_requests(valid, capacity)
+        return committed, rejected + stale
+    seen = set()
+    deduped: Requests = []
+    dropped: Requests = []
+    for request in valid:
+        if request.account in seen:
+            dropped.append(request)
+        else:
+            seen.add(request.account)
+            deduped.append(request)
+    cut = len(deduped) if capacity is None else capacity
+    return deduped[:cut], deduped[cut:] + dropped + stale
+
+
+@dataclass
+class ReferenceSync:
+    """What one :meth:`ReferenceChain.reconfigure` call did."""
+
+    requests_synced: int
+    migrations_applied: int
+    state_moved_bytes: float
+
+
+class ReferenceChain:
+    """Object beacon + reconfigurator, one request at a time.
+
+    ``submit``/``commit_epoch`` mirror ``BeaconChain``;
+    ``reconfigure`` mirrors the MR-application part of
+    ``EpochReconfigurator.run``: every request committed since the last
+    call assigns its account in ``mapping`` and, given a registry,
+    moves the account's state with a locate + ``migrate``.
+    """
+
+    def __init__(self, registry: Optional[StateRegistry] = None) -> None:
+        self.registry = registry
+        self._pending: Requests = []
+        self._unsynced: Requests = []
+
+    def submit(self, requests: Sequence[MigrationRequest]) -> None:
+        self._pending.extend(requests)
+
+    def commit_epoch(
+        self,
+        capacity: Optional[int] = None,
+        mapping: Optional[ShardMapping] = None,
+    ) -> Tuple[Requests, Requests]:
+        committed, rejected = select_requests(self._pending, capacity, mapping)
+        self._pending = []
+        self._unsynced.extend(committed)
+        return committed, rejected
+
+    def reconfigure(self, mapping: ShardMapping) -> ReferenceSync:
+        requests, self._unsynced = self._unsynced, []
+        applied = 0
+        moved = 0.0
+        for request in requests:
+            if request.account >= mapping.n_accounts:
+                continue
+            mapping.assign(request.account, request.to_shard)
+            applied += 1
+            if self.registry is None:
+                continue
+            current = self.registry.locate(request.account)
+            if current is not None and current != request.to_shard:
+                moved += self.registry.migrate(
+                    request.account, current, request.to_shard
+                )
+        return ReferenceSync(len(requests), applied, moved)

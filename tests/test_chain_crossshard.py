@@ -125,7 +125,7 @@ class TestMigrationInteraction:
     def test_state_follows_allocation(self):
         executor = executor_for([0, 0], k=2)
         executor.fund(0, 8.0)
-        moved = executor.apply_migration(0, to_shard=1)
+        moved = executor.apply_migration_batch(np.array([0]), np.array([1]))
         executor.mapping.assign(0, 1)
         assert moved > 0
         assert executor.registry.locate(0) == 1
@@ -135,7 +135,9 @@ class TestMigrationInteraction:
 
     def test_migrating_unknown_account_is_noop(self):
         executor = executor_for([0, 0], k=2)
-        assert executor.apply_migration(1, to_shard=1) == 0
+        assert executor.apply_migration_batch(
+            np.array([1]), np.array([1])
+        ) == 0
 
 
 class TestBatchedScalarEquivalence:
@@ -247,8 +249,12 @@ class TestBatchedScalarEquivalence:
             # move while receipts naming its old shard are pending.
             account = int(rng.integers(0, n_accounts))
             to_shard = int(rng.integers(0, k))
-            batched.apply_migration(account, to_shard)
-            scalar.apply_migration(account, to_shard)
+            batched.apply_migration_batch(
+                np.array([account]), np.array([to_shard])
+            )
+            scalar.apply_migration_batch(
+                np.array([account]), np.array([to_shard])
+            )
             batched.mapping.assign(account, to_shard)
             scalar.mapping.assign(account, to_shard)
             block += int(rng.integers(1, 3))

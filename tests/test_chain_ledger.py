@@ -5,7 +5,7 @@ import pytest
 
 from repro.chain.ledger import Ledger
 from repro.chain.mapping import ShardMapping
-from repro.chain.migration import MigrationRequest
+from repro.chain.migration import MigrationRequest, MigrationRequestBatch
 from repro.chain.params import ProtocolParams
 from repro.chain.transaction import TransactionBatch
 from repro.errors import SimulationError
@@ -69,8 +69,10 @@ class TestMigrationFlow:
     def test_full_cycle(self, ledger):
         src = ledger.mapping.shard_of(0)
         dst = (src + 1) % ledger.params.k
-        ledger.submit_migrations(
-            [MigrationRequest(account=0, from_shard=src, to_shard=dst, gain=1.0)]
+        ledger.submit_migration_batch(
+            MigrationRequestBatch.from_requests(
+                [MigrationRequest(account=0, from_shard=src, to_shard=dst, gain=1.0)]
+            )
         )
         report = ledger.commit_migrations(capacity=10)
         assert report.committed_count == 1
@@ -82,8 +84,10 @@ class TestMigrationFlow:
     def test_capacity_zero_blocks_all(self, ledger):
         src = ledger.mapping.shard_of(0)
         dst = (src + 1) % ledger.params.k
-        ledger.submit_migrations(
-            [MigrationRequest(account=0, from_shard=src, to_shard=dst)]
+        ledger.submit_migration_batch(
+            MigrationRequestBatch.from_requests(
+                [MigrationRequest(account=0, from_shard=src, to_shard=dst)]
+            )
         )
         report = ledger.commit_migrations(capacity=0)
         assert report.committed_count == 0

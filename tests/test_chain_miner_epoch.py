@@ -6,13 +6,20 @@ import pytest
 from repro.chain.beacon import BeaconChain
 from repro.chain.epoch import EpochReconfigurator
 from repro.chain.mapping import ShardMapping
-from repro.chain.migration import MigrationRequest
+from repro.chain.migration import MigrationRequestBatch
 from repro.chain.miner import Miner, MinerPool
 from repro.chain.network import MR_RECORD_BYTES
 from repro.chain.state import STATE_RECORD_BYTES
 from repro.errors import ConfigurationError, SimulationError, ValidationError
 from repro.util.rng import RngFactory
 
+
+
+def one_request(account, from_shard=0, to_shard=1):
+    """A single-row migration-request batch."""
+    return MigrationRequestBatch(
+        np.array([account]), np.array([from_shard]), np.array([to_shard])
+    )
 
 class TestMiner:
     def test_beacon_sentinel(self):
@@ -75,8 +82,8 @@ class TestMinerPool:
 class TestEpochReconfigurator:
     def _beacon_with_requests(self):
         beacon = BeaconChain()
-        beacon.submit(MigrationRequest(account=1, from_shard=0, to_shard=1))
-        beacon.submit(MigrationRequest(account=2, from_shard=0, to_shard=1))
+        beacon.submit_batch(one_request(1))
+        beacon.submit_batch(one_request(2))
         beacon.commit_epoch(epoch=0)
         return beacon
 

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.chain.beacon import BeaconChain, prioritize_requests
+from migration_reference import prioritize_requests
+from repro.chain.beacon import BeaconChain
 from repro.chain.block import Block, GENESIS_HASH
 from repro.chain.mapping import ShardMapping
-from repro.chain.migration import MigrationRequest
+from repro.chain.migration import MigrationRequest, MigrationRequestBatch
 from repro.chain.shard import ShardChain
 from repro.errors import BlockLinkError, MigrationError, ValidationError
 
@@ -15,6 +16,10 @@ def mr(account, src=0, dst=1, gain=1.0, epoch=0):
     return MigrationRequest(
         account=account, from_shard=src, to_shard=dst, gain=gain, epoch=epoch
     )
+
+
+def submit(beacon, *requests):
+    beacon.submit_batch(MigrationRequestBatch.from_requests(requests))
 
 
 class TestShardChain:
@@ -67,6 +72,8 @@ class TestShardChain:
 
 
 class TestPrioritizeRequests:
+    """The reference gain rule the kernel's property tests compare to."""
+
     def test_orders_by_gain(self):
         committed, rejected = prioritize_requests(
             [mr(1, gain=1.0), mr(2, gain=3.0), mr(3, gain=2.0)], capacity=2
@@ -103,11 +110,10 @@ class TestPrioritizeRequests:
 class TestBeaconChain:
     def test_submit_and_commit(self):
         beacon = BeaconChain()
-        beacon.submit(mr(1, gain=2.0))
-        beacon.submit(mr(2, gain=1.0))
+        submit(beacon, mr(1, gain=2.0), mr(2, gain=1.0))
         report = beacon.commit_epoch(epoch=0, capacity=1)
         assert report.committed_count == 1
-        assert report.committed[0].account == 1
+        assert report.committed_batch.accounts.tolist() == [1]
         assert report.rejected_count == 1
         assert len(beacon) == 1
         beacon.verify()
@@ -115,37 +121,31 @@ class TestBeaconChain:
     def test_submit_rejects_non_requests(self):
         beacon = BeaconChain()
         with pytest.raises(MigrationError):
-            beacon.submit("not a request")  # type: ignore[arg-type]
+            beacon.submit_batch(mr(1))  # type: ignore[arg-type]
 
     def test_stale_requests_filtered_against_mapping(self):
         beacon = BeaconChain()
         mapping = ShardMapping(np.array([1, 0]), k=2)
-        beacon.submit(mr(0, src=0, dst=1))  # stale: account 0 is on shard 1
-        beacon.submit(mr(1, src=0, dst=1))  # valid
+        submit(
+            beacon,
+            mr(0, src=0, dst=1),  # stale: account 0 is on shard 1
+            mr(1, src=0, dst=1),  # valid
+        )
         report = beacon.commit_epoch(epoch=0, capacity=10, mapping=mapping)
-        assert [r.account for r in report.committed] == [1]
-        assert [r.account for r in report.rejected] == [0]
+        assert report.committed_batch.accounts.tolist() == [1]
+        assert report.rejected_batch.accounts.tolist() == [0]
 
     def test_unknown_account_is_stale(self):
         beacon = BeaconChain()
         mapping = ShardMapping(np.array([0]), k=2)
-        beacon.submit(mr(5, src=0, dst=1))
+        submit(beacon, mr(5, src=0, dst=1))
         report = beacon.commit_epoch(epoch=0, mapping=mapping)
         assert report.committed_count == 0
-
-    def test_requests_since(self):
-        beacon = BeaconChain()
-        beacon.submit(mr(1))
-        beacon.commit_epoch(epoch=0)
-        beacon.submit(mr(2))
-        beacon.commit_epoch(epoch=1)
-        assert [r.account for r in beacon.requests_since(0)] == [1, 2]
-        assert [r.account for r in beacon.requests_since(1)] == [2]
 
     def test_apply_to_mapping(self):
         beacon = BeaconChain()
         mapping = ShardMapping(np.array([0, 0]), k=2)
-        beacon.submit(mr(1, src=0, dst=1))
+        submit(beacon, mr(1, src=0, dst=1))
         beacon.commit_epoch(epoch=0, mapping=mapping)
         applied = beacon.apply_to_mapping(mapping)
         assert applied == 1
@@ -154,16 +154,18 @@ class TestBeaconChain:
     def test_committed_log_accumulates(self):
         beacon = BeaconChain()
         for epoch in range(3):
-            beacon.submit(mr(epoch + 1))
+            submit(beacon, mr(epoch + 1, epoch=epoch))
             beacon.commit_epoch(epoch=epoch)
         assert beacon.committed_count == 3
-        assert len(beacon.committed_requests) == 3
+        assert [
+            batch.accounts.tolist() for batch in beacon.iter_committed_batches()
+        ] == [[1], [2], [3]]
 
     def test_pending_cleared_after_commit(self):
         beacon = BeaconChain()
-        beacon.submit(mr(1))
+        submit(beacon, mr(1))
         beacon.commit_epoch(epoch=0)
-        assert beacon.pending_requests == ()
+        assert beacon.commit_epoch(epoch=1).proposed == 0
 
 
 class TestMigrationRequest:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.allocation.txallo import TxAlloAllocator
 from repro.chain.crossshard import CrossShardExecutor
 from repro.chain.ledger import Ledger
-from repro.chain.migration import MigrationRequest
+from repro.chain.migration import MigrationRequest, MigrationRequestBatch
 from repro.chain.netsim import NetworkModel
 from repro.chain.params import ProtocolParams
 from repro.chain.state import StateRegistry
@@ -105,7 +105,9 @@ def test_total_value_conserved_through_full_loop(seed, k, relay_delay, batched):
                 update.mapping
             )
         ]
-        ledger.submit_migrations(requests)
+        ledger.submit_migration_batch(
+            MigrationRequestBatch.from_requests(requests)
+        )
         ledger.commit_migrations(capacity=None)
         ledger.reconfigure()  # applies MRs to phi AND moves state
         assert executor.total_value() == pytest.approx(
@@ -181,7 +183,9 @@ def test_total_value_conserved_under_lossy_network(seed, k, relay_delay):
                 update.mapping
             )
         ]
-        ledger.submit_migrations(requests)
+        ledger.submit_migration_batch(
+            MigrationRequestBatch.from_requests(requests)
+        )
         ledger.commit_migrations(capacity=None)
         ledger.reconfigure()
         assert executor.total_value() == pytest.approx(
@@ -240,7 +244,9 @@ def test_lossy_refunds_credit_the_senders_current_shard():
             )
             for account in movers
         ]
-        ledger.submit_migrations(requests)
+        ledger.submit_migration_batch(
+            MigrationRequestBatch.from_requests(requests)
+        )
         ledger.commit_migrations(capacity=None)
         ledger.reconfigure()
     executor.settle_all(from_block=int(trace.batch.blocks.max()) + 1)

@@ -7,6 +7,7 @@ from repro.allocation.base import UpdateContext
 from repro.allocation.hash_based import HashAllocator
 from repro.allocation.txallo import TxAlloAllocator
 from repro.chain.mapping import ShardMapping
+from repro.chain.migration import MigrationRequestBatch
 from repro.chain.transaction import TransactionBatch
 from repro.core.mosaic import MosaicAllocator
 
@@ -133,16 +134,32 @@ class TestUpdate:
         assert update.input_bytes < 100_000
         assert update.unit_time < 0.01
 
-    def test_last_requests_exposed(self, params):
+    def _update_with_proposals(self, params):
         mapping = ShardMapping(np.array([1, 0, 0, 0]), k=params.k)
         allocator = MosaicAllocator()
         committed = pair_batch([(0, 1), (0, 2), (0, 3)])
         mempool = pair_batch([(0, 1)])
         allocator.update(mapping, context_for(params, committed, mempool))
-        assert allocator.last_outcome is not None
-        assert len(allocator.last_requests) == allocator.last_outcome.committed_count + len(
-            allocator.last_outcome.rejected
+        return allocator
+
+    def test_last_request_batch_exposed(self, params):
+        allocator = self._update_with_proposals(params)
+        outcome = allocator.last_outcome
+        assert outcome is not None
+        assert len(allocator.last_request_batch) == outcome.committed_count + len(
+            outcome.rejected_idx
         )
+
+    def test_update_builds_no_request_objects(self, params, monkeypatch):
+        """The per-epoch update stays columnar: converting the proposal
+        batch to request objects would cost one object per proposal."""
+
+        def refuse(self, indices):
+            raise AssertionError("update materialised request objects")
+
+        monkeypatch.setattr(MigrationRequestBatch, "take", refuse)
+        allocator = self._update_with_proposals(params)
+        assert len(allocator.last_request_batch) > 0
 
 
 class TestPlaceNewAccounts:

@@ -16,7 +16,7 @@ from repro.chain.block import Block, BlockHeader, GENESIS_HASH, payload_digest
 from repro.chain.crossshard import CrossShardExecutor
 from repro.chain.ledger import Ledger
 from repro.chain.mapping import ShardMapping
-from repro.chain.migration import MigrationRequest
+from repro.chain.migration import MigrationRequestBatch
 from repro.chain.params import ProtocolParams
 from repro.chain.shard import ShardChain
 from repro.chain.state import StateRegistry
@@ -29,6 +29,13 @@ from repro.errors import (
     ValidationError,
 )
 
+
+
+def one_request(account, from_shard=0, to_shard=1):
+    """A single-row migration-request batch."""
+    return MigrationRequestBatch(
+        np.array([account]), np.array([from_shard]), np.array([to_shard])
+    )
 
 class TestChainTampering:
     def test_rewritten_block_breaks_verification(self):
@@ -54,9 +61,9 @@ class TestChainTampering:
 
     def test_beacon_chain_detects_reordered_blocks(self):
         beacon = BeaconChain()
-        beacon.submit(MigrationRequest(account=1, from_shard=0, to_shard=1))
+        beacon.submit_batch(one_request(1))
         beacon.commit_epoch(epoch=0)
-        beacon.submit(MigrationRequest(account=2, from_shard=0, to_shard=1))
+        beacon.submit_batch(one_request(2))
         beacon.commit_epoch(epoch=1)
         beacon._blocks.reverse()  # simulate a reordering attack
         with pytest.raises(BlockLinkError):
@@ -85,12 +92,12 @@ class TestMappingCorruption:
         so replayed/raced requests cannot flip state back."""
         beacon = BeaconChain()
         mapping = ShardMapping(np.array([0, 0]), k=2)
-        beacon.submit(MigrationRequest(account=0, from_shard=0, to_shard=1))
+        beacon.submit_batch(one_request(0))
         beacon.commit_epoch(epoch=0, mapping=mapping)
         beacon.apply_to_mapping(mapping)
         assert mapping.shard_of(0) == 1
         # Replay the identical (now stale) request.
-        beacon.submit(MigrationRequest(account=0, from_shard=0, to_shard=1))
+        beacon.submit_batch(one_request(0))
         report = beacon.commit_epoch(epoch=1, mapping=mapping)
         assert report.committed_count == 0
         assert mapping.shard_of(0) == 1

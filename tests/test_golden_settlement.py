@@ -64,7 +64,9 @@ def _run_workload(batched: bool):
             )
         if step == 5:
             # Migrate an account while receipts naming it are pending.
-            executor.apply_migration(3, to_shard=(mapping.shard_of(3) + 1) % k)
+            executor.apply_migration_batch(
+                np.array([3]), np.array([(mapping.shard_of(3) + 1) % k])
+            )
             mapping.assign(3, (mapping.shard_of(3) + 1) % k)
         block += int(rng.integers(1, 4))
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from migration_reference import ReferenceChain, select_requests
 from repro.chain.kernels import (
     classify_kernel,
     epoch_metrics_kernel,
@@ -223,7 +224,8 @@ class TestMigrationSelectionKernel:
         fifo=st.booleans(),
     )
     def test_matches_scalar_policy(self, seed, capacity, fifo):
-        """Committed sequence identical; rejected set identical."""
+        """Committed sequence identical to the per-request reference;
+        rejected set identical."""
         rng = np.random.default_rng(seed)
         k = int(rng.integers(2, 6))
         n_accounts = int(rng.integers(1, 30))
@@ -231,17 +233,16 @@ class TestMigrationSelectionKernel:
         requests = random_requests(rng, int(rng.integers(0, 40)), n_accounts + 5, k)
         policy = MigrationPolicy(capacity=capacity, fifo=fifo)
 
-        scalar = policy.select(requests, mapping)
+        committed, rejected = select_requests(requests, capacity, mapping, fifo)
         batch = MigrationRequestBatch.from_requests(requests)
-        vectorised = policy.select_batch(batch, mapping).to_policy_outcome()
+        outcome = policy.select_batch(batch, mapping)
 
-        assert list(vectorised.committed) == list(scalar.committed)
+        assert batch.take(outcome.committed_idx) == committed
         assert sorted(
             (r.account, r.from_shard, r.to_shard, r.gain)
-            for r in vectorised.rejected
+            for r in batch.take(outcome.rejected_idx)
         ) == sorted(
-            (r.account, r.from_shard, r.to_shard, r.gain)
-            for r in scalar.rejected
+            (r.account, r.from_shard, r.to_shard, r.gain) for r in rejected
         )
 
     def test_empty_batch(self):
@@ -268,9 +269,11 @@ class TestMigrationSelectionKernel:
             for r in requests
             if r.account < 20
         ]
-        policy = MigrationPolicy(capacity=5)
-        policy.apply(requests, mapping_a)
-        policy.apply_batch(
+        reference = ReferenceChain()
+        reference.submit(requests)
+        reference.commit_epoch(capacity=5, mapping=mapping_a)
+        reference.reconfigure(mapping_a)
+        MigrationPolicy(capacity=5).apply_batch(
             MigrationRequestBatch.from_requests(requests), mapping_b
         )
         assert mapping_a == mapping_b

@@ -2,16 +2,16 @@
 
 Three contracts are pinned here:
 
-* the beacon's batch commitment round (``submit_batch`` +
-  ``commit_epoch``) is element-for-element equivalent to the scalar
-  object round — same committed set, same commitment order, same
-  stale/dedup/capacity decisions;
-* ``EpochReconfigurator(batched=True)`` moves exactly the state the
-  per-request reference path moves (mappings, state roots, byte
-  accounting), on either state backend;
-* value is conserved at every block boundary across batched
-  reconfigurations, and relay deposits follow a receiver that migrated
-  while the receipt was in flight (receipt forwarding).
+* the beacon's commitment round (``submit_batch`` + ``commit_epoch``)
+  is element-for-element equivalent to the per-request reference in
+  ``tests/migration_reference.py`` — same committed set, same
+  commitment order, same stale/dedup/capacity decisions;
+* ``EpochReconfigurator.run`` moves exactly the state the per-request
+  reference moves (mappings, state roots, byte accounting), on either
+  state backend, and with per-epoch compaction on the dense backend;
+* value is conserved at every block boundary across reconfigurations,
+  and relay deposits follow a receiver that migrated while the receipt
+  was in flight (receipt forwarding).
 
 ``MigrationRequestBatch.validate`` edge behaviour rides along: bad rows
 raise the same typed messages the scalar dataclass raises.
@@ -22,11 +22,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chain.beacon import BatchCommitReport, BeaconChain, CommitReport
+from migration_reference import ReferenceChain
+from repro.chain.beacon import BeaconChain, CommitReport
 from repro.chain.crossshard import CrossShardExecutor
 from repro.chain.epoch import EpochReconfigurator
 from repro.chain.mapping import ShardMapping
 from repro.chain.migration import MigrationRequest, MigrationRequestBatch
+from repro.chain.network import MR_RECORD_BYTES
 from repro.chain.state import StateRegistry
 from repro.chain.transaction import TransactionBatch
 from repro.errors import MigrationError
@@ -53,6 +55,14 @@ _ROWS = st.lists(
 )
 
 
+def _requests_in(batch):
+    return batch.take(np.arange(len(batch)))
+
+
+def _object_rows(requests):
+    return [(r.account, r.from_shard, r.to_shard, r.gain) for r in requests]
+
+
 class TestBeaconBatchEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -68,86 +78,45 @@ class TestBeaconBatchEquivalence:
         rng = np.random.default_rng(seed)
         mapping_array = rng.integers(0, K, size=N_ACCOUNTS)
 
+        def mapping():
+            return ShardMapping(mapping_array.copy(), k=K) if use_mapping else None
+
         requests = [
             MigrationRequest(
                 account=a, from_shard=f, to_shard=t, gain=float(g), epoch=0
             )
             for a, f, t, g in rows
         ]
-        scalar_beacon = BeaconChain()
-        scalar_beacon.submit_many(requests)
-        scalar_report = scalar_beacon.commit_epoch(
-            epoch=0,
-            capacity=capacity,
-            mapping=ShardMapping(mapping_array.copy(), k=K) if use_mapping else None,
-        )
-        assert isinstance(scalar_report, CommitReport)
+        reference = ReferenceChain()
+        reference.submit(requests)
+        committed, rejected = reference.commit_epoch(capacity, mapping())
 
-        batch_beacon = BeaconChain()
-        batch_beacon.submit_batch(MigrationRequestBatch.from_requests(requests))
-        batch_report = batch_beacon.commit_epoch(
-            epoch=0,
-            capacity=capacity,
-            mapping=ShardMapping(mapping_array.copy(), k=K) if use_mapping else None,
+        beacon = BeaconChain()
+        beacon.submit_batch(MigrationRequestBatch.from_requests(requests))
+        report = beacon.commit_epoch(
+            epoch=0, capacity=capacity, mapping=mapping()
         )
-        if requests:
-            assert isinstance(batch_report, BatchCommitReport)
-
-        def rows_of(report_committed):
-            return [
-                (r.account, r.from_shard, r.to_shard, r.gain)
-                for r in report_committed
-            ]
+        assert isinstance(report, CommitReport)
 
         # Committed set AND order match exactly; rejected sets match.
-        assert rows_of(batch_report.committed) == rows_of(
-            scalar_report.committed
+        assert _requests_in(report.committed_batch) == committed
+        assert sorted(_object_rows(_requests_in(report.rejected_batch))) == sorted(
+            _object_rows(rejected)
         )
-        assert sorted(rows_of(batch_report.rejected)) == sorted(
-            rows_of(scalar_report.rejected)
-        )
-        assert batch_report.proposed == scalar_report.proposed
+        assert report.proposed == len(requests)
 
-        # The committed log and the miner-side sync views agree too.
+        # The committed log the miners sync from agrees too.
         assert [
-            (r.account, r.to_shard) for r in batch_beacon.requests_since(0)
-        ] == [
-            (r.account, r.to_shard) for r in scalar_beacon.requests_since(0)
-        ]
+            r for batch in beacon.batches_since(0) for r in _requests_in(batch)
+        ] == committed
         if use_mapping:
             # (Without the stale filter, out-of-range target shards can
             # commit; applying those raises in both paths alike.)
-            scalar_map = ShardMapping(mapping_array.copy(), k=K)
-            batch_map = ShardMapping(mapping_array.copy(), k=K)
-            assert scalar_beacon.apply_to_mapping(
-                scalar_map
-            ) == batch_beacon.apply_to_mapping(batch_map)
-            assert scalar_map == batch_map
-
-    def test_mixed_scalar_and_batch_submissions_commit_together(self):
-        """Mixed rounds expand to the object path so per-request
-        metadata (proposal epoch, fee) survives verbatim."""
-        beacon = BeaconChain()
-        beacon.submit(
-            MigrationRequest(
-                account=0, from_shard=0, to_shard=1, gain=5.0, epoch=3, fee=2.0
-            )
-        )
-        beacon.submit_batch(
-            MigrationRequestBatch(
-                np.array([1, 2]),
-                np.array([0, 0]),
-                np.array([2, 3]),
-                np.array([1.0, 9.0]),
-            )
-        )
-        report = beacon.commit_epoch(epoch=7, capacity=2)
-        assert isinstance(report, CommitReport)
-        assert [r.account for r in report.committed] == [2, 0]
-        assert report.rejected_count == 1
-        # The scalar request's own metadata is stored, not rewritten.
-        assert report.committed[1].epoch == 3
-        assert report.committed[1].fee == 2.0
+            reference_map = ShardMapping(mapping_array.copy(), k=K)
+            beacon_map = ShardMapping(mapping_array.copy(), k=K)
+            applied = reference.reconfigure(reference_map).migrations_applied
+            assert beacon.apply_to_mapping(beacon_map) == applied
+            assert reference_map == beacon_map
 
     def test_pure_batch_round_preserves_proposal_epoch(self):
         beacon = BeaconChain()
@@ -157,9 +126,9 @@ class TestBeaconBatchEquivalence:
             )
         )
         report = beacon.commit_epoch(epoch=7)
-        assert isinstance(report, BatchCommitReport)
+        assert isinstance(report, CommitReport)
         assert report.committed_batch.epoch == 3
-        assert report.committed[0].epoch == 3
+        assert report.committed_batch.take([0])[0].epoch == 3
 
     def test_submit_batch_rejects_non_batches(self):
         beacon = BeaconChain()
@@ -172,7 +141,9 @@ class TestBeaconBatchEquivalence:
             MigrationRequestBatch(np.array([0]), np.array([0]), np.array([1]))
         )
         beacon.commit_epoch(epoch=0)
-        beacon.submit(MigrationRequest(account=1, from_shard=1, to_shard=0))
+        beacon.submit_batch(
+            MigrationRequestBatch(np.array([1]), np.array([1]), np.array([0]))
+        )
         beacon.commit_epoch(epoch=1)
         batches = beacon.batches_since(0)
         assert [len(b) for b in batches] == [1, 1]
@@ -189,7 +160,7 @@ class TestBeaconBatchEquivalence:
         beacon.verify()
 
 
-def _build_world(seed, backend, batched, n_accounts=40, relay_delay=2):
+def _build_world(seed, backend, n_accounts=40, relay_delay=2, compact_slack=None):
     rng = np.random.default_rng(seed)
     mapping = ShardMapping(rng.integers(0, K, size=n_accounts), k=K)
     registry = StateRegistry(k=K, backend=backend, n_accounts=n_accounts)
@@ -202,9 +173,92 @@ def _build_world(seed, backend, batched, n_accounts=40, relay_delay=2):
     )
     beacon = BeaconChain()
     reconfigurator = EpochReconfigurator(
-        beacon, executor=executor, batched=batched
+        beacon, executor=executor, compact_slack=compact_slack
     )
     return rng, mapping, registry, executor, beacon, reconfigurator
+
+
+def _run_world(
+    seed, backend, epochs, reference, capacity=None, compact_slack=None
+):
+    """Drive transfers + repartitions for ``epochs`` epochs.
+
+    ``reference=True`` commits and applies the migrations through the
+    per-request :class:`ReferenceChain`; otherwise through
+    ``BeaconChain`` + ``EpochReconfigurator``. Both consume the same
+    RNG stream, so equal seeds give equal proposals. Receipts relay
+    with a two-block delay, so transfers are in flight at every
+    reconfiguration.
+    """
+    n_accounts = 40
+    rng, mapping, registry, executor, beacon, reconfigurator = _build_world(
+        seed, backend, n_accounts, compact_slack=compact_slack
+    )
+    chain = ReferenceChain(registry)
+    block = 0
+    syncs = []
+    for epoch in range(epochs):
+        n_tx = 12
+        executor.execute_block(
+            block,
+            TransactionBatch(
+                rng.integers(0, n_accounts, size=n_tx),
+                rng.integers(0, n_accounts, size=n_tx),
+                np.full(n_tx, block),
+                rng.integers(0, 5, size=n_tx).astype(np.float64),
+            ),
+        )
+        block += 1
+        # A repartition proposal for a random subset.
+        n_moves = int(rng.integers(1, n_accounts))
+        movers = rng.choice(n_accounts, size=n_moves, replace=False)
+        movers.sort()
+        from_shards = mapping.as_array()[movers].copy()
+        targets = (from_shards + rng.integers(1, K, size=n_moves)) % K
+        gains = rng.random(n_moves)
+        if reference:
+            chain.submit(
+                [
+                    MigrationRequest(
+                        account=a, from_shard=f, to_shard=t, gain=g
+                    )
+                    for a, f, t, g in zip(
+                        movers.tolist(),
+                        from_shards.tolist(),
+                        targets.tolist(),
+                        gains.tolist(),
+                    )
+                ]
+            )
+            chain.commit_epoch(capacity, mapping)
+            sync = chain.reconfigure(mapping)
+            syncs.append(
+                (
+                    sync.migrations_applied,
+                    sync.requests_synced * MR_RECORD_BYTES,
+                    sync.state_moved_bytes,
+                )
+            )
+        else:
+            beacon.submit_batch(
+                MigrationRequestBatch(movers, from_shards, targets, gains)
+            )
+            beacon.commit_epoch(epoch=epoch, capacity=capacity, mapping=mapping)
+            report = reconfigurator.run(epoch, mapping)
+            syncs.append(
+                (
+                    report.migrations_applied,
+                    report.beacon_sync_bytes,
+                    report.state_moved_bytes,
+                )
+            )
+    executor.settle_all(from_block=block)
+    return (
+        mapping.as_array().tolist(),
+        [registry.store_of(s).state_root() for s in range(K)],
+        syncs,
+        executor.total_value(),
+    )
 
 
 class TestReconfiguratorBatchEquivalence:
@@ -213,86 +267,31 @@ class TestReconfiguratorBatchEquivalence:
         seed=st.integers(0, 500),
         backend=st.sampled_from(["dict", "dense"]),
         epochs=st.integers(1, 3),
+        capacity=st.one_of(st.none(), st.integers(0, 30)),
     )
-    def test_batched_run_matches_reference_run(self, seed, backend, epochs):
-        n_accounts = 40
-        outcomes = {}
-        for batched in (False, True):
-            rng, mapping, registry, executor, beacon, reconfigurator = (
-                _build_world(seed, backend, batched, n_accounts)
-            )
-            block = 0
-            reports = []
-            for epoch in range(epochs):
-                # Some transfers so receipts/settlements interleave.
-                n_tx = 12
-                executor.execute_block(
-                    block,
-                    TransactionBatch(
-                        rng.integers(0, n_accounts, size=n_tx),
-                        rng.integers(0, n_accounts, size=n_tx),
-                        np.full(n_tx, block),
-                        rng.integers(0, 5, size=n_tx).astype(np.float64),
-                    ),
-                )
-                block += 1
-                # A repartition proposal for a random subset.
-                n_moves = int(rng.integers(1, n_accounts))
-                movers = rng.choice(n_accounts, size=n_moves, replace=False)
-                movers.sort()
-                targets = (mapping.as_array()[movers] + rng.integers(
-                    1, K, size=n_moves
-                )) % K
-                beacon.submit_batch(
-                    MigrationRequestBatch(
-                        movers,
-                        mapping.as_array()[movers].copy(),
-                        targets,
-                        rng.random(n_moves),
-                    )
-                ) if batched else beacon.submit_many(
-                    [
-                        MigrationRequest(
-                            account=int(a),
-                            from_shard=int(f),
-                            to_shard=int(t),
-                            gain=float(g),
-                        )
-                        for a, f, t, g in zip(
-                            movers.tolist(),
-                            mapping.as_array()[movers].tolist(),
-                            targets.tolist(),
-                            rng.random(n_moves).tolist(),
-                        )
-                    ]
-                )
-                beacon.commit_epoch(
-                    epoch=epoch, capacity=None, mapping=mapping
-                )
-                reports.append(reconfigurator.run(epoch, mapping))
-            executor.settle_all(from_block=block)
-            outcomes[batched] = (
-                mapping.as_array().tolist(),
-                [registry.store_of(s).state_root() for s in range(K)],
-                [
-                    (
-                        r.migrations_applied,
-                        r.beacon_sync_bytes,
-                        r.state_moved_bytes,
-                        r.migration_extra_bytes,
-                    )
-                    for r in reports
-                ],
-                executor.total_value(),
-            )
-        assert outcomes[True] == outcomes[False]
+    def test_batched_run_matches_reference_run(
+        self, seed, backend, epochs, capacity
+    ):
+        assert _run_world(
+            seed, backend, epochs, reference=False, capacity=capacity
+        ) == _run_world(seed, backend, epochs, reference=True, capacity=capacity)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 500), epochs=st.integers(1, 3))
+    def test_compacting_dense_run_matches_dict_reference(self, seed, epochs):
+        """Batched moves + per-epoch compaction on the dense store land
+        on the same mapping, state roots, byte accounting and total
+        value as the per-request reference on the dict store."""
+        assert _run_world(
+            seed, "dense", epochs, reference=False, compact_slack=0.0
+        ) == _run_world(seed, "dict", epochs, reference=True)
 
     def test_wrong_gain_stream_cannot_leak_between_paths(self):
-        """The equivalence test above feeds both paths the same RNG
-        stream; sanity-check the stream alignment by rerunning one
-        world twice with the same flag and expecting identical roots."""
-        first = _build_world(7, "dict", True)
-        second = _build_world(7, "dict", True)
+        """The equivalence tests above feed both paths the same RNG
+        stream; sanity-check the stream alignment by rebuilding one
+        world twice and expecting identical roots."""
+        first = _build_world(7, "dict")
+        second = _build_world(7, "dict")
         assert [
             first[2].store_of(s).state_root() for s in range(K)
         ] == [second[2].store_of(s).state_root() for s in range(K)]
@@ -307,7 +306,7 @@ class TestConservationAcrossBatchedReconfigurations:
     def test_value_conserved_at_every_block_boundary(self, seed, backend):
         n_accounts = 50
         rng, mapping, registry, executor, beacon, reconfigurator = (
-            _build_world(seed, backend, True, n_accounts)
+            _build_world(seed, backend, n_accounts)
         )
         genesis = executor.total_value()
         block = 0
@@ -379,6 +378,18 @@ class TestBatchValidateMessages:
                 np.array([1, 2, 1]),
             )
 
+    def test_from_requests_rejects_mixed_epochs(self):
+        """A batch has one epoch column: converting requests proposed in
+        different epochs must fail, not relabel every row."""
+        requests = [
+            MigrationRequest(account=0, from_shard=0, to_shard=1, epoch=2),
+            MigrationRequest(account=1, from_shard=0, to_shard=1, epoch=5),
+        ]
+        with pytest.raises(MigrationError, match=r"epochs \[2, 5\]"):
+            MigrationRequestBatch.from_requests(requests)
+        same_epoch = MigrationRequestBatch.from_requests(requests[:1])
+        assert same_epoch.epoch == 2
+
     def test_take_batch_and_concat_round_trip(self):
         batch = MigrationRequestBatch(
             np.array([3, 1, 2]),
@@ -428,7 +439,7 @@ class TestReceiptForwarding:
 
         # Receiver migrates to shard 2 while the receipt is in flight.
         mapping.assign(1, 2)
-        executor.apply_migration(1, 2)
+        executor.apply_migration_batch(np.array([1]), np.array([2]))
         assert registry.locate(1) == 2
 
         # The deposit becomes due: it must follow the receiver to

@@ -101,7 +101,9 @@ def test_index_equals_scan_under_execute_migrate_settle(ops, seed, backend):
         elif op[0] == "migrate":
             _, account, to_shard = op
             mapping.assign(account, to_shard)
-            executor.apply_migration(account, to_shard)
+            executor.apply_migration_batch(
+                np.array([account]), np.array([to_shard])
+            )
         else:
             _, gap = op
             block += gap
@@ -145,7 +147,9 @@ def test_dict_and_dense_agree_on_residency(ops, seed):
             elif op[0] == "migrate":
                 _, account, to_shard = op
                 mapping.assign(account, to_shard)
-                executor.apply_migration(account, to_shard)
+                executor.apply_migration_batch(
+                    np.array([account]), np.array([to_shard])
+                )
             else:
                 block += op[1]
                 executor.execute_block(block, [])
@@ -196,7 +200,9 @@ class TestWideShardCounts:
                 # Spread migrations across the whole wide shard range.
                 wide_shard = to_shard * (k // K)
                 mapping.assign(account, wide_shard)
-                executor.apply_migration(account, wide_shard)
+                executor.apply_migration_batch(
+                    np.array([account]), np.array([wide_shard])
+                )
             else:
                 block += op[1]
                 executor.execute_block(block, [])
