@@ -16,22 +16,30 @@ two costs the paper's difficulty parameter ``eta`` abstracts.
 
 :class:`CrossShardExecutor` executes transaction batches against the
 per-shard state stores and tracks in-flight receipts in a columnar
-:class:`~repro.chain.receipts.ReceiptLedger`. The hot path is batched:
+:class:`~repro.chain.receipts.ReceiptLedger`. Each block's
+withdraw/intra phase runs one of two committers, picked by block size:
 
-* the withdraw/intra phase classifies a whole block at once, splits
-  senders into a *fast* set (opening balance covers their total debits
-  — every transfer succeeds regardless of in-block ordering) and a
-  *slow* remainder (potential overdrafts, or senders funded by in-block
-  credits), resolves the slow set with an exact sequential scan over
-  only the transfers that touch it, and then applies all balance
-  effects with one ordered scatter (``np.add.at`` over the per-block
-  delta stream, preserving the scalar per-account operation order);
-* settlement pops the due prefix of the receipt ledger via its
-  due-block index and credits each target shard with one columnar
-  scatter, in pinned ``(due_block, tx_id)`` order.
+* a block with fewer than ``_BATCH_MIN_BLOCK`` (96) transfers runs the
+  scalar committer, a per-transfer loop whose fixed cost undercuts
+  numpy's on small blocks — the benchmark's synthetic and replay
+  workloads (8 to 50 transfers per block) take this path;
+* a larger block — the paper's Ethereum range, ~150 transfers per
+  block — runs the batched committer: it classifies the whole block at
+  once, splits senders into a *fast* set (opening balance covers their
+  total debits — every transfer succeeds regardless of in-block
+  ordering) and a *slow* remainder (potential overdrafts, or senders
+  funded by in-block credits), resolves the slow set with an exact
+  sequential scan over only the transfers that touch it, and then
+  applies all balance effects with one ordered scatter (``np.add.at``
+  over the per-block delta stream, preserving the scalar per-account
+  operation order).
 
-The batched committer is element-for-element equivalent to the scalar
-reference loop (kept as ``batched=False`` for the property tests); the
+Settlement is columnar at every block size: it pops the due prefix of
+the receipt ledger via its due-block index and credits each target
+shard with one scatter, in pinned ``(due_block, tx_id)`` order.
+
+The two committers are element-for-element equivalent (the property
+tests force one or the other by patching ``_BATCH_MIN_BLOCK``); the
 equivalence is bit-exact whenever transfer amounts are integer-valued
 (every trace, test and example in this repository — with arbitrary
 floats, fast/slow classification can differ from the sequential
@@ -123,19 +131,13 @@ class ExecutionReport:
 
 
 class CrossShardExecutor:
-    """Executes transfers against per-shard state under a mapping.
-
-    ``batched=False`` selects the scalar per-transfer reference
-    committer — same observable behaviour, used by the equivalence
-    property tests and available for debugging.
-    """
+    """Executes transfers against per-shard state under a mapping."""
 
     def __init__(
         self,
         registry: StateRegistry,
         mapping: ShardMapping,
         relay_delay_blocks: int = 1,
-        batched: bool = True,
         network: Optional[NetworkModel] = None,
     ) -> None:
         if registry.k != mapping.k:
@@ -149,7 +151,6 @@ class CrossShardExecutor:
         self.registry = registry
         self.mapping = mapping
         self.relay_delay_blocks = relay_delay_blocks
-        self.batched = batched
         self._ledger = ReceiptLedger()
         #: Receipts ride the simulated message plane when a network
         #: model is attached; ``None`` keeps the direct-append path.
@@ -394,7 +395,7 @@ class CrossShardExecutor:
     ) -> None:
         if len(senders) == 0:
             return
-        if self.batched and len(senders) >= _BATCH_MIN_BLOCK:
+        if len(senders) >= _BATCH_MIN_BLOCK:
             self._apply_transfers_batched(
                 block, senders, receivers, amounts, sender_shards,
                 receiver_shards, report, fees,

@@ -172,7 +172,7 @@ class Ledger:
         """Run the epoch's transfers through the cross-shard executor.
 
         The batch flows mempool -> executor entirely columnar (the
-        batched two-phase committer); requires an ``executor`` at
+        two-phase relay committer); requires an ``executor`` at
         construction. Amounts come from the batch's ``values`` column
         when present.
         """

@@ -25,7 +25,7 @@ from typing import List, Optional
 from repro.analysis.report import write_report
 from repro.chain.params import ProtocolParams
 from repro.data.ethereum import EthereumTraceConfig, generate_ethereum_like_trace
-from repro.data.etl import read_transactions_csv, write_transactions_csv
+from repro.data.etl import write_transactions_csv
 from repro.errors import ReproError
 from repro.sim.engine import Simulation, SimulationConfig
 from repro.sim.recorder import summarize_results
@@ -134,9 +134,9 @@ def _command_simulate(args: argparse.Namespace) -> int:
         network=args.network,
     )
 
+    on_record = None
     if args.follow:
         from repro.data.source import FollowCsvTraceSource
-        from repro.sim.engine import StreamingSimulation
 
         source = FollowCsvTraceSource(
             args.input,
@@ -149,52 +149,26 @@ def _command_simulate(args: argparse.Namespace) -> int:
             f"idle timeout {args.follow_idle}s) — ctrl-c to stop"
         )
 
-        def _live(record) -> None:
+        def on_record(record) -> None:
             print(
                 f"epoch {record.epoch}: {record.transactions:,} tx, "
                 f"cross-shard {record.cross_shard_ratio:.2%}, "
                 f"{record.migrations} migration(s)"
             )
 
-        result = StreamingSimulation(
-            source, factory(), config, on_record=_live
-        ).run()
-    elif args.windowed:
-        from repro.sim.engine import StreamingSimulation
+    elif args.input:
+        from repro.data.arrow import resolve_decoder
+        from repro.data.source import CsvTraceSource
 
-        if args.input:
-            from repro.data.source import CsvTraceSource
-
-            source = CsvTraceSource(args.input, decoder=args.decoder)
-            print(f"windowed replay of {args.input} (chunked decode)")
-        else:
-            from repro.data.source import GeneratorTraceSource
-
-            source = GeneratorTraceSource(_trace_config(args))
-            print("windowed replay of the synthetic trace")
-        result = StreamingSimulation(source, factory(), config).run()
+        source = CsvTraceSource(args.input, decoder=args.decoder)
+        print(
+            f"streaming {args.input} "
+            f"({resolve_decoder(args.decoder)} decoder)"
+        )
     else:
-        if args.input:
-            if args.streamed:
-                from repro.data.arrow import resolve_decoder
-                from repro.data.source import CsvTraceSource
-
-                source = CsvTraceSource(args.input, decoder=args.decoder)
-                trace = source.materialise()
-                print(
-                    f"streamed {len(trace):,} transactions from {args.input} "
-                    f"({resolve_decoder(args.decoder)} decoder, "
-                    f"peak buffer {source.peak_buffer_rows:,} rows)"
-                )
-            else:
-                trace, _registry = read_transactions_csv(args.input)
-                print(
-                    f"loaded {len(trace):,} transactions from {args.input}"
-                )
-        else:
-            trace = generate_ethereum_like_trace(_trace_config(args))
-            print(f"generated {len(trace):,} synthetic transactions")
-        result = Simulation(trace, factory(), config).run()
+        source = generate_ethereum_like_trace(_trace_config(args))
+        print(f"generated {len(source):,} synthetic transactions")
+    result = Simulation(source, factory(), config, on_record).run()
     summary = summarize_results(result)
     rows = [
         ["epochs", summary["epochs"]],
@@ -370,9 +344,9 @@ def _command_matrix(args: argparse.Namespace) -> int:
         smoke_matrix,
         with_engine_modes,
         with_funding,
+        with_history_epochs,
         with_network,
         with_trace_source,
-        with_windowed,
         write_result_json,
     )
 
@@ -486,15 +460,8 @@ def _command_matrix(args: argparse.Namespace) -> int:
         matrix = with_funding(matrix, args.funding)
     if args.network != "ideal":
         matrix = with_network(matrix, args.network)
-    if args.windowed or args.history_epochs is not None:
-        # --windowed alone keeps every label (and the digest) identical
-        # to the materialised grid: equal digests ARE the CI
-        # streamed-vs-materialised equivalence check.
-        matrix = with_windowed(
-            matrix,
-            windowed=args.windowed,
-            history_epochs=args.history_epochs,
-        )
+    if args.history_epochs is not None:
+        matrix = with_history_epochs(matrix, args.history_epochs)
     print(
         f"matrix {matrix.name!r}: {len(matrix)} cells, "
         f"{args.workers} worker(s)"
@@ -704,24 +671,12 @@ def build_parser() -> argparse.ArgumentParser:
         "degraded lossy WAN with drops/partitions/duplicates",
     )
     simulate.add_argument(
-        "--streamed",
-        action="store_true",
-        help="decode --input through the chunked bounded-memory "
-        "CsvTraceSource instead of the eager reader",
-    )
-    simulate.add_argument(
         "--decoder",
         default="auto",
         choices=("python", "arrow", "auto"),
-        help="row decoder for --streamed: python reference loop, "
+        help="row decoder for --input: python reference loop, "
         "arrow columnar fast path, or auto-detect (both are "
         "bit-identical)",
-    )
-    simulate.add_argument(
-        "--windowed",
-        action="store_true",
-        help="run the O(window) streaming engine instead of "
-        "materialising the trace (bit-identical results)",
     )
     simulate.add_argument(
         "--history-epochs",
@@ -887,14 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="row decoder for CSV trace sources (--trace-source / "
         "--etl-smoke): python reference, arrow columnar, or "
         "auto-detect",
-    )
-    matrix.add_argument(
-        "--windowed",
-        action="store_true",
-        help="run every cell through the O(window) streaming engine "
-        "over the spec's chunked source; labels and the digest are "
-        "unchanged, so comparing digests against a materialised run "
-        "is the equivalence check",
     )
     matrix.add_argument(
         "--history-epochs",

@@ -15,7 +15,7 @@ This module persists that pass as a sidecar next to the extract
 
 plus the stat fingerprint (size, mtime_ns) of the CSV it was built
 from. :meth:`CsvTraceSource.sizing_index` loads it and
-``StreamingSimulation`` skips the sizing pass when it matches —
+:class:`~repro.sim.engine.Simulation` skips the sizing pass when it matches —
 observed-funding replays become one-pass. A sidecar that *disagrees*
 with its file (the extract was regenerated, truncated, or appended-to)
 raises the typed :class:`~repro.errors.SizingIndexError` rather than

@@ -112,8 +112,9 @@ class MaterialisedTraceSource(TraceSource):
     """A source view over an already-materialised :class:`Trace`.
 
     Chunking an in-memory trace costs nothing (chunks are numpy views),
-    which makes this the equivalence reference for every streaming
-    consumer: anything that accepts a source accepts a trace.
+    so anything that accepts a source accepts a trace through this
+    wrapper — :class:`~repro.sim.engine.Simulation` applies it to every
+    :class:`Trace` it is given.
     """
 
     def __init__(

@@ -49,10 +49,10 @@ from repro.experiments.matrix import (
     valued_trace,
     with_engine_modes,
     with_funding,
+    with_history_epochs,
     with_methods,
     with_network,
     with_trace_source,
-    with_windowed,
 )
 from repro.experiments.runner import (
     CellOutcome,
@@ -101,9 +101,9 @@ __all__ = [
     "valued_trace",
     "with_engine_modes",
     "with_funding",
+    "with_history_epochs",
     "with_methods",
     "with_network",
     "with_trace_source",
-    "with_windowed",
     "write_result_json",
 ]

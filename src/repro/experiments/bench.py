@@ -324,16 +324,16 @@ def memory_microbench(
 ) -> float:
     """Peak traced allocation (MB) for a metrics run over ``n_rows`` rows.
 
-    Both modes run the same hash-random metrics simulation over the
-    benchmark's valued CSV extract and report tracemalloc's peak:
+    Both modes run the same hash-random metrics :class:`Simulation`
+    over the benchmark's valued CSV extract and report tracemalloc's
+    peak; they differ only in the source the engine streams from:
 
-    * ``mode="windowed"`` drives :class:`StreamingSimulation` over the
-      chunked :class:`~repro.data.source.CsvTraceSource` — the engine
-      holds the ``history_epochs`` prefix plus a two-epoch window, so
-      the peak is O(window + accounts), independent of the total row
-      count;
-    * ``mode="materialised"`` is the twin run: eager decode into a full
-      :class:`Trace`, then ``Simulation.run`` — O(total rows).
+    * ``mode="windowed"`` streams the chunked
+      :class:`~repro.data.source.CsvTraceSource` — the engine holds the
+      ``history_epochs`` prefix plus a two-epoch window, so the peak is
+      O(window + accounts), independent of the total row count;
+    * ``mode="materialised"`` first decodes the whole file into a
+      :class:`Trace` and streams that — O(total rows).
 
     The pair feeds the snapshot's
     ``peak_rss_mb_{windowed,materialised}_1m`` entries; the sublinearity
@@ -346,11 +346,7 @@ def memory_microbench(
     from repro.allocation.hash_based import HashAllocator
     from repro.chain.params import ProtocolParams
     from repro.data.source import CsvTraceSource
-    from repro.sim.engine import (
-        Simulation,
-        SimulationConfig,
-        StreamingSimulation,
-    )
+    from repro.sim.engine import Simulation, SimulationConfig
 
     if mode not in ("windowed", "materialised"):
         raise ExperimentError(
@@ -369,11 +365,8 @@ def memory_microbench(
     source = CsvTraceSource(csv_path, chunk_rows=chunk_rows, decoder="python")
     tracemalloc.start()
     try:
-        if mode == "windowed":
-            StreamingSimulation(source, HashAllocator(), config).run()
-        else:
-            trace = source.materialise()
-            Simulation(trace, HashAllocator(), config).run()
+        data = source if mode == "windowed" else source.materialise()
+        Simulation(data, HashAllocator(), config).run()
         peak_bytes = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -658,8 +651,8 @@ def run_bench(
         "recorded timings",
         "peak_rss_mb_{windowed,materialised}_1m: peak traced MB for a "
         "hash-random metrics run over the 1M-row valued extract — "
-        "windowed StreamingSimulation over the chunked CsvTraceSource "
-        "vs eager materialise + Simulation",
+        "Simulation streaming the chunked CsvTraceSource vs the same "
+        "Simulation over the fully materialised Trace",
     ]
     if notes:
         all_notes.extend(notes)

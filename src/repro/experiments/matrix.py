@@ -121,21 +121,6 @@ class TraceSpec:
 
         return generate_ethereum_like_trace(self.config)
 
-    def build_source(self) -> "TraceSource":  # noqa: F821 - runtime import
-        """This spec as a chunked :class:`~repro.data.source.TraceSource`.
-
-        Windowed cells stream from this instead of materialising
-        :meth:`build`'s trace; both views decode/generate the same rows,
-        so a cell's results are bit-identical either way.
-        """
-        if self.etl_path is not None:
-            from repro.data.source import CsvTraceSource
-
-            return CsvTraceSource(self.etl_path, decoder=self.decoder)
-        from repro.data.source import GeneratorTraceSource
-
-        return GeneratorTraceSource(self.config)
-
 
 @dataclass(frozen=True)
 class MatrixCell:
@@ -158,12 +143,6 @@ class MatrixCell:
     #: of the scenario label: a lossy cell simulates the bit-identical
     #: scenario of its ideal twin, the network only perturbs delivery).
     network: str = NETWORK_IDEAL
-    #: Run through the windowed streaming engine instead of
-    #: materialising the trace. Deliberately *not* part of the label:
-    #: a windowed run simulates the bit-identical scenario, so digest
-    #: equality between a windowed and a materialised sweep of the same
-    #: grid is the CI equivalence assertion.
-    windowed: bool = False
 
     @property
     def scenario_label(self) -> str:
@@ -258,7 +237,6 @@ class ScenarioMatrix:
     engine_modes: Tuple[str, ...] = (ENGINE_MODE_METRICS,)
     funding: str = FUNDING_UNIFORM
     network: str = NETWORK_IDEAL
-    windowed: bool = False
 
     def __post_init__(self) -> None:
         if self.history_fraction is not None and self.history_epochs is not None:
@@ -318,7 +296,6 @@ class ScenarioMatrix:
                 engine_mode=engine_mode,
                 funding=self.funding,
                 network=self.network,
-                windowed=self.windowed,
             )
             for trace in self.traces
             for method in self.methods
@@ -558,21 +535,15 @@ def with_engine_modes(
     return replace(matrix, engine_modes=tuple(engine_modes))
 
 
-def with_windowed(
-    matrix: ScenarioMatrix,
-    windowed: bool = True,
-    history_epochs: Optional[int] = None,
+def with_history_epochs(
+    matrix: ScenarioMatrix, history_epochs: int
 ) -> ScenarioMatrix:
-    """A copy of ``matrix`` run through the windowed streaming engine.
+    """A copy of ``matrix`` whose history split is ``history_epochs``
+    ``tau``-block epochs instead of a fraction of the rows.
 
-    Cell labels (and therefore seeds and the deterministic digest) are
-    unchanged unless ``history_epochs`` moves the history split — so
-    comparing this copy's digest against the original's is the
-    streamed-vs-materialised equivalence check.
+    The absolute split changes the simulated scenario, so cell labels
+    (and therefore seeds and the digest) gain a ``/hist{n}`` suffix.
     """
-    updated = replace(matrix, windowed=windowed)
-    if history_epochs is not None:
-        updated = replace(
-            updated, history_epochs=history_epochs, history_fraction=None
-        )
-    return updated
+    return replace(
+        matrix, history_epochs=history_epochs, history_fraction=None
+    )

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional
 from repro.data.trace import Trace
 from repro.errors import ExperimentError
 from repro.experiments.matrix import MatrixCell, ScenarioMatrix, TraceSpec
-from repro.sim.engine import Simulation, SimulationResult, StreamingSimulation
+from repro.sim.engine import Simulation, SimulationResult
 from repro.sim.recorder import summarize_results
 
 #: Summary keys that are wall-clock measurements, excluded from the
@@ -39,27 +39,12 @@ TIMING_KEYS = ("mean_execution_time", "mean_unit_time")
 #: trace (generated or ETL-decoded) instead of rebuilding it per cell.
 _TRACE_CACHE: Dict[TraceSpec, Trace] = {}
 
-#: Per-process source cache for windowed cells. A shared
-#: GeneratorTraceSource keeps the synthetic trace generated once per
-#: process; a shared CsvTraceSource keeps one account registry
-#: (registration is idempotent, so re-streaming assigns the same ids).
-_SOURCE_CACHE: Dict[TraceSpec, object] = {}
-
-
 def _trace_for(spec: TraceSpec) -> Trace:
     trace = _TRACE_CACHE.get(spec)
     if trace is None:
         trace = spec.build()
         _TRACE_CACHE[spec] = trace
     return trace
-
-
-def _source_for(spec: TraceSpec):
-    source = _SOURCE_CACHE.get(spec)
-    if source is None:
-        source = spec.build_source()
-        _SOURCE_CACHE[spec] = source
-    return source
 
 
 def seed_trace_cache(spec: TraceSpec, trace: Trace) -> None:
@@ -72,18 +57,13 @@ def run_cell(cell: MatrixCell) -> SimulationResult:
 
     This is the single execution path shared by the sequential runner,
     the process-pool workers and the benchmark suite's simulation cache.
-    Windowed cells run through :class:`StreamingSimulation` over the
-    spec's chunked source instead of a materialised trace; results are
-    bit-identical (the digest-equality CI check rests on this).
+    The cell's trace comes from this process's trace cache and streams
+    through :class:`Simulation` as a materialised source, so cells
+    sharing a spec generate or decode it once.
     """
-    allocator = cell.build_allocator()
-    config = cell.simulation_config()
-    if cell.windowed:
-        source = _source_for(cell.trace)
-        result = StreamingSimulation(source, allocator, config).run()
-    else:
-        trace = _trace_for(cell.trace)
-        result = Simulation(trace, allocator, config).run()
+    result = Simulation(
+        _trace_for(cell.trace), cell.build_allocator(), cell.simulation_config()
+    ).run()
     result.allocator_name = cell.method
     return result
 

@@ -10,7 +10,6 @@ from repro.sim.engine import (
     Simulation,
     SimulationConfig,
     SimulationResult,
-    StreamingSimulation,
     EpochRecord,
 )
 from repro.sim.recorder import ResultRecorder, summarize_results
@@ -36,7 +35,6 @@ __all__ = [
     "Simulation",
     "SimulationConfig",
     "SimulationResult",
-    "StreamingSimulation",
     "EpochRecord",
     "ResultRecorder",
     "summarize_results",

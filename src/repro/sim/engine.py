@@ -17,9 +17,12 @@ Protocol per evaluation epoch ``t``:
    in ``trailing`` mode (ablation).
 
 The loop is columnar end to end: every epoch is a
-:class:`TransactionBatch` view over the trace's arrays, metrics run
-through the fused numpy kernels, and no per-transaction Python object
-is ever materialised on this path.
+:class:`TransactionBatch` window streamed off a
+:class:`~repro.data.source.TraceSource`, metrics run through the fused
+numpy kernels, and no per-transaction Python object is ever
+materialised on this path. :class:`Simulation` is the one front end,
+whether the source is a CSV extract, a generator, a tailed file or an
+already-materialised :class:`Trace`.
 
 **Unified execution.** With ``execute_values=True`` the same loop also
 drives the chain substrate: a :class:`~repro.chain.ledger.Ledger` with
@@ -38,9 +41,9 @@ numbers are bit-identical between the two modes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain as iter_chain
 from math import fsum
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -48,6 +51,7 @@ from typing import (
     List,
     Optional,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -57,13 +61,16 @@ from repro.chain.mapping import ShardMapping
 from repro.chain.params import ProtocolParams
 from repro.chain.state import BACKEND_DICT, STATE_BACKENDS
 from repro.chain.transaction import TransactionBatch
+from repro.data.source import (
+    ChunkIteratorSource,
+    EpochStream,
+    MaterialisedTraceSource,
+    TraceSource,
+)
 from repro.data.trace import EpochView, Trace
 from repro.errors import SimulationError
 from repro.sim.metrics import epoch_metrics
 from repro.util.validation import check_in_range
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.data.source import TraceSource
 
 ORACLE_LOOKAHEAD = "lookahead"
 ORACLE_TRAILING = "trailing"
@@ -420,13 +427,12 @@ class ExecutionSubstrate:
     with per-shard state stores, genesis-funded either with a uniform
     supply (the legacy default) or with caller-supplied per-account
     balances (``funding_balances`` — the engine derives them from the
-    trace's observed value flow in ``funding="observed"`` mode, eagerly
-    or through the streaming accumulator). The substrate keeps its
-    *own* mapping object — synchronised to the engine's
+    trace's observed value flow in ``funding="observed"`` mode, through
+    the sizing pass or a persisted sizing index). The substrate keeps
+    its *own* mapping object — synchronised to the engine's
     value-for-value — so the metrics path's object flow (and thus its
     numbers) is untouched by execution. It needs only the universe
-    *size*, never a materialised trace, which is what lets the windowed
-    streaming engine drive it.
+    *size*, never a materialised trace.
     """
 
     def __init__(
@@ -596,7 +602,7 @@ class ExecutionSubstrate:
 
 @dataclass
 class _LoopState:
-    """Mutable engine state threaded through the windowed epoch loop."""
+    """Mutable engine state threaded through the epoch loop."""
 
     mapping: ShardMapping
     seen: np.ndarray
@@ -612,16 +618,15 @@ def _run_epoch_loop(
     on_record: Optional[Callable[[EpochRecord], None]] = None,
     allow_growth: bool = False,
 ) -> None:
-    """The windowed evaluation loop shared by both engine front ends.
+    """The evaluation loop of :class:`Simulation`.
 
-    Consumes epoch views from any iterable — a :class:`Trace.epochs`
-    generator or an :class:`~repro.data.source.EpochStream` — holding
-    exactly two views at a time (current + lookahead), so memory is
-    O(window) regardless of horizon. The per-epoch protocol is
-    byte-for-byte the historic materialised loop: empty views are
-    skipped for processing but still occupy lookahead positions, and
-    the lookahead mempool is the *next view's batch object*, empty or
-    not, exactly as ``epoch_views[position + 1].batch`` used to be.
+    Consumes epoch views from any iterable — an
+    :class:`~repro.data.source.EpochStream` in production, a
+    :meth:`Trace.epochs` generator in the test oracle — holding exactly
+    two views at a time (current + lookahead), so memory is O(window)
+    regardless of horizon. Empty views are skipped for processing but
+    still occupy lookahead positions, and the lookahead mempool is the
+    *next view's batch object*, empty or not.
 
     ``allow_growth`` (unbounded follow runs only) extends ``phi`` and
     the seen-set when a window references accounts beyond the current
@@ -776,84 +781,8 @@ def _initial_mapping(
     return mapping
 
 
-class Simulation:
-    """Drives one allocator over one trace under one configuration."""
-
-    def __init__(
-        self,
-        trace: Trace,
-        allocator: Allocator,
-        config: SimulationConfig,
-    ) -> None:
-        self.trace = trace
-        self.allocator = allocator
-        self.config = config
-        #: The chain substrate of the last ``execute_values`` run
-        #: (None before run() or in metrics-only mode) — exposed for
-        #: conservation checks and state inspection.
-        self.substrate: Optional[ExecutionSubstrate] = None
-
-    def run(self) -> SimulationResult:
-        """Execute the full evaluation protocol; return the result.
-
-        The evaluation segment feeds the windowed epoch loop straight
-        from the :meth:`Trace.epochs` generator — epochs are never
-        materialised as a list, so the loop's working set is two epoch
-        views even on a materialised trace.
-        """
-        params = self.config.params
-        if self.config.history_epochs is not None:
-            history, evaluation = self.trace.split_epochs(
-                params.tau, self.config.history_epochs
-            )
-        else:
-            history, evaluation = self.trace.split(
-                self.config.resolved_history_fraction
-            )
-
-        mapping = _initial_mapping(
-            self.allocator, history, params, self.trace.n_accounts
-        )
-
-        substrate: Optional[ExecutionSubstrate] = None
-        if self.config.execute_values:
-            funding = None
-            if self.config.funding == FUNDING_OBSERVED:
-                from repro.chain.economics import observed_funding_balances
-
-                funding = observed_funding_balances(
-                    self.trace.batch,
-                    self.trace.n_accounts,
-                    headroom=self.config.funding_headroom,
-                )
-            substrate = ExecutionSubstrate(
-                self.trace.n_accounts, mapping, self.config, funding
-            )
-            self.substrate = substrate
-
-        seen = np.zeros(self.trace.n_accounts, dtype=bool)
-        seen[history.active_accounts()] = True
-
-        result = SimulationResult(
-            allocator_name=self.allocator.name,
-            params=params,
-            execute_values=self.config.execute_values,
-            network=self.config.network,
-        )
-        state = _LoopState(mapping=mapping, seen=seen)
-        _run_epoch_loop(
-            evaluation.epochs(params.tau, self.config.max_epochs),
-            state,
-            self.allocator,
-            self.config,
-            substrate,
-            result,
-        )
-        return result
-
-
 def _normalised_chunks(
-    chunks: "Iterator[TransactionBatch]", values_present: bool
+    chunks: "Iterator[TransactionBatch]",
 ) -> "Iterator[TransactionBatch]":
     """Re-materialise lazily-skipped zero values on a chunk stream.
 
@@ -867,7 +796,7 @@ def _normalised_chunks(
     the default amount, not 0.0).
     """
     for chunk in chunks:
-        if values_present and chunk.values is None and len(chunk):
+        if chunk.values is None and len(chunk):
             chunk = TransactionBatch(
                 chunk.senders,
                 chunk.receivers,
@@ -941,63 +870,68 @@ def _consume_history_epochs(
     return history, None
 
 
-class StreamingSimulation:
-    """The windowed engine front end: runs the protocol off a source.
 
-    Drives the exact evaluation protocol of :class:`Simulation` without
-    ever materialising the trace, consuming epochs from
-    :class:`~repro.data.source.EpochStream` one window at a time. Three
-    ingest protocols, picked automatically:
+
+class Simulation:
+    """Drives one allocator over one trace source under one configuration.
+
+    ``data`` is any :class:`~repro.data.source.TraceSource`; a
+    materialised :class:`Trace` is wrapped in a
+    :class:`~repro.data.source.MaterialisedTraceSource`. The run never
+    materialises the trace: it consumes epochs from
+    :class:`~repro.data.source.EpochStream` one window at a time, so the
+    loop's working set is the history prefix plus two epoch views.
+    Three ingest protocols, picked automatically:
 
     * **count-prefixed fast path** — the source knows its length up
       front (:meth:`~repro.data.source.TraceSource.size_hint`): one
       streaming pass, history split placed from the known count;
-    * **two-pass** — length unknown (CSV): a sizing pass counts rows,
-      resolves the account universe, and (in observed-funding mode)
-      accumulates genesis balances bit-identically to the eager
-      computation; the second pass re-streams through the history split
-      into the epoch loop;
+    * **two-pass** — length unknown (CSV): a persisted sizing sidecar,
+      or else a sizing pass, counts rows, resolves the account universe
+      and (in observed-funding mode) accumulates genesis balances; the
+      second pass re-streams through the history split into the epoch
+      loop;
     * **unbounded** — the source never ends
       (:class:`~repro.data.source.FollowCsvTraceSource`): no sizing
       pass is possible, so the run requires the absolute
       ``history_epochs`` split and metrics-only execution; the account
       universe grows as new ids appear.
 
-    Equivalence with ``Simulation(trace.materialise(), ...)`` is
-    bit-exact — same epoch records, mapping trajectory, and (executed
-    mode) settlement order — and pinned by ``tests/test_streaming_engine.py``.
-    ``on_record`` fires after each epoch record (live progress for
-    ``--follow``).
+    The eager protocol (``Trace.split`` + ``Trace.epochs`` + eager
+    observed funding) lives on as the test oracle
+    ``tests/engine_reference.py``; ``tests/test_streaming_engine.py``
+    pins bit-exact equality with it — same epoch records, state roots
+    and settlement order. ``on_record`` fires after each epoch record
+    (live progress for ``--follow``).
     """
 
     def __init__(
         self,
-        source: "TraceSource",
+        data: Union[TraceSource, Trace],
         allocator: Allocator,
         config: SimulationConfig,
         on_record: Optional[Callable[[EpochRecord], None]] = None,
     ) -> None:
-        self.source = source
+        if isinstance(data, Trace):
+            data = MaterialisedTraceSource(data)
+        self.source = data
         self.allocator = allocator
         self.config = config
         self.on_record = on_record
+        #: The chain substrate of the last ``execute_values`` run
+        #: (None before run() or in metrics-only mode) — exposed for
+        #: conservation checks and state inspection.
         self.substrate: Optional[ExecutionSubstrate] = None
 
     def run(self) -> SimulationResult:
         """Stream the full evaluation protocol; return the result."""
-        if getattr(self.source, "unbounded", False):
+        if self.source.unbounded:
             return self._run_unbounded()
         return self._run_bounded()
 
-    # -- bounded sources (fast path / two-pass) ---------------------------------
-
     def _run_bounded(self) -> SimulationResult:
-        from itertools import chain as iter_chain
-
-        from repro.data.source import ChunkIteratorSource, EpochStream
-
+        """Size the universe up front, then stream the second pass."""
         config = self.config
-        params = config.params
         need_funding = (
             config.execute_values and config.funding == FUNDING_OBSERVED
         )
@@ -1044,70 +978,15 @@ class StreamingSimulation:
 
         chunks = iter(self.source.chunks())
         if values_present:
-            chunks = _normalised_chunks(chunks, values_present=True)
-        if config.history_epochs is not None:
-            history_chunks, leftover = _consume_history_epochs(
-                chunks, params.tau, config.history_epochs
-            )
-        else:
-            cut = int(round(total_rows * config.resolved_history_fraction))
-            cut = max(0, min(total_rows, cut))
-            history_chunks, leftover = _consume_history_fraction(chunks, cut)
-
-        history_batch = (
-            TransactionBatch.concat_many(history_chunks)
-            if history_chunks
-            else TransactionBatch.empty()
+            chunks = _normalised_chunks(chunks)
+        cut = int(round(total_rows * config.resolved_history_fraction))
+        return self._run_stream(
+            chunks, max(0, min(total_rows, cut)), n_accounts, funding
         )
-        history = Trace(history_batch, n_accounts=n_accounts)
-        mapping = _initial_mapping(self.allocator, history, params, n_accounts)
-
-        substrate: Optional[ExecutionSubstrate] = None
-        if config.execute_values:
-            substrate = ExecutionSubstrate(n_accounts, mapping, config, funding)
-            self.substrate = substrate
-
-        seen = np.zeros(n_accounts, dtype=bool)
-        seen[history.active_accounts()] = True
-
-        remainder = iter_chain(
-            [leftover] if leftover is not None else [], chunks
-        )
-        evaluation = EpochStream(
-            ChunkIteratorSource(
-                remainder, n_accounts=n_accounts, name=self.source.name
-            ),
-            params.tau,
-            config.max_epochs,
-        )
-
-        result = SimulationResult(
-            allocator_name=self.allocator.name,
-            params=params,
-            execute_values=config.execute_values,
-            network=config.network,
-        )
-        state = _LoopState(mapping=mapping, seen=seen)
-        _run_epoch_loop(
-            evaluation,
-            state,
-            self.allocator,
-            config,
-            substrate,
-            result,
-            on_record=self.on_record,
-        )
-        return result
-
-    # -- unbounded sources (follow mode) ----------------------------------------
 
     def _run_unbounded(self) -> SimulationResult:
-        from itertools import chain as iter_chain
-
-        from repro.data.source import ChunkIteratorSource, EpochStream
-
+        """Start from the history's universe and grow it as ids appear."""
         config = self.config
-        params = config.params
         if config.history_epochs is None:
             raise SimulationError(
                 f"source {self.source.name!r} is unbounded: a fractional "
@@ -1120,28 +999,49 @@ class StreamingSimulation:
                 "execution needs genesis funding over a closed account "
                 "universe; follow runs are metrics-only"
             )
-
-        chunks = iter(self.source.chunks())
-        history_chunks, leftover = _consume_history_epochs(
-            chunks, params.tau, config.history_epochs
+        return self._run_stream(
+            iter(self.source.chunks()), cut=0, n_accounts=None, funding=None
         )
-        history_batch = (
+
+    def _run_stream(
+        self,
+        chunks: Iterator[TransactionBatch],
+        cut: int,
+        n_accounts: Optional[int],
+        funding: Optional[np.ndarray],
+    ) -> SimulationResult:
+        """History split → initial mapping → epoch stream → epoch loop.
+
+        ``cut`` is the fractional split's row count (unused when
+        ``history_epochs`` places the split); ``n_accounts=None`` takes
+        the universe from the history itself (unbounded sources).
+        """
+        config = self.config
+        params = config.params
+        if config.history_epochs is not None:
+            history_chunks, leftover = _consume_history_epochs(
+                chunks, params.tau, config.history_epochs
+            )
+        else:
+            history_chunks, leftover = _consume_history_fraction(chunks, cut)
+        history = Trace(
             TransactionBatch.concat_many(history_chunks)
             if history_chunks
-            else TransactionBatch.empty()
+            else TransactionBatch.empty(),
+            n_accounts=n_accounts,
         )
-        # The universe is whatever history has shown so far; the loop
-        # grows it as later windows reference new ids.
-        history = Trace(history_batch)
         n_accounts = history.n_accounts
         mapping = _initial_mapping(self.allocator, history, params, n_accounts)
+
+        substrate: Optional[ExecutionSubstrate] = None
+        if config.execute_values:
+            substrate = ExecutionSubstrate(n_accounts, mapping, config, funding)
+            self.substrate = substrate
 
         seen = np.zeros(mapping.n_accounts, dtype=bool)
         seen[history.active_accounts()] = True
 
-        remainder = iter_chain(
-            [leftover] if leftover is not None else [], chunks
-        )
+        remainder = iter_chain([leftover] if leftover is not None else [], chunks)
         evaluation = EpochStream(
             ChunkIteratorSource(
                 remainder, n_accounts=n_accounts, name=self.source.name
@@ -1149,21 +1049,25 @@ class StreamingSimulation:
             params.tau,
             config.max_epochs,
         )
-
         result = SimulationResult(
             allocator_name=self.allocator.name,
             params=params,
-            execute_values=False,
+            execute_values=config.execute_values,
+            network=config.network,
         )
-        state = _LoopState(mapping=mapping, seen=seen)
         _run_epoch_loop(
             evaluation,
-            state,
+            _LoopState(mapping=mapping, seen=seen),
             self.allocator,
             config,
-            None,
+            substrate,
             result,
             on_record=self.on_record,
-            allow_growth=True,
+            allow_growth=self.source.unbounded,
         )
         return result
+
+
+#: Alias for callers that import the old name (the end-to-end benchmark
+#: harness under ``benchmarks/e2e``).
+StreamingSimulation = Simulation

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from committer import force_committer
 from repro.chain.crossshard import CrossShardExecutor, Receipt
 from repro.chain.mapping import ShardMapping
 from repro.chain.state import StateRegistry
@@ -142,22 +143,21 @@ class TestMigrationInteraction:
 
 class TestBatchedScalarEquivalence:
     """The batched committer must be indistinguishable from the scalar
-    reference: same balances, nonces, receipts, settlement order and
-    reports, across self-transfers, overdrafts and migrations
-    interleaved with pending receipts."""
+    one: same balances, nonces, receipts, settlement order and reports,
+    across self-transfers, overdrafts and migrations interleaved with
+    pending receipts. Each twin runs every block, whatever its size,
+    through the committer it is named after."""
 
     @staticmethod
     def _twin_executors(assignment, k, relay_delay):
-        executors = []
-        for batched in (True, False):
-            executor = CrossShardExecutor(
+        return [
+            CrossShardExecutor(
                 StateRegistry(k=k),
                 ShardMapping(assignment.copy(), k=k),
                 relay_delay_blocks=relay_delay,
-                batched=batched,
             )
-            executors.append(executor)
-        return executors
+            for _ in range(2)
+        ]
 
     @staticmethod
     def _assert_identical(batched, scalar, k):
@@ -190,8 +190,6 @@ class TestBatchedScalarEquivalence:
             batched.fund(account, amount)
             scalar.fund(account, amount)
 
-        # Block sizes straddle the batched committer's small-block
-        # cutoff, so both code paths are exercised against each other.
         n_tx = int(rng.integers(0, 700))
         # Self-transfers included; small balances force overdrafts.
         senders = rng.integers(0, n_accounts, size=n_tx)
@@ -200,8 +198,10 @@ class TestBatchedScalarEquivalence:
         blocks = np.sort(rng.integers(0, 4, size=n_tx))
         batch = TransactionBatch(senders, receivers, blocks, amounts)
 
-        reports_b = batched.execute_batch(batch)
-        reports_s = scalar.execute_batch(batch)
+        with force_committer(batched=True):
+            reports_b = batched.execute_batch(batch)
+        with force_committer(batched=False):
+            reports_s = scalar.execute_batch(batch)
         assert len(reports_b) == len(reports_s)
         for rb, rs in zip(reports_b, reports_s):
             assert (
@@ -243,8 +243,10 @@ class TestBatchedScalarEquivalence:
             batch = TransactionBatch(
                 senders, receivers, np.full(n_tx, block), amounts
             )
-            batched.execute_batch(batch)
-            scalar.execute_batch(batch)
+            with force_committer(batched=True):
+                batched.execute_batch(batch)
+            with force_committer(batched=False):
+                scalar.execute_batch(batch)
             # Migrate a random account mid-flight: state and mapping
             # move while receipts naming its old shard are pending.
             account = int(rng.integers(0, n_accounts))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.data.arrow import PYARROW_AVAILABLE
 
 
 class TestParser:
@@ -103,7 +104,33 @@ class TestCommands:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "loaded" in out
+        assert "streaming" in out
+
+    @pytest.mark.skipif(
+        PYARROW_AVAILABLE, reason="pyarrow installed: arrow decode works"
+    )
+    def test_simulate_input_honours_decoder(self, tmp_path, capsys):
+        """--decoder applies to every --input read: an explicit arrow
+        request without pyarrow is a typed error, not a silent python
+        decode."""
+        csv_path = tmp_path / "trace.csv"
+        main(
+            [
+                "generate",
+                str(csv_path),
+                "--accounts",
+                "200",
+                "--transactions",
+                "1000",
+                "--blocks",
+                "100",
+            ]
+        )
+        code = main(
+            ["simulate", "--input", str(csv_path), "--decoder", "arrow"]
+        )
+        assert code == 1
+        assert "requires pyarrow" in capsys.readouterr().err
 
     def test_simulate_unknown_method(self, capsys):
         code = main(["simulate", "--method", "nope"])

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from committer import force_committer
 from repro.allocation.txallo import TxAlloAllocator
 from repro.chain.crossshard import CrossShardExecutor
 from repro.chain.ledger import Ledger
@@ -25,7 +26,7 @@ from repro.data.ethereum import EthereumTraceConfig, generate_ethereum_like_trac
 from repro.allocation.base import UpdateContext
 
 
-def _build_world(n_accounts, k, seed, relay_delay, batched=True, network=None):
+def _build_world(n_accounts, k, seed, relay_delay, network=None):
     params = ProtocolParams(k=k, eta=2.0, tau=20, seed=seed)
     trace = generate_ethereum_like_trace(
         EthereumTraceConfig(
@@ -42,7 +43,6 @@ def _build_world(n_accounts, k, seed, relay_delay, batched=True, network=None):
         registry,
         mapping,
         relay_delay_blocks=relay_delay,
-        batched=batched,
         network=network,
     )
     ledger = Ledger(params, mapping, miners_per_shard=2, executor=executor)
@@ -59,7 +59,7 @@ def _build_world(n_accounts, k, seed, relay_delay, batched=True, network=None):
 def test_total_value_conserved_through_full_loop(seed, k, relay_delay, batched):
     n_accounts = 60
     params, trace, allocator, mapping, executor, ledger = _build_world(
-        n_accounts, k, seed, relay_delay, batched
+        n_accounts, k, seed, relay_delay
     )
     rng = np.random.default_rng(seed)
     for account in range(n_accounts):
@@ -78,7 +78,9 @@ def test_total_value_conserved_through_full_loop(seed, k, relay_delay, batched):
         valued = TransactionBatch(
             batch.senders, batch.receivers, batch.blocks, values
         )
-        for report in ledger.execute_epoch(valued):
+        with force_committer(batched):
+            reports = ledger.execute_epoch(valued)
+        for report in reports:
             assert executor.total_value() == pytest.approx(
                 genesis, abs=1e-9, rel=0
             ), f"value drift after block {report.block}"

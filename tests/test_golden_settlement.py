@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from committer import force_committer
 from repro.chain.crossshard import CrossShardExecutor
 from repro.chain.mapping import ShardMapping
 from repro.chain.state import StateRegistry
@@ -29,13 +30,13 @@ GOLDEN_PATH = Path(__file__).parent / "golden" / "golden_settlement.json"
 REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
 
-def _run_workload(batched: bool):
+def _run_workload():
     """Fixed deterministic workload; returns the settlement log."""
     rng = np.random.default_rng(1234)
     n_accounts, k = 24, 3
     mapping = ShardMapping(rng.integers(0, k, size=n_accounts), k=k)
     executor = CrossShardExecutor(
-        StateRegistry(k=k), mapping, relay_delay_blocks=2, batched=batched
+        StateRegistry(k=k), mapping, relay_delay_blocks=2
     )
     for account in range(n_accounts):
         executor.fund(account, float(rng.integers(0, 25)))
@@ -89,7 +90,7 @@ def _run_workload(batched: bool):
 
 class TestSettlementOrderGolden:
     def test_pending_view_is_due_then_txid_sorted(self):
-        result = _run_workload(batched=True)
+        result = _run_workload()
         order = [row[0] for row in result["final_pending_order"]]
         issued = [row[4] for row in result["final_pending_order"]]
         # Constant relay delay: due order == issued order; tx ids break
@@ -102,10 +103,14 @@ class TestSettlementOrderGolden:
                 assert prev < cur
 
     def test_matches_fixture_and_scalar_reference(self):
-        result = _run_workload(batched=True)
-        reference = _run_workload(batched=False)
+        # Blocks of 2-139 transfers: the size switch runs both committers.
+        result = _run_workload()
+        with force_committer(batched=True):
+            batched = _run_workload()
+        with force_committer(batched=False):
+            scalar = _run_workload()
         # Batched and scalar settle identically, including order.
-        assert result == reference
+        assert result == batched == scalar
 
         payload = json.loads(json.dumps(result))  # normalise tuples
         if REGEN or not GOLDEN_PATH.exists():

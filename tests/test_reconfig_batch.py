@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from committer import force_committer
 from migration_reference import ReferenceChain
 from repro.chain.beacon import BeaconChain, CommitReport
 from repro.chain.crossshard import CrossShardExecutor
@@ -420,21 +421,20 @@ class TestReceiptForwarding:
     def test_deposit_lands_on_current_shard(self, backend, batched_executor):
         mapping = ShardMapping(np.array([0, 1, 2, 0]), k=3)
         registry = StateRegistry(k=3, backend=backend, n_accounts=4)
-        executor = CrossShardExecutor(
-            registry, mapping, relay_delay_blocks=3, batched=batched_executor
-        )
+        executor = CrossShardExecutor(registry, mapping, relay_delay_blocks=3)
         executor.fund(0, 10.0)
         executor.fund(1, 5.0)
         genesis = executor.total_value()
 
         # Block 0: account 0 (shard 0) pays account 1 (shard 1) — the
         # receipt targets shard 1 at issue time.
-        executor.execute_block(
-            0,
-            TransactionBatch(
-                np.array([0]), np.array([1]), np.array([0]), np.array([4.0])
-            ),
-        )
+        with force_committer(batched=batched_executor):
+            executor.execute_block(
+                0,
+                TransactionBatch(
+                    np.array([0]), np.array([1]), np.array([0]), np.array([4.0])
+                ),
+            )
         assert executor.pending_receipts[0].target_shard == 1
 
         # Receiver migrates to shard 2 while the receipt is in flight.

@@ -29,11 +29,7 @@ from repro.data.sizing import (
 )
 from repro.data.source import CsvTraceSource, MaterialisedTraceSource
 from repro.errors import DataError, SizingIndexError, ValidationError
-from repro.sim.engine import (
-    FUNDING_OBSERVED,
-    SimulationConfig,
-    StreamingSimulation,
-)
+from repro.sim.engine import FUNDING_OBSERVED, Simulation, SimulationConfig
 
 VALUED_CONFIG = EthereumTraceConfig(
     n_transactions=4_000,
@@ -58,7 +54,7 @@ def _write_csv(tmp_path, config, name="trace.csv"):
 
 
 def _records(path, config):
-    run = StreamingSimulation(
+    run = Simulation(
         CsvTraceSource(path, chunk_rows=599, decoder="python"),
         HashAllocator(),
         config,
@@ -218,7 +214,7 @@ class TestEnginePlugIn:
                 yield from super().chunks()
 
         source = CountingSource(path, chunk_rows=599, decoder="python")
-        StreamingSimulation(source, HashAllocator(), self._config()).run()
+        Simulation(source, HashAllocator(), self._config()).run()
         assert CountingSource.passes == 1
 
     def test_non_csv_sources_are_unaffected(self):

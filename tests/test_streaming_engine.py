@@ -1,19 +1,22 @@
-"""The windowed streaming engine's equivalence and protocol tests.
+"""Equivalence and protocol tests for the streaming simulation engine.
 
-The contract under test: ``StreamingSimulation(source, ...)`` produces
-**bit-identical** epoch records to ``Simulation(materialised trace,
-...)`` for every bounded source kind and engine mode — the windowed
-engine is a memory-shape change, never a results change. The unbounded
-(follow) protocol additionally pins its typed preconditions and its
-determinism across live-tail and static replays.
+The contract under test: ``Simulation(source, ...)`` produces
+**bit-identical** epoch records, state roots and total value to the
+eager protocol of ``tests/engine_reference.py`` over the materialised
+trace, for every bounded source kind and engine mode — streaming is a
+memory-shape change, never a results change. The unbounded (follow)
+protocol additionally pins its typed preconditions and its determinism
+across live-tail and static replays.
 """
 
+import dataclasses
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from engine_reference import run_materialised
 from repro.allocation.hash_based import HashAllocator
 from repro.allocation.metis_like import MetisLikeAllocator
 from repro.chain.params import ProtocolParams
@@ -31,24 +34,14 @@ from repro.data.source import (
     MaterialisedTraceSource,
 )
 from repro.errors import DataError, SimulationError
-from repro.sim.engine import Simulation, SimulationConfig, StreamingSimulation
+from repro.sim.engine import EpochRecord, Simulation, SimulationConfig
 
 #: Every deterministic EpochRecord field — everything but the two
-#: wall-clock measurements (execution_time, unit_time).
-RECORD_FIELDS = (
-    "epoch",
-    "transactions",
-    "cross_shard_ratio",
-    "workload_deviation",
-    "normalized_throughput",
-    "input_bytes",
-    "migrations",
-    "proposed_migrations",
-    "new_accounts",
-    "executed_transactions",
-    "settled_volume",
-    "in_flight_receipts",
-    "overdraft_aborts",
+#: wall-clock measurements.
+RECORD_FIELDS = tuple(
+    f.name
+    for f in dataclasses.fields(EpochRecord)
+    if f.name not in ("execution_time", "unit_time")
 )
 
 PLAIN_CONFIG = EthereumTraceConfig(
@@ -81,66 +74,87 @@ def assert_identical_records(streamed, materialised):
             )
 
 
+def assert_same_substrate(streamed, reference):
+    """Bit-exact equality of final per-shard state and total value."""
+    k = streamed.registry.k
+    assert [streamed.registry.store_of(s).state_root() for s in range(k)] == [
+        reference.registry.store_of(s).state_root() for s in range(k)
+    ]
+    assert streamed.total_value() == reference.total_value()
+
+
+def csv_pair(path, chunk_rows=599):
+    """A streaming CSV source plus the reference's decode of the same file.
+
+    CSV account ids are registry-assigned in first-seen order, so only
+    another decode of the same file shares the id space.
+    """
+    source = CsvTraceSource(path, chunk_rows=chunk_rows, decoder="python")
+    trace = CsvTraceSource(
+        path, chunk_rows=chunk_rows, decoder="python"
+    ).materialise()
+    return source, trace
+
+
 class TestWindowedEquivalence:
+    def test_trace_is_wrapped_in_a_materialised_source(self):
+        trace = generate_ethereum_like_trace(PLAIN_CONFIG)
+        config = SimulationConfig(params=params())
+        sim = Simulation(trace, HashAllocator(), config)
+        assert isinstance(sim.source, MaterialisedTraceSource)
+        assert sim.source.trace is trace
+        reference, _ = run_materialised(trace, HashAllocator(), config)
+        assert_identical_records(sim.run(), reference)
+
     def test_materialised_source_size_hint_fast_path(self):
         trace = generate_ethereum_like_trace(PLAIN_CONFIG)
         config = SimulationConfig(params=params())
-        streamed = StreamingSimulation(
+        streamed = Simulation(
             MaterialisedTraceSource(trace, chunk_rows=701),
             HashAllocator(),
             config,
         ).run()
-        materialised = Simulation(trace, HashAllocator(), config).run()
+        materialised, _ = run_materialised(trace, HashAllocator(), config)
         assert_identical_records(streamed, materialised)
 
     def test_generator_source(self):
         config = SimulationConfig(params=params())
-        streamed = StreamingSimulation(
+        streamed = Simulation(
             GeneratorTraceSource(PLAIN_CONFIG, chunk_rows=613),
             MetisLikeAllocator(seed=7),
             config,
         ).run()
-        materialised = Simulation(
+        materialised, _ = run_materialised(
             generate_ethereum_like_trace(PLAIN_CONFIG),
             MetisLikeAllocator(seed=7),
             config,
-        ).run()
+        )
         assert_identical_records(streamed, materialised)
 
     def test_csv_two_pass_protocol(self, tmp_path):
         path = tmp_path / "trace.csv"
         write_transactions_csv(path, generate_ethereum_like_trace(PLAIN_CONFIG))
         config = SimulationConfig(params=params())
-        streamed = StreamingSimulation(
-            CsvTraceSource(path, chunk_rows=599, decoder="python"),
-            HashAllocator(),
-            config,
-        ).run()
-        # The reference materialises the *same* source kind: CSV account
-        # ids are registry-assigned in first-seen order, so only another
-        # decode of the same file shares the id space.
-        materialised = Simulation(
-            CsvTraceSource(path, chunk_rows=599, decoder="python").materialise(),
-            HashAllocator(),
-            config,
-        ).run()
+        source, trace = csv_pair(path)
+        streamed = Simulation(source, HashAllocator(), config).run()
+        materialised, _ = run_materialised(trace, HashAllocator(), config)
         assert_identical_records(streamed, materialised)
 
     def test_history_epochs_split(self):
         trace = generate_ethereum_like_trace(PLAIN_CONFIG)
         config = SimulationConfig(params=params(), history_epochs=3)
-        streamed = StreamingSimulation(
+        streamed = Simulation(
             MaterialisedTraceSource(trace, chunk_rows=701),
             HashAllocator(),
             config,
         ).run()
-        materialised = Simulation(trace, HashAllocator(), config).run()
+        materialised, _ = run_materialised(trace, HashAllocator(), config)
         assert_identical_records(streamed, materialised)
         # The absolute split actually moved: 3 history epochs leave more
         # evaluation epochs than the default 90% fraction does.
-        default_run = Simulation(
+        default_run, _ = run_materialised(
             trace, HashAllocator(), SimulationConfig(params=params())
-        ).run()
+        )
         assert len(materialised.records) > len(default_run.records)
 
     def test_executed_observed_funding_over_csv(self, tmp_path):
@@ -153,18 +167,15 @@ class TestWindowedEquivalence:
             execute_values=True,
             funding="observed",
         )
-        streamed = StreamingSimulation(
-            CsvTraceSource(path, chunk_rows=599, decoder="python"),
-            HashAllocator(),
-            config,
-        ).run()
-        materialised = Simulation(
-            CsvTraceSource(path, chunk_rows=599, decoder="python").materialise(),
-            HashAllocator(),
-            config,
-        ).run()
+        source, trace = csv_pair(path)
+        sim = Simulation(source, HashAllocator(), config)
+        streamed = sim.run()
+        materialised, reference = run_materialised(
+            trace, HashAllocator(), config
+        )
         assert any(r.executed_transactions for r in streamed.records)
         assert_identical_records(streamed, materialised)
+        assert_same_substrate(sim.substrate, reference)
 
     def test_executed_run_with_zero_value_prefix(self, tmp_path):
         """Lazy value activation mid-file must not change executed bits.
@@ -173,6 +184,8 @@ class TestWindowedEquivalence:
         first nonzero value, so pre-activation chunks are valueless;
         the engine's second pass re-materialises explicit zero columns
         (a valueless batch would otherwise transfer the 1.0 default).
+        Two history epochs start the evaluation inside the zero prefix,
+        so whole epochs are cut from valueless chunks.
         """
         trace = generate_ethereum_like_trace(VALUED_CONFIG)
         cut = int(len(trace) * 0.6)
@@ -183,18 +196,16 @@ class TestWindowedEquivalence:
             params=params(),
             execute_values=True,
             funding="observed",
+            history_epochs=2,
         )
-        streamed = StreamingSimulation(
-            CsvTraceSource(path, chunk_rows=599, decoder="python"),
-            HashAllocator(),
-            config,
-        ).run()
-        materialised = Simulation(
-            CsvTraceSource(path, chunk_rows=599, decoder="python").materialise(),
-            HashAllocator(),
-            config,
-        ).run()
+        source, decoded = csv_pair(path)
+        sim = Simulation(source, HashAllocator(), config)
+        streamed = sim.run()
+        materialised, reference = run_materialised(
+            decoded, HashAllocator(), config
+        )
         assert_identical_records(streamed, materialised)
+        assert_same_substrate(sim.substrate, reference)
 
     def test_beacon_spill_matches_in_memory_run(self, tmp_path):
         trace = generate_ethereum_like_trace(PLAIN_CONFIG)
@@ -204,12 +215,48 @@ class TestWindowedEquivalence:
             MetisLikeAllocator(seed=7),
             SimulationConfig(beacon_spill_dir=str(tmp_path), **base),
         ).run()
-        in_memory = Simulation(
+        in_memory, _ = run_materialised(
             trace, MetisLikeAllocator(seed=7), SimulationConfig(**base)
-        ).run()
+        )
         assert_identical_records(spilled, in_memory)
         assert any(r.migrations for r in spilled.records)
         assert list(tmp_path.glob("seg-*.mrlog")), "no segments spilled"
+
+    def test_every_feature_at_once_over_csv(self, tmp_path):
+        """Streamed CSV + dense state + observed funding + lossy network
+        + beacon spill + compaction + absolute history split, against
+        the eager reference over the decoded trace."""
+        path = tmp_path / "valued.csv"
+        write_transactions_csv(
+            path, generate_ethereum_like_trace(VALUED_CONFIG)
+        )
+        config = SimulationConfig(
+            params=params(),
+            execute_values=True,
+            state_backend="dense",
+            funding="observed",
+            network="lossy",
+            beacon_spill_dir=str(tmp_path / "spill"),
+            compact_slack=0.25,
+            history_epochs=3,
+        )
+        source, trace = csv_pair(path)
+        sim = Simulation(source, MetisLikeAllocator(seed=7), config)
+        streamed = sim.run()
+        materialised, reference = run_materialised(
+            trace,
+            MetisLikeAllocator(seed=7),
+            dataclasses.replace(
+                config, beacon_spill_dir=str(tmp_path / "spill-ref")
+            ),
+        )
+        assert_identical_records(streamed, materialised)
+        assert_same_substrate(sim.substrate, reference)
+        # The features actually engaged.
+        assert any(r.dropped_messages for r in streamed.records)
+        assert any(r.migrations for r in streamed.records)
+        assert any(r.state_compactions for r in streamed.records)
+        assert list((tmp_path / "spill").glob("seg-*.mrlog"))
 
 
 class TestHistoryKnobs:
@@ -242,7 +289,7 @@ class TestUnboundedProtocol:
     def test_requires_history_epochs(self, tmp_path):
         path = self._static_csv(tmp_path)
         with pytest.raises(SimulationError, match="history_epochs"):
-            StreamingSimulation(
+            Simulation(
                 self._follow_source(path),
                 HashAllocator(),
                 SimulationConfig(params=params()),
@@ -251,7 +298,7 @@ class TestUnboundedProtocol:
     def test_rejects_execute_values(self, tmp_path):
         path = self._static_csv(tmp_path)
         with pytest.raises(SimulationError, match="metrics-only"):
-            StreamingSimulation(
+            Simulation(
                 self._follow_source(path),
                 HashAllocator(),
                 SimulationConfig(
@@ -262,7 +309,7 @@ class TestUnboundedProtocol:
     def test_follow_over_static_file(self, tmp_path):
         path = self._static_csv(tmp_path)
         seen = []
-        result = StreamingSimulation(
+        result = Simulation(
             self._follow_source(path),
             HashAllocator(),
             SimulationConfig(params=params(), history_epochs=2),
@@ -290,14 +337,14 @@ class TestUnboundedProtocol:
         config = SimulationConfig(params=params(), history_epochs=2)
         thread.start()
         try:
-            live = StreamingSimulation(
+            live = Simulation(
                 self._follow_source(growing, idle_timeout=1.5),
                 HashAllocator(),
                 config,
             ).run()
         finally:
             thread.join()
-        static = StreamingSimulation(
+        static = Simulation(
             self._follow_source(growing),
             HashAllocator(),
             config,

@@ -19,6 +19,7 @@ The contracts pinned here:
 import numpy as np
 import pytest
 
+from committer import force_committer
 from repro.chain.crossshard import CrossShardExecutor
 from repro.chain.economics import observed_funding_balances
 from repro.chain.mapping import ShardMapping
@@ -181,9 +182,7 @@ class TestFeeEquivalenceAndConservation:
         n_accounts = 40
         mapping = ShardMapping(rng.integers(0, k, size=n_accounts), k=k)
         registry = StateRegistry(k=k, backend="dict", n_accounts=n_accounts)
-        executor = CrossShardExecutor(
-            registry, mapping, relay_delay_blocks=1, batched=batched
-        )
+        executor = CrossShardExecutor(registry, mapping, relay_delay_blocks=1)
         executor.fund_many(
             np.arange(n_accounts, dtype=np.int64),
             rng.integers(0, 40, size=n_accounts).astype(np.float64),
@@ -198,7 +197,8 @@ class TestFeeEquivalenceAndConservation:
             rng.integers(0, 6, size=n).astype(np.float64),
             rng.integers(0, 3, size=n).astype(np.float64),
         )
-        reports = executor.execute_batch(batch)
+        with force_committer(batched):
+            reports = executor.execute_batch(batch)
         executor.settle_all(5)
         return executor, reports, genesis
 
