@@ -293,8 +293,8 @@ _SPECS: Dict[str, NetworkSpec] = {
         ),
         # Degraded WAN: heavy loss, frequent reordering, duplicate
         # echo, periodic outage of shard 0's links and a periodic
-        # partition isolating shard 1. The scenario cell the
-        # --network-smoke CI step runs.
+        # partition isolating shard 1. The model of the network-smoke
+        # matrix preset.
         NetworkSpec(
             name="lossy",
             extra_latency_blocks=3,

@@ -9,16 +9,20 @@ Commands:
 * ``compare``  — run a named scenario across several methods and print
   a comparison table (optionally a Markdown report);
 * ``scenarios`` — list the built-in scenarios;
-* ``matrix`` — run a declarative allocator x trace x parameter grid
-  through the (optionally parallel) scenario-matrix runner;
+* ``matrix`` — run a declarative allocator x trace x parameter grid,
+  or a named CI preset (``--preset``), through the (optionally
+  parallel) scenario-matrix runner;
 * ``bench`` — regenerate the ``BENCH_baseline.json`` performance
-  snapshot (Table II workload + executor microbenchmark + smoke grid).
+  snapshot (Table II matrix, the executor, netsim, reconfiguration,
+  ingest, memory and refine microbenches, and the smoke grid), or
+  report the compiled fast paths (``--env``).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -31,27 +35,6 @@ from repro.sim.engine import Simulation, SimulationConfig
 from repro.sim.recorder import summarize_results
 from repro.sim.scenario import DEFAULT_METHODS, SCENARIOS, get_scenario, run_comparison
 from repro.util.formatting import format_bytes, format_seconds, render_table
-
-
-#: Default location of the checked-in streamed-ETL CI fixture,
-#: relative to the repository root.
-ETL_SMOKE_FIXTURE = "tests/fixtures/etl_smoke.csv"
-
-
-def _resolve_etl_fixture() -> Optional[Path]:
-    """Locate the checked-in ETL smoke fixture.
-
-    Tried relative to the current directory first (the CI invocation),
-    then relative to the repository this module was loaded from, so
-    ``repro matrix --etl-smoke`` also works from other directories in a
-    source checkout. Returns ``None`` when neither exists (e.g. an
-    installed package without the test tree).
-    """
-    for base in (Path.cwd(), Path(__file__).resolve().parents[2]):
-        candidate = base / ETL_SMOKE_FIXTURE
-        if candidate.is_file():
-            return candidate
-    return None
 
 
 def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
@@ -142,7 +125,6 @@ def _command_simulate(args: argparse.Namespace) -> int:
             args.input,
             poll_interval=args.follow_poll,
             idle_timeout=args.follow_idle,
-            decoder=args.decoder,
         )
         print(
             f"following {args.input} (poll {args.follow_poll}s, "
@@ -160,10 +142,10 @@ def _command_simulate(args: argparse.Namespace) -> int:
         from repro.data.arrow import resolve_decoder
         from repro.data.source import CsvTraceSource
 
-        source = CsvTraceSource(args.input, decoder=args.decoder)
+        source = CsvTraceSource(args.input)
         print(
             f"streaming {args.input} "
-            f"({resolve_decoder(args.decoder)} decoder)"
+            f"({resolve_decoder(source.decoder)} decoder)"
         )
     else:
         source = generate_ethereum_like_trace(_trace_config(args))
@@ -269,89 +251,17 @@ def _command_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_network_smoke(seed: int, workers: int) -> int:
-    """The CI degraded-WAN assertion: run the lossy cell twice.
-
-    Passes only when (a) every cell succeeds, (b) the lossy network
-    actually dropped messages and forced retransmissions, (c) value was
-    conserved exactly despite drops/duplicates/timeout-refunds, and
-    (d) the deterministic digest is identical across both runs — the
-    seeded fault injection is reproducible, not merely plausible.
-    """
-    from repro.experiments import network_smoke_matrix, run_matrix
-
-    matrix = network_smoke_matrix(seed=seed)
-    print(
-        f"network smoke {matrix.name!r}: {len(matrix)} cell(s) under the "
-        "lossy WAN model, run twice for digest stability"
-    )
-    first = run_matrix(matrix, workers=workers)
-    second = run_matrix(matrix, workers=workers)
-    failures = [*first.failures, *second.failures]
-    if failures:
-        for failure in failures:
-            print(f"error: {failure.error}", file=sys.stderr)
-        return 1
-    ok = True
-    digest_a = first.deterministic_digest()
-    digest_b = second.deterministic_digest()
-    if digest_a != digest_b:
-        print(
-            "error: lossy-network digest unstable across repeats: "
-            f"{digest_a[:16]} != {digest_b[:16]}",
-            file=sys.stderr,
-        )
-        ok = False
-    for summary in first.summaries:
-        label = summary["cell"]
-        retransmissions = int(summary.get("total_retransmissions", 0))
-        dropped = int(summary.get("total_dropped_messages", 0))
-        drift = float(summary.get("max_conservation_drift", 0.0))
-        refunds = int(summary.get("total_timeout_refunds", 0))
-        print(
-            f"  {label}: dropped {dropped}, retransmitted "
-            f"{retransmissions}, refunded {refunds}, "
-            f"conservation drift {drift:.2e}"
-        )
-        if retransmissions <= 0:
-            print(
-                f"error: cell {label!r} saw no retransmissions — the "
-                "lossy model is not exercising the retry path",
-                file=sys.stderr,
-            )
-            ok = False
-        if drift > 1e-6:
-            print(
-                f"error: cell {label!r} leaked value under loss: "
-                f"conservation drift {drift}",
-                file=sys.stderr,
-            )
-            ok = False
-    if ok:
-        print(f"network smoke OK — digest {digest_a[:16]} (stable)")
-    return 0 if ok else 1
-
-
 def _command_matrix(args: argparse.Namespace) -> int:
     from repro.experiments import (
         ScenarioMatrix,
         baseline_snapshot,
         default_trace,
-        etl_smoke_matrix,
         matrix_table,
-        realloc_smoke_matrix,
+        preset_matrix,
         run_matrix,
-        smoke_matrix,
-        with_engine_modes,
-        with_funding,
-        with_history_epochs,
-        with_network,
         with_trace_source,
         write_result_json,
     )
-
-    if args.network_smoke:
-        return _run_network_smoke(seed=args.seed, workers=args.workers)
 
     valid_metrics = (
         "mean_normalized_throughput",
@@ -370,7 +280,6 @@ def _command_matrix(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    engine_modes = tuple(args.engine_modes.split(","))
     trace_source = (
         args.trace_source if args.trace_source != "synthetic" else None
     )
@@ -380,46 +289,8 @@ def _command_matrix(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.etl_smoke is not None:
-        if trace_source is not None:
-            print(
-                "error: --etl-smoke already names its extract; "
-                "pass the CSV as the --etl-smoke argument instead of "
-                "--trace-source",
-                file=sys.stderr,
-            )
-            return 2
-        if args.etl_smoke:
-            fixture = Path(args.etl_smoke)
-            if not fixture.is_file():
-                print(
-                    f"error: --etl-smoke fixture {args.etl_smoke!r} "
-                    "is not a file",
-                    file=sys.stderr,
-                )
-                return 2
-        else:
-            fixture = _resolve_etl_fixture()
-            if fixture is None:
-                print(
-                    f"error: default fixture {ETL_SMOKE_FIXTURE!r} not "
-                    "found; pass a CSV path to --etl-smoke",
-                    file=sys.stderr,
-                )
-                return 2
-        matrix = etl_smoke_matrix(
-            str(fixture), seed=args.seed, decoder=args.decoder
-        )
-        if engine_modes != ("metrics",):
-            matrix = with_engine_modes(matrix, engine_modes)
-    elif args.realloc_smoke:
-        matrix = realloc_smoke_matrix(seed=args.seed)
-        if engine_modes != ("metrics",):
-            matrix = with_engine_modes(matrix, engine_modes)
-    elif args.smoke:
-        matrix = smoke_matrix(seed=args.seed)
-        if engine_modes != ("metrics",):
-            matrix = with_engine_modes(matrix, engine_modes)
+    if args.preset is not None:
+        matrix = preset_matrix(args.preset, seed=args.seed)
     else:
         try:
             ks = tuple(int(k) for k in args.shards.split(","))
@@ -448,20 +319,24 @@ def _command_matrix(args: argparse.Namespace) -> int:
             betas=betas,
             tau=args.tau,
             seed=args.seed,
-            engine_modes=engine_modes,
         )
-    # --trace-source and an explicit --funding apply to whichever grid
-    # was selected (custom or a smoke variant), so neither is ever
-    # silently ignored — `--etl-smoke --funding uniform` really runs
-    # the legacy uniform supply.
+    # Every modifier applies to whichever grid was selected, preset or
+    # custom, and the overrides land in one copy, so the grid validates
+    # their final combination (e.g. `--funding observed --engine-modes
+    # execute` on the metrics-only smoke grid) rather than each step.
     if trace_source is not None:
-        matrix = with_trace_source(matrix, trace_source, decoder=args.decoder)
+        matrix = with_trace_source(matrix, trace_source)
+    overrides = {}
+    if args.engine_modes is not None:
+        overrides["engine_modes"] = tuple(args.engine_modes.split(","))
     if args.funding is not None:
-        matrix = with_funding(matrix, args.funding)
-    if args.network != "ideal":
-        matrix = with_network(matrix, args.network)
+        overrides["funding"] = args.funding
+    if args.network is not None:
+        overrides["network"] = args.network
     if args.history_epochs is not None:
-        matrix = with_history_epochs(matrix, args.history_epochs)
+        overrides["history_epochs"] = args.history_epochs
+        overrides["history_fraction"] = None
+    matrix = replace(matrix, **overrides)
     print(
         f"matrix {matrix.name!r}: {len(matrix)} cells, "
         f"{args.workers} worker(s)"
@@ -608,6 +483,8 @@ def _command_scenarios(_args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.matrix import PRESETS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Mosaic: client-driven account allocation (reproduction)",
@@ -669,14 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="message network for --execute: ideal (direct calls, "
         "bit-identical to the pre-network engine), lan, wan, or the "
         "degraded lossy WAN with drops/partitions/duplicates",
-    )
-    simulate.add_argument(
-        "--decoder",
-        default="auto",
-        choices=("python", "arrow", "auto"),
-        help="row decoder for --input: python reference loop, "
-        "arrow columnar fast path, or auto-detect (both are "
-        "bit-identical)",
     )
     simulate.add_argument(
         "--history-epochs",
@@ -784,64 +653,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     matrix.add_argument(
         "--engine-modes",
-        default="metrics",
+        default=None,
         help=(
             "comma-separated engine modes per cell: metrics (classic), "
             "execute (unified value execution, dict state backend), "
-            "execute-dense (dense-array state backend)"
+            "execute-dense (dense-array state backend); default: the "
+            "grid's own modes (metrics for a custom grid)"
         ),
     )
     matrix.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the built-in 2x2 CI smoke grid",
-    )
-    matrix.add_argument(
-        "--realloc-smoke",
-        action="store_true",
-        help="run the reallocation-heavy executed CI cell (metis in "
-        "execute-dense mode, exercising the batched beacon/"
-        "reconfiguration path)",
-    )
-    matrix.add_argument(
-        "--network-smoke",
-        action="store_true",
-        help="run the degraded-WAN executed CI cell twice and assert "
-        "nonzero retransmissions, exact value conservation, and a "
-        "stable deterministic digest across the repeats",
+        "--preset",
+        choices=tuple(PRESETS),
+        default=None,
+        help="run a named CI grid instead of the custom one (the grid "
+        "flags --name/--methods/--shards/--eta/--beta/--tau/--accounts/"
+        "--transactions/--blocks are ignored; every other flag applies)",
     )
     matrix.add_argument(
         "--network",
-        default="ideal",
+        default=None,
         choices=("ideal", "lan", "wan", "lossy"),
         help="network model for executed cells: ideal (direct calls; "
         "labels and digests unchanged), lan, wan, or the lossy "
-        "degraded WAN (requires executing --engine-modes)",
-    )
-    matrix.add_argument(
-        "--etl-smoke",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="CSV",
-        help="run the streamed value-faithful executed CI cell over an "
-        f"ethereum-etl CSV (default fixture: {ETL_SMOKE_FIXTURE})",
+        "degraded WAN (requires executing --engine-modes); default: "
+        "the grid's own model (ideal for a custom grid)",
     )
     matrix.add_argument(
         "--trace-source",
         default="synthetic",
         metavar="CSV|synthetic",
-        help="trace-source axis: 'synthetic' (default) generates the "
+        help="trace-source axis: 'synthetic' (default) keeps the "
         "grid's trace; a CSV path replays that ethereum-etl extract "
         "through the chunked streamed decoder instead",
-    )
-    matrix.add_argument(
-        "--decoder",
-        default="auto",
-        choices=("python", "arrow", "auto"),
-        help="row decoder for CSV trace sources (--trace-source / "
-        "--etl-smoke): python reference, arrow columnar, or "
-        "auto-detect",
     )
     matrix.add_argument(
         "--history-epochs",
@@ -857,8 +700,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("uniform", "observed"),
         help="genesis supply for executed cells: uniform legacy supply "
         "or value-faithful balances from the trace's observed flow "
-        "(default: the grid's own mode — uniform, except --etl-smoke "
-        "which defaults to observed)",
+        "(default: the grid's own mode — uniform, except the etl-smoke "
+        "preset which funds from observed flow)",
     )
     matrix.add_argument("--output", help="write full results JSON here")
     matrix.add_argument("--baseline", help="write a BENCH_baseline.json here")

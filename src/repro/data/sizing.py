@@ -100,7 +100,6 @@ class SizingIndex:
 def build_sizing_index(
     csv_path: Union[str, Path],
     chunk_rows: Optional[int] = None,
-    decoder: str = "auto",
 ) -> SizingIndex:
     """Run one sizing pass over ``csv_path`` and return the index.
 
@@ -119,7 +118,6 @@ def build_sizing_index(
     source = CsvTraceSource(
         csv_path,
         chunk_rows=chunk_rows if chunk_rows is not None else DEFAULT_CHUNK_ROWS,
-        decoder=decoder,
     )
     accumulator = ObservedFundingAccumulator(headroom=0.0)
     values_present = False
@@ -147,12 +145,11 @@ def write_sizing_index(
     csv_path: Union[str, Path],
     index: Optional[SizingIndex] = None,
     chunk_rows: Optional[int] = None,
-    decoder: str = "auto",
 ) -> Path:
     """Build (unless given) and persist the sidecar; returns its path."""
     csv_path = Path(csv_path)
     if index is None:
-        index = build_sizing_index(csv_path, chunk_rows=chunk_rows, decoder=decoder)
+        index = build_sizing_index(csv_path, chunk_rows=chunk_rows)
     target = sizing_index_path(csv_path)
     with target.open("wb") as handle:
         np.savez(

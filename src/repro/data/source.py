@@ -45,7 +45,7 @@ from repro.data.arrow import (
 from repro.data.ethereum import EthereumTraceConfig, generate_ethereum_like_trace
 from repro.data.etl import _RowDecoder
 from repro.data.trace import EpochView, Trace
-from repro.errors import ConfigurationError, DataError, MalformedRowError
+from repro.errors import DataError, MalformedRowError
 
 #: Default rows per decoded chunk (~1.5 MB of column data at 5 columns).
 DEFAULT_CHUNK_ROWS = 65_536
@@ -423,13 +423,10 @@ class FollowCsvTraceSource(TraceSource):
     source, so the streaming engine requires ``history_epochs`` (the
     absolute history split) and metrics-only execution for it.
 
-    ``decoder`` exists for signature parity with
-    :class:`CsvTraceSource` but only the python reference decoder can
-    follow a file: the arrow path decodes whole record batches from a
-    finished file, while tailing is line-oriented — each poll must stop
-    at the last complete row and resume mid-file. Requesting
-    ``"arrow"`` is therefore a configuration error, not a silent
-    fallback; ``"auto"`` resolves to python.
+    Tailing always decodes with the python reference decoder: the arrow
+    path decodes whole record batches from a finished file, while a
+    followed file must stop each poll at the last complete row and
+    resume mid-file.
     """
 
     unbounded = True
@@ -441,7 +438,6 @@ class FollowCsvTraceSource(TraceSource):
         registry: Optional[AccountRegistry] = None,
         poll_interval: float = 0.2,
         idle_timeout: float = 10.0,
-        decoder: str = "auto",
     ) -> None:
         if chunk_rows < 1:
             raise DataError(f"chunk_rows must be >= 1, got {chunk_rows}")
@@ -451,24 +447,11 @@ class FollowCsvTraceSource(TraceSource):
             )
         if idle_timeout <= 0:
             raise DataError(f"idle_timeout must be > 0, got {idle_timeout}")
-        if decoder not in DECODERS:
-            raise DataError(
-                f"decoder must be one of {DECODERS}, got {decoder!r}"
-            )
-        if decoder == DECODER_ARROW:
-            raise ConfigurationError(
-                "a followed CSV decodes with the python reference "
-                "decoder only: tailing reads line by line and must stop "
-                "at the last complete row, which the arrow record-batch "
-                "reader cannot do; drop decoder='arrow' (or pass "
-                "'python'/'auto')"
-            )
         self.path = Path(path)
         self.chunk_rows = int(chunk_rows)
         self.registry = registry if registry is not None else AccountRegistry()
         self.poll_interval = float(poll_interval)
         self.idle_timeout = float(idle_timeout)
-        self.decoder = decoder
         self.name = f"follow:{self.path.name}"
         self.peak_buffer_rows = 0
 

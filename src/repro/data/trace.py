@@ -53,34 +53,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.batch)
 
-    @classmethod
-    def from_source(
-        cls,
-        source: "TraceSource",  # noqa: F821
-        decoder: Optional[str] = None,
-    ) -> "Trace":
-        """Materialise a :class:`~repro.data.source.TraceSource`.
-
-        A trace is a thin materialised view over a source: this is the
-        bridge that lets every existing ``Trace`` consumer accept
-        streamed input (chunked CSV decode, generator output) without
-        change. Streaming consumers use
-        :class:`~repro.data.source.EpochStream` instead.
-
-        ``decoder`` overrides the source's decode implementation
-        (``"python"``/``"arrow"``/``"auto"``) for sources that carry a
-        decoder knob (:class:`~repro.data.source.CsvTraceSource`);
-        passing it for any other source raises :class:`DataError`.
-        """
-        if decoder is not None:
-            if not hasattr(source, "decoder"):
-                raise DataError(
-                    f"source {source.name!r} has no decoder knob "
-                    "(only CSV sources decode rows)"
-                )
-            source.decoder = decoder
-        return source.materialise()
-
     @property
     def first_block(self) -> int:
         """Block number of the first transaction (0 when empty)."""

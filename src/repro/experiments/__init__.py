@@ -37,15 +37,13 @@ from repro.experiments.bench import (
 from repro.experiments.matrix import (
     ALLOCATOR_BUILDERS,
     ENGINE_MODES,
+    PRESETS,
     MatrixCell,
     ScenarioMatrix,
     TraceSpec,
     default_trace,
-    etl_smoke_matrix,
-    network_smoke_matrix,
     paper_tables_matrix,
-    realloc_smoke_matrix,
-    smoke_matrix,
+    preset_matrix,
     valued_trace,
     with_engine_modes,
     with_funding,
@@ -66,6 +64,7 @@ from repro.experiments.runner import (
 __all__ = [
     "ALLOCATOR_BUILDERS",
     "ENGINE_MODES",
+    "PRESETS",
     "CellOutcome",
     "MatrixCell",
     "MatrixResult",
@@ -76,7 +75,6 @@ __all__ = [
     "check_against_baseline",
     "compiled_env",
     "default_trace",
-    "etl_smoke_matrix",
     "execute_cell",
     "delta_is_noise",
     "executor_microbench",
@@ -86,16 +84,14 @@ __all__ = [
     "matrix_table",
     "memory_microbench",
     "netsim_microbench",
-    "network_smoke_matrix",
     "paper_tables_matrix",
-    "realloc_smoke_matrix",
+    "preset_matrix",
     "reconfig_microbench",
     "refine_microbench",
     "run_bench",
     "run_cell",
     "run_matrix",
     "seed_trace_cache",
-    "smoke_matrix",
     "smoke_seconds",
     "table2_matrix",
     "valued_trace",

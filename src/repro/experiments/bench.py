@@ -485,16 +485,16 @@ def cell_delta_rows(
 
 
 def smoke_seconds(workers: int = 1, repeats: int = 1) -> float:
-    """Wall seconds of the CI smoke grid (``repro matrix --smoke``).
+    """Wall seconds of the CI smoke grid (``repro matrix --preset smoke``).
 
     ``repeats > 1`` reruns the grid and reports the median wall time,
     which is what the snapshot records and the perf gate measures —
     scheduler noise on a loaded CI host lands in the tails, and the
     median keeps the gate margin meaningful.
     """
-    from repro.experiments.matrix import smoke_matrix
+    from repro.experiments.matrix import preset_matrix
 
-    matrix = smoke_matrix()
+    matrix = preset_matrix("smoke")
     timings = []
     for _ in range(max(1, repeats)):
         result = run_matrix(matrix, workers=workers, strict=True)

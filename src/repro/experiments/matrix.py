@@ -11,12 +11,14 @@ execution order, worker count and co-scheduled cells.
 
 Adding a new grid cell means widening one of the axes (methods, traces,
 ``ks``/``etas``/``betas``) or registering a new allocator builder in
-:data:`ALLOCATOR_BUILDERS`; see README.md for a worked example.
+:data:`ALLOCATOR_BUILDERS`; see README.md for a worked example. The
+named CI grids (``repro matrix --preset NAME``) live in :data:`PRESETS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
 from repro.allocation.base import Allocator
@@ -35,6 +37,7 @@ from repro.data.generators import ValueModelConfig
 from repro.errors import ConfigurationError
 from repro.sim.engine import (
     FUNDING_MODES,
+    FUNDING_OBSERVED,
     FUNDING_UNIFORM,
     ORACLE_LOOKAHEAD,
     SimulationConfig,
@@ -78,17 +81,11 @@ class TraceSpec:
     :meth:`build` materialises the same :class:`Trace` every time, so
     cells sharing a spec share a cached trace and grids stay
     deterministic.
-
-    ``decoder`` (CSV specs only) picks the row-decode implementation —
-    python reference, arrow columnar, or auto-detect. Both decoders are
-    bit-identical, so the choice never changes a cell's results, only
-    the ingest wall-clock.
     """
 
     name: str
     config: Optional[EthereumTraceConfig] = None
     etl_path: Optional[str] = None
-    decoder: str = "auto"
 
     def __post_init__(self) -> None:
         if (self.config is None) == (self.etl_path is None):
@@ -96,27 +93,13 @@ class TraceSpec:
                 f"trace spec {self.name!r} needs exactly one of "
                 "config (synthetic) or etl_path (CSV replay)"
             )
-        from repro.data.arrow import DECODERS
-
-        if self.decoder not in DECODERS:
-            raise ConfigurationError(
-                f"trace spec {self.name!r}: decoder must be one of "
-                f"{DECODERS}, got {self.decoder!r}"
-            )
-        if self.decoder != "auto" and self.etl_path is None:
-            raise ConfigurationError(
-                f"trace spec {self.name!r}: decoder applies only to "
-                "etl_path specs (synthetic traces decode nothing)"
-            )
 
     def build(self) -> "Trace":  # noqa: F821 - runtime import below
         """Materialise this spec's trace (generator or streamed ETL)."""
         if self.etl_path is not None:
             from repro.data.source import CsvTraceSource
 
-            return CsvTraceSource(
-                self.etl_path, decoder=self.decoder
-            ).materialise()
+            return CsvTraceSource(self.etl_path).materialise()
         from repro.data.ethereum import generate_ethereum_like_trace
 
         return generate_ethereum_like_trace(self.config)
@@ -274,6 +257,14 @@ class ScenarioMatrix:
                 "value execution; restrict engine_modes to executing "
                 "modes (the metrics-only loop moves no messages)"
             )
+        if self.funding != FUNDING_UNIFORM and any(
+            mode == ENGINE_MODE_METRICS for mode in self.engine_modes
+        ):
+            raise ConfigurationError(
+                f"matrix {self.name!r}: funding {self.funding!r} needs "
+                "value execution; restrict engine_modes to executing "
+                "modes (the metrics-only loop funds no genesis)"
+            )
         if not self.methods or not self.traces:
             raise ConfigurationError("matrix needs >= 1 method and >= 1 trace")
         if not self.ks or not self.etas or not self.betas or not self.engine_modes:
@@ -337,89 +328,6 @@ def default_trace(
     )
 
 
-def smoke_matrix(seed: int = 0) -> ScenarioMatrix:
-    """The 2x2 CI smoke grid: two allocators x two shard counts.
-
-    Small enough to finish in seconds; wide enough to cross the whole
-    pipeline (trace generation, both allocator families, aggregation).
-    """
-    return ScenarioMatrix(
-        name="smoke",
-        methods=("mosaic-pilot", "hash-random"),
-        traces=(
-            default_trace(
-                "smoke-trace",
-                n_accounts=600,
-                n_transactions=6_000,
-                n_blocks=400,
-                seed=7,
-            ),
-        ),
-        ks=(4, 8),
-        tau=40,
-        seed=seed,
-    )
-
-
-def realloc_smoke_matrix(seed: int = 0) -> ScenarioMatrix:
-    """One reallocation-heavy executed cell for CI.
-
-    Metis recomputes a full partition every epoch, so in executed mode
-    each epoch's mapping update floods the beacon with migration
-    requests — exercising the columnar beacon commit, the residency
-    index and the grouped gather/scatter state movement end to end on
-    every push, at smoke-grid size.
-    """
-    return ScenarioMatrix(
-        name="realloc-smoke",
-        methods=("metis",),
-        traces=(
-            default_trace(
-                "smoke-trace",
-                n_accounts=600,
-                n_transactions=6_000,
-                n_blocks=400,
-                seed=7,
-            ),
-        ),
-        ks=(4,),
-        tau=40,
-        seed=seed,
-        engine_modes=("execute-dense",),
-    )
-
-
-def network_smoke_matrix(seed: int = 0) -> ScenarioMatrix:
-    """One degraded-WAN executed cell for CI.
-
-    The ``lossy`` model drops ~12% of receipts, duplicates and reorders
-    the rest, and periodically severs shard links outright — so this
-    cell exercises the full failure surface on every push: bounded
-    retransmission with backoff, duplicate-settlement dedup, timeout
-    aborts with sender refunds, and delivered-block settlement. The CLI
-    asserts nonzero retransmissions, exact value conservation, and a
-    repeat-run digest match on top of it.
-    """
-    return ScenarioMatrix(
-        name="network-smoke",
-        methods=("metis",),
-        traces=(
-            default_trace(
-                "smoke-trace",
-                n_accounts=600,
-                n_transactions=6_000,
-                n_blocks=400,
-                seed=7,
-            ),
-        ),
-        ks=(4,),
-        tau=40,
-        seed=seed,
-        engine_modes=(ENGINE_MODE_EXECUTE_DENSE,),
-        network="lossy",
-    )
-
-
 def paper_tables_matrix(
     trace: TraceSpec, tau: int = 40, seed: int = 42
 ) -> ScenarioMatrix:
@@ -460,29 +368,102 @@ def valued_trace(
     return TraceSpec(name=name, config=replace(spec.config, value_model=model))
 
 
-def etl_smoke_matrix(
-    etl_path: str, seed: int = 0, decoder: str = "auto"
-) -> ScenarioMatrix:
-    """One streamed value-faithful executed cell for CI.
+#: The checked-in ethereum-etl extract the ``etl-smoke`` preset replays,
+#: relative to the repository root.
+ETL_SMOKE_FIXTURE = "tests/fixtures/etl_smoke.csv"
 
-    The trace comes from an ethereum-etl CSV through the chunked
-    :class:`~repro.data.source.CsvTraceSource` (the streamed decode
-    path), runs in ``execute-dense`` mode, and funds genesis from the
-    file's observed value flow — the complete ingest-to-settlement
-    value pipeline on every push, at smoke size.
+
+def _resolve_etl_fixture() -> str:
+    """Locate the checked-in ETL smoke fixture.
+
+    Tried relative to the current directory first (the CI invocation),
+    then relative to the source checkout this module was loaded from, so
+    the preset also works from other directories. An installed package
+    ships without the test tree, so there the lookup fails with a typed
+    error.
     """
-    return ScenarioMatrix(
-        name="etl-smoke",
-        methods=("mosaic-pilot",),
-        traces=(
-            TraceSpec(name="etl-fixture", etl_path=etl_path, decoder=decoder),
-        ),
+    for base in (Path.cwd(), Path(__file__).resolve().parents[3]):
+        candidate = base / ETL_SMOKE_FIXTURE
+        if candidate.is_file():
+            return str(candidate)
+    raise ConfigurationError(
+        f"preset 'etl-smoke' needs the checked-in fixture "
+        f"{ETL_SMOKE_FIXTURE!r}, found under neither the current "
+        "directory nor the source checkout"
+    )
+
+
+#: The synthetic trace every synthetic preset replays.
+SMOKE_TRACE = default_trace(
+    "smoke-trace", n_accounts=600, n_transactions=6_000, n_blocks=400, seed=7
+)
+
+#: Named CI grids for ``repro matrix --preset NAME``; each builder takes
+#: the matrix seed. Every preset finishes in seconds, and the CLI's
+#: modifiers (``--engine-modes``, ``--trace-source``, ``--funding``,
+#: ``--network``, ``--history-epochs``) apply to any of them.
+PRESETS: Dict[str, Callable[[int], ScenarioMatrix]] = {
+    # Two allocator families x two shard counts, metrics only: trace
+    # generation, allocation and aggregation end to end.
+    "smoke": lambda seed: ScenarioMatrix(
+        name="smoke",
+        methods=("mosaic-pilot", "hash-random"),
+        traces=(SMOKE_TRACE,),
+        ks=(4, 8),
+        tau=40,
+        seed=seed,
+    ),
+    # Metis recomputes a full partition every epoch, so each executed
+    # epoch floods the beacon with migration requests: the columnar
+    # beacon commit, the residency index and grouped state movement.
+    "realloc-smoke": lambda seed: ScenarioMatrix(
+        name="realloc-smoke",
+        methods=("metis",),
+        traces=(SMOKE_TRACE,),
         ks=(4,),
         tau=40,
         seed=seed,
         engine_modes=(ENGINE_MODE_EXECUTE_DENSE,),
-        funding="observed",
-    )
+    ),
+    # The same cell over the degraded ``lossy`` WAN (~12% receipt drops,
+    # duplicates, reordering, link outages): retransmission with
+    # backoff, duplicate-settlement dedup and timeout refunds.
+    # tests/test_network_matrix.py asserts nonzero retransmissions,
+    # exact value conservation and a repeat-run digest match on it.
+    "network-smoke": lambda seed: ScenarioMatrix(
+        name="network-smoke",
+        methods=("metis",),
+        traces=(SMOKE_TRACE,),
+        ks=(4,),
+        tau=40,
+        seed=seed,
+        engine_modes=(ENGINE_MODE_EXECUTE_DENSE,),
+        network="lossy",
+    ),
+    # The checked-in ethereum-etl extract through the chunked
+    # CsvTraceSource, with genesis funded from its observed value flow:
+    # the ingest-to-settlement value pipeline.
+    "etl-smoke": lambda seed: ScenarioMatrix(
+        name="etl-smoke",
+        methods=("mosaic-pilot",),
+        traces=(TraceSpec(name="etl-fixture", etl_path=_resolve_etl_fixture()),),
+        ks=(4,),
+        tau=40,
+        seed=seed,
+        engine_modes=(ENGINE_MODE_EXECUTE_DENSE,),
+        funding=FUNDING_OBSERVED,
+    ),
+}
+
+
+def preset_matrix(name: str, seed: int = 0) -> ScenarioMatrix:
+    """Build the named grid from :data:`PRESETS`."""
+    builder = PRESETS.get(name)
+    if builder is None:
+        raise ConfigurationError(
+            f"unknown preset {name!r}; available: {', '.join(PRESETS)}"
+        )
+    return builder(seed)
 
 
 def with_methods(matrix: ScenarioMatrix, methods: Tuple[str, ...]) -> ScenarioMatrix:
@@ -491,24 +472,16 @@ def with_methods(matrix: ScenarioMatrix, methods: Tuple[str, ...]) -> ScenarioMa
 
 
 def with_trace_source(
-    matrix: ScenarioMatrix,
-    etl_path: str,
-    name: str = "etl",
-    decoder: str = "auto",
+    matrix: ScenarioMatrix, etl_path: str, name: str = "etl"
 ) -> ScenarioMatrix:
     """A copy of ``matrix`` replaying an ETL CSV instead of its traces.
 
     This is the ``repro matrix --trace-source`` axis: the grid's
     methods/parameters stay as declared while every cell draws its
-    transactions (and value columns) from the extract at ``etl_path``,
-    decoded through ``decoder`` (python reference / arrow columnar /
-    auto).
+    transactions (and value columns) from the extract at ``etl_path``.
     """
     return replace(
-        matrix,
-        traces=(
-            TraceSpec(name=name, etl_path=str(etl_path), decoder=decoder),
-        ),
+        matrix, traces=(TraceSpec(name=name, etl_path=str(etl_path)),)
     )
 
 

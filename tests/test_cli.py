@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.data.arrow import PYARROW_AVAILABLE
 
 
 class TestParser:
@@ -24,6 +23,25 @@ class TestParser:
         assert args.method == "mosaic-pilot"
         assert args.shards == 16
         assert args.eta == 2.0
+
+    def test_unknown_matrix_preset_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["matrix", "--preset", "tiny-smoke"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["matrix", "--smoke"],
+            ["matrix", "--etl-smoke"],
+            ["matrix", "--decoder", "python"],
+            ["simulate", "--decoder", "python"],
+        ],
+    )
+    def test_retired_flags_are_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
 
 class TestCommands:
@@ -105,32 +123,6 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "streaming" in out
-
-    @pytest.mark.skipif(
-        PYARROW_AVAILABLE, reason="pyarrow installed: arrow decode works"
-    )
-    def test_simulate_input_honours_decoder(self, tmp_path, capsys):
-        """--decoder applies to every --input read: an explicit arrow
-        request without pyarrow is a typed error, not a silent python
-        decode."""
-        csv_path = tmp_path / "trace.csv"
-        main(
-            [
-                "generate",
-                str(csv_path),
-                "--accounts",
-                "200",
-                "--transactions",
-                "1000",
-                "--blocks",
-                "100",
-            ]
-        )
-        code = main(
-            ["simulate", "--input", str(csv_path), "--decoder", "arrow"]
-        )
-        assert code == 1
-        assert "requires pyarrow" in capsys.readouterr().err
 
     def test_simulate_unknown_method(self, capsys):
         code = main(["simulate", "--method", "nope"])

@@ -21,9 +21,7 @@ from repro.chain.account import AccountRegistry
 from repro.data import (
     CsvTraceSource,
     EthereumTraceConfig,
-    MaterialisedTraceSource,
     PYARROW_AVAILABLE,
-    Trace,
     ValueModelConfig,
     generate_ethereum_like_trace,
     resolve_decoder,
@@ -104,24 +102,6 @@ class TestDecoderKnob:
         )
         trace = CsvTraceSource(path, decoder="auto").materialise()
         assert len(trace) == 1
-
-    def test_from_source_decoder_override(self, tmp_path):
-        path = write_csv(
-            tmp_path / "t.csv", [f"0x0,1,{ADDR_A},{ADDR_B},5.0"]
-        )
-        source = CsvTraceSource(path)
-        trace = Trace.from_source(source, decoder="python")
-        assert source.decoder == "python"
-        assert len(trace) == 1
-
-    def test_from_source_decoder_rejects_sources_without_knob(self):
-        trace = generate_ethereum_like_trace(
-            EthereumTraceConfig(n_accounts=20, n_transactions=50, n_blocks=10)
-        )
-        with pytest.raises(DataError, match="decoder"):
-            Trace.from_source(
-                MaterialisedTraceSource(trace), decoder="python"
-            )
 
 
 class TestErrorFixturesPythonPath:

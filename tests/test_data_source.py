@@ -69,7 +69,6 @@ class TestMaterialisedSource:
     def test_materialise_returns_the_same_trace(self):
         trace = generate_ethereum_like_trace(valued_config())
         assert MaterialisedTraceSource(trace).materialise() is trace
-        assert Trace.from_source(MaterialisedTraceSource(trace)) is trace
 
     def test_rejects_bad_chunk_rows(self):
         trace = generate_ethereum_like_trace(valued_config())

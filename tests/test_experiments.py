@@ -3,10 +3,11 @@
 Covers: grid construction and validation, deterministic per-cell
 seeding (independent RNG streams across cells), parallel-vs-sequential
 bit-identity, aggregation into the analysis/tables format, and the
-``repro matrix --smoke`` CI entry point.
+``repro matrix --preset`` CI entry points.
 """
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -15,15 +16,18 @@ from repro.analysis.tables import comparison_table
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.experiments import (
+    PRESETS,
     ScenarioMatrix,
     default_trace,
     execute_cell,
     grid_row_settings,
     matrix_table,
+    preset_matrix,
     run_matrix,
-    smoke_matrix,
+    with_funding,
     write_result_json,
 )
+from repro.experiments import matrix as matrix_module
 from repro.util.rng import RngFactory
 
 
@@ -57,6 +61,30 @@ class TestScenarioMatrix:
     def test_rejects_unknown_method(self):
         with pytest.raises(ConfigurationError, match="unknown methods"):
             tiny_matrix(methods=("mosaic-pilot", "nonexistent"))
+
+    def test_observed_funding_rejects_metrics_mode(self):
+        """A metrics-only cell funds no genesis, so labelling it
+        ``/funding-observed`` would report a run that never happened."""
+        with pytest.raises(ConfigurationError, match="value execution"):
+            with_funding(tiny_matrix(), "observed")
+        with pytest.raises(ConfigurationError, match="value execution"):
+            ScenarioMatrix(
+                name="mixed",
+                methods=("hash-random",),
+                traces=tiny_matrix().traces,
+                engine_modes=("metrics", "execute"),
+                funding="observed",
+            )
+        # Executing modes only: legal, and the label says so.
+        executed = ScenarioMatrix(
+            name="executed",
+            methods=("hash-random",),
+            traces=tiny_matrix().traces,
+            engine_modes=("execute-dense",),
+            funding="observed",
+        )
+        (cell,) = executed.cells()
+        assert cell.label.endswith("/execute-dense/funding-observed")
 
     def test_rejects_empty_axes(self):
         with pytest.raises(ConfigurationError):
@@ -149,13 +177,80 @@ class TestAggregation:
 class TestMatrixCli:
     def test_smoke_grid_runs_clean(self, capsys):
         """The CI smoke target: a 2x2 grid through the full pipeline."""
-        assert main(["matrix", "--smoke"]) == 0
+        assert main(["matrix", "--preset", "smoke"]) == 0
         out = capsys.readouterr().out
         assert "4/4 cells" in out
         assert "digest" in out
 
     def test_smoke_matrix_is_two_by_two(self):
-        assert len(smoke_matrix()) == 4
+        assert len(preset_matrix("smoke")) == 4
+
+    def test_unknown_preset_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="unknown preset"):
+            preset_matrix("tiny-smoke")
+
+    def test_missing_etl_fixture_is_a_configuration_error(self, monkeypatch):
+        monkeypatch.setattr(
+            matrix_module, "ETL_SMOKE_FIXTURE", "tests/fixtures/absent.csv"
+        )
+        with pytest.raises(ConfigurationError, match="absent.csv"):
+            preset_matrix("etl-smoke")
+
+    def test_preset_seed_moves_cell_seeds(self):
+        for name in PRESETS:
+            default = [c.cell_seed for c in preset_matrix(name).cells()]
+            other = [c.cell_seed for c in preset_matrix(name, seed=1).cells()]
+            assert all(a != b for a, b in zip(default, other)), name
+
+    def test_network_preset_honours_every_modifier(self, tmp_path, capsys):
+        """Modifiers apply to the network preset like to any grid: the
+        history split relabels its cell and --output writes the file."""
+        out_file = tmp_path / "net.json"
+        code = main(
+            [
+                "matrix",
+                "--preset",
+                "network-smoke",
+                "--history-epochs",
+                "3",
+                "--output",
+                str(out_file),
+            ]
+        )
+        assert code == 0
+        summaries = json.loads(out_file.read_text())["summaries"]
+        assert summaries
+        for summary in summaries:
+            assert summary["cell"].endswith("/hist3/execute-dense/net-lossy")
+
+    def test_etl_preset_replays_a_trace_source(self, tmp_path, capsys):
+        fixture = matrix_module._resolve_etl_fixture()
+        copy = tmp_path / "extract.csv"
+        shutil.copyfile(fixture, copy)
+        code = main(
+            ["matrix", "--preset", "etl-smoke", "--trace-source", str(copy)]
+        )
+        assert code == 0
+        assert "1/1 cells" in capsys.readouterr().out
+
+    def test_observed_funding_on_metrics_preset_fails_cleanly(self, capsys):
+        code = main(["matrix", "--preset", "smoke", "--funding", "observed"])
+        assert code == 1
+        assert "needs value execution" in capsys.readouterr().err
+        # The overrides validate as one combination, so adding executing
+        # engine modes makes the same request legal.
+        code = main(
+            [
+                "matrix",
+                "--preset",
+                "smoke",
+                "--funding",
+                "observed",
+                "--engine-modes",
+                "execute-dense",
+            ]
+        )
+        assert code == 0
 
     def test_custom_grid_and_json_output(self, tmp_path, capsys):
         out_file = tmp_path / "cells.json"

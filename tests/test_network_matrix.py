@@ -12,8 +12,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.matrix import (
     ScenarioMatrix,
     default_trace,
-    network_smoke_matrix,
-    smoke_matrix,
+    preset_matrix,
     with_engine_modes,
     with_network,
 )
@@ -65,10 +64,10 @@ class TestNetworkAxis:
 
     def test_non_ideal_network_rejects_metrics_mode(self):
         with pytest.raises(ConfigurationError, match="value execution"):
-            with_network(smoke_matrix(), "lossy")
+            with_network(preset_matrix("smoke"), "lossy")
         # Restricting to executing modes first makes it legal.
         with_network(
-            with_engine_modes(smoke_matrix(), ("execute",)), "lossy"
+            with_engine_modes(preset_matrix("smoke"), ("execute",)), "lossy"
         )
 
 
@@ -93,13 +92,13 @@ class TestExecutedSummaries:
 
 class TestNetworkSmokeCell:
     def test_smoke_grid_shape(self):
-        matrix = network_smoke_matrix()
+        matrix = preset_matrix("network-smoke")
         assert matrix.network == "lossy"
         assert matrix.engine_modes == ("execute-dense",)
         assert len(matrix) == 1
 
     def test_smoke_cell_asserts_and_repeats_bit_identically(self):
-        matrix = network_smoke_matrix()
+        matrix = preset_matrix("network-smoke")
         first = run_matrix(matrix)
         second = run_matrix(matrix)
         assert not first.failures and not second.failures

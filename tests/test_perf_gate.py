@@ -1,6 +1,6 @@
 """CI perf smoke gate: catch order-of-magnitude performance regressions.
 
-The gate runs the ``repro matrix --smoke`` grid plus the columnar
+The gate runs the ``repro matrix --preset smoke`` grid plus the columnar
 executor microbenchmark (scaled down for CI) and fails when wall time
 regresses more than 3x against the committed ``BENCH_baseline.json``
 snapshot. 3x is far above normal machine jitter but well below the

@@ -382,18 +382,22 @@ class TestSourceProtocol:
         with pytest.raises(DataError):
             FollowCsvTraceSource(path, idle_timeout=0.0)
 
-    def test_follow_source_is_python_decoder_only(self, tmp_path):
-        """Tailing is line-oriented, so the arrow record-batch decoder
-        is a configuration error — typed, not a silent fallback."""
-        from repro.errors import ConfigurationError
+    def test_follow_source_is_python_decoder_only(self, tmp_path, monkeypatch):
+        """Tailing is line-oriented, so a followed file never goes
+        through the arrow record-batch decoder, and offers no knob to
+        pick it."""
+        import repro.data.source as source_module
 
+        def no_arrow(*_args, **_kwargs):
+            raise AssertionError("a followed CSV must not decode via arrow")
+
+        monkeypatch.setattr(source_module, "arrow_chunks", no_arrow)
         path = tmp_path / "x.csv"
-        path.write_text("hash,from_address,to_address,block_number\n")
-        with pytest.raises(ConfigurationError, match="python reference"):
-            FollowCsvTraceSource(path, decoder="arrow")
-        with pytest.raises(DataError, match="decoder must be one of"):
-            FollowCsvTraceSource(path, decoder="carrier-pigeon")
-        # The python and auto decoders both resolve to the reference
-        # loop and are accepted.
-        assert FollowCsvTraceSource(path, decoder="python").decoder == "python"
-        assert FollowCsvTraceSource(path).decoder == "auto"
+        write_transactions_csv(path, generate_ethereum_like_trace(PLAIN_CONFIG))
+        source = FollowCsvTraceSource(
+            path, poll_interval=0.01, idle_timeout=0.02
+        )
+        rows = sum(len(chunk) for chunk in source.chunks())
+        assert rows == len(CsvTraceSource(path, decoder="python").materialise())
+        with pytest.raises(TypeError):
+            FollowCsvTraceSource(path, decoder="python")

@@ -301,12 +301,12 @@ class TestStreamedRunEquivalence:
         assert result.total_settled_volume > 0
 
     def test_etl_smoke_matrix_is_deterministic(self, tmp_path):
-        from repro.experiments import etl_smoke_matrix, run_matrix
+        from repro.experiments import preset_matrix, run_matrix, with_trace_source
 
         trace = valued_trace(seed=9, n_transactions=1_500)
         path = tmp_path / "fixture.csv"
         write_transactions_csv(path, trace)
-        matrix = etl_smoke_matrix(str(path))
+        matrix = with_trace_source(preset_matrix("etl-smoke"), str(path))
         first = run_matrix(matrix, strict=True)
         second = run_matrix(matrix, strict=True)
         assert first.deterministic_digest() == second.deterministic_digest()
