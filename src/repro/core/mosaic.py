@@ -16,8 +16,12 @@ protocol of Section V:
 Internally, the per-client loop is executed with the vectorised
 ``batch_pilot_decisions`` (numerically identical to per-client
 ``Pilot.decide``; see ``tests/test_core_pilot.py``), so simulations with
-tens of thousands of clients stay fast. The per-client cost accounting
-(time per decision, bytes of input) is what Table IV reports.
+tens of thousands of clients stay fast. Each client's history term
+``Psi_h`` is a row of counts the allocator keeps up to date as
+transactions arrive and the mapping changes, so a client reads its own
+row rather than rescanning the ledger. The per-client cost accounting
+(time per decision, bytes of input) is what Table IV reports; its timed
+region covers the row sync and read, ``Psi_e`` and Pilot.
 """
 
 from __future__ import annotations
@@ -40,6 +44,20 @@ from repro.workload.observer import OMEGA_ENTRY_BYTES, WorkloadOracle
 
 #: Compact the accumulated edge list when it exceeds this many rows.
 _COMPACT_THRESHOLD = 2_000_000
+
+
+def _scatter(
+    flat: np.ndarray,
+    k: int,
+    rows: np.ndarray,
+    others: np.ndarray,
+    weights: np.ndarray,
+    shard_of: np.ndarray,
+) -> None:
+    """Add ``weights`` to each row of the flat ``(n, k)`` matrix at its
+    counterparty's shard; counterparties beyond ``shard_of`` are skipped."""
+    mapped = others < len(shard_of)
+    np.add.at(flat, rows[mapped] * k + shard_of[others[mapped]], weights[mapped])
 
 
 class MosaicAllocator(Allocator):
@@ -67,109 +85,135 @@ class MosaicAllocator(Allocator):
         self.initializer = initializer
         self.fifo_commitment = fifo_commitment
         self.unlimited_migrations = unlimited_migrations
+        self._reset_history()
+
+    # -- history bookkeeping ---------------------------------------------------
+
+    def _reset_history(self) -> None:
+        """Forget every absorbed transaction and the last outcome."""
         # Accumulated client histories as an aggregated undirected edge
-        # list (u < v, weight = interaction count). Conceptually each
-        # client holds only its own row; the simulator stores them
-        # together for vectorised evaluation.
+        # list (u < v, weight = interaction count). Edges before
+        # ``_folded`` are counted in ``_rows``; the tail is not yet.
         self._edge_u = np.zeros(0, dtype=np.int64)
         self._edge_v = np.zeros(0, dtype=np.int64)
-        self._edge_w = np.zeros(0, dtype=np.float64)
-        self._tx_count = np.zeros(0, dtype=np.int64)
+        self._edge_w = np.zeros(0, dtype=np.int32)
+        self._folded = 0
+        #: One past the largest account id in the edge list.
+        self._n_ids = 0
+        # Each client holds only its own Psi_h row: ``_rows[a, s]`` counts
+        # a's folded interactions with counterparties that ``_phi_seen``
+        # puts on shard s (counterparties beyond it contribute nothing).
+        # The simulator stores the rows together as one int32 matrix.
+        self._rows = np.zeros((0, 0), dtype=np.int32)
+        self._phi_seen = np.zeros(0, dtype=np.int64)
         #: The last epoch's commitment outcome (columnar; ``None``
         #: before the first update).
         self.last_outcome: Optional[BatchOutcome] = None
 
-    # -- history bookkeeping ---------------------------------------------------
-
-    def _ensure_accounts(self, n_accounts: int) -> None:
-        if len(self._tx_count) < n_accounts:
-            grown = np.zeros(n_accounts, dtype=np.int64)
-            grown[: len(self._tx_count)] = self._tx_count
-            self._tx_count = grown
-
     def _absorb_batch(self, batch: TransactionBatch) -> None:
-        """Fold committed transactions into the clients' local stores."""
+        """Append committed transactions to the clients' local stores;
+        the next ``_sync_rows`` counts them into the rows."""
         if len(batch) == 0:
             return
-        self._ensure_accounts(batch.max_account_id() + 1)
         lo = np.minimum(batch.senders, batch.receivers)
         hi = np.maximum(batch.senders, batch.receivers)
         not_self = lo != hi
         lo, hi = lo[not_self], hi[not_self]
         if len(lo) == 0:
             return
-        span = int(max(self._tx_count.shape[0], hi.max() + 1))
-        keys = lo * span + hi
-        unique_keys, counts = np.unique(keys, return_counts=True)
+        span = int(hi.max()) + 1
+        unique_keys, counts = np.unique(lo * span + hi, return_counts=True)
         self._edge_u = np.concatenate([self._edge_u, unique_keys // span])
         self._edge_v = np.concatenate([self._edge_v, unique_keys % span])
-        self._edge_w = np.concatenate(
-            [self._edge_w, counts.astype(np.float64)]
-        )
-        self._tx_count += np.bincount(
-            batch.senders, minlength=len(self._tx_count)
-        )
-        self._tx_count += np.bincount(
-            batch.receivers, minlength=len(self._tx_count)
-        )
+        self._edge_w = np.concatenate([self._edge_w, counts.astype(np.int32)])
+        self._n_ids = max(self._n_ids, span)
         if len(self._edge_u) > _COMPACT_THRESHOLD:
             self._compact()
 
     def _compact(self) -> None:
-        span = int(
-            max(
-                self._edge_u.max(initial=-1),
-                self._edge_v.max(initial=-1),
+        """Merge duplicate edges, separately in the folded prefix and
+        the unfolded tail, so ``_folded`` still splits the two."""
+        span = self._n_ids
+        parts = []
+        for part in (slice(0, self._folded), slice(self._folded, None)):
+            keys = self._edge_u[part] * span + self._edge_v[part]
+            unique_keys, inverse = np.unique(keys, return_inverse=True)
+            weights = np.bincount(inverse, weights=self._edge_w[part])
+            parts.append((unique_keys, weights.astype(np.int32)))
+        self._folded = len(parts[0][0])
+        keys = np.concatenate([parts[0][0], parts[1][0]])
+        self._edge_u = keys // span
+        self._edge_v = keys % span
+        self._edge_w = np.concatenate([parts[0][1], parts[1][1]])
+
+    def _sync_rows(self, mapping: ShardMapping) -> None:
+        """Bring ``_rows`` up to date with ``mapping`` and the edge list.
+
+        1. Re-home: every account whose shard differs from ``_phi_seen``
+           (committed MRs, new-account placement, growth) moves its
+           folded edge weight between shard columns of its neighbours'
+           rows.
+        2. Fold: edges absorbed since the last sync add their weight
+           under the current mapping; a counterparty not yet mapped
+           contributes once the mapping grows over it (step 1).
+
+        Counts are integers, so every row equals a fresh scan of the
+        history under ``mapping`` regardless of summation order.
+        """
+        k = mapping.k
+        phi = mapping.as_array()
+        n = len(phi)
+        n_rows = max(n, self._n_ids)
+        if self._rows.shape[1] != k:
+            self._rows = np.zeros((n_rows, k), dtype=np.int32)
+            self._phi_seen = np.zeros(0, dtype=np.int64)
+            self._folded = 0
+        elif len(self._rows) < n_rows:
+            grown = np.zeros((n_rows, k), dtype=np.int32)
+            grown[: len(self._rows)] = self._rows
+            self._rows = grown
+        flat = self._rows.reshape(-1)
+
+        seen = self._phi_seen
+        common = min(len(seen), n)
+        changed = np.flatnonzero(seen[:common] != phi[:common])
+        if len(seen) != n:
+            changed = np.concatenate(
+                [changed, np.arange(common, max(len(seen), n))]
             )
-            + 1
-        )
-        if span <= 0:
-            return
-        keys = self._edge_u * span + self._edge_v
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
-        weights = np.bincount(inverse, weights=self._edge_w)
-        self._edge_u = unique_keys // span
-        self._edge_v = unique_keys % span
-        self._edge_w = weights
+        if len(changed) and self._folded:
+            moved = np.zeros(len(self._rows), dtype=bool)
+            moved[changed] = True
+            for ids, others, w in self._directed(slice(0, self._folded)):
+                sel = np.flatnonzero(moved[others])
+                ids, others, w = ids[sel], others[sel], w[sel]
+                _scatter(flat, k, ids, others, -w, seen)
+                _scatter(flat, k, ids, others, w, phi)
+        self._phi_seen = np.array(phi)
+
+        for ids, others, w in self._directed(slice(self._folded, None)):
+            _scatter(flat, k, ids, others, w, phi)
+        self._folded = len(self._edge_u)
+
+    def _directed(self, part: slice):
+        """Both orientations ``(row owner, counterparty, weight)`` of the
+        edges in ``part``."""
+        u, v, w = self._edge_u[part], self._edge_v[part], self._edge_w[part]
+        return ((u, v, w), (v, u, w))
 
     # -- Psi evaluation ------------------------------------------------------------
 
     def _history_psi(
         self, accounts: np.ndarray, mapping: ShardMapping
     ) -> np.ndarray:
-        """``Psi_h`` rows for sorted-unique ``accounts`` under ``mapping``.
+        """``Psi_h`` rows for ``accounts`` (all mapped) under ``mapping``.
 
         Evaluates Eq. 1 over each client's stored history against the
         *current* allocation, exactly as wallets re-evaluate their local
-        records.
+        records: each client's row is kept up to date and read directly.
         """
-        k = mapping.k
-        psi = np.zeros((len(accounts), k), dtype=np.float64)
-        if len(self._edge_u) == 0 or len(accounts) == 0:
-            return psi
-        shard_of = mapping.as_array()
-        # Active-account membership via one boolean gather per endpoint
-        # column (cheaper than binary-searching the whole edge list);
-        # the searchsorted row lookup then runs on the small slice.
-        is_active = np.zeros(
-            max(int(self._tx_count.shape[0]), int(accounts.max()) + 1),
-            dtype=bool,
-        )
-        is_active[accounts] = True
-        for ids, others in ((self._edge_u, self._edge_v), (self._edge_v, self._edge_u)):
-            present = is_active[ids]
-            # Edges may reference accounts beyond the mapping (not yet
-            # placed); those cannot contribute counterparty shards.
-            present &= others < mapping.n_accounts
-            if not present.any():
-                continue
-            sel_others = others[present]
-            rows = np.searchsorted(accounts, ids[present])
-            keys = rows * k + shard_of[sel_others]
-            psi += np.bincount(
-                keys, weights=self._edge_w[present], minlength=len(accounts) * k
-            ).reshape(len(accounts), k)
-        return psi
+        self._sync_rows(mapping)
+        return self._rows[accounts].astype(np.float64)
 
     @staticmethod
     def _mean_pilot_input_bytes(psi: Optional[np.ndarray], k: int) -> float:
@@ -197,7 +241,7 @@ class MosaicAllocator(Allocator):
         return self.last_outcome.batch
 
     def initialize(self, history: Trace, params: ProtocolParams) -> ShardMapping:
-        self._ensure_accounts(history.n_accounts)
+        self._reset_history()
         self._absorb_batch(history.batch)
         if self.initializer is not None:
             return self.initializer.initialize(history, params)
@@ -213,7 +257,6 @@ class MosaicAllocator(Allocator):
     ) -> AllocationUpdate:
         params = context.params
         k = mapping.k
-        self._ensure_accounts(mapping.n_accounts)
         # 1. Wallets observe the epoch's committed transactions.
         self._absorb_batch(context.committed)
 

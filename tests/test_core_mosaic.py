@@ -1,15 +1,26 @@
 """Unit tests for the MosaicAllocator framework integration."""
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from pilot_history_reference import history_psi_scan
 
 from repro.allocation.base import UpdateContext
 from repro.allocation.hash_based import HashAllocator
 from repro.allocation.txallo import TxAlloAllocator
 from repro.chain.mapping import ShardMapping
 from repro.chain.migration import MigrationRequestBatch
+from repro.chain.params import ProtocolParams
 from repro.chain.transaction import TransactionBatch
+from repro.core import mosaic
+from repro.core.migration import MigrationPolicy
 from repro.core.mosaic import MosaicAllocator
+from repro.data.ethereum import EthereumTraceConfig, generate_ethereum_like_trace
+from repro.sim.engine import Simulation, SimulationConfig
 
 
 def context_for(params, committed, mempool, capacity=100.0, epoch=0):
@@ -54,7 +65,6 @@ class TestUpdate:
         # Accounts 0..3 interact tightly; 0 starts alone on shard 1.
         mapping = ShardMapping(np.array([1, 0, 0, 0, 2, 3]), k=params.k)
         allocator = MosaicAllocator()
-        allocator._ensure_accounts(6)
         committed = pair_batch([(0, 1), (0, 2), (0, 3), (0, 1)])
         mempool = pair_batch([(0, 1), (2, 3), (4, 5)])
         update = allocator.update(
@@ -115,7 +125,14 @@ class TestUpdate:
             first.mapping,
             context_for(params, pair_batch([(1, 2)]), mempool, epoch=1),
         )
-        assert allocator._tx_count[0] == 2  # history retained
+        # Both epochs' transactions count, under the latest mapping.
+        phi = second.mapping.as_array()
+        expected = np.zeros((3, params.k))
+        for a, b in [(0, 1), (0, 2), (1, 2)]:
+            expected[a, phi[b]] += 1
+            expected[b, phi[a]] += 1
+        rows = allocator._history_psi(np.array([0, 1, 2]), second.mapping)
+        np.testing.assert_array_equal(rows, expected)
 
     def test_input_bytes_are_client_scale(self, params, tiny_trace):
         allocator = MosaicAllocator()
@@ -209,3 +226,122 @@ class TestPlaceNewAccounts:
         placed = allocator.place_new_accounts(np.array([6, 7]), mapping, None)
         assert 0 not in placed  # most crowded shard avoided
         assert len(placed) == 2
+
+
+def deterministic_fields(records):
+    """Epoch records without their wall-clock fields."""
+    return [
+        dataclasses.replace(record, execution_time=0.0, unit_time=0.0)
+        for record in records
+    ]
+
+
+class TestReuse:
+    def test_reused_instance_matches_fresh(self):
+        trace = generate_ethereum_like_trace(
+            EthereumTraceConfig(
+                n_accounts=2_000, n_transactions=24_000, n_blocks=1_500, seed=1
+            )
+        )
+        config = SimulationConfig(
+            params=ProtocolParams(k=8, eta=2.0, tau=10, seed=1),
+            history_epochs=50,
+        )
+        reused = MosaicAllocator()
+        Simulation(trace, reused, config).run()
+        again = Simulation(trace, reused, config).run()
+        fresh = Simulation(trace, MosaicAllocator(), config).run()
+        assert len(fresh.records) == 100
+        assert deterministic_fields(again.records) == deterministic_fields(
+            fresh.records
+        )
+
+
+# One step of the history property: a short run of operations, after
+# which the maintained rows are checked against the full scan.
+N_IDS = 14
+K = 3
+_pairs = st.lists(
+    st.tuples(st.integers(0, N_IDS - 1), st.integers(0, N_IDS - 1)),
+    min_size=1,
+    max_size=12,
+)
+_moves = st.lists(
+    st.tuples(st.integers(0, N_IDS - 1), st.integers(0, K - 1)),
+    min_size=1,
+    max_size=5,
+)
+_operation = st.one_of(
+    st.tuples(st.just("absorb"), _pairs),
+    st.tuples(st.just("commit"), _moves),
+    st.tuples(st.just("assign"), _moves),
+    st.tuples(st.just("grow"), st.integers(1, 4)),
+    st.tuples(
+        st.just("replace"), st.lists(st.integers(0, K - 1), max_size=N_IDS)
+    ),
+    st.tuples(st.just("compact"), st.none()),
+)
+
+
+class TestHistoryRows:
+    """The maintained ``Psi_h`` rows equal a full rescan of the history."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        initial=st.lists(st.integers(0, K - 1), min_size=1, max_size=N_IDS // 2),
+        steps=st.lists(
+            st.lists(_operation, min_size=1, max_size=3), min_size=1, max_size=8
+        ),
+        threshold=st.integers(1, 40),
+    )
+    def test_rows_match_full_scan(self, initial, steps, threshold):
+        allocator = MosaicAllocator()
+        mapping = ShardMapping(np.array(initial), k=K)
+        with mock.patch.object(mosaic, "_COMPACT_THRESHOLD", threshold):
+            for step in steps:
+                for op, arg in step:
+                    mapping = self._apply(allocator, mapping, op, arg)
+                active = np.arange(mapping.n_accounts)
+                rows = allocator._history_psi(active, mapping)
+                expected = history_psi_scan(
+                    allocator._edge_u,
+                    allocator._edge_v,
+                    allocator._edge_w,
+                    active,
+                    mapping,
+                )
+                np.testing.assert_array_equal(rows, expected)
+
+    @staticmethod
+    def _apply(allocator, mapping, op, arg):
+        if op == "absorb":
+            allocator._absorb_batch(pair_batch(arg))
+        elif op == "compact":
+            allocator._compact()
+        elif op == "grow":
+            mapping.grow(
+                mapping.n_accounts + arg, np.zeros(arg, dtype=np.int64)
+            )
+        elif op == "replace":
+            # An unrelated mapping, possibly smaller than the last one.
+            mapping = ShardMapping(np.array(arg, dtype=np.int64), k=K)
+        else:
+            moves = [(a, s) for a, s in arg if a < mapping.n_accounts]
+            accounts = np.array([a for a, _ in moves], dtype=np.int64)
+            shards = np.array([s for _, s in moves], dtype=np.int64)
+            if op == "assign":
+                # In place, on the very object the allocator last saw.
+                mapping.assign_many(accounts, shards)
+            else:
+                # Beacon commit onto a copy, as ``update`` does; a
+                # request always leaves its current shard.
+                mapping = mapping.copy()
+                current = mapping.shards_of(accounts)
+                batch = MigrationRequestBatch(
+                    accounts,
+                    current,
+                    (current + 1 + shards % (K - 1)) % K,
+                    np.ones(len(accounts)),
+                )
+                MigrationPolicy().apply_batch(batch, mapping)
+        return mapping
