@@ -104,7 +104,9 @@ def settlement_demo() -> None:
     print("\n-- Part 3: cross-shard settlement (why eta > 1) ----------------")
     mapping = ShardMapping(np.array([0, 1]), k=2)
     executor = CrossShardExecutor(
-        StateRegistry(k=2), mapping, relay_delay_blocks=1
+        StateRegistry(k=2, n_accounts=mapping.n_accounts),
+        mapping,
+        relay_delay_blocks=1,
     )
     executor.fund(0, 100.0)
     print(f"total value before: {executor.total_value():.0f}")

@@ -274,13 +274,3 @@ def coarsen_level_csr(
     )
     return contract_csr(csr, vertex_weights, match, rows=rows)
 
-
-def coarsen_level(
-    adjacency: Adjacency,
-    vertex_weights: np.ndarray,
-    rng: np.random.Generator,
-    max_vertex_weight: float,
-) -> Tuple[Adjacency, np.ndarray, np.ndarray]:
-    """One full coarsening step: match then contract (dict view)."""
-    match = heavy_edge_matching(adjacency, vertex_weights, rng, max_vertex_weight)
-    return contract(adjacency, vertex_weights, match)

@@ -37,7 +37,6 @@ from repro.chain.state import (
     AccountState,
     DenseShardStateStore,
     ResidencyIndex,
-    ShardStateStore,
     SlotDirectory,
     StateRegistry,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "AccountState",
     "DenseShardStateStore",
     "ResidencyIndex",
-    "ShardStateStore",
     "SlotDirectory",
     "StateRegistry",
     "CrossShardExecutor",

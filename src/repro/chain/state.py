@@ -7,28 +7,21 @@ reconfiguration moves account state between stores (the migration
 traffic the paper accounts for), and the cross-shard executor
 (:mod:`repro.chain.crossshard`) debits and credits across stores.
 
-Two interchangeable backends implement the store contract:
+:class:`DenseShardStateStore` is the one store: per-shard balance and
+nonce columns with a first-fit free list. A :class:`SlotDirectory`
+shared by all stores of a registry maps each global account id to its
+*home* shard and a local column slot, so a shard's columns are sized to
+its own population instead of the whole account universe (k-fold less
+memory than full-universe columns). Ids beyond the directory capacity
+— and the rare account whose state is resident on a shard other than
+its home — spill into a fallback dict so sparse stragglers stay
+correct.
 
-* :class:`ShardStateStore` — the scalar-dict backend: balances and
-  nonces in two parallel dicts. Robust for sparse/arbitrary account
-  ids; the default, and the equivalence oracle for the dense store.
-* :class:`DenseShardStateStore` — the dense-array backend behind
-  ``backend="dense"``: per-shard balance and nonce columns with a
-  first-fit free list. A :class:`SlotDirectory` shared by all stores of
-  a registry maps each global account id to its *home* shard and a
-  local column slot, so a shard's columns are sized to its own
-  population instead of the whole account universe (k-fold less memory
-  than full-universe columns). Ids beyond the directory capacity — and
-  the rare account whose state is resident on a shard other than its
-  home — spill into a fallback dict so sparse stragglers stay correct.
-
-:class:`StateRegistry` selects the backend (``backend="dict"`` /
-``"dense"``) and guarantees both produce identical observable state —
-same state roots, balances and nonces — which the backend-equivalence
-property suite pins down. The registry also maintains a
+:class:`StateRegistry` holds one store per shard plus a
 :class:`ResidencyIndex` (account -> holding shards, incremental per
-mutation) so ``locate`` is O(1) instead of an O(k) scan over the
-stores; ``locate_scan`` keeps the scan as the equivalence reference.
+mutation) so ``locate`` is O(1). The scalar-dict store and the O(k)
+scan ``locate`` it replaced live in ``tests/state_reference.py``, the
+oracle the equivalence property suites compare the dense store with.
 """
 
 from __future__ import annotations
@@ -36,26 +29,15 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import (
-    ChainError,
-    ConfigurationError,
-    StateMigrationError,
-    ValidationError,
-)
+from repro.errors import ChainError, StateMigrationError, ValidationError
 
 #: Serialised size of one account state record (address, balance, nonce,
 #: storage-root digest) — the bytes charged per migrated account.
 STATE_RECORD_BYTES = 128
-
-#: State-store backend names accepted by :class:`StateRegistry`.
-BACKEND_DICT = "dict"
-BACKEND_DENSE = "dense"
-STATE_BACKENDS = (BACKEND_DICT, BACKEND_DENSE)
-
 
 @dataclass(frozen=True)
 class AccountState:
@@ -93,8 +75,8 @@ class AccountState:
 def _state_root_digest(items: List[Tuple[int, float, int]]) -> str:
     """Digest over ``(account, balance, nonce)`` rows sorted by account.
 
-    Shared by both backends so a dict store and a dense store holding
-    the same state hash to the same root.
+    The test oracle's dict store hashes through it too, so a dict store
+    and a dense store holding the same state hash to the same root.
     """
     hasher = hashlib.sha256()
     for account, balance, nonce in sorted(items):
@@ -120,9 +102,10 @@ class ResidencyIndex:
     An account *can* be resident on more than one shard (a relay
     settlement can credit a shard the account has since migrated away
     from); the index then reports the lowest holding shard id — exactly
-    what the O(k) store scan (:meth:`StateRegistry.locate_scan`)
-    returns, which the equivalence property suite pins (including at
-    k = 80, where the old single-int64 layout could not index at all).
+    what an O(k) scan over the stores in shard order returns, which the
+    equivalence property suite pins against the scan oracle (including
+    at k = 80, where the old single-int64 layout could not index at
+    all).
     """
 
     __slots__ = ("capacity", "n_shards", "n_words", "_mask", "_extra")
@@ -221,226 +204,6 @@ class ResidencyIndex:
         return int(self._mask.nbytes)
 
 
-class ShardStateStore:
-    """The state of all accounts resident on one shard (dict backend).
-
-    Internally object-free: balances and nonces live in two parallel
-    scalar dicts so the batched executor's gather/scatter hot path never
-    constructs :class:`AccountState` objects. ``get`` materialises one
-    lazily for the object-friendly API. When an ``index`` is attached
-    (by :class:`StateRegistry`), every membership change is mirrored
-    into it.
-    """
-
-    def __init__(
-        self, shard_id: int, index: Optional[ResidencyIndex] = None
-    ) -> None:
-        if shard_id < 0:
-            raise ValidationError(f"shard_id must be >= 0, got {shard_id}")
-        self.shard_id = shard_id
-        self._balances: Dict[int, float] = {}
-        self._nonces: Dict[int, int] = {}
-        self._index = index
-
-    def __len__(self) -> int:
-        return len(self._balances)
-
-    def __contains__(self, account: int) -> bool:
-        return account in self._balances
-
-    def accounts(self) -> Iterator[int]:
-        """Resident account ids (unspecified order)."""
-        return iter(self._balances)
-
-    def get(self, account: int) -> AccountState:
-        """State of ``account``; a fresh zero state when never seen."""
-        balance = self._balances.get(account)
-        if balance is None:
-            return AccountState()
-        return AccountState(balance=balance, nonce=self._nonces[account])
-
-    def put(self, account: int, state: AccountState) -> None:
-        """Install ``state`` for ``account``."""
-        if account < 0:
-            raise ValidationError(f"account must be >= 0, got {account}")
-        if self._index is not None and account not in self._balances:
-            self._index.add(self.shard_id, account)
-        self._balances[account] = state.balance
-        self._nonces[account] = state.nonce
-
-    def credit(self, account: int, amount: float) -> AccountState:
-        """Add funds (creating the account on first touch)."""
-        if amount < 0:
-            raise ValidationError(f"credit amount must be >= 0, got {amount}")
-        if self._index is not None and account not in self._balances:
-            self._index.add(self.shard_id, account)
-        balance = self._balances.get(account, 0.0) + amount
-        self._balances[account] = balance
-        nonce = self._nonces.setdefault(account, 0)
-        return AccountState(balance=balance, nonce=nonce)
-
-    def debit(self, account: int, amount: float) -> AccountState:
-        """Remove funds; raises :class:`ChainError` when underfunded."""
-        if amount < 0:
-            raise ValidationError(f"debit amount must be >= 0, got {amount}")
-        balance = self._balances.get(account, 0.0)
-        if amount > balance:
-            raise ChainError(f"insufficient balance: {balance} < {amount}")
-        if self._index is not None and account not in self._balances:
-            self._index.add(self.shard_id, account)
-        balance -= amount
-        nonce = self._nonces.get(account, 0) + 1
-        self._balances[account] = balance
-        self._nonces[account] = nonce
-        return AccountState(balance=balance, nonce=nonce)
-
-    def remove(self, account: int) -> AccountState:
-        """Remove and return an account's state (for migration)."""
-        try:
-            balance = self._balances.pop(account)
-        except KeyError:
-            raise ChainError(
-                f"account {account} is not resident on shard {self.shard_id}"
-            ) from None
-        if self._index is not None:
-            self._index.discard(self.shard_id, account)
-        return AccountState(balance=balance, nonce=self._nonces.pop(account))
-
-    # -- columnar bulk access (batched executor hot path) ----------------------
-
-    def balances_of(self, accounts: np.ndarray) -> np.ndarray:
-        """Balances of ``accounts`` as an array (zero when never seen)."""
-        get = self._balances.get
-        return np.fromiter(
-            (get(a, 0.0) for a in accounts.tolist()),
-            dtype=np.float64,
-            count=len(accounts),
-        )
-
-    def write_back(
-        self,
-        accounts: np.ndarray,
-        balances: np.ndarray,
-        nonce_bumps: np.ndarray,
-    ) -> None:
-        """Scatter updated balances (and nonce increments) back.
-
-        Accounts are created on first touch, exactly like the scalar
-        credit/debit path.
-        """
-        bal = self._balances
-        non = self._nonces
-        get_nonce = non.get
-        for account, balance, bump in zip(
-            accounts.tolist(), balances.tolist(), nonce_bumps.tolist()
-        ):
-            bal[account] = balance
-            non[account] = get_nonce(account, 0) + bump
-        if self._index is not None:
-            self._index.add_many(self.shard_id, accounts)
-
-    def credit_many(self, accounts: np.ndarray, amounts: np.ndarray) -> None:
-        """Apply a stream of credits in order (settlement scatter)."""
-        bal = self._balances
-        non = self._nonces
-        for account, amount in zip(accounts.tolist(), amounts.tolist()):
-            bal[account] = bal.get(account, 0.0) + amount
-            non.setdefault(account, 0)
-        if self._index is not None:
-            self._index.add_many(self.shard_id, accounts)
-
-    # -- bulk migration (batched reconfiguration hot path) ---------------------
-
-    def take_many(
-        self, accounts: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Remove ``accounts`` and return their (balances, nonces).
-
-        Every account must be resident — callers group by the located
-        holding shard first. The columnar twin of a :meth:`remove`
-        loop; a non-resident account raises :class:`ChainError` before
-        anything is removed.
-        """
-        ids = accounts.tolist()
-        bal = self._balances
-        non = self._nonces
-        for account in ids:
-            if account not in bal:
-                raise ChainError(
-                    f"account {account} is not resident on shard "
-                    f"{self.shard_id}"
-                )
-        n = len(ids)
-        balances = np.fromiter(
-            (bal.pop(a) for a in ids), dtype=np.float64, count=n
-        )
-        nonces = np.fromiter((non.pop(a) for a in ids), dtype=np.int64, count=n)
-        if self._index is not None:
-            self._index.discard_many(self.shard_id, accounts)
-        return balances, nonces
-
-    def put_many(
-        self,
-        accounts: np.ndarray,
-        balances: np.ndarray,
-        nonces: np.ndarray,
-    ) -> None:
-        """Install state rows in bulk (the columnar twin of ``put``)."""
-        bal = self._balances
-        non = self._nonces
-        for account, balance, nonce in zip(
-            accounts.tolist(), balances.tolist(), nonces.tolist()
-        ):
-            bal[account] = balance
-            non[account] = nonce
-        if self._index is not None:
-            self._index.add_many(self.shard_id, accounts)
-
-    def total_balance(self) -> float:
-        """Exactly-rounded sum of resident balances (conservation checks)."""
-        return math.fsum(self._balances.values())
-
-    def state_root(self) -> str:
-        """Deterministic digest over the sorted account states."""
-        return _state_root_digest(
-            [
-                (account, balance, self._nonces[account])
-                for account, balance in self._balances.items()
-            ]
-        )
-
-    def serialized_bytes(self) -> int:
-        """Bytes a miner transfers to sync this shard's state."""
-        return len(self._balances) * STATE_RECORD_BYTES
-
-    def column_nbytes(self) -> int:
-        """Array-column bytes held by this store (0: dicts only)."""
-        return 0
-
-    def slack_slots(self) -> int:
-        """Vacated-but-unreleased slots (0: dicts shrink themselves)."""
-        return 0
-
-    def rehomeable_extras(self) -> int:
-        """Spill entries :meth:`compact` could re-home (0: no spill)."""
-        return 0
-
-    def compact(self) -> int:
-        """No-op for the dict backend; returns bytes reclaimed (0)."""
-        return 0
-
-    #: Physical bytes rewritten by the most recent :meth:`compact` call.
-    last_compact_moved_bytes: int = 0
-
-    def slot_stats(self) -> Dict[str, int]:
-        """Slot telemetry (no columns: capacity and free slots are 0)."""
-        return {
-            "capacity_slots": 0,
-            "free_slots": 0,
-            "live_slots": len(self._balances),
-        }
-
-
 class SlotDirectory:
     """Shared global-id -> (home shard, local slot) directory.
 
@@ -448,7 +211,7 @@ class SlotDirectory:
     is the shard whose columns hold account ``a`` (-1 = no columns
     anywhere), ``slot[a]`` the position inside that shard's columns.
     Storing the directory once — instead of full-universe columns per
-    shard — is what cuts the dense backend's memory k-fold.
+    shard — is what cuts the store's memory k-fold.
     """
 
     __slots__ = ("capacity", "home", "slot")
@@ -465,7 +228,7 @@ class SlotDirectory:
 
 
 class DenseShardStateStore:
-    """Dense-array backend: compacted per-shard state columns.
+    """The shard state store: compacted per-shard state columns.
 
     Balances and nonces live in numpy columns sized to this shard's own
     population; the shared :class:`SlotDirectory` translates global
@@ -483,8 +246,9 @@ class DenseShardStateStore:
     pair with the scalar-dict semantics.
 
     Observable behaviour — balances, nonces, membership, state roots,
-    error cases — is identical to :class:`ShardStateStore`; the
-    backend-equivalence property suite asserts it.
+    error cases — is identical to the scalar-dict store kept as the
+    oracle in ``tests/state_reference.py``; the equivalence property
+    suite asserts it.
     """
 
     def __init__(
@@ -780,7 +544,7 @@ class DenseShardStateStore:
                 if new.any():
                     self._alloc_slots_bulk(np.unique(accounts[new]))
                 # np.add.at applies duplicate indices sequentially,
-                # matching the dict backend's in-order accumulation.
+                # matching the scalar path's in-order accumulation.
                 np.add.at(self._bal, self._dir.slot[accounts], amounts)
                 return
         for account, amount in zip(accounts.tolist(), amounts.tolist()):
@@ -999,107 +763,60 @@ class DenseShardStateStore:
         return before - self.column_nbytes()
 
 
-#: Any backend satisfies the store contract.
-AnyShardStateStore = Union[ShardStateStore, DenseShardStateStore]
-
-
 class StateRegistry:
     """All shards' state stores plus migration between them.
 
-    ``backend`` selects the store implementation: ``"dict"`` (default,
-    arbitrary ids, the equivalence oracle) or ``"dense"`` (first-fit
-    :class:`DenseShardStateStore` columns behind a shared
-    :class:`SlotDirectory` sized by ``n_accounts``, with a dict
-    fallback for ids beyond that capacity). Both are observably
-    identical. A :class:`ResidencyIndex` is maintained for either
-    backend (multi-word bitmasks, so any ``k``) so :meth:`locate` is
-    O(1); :meth:`locate_scan` keeps the O(k) scan as the equivalence
-    reference. :meth:`compact_stores` re-slots dense stores whose free
-    slots grew past a slack threshold after heavy migration churn and
-    feeds the registry's compaction counters
+    One first-fit :class:`DenseShardStateStore` per shard behind a
+    shared :class:`SlotDirectory` sized by ``n_accounts``, with a dict
+    fallback for ids beyond that capacity — so size the registry to
+    the account universe, or every account spills. A
+    :class:`ResidencyIndex` (multi-word bitmasks, so any ``k``) makes
+    :meth:`locate` O(1). :meth:`compact_stores` re-slots stores whose
+    free slots grew past a slack threshold after heavy migration churn
+    and feeds the registry's compaction counters
     (:attr:`compaction_count`, :attr:`compacted_bytes_total`,
     :attr:`compact_moved_bytes_total`).
     """
 
-    def __init__(
-        self,
-        k: int,
-        backend: str = BACKEND_DICT,
-        n_accounts: int = 0,
-    ) -> None:
+    def __init__(self, k: int, n_accounts: int = 0) -> None:
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
-        if backend not in STATE_BACKENDS:
-            raise ConfigurationError(
-                f"unknown state backend {backend!r}; "
-                f"available: {', '.join(STATE_BACKENDS)}"
-            )
         if n_accounts < 0:
             raise ValidationError(f"n_accounts must be >= 0, got {n_accounts}")
         self.k = k
-        self.backend = backend
         self.n_accounts = int(n_accounts)
         self.compaction_count = 0
         self.compacted_bytes_total = 0
         self.compact_moved_bytes_total = 0
-        self._index: Optional[ResidencyIndex] = ResidencyIndex(
-            self.n_accounts, n_shards=k
+        self._index = ResidencyIndex(self.n_accounts, n_shards=k)
+        self._directory = SlotDirectory(self.n_accounts)
+        self.stores: Tuple[DenseShardStateStore, ...] = tuple(
+            DenseShardStateStore(
+                shard,
+                self.n_accounts,
+                directory=self._directory,
+                index=self._index,
+            )
+            for shard in range(k)
         )
-        self._directory: Optional[SlotDirectory] = None
-        if backend == BACKEND_DENSE:
-            self._directory = SlotDirectory(self.n_accounts)
-            self.stores: Tuple[AnyShardStateStore, ...] = tuple(
-                DenseShardStateStore(
-                    shard,
-                    self.n_accounts,
-                    directory=self._directory,
-                    index=self._index,
-                )
-                for shard in range(k)
-            )
-        else:
-            self.stores = tuple(
-                ShardStateStore(shard, index=self._index) for shard in range(k)
-            )
 
     @property
-    def residency_index(self) -> Optional[ResidencyIndex]:
+    def residency_index(self) -> ResidencyIndex:
         """The incremental account->shard index (multi-word, any k)."""
         return self._index
 
-    def store_of(self, shard: int) -> AnyShardStateStore:
+    def store_of(self, shard: int) -> DenseShardStateStore:
         if not 0 <= shard < self.k:
             raise ValidationError(f"shard {shard} out of range [0, {self.k})")
         return self.stores[shard]
 
     def locate(self, account: int) -> Optional[int]:
-        """Shard currently holding ``account``'s state, or None.
-
-        O(1) through the residency index; identical to
-        :meth:`locate_scan` (the property suite pins it).
-        """
-        if self._index is not None:
-            return self._index.get_shard(account)
-        return self.locate_scan(account)
-
-    def locate_scan(self, account: int) -> Optional[int]:
-        """Reference O(k) locate: scan the stores in shard order."""
-        for store in self.stores:
-            if account in store:
-                return store.shard_id
-        return None
+        """Shard currently holding ``account``'s state, or None (O(1))."""
+        return self._index.get_shard(account)
 
     def locate_many(self, accounts: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`locate`; ``-1`` marks non-residents."""
-        if self._index is not None:
-            return self._index.shards_of(accounts)
-        return np.array(
-            [
-                -1 if (shard := self.locate_scan(int(a))) is None else shard
-                for a in np.asarray(accounts, dtype=np.int64).tolist()
-            ],
-            dtype=np.int64,
-        )
+        return self._index.shards_of(accounts)
 
     def migrate(self, account: int, from_shard: int, to_shard: int) -> int:
         """Move an account's state between shards; returns bytes moved.
@@ -1187,8 +904,7 @@ class StateRegistry:
         A store qualifies when its free list holds more than
         ``min_slack`` times its live population (so a freshly-settled
         store is never rebuilt for a handful of holes). Returns the
-        total column bytes reclaimed. Dict stores are free no-ops.
-        Typically driven per epoch by
+        total column bytes reclaimed. Typically driven per epoch by
         :class:`~repro.chain.epoch.EpochReconfigurator` after heavy
         migration churn.
         """
@@ -1213,8 +929,7 @@ class StateRegistry:
 
         ``fragmentation`` is free slots over capacity slots,
         ``occupancy`` its complement weighted the same way; both are
-        0.0 for backends without slot columns (dict) or before any
-        column is allocated.
+        0.0 before any column is allocated.
         """
         free_slots = capacity_slots = live_slots = 0
         for store in self.stores:
@@ -1246,9 +961,5 @@ class StateRegistry:
         and residency index — the figure the compaction memory test
         compares against the full-universe-columns layout.
         """
-        total = sum(store.column_nbytes() for store in self.stores)
-        if self._directory is not None:
-            total += self._directory.nbytes()
-        if self._index is not None:
-            total += self._index.nbytes()
-        return int(total)
+        columns = sum(store.column_nbytes() for store in self.stores)
+        return int(columns + self._directory.nbytes() + self._index.nbytes())

@@ -24,7 +24,7 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.analysis.report import write_report
 from repro.chain.params import ProtocolParams
@@ -110,7 +110,6 @@ def _command_simulate(args: argparse.Namespace) -> int:
     config = SimulationConfig(
         params=params,
         execute_values=args.execute,
-        state_backend=args.state_backend,
         funding=args.funding,
         history_epochs=args.history_epochs,
         beacon_spill_dir=args.beacon_spill,
@@ -328,7 +327,7 @@ def _command_matrix(args: argparse.Namespace) -> int:
         matrix = with_trace_source(matrix, trace_source)
     overrides = {}
     if args.engine_modes is not None:
-        overrides["engine_modes"] = tuple(args.engine_modes.split(","))
+        overrides["engine_modes"] = args.engine_modes
     if args.funding is not None:
         overrides["funding"] = args.funding
     if args.network is not None:
@@ -482,6 +481,20 @@ def _command_scenarios(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _engine_modes(text: str) -> Tuple[str, ...]:
+    """Parse ``--engine-modes``; an unknown mode is a usage error."""
+    from repro.experiments.matrix import ENGINE_MODES
+
+    modes = tuple(text.split(","))
+    unknown = [mode for mode in modes if mode not in ENGINE_MODES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown engine modes {unknown}; "
+            f"available: {', '.join(ENGINE_MODES)}"
+        )
+    return modes
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro.experiments.matrix import PRESETS
 
@@ -525,12 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="drive the unified engine: execute value transfers "
         "through the cross-shard executor alongside the metrics",
-    )
-    simulate.add_argument(
-        "--state-backend",
-        default="dict",
-        choices=("dict", "dense"),
-        help="per-shard state store backend for --execute",
     )
     simulate.add_argument(
         "--funding",
@@ -653,12 +660,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     matrix.add_argument(
         "--engine-modes",
+        type=_engine_modes,
         default=None,
         help=(
-            "comma-separated engine modes per cell: metrics (classic), "
-            "execute (unified value execution, dict state backend), "
-            "execute-dense (dense-array state backend); default: the "
-            "grid's own modes (metrics for a custom grid)"
+            "comma-separated engine modes per cell: metrics (classic) or "
+            "execute (unified value execution on the dense state store); "
+            "default: the grid's own modes (metrics for a custom grid)"
         ),
     )
     matrix.add_argument(

@@ -65,17 +65,14 @@ def executor_microbench(
     n_transfers: int = 200_000,
     n_blocks: int = 100,
     seed: int = 0,
-    backend: str = "dict",
 ) -> float:
     """Wall seconds for the batched executor kernel workload.
 
     Funds a universe (columnar, untimed), executes a block-ordered
     transfer batch through the columnar two-phase committer and settles
-    every receipt. ``backend`` selects the per-shard state store
-    (``"dict"`` / ``"dense"``); at the million-account scale the dense
-    backend's direct-indexed gather/scatter is what keeps this flat.
-    The result feeds the snapshot's ``kernel_seconds*`` entries and the
-    CI gate.
+    every receipt. At the million-account scale the dense store's
+    direct-indexed gather/scatter is what keeps this flat. The result
+    feeds the snapshot's ``kernel_seconds*`` entries and the CI gate.
     """
     from repro.chain.crossshard import CrossShardExecutor
     from repro.chain.mapping import ShardMapping
@@ -91,7 +88,7 @@ def executor_microbench(
         rng.integers(1, 5, size=n_transfers).astype(np.float64),
     )
     executor = CrossShardExecutor(
-        StateRegistry(k=k, backend=backend, n_accounts=n_accounts),
+        StateRegistry(k=k, n_accounts=n_accounts),
         ShardMapping(assignment, k=k),
     )
     executor.fund_many(np.arange(n_accounts, dtype=np.int64), 1_000.0)
@@ -148,7 +145,7 @@ def netsim_microbench(
             None if mode == "direct" else NetworkModel(mode, seed=seed)
         )
         executor = CrossShardExecutor(
-            StateRegistry(k=k),
+            StateRegistry(k=k, n_accounts=n_accounts),
             ShardMapping(assignment.copy(), k=k),
             relay_delay_blocks=1,
             network=network,
@@ -165,7 +162,6 @@ def reconfig_microbench(
     n_accounts: int = 1_000_000,
     k: int = 16,
     seed: int = 0,
-    backend: str = "dense",
     move_fraction: float = 1.0,
 ) -> float:
     """Wall seconds for one full-repartition reconfiguration (executed mode).
@@ -187,7 +183,7 @@ def reconfig_microbench(
 
     rng = np.random.default_rng(seed)
     mapping = ShardMapping(rng.integers(0, k, size=n_accounts), k=k)
-    registry = StateRegistry(k=k, backend=backend, n_accounts=n_accounts)
+    registry = StateRegistry(k=k, n_accounts=n_accounts)
     executor = CrossShardExecutor(registry, mapping)
     executor.fund_many(np.arange(n_accounts, dtype=np.int64), 100.0)
 
@@ -568,16 +564,11 @@ def run_bench(
     }
     total_seconds = sum(cell_seconds.values())
     kernel_seconds = executor_microbench()
-    # Best of two for the 1M-account entries: the first dense run pays
-    # one-off page faults for the preallocated state columns, which is
+    # Best of two for the 1M-account entry: the first run pays one-off
+    # page faults for the preallocated state columns, which is
     # allocator warmup, not kernel time.
-    kernel_dict_1m = min(
-        executor_microbench(n_accounts=1_000_000, backend="dict")
-        for _ in range(2)
-    )
     kernel_dense_1m = min(
-        executor_microbench(n_accounts=1_000_000, backend="dense")
-        for _ in range(2)
+        executor_microbench(n_accounts=1_000_000) for _ in range(2)
     )
     # Best of two (the first run pays dense-column page faults).
     reconfig_batch_1m = min(reconfig_microbench() for _ in range(2))
@@ -627,8 +618,8 @@ def run_bench(
         f"cell_seconds are medians over {BENCH_REPEATS} full matrix runs; "
         "cell_spread is each cell's (max-min)/median across the repeats",
         "kernel_seconds: columnar cross-shard executor microbenchmark",
-        "kernel_seconds_{dict,dense}_1m: the same executor workload over "
-        "a 1M-account universe, per state-store backend",
+        "kernel_seconds_dense_1m: the same executor workload over a "
+        "1M-account universe",
         "reconfig_seconds_batch_1m: metis-style full repartition of a "
         "1M-account executed universe (beacon commit + state movement)",
         "ingest_seconds_{materialised,streamed}_1m: decode a 1M-row "
@@ -676,7 +667,6 @@ def run_bench(
             )
     payload["compiled"] = env
     payload["kernel_seconds"] = round(kernel_seconds, 3)
-    payload["kernel_seconds_dict_1m"] = round(kernel_dict_1m, 3)
     payload["kernel_seconds_dense_1m"] = round(kernel_dense_1m, 3)
     payload["reconfig_seconds_batch_1m"] = round(reconfig_batch_1m, 3)
     payload["ingest_seconds_materialised_1m"] = round(ingest_materialised_1m, 3)

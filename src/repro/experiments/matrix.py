@@ -30,7 +30,6 @@ from typing import Optional
 
 from repro.chain.netsim import NETWORK_IDEAL, NETWORK_SPEC_NAMES
 from repro.chain.params import ProtocolParams
-from repro.chain.state import BACKEND_DENSE, BACKEND_DICT
 from repro.core.mosaic import MosaicAllocator
 from repro.data.ethereum import EthereumTraceConfig
 from repro.data.generators import ValueModelConfig
@@ -46,16 +45,10 @@ from repro.util.rng import derive_seed
 
 #: Engine modes — a first-class grid axis. ``metrics`` is the classic
 #: metrics-only loop; ``execute`` adds unified value execution on the
-#: scalar-dict state backend; ``execute-dense`` selects the
-#: dense-array backend.
+#: dense state store.
 ENGINE_MODE_METRICS = "metrics"
 ENGINE_MODE_EXECUTE = "execute"
-ENGINE_MODE_EXECUTE_DENSE = "execute-dense"
-ENGINE_MODES = (
-    ENGINE_MODE_METRICS,
-    ENGINE_MODE_EXECUTE,
-    ENGINE_MODE_EXECUTE_DENSE,
-)
+ENGINE_MODES = (ENGINE_MODE_METRICS, ENGINE_MODE_EXECUTE)
 
 #: Allocator builders, keyed by the display name used in result tables.
 #: Each builder takes the cell seed so stochastic allocators stay
@@ -181,11 +174,6 @@ class MatrixCell:
             history_epochs=self.history_epochs,
             oracle_mode=self.oracle_mode,
             execute_values=self.engine_mode != ENGINE_MODE_METRICS,
-            state_backend=(
-                BACKEND_DENSE
-                if self.engine_mode == ENGINE_MODE_EXECUTE_DENSE
-                else BACKEND_DICT
-            ),
             funding=self.funding,
             network=self.network,
         )
@@ -423,7 +411,7 @@ PRESETS: Dict[str, Callable[[int], ScenarioMatrix]] = {
         ks=(4,),
         tau=40,
         seed=seed,
-        engine_modes=(ENGINE_MODE_EXECUTE_DENSE,),
+        engine_modes=(ENGINE_MODE_EXECUTE,),
     ),
     # The same cell over the degraded ``lossy`` WAN (~12% receipt drops,
     # duplicates, reordering, link outages): retransmission with
@@ -437,7 +425,7 @@ PRESETS: Dict[str, Callable[[int], ScenarioMatrix]] = {
         ks=(4,),
         tau=40,
         seed=seed,
-        engine_modes=(ENGINE_MODE_EXECUTE_DENSE,),
+        engine_modes=(ENGINE_MODE_EXECUTE,),
         network="lossy",
     ),
     # The checked-in ethereum-etl extract through the chunked
@@ -450,7 +438,7 @@ PRESETS: Dict[str, Callable[[int], ScenarioMatrix]] = {
         ks=(4,),
         tau=40,
         seed=seed,
-        engine_modes=(ENGINE_MODE_EXECUTE_DENSE,),
+        engine_modes=(ENGINE_MODE_EXECUTE,),
         funding=FUNDING_OBSERVED,
     ),
 }

@@ -59,7 +59,6 @@ import numpy as np
 from repro.allocation.base import Allocator, UpdateContext
 from repro.chain.mapping import ShardMapping
 from repro.chain.params import ProtocolParams
-from repro.chain.state import BACKEND_DICT, STATE_BACKENDS
 from repro.chain.transaction import TransactionBatch
 from repro.data.source import (
     ChunkIteratorSource,
@@ -97,9 +96,9 @@ class SimulationConfig:
 
     ``execute_values`` switches on the unified engine: the epoch loop
     additionally executes value transfers through the cross-shard
-    executor and moves account state with reconfiguration.
-    ``state_backend`` selects the per-shard state store implementation
-    (``"dict"`` or ``"dense"``, see :mod:`repro.chain.state`);
+    executor and moves account state with reconfiguration, on the
+    dense per-shard state stores of :mod:`repro.chain.state`
+    (``state_backend`` accepts only ``"dense"``);
     ``funding`` selects the genesis supply (``"uniform"`` — the legacy
     default, every account minted ``initial_balance`` — or
     ``"observed"`` — per-account balances derived from the trace's
@@ -125,7 +124,8 @@ class SimulationConfig:
     max_epochs: Optional[int] = None
     oracle_mode: str = ORACLE_LOOKAHEAD
     execute_values: bool = False
-    state_backend: str = BACKEND_DICT
+    # One value only: the frozen benchmarks/e2e/e2e_bench.py passes it.
+    state_backend: str = "dense"
     initial_balance: float = 100.0
     relay_delay_blocks: int = 1
     funding: str = FUNDING_UNIFORM
@@ -178,10 +178,10 @@ class SimulationConfig:
             raise SimulationError(
                 f"max_epochs must be >= 1, got {self.max_epochs}"
             )
-        if self.state_backend not in STATE_BACKENDS:
+        if self.state_backend != "dense":
             raise SimulationError(
-                f"state_backend must be one of {STATE_BACKENDS}, "
-                f"got {self.state_backend!r}"
+                f"state_backend must be 'dense', got {self.state_backend!r}; "
+                "the dict store is a test oracle (tests/state_reference.py)"
             )
         if self.initial_balance < 0:
             raise SimulationError(
@@ -265,11 +265,10 @@ class EpochRecord:
     #: the ones worth auditing every epoch; the ideal path is pinned by
     #: the conservation property suite instead).
     conservation_drift: float = 0.0
-    #: Slot telemetry (zero defaults in metrics-only runs; with the
-    #: dense state backend these carry the registry's post-epoch
-    #: fragmentation ratio, slot occupancy, and the column bytes
-    #: reclaimed / stores compacted by this epoch's slack-gated
-    #: compaction pass, if any).
+    #: Slot telemetry (zero defaults in metrics-only runs; executed
+    #: runs carry the registry's post-epoch fragmentation ratio, slot
+    #: occupancy, and the column bytes reclaimed / stores compacted by
+    #: this epoch's slack-gated compaction pass, if any).
     state_fragmentation: float = 0.0
     state_occupancy: float = 0.0
     state_compacted_bytes: float = 0.0
@@ -457,11 +456,7 @@ class ExecutionSubstrate:
             )
         self.config = config
         self.mapping = mapping.copy()
-        self.registry = StateRegistry(
-            config.params.k,
-            backend=config.state_backend,
-            n_accounts=n_accounts,
-        )
+        self.registry = StateRegistry(config.params.k, n_accounts=n_accounts)
         # Every executed run routes receipts through the message plane;
         # the default ideal model takes the bulk fast path that appends
         # to the ledger with the direct path's exact arguments, so the

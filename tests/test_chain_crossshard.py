@@ -15,7 +15,7 @@ from repro.errors import ValidationError
 
 def executor_for(assignment, k, relay_delay=1):
     mapping = ShardMapping(np.asarray(assignment), k=k)
-    registry = StateRegistry(k=k)
+    registry = StateRegistry(k=k, n_accounts=mapping.n_accounts)
     return CrossShardExecutor(registry, mapping, relay_delay_blocks=relay_delay)
 
 
@@ -152,7 +152,7 @@ class TestBatchedScalarEquivalence:
     def _twin_executors(assignment, k, relay_delay):
         return [
             CrossShardExecutor(
-                StateRegistry(k=k),
+                StateRegistry(k=k, n_accounts=len(assignment)),
                 ShardMapping(assignment.copy(), k=k),
                 relay_delay_blocks=relay_delay,
             )
@@ -279,7 +279,7 @@ def test_value_conservation(n_accounts, k, n_tx, relay_delay, seed):
     interleaving of transfers, failures, and relay settlement."""
     rng = np.random.default_rng(seed)
     mapping = ShardMapping(rng.integers(0, k, size=n_accounts), k=k)
-    registry = StateRegistry(k=k)
+    registry = StateRegistry(k=k, n_accounts=n_accounts)
     executor = CrossShardExecutor(registry, mapping, relay_delay_blocks=relay_delay)
     for account in range(n_accounts):
         executor.fund(account, float(rng.integers(0, 20)))

@@ -5,7 +5,7 @@ import pytest
 from repro.chain.state import (
     STATE_RECORD_BYTES,
     AccountState,
-    ShardStateStore,
+    DenseShardStateStore,
     StateRegistry,
 )
 from repro.errors import ChainError, ValidationError
@@ -46,20 +46,25 @@ class TestAccountState:
             AccountState(nonce=-1)
 
 
+def _store() -> DenseShardStateStore:
+    """A standalone shard-0 store with room for ids below 16."""
+    return DenseShardStateStore(0, capacity=16)
+
+
 class TestShardStateStore:
     def test_get_unknown_is_zero_state(self):
-        store = ShardStateStore(0)
+        store = _store()
         assert store.get(7) == AccountState()
         assert 7 not in store
 
     def test_credit_creates_account(self):
-        store = ShardStateStore(0)
+        store = _store()
         store.credit(7, 10.0)
         assert 7 in store
         assert store.get(7).balance == 10.0
 
     def test_debit_path(self):
-        store = ShardStateStore(0)
+        store = _store()
         store.credit(7, 10.0)
         store.debit(7, 4.0)
         assert store.get(7).balance == 6.0
@@ -67,7 +72,7 @@ class TestShardStateStore:
             store.debit(7, 100.0)
 
     def test_remove_for_migration(self):
-        store = ShardStateStore(0)
+        store = _store()
         store.credit(7, 10.0)
         state = store.remove(7)
         assert state.balance == 10.0
@@ -76,29 +81,29 @@ class TestShardStateStore:
             store.remove(7)
 
     def test_total_balance(self):
-        store = ShardStateStore(0)
+        store = _store()
         store.credit(1, 3.0)
         store.credit(2, 4.0)
         assert store.total_balance() == 7.0
 
     def test_state_root_deterministic_and_order_free(self):
-        a = ShardStateStore(0)
+        a = _store()
         a.credit(1, 3.0)
         a.credit(2, 4.0)
-        b = ShardStateStore(0)
+        b = _store()
         b.credit(2, 4.0)
         b.credit(1, 3.0)
         assert a.state_root() == b.state_root()
 
     def test_state_root_changes_with_state(self):
-        store = ShardStateStore(0)
+        store = _store()
         store.credit(1, 3.0)
         before = store.state_root()
         store.credit(1, 1.0)
         assert store.state_root() != before
 
     def test_serialized_bytes(self):
-        store = ShardStateStore(0)
+        store = _store()
         store.credit(1, 1.0)
         store.credit(2, 1.0)
         assert store.serialized_bytes() == 2 * STATE_RECORD_BYTES

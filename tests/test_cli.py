@@ -24,6 +24,12 @@ class TestParser:
         assert args.shards == 16
         assert args.eta == 2.0
 
+    def test_retired_engine_mode_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["matrix", "--preset", "smoke", "--engine-modes", "execute-dense"])
+        assert exit_info.value.code == 2
+        assert "available: metrics, execute" in capsys.readouterr().err
+
     def test_unknown_matrix_preset_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["matrix", "--preset", "tiny-smoke"])
@@ -37,6 +43,7 @@ class TestParser:
             ["matrix", "--etl-smoke"],
             ["matrix", "--decoder", "python"],
             ["simulate", "--decoder", "python"],
+            ["simulate", "--state-backend", "dense"],
         ],
     )
     def test_retired_flags_are_rejected(self, argv):

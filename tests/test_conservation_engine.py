@@ -38,7 +38,7 @@ def _build_world(n_accounts, k, seed, relay_delay, network=None):
     )
     allocator = TxAlloAllocator(mode="full", max_rounds=2)
     mapping = allocator.initialize(trace, params)
-    registry = StateRegistry(k=k)
+    registry = StateRegistry(k=k, n_accounts=mapping.n_accounts)
     executor = CrossShardExecutor(
         registry,
         mapping,

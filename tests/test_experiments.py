@@ -80,11 +80,11 @@ class TestScenarioMatrix:
             name="executed",
             methods=("hash-random",),
             traces=tiny_matrix().traces,
-            engine_modes=("execute-dense",),
+            engine_modes=("execute",),
             funding="observed",
         )
         (cell,) = executed.cells()
-        assert cell.label.endswith("/execute-dense/funding-observed")
+        assert cell.label.endswith("/execute/funding-observed")
 
     def test_rejects_empty_axes(self):
         with pytest.raises(ConfigurationError):
@@ -221,7 +221,7 @@ class TestMatrixCli:
         summaries = json.loads(out_file.read_text())["summaries"]
         assert summaries
         for summary in summaries:
-            assert summary["cell"].endswith("/hist3/execute-dense/net-lossy")
+            assert summary["cell"].endswith("/hist3/execute/net-lossy")
 
     def test_etl_preset_replays_a_trace_source(self, tmp_path, capsys):
         fixture = matrix_module._resolve_etl_fixture()
@@ -247,7 +247,7 @@ class TestMatrixCli:
                 "--funding",
                 "observed",
                 "--engine-modes",
-                "execute-dense",
+                "execute",
             ]
         )
         assert code == 0

@@ -36,7 +36,7 @@ def _run_workload():
     n_accounts, k = 24, 3
     mapping = ShardMapping(rng.integers(0, k, size=n_accounts), k=k)
     executor = CrossShardExecutor(
-        StateRegistry(k=k), mapping, relay_delay_blocks=2
+        StateRegistry(k=k, n_accounts=n_accounts), mapping, relay_delay_blocks=2
     )
     for account in range(n_accounts):
         executor.fund(account, float(rng.integers(0, 25)))

@@ -29,7 +29,7 @@ from repro.sim.engine import Simulation, SimulationConfig
 def build_executor(k=4, n_accounts=40, relay_delay=1, network=None, seed=3):
     rng = np.random.default_rng(seed)
     mapping = ShardMapping(rng.integers(0, k, size=n_accounts), k=k)
-    registry = StateRegistry(k=k)
+    registry = StateRegistry(k=k, n_accounts=n_accounts)
     executor = CrossShardExecutor(
         registry, mapping, relay_delay_blocks=relay_delay, network=network
     )

@@ -32,7 +32,7 @@ def executed_matrix(network="ideal"):
         traces=(tiny_trace_spec(),),
         ks=(4,),
         tau=40,
-        engine_modes=("execute-dense",),
+        engine_modes=("execute",),
         network=network,
     )
 
@@ -94,7 +94,7 @@ class TestNetworkSmokeCell:
     def test_smoke_grid_shape(self):
         matrix = preset_matrix("network-smoke")
         assert matrix.network == "lossy"
-        assert matrix.engine_modes == ("execute-dense",)
+        assert matrix.engine_modes == ("execute",)
         assert len(matrix) == 1
 
     def test_smoke_cell_asserts_and_repeats_bit_identically(self):

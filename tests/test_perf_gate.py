@@ -99,22 +99,6 @@ class TestCommittedSnapshot:
         payload = json.loads(BASELINE_PATH.read_text())
         assert payload["cell_seconds"], "snapshot must carry per-cell timings"
 
-    def test_snapshot_carries_1m_backend_entries_at_parity(self):
-        """The dense backend must hold >= parity with dict at 1M accounts."""
-        baseline = load_baseline(BASELINE_PATH)
-        dict_1m = baseline.get("kernel_seconds_dict_1m")
-        dense_1m = baseline.get("kernel_seconds_dense_1m")
-        if dict_1m is None or dense_1m is None:
-            pytest.skip("snapshot predates the 1M-account backend entries")
-        assert isinstance(dict_1m, (int, float)) and dict_1m > 0
-        assert isinstance(dense_1m, (int, float)) and dense_1m > 0
-        # 10% headroom over exact parity absorbs recording jitter; in
-        # practice the dense backend is severalfold faster.
-        assert dense_1m <= 1.1 * dict_1m, (
-            f"dense 1M microbench ({dense_1m}s) regressed past the "
-            f"dict backend ({dict_1m}s)"
-        )
-
     def test_snapshot_jit_refine_holds_5x_over_python(self):
         """The jitted commit kernels must stay >= 5x faster than the
         reference loops on the benchmark partition (recorded only when
@@ -261,12 +245,11 @@ class TestPerfSmokeGate:
     def test_dense_backend_1m_within_3x_of_snapshot(self):
         baseline = load_baseline(BASELINE_PATH)
         if baseline.get("kernel_seconds_dense_1m") is None:
-            pytest.skip("snapshot predates the 1M-account backend entries")
+            pytest.skip("snapshot predates the 1M-account entry")
         # Best of two, like the snapshot: the first run pays one-off
         # page faults for the preallocated dense state columns.
         seconds = min(
-            executor_microbench(n_accounts=1_000_000, backend="dense")
-            for _ in range(2)
+            executor_microbench(n_accounts=1_000_000) for _ in range(2)
         )
         measured = {"kernel_seconds_dense_1m": seconds}
         violations = check_against_baseline(measured, baseline, threshold=3.0)

@@ -7,8 +7,9 @@ Three contracts are pinned here:
   ``tests/migration_reference.py`` — same committed set, same
   commitment order, same stale/dedup/capacity decisions;
 * ``EpochReconfigurator.run`` moves exactly the state the per-request
-  reference moves (mappings, state roots, byte accounting), on either
-  state backend, and with per-epoch compaction on the dense backend;
+  reference moves (mappings, state roots, byte accounting), on the
+  dense store and on the dict-store oracle of ``state_reference``, and
+  with per-epoch compaction on the dense store;
 * value is conserved at every block boundary across reconfigurations,
   and relay deposits follow a receiver that migrated while the receipt
   was in flight (receipt forwarding).
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 from committer import force_committer
 from migration_reference import ReferenceChain
+from state_reference import STATE_BACKENDS, make_registry
 from repro.chain.beacon import BeaconChain, CommitReport
 from repro.chain.crossshard import CrossShardExecutor
 from repro.chain.epoch import EpochReconfigurator
@@ -164,7 +166,7 @@ class TestBeaconBatchEquivalence:
 def _build_world(seed, backend, n_accounts=40, relay_delay=2, compact_slack=None):
     rng = np.random.default_rng(seed)
     mapping = ShardMapping(rng.integers(0, K, size=n_accounts), k=K)
-    registry = StateRegistry(k=K, backend=backend, n_accounts=n_accounts)
+    registry = make_registry(backend, K, n_accounts=n_accounts)
     executor = CrossShardExecutor(
         registry, mapping, relay_delay_blocks=relay_delay
     )
@@ -266,7 +268,7 @@ class TestReconfiguratorBatchEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 500),
-        backend=st.sampled_from(["dict", "dense"]),
+        backend=st.sampled_from(STATE_BACKENDS),
         epochs=st.integers(1, 3),
         capacity=st.one_of(st.none(), st.integers(0, 30)),
     )
@@ -291,8 +293,8 @@ class TestReconfiguratorBatchEquivalence:
         """The equivalence tests above feed both paths the same RNG
         stream; sanity-check the stream alignment by rebuilding one
         world twice and expecting identical roots."""
-        first = _build_world(7, "dict")
-        second = _build_world(7, "dict")
+        first = _build_world(7, "dense")
+        second = _build_world(7, "dense")
         assert [
             first[2].store_of(s).state_root() for s in range(K)
         ] == [second[2].store_of(s).state_root() for s in range(K)]
@@ -302,7 +304,7 @@ class TestConservationAcrossBatchedReconfigurations:
     @settings(max_examples=10, deadline=None)
     @given(
         seed=st.integers(0, 300),
-        backend=st.sampled_from(["dict", "dense"]),
+        backend=st.sampled_from(STATE_BACKENDS),
     )
     def test_value_conserved_at_every_block_boundary(self, seed, backend):
         n_accounts = 50
@@ -416,11 +418,11 @@ class TestBatchValidateMessages:
 class TestReceiptForwarding:
     """Relay deposits follow a receiver that migrated in flight."""
 
-    @pytest.mark.parametrize("backend", ["dict", "dense"])
+    @pytest.mark.parametrize("backend", STATE_BACKENDS)
     @pytest.mark.parametrize("batched_executor", [True, False])
     def test_deposit_lands_on_current_shard(self, backend, batched_executor):
         mapping = ShardMapping(np.array([0, 1, 2, 0]), k=3)
-        registry = StateRegistry(k=3, backend=backend, n_accounts=4)
+        registry = make_registry(backend, 3, n_accounts=4)
         executor = CrossShardExecutor(registry, mapping, relay_delay_blocks=3)
         executor.fund(0, 10.0)
         executor.fund(1, 5.0)
@@ -453,7 +455,7 @@ class TestReceiptForwarding:
 
     def test_unmigrated_receiver_still_settles_on_issue_shard(self):
         mapping = ShardMapping(np.array([0, 1]), k=2)
-        registry = StateRegistry(k=2, backend="dict", n_accounts=2)
+        registry = StateRegistry(k=2, n_accounts=2)
         executor = CrossShardExecutor(registry, mapping, relay_delay_blocks=1)
         executor.fund(0, 3.0)
         executor.execute_block(

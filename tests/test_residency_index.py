@@ -5,12 +5,14 @@ the migration path, and it is load-bearing: a relay settlement can
 leave account state resident off the phi shard (or on *two* shards),
 so the index must report exactly what the scan reports under any
 interleaving of execution, migration and settlement. The property
-suite here drives both state backends through randomized op streams
-and compares ``locate`` (index) against ``locate_scan`` (reference)
-after every step.
+suite here drives the production registry and the dict-store oracle
+registry of ``state_reference`` through randomized op streams and
+compares ``locate`` (index) against ``locate_scan`` (the scan oracle)
+after every step; the oracle's dict stores maintain the same shared
+index, so this also checks the oracle itself.
 
 The compaction contract rides along: per-shard local-slot columns must
-cut the dense backend's numpy footprint at least 4x against the old
+cut the dense store's numpy footprint at least 4x against the old
 full-universe-columns layout at k=16 / 1M accounts.
 """
 
@@ -19,14 +21,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chain.crossshard import CrossShardExecutor
-from repro.chain.mapping import ShardMapping
-from repro.chain.state import (
+from state_reference import (
     BACKEND_DENSE,
     BACKEND_DICT,
-    ResidencyIndex,
-    StateRegistry,
+    STATE_BACKENDS,
+    dict_registry,
+    locate_scan,
+    make_registry,
 )
+
+from repro.chain.crossshard import CrossShardExecutor
+from repro.chain.mapping import ShardMapping
+from repro.chain.state import ResidencyIndex, StateRegistry
 from repro.chain.transaction import TransactionBatch
 from repro.errors import StateMigrationError
 
@@ -36,7 +42,7 @@ K = 4
 
 def _assert_index_matches_scan(registry: StateRegistry) -> None:
     ids = np.arange(N_ACCOUNTS + 5, dtype=np.int64)  # includes unknown ids
-    expected = [registry.locate_scan(int(a)) for a in ids]
+    expected = [locate_scan(registry, int(a)) for a in ids]
     for account, want in zip(ids.tolist(), expected):
         assert registry.locate(account) == want, account
     packed = registry.locate_many(ids)
@@ -72,11 +78,11 @@ _OPS = st.lists(
 
 
 @settings(max_examples=40, deadline=None)
-@given(ops=_OPS, seed=st.integers(0, 1_000), backend=st.sampled_from(["dict", "dense"]))
+@given(ops=_OPS, seed=st.integers(0, 1_000), backend=st.sampled_from(STATE_BACKENDS))
 def test_index_equals_scan_under_execute_migrate_settle(ops, seed, backend):
     rng = np.random.default_rng(seed)
     mapping = ShardMapping(rng.integers(0, K, size=N_ACCOUNTS), k=K)
-    registry = StateRegistry(k=K, backend=backend, n_accounts=N_ACCOUNTS)
+    registry = make_registry(backend, K, n_accounts=N_ACCOUNTS)
     executor = CrossShardExecutor(registry, mapping, relay_delay_blocks=2)
     executor.fund_many(
         np.arange(N_ACCOUNTS, dtype=np.int64),
@@ -119,12 +125,12 @@ def test_index_equals_scan_under_execute_migrate_settle(ops, seed, backend):
 @settings(max_examples=25, deadline=None)
 @given(ops=_OPS, seed=st.integers(0, 1_000))
 def test_dict_and_dense_agree_on_residency(ops, seed):
-    """Both backends walk the same op stream to the same residency."""
+    """Oracle and production walk one op stream to the same residency."""
     registries = {}
-    for backend in (BACKEND_DICT, BACKEND_DENSE):
+    for backend in STATE_BACKENDS:
         rng = np.random.default_rng(seed)
         mapping = ShardMapping(rng.integers(0, K, size=N_ACCOUNTS), k=K)
-        registry = StateRegistry(k=K, backend=backend, n_accounts=N_ACCOUNTS)
+        registry = make_registry(backend, K, n_accounts=N_ACCOUNTS)
         executor = CrossShardExecutor(registry, mapping, relay_delay_blocks=1)
         executor.fund_many(
             np.arange(N_ACCOUNTS, dtype=np.int64),
@@ -168,13 +174,12 @@ class TestWideShardCounts:
     K_WIDE = 80
 
     @settings(max_examples=20, deadline=None)
-    @given(ops=_OPS, seed=st.integers(0, 1_000), backend=st.sampled_from(["dict", "dense"]))
+    @given(ops=_OPS, seed=st.integers(0, 1_000), backend=st.sampled_from(STATE_BACKENDS))
     def test_index_equals_scan_at_k80(self, ops, seed, backend):
         rng = np.random.default_rng(seed)
         k = self.K_WIDE
         mapping = ShardMapping(rng.integers(0, k, size=N_ACCOUNTS), k=k)
-        registry = StateRegistry(k=k, backend=backend, n_accounts=N_ACCOUNTS)
-        assert registry.residency_index is not None
+        registry = make_registry(backend, k, n_accounts=N_ACCOUNTS)
         executor = CrossShardExecutor(registry, mapping, relay_delay_blocks=2)
         executor.fund_many(
             np.arange(N_ACCOUNTS, dtype=np.int64),
@@ -286,8 +291,8 @@ class TestResidencyIndexUnit:
         assert index.get_shard(1) == 5
 
     def test_registry_exposes_index_and_wrong_source_still_raises(self):
-        registry = StateRegistry(3, backend=BACKEND_DENSE, n_accounts=8)
-        assert registry.residency_index is not None
+        registry = StateRegistry(3, n_accounts=8)
+        assert isinstance(registry.residency_index, ResidencyIndex)
         registry.store_of(2).credit(5, 4.0)
         assert registry.locate(5) == 2
         with pytest.raises(StateMigrationError, match="resident on shard 2"):
@@ -305,7 +310,7 @@ class TestDenseCompactionMemory:
         directory/index, independent of k.
         """
         n_accounts, k = 1_000_000, 16
-        registry = StateRegistry(k=k, backend=BACKEND_DENSE, n_accounts=n_accounts)
+        registry = StateRegistry(k=k, n_accounts=n_accounts)
         mapping = ShardMapping(
             np.random.default_rng(0).integers(0, k, size=n_accounts), k=k
         )
@@ -320,7 +325,7 @@ class TestDenseCompactionMemory:
         )
 
     def test_memory_accounting_counts_columns_directory_and_index(self):
-        registry = StateRegistry(k=2, backend=BACKEND_DENSE, n_accounts=100)
+        registry = StateRegistry(k=2, n_accounts=100)
         base = registry.state_memory_nbytes()
         # Directory (100 * 12) + index (100 * 8), no columns yet.
         assert base == 100 * (4 + 8) + 100 * 8
@@ -338,7 +343,7 @@ class TestDenseCompaction:
         migrations away leave its own columns full of holes — the
         free-list growth the compaction pass exists to reclaim.
         """
-        registry = StateRegistry(k=k, backend=BACKEND_DENSE, n_accounts=n_accounts)
+        registry = StateRegistry(k=k, n_accounts=n_accounts)
         mapping = ShardMapping(
             np.random.default_rng(0).integers(0, k, size=n_accounts), k=k
         )
@@ -368,7 +373,7 @@ class TestDenseCompaction:
         assert registry.total_balance() == n_accounts * 1.0
         ids = np.arange(n_accounts, dtype=np.int64)
         assert registry.locate_many(ids).tolist() == [
-            registry.locate_scan(int(a)) for a in ids
+            locate_scan(registry, int(a)) for a in ids
         ]
 
     def test_threshold_gates_compaction(self):
@@ -392,7 +397,8 @@ class TestDenseCompaction:
         assert registry.locate(7) == 2
 
     def test_dict_backend_compaction_is_a_free_noop(self):
-        registry = StateRegistry(k=2, backend=BACKEND_DICT, n_accounts=10)
+        """The oracle's dict stores hold no columns to compact."""
+        registry = dict_registry(2, n_accounts=10)
         registry.store_of(0).credit(1, 2.0)
         assert registry.compact_stores(min_slack=0.0) == 0
 
@@ -402,7 +408,7 @@ class TestDenseCompaction:
         from repro.chain.migration import MigrationRequestBatch
 
         n_accounts, k = 2_000, 4
-        registry = StateRegistry(k=k, backend=BACKEND_DENSE, n_accounts=n_accounts)
+        registry = StateRegistry(k=k, n_accounts=n_accounts)
         mapping = ShardMapping(np.zeros(n_accounts, dtype=np.int64), k=k)
         executor = CrossShardExecutor(registry, mapping)
         executor.fund_many(np.arange(n_accounts, dtype=np.int64), 1.0)

@@ -1,13 +1,14 @@
-"""Dict vs dense state-backend equivalence, and migration semantics.
+"""Dense store vs the dict-store oracle, and migration semantics.
 
-The dense-array backend must be observably identical to the scalar-dict
-backend: same balances, nonces, membership, state roots and totals
-under any interleaving of scalar ops, columnar bulk ops, scalar and
-batched migrations and compaction. The property suite here drives both
-backends through the same randomized op streams and compares them
-after every step; the targeted cases below pin the same equivalence at
-multi-word residency scale (k > 64), for ids spilled past the slot
-directory capacity, and for compact-time spill re-homing.
+The dense store must be observably identical to the scalar-dict store
+kept in ``state_reference``: same balances, nonces, membership, state
+roots and totals under any interleaving of scalar ops, columnar bulk
+ops, scalar and batched migrations and compaction. The property suite
+here drives a production registry and the oracle registry through the
+same randomized op streams and compares them after every step; the
+targeted cases below pin the same equivalence at multi-word residency
+scale (k > 64), for ids spilled past the slot directory capacity, and
+for compact-time spill re-homing.
 """
 
 import math
@@ -17,29 +18,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from state_reference import (
+    STATE_BACKENDS,
+    ShardStateStore,
+    dict_registry,
+    locate_scan,
+    make_registry,
+)
+
 from repro.chain.state import (
-    BACKEND_DENSE,
-    BACKEND_DICT,
     STATE_RECORD_BYTES,
     AccountState,
     DenseShardStateStore,
-    ShardStateStore,
     StateRegistry,
 )
-from repro.errors import (
-    ChainError,
-    ConfigurationError,
-    StateMigrationError,
-    ValidationError,
-)
+from repro.errors import ChainError, StateMigrationError, ValidationError
 
 N_ACCOUNTS = 24
 K = 3
 
 
 def _registries():
-    dict_reg = StateRegistry(K, backend=BACKEND_DICT, n_accounts=N_ACCOUNTS)
-    dense_reg = StateRegistry(K, backend=BACKEND_DENSE, n_accounts=N_ACCOUNTS)
+    dict_reg = dict_registry(K, n_accounts=N_ACCOUNTS)
+    dense_reg = StateRegistry(K, n_accounts=N_ACCOUNTS)
     return dict_reg, dense_reg
 
 
@@ -106,7 +107,7 @@ def _shard_of(account: int) -> int:
 
 
 def _apply_and_compare(ops):
-    """Drive both backends through ``ops``, comparing after every step."""
+    """Drive oracle and production through ``ops``, comparing each step."""
     dict_reg, dense_reg = _registries()
     for op in ops:
         kind = op[0]
@@ -217,8 +218,8 @@ class TestLargeKMultiWordResidency:
 
     def test_batched_churn_is_root_identical_at_k80(self):
         registries = tuple(
-            StateRegistry(self.K_LARGE, backend=b, n_accounts=self.N)
-            for b in (BACKEND_DICT, BACKEND_DENSE)
+            make_registry(b, self.K_LARGE, n_accounts=self.N)
+            for b in STATE_BACKENDS
         )
         rng = np.random.default_rng(17)
         home = rng.integers(0, self.K_LARGE, size=self.N)
@@ -258,8 +259,8 @@ class TestBeyondCapacitySpill:
     def test_spilled_ids_stay_equivalent_through_compact(self):
         capacity = 8
         registries = tuple(
-            StateRegistry(2, backend=b, n_accounts=capacity)
-            for b in (BACKEND_DICT, BACKEND_DENSE)
+            make_registry(b, 2, n_accounts=capacity)
+            for b in STATE_BACKENDS
         )
         for reg in registries:
             s0, s1 = reg.store_of(0), reg.store_of(1)
@@ -274,7 +275,7 @@ class TestBeyondCapacitySpill:
         _assert_registries_match(*registries)
 
     def test_beyond_capacity_ids_never_claim_slots(self):
-        registry = StateRegistry(2, backend=BACKEND_DENSE, n_accounts=4)
+        registry = StateRegistry(2, n_accounts=4)
         store = registry.store_of(0)
         store.put(11, AccountState(balance=1.0))
         store.compact()
@@ -288,7 +289,7 @@ class TestSpillRehoming:
     with observable state (roots) untouched."""
 
     def test_compact_rehomes_freed_spill_entries(self):
-        registry = StateRegistry(2, backend=BACKEND_DENSE, n_accounts=8)
+        registry = StateRegistry(2, n_accounts=8)
         s0, s1 = registry.store_of(0), registry.store_of(1)
         s0.credit(3, 10.0)  # home resident of shard 0
         # Multi-residency: shard 1 must hold 3 too (relay settlement
@@ -304,8 +305,8 @@ class TestSpillRehoming:
 
     def test_compact_rehoming_matches_dict_backend(self):
         registries = tuple(
-            StateRegistry(2, backend=b, n_accounts=8)
-            for b in (BACKEND_DICT, BACKEND_DENSE)
+            make_registry(b, 2, n_accounts=8)
+            for b in STATE_BACKENDS
         )
         for reg in registries:
             s0, s1 = reg.store_of(0), reg.store_of(1)
@@ -321,7 +322,7 @@ class TestSpillRehoming:
 
     def test_spill_heavy_churn_shrinks_spill_and_keeps_roots(self):
         n = 32
-        registry = StateRegistry(2, backend=BACKEND_DENSE, n_accounts=n)
+        registry = StateRegistry(2, n_accounts=n)
         s0, s1 = registry.store_of(0), registry.store_of(1)
         for account in range(n):
             s0.credit(account, 1.0)
@@ -339,7 +340,7 @@ class TestSpillRehoming:
         assert registry.total_balance() == (n // 2) * 1.0 + (n // 2) * 2.0
 
     def test_still_homed_elsewhere_stays_spilled(self):
-        registry = StateRegistry(2, backend=BACKEND_DENSE, n_accounts=8)
+        registry = StateRegistry(2, n_accounts=8)
         s0, s1 = registry.store_of(0), registry.store_of(1)
         s0.credit(3, 10.0)
         s1.put(3, AccountState(balance=5.0))
@@ -350,7 +351,7 @@ class TestSpillRehoming:
 
 class TestSlotTelemetry:
     def test_fragmentation_telemetry_reflects_churn(self):
-        registry = StateRegistry(2, backend=BACKEND_DENSE, n_accounts=4096)
+        registry = StateRegistry(2, n_accounts=4096)
         ids = np.arange(4096, dtype=np.int64)
         registry.store_of(0).put_many(
             ids, np.ones(len(ids)), np.zeros(len(ids), dtype=np.int64)
@@ -391,7 +392,7 @@ class TestDenseFallback:
         assert dense.get(100) == reference.get(100)
 
     def test_sparse_remove_and_migrate(self):
-        registry = StateRegistry(2, backend=BACKEND_DENSE, n_accounts=4)
+        registry = StateRegistry(2, n_accounts=4)
         registry.store_of(0).credit(50, 9.0)
         moved = registry.migrate(50, 0, 1)
         assert moved == STATE_RECORD_BYTES
@@ -410,9 +411,9 @@ class TestDenseFallback:
 class TestMigrationSemantics:
     """Typed errors instead of silent drops / leaked KeyErrors."""
 
-    @pytest.mark.parametrize("backend", [BACKEND_DICT, BACKEND_DENSE])
+    @pytest.mark.parametrize("backend", STATE_BACKENDS)
     def test_wrong_source_shard_raises_typed_error(self, backend):
-        registry = StateRegistry(3, backend=backend, n_accounts=8)
+        registry = make_registry(backend, 3, n_accounts=8)
         registry.store_of(2).credit(5, 4.0)
         with pytest.raises(StateMigrationError, match="resident on shard 2"):
             registry.migrate(5, 0, 1)
@@ -420,14 +421,14 @@ class TestMigrationSemantics:
         assert registry.locate(5) == 2
         assert registry.total_balance() == 4.0
 
-    @pytest.mark.parametrize("backend", [BACKEND_DICT, BACKEND_DENSE])
+    @pytest.mark.parametrize("backend", STATE_BACKENDS)
     def test_unknown_account_migration_is_free_noop(self, backend):
-        registry = StateRegistry(3, backend=backend, n_accounts=8)
+        registry = make_registry(backend, 3, n_accounts=8)
         assert registry.migrate(5, 0, 1) == 0
 
-    @pytest.mark.parametrize("backend", [BACKEND_DICT, BACKEND_DENSE])
+    @pytest.mark.parametrize("backend", STATE_BACKENDS)
     def test_failed_take_many_leaves_state_untouched(self, backend):
-        registry = StateRegistry(2, backend=backend, n_accounts=8)
+        registry = make_registry(backend, 2, n_accounts=8)
         store = registry.store_of(0)
         store.credit(1, 5.0)
         store.credit(2, 7.0)
@@ -438,7 +439,7 @@ class TestMigrationSemantics:
         assert store.state_root() == root
         assert len(store) == 2
         for account in (1, 2, 3):
-            assert registry.locate(account) == registry.locate_scan(account)
+            assert registry.locate(account) == locate_scan(registry, account)
 
     def test_remove_raises_chain_error_not_key_error(self):
         for store in (ShardStateStore(0), DenseShardStateStore(0, capacity=4)):
@@ -461,7 +462,7 @@ class TestExactTotals:
         assert store.total_balance() == 1e16 + 10.0
 
     def test_registry_total_is_exactly_rounded_across_shards(self):
-        registry = StateRegistry(4, backend=BACKEND_DICT)
+        registry = StateRegistry(4, n_accounts=4)
         registry.store_of(0).credit(0, 1e16)
         for shard in range(1, 4):
             registry.store_of(shard).credit(shard, 1.0)
@@ -478,16 +479,11 @@ class TestExactTotals:
 
 
 class TestRegistryConstruction:
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ConfigurationError, match="unknown state backend"):
-            StateRegistry(2, backend="sqlite")
-
     def test_rejects_negative_capacity(self):
         with pytest.raises(ValidationError):
-            StateRegistry(2, backend=BACKEND_DENSE, n_accounts=-1)
+            StateRegistry(2, n_accounts=-1)
 
-    def test_backend_recorded(self):
-        assert StateRegistry(2).backend == BACKEND_DICT
-        dense = StateRegistry(2, backend=BACKEND_DENSE, n_accounts=10)
-        assert dense.backend == BACKEND_DENSE
-        assert all(s.capacity == 10 for s in dense.stores)
+    def test_stores_are_sized_to_the_universe(self):
+        registry = StateRegistry(2, n_accounts=10)
+        assert all(isinstance(s, DenseShardStateStore) for s in registry.stores)
+        assert all(s.capacity == 10 for s in registry.stores)

@@ -233,7 +233,6 @@ class TestWindowedEquivalence:
         config = SimulationConfig(
             params=params(),
             execute_values=True,
-            state_backend="dense",
             funding="observed",
             network="lossy",
             beacon_spill_dir=str(tmp_path / "spill"),

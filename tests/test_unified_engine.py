@@ -9,8 +9,8 @@ state migration). The contracts pinned here:
 * value is conserved through the whole run (genesis supply ==
   resident balances + in-flight receipts, exactly for integer-valued
   supplies);
-* the dict and dense state backends produce identical epoch records
-  and identical per-shard state roots;
+* the dense state store reproduces the per-shard state roots and
+  result totals recorded from the dict-store engine run it replaced;
 * the executed-value fields only exist where they mean something
   (summaries, engine modes).
 """
@@ -59,9 +59,8 @@ def engine_params():
 
 class TestBitIdenticalEffectiveness:
     @pytest.mark.parametrize("allocator_factory", [MosaicAllocator, HashAllocator])
-    @pytest.mark.parametrize("backend", ["dict", "dense"])
     def test_executed_mode_matches_metrics_only(
-        self, tiny_trace, engine_params, allocator_factory, backend
+        self, tiny_trace, engine_params, allocator_factory
     ):
         plain = Simulation(
             tiny_trace,
@@ -71,11 +70,7 @@ class TestBitIdenticalEffectiveness:
         executed = Simulation(
             tiny_trace,
             allocator_factory(),
-            SimulationConfig(
-                params=engine_params,
-                execute_values=True,
-                state_backend=backend,
-            ),
+            SimulationConfig(params=engine_params, execute_values=True),
         ).run()
         assert _effectiveness(executed) == _effectiveness(plain)
 
@@ -130,18 +125,11 @@ class TestExecutedMetrics:
 
 
 class TestConservation:
-    @pytest.mark.parametrize("backend", ["dict", "dense"])
-    def test_value_conserved_through_full_run(
-        self, tiny_trace, engine_params, backend
-    ):
+    def test_value_conserved_through_full_run(self, tiny_trace, engine_params):
         sim = Simulation(
             tiny_trace,
             MosaicAllocator(),
-            SimulationConfig(
-                params=engine_params,
-                execute_values=True,
-                state_backend=backend,
-            ),
+            SimulationConfig(params=engine_params, execute_values=True),
         )
         sim.run()
         substrate = sim.substrate
@@ -155,35 +143,66 @@ class TestConservation:
         assert substrate.executor.in_flight_value() == 0.0
 
 
+#: The dict-store engine run of ``TestBackendEquivalenceEndToEnd``,
+#: recorded before the dict store left production: per-shard state
+#: roots and result totals of Mosaic over ``tiny_trace`` at k=4.
+DICT_RUN_STATE_ROOTS = (
+    "0x94a4a3390ad6e9c4884f715e91c7ff6777313d293cad0529fc46e796e82df108",
+    "0xf4960a5a18d232a93cc61ee5707377edbf2e36115ea85960697f54eebc398ef3",
+    "0x37c7785677f5c295d11d6736a122ceac2afa15a74f37a0819e3e095ff148d491",
+    "0x058d3f715daef506e56b1bae0365d242b6c4f4e575293e5d0364947b8b437c33",
+)
+DICT_RUN_TOTALS = {
+    "epochs": 2,
+    "total_transactions": 598,
+    "total_executed_transactions": 598,
+    "total_settled_volume": 457.0,
+    "total_overdraft_aborts": 0,
+    "final_in_flight_receipts": 5,
+    "total_migrations": 119,
+    "total_proposed_migrations": 345,
+    "mean_cross_shard_ratio": 0.7725752508361204,
+    "mean_workload_deviation": 0.2801426218536038,
+    "mean_normalized_throughput": 1.1114452421818397,
+    "mean_input_bytes": 82.08110119047619,
+}
+
+
 class TestBackendEquivalenceEndToEnd:
     def test_dict_and_dense_runs_are_identical(self, tiny_trace, engine_params):
-        sims = {}
-        for backend in ("dict", "dense"):
-            sim = Simulation(
-                tiny_trace,
-                MosaicAllocator(),
-                SimulationConfig(
-                    params=engine_params,
-                    execute_values=True,
-                    state_backend=backend,
-                ),
-            )
-            sims[backend] = (sim, sim.run())
-        dict_sim, dict_result = sims["dict"]
-        dense_sim, dense_result = sims["dense"]
-        deterministic = EFFECTIVENESS_FIELDS + EXECUTED_FIELDS
-        assert [
-            tuple(getattr(r, f) for f in deterministic)
-            for r in dict_result.records
-        ] == [
-            tuple(getattr(r, f) for f in deterministic)
-            for r in dense_result.records
-        ]
-        for shard in range(engine_params.k):
-            assert (
-                dict_sim.substrate.registry.store_of(shard).state_root()
-                == dense_sim.substrate.registry.store_of(shard).state_root()
-            )
+        """The dense engine run reproduces the recorded dict-store run
+        bit for bit: state roots and every deterministic total."""
+        sim = Simulation(
+            tiny_trace,
+            MosaicAllocator(),
+            SimulationConfig(params=engine_params, execute_values=True),
+        )
+        result = sim.run()
+        registry = sim.substrate.registry
+        assert tuple(
+            registry.store_of(shard).state_root()
+            for shard in range(engine_params.k)
+        ) == DICT_RUN_STATE_ROOTS
+        assert {
+            name: getattr(result, name) for name in DICT_RUN_TOTALS
+        } == DICT_RUN_TOTALS
+
+
+class TestSizedStores:
+    def test_executed_cell_never_spills(self):
+        """The engine sizes its registry to the trace's account universe,
+        so every resident holds a column slot when the run ends."""
+        from repro.experiments import preset_matrix
+
+        (cell,) = preset_matrix("realloc-smoke").cells()
+        sim = Simulation(
+            cell.trace.build(), cell.build_allocator(), cell.simulation_config()
+        )
+        sim.run()
+        stores = sim.substrate.registry.stores
+        assert sum(len(store) for store in stores) > 0
+        for store in stores:
+            assert len(store) - store.slot_stats()["live_slots"] == 0
 
 
 class TestResultAggregationRegression:
@@ -221,8 +240,11 @@ class TestResultAggregationRegression:
 
 class TestConfigValidation:
     def test_rejects_unknown_backend(self, engine_params):
-        with pytest.raises(SimulationError, match="state_backend"):
-            SimulationConfig(params=engine_params, state_backend="sqlite")
+        """Only the dense store runs; the dict store is a test oracle."""
+        assert SimulationConfig(params=engine_params).state_backend == "dense"
+        for backend in ("dict", "sqlite"):
+            with pytest.raises(SimulationError, match="state_reference"):
+                SimulationConfig(params=engine_params, state_backend=backend)
 
     def test_rejects_negative_initial_balance(self, engine_params):
         with pytest.raises(SimulationError, match="initial_balance"):
@@ -306,15 +328,11 @@ class TestMatrixIntegration:
                 ),
             ),
             ks=(2,),
-            engine_modes=("metrics", "execute", "execute-dense"),
+            engine_modes=("metrics", "execute"),
         )
         result = run_matrix(matrix, strict=True)
         summaries = result.summaries
-        assert [s["engine_mode"] for s in summaries] == [
-            "metrics",
-            "execute",
-            "execute-dense",
-        ]
+        assert [s["engine_mode"] for s in summaries] == ["metrics", "execute"]
         for metric in (
             "mean_cross_shard_ratio",
             "mean_workload_deviation",
@@ -323,12 +341,7 @@ class TestMatrixIntegration:
         ):
             values = {s[metric] for s in summaries}
             assert len(values) == 1, metric
-        # Both executed modes agree on the executed-value metrics too.
-        executed = [s for s in summaries if s["engine_mode"] != "metrics"]
-        assert (
-            executed[0]["total_settled_volume"]
-            == executed[1]["total_settled_volume"]
-        )
+        assert summaries[1]["total_settled_volume"] > 0
         assert "total_settled_volume" not in summaries[0]
 
     def test_rejects_unknown_engine_mode(self):

@@ -128,15 +128,10 @@ class TestObservedFunding:
 
 
 class TestValueFaithfulExecution:
-    @pytest.mark.parametrize("backend", ["dict", "dense"])
-    def test_observed_funding_settles_everything(self, backend):
+    def test_observed_funding_settles_everything(self):
         trace = valued_trace()
         params = ProtocolParams(k=4, eta=2.0, tau=50, seed=11)
-        sim = Simulation(
-            trace,
-            MosaicAllocator(),
-            executed_config(params, state_backend=backend),
-        )
+        sim = Simulation(trace, MosaicAllocator(), executed_config(params))
         result = sim.run()
         assert result.total_executed_transactions > 0
         assert result.total_overdraft_aborts == 0
@@ -181,7 +176,7 @@ class TestFeeEquivalenceAndConservation:
         rng = np.random.default_rng(seed)
         n_accounts = 40
         mapping = ShardMapping(rng.integers(0, k, size=n_accounts), k=k)
-        registry = StateRegistry(k=k, backend="dict", n_accounts=n_accounts)
+        registry = StateRegistry(k=k, n_accounts=n_accounts)
         executor = CrossShardExecutor(registry, mapping, relay_delay_blocks=1)
         executor.fund_many(
             np.arange(n_accounts, dtype=np.int64),
