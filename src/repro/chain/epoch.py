@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+import numpy as np
+
 from repro.chain.beacon import BeaconChain, apply_batch_to_mapping, mr_announcement_bytes
 from repro.chain.mapping import ShardMapping
 from repro.chain.miner import MinerPool, ReshuffleReport
@@ -136,16 +138,13 @@ class EpochReconfigurator:
                 )
         beacon_sync_bytes = float(request_count * MR_RECORD_BYTES)
         if self._bus is not None and request_count:
-            announcement = mr_announcement_bytes(request_count)
-            at_block = self._bus.clock
-            for shard in range(mapping.k):
-                self._bus.send(
-                    MSG_BEACON_ANNOUNCE,
-                    src=BEACON_SHARD,
-                    dst=shard,
-                    block=at_block,
-                    size_bytes=announcement,
-                )
+            self._bus.send_many(
+                MSG_BEACON_ANNOUNCE,
+                BEACON_SHARD,
+                np.arange(mapping.k),
+                self._bus.clock,
+                size_bytes=mr_announcement_bytes(request_count),
+            )
 
         reshuffle_report: Optional[ReshuffleReport] = None
         state_sync_bytes = 0.0

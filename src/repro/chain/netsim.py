@@ -14,23 +14,29 @@ discrete-event system in *block* time:
 - :class:`NetworkModel` — a spec plus a seeded RNG. All randomness flows
   through one ``numpy`` Generator consumed in event order, so a run is a
   pure function of ``(spec, seed, send sequence)``.
-- :class:`MessageBus` — the event loop. A heap ordered by
-  ``(block, seq, event_no)`` carries typed messages (relay receipts,
-  beacon MR-batch announcements, workload-vector gossip). Dropped
-  transmissions retransmit with bounded exponential backoff in blocks;
-  a message whose deadline passes undelivered is reported as a typed
-  :class:`~repro.errors.DeliveryExpired` record.
+- :class:`MessageBus` — the event loop. In-flight messages (relay
+  receipts, beacon MR-batch announcements, workload-vector gossip) are
+  rows of columns keyed by sequence number and sized to the messages in
+  flight; heap events are plain integer tuples; batches are enqueued
+  with one column write and :meth:`MessageBus.advance` returns arrays.
+  Dropped transmissions retransmit with bounded exponential backoff in
+  blocks; a message whose deadline passes undelivered expires.
 - :class:`ReceiptTransport` — the bridge between the
   :class:`~repro.chain.crossshard.CrossShardExecutor` and the bus.
-  Withdraw-phase receipts ride the bus; settlement keys off *delivered*
-  blocks, duplicate deliveries are deduplicated by receipt id
-  (idempotent settle), and expired receipts turn into sender refunds so
-  value is conserved under every fault plan.
+  Receipts ride the bus with their payload as extra columns; settlement
+  keys off *delivered* blocks, redelivered copies are recognised by the
+  bus's per-message copy counter (idempotent settle), and expired
+  receipts turn into sender refunds so value is conserved under every
+  fault plan.
+
+The per-object formulation this replaced is the test oracle
+``tests/netsim_reference.py``: property tests drive both with the same
+sends and compare delivery streams, ledgers and the Generator state.
 
 Ideal-model bit-identity
 ------------------------
-The ``ideal`` spec is a *null model*: :meth:`MessageBus.send` only bumps
-counters (no events, no RNG draws), and
+The ``ideal`` spec is a *null model*: :meth:`MessageBus.send_many` only
+bumps counters (no events, no RNG draws), and
 :meth:`ReceiptTransport.issue` appends receipts to the
 :class:`~repro.chain.receipts.ReceiptLedger` with exactly the direct
 path's arguments (``due_block = block + relay_delay_blocks``). The ideal
@@ -43,14 +49,13 @@ a distribution whose parameters happen to be zero.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import fsum
-from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DeliveryExpired
+from repro.errors import ConfigurationError
 from repro.chain.network import MR_RECORD_BYTES, OMEGA_ENTRY_BYTES
 
 __all__ = [
@@ -69,12 +74,14 @@ __all__ = [
     "network_spec",
     "NetworkModel",
     "BusStats",
-    "Delivery",
+    "Deliveries",
+    "Expiries",
     "MessageBus",
     "ReceiptTransport",
 ]
 
-#: Typed message classes carried by the bus.
+#: Typed message classes carried by the bus. The bus stores a class as
+#: its index in :data:`MESSAGE_CLASSES`.
 MSG_RECEIPT = "receipt"
 MSG_BEACON_ANNOUNCE = "beacon-announce"
 MSG_GOSSIP = "workload-gossip"
@@ -99,9 +106,8 @@ class RetryPolicy:
     A message is transmitted up to ``max_attempts`` times; attempt
     ``n`` (1-based) retransmits ``backoff_blocks * 2**(n-1)`` blocks
     after attempt ``n`` fails. If no copy is delivered by
-    ``send_block + deadline_blocks`` the message expires (a
-    :class:`~repro.errors.DeliveryExpired` record at the deadline
-    block); transmissions that would land past the deadline are not
+    ``send_block + deadline_blocks`` the message expires at the deadline
+    block; transmissions that would land past the deadline are not
     delivered — the sender has already timed out.
     """
 
@@ -153,10 +159,14 @@ class LinkOutage:
                 f"{self.down_blocks}"
             )
 
-    def down(self, src: int, dst: int, block: int) -> bool:
-        if src != self.shard and dst != self.shard:
-            return False
+    def active(self, block: int) -> bool:
         return (block - self.phase) % self.period_blocks < self.down_blocks
+
+    def cuts(self, src: int, dst: int) -> bool:
+        return src == self.shard or dst == self.shard
+
+    def down(self, src: int, dst: int, block: int) -> bool:
+        return self.cuts(src, dst) and self.active(block)
 
 
 @dataclass(frozen=True)
@@ -187,10 +197,14 @@ class Partition:
                 f"{self.down_blocks}"
             )
 
-    def down(self, src: int, dst: int, block: int) -> bool:
-        if (src in self.group) == (dst in self.group):
-            return False
+    def active(self, block: int) -> bool:
         return (block - self.phase) % self.period_blocks < self.down_blocks
+
+    def cuts(self, src: int, dst: int) -> bool:
+        return (src in self.group) != (dst in self.group)
+
+    def down(self, src: int, dst: int, block: int) -> bool:
+        return self.cuts(src, dst) and self.active(block)
 
 
 _DEFAULT_RETRIES: Tuple[Tuple[str, RetryPolicy], ...] = (
@@ -345,39 +359,6 @@ class NetworkModel:
     def name(self) -> str:
         return self.spec.name
 
-    def retry_for(self, message_class: str) -> RetryPolicy:
-        return self.spec.retry_for(message_class)
-
-    def link_down(self, src: int, dst: int, block: int) -> bool:
-        spec = self.spec
-        for outage in spec.outages:
-            if outage.down(src, dst, block):
-                return True
-        for partition in spec.partitions:
-            if partition.down(src, dst, block):
-                return True
-        return False
-
-    def sample_drop(self) -> bool:
-        p = self.spec.drop_prob
-        return p > 0.0 and self._rng.random() < p
-
-    def sample_duplicate(self) -> bool:
-        p = self.spec.duplicate_prob
-        return p > 0.0 and self._rng.random() < p
-
-    def sample_latency(self, size_bytes: float) -> int:
-        """Extra delivery latency (blocks) beyond the relay delay."""
-        spec = self.spec
-        extra = spec.extra_latency_blocks
-        if spec.jitter_blocks:
-            extra += int(self._rng.integers(0, spec.jitter_blocks + 1))
-        if spec.reorder_prob and self._rng.random() < spec.reorder_prob:
-            extra += spec.reorder_jitter_blocks
-        if spec.bandwidth_bytes_per_block:
-            extra += int(size_bytes // spec.bandwidth_bytes_per_block)
-        return extra
-
 
 @dataclass
 class BusStats:
@@ -401,63 +382,21 @@ class BusStats:
         )
 
 
-@dataclass(frozen=True)
-class Delivery:
-    """One delivered message copy, emitted in ``(block, seq)`` order."""
+class Deliveries(NamedTuple):
+    """Delivered copies from one :meth:`MessageBus.advance`, in
+    ``(block, seq)`` order; ``duplicate`` marks every copy after the
+    first of its message."""
 
-    block: int
-    seq: int
-    message_class: str
-    src: int
-    dst: int
-    issued_block: int
-    attempts: int
-    duplicate: bool
-    payload: object
+    blocks: np.ndarray
+    seqs: np.ndarray
+    duplicate: np.ndarray
 
 
-class _Pending:
-    """Mutable in-flight message state (bus-internal)."""
+class Expiries(NamedTuple):
+    """Messages that expired undelivered, in ``(deadline, seq)`` order."""
 
-    __slots__ = (
-        "seq",
-        "message_class",
-        "src",
-        "dst",
-        "issued_block",
-        "deadline_block",
-        "base_delay",
-        "size_bytes",
-        "payload",
-        "attempts",
-        "delivered_copies",
-        "resolved",
-    )
-
-    def __init__(
-        self,
-        seq: int,
-        message_class: str,
-        src: int,
-        dst: int,
-        issued_block: int,
-        deadline_block: int,
-        base_delay: int,
-        size_bytes: float,
-        payload: object,
-    ) -> None:
-        self.seq = seq
-        self.message_class = message_class
-        self.src = src
-        self.dst = dst
-        self.issued_block = issued_block
-        self.deadline_block = deadline_block
-        self.base_delay = base_delay
-        self.size_bytes = size_bytes
-        self.payload = payload
-        self.attempts = 0
-        self.delivered_copies = 0
-        self.resolved = False
+    blocks: np.ndarray
+    seqs: np.ndarray
 
 
 _EVT_ATTEMPT = 0
@@ -466,15 +405,23 @@ _EVT_EXPIRE = 2
 
 
 class MessageBus:
-    """Heap-ordered discrete-event loop over a :class:`NetworkModel`.
+    """Heap-ordered discrete-event loop over columnar message state.
 
-    Events are keyed ``(block, seq, event_no)``: delivery order within a
-    block is the deterministic send order, and the monotone event
-    counter breaks residual ties, so the pop sequence — and therefore
-    the RNG consumption order — is a pure function of the send sequence.
+    Events are ``(block, seq, event_no, kind)`` integer tuples: delivery
+    order within a block is the deterministic send order, and the
+    monotone event counter breaks residual ties, so the pop sequence —
+    and therefore the RNG consumption order — is a pure function of the
+    send sequence.
 
-    Under the ideal model :meth:`send` is a counter bump: no heap entry,
-    no RNG draw, nothing for :meth:`advance` to do.
+    Message ``seq`` is row ``seq - base`` of every column: numpy arrays
+    for what is read in bulk (class, endpoints, issue block, resolved
+    flag, caller payload), Python lists for the per-event scalars of the
+    sequential attempt loop. Rows older than the oldest message still on
+    the heap have resolved and are dropped when the rows run out, so
+    storage tracks the messages in flight, not the messages sent.
+
+    Under the ideal model :meth:`send_many` is a counter bump: no rows,
+    no heap entries, no RNG draws, nothing for :meth:`advance` to do.
     """
 
     def __init__(self, model: NetworkModel) -> None:
@@ -482,157 +429,225 @@ class MessageBus:
         self.stats = BusStats()
         #: Highest block this bus has been advanced to.
         self.clock = 0
-        self._heap: List[Tuple[int, int, int, int, _Pending]] = []
+        self._heap: List[Tuple[int, int, int, int]] = []
         self._next_seq = 0
+        self._base = 0
         self._event_no = 0
-        self._max_event_block = 0
+        self._max_deadline = 0
+        self._retries = [model.spec.retry_for(cls) for cls in MESSAGE_CLASSES]
+        self._faults = model.spec.outages + model.spec.partitions
+        self._columns: Dict[str, np.ndarray] = {
+            name: np.zeros(256, dtype=dtype)
+            for name, dtype in (
+                ("class", np.int8),
+                ("src", np.int64),
+                ("dst", np.int64),
+                ("issued", np.int64),
+                ("resolved", bool),
+            )
+        }
+        #: Attempt-loop rows: deadline, fixed delay (relay + extra
+        #: latency + serialization), (max_attempts, backoff_blocks),
+        #: attempts so far, delivered copies.
+        self._rows: Tuple[List, ...] = ([], [], [], [], [])
 
     def __len__(self) -> int:
         return len(self._heap)
 
     @property
     def horizon(self) -> int:
-        """Latest block at which this bus can still produce an event."""
-        return max(self._max_event_block, self.clock)
+        """Latest block at which this bus can still produce an event
+        (every event of a message falls on or before its deadline)."""
+        return max(self._max_deadline, self.clock)
 
-    def record_bulk(self, message_class: str, count: int) -> None:
-        """Ideal-model bulk accounting: ``count`` messages sent and
-        (deterministically) delivered, no per-message event objects."""
-        self.stats.sent += count
-        self.stats.delivered += count
-
-    def send(
+    def send_many(
         self,
         message_class: str,
-        src: int,
-        dst: int,
+        src: Union[int, np.ndarray],
+        dst: np.ndarray,
         block: int,
         base_delay: int = 0,
         size_bytes: float = 0.0,
-        payload: object = None,
-    ) -> int:
-        """Enqueue one message; returns its bus sequence number."""
-        seq = self._next_seq
-        self._next_seq += 1
-        self.stats.sent += 1
+        **payload: np.ndarray,
+    ) -> None:
+        """Enqueue ``len(dst)`` messages sent at ``block``, in row order.
+
+        ``src`` is an array or one shard for every row. Each ``payload``
+        array becomes a same-named column, read back with
+        :meth:`gather`. Rows take consecutive sequence numbers, so a
+        batch draws exactly as the same sends one at a time.
+        """
+        count = len(dst)
+        self.stats.sent += count
         if self.model.is_ideal:
             # Null model: instant, reliable, unobserved by the heap.
-            self.stats.delivered += 1
-            return seq
-        policy = self.model.retry_for(message_class)
-        entry = _Pending(
-            seq=seq,
-            message_class=message_class,
-            src=int(src),
-            dst=int(dst),
-            issued_block=int(block),
-            deadline_block=int(block) + policy.deadline_blocks,
-            base_delay=int(base_delay),
-            size_bytes=float(size_bytes),
-            payload=payload,
-        )
-        # Every event chain for this message (retries, delivery, expiry)
-        # resolves by the deadline, so the horizon covers it even though
-        # the later events are scheduled lazily.
-        if entry.deadline_block > self._max_event_block:
-            self._max_event_block = entry.deadline_block
-        self._push(int(block), entry.seq, _EVT_ATTEMPT, entry)
-        return seq
+            self.stats.delivered += count
+            return
+        if message_class not in MESSAGE_CLASSES:
+            raise ConfigurationError(f"unknown message class {message_class!r}")
+        if base_delay < 0:
+            raise ConfigurationError(f"base_delay must be >= 0, got {base_delay}")
+        spec = self.model.spec
+        block = int(block)
+        code = MESSAGE_CLASSES.index(message_class)
+        policy = self._retries[code]
+        deadline = block + policy.deadline_blocks
+        delay = int(base_delay) + spec.extra_latency_blocks
+        if spec.bandwidth_bytes_per_block:
+            delay += int(float(size_bytes) // spec.bandwidth_bytes_per_block)
+        self._reserve(count)
+        first = self._next_seq
+        rows = slice(first - self._base, first - self._base + count)
+        columns = self._columns
+        for name, values in (
+            ("class", code), ("src", src), ("dst", dst), ("issued", block),
+            ("resolved", False), *payload.items(),
+        ):
+            if name not in columns:
+                columns[name] = np.zeros(len(columns["class"]), np.asarray(values).dtype)
+            columns[name][rows] = values
+        retry = (policy.max_attempts, policy.backoff_blocks)
+        for column, value in zip(self._rows, (deadline, delay, retry, 0, 0)):
+            column.extend([value] * count)
+        self._max_deadline = max(self._max_deadline, deadline)
+        for seq in range(first, first + count):
+            self._event_no += 1
+            heapq.heappush(self._heap, (block, seq, self._event_no, _EVT_ATTEMPT))
+        self._next_seq = first + count
 
-    def advance(
-        self, block: int
-    ) -> Tuple[List[Delivery], List[DeliveryExpired]]:
+    def gather(self, name: str, seqs: np.ndarray) -> np.ndarray:
+        """Column ``name`` at ``seqs`` — valid for the sequence numbers
+        of the latest :meth:`advance` until the next send."""
+        return self._columns[name][seqs - self._base]
+
+    def unresolved(self, message_class: str) -> np.ndarray:
+        """Sequence numbers of ``message_class`` messages neither
+        delivered nor expired."""
+        live = slice(0, self._next_seq - self._base)
+        columns = self._columns
+        mask = ~columns["resolved"][live] & (
+            columns["class"][live] == MESSAGE_CLASSES.index(message_class)
+        )
+        return self._base + np.flatnonzero(mask)
+
+    def advance(self, block: int) -> Tuple[Deliveries, Expiries]:
         """Process every event scheduled at or before ``block``.
 
-        Returns ``(deliveries, expiries)``. Deliveries come out sorted
-        by ``(delivery block, seq)``; expiries by ``(deadline, seq)``.
+        Attempts run one at a time in ``(block, seq, event_no)`` order,
+        each drawing from the model's Generator: a drop test (skipped
+        while the link is down), the jitter, the reorder test, and —
+        for a copy that lands by the deadline — the duplicate test.
         """
         block = int(block)
-        if block > self.clock:
-            self.clock = block
-        deliveries: List[Delivery] = []
-        expiries: List[DeliveryExpired] = []
-        heap = self._heap
+        self.clock = max(self.clock, block)
+        spec = self.model.spec
+        random, integers = self.model._rng.random, self.model._rng.integers
+        drop_p, duplicate_p, reorder_p = (
+            spec.drop_prob, spec.duplicate_prob, spec.reorder_prob
+        )
+        jitter_stop = spec.jitter_blocks + 1 if spec.jitter_blocks else 0
+        faults, fault_block, cutting = self._faults, None, []
+        deadlines, delays, retries, attempts, copies = self._rows
+        resolved, srcs, dsts = (
+            self._columns[name] for name in ("resolved", "src", "dst")
+        )
+        heap, pop, push = self._heap, heapq.heappop, heapq.heappush
+        base, event_no = self._base, self._event_no
+        dropped = retransmissions = 0
+        #: (block, seq, copies delivered before this one) per copy.
+        delivered: List[Tuple[int, int, int]] = []
+        expired: List[Tuple[int, int]] = []
         while heap and heap[0][0] <= block:
-            event_block, _seq, _no, kind, entry = heapq.heappop(heap)
-            if kind == _EVT_ATTEMPT:
-                self._process_attempt(event_block, entry)
-            elif kind == _EVT_DELIVER:
-                first = entry.delivered_copies == 0
-                entry.delivered_copies += 1
-                self.stats.delivered += 1
-                if not first:
-                    self.stats.duplicates += 1
-                deliveries.append(
-                    Delivery(
-                        block=event_block,
-                        seq=entry.seq,
-                        message_class=entry.message_class,
-                        src=entry.src,
-                        dst=entry.dst,
-                        issued_block=entry.issued_block,
-                        attempts=entry.attempts,
-                        duplicate=not first,
-                        payload=entry.payload,
-                    )
-                )
-            else:  # _EVT_EXPIRE
-                if entry.delivered_copies == 0 and not entry.resolved:
-                    entry.resolved = True
-                    self.stats.expired += 1
-                    expiries.append(
-                        DeliveryExpired(
-                            entry.message_class,
-                            entry.seq,
-                            entry.src,
-                            entry.dst,
-                            entry.issued_block,
-                            entry.deadline_block,
-                            entry.payload,
-                        )
-                    )
-        return deliveries, expiries
+            at, seq, _, kind = pop(heap)
+            row = seq - base
+            if kind == _EVT_DELIVER:
+                n = copies[row]
+                copies[row] = n + 1
+                if not n:
+                    resolved[row] = True
+                delivered.append((at, seq, n))
+                continue
+            if kind == _EVT_EXPIRE:
+                resolved[row] = True
+                expired.append((at, seq))
+                continue
+            n = attempts[row] + 1
+            attempts[row] = n
+            deadline = deadlines[row]
+            if faults and at != fault_block:
+                fault_block = at
+                cutting = [f for f in faults if f.active(at)]
+            event_no += 1
+            if (
+                cutting and any(f.cuts(srcs[row], dsts[row]) for f in cutting)
+            ) or (drop_p > 0.0 and random() < drop_p):
+                dropped += 1
+                max_attempts, backoff = retries[row]
+                retry_at = at + (backoff << (n - 1))
+                if n < max_attempts and retry_at <= deadline:
+                    retransmissions += 1
+                    push(heap, (retry_at, seq, event_no, _EVT_ATTEMPT))
+                else:
+                    # Out of attempts (or the backoff overshoots): the
+                    # timeout fires at the protocol deadline.
+                    push(heap, (deadline, seq, event_no, _EVT_EXPIRE))
+                continue
+            deliver_at = at + delays[row]
+            if jitter_stop:
+                deliver_at += int(integers(0, jitter_stop))
+            if reorder_p > 0.0 and random() < reorder_p:
+                deliver_at += spec.reorder_jitter_blocks
+            if deliver_at > deadline:
+                # Arrived too late to matter: the sender already timed
+                # out, so the copy is discarded in flight.
+                push(heap, (deadline, seq, event_no, _EVT_EXPIRE))
+                continue
+            push(heap, (deliver_at, seq, event_no, _EVT_DELIVER))
+            if duplicate_p > 0.0 and random() < duplicate_p and deliver_at < deadline:
+                event_no += 1
+                push(heap, (deliver_at + 1, seq, event_no, _EVT_DELIVER))
+        self._event_no = event_no
+        copies_before = np.array(delivered, dtype=np.int64).reshape(-1, 3)
+        expiries = np.array(expired, dtype=np.int64).reshape(-1, 2)
+        stats = self.stats
+        stats.delivered += len(copies_before)
+        stats.dropped += dropped
+        stats.retransmissions += retransmissions
+        stats.duplicates += int(np.count_nonzero(copies_before[:, 2]))
+        stats.expired += len(expiries)
+        return (
+            Deliveries(
+                copies_before[:, 0], copies_before[:, 1], copies_before[:, 2] > 0
+            ),
+            Expiries(expiries[:, 0], expiries[:, 1]),
+        )
 
     # -- internals ----------------------------------------------------
 
-    def _push(self, block: int, seq: int, kind: int, entry: _Pending) -> None:
-        self._event_no += 1
-        if block > self._max_event_block:
-            self._max_event_block = block
-        heapq.heappush(self._heap, (block, seq, self._event_no, kind, entry))
-
-    def _process_attempt(self, block: int, entry: _Pending) -> None:
-        model = self.model
-        policy = model.retry_for(entry.message_class)
-        entry.attempts += 1
-        dropped = model.link_down(entry.src, entry.dst, block) or model.sample_drop()
-        if dropped:
-            self.stats.dropped += 1
-            if entry.attempts < policy.max_attempts:
-                retry_at = block + policy.backoff(entry.attempts)
-                if retry_at <= entry.deadline_block:
-                    self.stats.retransmissions += 1
-                    self._push(retry_at, entry.seq, _EVT_ATTEMPT, entry)
-                    return
-            # Out of attempts (or the backoff overshoots): the timeout
-            # fires at the protocol deadline, not at the last failure.
-            self._push(entry.deadline_block, entry.seq, _EVT_EXPIRE, entry)
+    def _reserve(self, count: int) -> None:
+        """Make room for ``count`` rows, dropping resolved ones first."""
+        capacity = len(self._columns["class"])
+        if self._next_seq + count - self._base <= capacity:
             return
-        latency = entry.base_delay + model.sample_latency(entry.size_bytes)
-        deliver_at = block + max(latency, 0)
-        if deliver_at > entry.deadline_block:
-            # Arrived too late to matter: the sender already timed out,
-            # so the copy is discarded in flight.
-            self._push(entry.deadline_block, entry.seq, _EVT_EXPIRE, entry)
-            return
-        self._push(deliver_at, entry.seq, _EVT_DELIVER, entry)
-        if model.sample_duplicate():
-            echo_at = deliver_at + 1
-            if echo_at <= entry.deadline_block:
-                self._push(echo_at, entry.seq, _EVT_DELIVER, entry)
+        # A message with no event on the heap has resolved, so every
+        # row older than the oldest heap entry can go.
+        base = min((entry[1] for entry in self._heap), default=self._next_seq)
+        shift = base - self._base
+        live = self._next_seq - base
+        # Keep at least half the rows free so drops stay amortised O(1).
+        while 2 * (live + count) > capacity:
+            capacity *= 2
+        for name, column in self._columns.items():
+            moved = np.zeros(capacity, dtype=column.dtype)
+            moved[:live] = column[shift : shift + live]
+            self._columns[name] = moved
+        for column in self._rows:
+            del column[:shift]
+        self._base = base
 
 
 _NO_REFUNDS: Tuple[Tuple[int, int, float], ...] = ()
+_RECEIPT = MESSAGE_CLASSES.index(MSG_RECEIPT)
 
 
 class ReceiptTransport:
@@ -640,11 +655,14 @@ class ReceiptTransport:
 
     The executor issues receipts here instead of appending them to the
     ledger directly; :meth:`poll` (called at the top of every settle
-    pass) drains the bus, appends delivered receipts to the ledger
-    keyed by their *delivered* block, deduplicates redelivered copies by
-    receipt id, and returns ``(tx_id, sender, amount)`` refund rows for
-    expired receipts. Undelivered value is tracked per message (exact
-    ``fsum``, no incremental float drift) so
+    pass) drains the bus, appends first copies of delivered receipts to
+    the ledger keyed by their *delivered* block, counts redelivered
+    copies as deduplicated, and returns ``(tx_id, sender, amount)``
+    refund rows for expired receipts. A receipt's tx id comes from the
+    executor's monotone counter, so each message carries a distinct
+    receipt and the bus's copy counter is an exact dedup key.
+    Undelivered value is an exact ``fsum`` over the bus's unresolved
+    receipt amounts (no incremental float drift), so
     ``ledger total + pending_value`` keeps conservation checks tight at
     every block boundary.
     """
@@ -653,12 +671,6 @@ class ReceiptTransport:
         self.model = model
         self.bus = MessageBus(model)
         self.relay_delay_blocks = int(relay_delay_blocks)
-        self._live_amounts: Dict[int, float] = {}
-        self._delivered_ids: set = set()
-        # (prune_block, tx_id): a delivered id can only echo again up to
-        # its deadline (+1 for the duplicate offset), after which it is
-        # dropped from the dedup set to bound memory.
-        self._dedup_window: Deque[Tuple[int, int]] = deque()
         self.duplicates_deduped = 0
         self.expired_receipts = 0
         self.refunded_value = 0.0
@@ -670,13 +682,14 @@ class ReceiptTransport:
 
     def pending_count(self) -> int:
         """Receipts issued but neither delivered nor expired."""
-        return len(self._live_amounts)
+        return len(self.bus.unresolved(MSG_RECEIPT))
 
     def pending_value(self) -> float:
         """Exact value carried by undelivered, unexpired receipts."""
-        if not self._live_amounts:
+        seqs = self.bus.unresolved(MSG_RECEIPT)
+        if not len(seqs):
             return 0.0
-        return fsum(self._live_amounts.values())
+        return fsum(self.bus.gather("amount", seqs).tolist())
 
     def horizon(self) -> int:
         """A block by which every in-flight message has resolved."""
@@ -701,13 +714,12 @@ class ReceiptTransport:
         target_shards: np.ndarray,
     ) -> None:
         """Put one block's withdraw receipts on the wire."""
-        count = len(tx_ids)
-        if count == 0:
+        if len(tx_ids) == 0:
             return
         if self.model.is_ideal:
             # Bit-identical to the direct path: same append, same
             # arguments, same ledger bytes. Only the counters move.
-            self.bus.record_bulk(MSG_RECEIPT, count)
+            self.bus.send_many(MSG_RECEIPT, source_shards, target_shards, block)
             ledger.append_batch(
                 tx_ids=tx_ids,
                 senders=senders,
@@ -719,28 +731,18 @@ class ReceiptTransport:
                 due_block=block + self.relay_delay_blocks,
             )
             return
-        bus = self.bus
-        live = self._live_amounts
-        for i in range(count):
-            amount = float(amounts[i])
-            payload = (
-                int(tx_ids[i]),
-                int(senders[i]),
-                int(receivers[i]),
-                amount,
-                int(source_shards[i]),
-                int(target_shards[i]),
-            )
-            seq = bus.send(
-                MSG_RECEIPT,
-                src=payload[4],
-                dst=payload[5],
-                block=block,
-                base_delay=self.relay_delay_blocks,
-                size_bytes=RECEIPT_MESSAGE_BYTES,
-                payload=payload,
-            )
-            live[seq] = amount
+        self.bus.send_many(
+            MSG_RECEIPT,
+            source_shards,
+            target_shards,
+            block,
+            base_delay=self.relay_delay_blocks,
+            size_bytes=RECEIPT_MESSAGE_BYTES,
+            tx_id=np.asarray(tx_ids, dtype=np.int64),
+            sender=np.asarray(senders, dtype=np.int64),
+            receiver=np.asarray(receivers, dtype=np.int64),
+            amount=np.asarray(amounts, dtype=np.float64),
+        )
 
     def poll(
         self, block: int, ledger
@@ -754,63 +756,52 @@ class ReceiptTransport:
         """
         if self.model.is_ideal:
             return _NO_REFUNDS
-        deliveries, expiries = self.bus.advance(block)
-        if deliveries:
-            self._append_deliveries(deliveries, ledger)
-        refunds: List[Tuple[int, int, float]] = []
-        for expiry in expiries:
-            if expiry.message_class != MSG_RECEIPT:
-                continue
-            tx_id, sender, _receiver, amount, _src, _dst = expiry.payload
-            self._live_amounts.pop(expiry.seq, None)
-            self.expired_receipts += 1
+        delivered, expired = self.bus.advance(block)
+        if len(delivered.seqs):
+            self._append_deliveries(delivered, ledger)
+        seqs = expired.seqs[self.bus.gather("class", expired.seqs) == _RECEIPT]
+        if not len(seqs):
+            return _NO_REFUNDS
+        tx_ids, senders, amounts = (
+            self.bus.gather(name, seqs).tolist()
+            for name in ("tx_id", "sender", "amount")
+        )
+        self.expired_receipts += len(amounts)
+        for amount in amounts:
             self.refunded_value += amount
-            refunds.append((tx_id, sender, amount))
-        window = self._dedup_window
-        delivered_ids = self._delivered_ids
-        while window and window[0][0] < block:
-            delivered_ids.discard(window.popleft()[1])
-        return refunds
+        return list(zip(tx_ids, senders, amounts))
 
     # -- internals ----------------------------------------------------
 
-    def _append_deliveries(self, deliveries: List[Delivery], ledger) -> None:
-        relay = self.relay_delay_blocks
-        deadline = self.model.retry_for(MSG_RECEIPT).deadline_blocks
-        delivered_ids = self._delivered_ids
-        live = self._live_amounts
-        rows: List[Tuple[int, int, int, float, int, int, int]] = []
-        group_block: Optional[int] = None
-
-        def flush() -> None:
-            if not rows:
-                return
+    def _append_deliveries(self, delivered: Deliveries, ledger) -> None:
+        bus = self.bus
+        receipt = bus.gather("class", delivered.seqs) == _RECEIPT
+        self.duplicates_deduped += int(
+            np.count_nonzero(receipt & delivered.duplicate)
+        )
+        first = receipt & ~delivered.duplicate
+        seqs = delivered.seqs[first]
+        if not len(seqs):
+            return
+        blocks = delivered.blocks[first]
+        issued = bus.gather("issued", seqs)
+        self._staleness.extend(
+            (blocks - issued - self.relay_delay_blocks).tolist()
+        )
+        tx_ids, senders, receivers, amounts, sources, targets = (
+            bus.gather(name, seqs)
+            for name in ("tx_id", "sender", "receiver", "amount", "src", "dst")
+        )
+        # One ledger append per delivery block, in delivery order.
+        bounds = [0, *(np.flatnonzero(np.diff(blocks)) + 1).tolist(), len(seqs)]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
             ledger.append_batch(
-                tx_ids=np.array([r[0] for r in rows], dtype=np.int64),
-                senders=np.array([r[1] for r in rows], dtype=np.int64),
-                receivers=np.array([r[2] for r in rows], dtype=np.int64),
-                amounts=np.array([r[3] for r in rows], dtype=np.float64),
-                source_shards=np.array([r[4] for r in rows], dtype=np.int64),
-                target_shards=np.array([r[5] for r in rows], dtype=np.int64),
-                issued_block=np.array([r[6] for r in rows], dtype=np.int64),
-                due_block=group_block,
+                tx_ids=tx_ids[lo:hi],
+                senders=senders[lo:hi],
+                receivers=receivers[lo:hi],
+                amounts=amounts[lo:hi],
+                source_shards=sources[lo:hi],
+                target_shards=targets[lo:hi],
+                issued_block=issued[lo:hi],
+                due_block=int(blocks[lo]),
             )
-            rows.clear()
-
-        for d in deliveries:
-            if d.message_class != MSG_RECEIPT:
-                continue
-            tx_id, sender, receiver, amount, src, dst = d.payload
-            if tx_id in delivered_ids:
-                # Redelivered copy: settle is idempotent by receipt id.
-                self.duplicates_deduped += 1
-                continue
-            if d.block != group_block:
-                flush()
-                group_block = d.block
-            delivered_ids.add(tx_id)
-            self._dedup_window.append((d.issued_block + deadline + 2, tx_id))
-            live.pop(d.seq, None)
-            self._staleness.append(d.block - d.issued_block - relay)
-            rows.append((tx_id, sender, receiver, amount, src, dst, d.issued_block))
-        flush()

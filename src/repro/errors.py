@@ -68,13 +68,16 @@ class DeliveryExpired(NetworkError):
     """A simulated message passed its delivery deadline undelivered.
 
     Every transmission attempt either dropped or would have landed past
-    the message's retry-policy deadline. Instances double as the
-    :class:`~repro.chain.netsim.MessageBus` expiry *records* — the bus
-    collects them instead of raising, so consumers (e.g. the receipt
-    transport, which turns expired receipts into sender refunds) decide
-    whether an expiry is an error or a protocol event. Carries the
-    message class, bus sequence number, endpoints, issue and deadline
-    blocks, and the original payload.
+    the message's retry-policy deadline. The
+    :class:`~repro.chain.netsim.MessageBus` reports expiries as arrays
+    (:class:`~repro.chain.netsim.Expiries`) rather than raising, so
+    consumers (e.g. the receipt transport, which turns expired receipts
+    into sender refunds) decide whether an expiry is an error or a
+    protocol event; this is the typed error for the former, and the
+    per-message expiry record of the object-heap reference bus
+    (``tests/netsim_reference.py``). Carries the message class, bus
+    sequence number, endpoints, issue and deadline blocks, and the
+    original payload.
     """
 
     def __init__(

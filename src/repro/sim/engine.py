@@ -534,14 +534,14 @@ class ExecutionSubstrate:
         transport = self.executor.network_transport
         bus = transport.bus
         k = self.config.params.k
-        gossip_bytes = float(OMEGA_ENTRY_BYTES * k)
-        at_block = max(last_block, bus.clock)
-        for src in range(k):
-            for dst in range(k):
-                if src != dst:
-                    bus.send(
-                        MSG_GOSSIP, src, dst, at_block, size_bytes=gossip_bytes
-                    )
+        src, dst = np.nonzero(~np.eye(k, dtype=bool))
+        bus.send_many(
+            MSG_GOSSIP,
+            src,
+            dst,
+            max(last_block, bus.clock),
+            size_bytes=float(OMEGA_ENTRY_BYTES * k),
+        )
 
         sent, delivered, dropped, retrans, dups, expired = bus.stats.snapshot()
         m_sent, m_delivered, m_dropped, m_retrans, m_dups, m_expired = (

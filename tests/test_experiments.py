@@ -8,6 +8,7 @@ bit-identity, aggregation into the analysis/tables format, and the
 
 import json
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -277,3 +278,26 @@ class TestMatrixCli:
     def test_unknown_method_is_a_clean_error(self, capsys):
         assert main(["matrix", "--methods", "bogus"]) == 1
         assert "unknown methods" in capsys.readouterr().err
+
+
+#: Full sha256 of each CI preset's deterministic payload, as
+#: ``repro matrix --preset NAME [--engine-modes ...]`` prints its prefix.
+PINNED_PRESET_DIGESTS = [
+    ("smoke", None, "a5163894b740a2548abb63c93cee31647644cf2c61523047f438713415f42d14"),
+    ("smoke", "execute", "575970da3b8365da0fb2ccbbaf42cdd2969e97f6ece48919cb802ea0f20704be"),
+    ("realloc-smoke", None, "63cb134731e4680ebf5e4b18b72ac11460f2a9caa5ebc2b1080a0195af489875"),
+    ("network-smoke", None, "99f4d87a3aa9932873daaac43f5935f56e2eef19f49e603c761c3cf34a9454a6"),
+    ("etl-smoke", None, "b7abc1338744501ad7ad04a2be72c4381250828d9a841a3bbf044803b5c94c71"),
+]
+
+
+@pytest.mark.parametrize(
+    "preset, engine_mode, digest",
+    PINNED_PRESET_DIGESTS,
+    ids=[f"{p}-{m}" if m else p for p, m, _ in PINNED_PRESET_DIGESTS],
+)
+def test_preset_digest_is_pinned(preset, engine_mode, digest):
+    matrix = preset_matrix(preset)
+    if engine_mode is not None:
+        matrix = replace(matrix, engine_modes=(engine_mode,))
+    assert run_matrix(matrix, workers=1).deterministic_digest() == digest
