@@ -5,11 +5,10 @@ Kept as a plain ``setup.py`` so ``pip install -e . --no-build-isolation
 package (PEP 660 editable installs need it).
 
 The core library needs only numpy. The ``fast`` extra pulls in the
-optional compiled fast paths — numba for the jitted Metis refinement
-kernels (``repro.allocation.metis_like.kernels``) and pyarrow for the
-columnar CSV ingest (``repro.data.arrow``). Both are import-guarded:
-without the extra every knob falls back to the bit-identical
-pure-python reference implementations.
+optional compiled fast path: numba for the jitted Metis refinement
+kernels (``repro.allocation.metis_like.kernels``). It is
+import-guarded: without the extra the kernels fall back to the
+bit-identical pure-python reference loops.
 """
 
 import re
@@ -34,7 +33,7 @@ setup(
     python_requires=">=3.9",
     install_requires=["numpy"],
     extras_require={
-        "fast": ["numba>=0.57", "pyarrow>=14"],
+        "fast": ["numba>=0.57"],
     },
     entry_points={
         "console_scripts": ["repro = repro.cli:main"],

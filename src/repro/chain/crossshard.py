@@ -180,8 +180,8 @@ class CrossShardExecutor:
 
         ``amounts`` may be a scalar (uniform supply) or a per-account
         array. Credits scatter per shard in one pass — the bulk path
-        the unified engine and the 1M-account microbench use instead of
-        a per-account :meth:`fund` loop.
+        the unified engine uses instead of a per-account :meth:`fund`
+        loop.
         """
         accounts = np.asarray(accounts, dtype=np.int64)
         if np.isscalar(amounts) or getattr(amounts, "ndim", 1) == 0:

@@ -237,8 +237,8 @@ class DenseShardStateStore:
     vacated by migration are recycled through a free list. The batched
     executor's gather/scatter entry points stay single fancy-indexing
     operations (one extra slot indirection versus full-universe
-    columns), which is what lets the executor microbench scale past 1M
-    accounts without allocating ``k x n_accounts`` cells.
+    columns), which is what lets the executor scale past 1M accounts
+    without allocating ``k x n_accounts`` cells.
 
     Account ids at or above the directory capacity — and accounts whose
     state is resident here while their *home* columns live on another

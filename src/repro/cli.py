@@ -13,9 +13,10 @@ Commands:
   or a named CI preset (``--preset``), through the (optionally
   parallel) scenario-matrix runner;
 * ``bench`` — regenerate the ``BENCH_baseline.json`` performance
-  snapshot (Table II matrix, the executor, netsim, reconfiguration,
-  ingest, memory and refine microbenches, and the smoke grid), or
-  report the compiled fast paths (``--env``).
+  snapshot (Table II matrix, the smoke grid, the Metis refine
+  python-vs-jit pair and the 1M-row windowed-vs-materialised memory
+  pair), or report the compiled fast paths (``--env``). Per-layer
+  timings of the whole epoch loop come from ``benchmarks/e2e/``.
 """
 
 from __future__ import annotations
@@ -138,14 +139,10 @@ def _command_simulate(args: argparse.Namespace) -> int:
             )
 
     elif args.input:
-        from repro.data.arrow import resolve_decoder
         from repro.data.source import CsvTraceSource
 
         source = CsvTraceSource(args.input)
-        print(
-            f"streaming {args.input} "
-            f"({resolve_decoder(source.decoder)} decoder)"
-        )
+        print(f"streaming {args.input}")
     else:
         source = generate_ethereum_like_trace(_trace_config(args))
         print(f"generated {len(source):,} synthetic transactions")
@@ -370,19 +367,15 @@ def _command_matrix(args: argparse.Namespace) -> int:
 
 def _print_compiled_env() -> None:
     from repro.allocation.metis_like import kernels
-    from repro.data import arrow
-    from repro.experiments import compiled_env
 
-    env = compiled_env()
     print(f"metis kernels : {kernels.describe()}")
-    print(f"csv ingest    : {arrow.describe()}")
     print(
         "fast extra    : "
         + (
             "complete"
-            if env["numba"] and env["pyarrow"]
+            if kernels.NUMBA_AVAILABLE
             else "incomplete — pip install 'repro[fast]' for the "
-            "compiled paths"
+            "jitted Metis kernels"
         )
     )
 
@@ -395,26 +388,14 @@ def _command_bench(args: argparse.Namespace) -> int:
         return 0
     print(
         "running the Table II benchmark workload "
-        f"({args.workers} worker(s)) + executor/reconfig/refine "
-        "microbenches + smoke grid"
+        f"({args.workers} worker(s)) + refine microbench + smoke grid "
+        "+ 1M-row memory pair"
     )
     _print_compiled_env()
     payload = run_bench(path=args.output, workers=args.workers)
     print(f"\nsnapshot written to {args.output}")
     print(f"total_seconds   : {payload['total_seconds']}")
-    print(f"kernel_seconds  : {payload['kernel_seconds']}")
     print(f"smoke_seconds   : {payload['smoke_seconds']}")
-    if "reconfig_seconds_batch_1m" in payload:
-        print(f"reconfig 1M     : {payload['reconfig_seconds_batch_1m']}s")
-    if "ingest_seconds_streamed_1m" in payload:
-        line = (
-            f"ingest 1M       : {payload['ingest_seconds_streamed_1m']}s "
-            f"streamed vs {payload['ingest_seconds_materialised_1m']}s "
-            "materialised"
-        )
-        if "ingest_seconds_arrow_1m" in payload:
-            line += f" vs {payload['ingest_seconds_arrow_1m']}s arrow"
-        print(line)
     if "refine_seconds_python" in payload:
         line = f"refine          : {payload['refine_seconds_python']}s python"
         if "refine_seconds_jit" in payload:
@@ -625,8 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--env",
         action="store_true",
-        help="report which compiled fast paths (numba kernels, arrow "
-        "decoder) are active in this environment, without running "
+        help="report whether the compiled fast path (numba Metis "
+        "kernels) is active in this environment, without running "
         "the benchmark",
     )
     bench.set_defaults(handler=_command_bench)

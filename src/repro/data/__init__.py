@@ -16,11 +16,6 @@ from repro.data.etl import (
     ETL_COLUMNS,
     FEE_COLUMN,
 )
-from repro.data.arrow import (
-    DECODERS,
-    PYARROW_AVAILABLE,
-    resolve_decoder,
-)
 from repro.data.source import (
     ChunkIteratorSource,
     CsvTraceSource,
@@ -53,9 +48,6 @@ __all__ = [
     "ChunkIteratorSource",
     "CsvTraceSource",
     "FollowCsvTraceSource",
-    "DECODERS",
     "EpochStream",
-    "PYARROW_AVAILABLE",
-    "resolve_decoder",
     "stream_epochs",
 ]

@@ -89,33 +89,6 @@ class _RowDecoder:
     def has_fees(self) -> bool:
         return self._fee_idx is not None
 
-    # Column positions, exposed for the columnar (arrow) decoder so both
-    # paths resolve duplicated headers to the same first occurrence.
-
-    @property
-    def block_index(self) -> int:
-        return self._block_idx
-
-    @property
-    def from_index(self) -> int:
-        return self._from_idx
-
-    @property
-    def to_index(self) -> int:
-        return self._to_idx
-
-    @property
-    def value_index(self) -> Optional[int]:
-        return self._value_idx
-
-    @property
-    def fee_index(self) -> Optional[int]:
-        return self._fee_idx
-
-    @property
-    def width(self) -> int:
-        return self._width
-
     def decode(
         self, line: int, row: List[str]
     ) -> Optional[Tuple[int, int, int, float, float]]:

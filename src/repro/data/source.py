@@ -35,13 +35,6 @@ import numpy as np
 
 from repro.chain.account import AccountRegistry
 from repro.chain.transaction import TransactionBatch
-from repro.data.arrow import (
-    DECODER_ARROW,
-    DECODERS,
-    ArrowDecodeAnomaly,
-    arrow_chunks,
-    resolve_decoder,
-)
 from repro.data.ethereum import EthereumTraceConfig, generate_ethereum_like_trace
 from repro.data.etl import _RowDecoder
 from repro.data.trace import EpochView, Trace
@@ -216,13 +209,10 @@ class CsvTraceSource(TraceSource):
     the skipped leading zeros, so the assembled trace is identical to
     the eager read.
 
-    ``decoder`` selects the row-decode implementation: ``"python"`` is
-    the reference :class:`_RowDecoder` loop, ``"arrow"`` the columnar
-    pyarrow fast path (:mod:`repro.data.arrow`), and ``"auto"`` picks
-    arrow exactly when pyarrow is installed. Both produce bit-identical
-    chunk streams, ids, and typed errors; the arrow path falls back to
-    (or replays through) the python path whenever it meets input it
-    cannot decode verbatim, so consumers never observe a difference.
+    ``decoder`` accepts only ``"python"`` (the :class:`_RowDecoder`
+    loop); any other value raises :class:`DataError`. It survives as a
+    one-value argument only because ``benchmarks/e2e/e2e_bench.py``
+    passes it.
     """
 
     def __init__(
@@ -230,70 +220,22 @@ class CsvTraceSource(TraceSource):
         path: Union[str, Path],
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
         registry: Optional[AccountRegistry] = None,
-        decoder: str = "auto",
+        decoder: str = "python",
     ) -> None:
         if chunk_rows < 1:
             raise DataError(f"chunk_rows must be >= 1, got {chunk_rows}")
-        if decoder not in DECODERS:
+        if decoder != "python":
             raise DataError(
-                f"decoder must be one of {DECODERS}, got {decoder!r}"
+                f"decoder must be 'python' (the only CSV decoder), "
+                f"got {decoder!r}"
             )
         self.path = Path(path)
         self.chunk_rows = int(chunk_rows)
         self.registry = registry if registry is not None else AccountRegistry()
-        self.decoder = decoder
         self.name = self.path.name
         self.peak_buffer_rows = 0
 
     def chunks(self) -> Iterator[TransactionBatch]:
-        if resolve_decoder(self.decoder) != DECODER_ARROW:
-            yield from self._python_chunks()
-            return
-        yielded = False
-        stream = arrow_chunks(self)
-        while True:
-            try:
-                chunk = next(stream)
-            except StopIteration:
-                return
-            except ArrowDecodeAnomaly as anomaly:
-                if not yielded:
-                    # Nothing emitted yet: the reference decoder takes
-                    # over seamlessly — registration is idempotent and
-                    # the arrow path registered a correct prefix in the
-                    # same first-seen order, so ids are unaffected.
-                    yield from self._python_chunks()
-                    return
-                self._raise_reference_error(anomaly)
-            else:
-                yielded = True
-                yield chunk
-
-    def _raise_reference_error(self, anomaly: ArrowDecodeAnomaly) -> None:
-        """Replay the file through the python decoder to surface its error.
-
-        Mid-stream arrow anomalies cannot name a line number; the
-        reference decode (against a throwaway registry) raises the
-        contract's typed error instead. A replay that *succeeds* means
-        the fast path rejected input the reference accepts — reported
-        explicitly rather than silently re-emitting a stream the
-        consumer already partially saw.
-        """
-        replay = CsvTraceSource(
-            self.path,
-            chunk_rows=self.chunk_rows,
-            registry=AccountRegistry(),
-            decoder="python",
-        )
-        for _ in replay.chunks():
-            pass
-        raise DataError(
-            f"{self.path}: arrow decoder aborted mid-stream ({anomaly}) but "
-            "the python decoder accepts this file; re-run with "
-            "decoder='python'"
-        ) from anomaly
-
-    def _python_chunks(self) -> Iterator[TransactionBatch]:
         senders: List[int] = []
         receivers: List[int] = []
         blocks: List[int] = []
@@ -422,11 +364,6 @@ class FollowCsvTraceSource(TraceSource):
     ``unbounded = True``: no consumer may run a sizing pass over this
     source, so the streaming engine requires ``history_epochs`` (the
     absolute history split) and metrics-only execution for it.
-
-    Tailing always decodes with the python reference decoder: the arrow
-    path decodes whole record batches from a finished file, while a
-    followed file must stop each poll at the last complete row and
-    resume mid-file.
     """
 
     unbounded = True

@@ -9,7 +9,12 @@ Public surface:
   :func:`~repro.experiments.runner.execute_cell` — execution
   (sequential or multiprocess, bit-identical);
 * aggregation helpers rendering results in the ``analysis/tables``
-  format and writing the ``BENCH_baseline.json`` snapshot.
+  format and writing the ``BENCH_baseline.json`` snapshot;
+* :func:`~repro.experiments.bench.run_bench` — the ``repro bench``
+  snapshot: Table II cell timings and digest, the smoke grid, the
+  Metis refine python-vs-jit pair and the 1M-row windowed-vs-materialised
+  memory pair. Per-layer timings of the whole epoch loop live in the
+  end-to-end benchmark (``benchmarks/e2e/``).
 """
 
 from repro.experiments.aggregate import (
@@ -23,12 +28,8 @@ from repro.experiments.bench import (
     check_against_baseline,
     compiled_env,
     delta_is_noise,
-    executor_microbench,
-    ingest_microbench,
     load_baseline,
     memory_microbench,
-    netsim_microbench,
-    reconfig_microbench,
     refine_microbench,
     run_bench,
     smoke_seconds,
@@ -77,16 +78,12 @@ __all__ = [
     "default_trace",
     "execute_cell",
     "delta_is_noise",
-    "executor_microbench",
     "grid_row_settings",
-    "ingest_microbench",
     "load_baseline",
     "matrix_table",
     "memory_microbench",
-    "netsim_microbench",
     "paper_tables_matrix",
     "preset_matrix",
-    "reconfig_microbench",
     "refine_microbench",
     "run_bench",
     "run_cell",

@@ -1,13 +1,15 @@
-"""The performance benchmark: Table II workload, microbench, and gate.
+"""The performance snapshot: Table II workload, scale checks, and gate.
 
 This module owns everything around ``BENCH_baseline.json``:
 
 * :func:`table2_matrix` — the canonical Table II-equivalent grid
   (4 methods x k = 16 x eta in {2, 5, 10} over the shared benchmark
   trace) whose wall time the snapshot records;
-* :func:`executor_microbench` — a columnar cross-shard-executor kernel
-  benchmark (batched two-phase commit + settlement over a fixed
-  synthetic workload), recorded alongside the matrix timings;
+* :func:`memory_microbench` — the 1M-row windowed-vs-materialised
+  peak-memory pair, the one scale check the end-to-end benchmark
+  (``benchmarks/e2e/``, at most 50k accounts) cannot reach;
+* :func:`refine_microbench` — one full Metis partition, python loops
+  vs numba kernels, the evidence for the compiled refinement path;
 * :func:`run_bench` — regenerate the snapshot (the ``repro bench``
   subcommand), preserving the previous snapshot as the reference so
   the speedup series stays comparable across PRs;
@@ -15,6 +17,10 @@ This module owns everything around ``BENCH_baseline.json``:
   measured wall time regresses more than ``threshold``x against the
   committed snapshot (3x by default — far above machine jitter, tight
   enough to catch accidental de-vectorisation).
+
+Per-layer timings of the whole epoch loop (executor, message bus,
+beacon commit, state movement, CSV decode) live in the end-to-end
+benchmark, not here.
 """
 
 from __future__ import annotations
@@ -24,8 +30,6 @@ import time
 from pathlib import Path
 from statistics import median
 from typing import Dict, List, Optional, Tuple, Union
-
-import numpy as np
 
 from repro.data.ethereum import EthereumTraceConfig, generate_ethereum_like_trace
 from repro.errors import ExperimentError
@@ -59,150 +63,6 @@ def table2_matrix() -> ScenarioMatrix:
     )
 
 
-def executor_microbench(
-    n_accounts: int = 50_000,
-    k: int = 16,
-    n_transfers: int = 200_000,
-    n_blocks: int = 100,
-    seed: int = 0,
-) -> float:
-    """Wall seconds for the batched executor kernel workload.
-
-    Funds a universe (columnar, untimed), executes a block-ordered
-    transfer batch through the columnar two-phase committer and settles
-    every receipt. At the million-account scale the dense store's
-    direct-indexed gather/scatter is what keeps this flat. The result
-    feeds the snapshot's ``kernel_seconds*`` entries and the CI gate.
-    """
-    from repro.chain.crossshard import CrossShardExecutor
-    from repro.chain.mapping import ShardMapping
-    from repro.chain.state import StateRegistry
-    from repro.chain.transaction import TransactionBatch
-
-    rng = np.random.default_rng(seed)
-    assignment = rng.integers(0, k, size=n_accounts)
-    batch = TransactionBatch(
-        rng.integers(0, n_accounts, size=n_transfers),
-        rng.integers(0, n_accounts, size=n_transfers),
-        np.sort(rng.integers(0, n_blocks, size=n_transfers)),
-        rng.integers(1, 5, size=n_transfers).astype(np.float64),
-    )
-    executor = CrossShardExecutor(
-        StateRegistry(k=k, n_accounts=n_accounts),
-        ShardMapping(assignment, k=k),
-    )
-    executor.fund_many(np.arange(n_accounts, dtype=np.int64), 1_000.0)
-    started = time.perf_counter()
-    executor.execute_batch(batch)
-    executor.settle_all(n_blocks)
-    return time.perf_counter() - started
-
-
-def netsim_microbench(
-    mode: str = "direct",
-    n_accounts: int = 20_000,
-    k: int = 16,
-    n_transfers: int = 100_000,
-    n_blocks: int = 400,
-    seed: int = 0,
-    repeats: int = 3,
-) -> float:
-    """Median wall seconds for the executor workload under a message bus.
-
-    Runs the same block-ordered cross-shard transfer batch (execute +
-    full settlement) three ways: ``mode="direct"`` bypasses the network
-    layer entirely (``network=None``), ``mode="ideal"`` routes every
-    receipt through the null :class:`~repro.chain.netsim.NetworkModel`
-    (counters only, no event heap — contractually bit-identical to the
-    direct path), and ``mode="wan"`` through the seeded degraded-WAN
-    preset (latency, drops, duplicates, retransmissions, refunds). The
-    workload is rebuilt untimed before each of ``repeats`` timed runs;
-    the median feeds the snapshot's ``netsim_seconds_{direct,ideal,wan}``
-    entries and the derived ``netsim_overhead_{ideal,wan}`` ratios the
-    perf gate budgets (the ideal bus must stay within 1.1x of direct).
-    """
-    from repro.chain.crossshard import CrossShardExecutor
-    from repro.chain.mapping import ShardMapping
-    from repro.chain.netsim import NetworkModel
-    from repro.chain.state import StateRegistry
-    from repro.chain.transaction import TransactionBatch
-
-    if mode not in ("direct", "ideal", "wan"):
-        raise ExperimentError(
-            f"mode must be 'direct', 'ideal' or 'wan', got {mode!r}"
-        )
-    rng = np.random.default_rng(seed)
-    assignment = rng.integers(0, k, size=n_accounts)
-    batch = TransactionBatch(
-        rng.integers(0, n_accounts, size=n_transfers),
-        rng.integers(0, n_accounts, size=n_transfers),
-        np.sort(rng.integers(0, n_blocks, size=n_transfers)),
-        rng.integers(1, 5, size=n_transfers).astype(np.float64),
-    )
-    timings = []
-    for _ in range(max(1, repeats)):
-        network = (
-            None if mode == "direct" else NetworkModel(mode, seed=seed)
-        )
-        executor = CrossShardExecutor(
-            StateRegistry(k=k, n_accounts=n_accounts),
-            ShardMapping(assignment.copy(), k=k),
-            relay_delay_blocks=1,
-            network=network,
-        )
-        executor.fund_many(np.arange(n_accounts, dtype=np.int64), 1_000.0)
-        started = time.perf_counter()
-        executor.execute_batch(batch)
-        executor.settle_all(n_blocks)
-        timings.append(time.perf_counter() - started)
-    return median(timings)
-
-
-def reconfig_microbench(
-    n_accounts: int = 1_000_000,
-    k: int = 16,
-    seed: int = 0,
-    move_fraction: float = 1.0,
-) -> float:
-    """Wall seconds for one full-repartition reconfiguration (executed mode).
-
-    Builds a funded universe under a random mapping, draws a
-    metis-style full repartition (every account re-assigned uniformly,
-    so ~(k-1)/k of the universe moves), and times the complete
-    reconfiguration pipeline: request construction, beacon submission,
-    the uncapped commitment round, mapping sync, and account state
-    movement between the shard stores. The result feeds the snapshot's
-    ``reconfig_seconds_batch_1m`` entry and the CI gate.
-    """
-    from repro.chain.beacon import BeaconChain
-    from repro.chain.crossshard import CrossShardExecutor
-    from repro.chain.epoch import EpochReconfigurator
-    from repro.chain.mapping import ShardMapping
-    from repro.chain.migration import MigrationRequestBatch
-    from repro.chain.state import StateRegistry
-
-    rng = np.random.default_rng(seed)
-    mapping = ShardMapping(rng.integers(0, k, size=n_accounts), k=k)
-    registry = StateRegistry(k=k, n_accounts=n_accounts)
-    executor = CrossShardExecutor(registry, mapping)
-    executor.fund_many(np.arange(n_accounts, dtype=np.int64), 100.0)
-
-    target = rng.integers(0, k, size=n_accounts, dtype=np.int64)
-    moved = np.flatnonzero(target != mapping.as_array())
-    if move_fraction < 1.0:
-        moved = moved[: int(len(moved) * move_fraction)]
-    from_shards = mapping.as_array()[moved].copy()
-    to_shards = target[moved]
-    beacon = BeaconChain()
-    reconfigurator = EpochReconfigurator(beacon, executor=executor)
-
-    started = time.perf_counter()
-    beacon.submit_batch(MigrationRequestBatch(moved, from_shards, to_shards))
-    beacon.commit_epoch(epoch=0, capacity=None, mapping=mapping)
-    reconfigurator.run(0, mapping)
-    return time.perf_counter() - started
-
-
 def delta_is_noise(
     delta: Optional[float], spread: Optional[float]
 ) -> bool:
@@ -220,18 +80,15 @@ def delta_is_noise(
     return abs(delta) <= spread
 
 
-def _valued_extract(
-    n_rows: int, path: Optional[Union[str, Path]] = None
-) -> Path:
+def _valued_extract(n_rows: int) -> Path:
     """Write (or reuse) the benchmark's valued ``n_rows`` CSV extract.
 
     Sized from the row count so the file carries real value/fee columns
-    like the ethereum-etl extracts the streamed paths target. When
-    ``path`` is omitted the file is cached in the system temp dir under
-    a config-keyed name: keyed on the generating config, not just the
-    row count, so a stale file from another code version (different
-    schema or value model) is never silently reused. An explicit path
-    is always (re)written, since its contents could be anything.
+    like the ethereum-etl extracts the streamed engine targets. The
+    file is cached in the system temp dir under a config-keyed name:
+    keyed on the generating config, not just the row count, so a stale
+    file from another code version (different schema or value model) is
+    never silently reused.
     """
     import hashlib
     import tempfile
@@ -248,67 +105,14 @@ def _valued_extract(
         seed=7,
         value_model=ValueModelConfig(fee_fraction=0.01),
     )
-    if path is None:
-        config_key = hashlib.sha256(repr(config).encode()).hexdigest()[:12]
-        path = (
-            Path(tempfile.gettempdir())
-            / f"repro_ingest_bench_{n_rows}_{config_key}.csv"
-        )
-        if path.exists():
-            return path
-    else:
-        path = Path(path)
-    write_transactions_csv(path, generate_ethereum_like_trace(config))
+    config_key = hashlib.sha256(repr(config).encode()).hexdigest()[:12]
+    path = (
+        Path(tempfile.gettempdir())
+        / f"repro_bench_extract_{n_rows}_{config_key}.csv"
+    )
+    if not path.exists():
+        write_transactions_csv(path, generate_ethereum_like_trace(config))
     return path
-
-
-def ingest_microbench(
-    n_rows: int = 1_000_000,
-    mode: str = "streamed",
-    chunk_rows: int = 65_536,
-    path: Optional[Union[str, Path]] = None,
-) -> float:
-    """Wall seconds to ingest an ``n_rows`` ethereum-etl CSV into a Trace.
-
-    Writes the benchmark extract untimed — cached in the system temp
-    dir under a config-keyed name when ``path`` is omitted, always
-    freshly written when an explicit ``path`` is given — then times the
-    decode:
-    ``mode="materialised"`` is the eager reader
-    (:func:`repro.data.etl.read_transactions_csv`, whole-file Python
-    lists then one sort), ``mode="streamed"`` the chunked bounded-memory
-    :class:`~repro.data.source.CsvTraceSource` decode, and
-    ``mode="arrow"`` the same chunked source through the pyarrow
-    columnar decoder (requires pyarrow). The results feed the
-    snapshot's ``ingest_seconds_{materialised,streamed,arrow}_1m``
-    entries and the CI gate.
-    """
-    from repro.data.etl import read_transactions_csv
-    from repro.data.source import CsvTraceSource
-
-    if mode not in ("streamed", "materialised", "arrow"):
-        raise ExperimentError(
-            f"mode must be 'streamed', 'materialised' or 'arrow', "
-            f"got {mode!r}"
-        )
-    path = _valued_extract(n_rows, path)
-    # Untimed warm read: both modes measure decode work against a warm
-    # page cache, so timing order cannot bias the comparison.
-    with path.open("rb") as handle:
-        while handle.read(1 << 24):
-            pass
-    started = time.perf_counter()
-    if mode == "streamed":
-        CsvTraceSource(
-            path, chunk_rows=chunk_rows, decoder="python"
-        ).materialise()
-    elif mode == "arrow":
-        CsvTraceSource(
-            path, chunk_rows=chunk_rows, decoder="arrow"
-        ).materialise()
-    else:
-        read_transactions_csv(path)
-    return time.perf_counter() - started
 
 
 def memory_microbench(
@@ -316,7 +120,6 @@ def memory_microbench(
     mode: str = "windowed",
     chunk_rows: int = 65_536,
     history_epochs: int = 4,
-    path: Optional[Union[str, Path]] = None,
 ) -> float:
     """Peak traced allocation (MB) for a metrics run over ``n_rows`` rows.
 
@@ -348,7 +151,7 @@ def memory_microbench(
         raise ExperimentError(
             f"mode must be 'windowed' or 'materialised', got {mode!r}"
         )
-    csv_path = _valued_extract(n_rows, path)
+    csv_path = _valued_extract(n_rows)
     # tau sized for ~40 evaluation epochs at any row count, so the
     # window the streaming engine holds shrinks relative to the file as
     # n_rows grows — exactly the regime the O(window) claim is about.
@@ -358,7 +161,7 @@ def memory_microbench(
         params=ProtocolParams(k=8, tau=tau, seed=7),
         history_epochs=history_epochs,
     )
-    source = CsvTraceSource(csv_path, chunk_rows=chunk_rows, decoder="python")
+    source = CsvTraceSource(csv_path, chunk_rows=chunk_rows)
     tracemalloc.start()
     try:
         data = source if mode == "windowed" else source.materialise()
@@ -406,17 +209,14 @@ def compiled_env() -> Dict[str, str]:
 
     The dict feeds the snapshot's ``compiled`` entry and the
     ``repro bench --env`` report, so a recorded timing always says
-    whether it was measured with the jitted kernels / arrow decoder or
-    on the pure-python reference paths.
+    whether it was measured with the jitted Metis kernels or on the
+    pure-python reference loops.
     """
     from repro.allocation.metis_like import kernels
-    from repro.data import arrow
 
     return {
         "numba": kernels.numba_version(),
-        "pyarrow": arrow.pyarrow_version(),
         "metis_kernels": "jit" if kernels.NUMBA_AVAILABLE else "python",
-        "csv_decoder": "arrow" if arrow.PYARROW_AVAILABLE else "python",
     }
 
 
@@ -563,20 +363,6 @@ def run_bench(
         for label, timings in cell_runs.items()
     }
     total_seconds = sum(cell_seconds.values())
-    kernel_seconds = executor_microbench()
-    # Best of two for the 1M-account entry: the first run pays one-off
-    # page faults for the preallocated state columns, which is
-    # allocator warmup, not kernel time.
-    kernel_dense_1m = min(
-        executor_microbench(n_accounts=1_000_000) for _ in range(2)
-    )
-    # Best of two (the first run pays dense-column page faults).
-    reconfig_batch_1m = min(reconfig_microbench() for _ in range(2))
-    # The CSV is written once (untimed) and shared by both modes; each
-    # timed decode is preceded by an untimed warm read of the file, so
-    # ordering cannot hand either mode a page-cache advantage.
-    ingest_materialised_1m = ingest_microbench(mode="materialised")
-    ingest_streamed_1m = ingest_microbench(mode="streamed")
     env = compiled_env()
     refine_python = refine_microbench(compiled=False)
     refine_jit = (
@@ -584,16 +370,6 @@ def run_bench(
         if env["metis_kernels"] == "jit"
         else None
     )
-    ingest_arrow_1m = (
-        ingest_microbench(mode="arrow")
-        if env["csv_decoder"] == "arrow"
-        else None
-    )
-    # The netsim trio shares one workload; each mode is a median of 3
-    # fresh-executor runs, so the overhead ratios compare like to like.
-    netsim_direct = netsim_microbench(mode="direct")
-    netsim_ideal = netsim_microbench(mode="ideal")
-    netsim_wan = netsim_microbench(mode="wan")
     smoke = smoke_seconds(repeats=BENCH_REPEATS)
     # One extra matrix pass with memory tracking, outside the timing
     # repeats: tracemalloc slows cells noticeably, so peaks must never
@@ -617,25 +393,10 @@ def run_bench(
         "sequential timings unless workers > 1; digest is worker-invariant",
         f"cell_seconds are medians over {BENCH_REPEATS} full matrix runs; "
         "cell_spread is each cell's (max-min)/median across the repeats",
-        "kernel_seconds: columnar cross-shard executor microbenchmark",
-        "kernel_seconds_dense_1m: the same executor workload over a "
-        "1M-account universe",
-        "reconfig_seconds_batch_1m: metis-style full repartition of a "
-        "1M-account executed universe (beacon commit + state movement)",
-        "ingest_seconds_{materialised,streamed}_1m: decode a 1M-row "
-        "valued ethereum-etl CSV into a Trace, eager reader vs chunked "
-        "bounded-memory CsvTraceSource (python reference decoder)",
-        "ingest_seconds_arrow_1m: the same chunked decode through the "
-        "pyarrow columnar fast path (recorded only when pyarrow is "
-        "installed)",
         "refine_seconds_{python,jit}: one full multilevel partition of "
         "the benchmark account graph, reference loops vs numba kernels "
         "(jit recorded only when numba is installed); bit-identical "
         "assignments either way",
-        "netsim_seconds_{direct,ideal,wan}: the executor workload with "
-        "no network layer vs the ideal null bus vs the degraded-WAN "
-        "model (median of 3); netsim_overhead_{ideal,wan} are the "
-        "ratios against direct — the gate budgets ideal at <= 1.1x",
         f"smoke_seconds: the 2x2 CI smoke grid (median of {BENCH_REPEATS})",
         "cell_peak_mb: per-cell peak traced allocation (MB), measured on "
         "one extra untimed matrix pass so tracemalloc never skews the "
@@ -666,21 +427,9 @@ def run_bench(
                 float(ref_total) / total_seconds, 2
             )
     payload["compiled"] = env
-    payload["kernel_seconds"] = round(kernel_seconds, 3)
-    payload["kernel_seconds_dense_1m"] = round(kernel_dense_1m, 3)
-    payload["reconfig_seconds_batch_1m"] = round(reconfig_batch_1m, 3)
-    payload["ingest_seconds_materialised_1m"] = round(ingest_materialised_1m, 3)
-    payload["ingest_seconds_streamed_1m"] = round(ingest_streamed_1m, 3)
     payload["refine_seconds_python"] = round(refine_python, 3)
     if refine_jit is not None:
         payload["refine_seconds_jit"] = round(refine_jit, 3)
-    if ingest_arrow_1m is not None:
-        payload["ingest_seconds_arrow_1m"] = round(ingest_arrow_1m, 3)
-    payload["netsim_seconds_direct"] = round(netsim_direct, 3)
-    payload["netsim_seconds_ideal"] = round(netsim_ideal, 3)
-    payload["netsim_seconds_wan"] = round(netsim_wan, 3)
-    payload["netsim_overhead_ideal"] = round(netsim_ideal / netsim_direct, 3)
-    payload["netsim_overhead_wan"] = round(netsim_wan / netsim_direct, 3)
     payload["smoke_seconds"] = round(smoke, 3)
     payload["cell_peak_mb"] = {
         label: round(peak, 1) for label, peak in cell_peak_mb.items()

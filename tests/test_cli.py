@@ -130,6 +130,14 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "streaming" in out
+        assert "decoder" not in out
+
+    def test_bench_env_reports_numba_only(self, capsys):
+        assert main(["bench", "--env"]) == 0
+        out = capsys.readouterr().out
+        assert "metis kernels" in out
+        assert "fast extra" in out
+        assert "csv" not in out and "arrow" not in out
 
     def test_simulate_unknown_method(self, capsys):
         code = main(["simulate", "--method", "nope"])

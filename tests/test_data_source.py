@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chain.account import AccountRegistry
 from repro.chain.transaction import TransactionBatch
 from repro.data import (
     CsvTraceSource,
@@ -27,7 +28,13 @@ from repro.data import (
     stream_epochs,
     write_transactions_csv,
 )
-from repro.errors import DataError, MalformedRowError
+from repro.errors import DataError, MalformedRowError, ValidationError
+
+ADDR_A = "0x" + "aa" * 20
+ADDR_B = "0x" + "bb" * 20
+ADDR_C = "0x" + "cc" * 20
+
+HEADER = "hash,block_number,from_address,to_address,value"
 
 
 def valued_config(**overrides):
@@ -40,6 +47,11 @@ def valued_config(**overrides):
     )
     defaults.update(overrides)
     return EthereumTraceConfig(**defaults)
+
+
+def write_csv(path, lines):
+    path.write_text("\n".join([HEADER] + list(lines)) + "\n")
+    return path
 
 
 def assert_batches_equal(a: TransactionBatch, b: TransactionBatch) -> None:
@@ -182,6 +194,90 @@ class TestCsvSource:
         reference, _ = read_transactions_csv(path)
         streamed = CsvTraceSource(path, chunk_rows=chunk_rows).materialise()
         assert_batches_equal(streamed.batch, reference.batch)
+
+
+class TestDecoderKnob:
+    def test_source_rejects_unknown_decoder(self, tmp_path):
+        """``"python"`` is the one decoder; the retired ``"arrow"`` and
+        ``"auto"`` are as unknown as any other name."""
+        path = write_csv(
+            tmp_path / "t.csv", [f"0x0,1,{ADDR_A},{ADDR_B},5.0"]
+        )
+        assert len(CsvTraceSource(path, decoder="python").materialise()) == 1
+        for unknown in ("columnar", "arrow", "auto"):
+            with pytest.raises(DataError, match="python"):
+                CsvTraceSource(path, decoder=unknown)
+
+
+class TestErrorFixturesPythonPath:
+    """Typed errors and row skips of the CSV decoder on small fixtures."""
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(DataError, match="empty"):
+            list(CsvTraceSource(path).chunks())
+
+    def test_header_only_yields_nothing(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text(HEADER + "\n")
+        assert list(CsvTraceSource(path).chunks()) == []
+
+    def test_malformed_block_names_line(self, tmp_path):
+        path = write_csv(
+            tmp_path / "bad.csv",
+            [
+                f"0x0,1,{ADDR_A},{ADDR_B},5.0",
+                f"0x1,oops,{ADDR_A},{ADDR_C},1.0",
+            ],
+        )
+        with pytest.raises(MalformedRowError, match=r"\.csv:3: "):
+            list(CsvTraceSource(path).chunks())
+
+    def test_out_of_order_block_names_line(self, tmp_path):
+        path = write_csv(
+            tmp_path / "ooo.csv",
+            [
+                f"0x0,9,{ADDR_A},{ADDR_B},5.0",
+                f"0x1,3,{ADDR_A},{ADDR_C},1.0",
+            ],
+        )
+        with pytest.raises(MalformedRowError, match="out of order"):
+            list(CsvTraceSource(path).chunks())
+
+    def test_invalid_address_raises_validation_error(self, tmp_path):
+        path = write_csv(
+            tmp_path / "addr.csv",
+            [f"0x0,1,{ADDR_A},0x1234,5.0"],
+        )
+        with pytest.raises(ValidationError):
+            list(CsvTraceSource(path).chunks())
+
+    def test_negative_value_names_line(self, tmp_path):
+        path = write_csv(
+            tmp_path / "neg.csv",
+            [f"0x0,1,{ADDR_A},{ADDR_B},-2.0"],
+        )
+        with pytest.raises(MalformedRowError, match=r"\.csv:2: "):
+            list(CsvTraceSource(path).chunks())
+
+    def test_skips_contract_creations_and_self_transfers(self, tmp_path):
+        path = write_csv(
+            tmp_path / "skip.csv",
+            [
+                f"0x0,1,{ADDR_A},,5.0",  # contract creation: skipped
+                f"0x1,1,{ADDR_A},{ADDR_A},5.0",  # self-transfer: skipped
+                f"0x2,2,{ADDR_A},{ADDR_B},5.0",
+            ],
+        )
+        registry = AccountRegistry()
+        source = CsvTraceSource(path, registry=registry)
+        chunks = list(source.chunks())
+        assert sum(len(c) for c in chunks) == 1
+        # Self-transfer endpoints register even though the row is
+        # dropped, so ids match the eager reader's.
+        assert registry.id_of(ADDR_A) == 0
+        assert registry.id_of(ADDR_B) == 1
 
 
 class TestEpochStream:

