@@ -1,23 +1,17 @@
 """Coarsening phase: heavy-edge matching and graph contraction.
 
-The multilevel driver runs on the CSR representation
-(:func:`coarsen_level_csr`); the dict-based public functions keep their
-original signatures and delegate through the CSR implementations.
+Both steps run on the CSR representation: the multilevel driver calls
+:func:`coarsen_level_csr`, which matches with
+:func:`heavy_edge_matching_csr` and contracts with :func:`contract_csr`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.allocation.metis_like.csr import (
-    CsrAdjacency,
-    adjacency_from_csr,
-    csr_from_adjacency,
-)
-
-Adjacency = List[Dict[int, float]]
+from repro.allocation.metis_like.csr import CsrAdjacency
 
 #: Below this many directed edges the scalar matching loop beats the
 #: vectorised candidate pass (fixed numpy overhead per level).
@@ -178,18 +172,6 @@ def heavy_edge_matching_csr(
     return np.array(match, dtype=np.int64)
 
 
-def heavy_edge_matching(
-    adjacency: Adjacency,
-    vertex_weights: np.ndarray,
-    rng: np.random.Generator,
-    max_vertex_weight: float,
-) -> np.ndarray:
-    """Dict-adjacency wrapper around :func:`heavy_edge_matching_csr`."""
-    return heavy_edge_matching_csr(
-        csr_from_adjacency(adjacency), vertex_weights, rng, max_vertex_weight
-    )
-
-
 def contract_csr(
     csr: CsrAdjacency,
     vertex_weights: np.ndarray,
@@ -247,18 +229,6 @@ def contract_csr(
         coarse_weights,
         fine_to_coarse,
     )
-
-
-def contract(
-    adjacency: Adjacency,
-    vertex_weights: np.ndarray,
-    match: np.ndarray,
-) -> Tuple[Adjacency, np.ndarray, np.ndarray]:
-    """Dict-adjacency wrapper around :func:`contract_csr`."""
-    coarse_csr, coarse_weights, fine_to_coarse = contract_csr(
-        csr_from_adjacency(adjacency), vertex_weights, match
-    )
-    return adjacency_from_csr(coarse_csr), coarse_weights, fine_to_coarse
 
 
 def coarsen_level_csr(

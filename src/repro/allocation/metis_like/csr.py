@@ -2,10 +2,10 @@
 
 The partitioner's hot loops (refinement, contraction, cut accounting)
 run on a compressed-sparse-row view of each level instead of the
-list-of-dicts adjacency the public helpers accept. Both representations
+list-of-dicts adjacency the public helpers accept
+(:func:`csr_from_adjacency` converts it loss-free). Both representations
 describe the same undirected graph: every undirected edge appears twice
-in the directed CSR stream, neighbours are sorted within each row, and
-conversion in either direction is loss-free.
+in the directed CSR stream and neighbours are sorted within each row.
 """
 
 from __future__ import annotations
@@ -55,31 +55,6 @@ def csr_from_adjacency(adjacency: AdjacencyLike) -> CsrAdjacency:
             order
         ]
     return CsrAdjacency(indptr, indices, weights)
-
-
-def adjacency_from_csr(csr: CsrAdjacency) -> Adjacency:
-    """Materialise the list-of-dicts view (coarsest-level / test helper)."""
-    return [
-        dict(
-            zip(
-                csr.indices[csr.indptr[u] : csr.indptr[u + 1]].tolist(),
-                csr.weights[csr.indptr[u] : csr.indptr[u + 1]].tolist(),
-            )
-        )
-        for u in range(csr.n)
-    ]
-
-
-def connection_matrix(csr: CsrAdjacency, assignment: np.ndarray, k: int) -> np.ndarray:
-    """``(n, k)`` connection weight of every vertex to every part.
-
-    One scatter pass over the directed edge stream — the vectorised
-    equivalent of walking each vertex's neighbour dict.
-    """
-    keys = csr.row_index() * k + assignment[csr.indices]
-    return np.bincount(keys, weights=csr.weights, minlength=csr.n * k).reshape(
-        csr.n, k
-    )
 
 
 def connection_row(

@@ -33,7 +33,7 @@ from repro.data.ethereum import EthereumTraceConfig, generate_ethereum_like_trac
 from repro.data.etl import write_transactions_csv
 from repro.errors import ReproError
 from repro.sim.engine import Simulation, SimulationConfig
-from repro.sim.recorder import summarize_results
+from repro.sim.recorder import SUMMARY_METRICS, summarize_results
 from repro.sim.scenario import DEFAULT_METHODS, SCENARIOS, get_scenario, run_comparison
 from repro.util.formatting import format_bytes, format_seconds, render_table
 
@@ -259,20 +259,10 @@ def _command_matrix(args: argparse.Namespace) -> int:
         write_result_json,
     )
 
-    valid_metrics = (
-        "mean_normalized_throughput",
-        "mean_cross_shard_ratio",
-        "mean_workload_deviation",
-        "mean_unit_time",
-        "mean_input_bytes",
-        "total_executed_transactions",
-        "total_settled_volume",
-        "total_overdraft_aborts",
-    )
-    if args.metric not in valid_metrics:
+    if args.metric not in SUMMARY_METRICS:
         print(
             f"error: unknown metric {args.metric!r}; "
-            f"available: {', '.join(valid_metrics)}",
+            f"available: {', '.join(SUMMARY_METRICS)}",
             file=sys.stderr,
         )
         return 2

@@ -6,9 +6,10 @@ plus whatever future transactions it expects. From that local data and a
 downloaded workload snapshot it runs Pilot and, when beneficial, emits a
 migration request.
 
-The class also accounts for the client's input data size (its ``T_nu``
-plus the ``k`` floats of ``Omega``), the quantity Table IV reports as
-228.66 bytes per account on the paper's dataset.
+The class also accounts for the client's storage footprint (its
+``T_nu`` plus the ``k`` floats of ``Omega``). Table IV's per-run input
+size is measured by the allocator instead
+(``MosaicAllocator._mean_pilot_input_bytes``).
 """
 
 from __future__ import annotations
@@ -121,20 +122,6 @@ class Client:
         """
         records = (len(self._history) + len(self._expected)) * TX_RECORD_BYTES
         return records + k * OMEGA_ENTRY_BYTES
-
-    def pilot_input_bytes(self, mapping: ShardMapping) -> float:
-        """Bytes one Pilot run actually consumes (Table IV's input size).
-
-        The algorithm reads the sparse interaction distribution ``Psi``
-        (shard id + count per non-zero entry), the ``k``-float workload
-        vector, and a few scalars — hundreds of bytes in total.
-        """
-        from repro.core.interaction import interaction_distribution
-
-        psi = interaction_distribution(self.account, self.history, mapping)
-        psi += interaction_distribution(self.account, self.expected, mapping)
-        nonzero = int((psi > 0).sum())
-        return mapping.k * OMEGA_ENTRY_BYTES + nonzero * 10 + 16
 
     def __repr__(self) -> str:
         return (

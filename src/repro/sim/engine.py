@@ -36,6 +36,14 @@ both the effectiveness metrics and the executed-value metrics
 ``in_flight_receipts``, ``overdraft_aborts``). The metrics path is
 byte-for-byte the code that runs with the flag off, so effectiveness
 numbers are bit-identical between the two modes.
+
+**Telemetry.** Everything else the substrate measures per epoch — bus
+traffic, drops, retransmissions, refunds, receipt staleness,
+conservation drift, compactions — goes into one channel,
+:attr:`EpochRecord.counters`, keyed by layer (``chain.netsim.*``,
+``chain.crossshard.*``, ``chain.state.*``). A new counter is one
+``counters`` write plus, if the summary should report it, one row of
+:data:`repro.sim.recorder.NETWORK_SUMMARY`.
 """
 
 from __future__ import annotations
@@ -232,6 +240,13 @@ class EpochRecord:
     substrate's view of the same epoch: transfers actually committed,
     value settled by receipt deposits, receipts still in flight at the
     epoch boundary, and transfers aborted on insufficient balance.
+
+    ``counters`` is the substrate's telemetry channel: layer-named
+    counters such as ``chain.netsim.retransmissions`` or
+    ``chain.state.compactions``, written by :class:`ExecutionSubstrate`
+    for every executed epoch and empty in metrics-only runs. The
+    run summary reduces them through
+    :data:`repro.sim.recorder.NETWORK_SUMMARY`.
     """
 
     epoch: int
@@ -249,30 +264,7 @@ class EpochRecord:
     settled_volume: float = 0.0
     in_flight_receipts: int = 0
     overdraft_aborts: int = 0
-    #: Message-plane observability (zero defaults in metrics-only runs;
-    #: populated whenever the unified engine drives a network model —
-    #: the ideal model counts traffic too, it just never degrades it).
-    delivered_messages: int = 0
-    dropped_messages: int = 0
-    retransmissions: int = 0
-    duplicate_deliveries: int = 0
-    timeout_refunds: int = 0
-    receipt_staleness_p50: float = 0.0
-    receipt_staleness_p99: float = 0.0
-    confirmation_latency_blocks: float = 0.0
-    #: |total_value - genesis_supply| at the epoch boundary, checked
-    #: only under a non-ideal network (the lossy refund/dedup paths are
-    #: the ones worth auditing every epoch; the ideal path is pinned by
-    #: the conservation property suite instead).
-    conservation_drift: float = 0.0
-    #: Slot telemetry (zero defaults in metrics-only runs; executed
-    #: runs carry the registry's post-epoch fragmentation ratio, slot
-    #: occupancy, and the column bytes reclaimed / stores compacted by
-    #: this epoch's slack-gated compaction pass, if any).
-    state_fragmentation: float = 0.0
-    state_occupancy: float = 0.0
-    state_compacted_bytes: float = 0.0
-    state_compactions: int = 0
+    counters: Dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -360,62 +352,27 @@ class SimulationResult:
             return 0
         return self.records[-1].in_flight_receipts
 
-    # -- message-plane aggregates (zero without a network model) ---------------
+    # -- counter views (zero without execution) -------------------------------
+
+    def counter_total(self, key: str) -> int:
+        """``counters[key]`` summed over every record (absent counts 0)."""
+        return int(sum(r.counters.get(key, 0) for r in self.records))
 
     @property
     def total_delivered_messages(self) -> int:
-        return int(sum(r.delivered_messages for r in self.records))
+        return self.counter_total("chain.netsim.delivered_messages")
 
     @property
     def total_dropped_messages(self) -> int:
-        return int(sum(r.dropped_messages for r in self.records))
+        return self.counter_total("chain.netsim.dropped_messages")
 
     @property
     def total_retransmissions(self) -> int:
-        return int(sum(r.retransmissions for r in self.records))
-
-    @property
-    def total_duplicate_deliveries(self) -> int:
-        return int(sum(r.duplicate_deliveries for r in self.records))
+        return self.counter_total("chain.netsim.retransmissions")
 
     @property
     def total_timeout_refunds(self) -> int:
-        return int(sum(r.timeout_refunds for r in self.records))
-
-    @property
-    def mean_confirmation_latency_blocks(self) -> float:
-        return self._mean("confirmation_latency_blocks")
-
-    @property
-    def max_receipt_staleness_p99(self) -> float:
-        if not self.records:
-            return 0.0
-        return max(r.receipt_staleness_p99 for r in self.records)
-
-    @property
-    def max_conservation_drift(self) -> float:
-        if not self.records:
-            return 0.0
-        return max(r.conservation_drift for r in self.records)
-
-
-@dataclass
-class _EpochExecution:
-    """Substrate-side measurements of one executed epoch."""
-
-    executed_transactions: int = 0
-    settled_volume: float = 0.0
-    in_flight_receipts: int = 0
-    overdraft_aborts: int = 0
-    delivered_messages: int = 0
-    dropped_messages: int = 0
-    retransmissions: int = 0
-    duplicate_deliveries: int = 0
-    timeout_refunds: int = 0
-    receipt_staleness_p50: float = 0.0
-    receipt_staleness_p99: float = 0.0
-    confirmation_latency_blocks: float = 0.0
-    conservation_drift: float = 0.0
+        return self.counter_total("chain.netsim.timeout_refunds")
 
 
 class ExecutionSubstrate:
@@ -505,27 +462,35 @@ class ExecutionSubstrate:
         self.mapping.assign_many(accounts, shards)
         self.executor.apply_migration_batch(accounts, shards)
 
-    def execute_epoch(self, batch: TransactionBatch) -> _EpochExecution:
-        """Run the epoch's transfers; return the executed-value metrics."""
-        from repro.chain.netsim import MSG_GOSSIP, OMEGA_ENTRY_BYTES
-        from repro.sim.metrics import staleness_percentiles
+    def execute_epoch(
+        self, batch: TransactionBatch, counters: Dict[str, float]
+    ) -> Tuple[int, float, int, int]:
+        """Run the epoch's transfers and write its telemetry to ``counters``.
 
-        stats = _EpochExecution()
-        latency_sum = 0
-        latency_count = 0
-        last_block = 0
+        Returns the executed-value metrics: transfers executed, value
+        settled, receipts in flight, overdraft aborts. The bus counters
+        are always written (the ideal model counts traffic too, it just
+        never degrades it); receipt staleness and the conservation
+        drift (|total value - genesis supply|) only under a non-ideal
+        network, whose refund and dedup paths are the ones worth
+        auditing every epoch.
+        """
+        from repro.chain.netsim import MSG_GOSSIP, OMEGA_ENTRY_BYTES
+        from repro.sim.metrics import staleness_p99
+
+        executed = aborts = duplicates = refunds = 0
+        settled = 0.0
+        latency_sum = latency_count = last_block = 0
         for report in self.ledger.execute_epoch(batch):
-            stats.executed_transactions += (
-                report.intra_executed + report.withdraws
-            )
-            stats.settled_volume += report.settled_value
-            stats.overdraft_aborts += report.failed
-            stats.duplicate_deliveries += report.duplicates_deduped
-            stats.timeout_refunds += report.refunds_settled
+            executed += report.intra_executed + report.withdraws
+            settled += report.settled_value
+            aborts += report.failed
+            duplicates += report.duplicates_deduped
+            refunds += report.refunds_settled
             latency_sum += sum(report.relay_latencies)
             latency_count += len(report.relay_latencies)
             last_block = report.block
-        stats.in_flight_receipts = self.executor.in_flight_count()
+        in_flight = self.executor.in_flight_count()
 
         # Workload-vector gossip: each shard floods its Omega entries to
         # every other shard once per epoch (the traffic clients' Omega
@@ -543,27 +508,33 @@ class ExecutionSubstrate:
             size_bytes=float(OMEGA_ENTRY_BYTES * k),
         )
 
-        sent, delivered, dropped, retrans, dups, expired = bus.stats.snapshot()
-        m_sent, m_delivered, m_dropped, m_retrans, m_dups, m_expired = (
-            self._bus_mark
-        )
-        stats.delivered_messages = delivered - m_delivered
-        stats.dropped_messages = dropped - m_dropped
-        stats.retransmissions = retrans - m_retrans
+        _, delivered, dropped, retrans, _, _ = bus.stats.snapshot()
+        _, m_delivered, m_dropped, m_retrans, _, _ = self._bus_mark
         self._bus_mark = bus.stats.snapshot()
-
-        if latency_count:
-            stats.confirmation_latency_blocks = latency_sum / latency_count
+        counters.update(
+            {
+                "chain.netsim.delivered_messages": delivered - m_delivered,
+                "chain.netsim.dropped_messages": dropped - m_dropped,
+                "chain.netsim.retransmissions": retrans - m_retrans,
+                "chain.netsim.duplicate_deliveries": duplicates,
+                "chain.netsim.timeout_refunds": refunds,
+                "chain.netsim.confirmation_latency_blocks": (
+                    latency_sum / latency_count if latency_count else 0.0
+                ),
+            }
+        )
         if not self.network.is_ideal:
-            p50, p99 = staleness_percentiles(transport.drain_staleness())
-            stats.receipt_staleness_p50 = p50
-            stats.receipt_staleness_p99 = p99
-            stats.conservation_drift = abs(
+            counters["chain.netsim.receipt_staleness_p99"] = staleness_p99(
+                transport.drain_staleness()
+            )
+            counters["chain.crossshard.conservation_drift"] = abs(
                 self.total_value() - self.genesis_supply
             )
-        return stats
+        return executed, settled, in_flight, aborts
 
-    def reconfigure(self, epoch: int, target: ShardMapping):
+    def reconfigure(
+        self, epoch: int, target: ShardMapping, counters: Dict[str, float]
+    ) -> None:
         """Commit the allocator's mapping update as beacon MRs.
 
         Every account whose shard changed becomes one row of a columnar
@@ -573,9 +544,8 @@ class ExecutionSubstrate:
         phi *and* moves the account state between stores as grouped
         gather/scatter in the same pass (Section III-B-2 semantics) —
         after which the substrate's mapping equals ``target`` value for
-        value. Returns the
-        :class:`~repro.chain.epoch.ReconfigurationReport` (whose
-        ``compacted_bytes`` feeds the epoch's allocator telemetry).
+        value. Writes ``chain.state.compactions``, the stores this
+        epoch's slack-gated compaction pass compacted, to ``counters``.
         """
         from repro.chain.migration import MigrationRequestBatch
 
@@ -588,11 +558,11 @@ class ExecutionSubstrate:
         )
         self.ledger.submit_migration_batch(batch)
         self.ledger.commit_migrations(capacity=None)
-        return self.ledger.reconfigure()
-
-    def state_telemetry(self) -> Dict[str, float]:
-        """Registry-wide slot stats (fragmentation/occupancy)."""
-        return self.registry.fragmentation_stats()
+        compactions = self.registry.compaction_count
+        self.ledger.reconfigure()
+        counters["chain.state.compactions"] = (
+            self.registry.compaction_count - compactions
+        )
 
 
 @dataclass
@@ -688,10 +658,11 @@ def _run_epoch_loop(
         # 2b. Value execution under the same allocation (unified
         # engine): the substrate's mapping equals the engine's at
         # this point, so classification matches the metrics above.
-        execution = (
-            substrate.execute_epoch(batch)
+        counters: Dict[str, float] = {}
+        executed, settled, in_flight, aborts = (
+            substrate.execute_epoch(batch, counters)
             if substrate is not None
-            else _EpochExecution()
+            else (0, 0.0, 0, 0)
         )
 
         # 3. Allocator update for the next epoch.
@@ -705,19 +676,8 @@ def _run_epoch_loop(
         update = allocator.update(mapping, context)
         if update.mapping.k != params.k:
             raise SimulationError("allocator changed k during update")
-        compacted_bytes = 0.0
-        compactions = 0
-        fragmentation = occupancy = 0.0
         if substrate is not None:
-            compactions_before = substrate.registry.compaction_count
-            reconfig_report = substrate.reconfigure(view.index, update.mapping)
-            compacted_bytes = float(reconfig_report.compacted_bytes)
-            compactions = (
-                substrate.registry.compaction_count - compactions_before
-            )
-            telemetry = substrate.state_telemetry()
-            fragmentation = float(telemetry["fragmentation"])
-            occupancy = float(telemetry["occupancy"])
+            substrate.reconfigure(view.index, update.mapping, counters)
         state.mapping = update.mapping
 
         record = EpochRecord(
@@ -732,23 +692,11 @@ def _run_epoch_loop(
             migrations=update.migrations,
             proposed_migrations=update.proposed_migrations,
             new_accounts=len(new_ids),
-            executed_transactions=execution.executed_transactions,
-            settled_volume=execution.settled_volume,
-            in_flight_receipts=execution.in_flight_receipts,
-            overdraft_aborts=execution.overdraft_aborts,
-            delivered_messages=execution.delivered_messages,
-            dropped_messages=execution.dropped_messages,
-            retransmissions=execution.retransmissions,
-            duplicate_deliveries=execution.duplicate_deliveries,
-            timeout_refunds=execution.timeout_refunds,
-            receipt_staleness_p50=execution.receipt_staleness_p50,
-            receipt_staleness_p99=execution.receipt_staleness_p99,
-            confirmation_latency_blocks=execution.confirmation_latency_blocks,
-            conservation_drift=execution.conservation_drift,
-            state_fragmentation=fragmentation,
-            state_occupancy=occupancy,
-            state_compacted_bytes=compacted_bytes,
-            state_compactions=compactions,
+            executed_transactions=executed,
+            settled_volume=settled,
+            in_flight_receipts=in_flight,
+            overdraft_aborts=aborts,
+            counters=counters,
         )
         result.records.append(record)
         if on_record is not None:

@@ -85,21 +85,18 @@ def normalized_throughput(
     return throughput(batch, mapping, eta, capacity) / capacity
 
 
-def staleness_percentiles(
-    samples: Sequence[int], qs: Tuple[float, ...] = (50.0, 99.0)
-) -> Tuple[float, ...]:
-    """Percentiles of receipt-staleness samples (blocks a delivery
-    lagged the relay schedule), 0.0s when no receipt settled.
+def staleness_p99(samples: Sequence[int]) -> float:
+    """99th percentile of receipt-staleness samples (blocks a delivery
+    lagged the relay schedule), 0.0 when no receipt settled.
 
     Linear-interpolated ``np.percentile`` over the epoch's samples —
-    the summary the unified engine records as
-    ``receipt_staleness_p50/p99`` when receipts ride a simulated
-    network.
+    the unified engine records it as the
+    ``chain.netsim.receipt_staleness_p99`` counter when receipts ride a
+    simulated network.
     """
     if len(samples) == 0:
-        return tuple(0.0 for _ in qs)
-    arr = np.asarray(samples, dtype=np.float64)
-    return tuple(float(np.percentile(arr, q)) for q in qs)
+        return 0.0
+    return float(np.percentile(np.asarray(samples, dtype=np.float64), 99.0))
 
 
 def epoch_metrics(

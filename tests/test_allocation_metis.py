@@ -8,13 +8,39 @@ from hypothesis import strategies as st
 from repro.allocation.graph import TransactionGraph
 from repro.allocation.metis_like import MetisLikeAllocator, partition_graph
 from repro.allocation.metis_like.coarsen import (
-    contract,
-    heavy_edge_matching,
+    contract_csr,
+    heavy_edge_matching_csr,
 )
+from repro.allocation.metis_like.csr import csr_from_adjacency
 from repro.allocation.metis_like.initial import greedy_initial_partition
 from repro.allocation.metis_like.refine import cut_weight, refine_partition
 from repro.chain.params import ProtocolParams
 from repro.errors import PartitionError
+
+
+def heavy_edge_matching(adjacency, vertex_weights, rng, max_vertex_weight):
+    """Dict-adjacency front end to :func:`heavy_edge_matching_csr`."""
+    return heavy_edge_matching_csr(
+        csr_from_adjacency(adjacency), vertex_weights, rng, max_vertex_weight
+    )
+
+
+def contract(adjacency, vertex_weights, match):
+    """Dict-adjacency front end to :func:`contract_csr`; the coarse graph
+    comes back as list-of-dicts adjacency."""
+    coarse, coarse_weights, fine_to_coarse = contract_csr(
+        csr_from_adjacency(adjacency), vertex_weights, match
+    )
+    coarse_adjacency = [
+        dict(
+            zip(
+                coarse.indices[coarse.indptr[u] : coarse.indptr[u + 1]].tolist(),
+                coarse.weights[coarse.indptr[u] : coarse.indptr[u + 1]].tolist(),
+            )
+        )
+        for u in range(coarse.n)
+    ]
+    return coarse_adjacency, coarse_weights, fine_to_coarse
 
 
 def two_cliques(size=8, bridge_weight=0.5):

@@ -139,6 +139,18 @@ class TestCommands:
         assert "fast extra" in out
         assert "csv" not in out and "arrow" not in out
 
+    def test_matrix_tabulates_any_summary_metric(self, capsys):
+        from repro.experiments import preset_matrix, run_matrix
+
+        argv = ["matrix", "--preset", "network-smoke"]
+        assert main(argv + ["--metric", "total_retransmissions"]) == 0
+        out = capsys.readouterr().out
+        (summary,) = run_matrix(preset_matrix("network-smoke")).summaries
+        assert summary["total_retransmissions"] > 0
+        assert f"{summary['total_retransmissions']:.2f}" in out
+        assert main(argv + ["--metric", "total_nonsense"]) == 2
+        assert "unknown metric 'total_nonsense'" in capsys.readouterr().err
+
     def test_simulate_unknown_method(self, capsys):
         code = main(["simulate", "--method", "nope"])
         assert code == 2

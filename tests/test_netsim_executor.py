@@ -24,6 +24,52 @@ from repro.chain.state import StateRegistry
 from repro.chain.transaction import TransactionBatch
 from repro.errors import SimulationError
 from repro.sim.engine import Simulation, SimulationConfig
+from repro.sim.recorder import summarize_results
+
+#: Every counter an executed epoch over a lossy network writes.
+LOSSY_COUNTER_KEYS = [
+    "chain.crossshard.conservation_drift",
+    "chain.netsim.confirmation_latency_blocks",
+    "chain.netsim.delivered_messages",
+    "chain.netsim.dropped_messages",
+    "chain.netsim.duplicate_deliveries",
+    "chain.netsim.receipt_staleness_p99",
+    "chain.netsim.retransmissions",
+    "chain.netsim.timeout_refunds",
+    "chain.state.compactions",
+]
+
+#: Every key of a lossy executed run's summary.
+LOSSY_SUMMARY_KEYS = [
+    "allocator",
+    "beta",
+    "epochs",
+    "eta",
+    "final_in_flight_receipts",
+    "k",
+    "max_conservation_drift",
+    "max_receipt_staleness_p99",
+    "mean_confirmation_latency_blocks",
+    "mean_cross_shard_ratio",
+    "mean_execution_time",
+    "mean_input_bytes",
+    "mean_normalized_throughput",
+    "mean_unit_time",
+    "mean_workload_deviation",
+    "network",
+    "tau",
+    "total_delivered_messages",
+    "total_dropped_messages",
+    "total_duplicate_deliveries",
+    "total_executed_transactions",
+    "total_migrations",
+    "total_overdraft_aborts",
+    "total_proposed_migrations",
+    "total_retransmissions",
+    "total_settled_volume",
+    "total_timeout_refunds",
+    "total_transactions",
+]
 
 
 def build_executor(k=4, n_accounts=40, relay_delay=1, network=None, seed=3):
@@ -171,10 +217,20 @@ class TestEngineIntegration:
         assert result.total_delivered_messages > 0
         assert result.total_dropped_messages > 0
         assert result.total_retransmissions > 0
-        assert result.max_conservation_drift == pytest.approx(0.0, abs=1e-6)
-        assert result.max_receipt_staleness_p99 >= 0.0
+        summary = summarize_results(result)
+        assert summary["max_conservation_drift"] == pytest.approx(
+            0.0, abs=1e-6
+        )
+        assert summary["max_receipt_staleness_p99"] >= 0.0
+
+    def test_lossy_run_pins_counter_and_summary_keys(
+        self, tiny_trace, lossy_config
+    ):
+        result = Simulation(tiny_trace, HashAllocator(), lossy_config).run()
+        assert result.records
         for record in result.records:
-            assert record.receipt_staleness_p99 >= record.receipt_staleness_p50
+            assert sorted(record.counters) == LOSSY_COUNTER_KEYS
+        assert sorted(summarize_results(result)) == LOSSY_SUMMARY_KEYS
 
     def test_lossy_run_is_deterministic(self, tiny_trace, lossy_config):
         from dataclasses import asdict
@@ -196,4 +252,7 @@ class TestEngineIntegration:
         assert result.network == "ideal"
         assert result.total_dropped_messages == 0
         assert result.total_retransmissions == 0
-        assert result.max_conservation_drift == 0.0
+        # Drift and staleness are audited only under a non-ideal network.
+        for record in result.records:
+            assert "chain.crossshard.conservation_drift" not in record.counters
+            assert "chain.netsim.receipt_staleness_p99" not in record.counters

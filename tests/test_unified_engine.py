@@ -84,6 +84,15 @@ class TestBitIdenticalEffectiveness:
             for field in EXECUTED_FIELDS:
                 assert getattr(record, field) == 0
 
+    def test_metrics_only_records_have_empty_counters(
+        self, tiny_trace, engine_params
+    ):
+        result = Simulation(
+            tiny_trace, HashAllocator(), SimulationConfig(params=engine_params)
+        ).run()
+        assert result.records
+        assert all(record.counters == {} for record in result.records)
+
 
 class TestExecutedMetrics:
     def test_executed_fields_are_populated(self, tiny_trace, engine_params):
