@@ -56,10 +56,6 @@ from repro.core import (
     MigrationPolicy,
     MosaicAllocator,
     Coalition,
-    FeeModel,
-    LinearFee,
-    PowerFee,
-    BaseFeeMarket,
     interaction_distribution,
     fuse_distributions,
     potential_vector,
@@ -83,10 +79,8 @@ from repro.data import (
     write_transactions_csv,
     TraceSource,
     MaterialisedTraceSource,
-    GeneratorTraceSource,
     CsvTraceSource,
     EpochStream,
-    stream_epochs,
 )
 from repro.sim import (
     Simulation,
@@ -128,10 +122,6 @@ __all__ = [
     "MigrationPolicy",
     "MosaicAllocator",
     "Coalition",
-    "FeeModel",
-    "LinearFee",
-    "PowerFee",
-    "BaseFeeMarket",
     "interaction_distribution",
     "fuse_distributions",
     "potential_vector",
@@ -154,10 +144,8 @@ __all__ = [
     "write_transactions_csv",
     "TraceSource",
     "MaterialisedTraceSource",
-    "GeneratorTraceSource",
     "CsvTraceSource",
     "EpochStream",
-    "stream_epochs",
     "Simulation",
     "SimulationConfig",
     "SimulationResult",

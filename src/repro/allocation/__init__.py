@@ -14,7 +14,6 @@ from repro.allocation.base import Allocator, AllocationUpdate, UpdateContext
 from repro.allocation.graph import TransactionGraph
 from repro.allocation.hash_based import (
     HashAllocator,
-    PrefixBitAllocator,
     hash_shard_of_address,
 )
 from repro.allocation.metis_like import MetisLikeAllocator, partition_graph
@@ -27,7 +26,6 @@ __all__ = [
     "UpdateContext",
     "TransactionGraph",
     "HashAllocator",
-    "PrefixBitAllocator",
     "hash_shard_of_address",
     "MetisLikeAllocator",
     "partition_graph",

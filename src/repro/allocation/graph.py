@@ -208,11 +208,6 @@ class TransactionGraph:
         """Number of distinct weighted edges."""
         return len(self._compiled()[0])
 
-    @property
-    def total_edge_weight(self) -> float:
-        """Sum of all edge weights (== number of aggregated transactions)."""
-        return self._total_edge_weight
-
     def vertices(self) -> List[int]:
         """All vertices with at least one incident edge, sorted.
 
@@ -254,19 +249,6 @@ class TransactionGraph:
         """Dense per-account weighted degree array of length n_accounts."""
         return self._vertex_weights_cached().copy()
 
-    def edge_weight(self, u: int, v: int) -> float:
-        """Weight of edge (u, v), or 0 when absent."""
-        if u == v:
-            return 0.0
-        lo, hi = (u, v) if u < v else (v, u)
-        edge_lo, edge_hi, edge_w = self._compiled()
-        start, stop = np.searchsorted(edge_lo, [lo, lo + 1])
-        offset = np.searchsorted(edge_hi[start:stop], hi)
-        index = start + int(offset)
-        if index < stop and edge_hi[index] == hi:
-            return float(edge_w[index])
-        return 0.0
-
     def size_bytes(self) -> int:
         """Serialised size — the miner-side allocator input (Table IV)."""
         return self.n_edges * EDGE_RECORD_BYTES
@@ -295,21 +277,6 @@ class TransactionGraph:
     def csr_indptr(self, edge_u: np.ndarray) -> np.ndarray:
         """Row pointer for the :meth:`to_arrays` stream, length n+1."""
         return np.searchsorted(edge_u, np.arange(self.n_accounts + 1))
-
-    def subgraph_touching(self, vertices: np.ndarray) -> "TransactionGraph":
-        """Edges with at least one endpoint in ``vertices``."""
-        lo, hi, w = self._compiled()
-        wanted = np.asarray(vertices, dtype=np.int64)
-        mask = np.isin(lo, wanted) | np.isin(hi, wanted)
-        sub = TransactionGraph(self.n_accounts)
-        if mask.any():
-            sub._stage(
-                lo[mask].copy(),
-                hi[mask].copy(),
-                w[mask].copy(),
-                integral=self._integral,
-            )
-        return sub
 
     def cut_weight(self, assignment: np.ndarray) -> float:
         """Total weight of edges crossing parts under ``assignment``."""

@@ -1,10 +1,11 @@
 """Hash-based (random) static allocation.
 
 Conventional sharding protocols allocate accounts by hashing their
-address: Chainspace uses ``SHA256(address) mod k``; Monoxide uses the
-first ``log2(k)`` bits of the hash. Both ignore transaction patterns, so
-they achieve near-perfect workload balance while suffering very high
-cross-shard ratios (over 90% at k=16 in the paper's Table I).
+address: Chainspace uses ``SHA256(address) mod k`` (implemented here);
+Monoxide uses the first ``log2(k)`` bits of the hash. Both ignore
+transaction patterns, so they achieve near-perfect workload balance
+while suffering very high cross-shard ratios (over 90% at k=16 in the
+paper's Table I).
 
 The allocation is static: no updates, no migrations, and new accounts are
 placed by the same hash rule.
@@ -35,19 +36,6 @@ def hash_shard_of_address(address: str, k: int) -> int:
         raise ConfigurationError(f"k must be >= 1, got {k}")
     digest = hashlib.sha256(address.lower().encode("utf-8")).digest()
     return int.from_bytes(digest, "big") % k
-
-
-def prefix_bit_shard_of_address(address: str, k: int) -> int:
-    """First ``log2(k)`` bits of the hash (Monoxide rule); k must be 2^n."""
-    if k < 1 or (k & (k - 1)) != 0:
-        raise ConfigurationError(f"k must be a power of two, got {k}")
-    digest = hashlib.sha256(address.lower().encode("utf-8")).digest()
-    bits = k.bit_length() - 1
-    if bits == 0:
-        return 0
-    return digest[0] >> (8 - bits) if bits <= 8 else int.from_bytes(
-        digest[:4], "big"
-    ) >> (32 - bits)
 
 
 class HashAllocator(Allocator):
@@ -104,12 +92,3 @@ class HashAllocator(Allocator):
             dtype=np.int64,
             count=len(new_account_ids),
         )
-
-
-class PrefixBitAllocator(HashAllocator):
-    """Static Monoxide-style first-bits allocation (k must be 2^n)."""
-
-    name = "hash-prefix-bits"
-
-    def _shard_of(self, account_id: int, k: int) -> int:
-        return prefix_bit_shard_of_address(self._address_of(account_id), k)

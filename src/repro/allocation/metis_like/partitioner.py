@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,12 +36,6 @@ class PartitionResult:
     assignment: np.ndarray
     cut: float
     levels: int
-
-    def as_mapping_dict(self) -> Dict[int, int]:
-        """``{account_id: shard}`` for the partitioned vertices."""
-        return {
-            int(v): int(p) for v, p in zip(self.vertex_ids, self.assignment)
-        }
 
 
 def partition_graph(

@@ -13,16 +13,17 @@ is a true improvement at application time and the cut never worsens,
 exactly as in the scalar implementation. Functions accept either the
 list-of-dicts adjacency or a pre-built :class:`CsrAdjacency`.
 
-:func:`polish_level` runs the multilevel driver's per-level pipeline
-(relaxed-cap refine, rebalance, strict-cap refine) over one shared
-level state, so the connection matrix — maintained incrementally and
-bit-exactly for the integer-valued edge weights every partitioner
-graph carries — is scattered once per level instead of once per phase.
+:func:`polish_level` is the one entry point: it runs the multilevel
+driver's per-level pipeline (relaxed-cap refine, rebalance, strict-cap
+refine) over one shared level state, so the connection matrix —
+maintained incrementally and bit-exactly for the integer-valued edge
+weights every partitioner graph carries — is scattered once per level
+instead of once per phase.
 
 The sequential *commit* loops (apply moves one vertex at a time with a
 live re-check) have a compiled twin in
 :mod:`repro.allocation.metis_like.kernels`; the ``compiled_kernels``
-knob on the public functions selects it (``"auto"`` = use numba when
+knob on :func:`polish_level` selects it (``"auto"`` = use numba when
 importable). The inline Python loops below are the equivalence
 reference — the kernels are pinned bit-identical to them in
 ``tests/test_metis_kernels.py``, so goldens and matrix digests do not
@@ -50,8 +51,6 @@ from repro.allocation.metis_like.kernels import (
 __all__ = [
     "part_loads",
     "cut_weight",
-    "refine_partition",
-    "rebalance",
     "polish_level",
 ]
 
@@ -83,10 +82,8 @@ class _LevelState:
         "connection_flat",
     )
 
-    def __init__(
-        self, csr, k: int, edge_rows: Optional[np.ndarray] = None
-    ) -> None:
-        self.edge_rows = csr.row_index() if edge_rows is None else edge_rows
+    def __init__(self, csr, k: int) -> None:
+        self.edge_rows = csr.row_index()
         self.edge_keys = self.edge_rows * k
         self.integral = bool((np.rint(csr.weights) == csr.weights).all())
         self.indices_k = csr.indices * k if self.integral else None
@@ -104,6 +101,15 @@ def _refine_passes(
     state: _LevelState,
     compiled: bool = False,
 ) -> np.ndarray:
+    """Improve ``assignment`` in place with boundary moves; return it.
+
+    Each pass scores all boundary vertices at once, then applies
+    strictly-positive-gain moves (largest stale gain first, ties by
+    vertex id) that keep every part within ``max_part_weight``; each
+    move is re-validated against the live assignment before it commits.
+    Moves that would empty a part are skipped, so a partition covering
+    all ``k`` parts keeps covering them.
+    """
     n = csr.n
     loads = part_loads(vertex_weights, assignment, k)
     part_counts = np.bincount(assignment, minlength=k)
@@ -257,40 +263,6 @@ def _refine_passes(
     return assignment
 
 
-def refine_partition(
-    adjacency: AdjacencyLike,
-    vertex_weights: np.ndarray,
-    assignment: np.ndarray,
-    k: int,
-    max_part_weight: float,
-    rng: np.random.Generator,
-    max_passes: int = 4,
-    edge_rows: Optional[np.ndarray] = None,
-    compiled_kernels: Union[bool, str] = "auto",
-) -> np.ndarray:
-    """Improve ``assignment`` in place with boundary moves; return it.
-
-    Each pass scores all boundary vertices at once, then applies
-    strictly-positive-gain moves (largest stale gain first, ties by
-    vertex id) that keep every part within ``max_part_weight``; each
-    move is re-validated against the live assignment before it commits.
-    Moves that would empty a part are skipped so the partition always
-    covers all ``k`` parts when it started that way. ``rng`` is accepted
-    for interface stability; the pass order is fully deterministic.
-    ``compiled_kernels`` selects the jitted commit loop (bit-identical;
-    see :mod:`repro.allocation.metis_like.kernels`).
-    """
-    csr = csr_from_adjacency(adjacency)
-    if csr.n == 0:
-        return assignment
-    _ = rng
-    state = _LevelState(csr, k, edge_rows)
-    return _refine_passes(
-        csr, vertex_weights, assignment, k, max_part_weight, max_passes, state,
-        compiled=resolve_compiled(compiled_kernels),
-    )
-
-
 def _rebalance_passes(
     csr,
     vertex_weights: np.ndarray,
@@ -301,6 +273,14 @@ def _rebalance_passes(
     state: _LevelState,
     compiled: bool = False,
 ) -> np.ndarray:
+    """Push parts back under ``max_part_weight`` with minimum-loss moves.
+
+    Projection can violate coarse-level balance at the finer level.
+    Vertices move out of overweight parts into the lightest feasible
+    part, preferring vertices whose move loses the least cut quality
+    (internal connection minus the heaviest external edge, evaluated in
+    one vectorised pass per overweight part).
+    """
     n = csr.n
     loads = part_loads(vertex_weights, assignment, k)
     edge_rows = state.edge_rows
@@ -391,37 +371,6 @@ def _rebalance_passes(
     return assignment
 
 
-def rebalance(
-    adjacency: AdjacencyLike,
-    vertex_weights: np.ndarray,
-    assignment: np.ndarray,
-    k: int,
-    max_part_weight: float,
-    rng: np.random.Generator,
-    max_passes: int = 4,
-    edge_rows: Optional[np.ndarray] = None,
-    compiled_kernels: Union[bool, str] = "auto",
-) -> np.ndarray:
-    """Push parts back under ``max_part_weight`` with minimum-loss moves.
-
-    Used after projection, where coarse-level balance can be violated at
-    the finer level. Vertices are moved out of overweight parts into the
-    lightest feasible part, preferring vertices whose move loses the
-    least cut quality (internal connection minus the heaviest external
-    edge, evaluated in one vectorised pass per overweight part).
-    ``compiled_kernels`` selects the jitted drain loop (bit-identical).
-    """
-    csr = csr_from_adjacency(adjacency)
-    if csr.n == 0:
-        return assignment
-    _ = rng
-    state = _LevelState(csr, k, edge_rows)
-    return _rebalance_passes(
-        csr, vertex_weights, assignment, k, max_part_weight, max_passes, state,
-        compiled=resolve_compiled(compiled_kernels),
-    )
-
-
 def polish_level(
     adjacency: AdjacencyLike,
     vertex_weights: np.ndarray,
@@ -435,13 +384,13 @@ def polish_level(
 ) -> np.ndarray:
     """One level's full polish: relaxed refine, rebalance, strict refine.
 
-    Equivalent to calling :func:`refine_partition` (relaxed cap),
-    :func:`rebalance` and :func:`refine_partition` (strict cap) in
-    sequence, but the three phases share one :class:`_LevelState` — the
-    row index and edge keys survive across phases, and (for integral
-    weights) the live connection matrix carries over whenever rebalance
-    moved nothing; rebalance moves invalidate it, as one rebuild is
-    cheaper than scattering its potentially thousands of moves.
+    The refine passes (relaxed cap), the rebalance passes and the
+    refine passes again (strict cap) run in sequence over one shared
+    :class:`_LevelState` — the row index and edge keys survive across
+    phases, and (for integral weights) the live connection matrix
+    carries over whenever rebalance moved nothing; rebalance moves
+    invalidate it, as one rebuild is cheaper than scattering its
+    potentially thousands of moves.
     ``compiled_kernels`` routes all three phases' sequential commit
     loops through the jitted kernels (bit-identical either way).
     """

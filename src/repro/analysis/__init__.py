@@ -1,9 +1,13 @@
-"""Result analysis: paper-style tables and the Fig. 1 radar chart."""
+"""Result analysis: paper-style tables and the Fig. 1 radar chart.
+
+* :mod:`repro.analysis.tables` — Tables I-III, V and VI renderers;
+* :mod:`repro.analysis.radar` — the Fig. 1 radar scores;
+* :mod:`repro.analysis.report` — the markdown experiment report.
+"""
 
 from repro.analysis.tables import (
     comparison_table,
     beta_sweep_table,
-    efficiency_table,
     overhead_table,
 )
 from repro.analysis.radar import RadarAxes, radar_scores, RADAR_DIMENSIONS
@@ -12,18 +16,10 @@ from repro.analysis.report import (
     render_report,
     write_report,
 )
-from repro.analysis.convergence import (
-    SeriesTrend,
-    metric_trend,
-    migration_decay,
-    epochs_to_reach,
-    convergence_report,
-)
 
 __all__ = [
     "comparison_table",
     "beta_sweep_table",
-    "efficiency_table",
     "overhead_table",
     "RadarAxes",
     "radar_scores",
@@ -31,9 +27,4 @@ __all__ = [
     "render_experiment_section",
     "render_report",
     "write_report",
-    "SeriesTrend",
-    "metric_trend",
-    "migration_decay",
-    "epochs_to_reach",
-    "convergence_report",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.chain.network import OverheadModel
-from repro.util.formatting import format_bytes, format_seconds, render_table
+from repro.util.formatting import format_bytes, render_table
 
 Summary = Mapping[str, object]
 
@@ -92,40 +92,6 @@ def beta_sweep_table(summaries: Sequence[Summary], allocator: str) -> str:
         ]
         for s in picked
     ]
-    return render_table(headers, rows)
-
-
-def efficiency_table(
-    summaries: Sequence[Summary],
-    allocators: Sequence[str],
-    row_settings: Sequence[Dict[str, object]],
-) -> str:
-    """Render Table IV: running time per update plus input data size."""
-    headers = ["Parameters"] + list(allocators)
-    rows: List[List[str]] = []
-    for setting in row_settings:
-        setting = dict(setting)
-        label = str(setting.pop("label", setting))
-        cells = [label]
-        for allocator in allocators:
-            summary = _find(summaries, allocator, **setting)
-            if summary is None:
-                cells.append("-")
-            else:
-                cells.append(format_seconds(float(summary["mean_unit_time"])))
-        rows.append(cells)
-    # Input-size row aggregates over every matching run of each method.
-    size_cells = ["Input Data"]
-    for allocator in allocators:
-        sizes = [
-            float(s["mean_input_bytes"])
-            for s in summaries
-            if s.get("allocator") == allocator
-        ]
-        size_cells.append(
-            format_bytes(sum(sizes) / len(sizes)) if sizes else "-"
-        )
-    rows.append(size_cells)
     return render_table(headers, rows)
 
 

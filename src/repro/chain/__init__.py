@@ -8,7 +8,7 @@ client-proposed account migrations.
 """
 
 from repro.chain.params import ProtocolParams
-from repro.chain.account import Address, AccountRegistry, random_address
+from repro.chain.account import Address, AccountRegistry
 from repro.chain.transaction import Transaction, TransactionBatch
 from repro.chain.block import Block, BlockHeader, compute_block_hash, GENESIS_HASH
 from repro.chain.mapping import ShardMapping
@@ -41,7 +41,7 @@ from repro.chain.state import (
     StateRegistry,
 )
 from repro.chain.receipts import ReceiptBatch, ReceiptLedger
-from repro.chain.crossshard import CrossShardExecutor, Receipt, ExecutionReport
+from repro.chain.crossshard import CrossShardExecutor, ExecutionReport
 from repro.chain.economics import (
     MigrationFeeSchedule,
     flooding_attack_cost,
@@ -52,7 +52,6 @@ __all__ = [
     "ProtocolParams",
     "Address",
     "AccountRegistry",
-    "random_address",
     "Transaction",
     "TransactionBatch",
     "Block",
@@ -94,7 +93,6 @@ __all__ = [
     "SlotDirectory",
     "StateRegistry",
     "CrossShardExecutor",
-    "Receipt",
     "ReceiptBatch",
     "ReceiptLedger",
     "ExecutionReport",

@@ -12,8 +12,6 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Iterable, Iterator, List, Optional
 
-import numpy as np
-
 from repro.errors import UnknownAccountError, ValidationError
 
 Address = str
@@ -54,12 +52,6 @@ def address_from_id(account_id: int) -> Address:
     return "0x" + digest[:_ADDRESS_BYTES].hex()
 
 
-def random_address(rng: np.random.Generator) -> Address:
-    """Sample a uniformly random 20-byte address."""
-    raw = rng.integers(0, 256, size=_ADDRESS_BYTES, dtype=np.uint8)
-    return "0x" + bytes(raw.tolist()).hex()
-
-
 class AccountRegistry:
     """Bidirectional address <-> dense integer id mapping.
 
@@ -95,14 +87,6 @@ class AccountRegistry:
         account_id = len(self._address_of)
         self._id_of[addr] = account_id
         self._address_of.append(addr)
-        return account_id
-
-    def id_of(self, address: Address) -> int:
-        """Return the id of ``address``; raise if unregistered."""
-        addr = _normalize(address)
-        account_id = self._id_of.get(addr)
-        if account_id is None:
-            raise UnknownAccountError(address)
         return account_id
 
     def address_of(self, account_id: int) -> Address:

@@ -46,10 +46,6 @@ class CommitReport:
     def committed_count(self) -> int:
         return len(self.committed_batch)
 
-    @property
-    def rejected_count(self) -> int:
-        return len(self.rejected_batch)
-
 
 def apply_batch_to_mapping(
     batch: MigrationRequestBatch, mapping: ShardMapping

@@ -16,8 +16,10 @@ two costs the paper's difficulty parameter ``eta`` abstracts.
 
 :class:`CrossShardExecutor` executes transaction batches against the
 per-shard state stores and tracks in-flight receipts in a columnar
-:class:`~repro.chain.receipts.ReceiptLedger`. Each block's
-withdraw/intra phase runs one of two committers, picked by block size:
+:class:`~repro.chain.receipts.ReceiptLedger` (read them as columns via
+``executor.ledger.view()``; there is no per-receipt object). Each
+block's withdraw/intra phase runs one of two committers, picked by
+block size:
 
 * a block with fewer than ``_BATCH_MIN_BLOCK`` (96) transfers runs the
   scalar committer, a per-transfer loop whose fixed cost undercuts
@@ -79,25 +81,6 @@ from repro.errors import ChainError, UnknownAccountError, ValidationError
 #: Below this many transfers the scalar committer beats the batched
 #: one (fixed numpy overhead per block); both produce identical state.
 _BATCH_MIN_BLOCK = 96
-
-
-@dataclass(frozen=True)
-class Receipt:
-    """A withdraw-phase commitment awaiting deposit on the target shard."""
-
-    tx_id: int
-    sender: int
-    receiver: int
-    amount: float
-    source_shard: int
-    target_shard: int
-    issued_block: int
-
-    def __post_init__(self) -> None:
-        if self.amount < 0:
-            raise ValidationError(f"amount must be >= 0, got {self.amount}")
-        if self.source_shard == self.target_shard:
-            raise ValidationError("receipts are for cross-shard transfers only")
 
 
 @dataclass
@@ -208,27 +191,6 @@ class CrossShardExecutor:
     def network_transport(self) -> Optional[ReceiptTransport]:
         """The receipt transport, when receipts ride a simulated network."""
         return self._transport
-
-    @property
-    def pending_receipts(self) -> Tuple[Receipt, ...]:
-        """Receipts issued but not yet deposited, in settlement order.
-
-        Materialised lazily from the columnar ledger — the hot path
-        never builds these objects.
-        """
-        view = self._ledger.view()
-        return tuple(
-            Receipt(
-                tx_id=int(view.tx_ids[i]),
-                sender=int(view.senders[i]),
-                receiver=int(view.receivers[i]),
-                amount=float(view.amounts[i]),
-                source_shard=int(view.source_shards[i]),
-                target_shard=int(view.target_shards[i]),
-                issued_block=int(view.issued_blocks[i]),
-            )
-            for i in range(len(view))
-        )
 
     def in_flight_value(self) -> float:
         """Value locked in receipts — ledger total plus value still on

@@ -278,15 +278,6 @@ class FloodingOutcome:
     attacker_cost: float
     honest_cost: float
 
-    @property
-    def honest_commit_ratio(self) -> float:
-        """Committed fraction of honest requests (0 when none proposed)."""
-        total = self.honest_committed + self.attacker_committed
-        if total == 0:
-            return 0.0
-        return self.honest_committed / total
-
-
 def simulate_flooding(
     honest_requests: Sequence[MigrationRequest],
     attacker_accounts: Sequence[int],

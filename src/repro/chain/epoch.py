@@ -92,11 +92,6 @@ class EpochReconfigurator:
         #: (default) never compacts — state layout is untouched.
         self.compact_slack = compact_slack
 
-    @property
-    def synced_height(self) -> int:
-        """Beacon height up to which miners have synchronised."""
-        return self._synced_height
-
     def run(self, epoch: int, mapping: ShardMapping) -> ReconfigurationReport:
         """Run one reconfiguration: sync beacon, apply MRs, reshuffle.
 

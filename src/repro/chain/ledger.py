@@ -109,17 +109,11 @@ class Ledger:
             bus=transport.bus if transport is not None else None,
         )
         self._epoch = 0
-        self._total_committed = 0
 
     @property
     def epoch(self) -> int:
         """Index of the next epoch to be processed."""
         return self._epoch
-
-    @property
-    def total_committed_transactions(self) -> int:
-        """``|T|`` committed so far across all shards."""
-        return self._total_committed
 
     # -- transaction commitment (per epoch) ------------------------------------
 
@@ -163,7 +157,6 @@ class Ledger:
             cross_shard=int(is_cross.sum()),
             workloads=workloads,
         )
-        self._total_committed += len(batch)
         return stats
 
     def execute_epoch(
@@ -199,7 +192,3 @@ class Ledger:
         report = self.reconfigurator.run(self._epoch, self.mapping)
         self._epoch += 1
         return report
-
-    def grow_accounts(self, n_accounts: int, fill_shards: np.ndarray) -> None:
-        """Extend ``phi`` when new accounts join the system."""
-        self.mapping.grow(n_accounts, fill_shards)

@@ -14,12 +14,11 @@ migration application, and inverse lookups ``phi^{-1}(i)``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import MappingError, UnknownAccountError
-from repro.util.validation import check_type
 
 UNASSIGNED = -1
 
@@ -51,11 +50,6 @@ class ShardMapping:
     ) -> "ShardMapping":
         """Uniformly random allocation (used to seed tests/baselines)."""
         return cls(rng.integers(0, k, size=n_accounts, dtype=np.int64), k)
-
-    @classmethod
-    def from_assignment(cls, assignment: Sequence[int], k: int) -> "ShardMapping":
-        """Build from any integer sequence of per-account shard ids."""
-        return cls(np.asarray(list(assignment), dtype=np.int64), k)
 
     @classmethod
     def constant(cls, n_accounts: int, k: int, shard: int = 0) -> "ShardMapping":
@@ -106,12 +100,6 @@ class ShardMapping:
         return view
 
     # -- inverse views -----------------------------------------------------
-
-    def accounts_in(self, shard: int) -> np.ndarray:
-        """Return ``phi^{-1}(shard)`` as a sorted id array."""
-        if not 0 <= shard < self._k:
-            raise MappingError(f"shard {shard} out of range [0, {self._k})")
-        return np.flatnonzero(self._shard_of == shard)
 
     def shard_sizes(self) -> np.ndarray:
         """Number of accounts per shard, length ``k``."""
@@ -192,13 +180,6 @@ class ShardMapping:
         if self._k != other._k or len(self) != len(other):
             raise MappingError("cannot diff mappings of different shape")
         return np.flatnonzero(self._shard_of != other._shard_of)
-
-    def migration_pairs(self, other: "ShardMapping") -> List[Tuple[int, int, int]]:
-        """(account, from_shard, to_shard) for all moves from self to other."""
-        moved = self.diff(other)
-        return [
-            (int(a), int(self._shard_of[a]), int(other._shard_of[a])) for a in moved
-        ]
 
     def __repr__(self) -> str:
         return f"ShardMapping(n_accounts={len(self)}, k={self._k})"

@@ -90,7 +90,3 @@ class Mempool:
         drained = self._pending
         self._pending = TransactionBatch.empty()
         return drained
-
-    def workload_distribution(self, mapping: ShardMapping, eta: float) -> np.ndarray:
-        """``Omega`` over the pending transactions, under ``mapping``."""
-        return shard_workloads(self._pending, mapping, eta)

@@ -34,11 +34,6 @@ class Miner:
         if self.shard < Miner.BEACON:
             raise ValidationError(f"invalid shard {self.shard}")
 
-    @property
-    def on_beacon(self) -> bool:
-        """True when this miner maintains the beacon chain."""
-        return self.shard == Miner.BEACON
-
 
 @dataclass
 class ReshuffleReport:
@@ -98,26 +93,12 @@ class MinerPool:
             for miner_id, shard in enumerate(self._shards.tolist())
         )
 
-    def shard_assignment(self) -> np.ndarray:
-        """Shard per miner id (columnar view; beacon = ``Miner.BEACON``)."""
-        return self._shards.copy()
-
     def committee(self, shard: int) -> List[Miner]:
         """Miners currently assigned to ``shard`` (or ``Miner.BEACON``)."""
         return [
             Miner(miner_id=int(miner_id), shard=shard)
             for miner_id in np.flatnonzero(self._shards == shard)
         ]
-
-    def committee_sizes(self) -> Dict[int, int]:
-        """Committee size per shard id (including the beacon at -1)."""
-        sizes: Dict[int, int] = {Miner.BEACON: int((self._shards == Miner.BEACON).sum())}
-        counts = np.bincount(
-            self._shards[self._shards != Miner.BEACON], minlength=self.k
-        )
-        for shard in range(self.k):
-            sizes[shard] = int(counts[shard])
-        return sizes
 
     def reshuffle(self, epoch: int) -> ReshuffleReport:
         """Randomly permute miners across shards, keeping sizes balanced.

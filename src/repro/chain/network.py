@@ -47,13 +47,6 @@ class OverheadEstimate:
     communication_bytes: float
     computation_input_bytes: float
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "storage_bytes": self.storage_bytes,
-            "communication_bytes": self.communication_bytes,
-            "computation_input_bytes": self.computation_input_bytes,
-        }
-
 
 class OverheadModel:
     """Evaluates the Table VI formulas for a concrete trace.

@@ -82,8 +82,3 @@ class ProtocolParams:
                 f"epoch_transaction_count must be >= 0, got {epoch_transaction_count}"
             )
         return max(1.0, epoch_transaction_count / self.k)
-
-    @property
-    def shard_ids(self) -> range:
-        """Valid shard identifiers: ``0 .. k-1`` (0-based internally)."""
-        return range(self.k)

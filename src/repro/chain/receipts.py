@@ -4,10 +4,11 @@ The relay/receipt protocol (see :mod:`repro.chain.crossshard`) holds
 every withdraw-phase commitment until its deposit becomes due on the
 target shard. :class:`ReceiptLedger` stores those commitments as
 parallel numpy columns — sender, receiver, amount, source/target shard,
-issued and due block — instead of a ``List[Receipt]``, so issuing and
-settling receipts are O(1)-amortised columnar appends and sorted-prefix
-pops rather than per-object work. :class:`Receipt` objects remain
-available as a lazy view for tests and error messages.
+issued and due block — instead of a list of receipt objects, so issuing
+and settling receipts are O(1)-amortised columnar appends and
+sorted-prefix pops rather than per-object work. Readers take a
+:class:`ReceiptBatch` of columns (:meth:`ReceiptLedger.view`); there is
+no per-receipt object.
 
 Settlement order is part of the observable contract: receipts leave the
 ledger in ``(due_block, tx_id)`` order, pinned by a golden fixture, so
@@ -16,7 +17,7 @@ batched rewrites of the executor cannot silently reorder credits.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -224,18 +225,3 @@ class ReceiptLedger:
             column[live] = column[live][order]
         self._sorted = True
 
-
-def receipts_to_tuple(batch: ReceiptBatch) -> Tuple[tuple, ...]:
-    """Row-major tuple view of a batch (test/debug helper)."""
-    return tuple(
-        zip(
-            batch.tx_ids.tolist(),
-            batch.senders.tolist(),
-            batch.receivers.tolist(),
-            batch.amounts.tolist(),
-            batch.source_shards.tolist(),
-            batch.target_shards.tolist(),
-            batch.issued_blocks.tolist(),
-            batch.due_blocks.tolist(),
-        )
-    )

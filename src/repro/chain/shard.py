@@ -83,7 +83,3 @@ class ShardChain:
             if block.header.parent_hash != parent:
                 raise BlockLinkError(f"broken parent link at height {height}")
             parent = block.block_hash
-
-    def blocks_in_epoch(self, epoch: int) -> List[Block]:
-        """All blocks tagged with the given epoch index."""
-        return [b for b in self._blocks if b.header.epoch == epoch]

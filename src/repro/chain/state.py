@@ -645,10 +645,6 @@ class DenseShardStateStore:
         )
         return _state_root_digest(items)
 
-    def serialized_bytes(self) -> int:
-        """Bytes a miner transfers to sync this shard's state."""
-        return len(self) * STATE_RECORD_BYTES
-
     def column_nbytes(self) -> int:
         """Bytes held by this store's state columns."""
         return int(self._bal.nbytes + self._non.nbytes)
@@ -923,27 +919,6 @@ class StateRegistry:
                 self.compact_moved_bytes_total += store.last_compact_moved_bytes
         self.compacted_bytes_total += reclaimed
         return reclaimed
-
-    def fragmentation_stats(self) -> Dict[str, float]:
-        """Registry-wide slot telemetry, aggregated over the stores.
-
-        ``fragmentation`` is free slots over capacity slots,
-        ``occupancy`` its complement weighted the same way; both are
-        0.0 before any column is allocated.
-        """
-        free_slots = capacity_slots = live_slots = 0
-        for store in self.stores:
-            stats = store.slot_stats()
-            free_slots += stats["free_slots"]
-            capacity_slots += stats["capacity_slots"]
-            live_slots += stats["live_slots"]
-        return {
-            "fragmentation": free_slots / capacity_slots if capacity_slots else 0.0,
-            "occupancy": live_slots / capacity_slots if capacity_slots else 0.0,
-            "free_slots": free_slots,
-            "capacity_slots": capacity_slots,
-            "live_slots": live_slots,
-        }
 
     def total_balance(self) -> float:
         """System-wide balance — invariant under execution + migration.

@@ -11,7 +11,7 @@ examples, wallets, and block bodies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterator, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -277,12 +277,3 @@ class TransactionBatch:
         if len(self) == 0:
             return -1
         return int(max(self.senders.max(), self.receivers.max()))
-
-    def record_bytes(self) -> int:
-        """Storage footprint charged for these transactions (Table VI)."""
-        return len(self) * TX_RECORD_BYTES
-
-    def split_by_block(self, boundary: int) -> Tuple["TransactionBatch", "TransactionBatch"]:
-        """Split into (blocks < boundary, blocks >= boundary)."""
-        mask = self.blocks < boundary
-        return self.select(mask), self.select(~mask)

@@ -62,6 +62,17 @@ def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _check_trace_arguments(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """Reject trace flags that would be silently dropped (exit status 2)."""
+    if getattr(args, "fee_fraction", 0.0) > 0 and args.value_model == "none":
+        parser.error(
+            "--fee-fraction needs a --value-model: fees are a fraction "
+            "of each transfer's value"
+        )
+
+
 def _trace_config(args: argparse.Namespace) -> EthereumTraceConfig:
     value_model = None
     if args.value_model != "none":
@@ -691,6 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_trace_arguments(parser, args)
     try:
         return args.handler(args)
     except (ReproError, OSError) as error:

@@ -10,7 +10,12 @@
   local transaction store;
 * :mod:`repro.core.migration` — migration-request policy;
 * :mod:`repro.core.mosaic` — the client-driven framework packaged as an
-  :class:`repro.allocation.base.Allocator` for the simulation engine.
+  :class:`repro.allocation.base.Allocator` for the simulation engine;
+* :mod:`repro.core.coalition` — coalitions of clients deciding jointly.
+
+Pilot prices each shard by its workload directly (``xi = omega``);
+:func:`repro.core.cost.cost_vector` keeps the general Eq. 3 cost as the
+oracle the tests check Pilot's Eq. 4 Potential against.
 """
 
 from repro.core.interaction import (
@@ -29,13 +34,6 @@ from repro.core.pilot import Pilot, PilotDecision, batch_pilot_decisions
 from repro.core.client import Client
 from repro.core.migration import MigrationPolicy
 from repro.core.mosaic import MosaicAllocator
-from repro.core.fees import (
-    FeeModel,
-    LinearFee,
-    PowerFee,
-    BaseFeeMarket,
-    generalized_potential_vector,
-)
 from repro.core.coalition import Coalition, CoalitionDecision
 from repro.chain.migration import MigrationRequest
 
@@ -54,11 +52,6 @@ __all__ = [
     "Client",
     "MigrationPolicy",
     "MosaicAllocator",
-    "FeeModel",
-    "LinearFee",
-    "PowerFee",
-    "BaseFeeMarket",
-    "generalized_potential_vector",
     "Coalition",
     "CoalitionDecision",
     "MigrationRequest",

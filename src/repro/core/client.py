@@ -6,9 +6,8 @@ plus whatever future transactions it expects. From that local data and a
 downloaded workload snapshot it runs Pilot and, when beneficial, emits a
 migration request.
 
-The class also accounts for the client's storage footprint (its
-``T_nu`` plus the ``k`` floats of ``Omega``). Table IV's per-run input
-size is measured by the allocator instead
+Table IV's per-run input size (the client's ``T_nu`` plus the ``k``
+floats of ``Omega``) is measured by the allocator
 (``MosaicAllocator._mean_pilot_input_bytes``).
 """
 
@@ -20,10 +19,10 @@ import numpy as np
 
 from repro.chain.mapping import ShardMapping
 from repro.chain.migration import MigrationRequest
-from repro.chain.transaction import TX_RECORD_BYTES, Transaction, TransactionBatch
+from repro.chain.transaction import Transaction, TransactionBatch
 from repro.core.pilot import Pilot, PilotDecision
 from repro.errors import ValidationError
-from repro.workload.observer import OMEGA_ENTRY_BYTES, WorkloadSnapshot
+from repro.workload.observer import WorkloadSnapshot
 
 
 class Client:
@@ -74,10 +73,6 @@ class Client:
             )
         self._expected.append(transaction)
 
-    def clear_expected(self) -> None:
-        """Drop expectations (e.g. after the epoch they referred to)."""
-        self._expected.clear()
-
     # -- decision making ---------------------------------------------------------
 
     def run_pilot(
@@ -111,17 +106,6 @@ class Client:
             epoch=epoch,
             fee=fee,
         )
-
-    # -- accounting ---------------------------------------------------------------
-
-    def input_data_bytes(self, k: int) -> int:
-        """Bytes the wallet holds for allocation: ``T_nu`` records + Omega.
-
-        This is the client-side *storage* footprint (Table VI: "clients
-        store only their related transactions").
-        """
-        records = (len(self._history) + len(self._expected)) * TX_RECORD_BYTES
-        return records + k * OMEGA_ENTRY_BYTES
 
     def __repr__(self) -> str:
         return (

@@ -233,13 +233,6 @@ class MosaicAllocator(Allocator):
 
     # -- Allocator interface ---------------------------------------------------------
 
-    @property
-    def last_request_batch(self) -> Optional[MigrationRequestBatch]:
-        """The last epoch's proposed migration requests, as one batch."""
-        if self.last_outcome is None:
-            return None
-        return self.last_outcome.batch
-
     def initialize(self, history: Trace, params: ProtocolParams) -> ShardMapping:
         self._reset_history()
         self._absorb_batch(history.batch)

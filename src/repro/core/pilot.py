@@ -63,22 +63,14 @@ def _select_best_shard(
 
 
 class Pilot:
-    """The reference algorithm, configured with ``eta`` and ``beta``.
+    """The reference algorithm, configured with ``eta`` and ``beta``."""
 
-    ``fee_model`` generalises the per-transaction fee ``xi = f(omega)``
-    (Section IV; the default is the paper's identity). The Eq. 3 -> 4
-    equivalence holds for every monotone ``f``, so the decision logic is
-    unchanged: workloads are mapped through the fee model up front and
-    the Potential maximisation proceeds on the fee vector.
-    """
-
-    def __init__(self, eta: float, beta: float = 0.0, fee_model=None) -> None:
+    def __init__(self, eta: float, beta: float = 0.0) -> None:
         if eta < 1:
             raise ValidationError(f"eta must be >= 1, got {eta}")
         check_probability("beta", beta)
         self.eta = eta
         self.beta = beta
-        self.fee_model = fee_model
 
     def decide(
         self,
@@ -105,8 +97,6 @@ class Pilot:
             raise ValidationError(
                 f"omega has {len(omega)} entries but mapping has k={mapping.k}"
             )
-        if self.fee_model is not None:
-            omega = self.fee_model(omega)
         # Lines 1-2: historical and expected connection distributions.
         psi_h = interaction_distribution(account, history, mapping)
         psi_e = interaction_distribution(account, expected, mapping)

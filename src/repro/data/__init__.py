@@ -21,10 +21,8 @@ from repro.data.source import (
     CsvTraceSource,
     EpochStream,
     FollowCsvTraceSource,
-    GeneratorTraceSource,
     MaterialisedTraceSource,
     TraceSource,
-    stream_epochs,
 )
 
 __all__ = [
@@ -44,10 +42,8 @@ __all__ = [
     "FEE_COLUMN",
     "TraceSource",
     "MaterialisedTraceSource",
-    "GeneratorTraceSource",
     "ChunkIteratorSource",
     "CsvTraceSource",
     "FollowCsvTraceSource",
     "EpochStream",
-    "stream_epochs",
 ]

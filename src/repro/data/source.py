@@ -1,11 +1,13 @@
 """Trace sources: chunked, bounded-memory trace ingest.
 
 A :class:`TraceSource` is where transactions come *from* — an ETL CSV
-on disk, a synthetic generator, or an already-materialised trace. It
-yields block-ordered :class:`TransactionBatch` chunks of bounded size,
-with ``values``/``fees`` columns carried through, so the data layer can
-feed the engine without ever holding more than a chunk of decoded
-Python state at a time:
+on disk, a live-appended CSV, an iterator of batches, or an
+already-materialised trace (a generated trace is replayed through
+:class:`MaterialisedTraceSource`). It yields block-ordered
+:class:`TransactionBatch` chunks of bounded size, with
+``values``/``fees`` columns carried through, so the data layer can feed
+the engine without ever holding more than a chunk of decoded Python
+state at a time:
 
 * :meth:`TraceSource.materialise` assembles the chunks into a
   :class:`Trace` in one concatenation pass — the compatibility bridge
@@ -35,7 +37,6 @@ import numpy as np
 
 from repro.chain.account import AccountRegistry
 from repro.chain.transaction import TransactionBatch
-from repro.data.ethereum import EthereumTraceConfig, generate_ethereum_like_trace
 from repro.data.etl import _RowDecoder
 from repro.data.trace import EpochView, Trace
 from repro.errors import DataError, MalformedRowError
@@ -74,9 +75,9 @@ class TraceSource:
         """``(total_rows, n_accounts)`` when known *up front*, else None.
 
         The count-prefixed fast path: sources that already know their
-        length (a materialised trace, a cached generator) return it here
-        so the streaming engine can skip its sizing pass; a CSV decoder
-        only learns both after a full read and returns None.
+        length (a materialised trace) return it here so the streaming
+        engine can skip its sizing pass; a CSV decoder only learns both
+        after a full read and returns None.
         """
         return None
 
@@ -133,52 +134,6 @@ class MaterialisedTraceSource(TraceSource):
 
     def materialise(self) -> Trace:
         return self.trace
-
-
-class GeneratorTraceSource(TraceSource):
-    """Chunked view over the synthetic Ethereum-like generator.
-
-    Generation itself is array-native and in-memory (the memory ceiling
-    this layer lifts is on *decode*, not synthesis); the generated
-    trace is cached across iterations so a spec generates once per
-    process, exactly like the runner's trace cache.
-    """
-
-    def __init__(
-        self,
-        config: EthereumTraceConfig,
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    ) -> None:
-        if chunk_rows < 1:
-            raise DataError(f"chunk_rows must be >= 1, got {chunk_rows}")
-        self.config = config
-        self.chunk_rows = int(chunk_rows)
-        self.name = "generator"
-        self._trace: Optional[Trace] = None
-
-    def _generated(self) -> Trace:
-        if self._trace is None:
-            self._trace = generate_ethereum_like_trace(self.config)
-        return self._trace
-
-    def chunks(self) -> Iterator[TransactionBatch]:
-        inner = MaterialisedTraceSource(self._generated(), self.chunk_rows)
-        for chunk in inner.chunks():
-            # Mirror the mark per chunk, not after exhaustion, so an
-            # early-terminating consumer (EpochStream with max_epochs)
-            # still reads an accurate high-water mark.
-            self.peak_buffer_rows = inner.peak_buffer_rows
-            yield chunk
-
-    def resolved_n_accounts(self) -> Optional[int]:
-        return self._generated().n_accounts
-
-    def size_hint(self) -> Optional[Tuple[int, int]]:
-        trace = self._generated()
-        return len(trace), trace.n_accounts
-
-    def materialise(self) -> Trace:
-        return self._generated()
 
 
 class CsvTraceSource(TraceSource):
@@ -592,9 +547,3 @@ class EpochStream:
                 return
         yield from emit_ready(final=True)
 
-
-def stream_epochs(
-    source: TraceSource, tau: int, max_epochs: Optional[int] = None
-) -> Iterator[EpochView]:
-    """Functional wrapper over :class:`EpochStream`."""
-    return iter(EpochStream(source, tau, max_epochs))

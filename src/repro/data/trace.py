@@ -63,13 +63,6 @@ class Trace:
         """Block number of the last transaction (-1 when empty)."""
         return int(self.batch.blocks[-1]) if len(self.batch) else -1
 
-    @property
-    def block_span(self) -> int:
-        """Number of block heights covered, inclusive."""
-        if len(self.batch) == 0:
-            return 0
-        return self.last_block - self.first_block + 1
-
     def split(self, fraction: float) -> Tuple["Trace", "Trace"]:
         """Split into (head, tail) by transaction count fraction.
 
@@ -146,17 +139,6 @@ class Trace:
         """Materialise :meth:`epochs` into a list."""
         return list(self.epochs(tau, max_epochs))
 
-    def account_activity(self) -> np.ndarray:
-        """Transaction count per account id (length ``n_accounts``)."""
-        counts = np.bincount(self.batch.senders, minlength=self.n_accounts)
-        counts = counts + np.bincount(self.batch.receivers, minlength=self.n_accounts)
-        return counts
-
     def active_accounts(self) -> np.ndarray:
         """Sorted ids of accounts appearing at least once."""
         return self.batch.touched_accounts()
-
-    def subset_blocks(self, first_block: int, last_block: int) -> "Trace":
-        """Transactions with ``first_block <= block <= last_block``."""
-        mask = (self.batch.blocks >= first_block) & (self.batch.blocks <= last_block)
-        return Trace(self.batch.select(mask), self.n_accounts)

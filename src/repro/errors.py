@@ -40,10 +40,6 @@ class BlockLinkError(ChainError):
     """A block does not extend the chain tip it was appended to."""
 
 
-class CapacityExceededError(ChainError):
-    """A block or beacon commitment exceeded the shard capacity ``lambda``."""
-
-
 class SegmentIntegrityError(ChainError):
     """An on-disk beacon segment is truncated or corrupt.
 

@@ -28,7 +28,6 @@ from repro.experiments.bench import (
     check_against_baseline,
     compiled_env,
     delta_is_noise,
-    load_baseline,
     memory_microbench,
     refine_microbench,
     run_bench,
@@ -43,14 +42,7 @@ from repro.experiments.matrix import (
     ScenarioMatrix,
     TraceSpec,
     default_trace,
-    paper_tables_matrix,
     preset_matrix,
-    valued_trace,
-    with_engine_modes,
-    with_funding,
-    with_history_epochs,
-    with_methods,
-    with_network,
     with_trace_source,
 )
 from repro.experiments.runner import (
@@ -79,10 +71,8 @@ __all__ = [
     "execute_cell",
     "delta_is_noise",
     "grid_row_settings",
-    "load_baseline",
     "matrix_table",
     "memory_microbench",
-    "paper_tables_matrix",
     "preset_matrix",
     "refine_microbench",
     "run_bench",
@@ -91,12 +81,6 @@ __all__ = [
     "seed_trace_cache",
     "smoke_seconds",
     "table2_matrix",
-    "valued_trace",
-    "with_engine_modes",
-    "with_funding",
-    "with_history_epochs",
-    "with_methods",
-    "with_network",
     "with_trace_source",
     "write_result_json",
 ]

@@ -440,16 +440,6 @@ def run_bench(
     return payload
 
 
-def load_baseline(
-    path: Union[str, Path] = "BENCH_baseline.json"
-) -> Dict[str, object]:
-    """Read the committed snapshot; raise when missing."""
-    path = Path(path)
-    if not path.exists():
-        raise ExperimentError(f"no benchmark snapshot at {path}")
-    return json.loads(path.read_text())
-
-
 def check_against_baseline(
     measured: Dict[str, float],
     baseline: Dict[str, object],

@@ -32,7 +32,6 @@ from repro.chain.netsim import NETWORK_IDEAL, NETWORK_SPEC_NAMES
 from repro.chain.params import ProtocolParams
 from repro.core.mosaic import MosaicAllocator
 from repro.data.ethereum import EthereumTraceConfig
-from repro.data.generators import ValueModelConfig
 from repro.errors import ConfigurationError
 from repro.sim.engine import (
     FUNDING_MODES,
@@ -316,46 +315,6 @@ def default_trace(
     )
 
 
-def paper_tables_matrix(
-    trace: TraceSpec, tau: int = 40, seed: int = 42
-) -> ScenarioMatrix:
-    """The Tables I-III effectiveness grid over one trace.
-
-    k in {4, 16, 32} at eta = 2 plus eta in {5, 10} at k = 16 is not a
-    full Cartesian product, so the grid is the product superset; table
-    renderers pick the rows they need.
-    """
-    return ScenarioMatrix(
-        name="paper-tables",
-        methods=("mosaic-pilot", "txallo", "metis", "hash-random"),
-        traces=(trace,),
-        ks=(4, 16, 32),
-        etas=(2.0, 5.0, 10.0),
-        tau=tau,
-        seed=seed,
-    )
-
-
-def valued_trace(
-    name: str = "community-valued",
-    n_accounts: int = 3_000,
-    n_transactions: int = 40_000,
-    n_blocks: int = 2_400,
-    seed: int = 0,
-    value_model: Optional[ValueModelConfig] = None,
-) -> TraceSpec:
-    """The standard synthetic trace with a value model attached.
-
-    The graph structure is bit-identical to :func:`default_trace` at
-    the same parameters (values draw from their own RNG stream); the
-    batch additionally carries ``values`` (and ``fees`` when the model
-    sets a fee fraction) for value-faithful executed cells.
-    """
-    spec = default_trace(name, n_accounts, n_transactions, n_blocks, seed)
-    model = value_model if value_model is not None else ValueModelConfig()
-    return TraceSpec(name=name, config=replace(spec.config, value_model=model))
-
-
 #: The checked-in ethereum-etl extract the ``etl-smoke`` preset replays,
 #: relative to the repository root.
 ETL_SMOKE_FIXTURE = "tests/fixtures/etl_smoke.csv"
@@ -454,11 +413,6 @@ def preset_matrix(name: str, seed: int = 0) -> ScenarioMatrix:
     return builder(seed)
 
 
-def with_methods(matrix: ScenarioMatrix, methods: Tuple[str, ...]) -> ScenarioMatrix:
-    """A copy of ``matrix`` restricted/extended to ``methods``."""
-    return replace(matrix, methods=tuple(methods))
-
-
 def with_trace_source(
     matrix: ScenarioMatrix, etl_path: str, name: str = "etl"
 ) -> ScenarioMatrix:
@@ -470,41 +424,4 @@ def with_trace_source(
     """
     return replace(
         matrix, traces=(TraceSpec(name=name, etl_path=str(etl_path)),)
-    )
-
-
-def with_funding(matrix: ScenarioMatrix, funding: str) -> ScenarioMatrix:
-    """A copy of ``matrix`` under another genesis-funding mode."""
-    return replace(matrix, funding=funding)
-
-
-def with_network(matrix: ScenarioMatrix, network: str) -> ScenarioMatrix:
-    """A copy of ``matrix`` routing messages through ``network``.
-
-    Non-ideal models require executing engine modes (validated at
-    construction); cell labels gain a ``/net-{name}`` suffix while
-    scenario labels — and therefore seeds — are shared with the ideal
-    twin, so a lossy cell perturbs delivery of the identical workload.
-    """
-    return replace(matrix, network=network)
-
-
-def with_engine_modes(
-    matrix: ScenarioMatrix, engine_modes: Tuple[str, ...]
-) -> ScenarioMatrix:
-    """A copy of ``matrix`` running under ``engine_modes`` instead."""
-    return replace(matrix, engine_modes=tuple(engine_modes))
-
-
-def with_history_epochs(
-    matrix: ScenarioMatrix, history_epochs: int
-) -> ScenarioMatrix:
-    """A copy of ``matrix`` whose history split is ``history_epochs``
-    ``tau``-block epochs instead of a fraction of the rows.
-
-    The absolute split changes the simulated scenario, so cell labels
-    (and therefore seeds and the digest) gain a ``/hist{n}`` suffix.
-    """
-    return replace(
-        matrix, history_epochs=history_epochs, history_fraction=None
     )

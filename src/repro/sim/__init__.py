@@ -1,4 +1,12 @@
-"""Epoch-driven simulation engine reproducing the paper's evaluation."""
+"""Epoch-driven simulation engine reproducing the paper's evaluation.
+
+* :mod:`repro.sim.metrics` — the evaluation metrics: cross-shard
+  ratio, workload deviation and throughput;
+* :mod:`repro.sim.engine` — the epoch loop, with optional value
+  execution on the chain substrate;
+* :mod:`repro.sim.recorder` — per-run summaries and their JSON store;
+* :mod:`repro.sim.scenario` — named scenarios and method comparisons.
+"""
 
 from repro.sim.metrics import (
     cross_shard_ratio,
@@ -20,12 +28,6 @@ from repro.sim.scenario import (
     get_scenario,
     run_comparison,
 )
-from repro.sim.stats import (
-    MetricSummary,
-    MultiSeedResult,
-    run_multi_seed,
-    summarize_metric,
-)
 
 __all__ = [
     "cross_shard_ratio",
@@ -43,8 +45,4 @@ __all__ = [
     "DEFAULT_METHODS",
     "get_scenario",
     "run_comparison",
-    "MetricSummary",
-    "MultiSeedResult",
-    "run_multi_seed",
-    "summarize_metric",
 ]

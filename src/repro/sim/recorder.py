@@ -145,10 +145,6 @@ class ResultRecorder:
         self._entries.append(summary)
         return summary
 
-    def by_experiment(self, experiment: str) -> List[Dict[str, object]]:
-        """All summaries recorded under the given experiment label."""
-        return [e for e in self._entries if e.get("experiment") == experiment]
-
     def save(self, path: Union[str, Path]) -> Path:
         """Write all entries to ``path`` as a JSON array."""
         path = Path(path)

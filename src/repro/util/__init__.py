@@ -5,10 +5,9 @@ from repro.util.validation import (
     check_non_negative,
     check_in_range,
     check_probability,
-    check_type,
 )
 from repro.util.rng import RngFactory, derive_seed
-from repro.util.timing import Timer, benchmark_callable
+from repro.util.timing import Timer
 from repro.util.formatting import format_bytes, format_seconds, render_table
 
 __all__ = [
@@ -16,11 +15,9 @@ __all__ = [
     "check_non_negative",
     "check_in_range",
     "check_probability",
-    "check_type",
     "RngFactory",
     "derive_seed",
     "Timer",
-    "benchmark_callable",
     "format_bytes",
     "format_seconds",
     "render_table",

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 
 class Timer:
@@ -50,31 +49,3 @@ class Timer:
         self.laps.clear()
         self._start = None
 
-
-@dataclass
-class TimingStats:
-    """Summary of repeated timed calls."""
-
-    mean: float
-    minimum: float
-    maximum: float
-    repeats: int
-    samples: List[float] = field(repr=False, default_factory=list)
-
-
-def benchmark_callable(fn: Callable[[], object], repeats: int = 5) -> TimingStats:
-    """Time ``fn`` ``repeats`` times and return summary statistics."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    samples: List[float] = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return TimingStats(
-        mean=statistics.fmean(samples),
-        minimum=min(samples),
-        maximum=max(samples),
-        repeats=repeats,
-        samples=samples,
-    )

@@ -8,23 +8,9 @@ call sites one-liners while still producing actionable errors.
 from __future__ import annotations
 
 from numbers import Real
-from typing import Any, Tuple, Type, Union
+from typing import Any
 
 from repro.errors import ConfigurationError
-
-
-def check_type(name: str, value: Any, types: Union[Type, Tuple[Type, ...]]) -> Any:
-    """Ensure ``value`` is an instance of ``types``; return it unchanged."""
-    if not isinstance(value, types):
-        expected = (
-            types.__name__
-            if isinstance(types, type)
-            else " | ".join(t.__name__ for t in types)
-        )
-        raise ConfigurationError(
-            f"{name} must be {expected}, got {type(value).__name__}: {value!r}"
-        )
-    return value
 
 
 def _check_real(name: str, value: Any) -> float:

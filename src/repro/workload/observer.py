@@ -45,17 +45,6 @@ class WorkloadSnapshot:
         """Number of shards covered by the snapshot."""
         return len(self.omega)
 
-    def download_bytes(self) -> int:
-        """Bytes a client transfers to fetch this snapshot."""
-        return self.k * OMEGA_ENTRY_BYTES
-
-    def least_loaded_shard(self) -> int:
-        """Shard id with the smallest published workload."""
-        if self.k == 0:
-            raise ValidationError("empty snapshot")
-        return int(np.argmin(self.omega))
-
-
 class WorkloadOracle:
     """Analyses pending transactions and publishes ``Omega`` snapshots."""
 

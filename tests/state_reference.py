@@ -24,7 +24,6 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from repro.chain.state import (
-    STATE_RECORD_BYTES,
     AccountState,
     ResidencyIndex,
     StateRegistry,
@@ -225,10 +224,6 @@ class ShardStateStore:
                 for account, balance in self._balances.items()
             ]
         )
-
-    def serialized_bytes(self) -> int:
-        """Bytes a miner transfers to sync this shard's state."""
-        return len(self._balances) * STATE_RECORD_BYTES
 
     def column_nbytes(self) -> int:
         """Array-column bytes held by this store (0: dicts only)."""

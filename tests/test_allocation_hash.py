@@ -6,11 +6,8 @@ import pytest
 from repro.allocation.base import UpdateContext
 from repro.allocation.hash_based import (
     HashAllocator,
-    PrefixBitAllocator,
     hash_shard_of_address,
-    prefix_bit_shard_of_address,
 )
-from repro.chain.params import ProtocolParams
 from repro.chain.transaction import TransactionBatch
 from repro.errors import ConfigurationError
 
@@ -40,21 +37,6 @@ class TestHashRules:
     def test_rejects_bad_k(self):
         with pytest.raises(ConfigurationError):
             hash_shard_of_address("0x" + "00" * 20, 0)
-
-    def test_prefix_bits_in_range(self):
-        for i in range(100):
-            addr = f"0x{i:040x}"
-            assert 0 <= prefix_bit_shard_of_address(addr, 8) < 8
-
-    def test_prefix_bits_k_one(self):
-        assert prefix_bit_shard_of_address("0x" + "ff" * 20, 1) == 0
-
-    def test_prefix_bits_rejects_non_power_of_two(self):
-        with pytest.raises(ConfigurationError):
-            prefix_bit_shard_of_address("0x" + "00" * 20, 6)
-
-    def test_prefix_bits_large_k(self):
-        assert 0 <= prefix_bit_shard_of_address("0x" + "cd" * 20, 1024) < 1024
 
 
 class TestHashAllocator:
@@ -92,10 +74,3 @@ class TestHashAllocator:
         mapping = allocator.initialize(tiny_trace, params)
         sizes = mapping.shard_sizes()
         assert sizes.min() > 0.6 * sizes.mean()
-
-    def test_prefix_bit_allocator(self, tiny_trace):
-        params = ProtocolParams(k=4)
-        allocator = PrefixBitAllocator()
-        mapping = allocator.initialize(tiny_trace, params)
-        assert mapping.k == 4
-        assert allocator.name == "hash-prefix-bits"

@@ -13,7 +13,13 @@ from repro.allocation.metis_like.coarsen import (
 )
 from repro.allocation.metis_like.csr import csr_from_adjacency
 from repro.allocation.metis_like.initial import greedy_initial_partition
-from repro.allocation.metis_like.refine import cut_weight, refine_partition
+from repro.allocation.metis_like.kernels import resolve_compiled
+from repro.allocation.metis_like.refine import (
+    _LevelState,
+    _rebalance_passes,
+    _refine_passes,
+    cut_weight,
+)
 from repro.chain.params import ProtocolParams
 from repro.errors import PartitionError
 
@@ -22,6 +28,30 @@ def heavy_edge_matching(adjacency, vertex_weights, rng, max_vertex_weight):
     """Dict-adjacency front end to :func:`heavy_edge_matching_csr`."""
     return heavy_edge_matching_csr(
         csr_from_adjacency(adjacency), vertex_weights, rng, max_vertex_weight
+    )
+
+
+def refine_partition(
+    adjacency, vertex_weights, assignment, k, max_part_weight,
+    compiled_kernels="auto", max_passes=4,
+):
+    """Dict-adjacency front end to the refine passes alone."""
+    csr = csr_from_adjacency(adjacency)
+    return _refine_passes(
+        csr, vertex_weights, assignment, k, max_part_weight, max_passes,
+        _LevelState(csr, k), compiled=resolve_compiled(compiled_kernels),
+    )
+
+
+def rebalance(
+    adjacency, vertex_weights, assignment, k, max_part_weight,
+    compiled_kernels="auto", max_passes=4,
+):
+    """Dict-adjacency front end to the rebalance passes alone."""
+    csr = csr_from_adjacency(adjacency)
+    return _rebalance_passes(
+        csr, vertex_weights, assignment, k, max_part_weight, max_passes,
+        _LevelState(csr, k), compiled=resolve_compiled(compiled_kernels),
     )
 
 
@@ -117,8 +147,7 @@ class TestRefinement:
         assignment = rng.integers(0, 2, size=graph.n_accounts)
         before = cut_weight(adjacency, assignment)
         refined = refine_partition(
-            adjacency, weights, assignment.copy(), 2,
-            weights.sum() / 2 * 1.3, rng,
+            adjacency, weights, assignment.copy(), 2, weights.sum() / 2 * 1.3
         )
         after = cut_weight(adjacency, refined)
         assert after <= before
@@ -169,11 +198,6 @@ class TestPartitionGraph:
         result = partition_graph(graph, k=4, coarsen_target=80, seed=1)
         assert result.levels > 1
         assert set(np.unique(result.assignment)) <= {0, 1, 2, 3}
-
-    def test_as_mapping_dict(self):
-        result = partition_graph(two_cliques(4), k=2)
-        mapping = result.as_mapping_dict()
-        assert set(mapping) == set(int(v) for v in result.vertex_ids)
 
 
 @settings(max_examples=20, deadline=None)

@@ -6,7 +6,6 @@ from repro.analysis.radar import RADAR_DIMENSIONS, RadarAxes, radar_scores
 from repro.analysis.tables import (
     beta_sweep_table,
     comparison_table,
-    efficiency_table,
     overhead_table,
 )
 from repro.chain.network import OverheadModel
@@ -82,17 +81,6 @@ class TestOtherTables:
         assert len(lines) == 4  # header + rule + 2 rows
         assert lines[2].startswith("0.00")
         assert lines[3].startswith("0.50")
-
-    def test_efficiency_table_has_input_row(self):
-        summaries = [summary("pilot"), summary("metis", mean_unit_time=300.0)]
-        text = efficiency_table(
-            summaries,
-            allocators=["pilot", "metis"],
-            row_settings=[{"k": 4, "label": "k = 4"}],
-        )
-        assert "Input Data" in text
-        assert "e-05" in text  # pilot's tiny unit time
-        assert "300.00 s" in text
 
     def test_overhead_table_renders_three_frameworks(self):
         model = OverheadModel(

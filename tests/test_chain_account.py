@@ -1,13 +1,8 @@
 """Unit tests for addresses and the account registry."""
 
-import numpy as np
 import pytest
 
-from repro.chain.account import (
-    AccountRegistry,
-    address_from_id,
-    random_address,
-)
+from repro.chain.account import AccountRegistry, address_from_id
 from repro.errors import UnknownAccountError, ValidationError
 
 ADDR_A = "0x" + "aa" * 20
@@ -30,12 +25,6 @@ class TestAddressDerivation:
     def test_rejects_negative_id(self):
         with pytest.raises(ValidationError):
             address_from_id(-1)
-
-    def test_random_address_format(self):
-        address = random_address(np.random.default_rng(0))
-        assert address.startswith("0x")
-        assert len(address) == 42
-
 
 class TestRegistry:
     def test_register_assigns_dense_ids(self):
@@ -61,11 +50,6 @@ class TestRegistry:
         account_id = registry.register("aa" * 20)
         assert registry.address_of(account_id) == ADDR_A
 
-    def test_id_of_unknown_raises(self):
-        registry = AccountRegistry()
-        with pytest.raises(UnknownAccountError):
-            registry.id_of(ADDR_A)
-
     def test_address_of_unknown_raises(self):
         registry = AccountRegistry()
         with pytest.raises(UnknownAccountError):
@@ -73,7 +57,8 @@ class TestRegistry:
 
     def test_roundtrip(self):
         registry = AccountRegistry([ADDR_A, ADDR_B])
-        assert registry.address_of(registry.id_of(ADDR_B)) == ADDR_B
+        assert registry.address_of(registry.register(ADDR_B)) == ADDR_B
+        assert len(registry) == 2
 
     def test_rejects_bad_hex(self):
         registry = AccountRegistry()
@@ -92,7 +77,8 @@ class TestRegistry:
     def test_synthetic_registry_covers_range(self):
         registry = AccountRegistry.synthetic(10)
         assert len(registry) == 10
-        assert registry.id_of(registry.address_of(7)) == 7
+        assert registry.register(registry.address_of(7)) == 7
+        assert len(registry) == 10
 
     def test_ensure_size_is_monotonic(self):
         registry = AccountRegistry.synthetic(5)

@@ -104,12 +104,12 @@ class TestSimulateFlooding:
         )
         assert outcome.honest_committed == 3
         assert outcome.attacker_cost == 0.0
-        assert outcome.honest_commit_ratio == 1.0
+        assert outcome.attacker_committed == 0
 
     def test_empty_round(self):
         outcome = simulate_flooding(
             [], attacker_accounts=[], capacity=10,
             schedule=MigrationFeeSchedule(),
         )
-        assert outcome.honest_commit_ratio == 0.0
+        assert outcome.honest_committed == outcome.attacker_committed == 0
         assert isinstance(outcome, FloodingOutcome)

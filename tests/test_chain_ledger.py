@@ -54,11 +54,6 @@ class TestProcessEpoch:
         expected_total = stats.intra_shard + 2 * params.eta * stats.cross_shard
         assert stats.workloads.sum() == pytest.approx(expected_total)
 
-    def test_total_committed_accumulates(self, ledger):
-        ledger.process_epoch(batch_over(8, 20))
-        ledger.process_epoch(batch_over(8, 30, seed=1))
-        assert ledger.total_committed_transactions == 50
-
     def test_empty_epoch_stats(self, ledger):
         stats = ledger.process_epoch(TransactionBatch.empty())
         assert stats.total_transactions == 0
@@ -93,10 +88,6 @@ class TestMigrationFlow:
         assert report.committed_count == 0
         ledger.reconfigure()
         assert ledger.mapping.shard_of(0) == src
-
-    def test_grow_accounts(self, ledger, params):
-        ledger.grow_accounts(10, np.zeros(2, dtype=np.int64))
-        assert ledger.mapping.n_accounts == 10
 
     def test_mapping_k_mismatch_rejected(self, params):
         mapping = ShardMapping(np.zeros(4, dtype=np.int64), k=2)

@@ -10,11 +10,6 @@ from repro.errors import MappingError, UnknownAccountError
 
 
 class TestConstruction:
-    def test_from_assignment(self):
-        mapping = ShardMapping.from_assignment([0, 1, 1, 0], k=2)
-        assert mapping.n_accounts == 4
-        assert mapping.k == 2
-
     def test_rejects_out_of_range_shards(self):
         with pytest.raises(MappingError):
             ShardMapping(np.array([0, 2]), k=2)
@@ -62,13 +57,6 @@ class TestAccessors:
         view = small_mapping.as_array()
         with pytest.raises(ValueError):
             view[0] = 1
-
-    def test_accounts_in(self, small_mapping):
-        assert list(small_mapping.accounts_in(1)) == [2, 3]
-
-    def test_accounts_in_bad_shard(self, small_mapping):
-        with pytest.raises(MappingError):
-            small_mapping.accounts_in(5)
 
     def test_shard_sizes(self, small_mapping):
         assert list(small_mapping.shard_sizes()) == [3, 2]
@@ -138,19 +126,13 @@ class TestDiff:
         with pytest.raises(MappingError):
             small_mapping.diff(other)
 
-    def test_migration_pairs(self, small_mapping):
-        other = small_mapping.copy()
-        other.assign(1, 1)
-        assert small_mapping.migration_pairs(other) == [(1, 0, 1)]
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     assignment=st.lists(st.integers(0, 7), min_size=1, max_size=200),
 )
 def test_partition_satisfies_definition_1(assignment):
     """Property: partition() yields disjoint, complete account sets."""
-    mapping = ShardMapping.from_assignment(assignment, k=8)
+    mapping = ShardMapping(np.array(assignment), k=8)
     parts = mapping.partition()
     assert len(parts) == 8
     combined = np.concatenate(parts)

@@ -69,9 +69,3 @@ class TestMempool:
         drained = pool.drain()
         assert len(drained) == 6
         assert len(pool) == 0
-
-    def test_workload_distribution(self, small_batch, small_mapping):
-        pool = Mempool(small_batch)
-        omega = pool.workload_distribution(small_mapping, eta=2.0)
-        assert omega.shape == (2,)
-        assert omega.sum() > 0

@@ -75,14 +75,6 @@ class TestFormulas:
             FRAMEWORK_HASH,
         }
 
-    def test_as_dict(self, model):
-        d = model.mosaic().as_dict()
-        assert set(d) == {
-            "storage_bytes",
-            "communication_bytes",
-            "computation_input_bytes",
-        }
-
 
 class TestValidation:
     def test_rejects_negative_counts(self):

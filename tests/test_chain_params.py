@@ -76,9 +76,6 @@ class TestBehaviour:
         with pytest.raises(ConfigurationError):
             ProtocolParams(k=4).derive_capacity(-1)
 
-    def test_shard_ids(self):
-        assert list(ProtocolParams(k=3).shard_ids) == [0, 1, 2]
-
     def test_frozen(self):
         params = ProtocolParams()
         with pytest.raises(Exception):

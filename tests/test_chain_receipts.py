@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.chain.receipts import ReceiptBatch, ReceiptLedger, receipts_to_tuple
+from repro.chain.receipts import ReceiptBatch, ReceiptLedger
 from repro.errors import ValidationError
 
 
@@ -123,14 +123,13 @@ class TestSettlementOrder:
         assert view.tx_ids.tolist() == [5, 4]
         assert len(ledger) == 2
 
-    def test_row_view_helper(self):
+    def test_view_columns_carry_every_field(self):
         ledger = ReceiptLedger()
         issue(ledger, [7], block=1, due=3, amount=2.0)
-        ((tx_id, sender, receiver, amount, src, tgt, issued, due),) = (
-            receipts_to_tuple(ledger.view())
-        )
-        assert (tx_id, sender, receiver) == (7, 70, 71)
-        assert (amount, src, tgt, issued, due) == (2.0, 0, 1, 1, 3)
+        # tx id, sender, receiver, amount, source/target shard, issued/due.
+        assert [column.tolist() for column in ledger.view()] == [
+            [7], [70], [71], [2.0], [0], [1], [1], [3]
+        ]
 
 
 class TestReceiptBatch:

@@ -59,13 +59,6 @@ class TestShardChain:
         chain.append_existing(block)
         assert chain.tip == block
 
-    def test_blocks_in_epoch(self):
-        chain = ShardChain(0)
-        chain.append_block([], epoch=0)
-        chain.append_block([], epoch=1)
-        chain.append_block([], epoch=1)
-        assert len(chain.blocks_in_epoch(1)) == 2
-
     def test_rejects_negative_shard_id(self):
         with pytest.raises(ValidationError):
             ShardChain(-1)
@@ -114,7 +107,7 @@ class TestBeaconChain:
         report = beacon.commit_epoch(epoch=0, capacity=1)
         assert report.committed_count == 1
         assert report.committed_batch.accounts.tolist() == [1]
-        assert report.rejected_count == 1
+        assert len(report.rejected_batch) == 1
         assert len(beacon) == 1
         beacon.verify()
 

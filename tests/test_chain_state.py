@@ -102,12 +102,6 @@ class TestShardStateStore:
         store.credit(1, 1.0)
         assert store.state_root() != before
 
-    def test_serialized_bytes(self):
-        store = _store()
-        store.credit(1, 1.0)
-        store.credit(2, 1.0)
-        assert store.serialized_bytes() == 2 * STATE_RECORD_BYTES
-
 
 class TestStateRegistry:
     def test_store_lookup(self):

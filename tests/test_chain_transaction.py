@@ -2,14 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.chain.transaction import (
-    TX_RECORD_BYTES,
-    Transaction,
-    TransactionBatch,
-)
+from repro.chain.transaction import Transaction, TransactionBatch
 from repro.errors import ValidationError
 
 
@@ -116,34 +110,3 @@ class TestTransactionBatch:
 
     def test_max_account_id(self, small_batch):
         assert small_batch.max_account_id() == 4
-
-    def test_record_bytes(self, small_batch):
-        assert small_batch.record_bytes() == 6 * TX_RECORD_BYTES
-
-    def test_split_by_block(self, small_batch):
-        before, after = small_batch.split_by_block(1)
-        assert len(before) == 2
-        assert len(after) == 4
-        assert (before.blocks < 1).all()
-        assert (after.blocks >= 1).all()
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    n=st.integers(min_value=0, max_value=60),
-    boundary=st.integers(min_value=0, max_value=20),
-)
-def test_split_by_block_partitions_batch(n, boundary):
-    """Property: split_by_block is a partition preserving every row."""
-    rng = np.random.default_rng(n)
-    batch = TransactionBatch(
-        rng.integers(0, 10, size=n),
-        rng.integers(10, 20, size=n),
-        np.sort(rng.integers(0, 20, size=n)),
-    )
-    before, after = batch.split_by_block(boundary)
-    assert len(before) + len(after) == n
-    if len(before):
-        assert before.blocks.max() < boundary
-    if len(after):
-        assert after.blocks.min() >= boundary

@@ -77,6 +77,35 @@ class TestCommands:
         header = out_path.read_text().splitlines()[0]
         assert header.startswith("hash,block_number,from_address")
 
+    def test_fee_fraction_without_value_model_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        out_path = tmp_path / "trace.csv"
+        small = ["--accounts", "300", "--transactions", "2000", "--blocks", "300"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["generate", str(out_path), "--fee-fraction", "0.1", *small])
+        assert exit_info.value.code == 2
+        assert not out_path.exists()
+        assert "--value-model" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--fee-fraction", "0.1", "--execute", *small])
+        assert exit_info.value.code == 2
+        # With a value model the same flag is honoured: a fee column.
+        code = main(
+            [
+                "generate",
+                str(out_path),
+                "--fee-fraction",
+                "0.1",
+                "--value-model",
+                "uniform",
+                *small,
+            ]
+        )
+        assert code == 0
+        header = out_path.read_text().splitlines()[0]
+        assert header.split(",")[-1] == "fee"
+
     def test_simulate_synthetic(self, capsys):
         code = main(
             [

@@ -26,6 +26,14 @@ from repro.data.ethereum import EthereumTraceConfig, generate_ethereum_like_trac
 from repro.allocation.base import UpdateContext
 
 
+def _migration_pairs(old, new):
+    """``(account, from_shard, to_shard)`` for every account ``new`` moves."""
+    moved = old.diff(new)
+    return zip(
+        moved.tolist(), old.shards_of(moved).tolist(), new.shards_of(moved).tolist()
+    )
+
+
 def _build_world(n_accounts, k, seed, relay_delay, network=None):
     params = ProtocolParams(k=k, eta=2.0, tau=20, seed=seed)
     trace = generate_ethereum_like_trace(
@@ -103,8 +111,8 @@ def test_total_value_conserved_through_full_loop(seed, k, relay_delay, batched):
                 gain=1.0,
                 epoch=view.index,
             )
-            for account, from_shard, to_shard in mapping.migration_pairs(
-                update.mapping
+            for account, from_shard, to_shard in _migration_pairs(
+                mapping, update.mapping
             )
         ]
         ledger.submit_migration_batch(
@@ -181,8 +189,8 @@ def test_total_value_conserved_under_lossy_network(seed, k, relay_delay):
                 gain=1.0,
                 epoch=view.index,
             )
-            for account, from_shard, to_shard in mapping.migration_pairs(
-                update.mapping
+            for account, from_shard, to_shard in _migration_pairs(
+                mapping, update.mapping
             )
         ]
         ledger.submit_migration_batch(

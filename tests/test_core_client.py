@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.chain.mapping import ShardMapping
-from repro.chain.transaction import TX_RECORD_BYTES, Transaction, TransactionBatch
+from repro.chain.transaction import Transaction, TransactionBatch
 from repro.core.client import Client
 from repro.errors import ValidationError
-from repro.workload.observer import OMEGA_ENTRY_BYTES, WorkloadSnapshot
+from repro.workload.observer import WorkloadSnapshot
 
 
 @pytest.fixture
@@ -37,11 +37,9 @@ class TestLocalStore:
         assert count == 2  # 0->1 and 2->0
         assert len(client.history) == 2
 
-    def test_expect_and_clear(self, client):
+    def test_expect_records_transaction(self, client):
         client.expect(Transaction(0, 3))
         assert len(client.expected) == 1
-        client.clear_expected()
-        assert len(client.expected) == 0
 
     def test_expect_rejects_foreign(self, client):
         with pytest.raises(ValidationError):
@@ -88,18 +86,5 @@ class TestDecisions:
 
 
 class TestAccounting:
-    def test_input_data_bytes(self, client):
-        client.observe_committed(Transaction(0, 1))
-        client.expect(Transaction(0, 2))
-        expected = 2 * TX_RECORD_BYTES + 2 * OMEGA_ENTRY_BYTES
-        assert client.input_data_bytes(k=2) == expected
-
-    def test_input_scale_matches_paper_order(self, client):
-        """A typical client holds a few transactions: input ~ 10^2 bytes,
-        versus GB-scale graphs for miner-driven methods."""
-        client.observe_committed(Transaction(0, 1))
-        client.observe_committed(Transaction(0, 2))
-        assert client.input_data_bytes(k=16) < 1000
-
     def test_repr(self, client):
         assert "account=0" in repr(client)

@@ -159,11 +159,11 @@ class TestUpdate:
         allocator.update(mapping, context_for(params, committed, mempool))
         return allocator
 
-    def test_last_request_batch_exposed(self, params):
+    def test_last_outcome_batch_holds_every_proposal(self, params):
         allocator = self._update_with_proposals(params)
         outcome = allocator.last_outcome
         assert outcome is not None
-        assert len(allocator.last_request_batch) == outcome.committed_count + len(
+        assert len(outcome.batch) == outcome.committed_count + len(
             outcome.rejected_idx
         )
 
@@ -176,7 +176,7 @@ class TestUpdate:
 
         monkeypatch.setattr(MigrationRequestBatch, "take", refuse)
         allocator = self._update_with_proposals(params)
-        assert len(allocator.last_request_batch) > 0
+        assert len(allocator.last_outcome.batch) > 0
 
 
 class TestPlaceNewAccounts:

@@ -19,13 +19,11 @@ from repro.data import (
     CsvTraceSource,
     EpochStream,
     EthereumTraceConfig,
-    GeneratorTraceSource,
     MaterialisedTraceSource,
     Trace,
     ValueModelConfig,
     generate_ethereum_like_trace,
     read_transactions_csv,
-    stream_epochs,
     write_transactions_csv,
 )
 from repro.errors import DataError, MalformedRowError, ValidationError
@@ -86,22 +84,6 @@ class TestMaterialisedSource:
         trace = generate_ethereum_like_trace(valued_config())
         with pytest.raises(DataError):
             MaterialisedTraceSource(trace, chunk_rows=0)
-
-
-class TestGeneratorSource:
-    def test_materialise_matches_direct_generation(self):
-        config = valued_config()
-        direct = generate_ethereum_like_trace(config)
-        source = GeneratorTraceSource(config, chunk_rows=128)
-        assert_batches_equal(source.materialise().batch, direct.batch)
-        assert source.materialise().n_accounts == direct.n_accounts
-
-    def test_generation_is_cached_across_iterations(self):
-        source = GeneratorTraceSource(valued_config(), chunk_rows=512)
-        first = TransactionBatch.concat_many(list(source.chunks()))
-        second = TransactionBatch.concat_many(list(source.chunks()))
-        assert_batches_equal(first, second)
-        assert source.materialise() is source.materialise()
 
 
 class TestCsvSource:
@@ -175,7 +157,7 @@ class TestCsvSource:
         eager, _ = read_transactions_csv(path)
         assert eager.batch.values is None
         streamed_epochs = list(
-            stream_epochs(CsvTraceSource(path, chunk_rows=64), tau=50)
+            EpochStream(CsvTraceSource(path, chunk_rows=64), tau=50)
         )
         for got, want in zip(streamed_epochs, eager.epoch_list(50)):
             assert_batches_equal(got.batch, want.batch)
@@ -276,8 +258,8 @@ class TestErrorFixturesPythonPath:
         assert sum(len(c) for c in chunks) == 1
         # Self-transfer endpoints register even though the row is
         # dropped, so ids match the eager reader's.
-        assert registry.id_of(ADDR_A) == 0
-        assert registry.id_of(ADDR_B) == 1
+        assert registry.address_of(0) == ADDR_A
+        assert registry.address_of(1) == ADDR_B
 
 
 class TestEpochStream:
@@ -295,7 +277,7 @@ class TestEpochStream:
             valued_config(n_transactions=1_200, n_blocks=200, seed=seed)
         )
         source = MaterialisedTraceSource(trace, chunk_rows=chunk_rows)
-        streamed = list(stream_epochs(source, tau, max_epochs))
+        streamed = list(EpochStream(source, tau, max_epochs))
         materialised = trace.epoch_list(tau, max_epochs)
         assert len(streamed) == len(materialised)
         for got, want in zip(streamed, materialised):
@@ -333,13 +315,13 @@ class TestEpochStream:
                     yield chunk
 
         source = CountingSource(trace, chunk_rows=50)
-        epochs = list(stream_epochs(source, tau=10, max_epochs=2))
+        epochs = list(EpochStream(source, tau=10, max_epochs=2))
         assert [e.index for e in epochs] == [0, 1]
         assert sum(pulled) < len(trace)  # the tail was never pulled
 
     def test_empty_source_yields_nothing(self):
         empty = Trace(TransactionBatch.empty(), n_accounts=1)
-        assert list(stream_epochs(MaterialisedTraceSource(empty), 10)) == []
+        assert list(EpochStream(MaterialisedTraceSource(empty), 10)) == []
 
     def test_rejects_bad_parameters(self):
         trace = Trace(TransactionBatch.empty(), n_accounts=1)
@@ -355,7 +337,7 @@ class TestEpochStream:
         write_transactions_csv(path, trace)
         eager, _ = read_transactions_csv(path)
         streamed = list(
-            stream_epochs(CsvTraceSource(path, chunk_rows=211), tau=25)
+            EpochStream(CsvTraceSource(path, chunk_rows=211), tau=25)
         )
         for got, want in zip(streamed, eager.epoch_list(25)):
             assert_batches_equal(got.batch, want.batch)

@@ -37,11 +37,9 @@ class TestConstruction:
         trace = make_trace([5, 5, 9])
         assert trace.first_block == 5
         assert trace.last_block == 9
-        assert trace.block_span == 5
 
     def test_empty_trace_properties(self):
         trace = Trace(TransactionBatch.empty(), n_accounts=3)
-        assert trace.block_span == 0
         assert len(trace) == 0
 
 
@@ -105,24 +103,11 @@ class TestEpochs:
 
 
 class TestActivity:
-    def test_account_activity_counts_both_sides(self):
-        trace = Trace(
-            TransactionBatch(np.array([0, 0]), np.array([1, 2])),
-            n_accounts=4,
-        )
-        activity = trace.account_activity()
-        assert list(activity) == [2, 1, 1, 0]
-
     def test_active_accounts(self):
         trace = Trace(
             TransactionBatch(np.array([0]), np.array([2])), n_accounts=5
         )
         assert list(trace.active_accounts()) == [0, 2]
-
-    def test_subset_blocks(self):
-        trace = make_trace([0, 1, 2, 3])
-        subset = trace.subset_blocks(1, 2)
-        assert len(subset) == 2
 
 
 @settings(max_examples=40, deadline=None)

@@ -25,7 +25,6 @@ from repro.experiments import (
     matrix_table,
     preset_matrix,
     run_matrix,
-    with_funding,
     write_result_json,
 )
 from repro.experiments import matrix as matrix_module
@@ -67,7 +66,7 @@ class TestScenarioMatrix:
         """A metrics-only cell funds no genesis, so labelling it
         ``/funding-observed`` would report a run that never happened."""
         with pytest.raises(ConfigurationError, match="value execution"):
-            with_funding(tiny_matrix(), "observed")
+            replace(tiny_matrix(), funding="observed")
         with pytest.raises(ConfigurationError, match="value execution"):
             ScenarioMatrix(
                 name="mixed",

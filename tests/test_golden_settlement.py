@@ -72,10 +72,16 @@ def _run_workload():
         block += int(rng.integers(1, 4))
 
     # Pin the order receipts leave the ledger at the final flush.
-    pending = [
-        (r.tx_id, r.sender, r.receiver, r.amount, r.issued_block)
-        for r in executor.pending_receipts
-    ]
+    view = executor.ledger.view()
+    pending = list(
+        zip(
+            view.tx_ids.tolist(),
+            view.senders.tolist(),
+            view.receivers.tolist(),
+            view.amounts.tolist(),
+            view.issued_blocks.tolist(),
+        )
+    )
     executor.settle_all(from_block=block)
     roots = [
         executor.registry.store_of(shard).state_root() for shard in range(k)

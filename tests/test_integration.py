@@ -154,7 +154,7 @@ class TestLedgerIntegration:
                 capacity=params.derive_capacity(len(view.batch)),
             )
             allocator.update(ledger.mapping, context)
-            ledger.submit_migration_batch(allocator.last_request_batch)
+            ledger.submit_migration_batch(allocator.last_outcome.batch)
             report = ledger.commit_migrations(
                 capacity=int(context.capacity)
             )

@@ -30,12 +30,9 @@ from repro.allocation.metis_like.kernels import (
     rebalance_commit,
     refine_commit,
 )
-from repro.allocation.metis_like.refine import (
-    polish_level,
-    rebalance,
-    refine_partition,
-)
+from repro.allocation.metis_like.refine import polish_level
 from repro.errors import PartitionError
+from test_allocation_metis import rebalance, refine_partition
 
 
 def random_graph(seed, n_low=10, n_high=120, fractional=False):
@@ -198,22 +195,10 @@ def test_refine_partition_bit_identical(seed, k):
     cap = 1.2 * float(weights.sum()) / k
     adjacency = adjacency_of(graph)
     reference = refine_partition(
-        adjacency,
-        weights,
-        start.copy(),
-        k,
-        cap,
-        np.random.default_rng(seed),
-        compiled_kernels=False,
+        adjacency, weights, start.copy(), k, cap, compiled_kernels=False
     )
     kernel = refine_partition(
-        adjacency,
-        weights,
-        start.copy(),
-        k,
-        cap,
-        np.random.default_rng(seed),
-        compiled_kernels=True,
+        adjacency, weights, start.copy(), k, cap, compiled_kernels=True
     )
     assert np.array_equal(reference, kernel)
 
@@ -232,22 +217,10 @@ def test_rebalance_bit_identical(seed, k):
     cap = 1.1 * float(weights.sum()) / k
     adjacency = adjacency_of(graph)
     reference = rebalance(
-        adjacency,
-        weights,
-        start.copy(),
-        k,
-        cap,
-        np.random.default_rng(seed),
-        compiled_kernels=False,
+        adjacency, weights, start.copy(), k, cap, compiled_kernels=False
     )
     kernel = rebalance(
-        adjacency,
-        weights,
-        start.copy(),
-        k,
-        cap,
-        np.random.default_rng(seed),
-        compiled_kernels=True,
+        adjacency, weights, start.copy(), k, cap, compiled_kernels=True
     )
     assert np.array_equal(reference, kernel)
 

@@ -6,16 +6,12 @@ digest is byte-identical; non-ideal cells suffix ``label`` only (the
 scenario label, and therefore the seed, is shared with the ideal twin).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.matrix import (
-    ScenarioMatrix,
-    default_trace,
-    preset_matrix,
-    with_engine_modes,
-    with_network,
-)
+from repro.experiments.matrix import ScenarioMatrix, default_trace, preset_matrix
 from repro.experiments.runner import run_matrix
 
 
@@ -54,7 +50,7 @@ class TestNetworkAxis:
         assert lossy.simulation_config().network == "lossy"
 
     def test_with_network_is_a_grid_copy(self):
-        matrix = with_network(executed_matrix("ideal"), "wan")
+        matrix = replace(executed_matrix("ideal"), network="wan")
         assert matrix.network == "wan"
         assert all(cell.network == "wan" for cell in matrix.cells())
 
@@ -64,11 +60,9 @@ class TestNetworkAxis:
 
     def test_non_ideal_network_rejects_metrics_mode(self):
         with pytest.raises(ConfigurationError, match="value execution"):
-            with_network(preset_matrix("smoke"), "lossy")
-        # Restricting to executing modes first makes it legal.
-        with_network(
-            with_engine_modes(preset_matrix("smoke"), ("execute",)), "lossy"
-        )
+            replace(preset_matrix("smoke"), network="lossy")
+        # Restricting to executing modes as well makes it legal.
+        replace(preset_matrix("smoke"), engine_modes=("execute",), network="lossy")
 
 
 class TestExecutedSummaries:

@@ -22,13 +22,18 @@ from repro.allocation.metis_like.kernels import NUMBA_AVAILABLE
 from repro.errors import ExperimentError
 from repro.experiments import check_against_baseline
 from repro.experiments.bench import (
-    load_baseline,
     memory_microbench,
     refine_microbench,
     smoke_seconds,
 )
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_baseline.json"
+
+
+def load_baseline(path: Path) -> dict:
+    """Read the committed snapshot; a missing file fails the test."""
+    assert path.exists(), f"no benchmark snapshot at {path}"
+    return json.loads(path.read_text())
 
 #: Every key ``repro bench`` writes (``refine_seconds_jit`` only with
 #: numba installed).

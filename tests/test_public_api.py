@@ -1,10 +1,24 @@
-"""Public API surface tests: every exported name resolves and works."""
+"""Public API surface tests: every exported name resolves, works and is
+used."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
+
+REPO = Path(__file__).resolve().parent.parent
+
+#: Directories whose modules count as consumers of an exported name.
+CONSUMER_DIRS = ("src", "benchmarks", "examples")
+
+#: Exported names kept without a consumer, each with the reason.
+ORACLES = {
+    "cost_vector": "the Eq. 3 cost vector: the oracle the tests check "
+    "Pilot's Eq. 4 Potential maximisation against",
+}
 
 
 class TestExports:
@@ -33,6 +47,52 @@ class TestExports:
 
     def test_version_present(self):
         assert repro.__version__.count(".") == 2
+
+
+def _subpackages():
+    root = REPO / "src" / "repro"
+    return sorted(
+        ".".join(init.parent.relative_to(root.parent).parts)
+        for init in root.rglob("__init__.py")
+        if init.parent != root
+    )
+
+
+def _consumer_lines():
+    """Every line of every module under :data:`CONSUMER_DIRS`.
+
+    Package ``__init__.py`` files only re-export names, so none of them
+    counts as a consumer.
+    """
+    lines = []
+    for directory in CONSUMER_DIRS:
+        for path in sorted((REPO / directory).rglob("*.py")):
+            if path.name != "__init__.py":
+                lines.extend(path.read_text().splitlines())
+    return lines
+
+
+def test_every_export_has_a_consumer():
+    """Each name a subpackage exports is used somewhere besides its own
+    ``def``/``class`` line; an unused export is deleted or moved next to
+    the test that needs it, unless :data:`ORACLES` names it."""
+    lines = _consumer_lines()
+    exported = set()
+    unconsumed = []
+    for module_name in _subpackages():
+        for name in getattr(importlib.import_module(module_name), "__all__", []):
+            exported.add(name)
+            if name in ORACLES:
+                continue
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            definition = re.compile(rf"\s*(def|class)\s+{re.escape(name)}\b")
+            if not any(
+                name in line and word.search(line) and not definition.match(line)
+                for line in lines
+            ):
+                unconsumed.append(f"{module_name}.{name}")
+    assert not unconsumed, f"exports with no consumer: {unconsumed}"
+    assert set(ORACLES) <= exported, "an ORACLES entry is no longer exported"
 
 
 class TestMinimalWorkflows:

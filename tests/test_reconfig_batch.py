@@ -437,7 +437,7 @@ class TestReceiptForwarding:
                     np.array([0]), np.array([1]), np.array([0]), np.array([4.0])
                 ),
             )
-        assert executor.pending_receipts[0].target_shard == 1
+        assert executor.ledger.view().target_shards[0] == 1
 
         # Receiver migrates to shard 2 while the receipt is in flight.
         mapping.assign(1, 2)

@@ -42,7 +42,7 @@ class TestRecorder:
         recorder.record(result, experiment="table1", extra={"note": "a"})
         recorder.record(result, experiment="table2")
         assert len(recorder) == 2
-        table1 = recorder.by_experiment("table1")
+        table1 = [e for e in recorder.entries if e["experiment"] == "table1"]
         assert len(table1) == 1
         assert table1[0]["note"] == "a"
 

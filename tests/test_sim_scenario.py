@@ -72,14 +72,14 @@ class TestRunComparison:
             run_comparison(small_scenario, methods=["who"])
 
     def test_custom_factory(self, small_scenario):
-        from repro.allocation.hash_based import PrefixBitAllocator
+        from repro.allocation.hash_based import HashAllocator
 
         summaries = run_comparison(
             small_scenario,
-            methods=["prefix"],
-            factories={"prefix": PrefixBitAllocator},
+            methods=["custom"],
+            factories={"custom": HashAllocator},
         )
-        assert "prefix" in summaries
+        assert "custom" in summaries
 
     def test_trace_reuse(self, small_scenario):
         trace = small_scenario.build_trace()

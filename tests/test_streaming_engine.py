@@ -30,7 +30,6 @@ from repro.data.source import (
     ChunkIteratorSource,
     CsvTraceSource,
     FollowCsvTraceSource,
-    GeneratorTraceSource,
     MaterialisedTraceSource,
 )
 from repro.errors import DataError, SimulationError
@@ -118,9 +117,12 @@ class TestWindowedEquivalence:
         assert_identical_records(streamed, materialised)
 
     def test_generator_source(self):
+        """A generated trace replays through the chunked source view."""
         config = SimulationConfig(params=params())
         streamed = Simulation(
-            GeneratorTraceSource(PLAIN_CONFIG, chunk_rows=613),
+            MaterialisedTraceSource(
+                generate_ethereum_like_trace(PLAIN_CONFIG), chunk_rows=613
+            ),
             MetisLikeAllocator(seed=7),
             config,
         ).run()
@@ -359,8 +361,6 @@ class TestSourceProtocol:
             len(trace),
             trace.n_accounts,
         )
-        generated = GeneratorTraceSource(PLAIN_CONFIG)
-        assert generated.size_hint() == (len(trace), trace.n_accounts)
         path = tmp_path / "hint.csv"
         write_transactions_csv(path, trace)
         # A CSV cannot know its row count without a pass: no hint.

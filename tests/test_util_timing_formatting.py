@@ -3,7 +3,7 @@
 import pytest
 
 from repro.util.formatting import format_bytes, format_seconds, render_table
-from repro.util.timing import Timer, benchmark_callable
+from repro.util.timing import Timer
 
 
 class TestTimer:
@@ -30,18 +30,6 @@ class TestTimer:
         with timer:
             sum(range(1000))
         assert timer.laps[0] > 0
-
-
-class TestBenchmarkCallable:
-    def test_collects_requested_repeats(self):
-        stats = benchmark_callable(lambda: sum(range(100)), repeats=3)
-        assert stats.repeats == 3
-        assert len(stats.samples) == 3
-        assert stats.minimum <= stats.mean <= stats.maximum
-
-    def test_rejects_zero_repeats(self):
-        with pytest.raises(ValueError):
-            benchmark_callable(lambda: None, repeats=0)
 
 
 class TestFormatBytes:

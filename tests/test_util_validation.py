@@ -8,7 +8,6 @@ from repro.util.validation import (
     check_non_negative,
     check_positive,
     check_probability,
-    check_type,
 )
 
 
@@ -72,14 +71,3 @@ class TestCheckProbability:
         with pytest.raises(ConfigurationError):
             check_probability("p", value)
 
-
-class TestCheckType:
-    def test_single_type(self):
-        assert check_type("x", 5, int) == 5
-
-    def test_tuple_of_types(self):
-        assert check_type("x", 5.0, (int, float)) == 5.0
-
-    def test_mismatch_names_expected_type(self):
-        with pytest.raises(ConfigurationError, match="int"):
-            check_type("x", "no", int)

@@ -6,11 +6,7 @@ import pytest
 from repro.chain.mapping import ShardMapping
 from repro.chain.transaction import TransactionBatch
 from repro.errors import ValidationError
-from repro.workload.observer import (
-    OMEGA_ENTRY_BYTES,
-    WorkloadOracle,
-    WorkloadSnapshot,
-)
+from repro.workload.observer import WorkloadOracle, WorkloadSnapshot
 
 
 class TestSnapshot:
@@ -18,8 +14,6 @@ class TestSnapshot:
         snapshot = WorkloadSnapshot(epoch=2, omega=np.array([3.0, 1.0]))
         assert snapshot.k == 2
         assert snapshot.epoch == 2
-        assert snapshot.least_loaded_shard() == 1
-        assert snapshot.download_bytes() == 2 * OMEGA_ENTRY_BYTES
 
     def test_rejects_negative_workloads(self):
         with pytest.raises(ValidationError):
@@ -28,11 +22,6 @@ class TestSnapshot:
     def test_rejects_matrix(self):
         with pytest.raises(ValidationError):
             WorkloadSnapshot(epoch=0, omega=np.ones((2, 2)))
-
-    def test_empty_snapshot_least_loaded_raises(self):
-        snapshot = WorkloadSnapshot(epoch=0, omega=np.zeros(0))
-        with pytest.raises(ValidationError):
-            snapshot.least_loaded_shard()
 
 
 class TestOracle:
