@@ -4,11 +4,7 @@ Kept as a plain ``setup.py`` so ``pip install -e . --no-build-isolation
 --no-use-pep517`` works in offline environments that lack the ``wheel``
 package (PEP 660 editable installs need it).
 
-The core library needs only numpy. The ``fast`` extra pulls in the
-optional compiled fast path: numba for the jitted Metis refinement
-kernels (``repro.allocation.metis_like.kernels``). It is
-import-guarded: without the extra the kernels fall back to the
-bit-identical pure-python reference loops.
+The library needs only numpy.
 """
 
 import re
@@ -32,9 +28,6 @@ setup(
     package_dir={"": "src"},
     python_requires=">=3.9",
     install_requires=["numpy"],
-    extras_require={
-        "fast": ["numba>=0.57"],
-    },
     entry_points={
         "console_scripts": ["repro = repro.cli:main"],
     },

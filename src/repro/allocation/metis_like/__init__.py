@@ -14,10 +14,6 @@ graph with the classic multilevel scheme:
 No external METIS binary or bindings are used; see DESIGN.md §4.
 """
 
-from repro.allocation.metis_like.kernels import (
-    NUMBA_AVAILABLE,
-    resolve_compiled,
-)
 from repro.allocation.metis_like.partitioner import (
     MetisLikeAllocator,
     PartitionResult,
@@ -26,8 +22,6 @@ from repro.allocation.metis_like.partitioner import (
 
 __all__ = [
     "MetisLikeAllocator",
-    "NUMBA_AVAILABLE",
     "PartitionResult",
     "partition_graph",
-    "resolve_compiled",
 ]

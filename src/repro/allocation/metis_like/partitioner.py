@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -44,8 +44,6 @@ def partition_graph(
     balance_factor: float = 1.10,
     seed: int = 0,
     coarsen_target: Optional[int] = None,
-    refine_passes: int = 4,
-    compiled_kernels: Union[bool, str] = "auto",
 ) -> PartitionResult:
     """Partition ``graph`` into ``k`` balanced parts, multilevel style.
 
@@ -55,13 +53,9 @@ def partition_graph(
         balance_factor: per-part weight cap as a multiple of the average
             part weight (1.10 = 10% imbalance allowed, METIS's default
             ballpark).
-        seed: RNG seed for matching/refinement orders.
+        seed: RNG seed for the coarsening matchings.
         coarsen_target: stop coarsening when at most this many vertices
             remain (default ``max(16 * k, 64)``).
-        refine_passes: refinement passes per level.
-        compiled_kernels: route refinement commit loops through the
-            jitted kernels (``"auto"`` = when numba is available; the
-            result is bit-identical either way).
     """
     if k < 1:
         raise PartitionError(f"k must be >= 1, got {k}")
@@ -123,29 +117,23 @@ def partition_graph(
     # balance constraint.
     relaxed_cap = max_part_weight + max_vertex_weight
 
-    def polish(adjacency_l, weights_l, assignment_l, rng_l):
+    def polish(adjacency_l, weights_l, assignment_l):
         return polish_level(
             adjacency_l, weights_l, assignment_l, k,
-            relaxed_cap, max_part_weight, rng_l,
-            max_passes=refine_passes,
-            compiled_kernels=compiled_kernels,
+            relaxed_cap, max_part_weight,
         )
 
     coarse_adj, coarse_weights = levels[-1]
     assignment = greedy_initial_partition(
         coarse_adj, coarse_weights, k, max_part_weight
     )
-    assignment = polish(
-        coarse_adj, coarse_weights, assignment, rngs.generator("refine-coarsest")
-    )
+    assignment = polish(coarse_adj, coarse_weights, assignment)
 
     for depth in range(len(projections) - 1, -1, -1):
         fine_adj, fine_weights = levels[depth]
         fine_to_coarse = projections[depth]
         assignment = assignment[fine_to_coarse]
-        assignment = polish(
-            fine_adj, fine_weights, assignment, rngs.generator(f"refine-{depth}")
-        )
+        assignment = polish(fine_adj, fine_weights, assignment)
 
     return PartitionResult(
         vertex_ids=vertex_ids,
@@ -164,13 +152,9 @@ class MetisLikeAllocator(Allocator):
         self,
         balance_factor: float = 1.10,
         seed: int = 0,
-        refine_passes: int = 4,
-        compiled_kernels: Union[bool, str] = "auto",
     ) -> None:
         self.balance_factor = balance_factor
         self.seed = seed
-        self.refine_passes = refine_passes
-        self.compiled_kernels = compiled_kernels
         self._graph = TransactionGraph()
 
     def _partition_to_mapping(
@@ -181,8 +165,6 @@ class MetisLikeAllocator(Allocator):
             k,
             balance_factor=self.balance_factor,
             seed=self.seed,
-            refine_passes=self.refine_passes,
-            compiled_kernels=self.compiled_kernels,
         )
         if previous is not None:
             assignment = previous.as_array().copy()

@@ -18,21 +18,13 @@ driver's per-level pipeline (relaxed-cap refine, rebalance, strict-cap
 refine) over one shared level state, so the connection matrix —
 maintained incrementally and bit-exactly for the integer-valued edge
 weights every partitioner graph carries — is scattered once per level
-instead of once per phase.
-
-The sequential *commit* loops (apply moves one vertex at a time with a
-live re-check) have a compiled twin in
-:mod:`repro.allocation.metis_like.kernels`; the ``compiled_kernels``
-knob on :func:`polish_level` selects it (``"auto"`` = use numba when
-importable). The inline Python loops below are the equivalence
-reference — the kernels are pinned bit-identical to them in
-``tests/test_metis_kernels.py``, so goldens and matrix digests do not
-depend on the knob.
+instead of once per phase. Each phase runs at most
+:data:`REFINE_PASSES` passes.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -42,17 +34,16 @@ from repro.allocation.metis_like.csr import (
     csr_from_adjacency,
     cut_weight_csr,
 )
-from repro.allocation.metis_like.kernels import (
-    rebalance_commit,
-    refine_commit,
-    resolve_compiled,
-)
 
 __all__ = [
     "part_loads",
     "cut_weight",
     "polish_level",
 ]
+
+#: Upper bound on the passes of each polish phase; a phase also stops
+#: at the first pass that moves nothing.
+REFINE_PASSES = 4
 
 
 def part_loads(vertex_weights: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarray:
@@ -97,9 +88,7 @@ def _refine_passes(
     assignment: np.ndarray,
     k: int,
     max_part_weight: float,
-    max_passes: int,
     state: _LevelState,
-    compiled: bool = False,
 ) -> np.ndarray:
     """Improve ``assignment`` in place with boundary moves; return it.
 
@@ -122,16 +111,12 @@ def _refine_passes(
     connection = (
         None if connection_flat is None else connection_flat.reshape(n, k)
     )
-    if compiled:
-        weights_f = np.ascontiguousarray(vertex_weights, dtype=np.float64)
-        no_dirty = np.zeros(0, dtype=np.bool_)
-    else:
-        loads_l = loads.tolist()
-        counts_l = part_counts.tolist()
-        weights_l = vertex_weights.tolist()
-        assignment_l = assignment.tolist()
+    loads_l = loads.tolist()
+    counts_l = part_counts.tolist()
+    weights_l = vertex_weights.tolist()
+    assignment_l = assignment.tolist()
 
-    for _pass in range(max_passes):
+    for _pass in range(REFINE_PASSES):
         if connection is None:
             connection_flat = np.bincount(
                 state.edge_keys + assignment[csr.indices],
@@ -172,43 +157,15 @@ def _refine_passes(
         if len(movers) == 0:
             break
         movers = movers[np.lexsort((movers, -best_gain[movers]))]
-        if compiled:
-            # Same commit loop, compiled: kernels.refine_commit updates
-            # assignment/loads/part_counts (and, for integral weights,
-            # connection_flat) in place with identical arithmetic.
-            dirty_rows = no_dirty if integral else np.zeros(n, dtype=np.bool_)
-            improved = bool(
-                refine_commit(
-                    movers,
-                    assignment,
-                    loads,
-                    part_counts,
-                    weights_f,
-                    connection_flat,
-                    csr.indptr,
-                    csr.indices,
-                    csr.weights,
-                    k,
-                    float(max_part_weight),
-                    integral,
-                    dirty_rows,
-                )
-            )
-            if not integral:
-                connection = None
-                connection_flat = None
-            if not improved:
-                break
-            continue
         improved = False
         # Commit loop over Python scalars: the synchronous scan above
         # already computed every mover's connection row, so the live
         # re-check reads the cached matrix row — kept current by the
         # incremental scatter on each commit (integral weights) or
         # rebuilt on demand when a neighbour moved ("dirty", fractional
-        # weights). The k-way target selection runs on plain lists,
-        # where it is branch-for-branch the argmax-over-masked-gains of
-        # the scalar reference.
+        # weights). The k-way target selection runs on plain lists:
+        # like the argmax of the scan, the first strictly better part
+        # wins a gain tie, and a zero gain never moves a vertex.
         dirty = None if integral else np.zeros(n, dtype=bool)
         for u in movers.tolist():
             current = assignment_l[u]
@@ -269,9 +226,7 @@ def _rebalance_passes(
     assignment: np.ndarray,
     k: int,
     max_part_weight: float,
-    max_passes: int,
     state: _LevelState,
-    compiled: bool = False,
 ) -> np.ndarray:
     """Push parts back under ``max_part_weight`` with minimum-loss moves.
 
@@ -279,18 +234,15 @@ def _rebalance_passes(
     Vertices move out of overweight parts into the lightest feasible
     part, preferring vertices whose move loses the least cut quality
     (internal connection minus the heaviest external edge, evaluated in
-    one vectorised pass per overweight part).
+    one vectorised pass per overweight part). A load tie goes to the
+    lowest part id, and a part stops draining once it is itself the
+    lightest.
     """
     n = csr.n
     loads = part_loads(vertex_weights, assignment, k)
     edge_rows = state.edge_rows
     moved_total = 0
-    weights_f = (
-        np.ascontiguousarray(vertex_weights, dtype=np.float64)
-        if compiled
-        else None
-    )
-    for _pass in range(max_passes):
+    for _pass in range(REFINE_PASSES):
         overweight = [p for p in range(k) if loads[p] > max_part_weight]
         if not overweight:
             break
@@ -328,24 +280,6 @@ def _rebalance_passes(
                 )
             costs = internal[members] - best_external[members]
             candidates = members[np.argsort(costs, kind="stable")]
-            if compiled:
-                # Same drain loop, compiled: assignment and loads are
-                # updated in place with identical arithmetic and the
-                # identical argmin tie-break.
-                moved = int(
-                    rebalance_commit(
-                        candidates,
-                        assignment,
-                        loads,
-                        weights_f,
-                        part,
-                        float(max_part_weight),
-                    )
-                )
-                if moved:
-                    moved_any = True
-                    moved_total += moved
-                continue
             for u in candidates:
                 u = int(u)
                 if loads[part] <= max_part_weight:
@@ -378,9 +312,6 @@ def polish_level(
     k: int,
     relaxed_cap: float,
     strict_cap: float,
-    rng: np.random.Generator,
-    max_passes: int = 4,
-    compiled_kernels: Union[bool, str] = "auto",
 ) -> np.ndarray:
     """One level's full polish: relaxed refine, rebalance, strict refine.
 
@@ -391,24 +322,15 @@ def polish_level(
     carries over whenever rebalance moved nothing; rebalance moves
     invalidate it, as one rebuild is cheaper than scattering its
     potentially thousands of moves.
-    ``compiled_kernels`` routes all three phases' sequential commit
-    loops through the jitted kernels (bit-identical either way).
     """
     csr = csr_from_adjacency(adjacency)
     if csr.n == 0:
         return assignment
-    _ = rng
-    compiled = resolve_compiled(compiled_kernels)
     state = _LevelState(csr, k)
     assignment = _refine_passes(
-        csr, vertex_weights, assignment, k, relaxed_cap, max_passes, state,
-        compiled=compiled,
+        csr, vertex_weights, assignment, k, relaxed_cap, state
     )
     assignment = _rebalance_passes(
-        csr, vertex_weights, assignment, k, strict_cap, max_passes, state,
-        compiled=compiled,
+        csr, vertex_weights, assignment, k, strict_cap, state
     )
-    return _refine_passes(
-        csr, vertex_weights, assignment, k, strict_cap, max_passes, state,
-        compiled=compiled,
-    )
+    return _refine_passes(csr, vertex_weights, assignment, k, strict_cap, state)

@@ -1,7 +1,7 @@
 """Markdown report generation from recorded simulation results.
 
-Turns a :class:`repro.sim.recorder.ResultRecorder` (or raw summary
-dicts) into a self-contained Markdown report: one section per
+Turns summary dicts (:func:`repro.sim.recorder.summarize_results`)
+into a self-contained Markdown report: one section per
 experiment, one metrics table per section, plus a header describing the
 configuration. ``benchmarks/run_experiments.py`` saves the raw
 summaries; this module renders them for humans.

@@ -13,9 +13,8 @@ Commands:
   or a named CI preset (``--preset``), through the (optionally
   parallel) scenario-matrix runner;
 * ``bench`` — regenerate the ``BENCH_baseline.json`` performance
-  snapshot (Table II matrix, the smoke grid, the Metis refine
-  python-vs-jit pair and the 1M-row windowed-vs-materialised memory
-  pair), or report the compiled fast paths (``--env``). Per-layer
+  snapshot (Table II matrix, the smoke grid, the Metis refine timing
+  and the 1M-row windowed-vs-materialised memory pair). Per-layer
   timings of the whole epoch loop come from ``benchmarks/e2e/``.
 """
 
@@ -366,42 +365,19 @@ def _command_matrix(args: argparse.Namespace) -> int:
     return 1 if result.failures else 0
 
 
-def _print_compiled_env() -> None:
-    from repro.allocation.metis_like import kernels
-
-    print(f"metis kernels : {kernels.describe()}")
-    print(
-        "fast extra    : "
-        + (
-            "complete"
-            if kernels.NUMBA_AVAILABLE
-            else "incomplete — pip install 'repro[fast]' for the "
-            "jitted Metis kernels"
-        )
-    )
-
-
 def _command_bench(args: argparse.Namespace) -> int:
     from repro.experiments import cell_delta_rows, run_bench
 
-    if args.env:
-        _print_compiled_env()
-        return 0
     print(
         "running the Table II benchmark workload "
         f"({args.workers} worker(s)) + refine microbench + smoke grid "
         "+ 1M-row memory pair"
     )
-    _print_compiled_env()
     payload = run_bench(path=args.output, workers=args.workers)
     print(f"\nsnapshot written to {args.output}")
     print(f"total_seconds   : {payload['total_seconds']}")
     print(f"smoke_seconds   : {payload['smoke_seconds']}")
-    if "refine_seconds_python" in payload:
-        line = f"refine          : {payload['refine_seconds_python']}s python"
-        if "refine_seconds_jit" in payload:
-            line += f" vs {payload['refine_seconds_jit']}s jit"
-        print(line)
+    print(f"refine_seconds  : {payload['refine_seconds_python']}")
     if "peak_rss_mb_windowed_1m" in payload:
         print(
             f"peak memory 1M  : {payload['peak_rss_mb_windowed_1m']}MB "
@@ -603,13 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--workers", type=int, default=1, help="process count (1 = sequential)"
-    )
-    bench.add_argument(
-        "--env",
-        action="store_true",
-        help="report whether the compiled fast path (numba Metis "
-        "kernels) is active in this environment, without running "
-        "the benchmark",
     )
     bench.set_defaults(handler=_command_bench)
 

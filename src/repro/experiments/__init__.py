@@ -12,8 +12,8 @@ Public surface:
   format and writing the ``BENCH_baseline.json`` snapshot;
 * :func:`~repro.experiments.bench.run_bench` — the ``repro bench``
   snapshot: Table II cell timings and digest, the smoke grid, the
-  Metis refine python-vs-jit pair and the 1M-row windowed-vs-materialised
-  memory pair. Per-layer timings of the whole epoch loop live in the
+  Metis refine timing and the 1M-row windowed-vs-materialised memory
+  pair. Per-layer timings of the whole epoch loop live in the
   end-to-end benchmark (``benchmarks/e2e/``).
 """
 
@@ -25,8 +25,6 @@ from repro.experiments.aggregate import (
 )
 from repro.experiments.bench import (
     cell_delta_rows,
-    check_against_baseline,
-    compiled_env,
     delta_is_noise,
     memory_microbench,
     refine_microbench,
@@ -65,8 +63,6 @@ __all__ = [
     "TraceSpec",
     "baseline_snapshot",
     "cell_delta_rows",
-    "check_against_baseline",
-    "compiled_env",
     "default_trace",
     "execute_cell",
     "delta_is_noise",

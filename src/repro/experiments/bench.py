@@ -8,15 +8,12 @@ This module owns everything around ``BENCH_baseline.json``:
 * :func:`memory_microbench` — the 1M-row windowed-vs-materialised
   peak-memory pair, the one scale check the end-to-end benchmark
   (``benchmarks/e2e/``, at most 50k accounts) cannot reach;
-* :func:`refine_microbench` — one full Metis partition, python loops
-  vs numba kernels, the evidence for the compiled refinement path;
+* :func:`refine_microbench` — one full Metis partition of the
+  benchmark account graph;
 * :func:`run_bench` — regenerate the snapshot (the ``repro bench``
   subcommand), preserving the previous snapshot as the reference so
-  the speedup series stays comparable across PRs;
-* :func:`check_against_baseline` — the CI perf smoke gate: fail when a
-  measured wall time regresses more than ``threshold``x against the
-  committed snapshot (3x by default — far above machine jitter, tight
-  enough to catch accidental de-vectorisation).
+  the speedup series stays comparable across PRs. The CI perf smoke
+  gate (``tests/test_perf_gate.py``) compares fresh timings against it.
 
 Per-layer timings of the whole epoch loop (executor, message bus,
 beacon commit, state movement, CSV decode) live in the end-to-end
@@ -173,7 +170,6 @@ def memory_microbench(
 
 
 def refine_microbench(
-    compiled: bool = False,
     repeats: int = 3,
     k: int = 16,
     seed: int = 42,
@@ -183,10 +179,10 @@ def refine_microbench(
 
     Builds the accumulated account graph of the benchmark trace
     (untimed — the same graph the ``metis/bench`` matrix cells
-    repartition every epoch), runs one untimed warmup call (absorbing
-    numba compilation when ``compiled``), then times ``repeats``
-    :func:`partition_graph` calls and reports the median. Feeds the
-    snapshot's ``refine_seconds_{python,jit}`` entries and the CI gate.
+    repartition every epoch), runs one untimed warmup call, then times
+    ``repeats`` :func:`partition_graph` calls and reports the median.
+    Feeds the snapshot's ``refine_seconds_python`` entry and the CI
+    gate.
     """
     from repro.allocation.graph import TransactionGraph
     from repro.allocation.metis_like import partition_graph
@@ -195,29 +191,13 @@ def refine_microbench(
     graph = TransactionGraph.from_batch(
         trace.batch, n_accounts=trace.n_accounts
     )
-    partition_graph(graph, k, seed=seed, compiled_kernels=compiled)
+    partition_graph(graph, k, seed=seed)
     timings = []
     for _ in range(max(1, repeats)):
         started = time.perf_counter()
-        partition_graph(graph, k, seed=seed, compiled_kernels=compiled)
+        partition_graph(graph, k, seed=seed)
         timings.append(time.perf_counter() - started)
     return median(timings)
-
-
-def compiled_env() -> Dict[str, str]:
-    """Which compiled fast paths are active in this interpreter.
-
-    The dict feeds the snapshot's ``compiled`` entry and the
-    ``repro bench --env`` report, so a recorded timing always says
-    whether it was measured with the jitted Metis kernels or on the
-    pure-python reference loops.
-    """
-    from repro.allocation.metis_like import kernels
-
-    return {
-        "numba": kernels.numba_version(),
-        "metis_kernels": "jit" if kernels.NUMBA_AVAILABLE else "python",
-    }
 
 
 def cell_delta_rows(
@@ -363,13 +343,7 @@ def run_bench(
         for label, timings in cell_runs.items()
     }
     total_seconds = sum(cell_seconds.values())
-    env = compiled_env()
-    refine_python = refine_microbench(compiled=False)
-    refine_jit = (
-        refine_microbench(compiled=True)
-        if env["metis_kernels"] == "jit"
-        else None
-    )
+    refine_python = refine_microbench()
     smoke = smoke_seconds(repeats=BENCH_REPEATS)
     # One extra matrix pass with memory tracking, outside the timing
     # repeats: tracemalloc slows cells noticeably, so peaks must never
@@ -393,10 +367,8 @@ def run_bench(
         "sequential timings unless workers > 1; digest is worker-invariant",
         f"cell_seconds are medians over {BENCH_REPEATS} full matrix runs; "
         "cell_spread is each cell's (max-min)/median across the repeats",
-        "refine_seconds_{python,jit}: one full multilevel partition of "
-        "the benchmark account graph, reference loops vs numba kernels "
-        "(jit recorded only when numba is installed); bit-identical "
-        "assignments either way",
+        "refine_seconds_python: one full multilevel partition of the "
+        "benchmark account graph (median of 3)",
         f"smoke_seconds: the 2x2 CI smoke grid (median of {BENCH_REPEATS})",
         "cell_peak_mb: per-cell peak traced allocation (MB), measured on "
         "one extra untimed matrix pass so tracemalloc never skews the "
@@ -426,10 +398,7 @@ def run_bench(
             payload["speedup_vs_reference"] = round(
                 float(ref_total) / total_seconds, 2
             )
-    payload["compiled"] = env
     payload["refine_seconds_python"] = round(refine_python, 3)
-    if refine_jit is not None:
-        payload["refine_seconds_jit"] = round(refine_jit, 3)
     payload["smoke_seconds"] = round(smoke, 3)
     payload["cell_peak_mb"] = {
         label: round(peak, 1) for label, peak in cell_peak_mb.items()
@@ -439,36 +408,3 @@ def run_bench(
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
     return payload
 
-
-def check_against_baseline(
-    measured: Dict[str, float],
-    baseline: Dict[str, object],
-    threshold: float = 3.0,
-    min_reference: float = 0.25,
-) -> List[str]:
-    """Compare measured wall times against snapshot entries.
-
-    ``measured`` maps snapshot keys (``smoke_seconds``,
-    ``kernel_seconds``, ...) to freshly measured seconds. Returns a
-    list of human-readable violations (empty = gate passes); keys the
-    snapshot does not carry are skipped, so the gate degrades
-    gracefully against older snapshots. References are floored at
-    ``min_reference`` seconds so millisecond-scale snapshot entries
-    recorded on a fast machine do not turn scheduler jitter on slower
-    CI runners into failures.
-    """
-    if threshold <= 1.0:
-        raise ExperimentError(f"threshold must be > 1, got {threshold}")
-    violations: List[str] = []
-    for key, seconds in measured.items():
-        reference = baseline.get(key)
-        if not isinstance(reference, (int, float)) or reference <= 0:
-            continue
-        floored = max(float(reference), min_reference)
-        if seconds > threshold * floored:
-            violations.append(
-                f"{key}: measured {seconds:.3f}s vs snapshot "
-                f"{float(reference):.3f}s (> {threshold:g}x of "
-                f"max(reference, {min_reference:g}s))"
-            )
-    return violations

@@ -4,7 +4,7 @@
   ratio, workload deviation and throughput;
 * :mod:`repro.sim.engine` — the epoch loop, with optional value
   execution on the chain substrate;
-* :mod:`repro.sim.recorder` — per-run summaries and their JSON store;
+* :mod:`repro.sim.recorder` — per-run summaries;
 * :mod:`repro.sim.scenario` — named scenarios and method comparisons.
 """
 
@@ -20,7 +20,7 @@ from repro.sim.engine import (
     SimulationResult,
     EpochRecord,
 )
-from repro.sim.recorder import ResultRecorder, summarize_results
+from repro.sim.recorder import summarize_results
 from repro.sim.scenario import (
     Scenario,
     SCENARIOS,
@@ -38,7 +38,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "EpochRecord",
-    "ResultRecorder",
     "summarize_results",
     "Scenario",
     "SCENARIOS",

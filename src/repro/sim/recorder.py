@@ -1,10 +1,8 @@
-"""Result recording and aggregation for the benchmark harness."""
+"""Per-run summaries: the flat metric dicts tables and reports read."""
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict
 
 import numpy as np
 
@@ -113,47 +111,3 @@ def summarize_results(result: SimulationResult) -> Dict[str, object]:
         )
     return summary
 
-
-class ResultRecorder:
-    """Collects run summaries and persists them as JSON.
-
-    The benchmark harness records every configuration it runs so
-    EXPERIMENTS.md can be regenerated from one artefact.
-    """
-
-    def __init__(self) -> None:
-        self._entries: List[Dict[str, object]] = []
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def entries(self) -> Sequence[Dict[str, object]]:
-        return tuple(self._entries)
-
-    def record(
-        self,
-        result: SimulationResult,
-        experiment: str,
-        extra: Optional[Dict[str, object]] = None,
-    ) -> Dict[str, object]:
-        """Summarise and store one run under an experiment label."""
-        summary = summarize_results(result)
-        summary["experiment"] = experiment
-        if extra:
-            summary.update(extra)
-        self._entries.append(summary)
-        return summary
-
-    def save(self, path: Union[str, Path]) -> Path:
-        """Write all entries to ``path`` as a JSON array."""
-        path = Path(path)
-        path.write_text(json.dumps(self._entries, indent=2, sort_keys=True))
-        return path
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "ResultRecorder":
-        """Load a recorder previously saved with :meth:`save`."""
-        recorder = cls()
-        recorder._entries = json.loads(Path(path).read_text())
-        return recorder

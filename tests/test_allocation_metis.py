@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.allocation.graph import TransactionGraph
@@ -13,12 +13,12 @@ from repro.allocation.metis_like.coarsen import (
 )
 from repro.allocation.metis_like.csr import csr_from_adjacency
 from repro.allocation.metis_like.initial import greedy_initial_partition
-from repro.allocation.metis_like.kernels import resolve_compiled
 from repro.allocation.metis_like.refine import (
     _LevelState,
     _rebalance_passes,
     _refine_passes,
     cut_weight,
+    polish_level,
 )
 from repro.chain.params import ProtocolParams
 from repro.errors import PartitionError
@@ -31,27 +31,19 @@ def heavy_edge_matching(adjacency, vertex_weights, rng, max_vertex_weight):
     )
 
 
-def refine_partition(
-    adjacency, vertex_weights, assignment, k, max_part_weight,
-    compiled_kernels="auto", max_passes=4,
-):
+def refine_partition(adjacency, vertex_weights, assignment, k, max_part_weight):
     """Dict-adjacency front end to the refine passes alone."""
     csr = csr_from_adjacency(adjacency)
     return _refine_passes(
-        csr, vertex_weights, assignment, k, max_part_weight, max_passes,
-        _LevelState(csr, k), compiled=resolve_compiled(compiled_kernels),
+        csr, vertex_weights, assignment, k, max_part_weight, _LevelState(csr, k)
     )
 
 
-def rebalance(
-    adjacency, vertex_weights, assignment, k, max_part_weight,
-    compiled_kernels="auto", max_passes=4,
-):
+def rebalance(adjacency, vertex_weights, assignment, k, max_part_weight):
     """Dict-adjacency front end to the rebalance passes alone."""
     csr = csr_from_adjacency(adjacency)
     return _rebalance_passes(
-        csr, vertex_weights, assignment, k, max_part_weight, max_passes,
-        _LevelState(csr, k), compiled=resolve_compiled(compiled_kernels),
+        csr, vertex_weights, assignment, k, max_part_weight, _LevelState(csr, k)
     )
 
 
@@ -82,6 +74,22 @@ def two_cliques(size=8, bridge_weight=0.5):
                 graph.add_edge(offset + i, offset + j, 4.0)
     graph.add_edge(0, size, bridge_weight)
     return graph
+
+
+def random_graph(seed, n_low=10, n_high=120):
+    """A random multigraph with integer edge weights, self-loops dropped."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(n_low, n_high))
+    m = int(rng.integers(n, 5 * n))
+    graph = TransactionGraph(n)
+    for u, v, w in zip(
+        rng.integers(0, n, size=m).tolist(),
+        rng.integers(0, n, size=m).tolist(),
+        rng.integers(1, 8, size=m).tolist(),
+    ):
+        if u != v:
+            graph.add_edge(u, v, float(w))
+    return graph, n
 
 
 class TestCoarsening:
@@ -151,6 +159,85 @@ class TestRefinement:
         )
         after = cut_weight(adjacency, refined)
         assert after <= before
+
+
+class TestCommitTieBreaks:
+    """The tie-break contracts of the sequential commit loops."""
+
+    def test_refine_first_strictly_better_target_wins(self):
+        # Vertex 0 (part 0) is equally attracted to parts 1 and 2: the
+        # gains tie, and an equal later gain must not displace the
+        # first target. Vertex 3 keeps part 0 from emptying.
+        adjacency = [{1: 2.0, 2: 2.0}, {0: 2.0}, {0: 2.0}, {}]
+        assignment = np.array([0, 1, 2, 0], dtype=np.int64)
+        refined = refine_partition(adjacency, np.ones(4), assignment, 3, 10.0)
+        assert refined.tolist() == [1, 1, 2, 0]
+
+    def test_refine_zero_gain_never_moves(self):
+        # Path 1-0-2-3 split {0, 1} | {2, 3}: both boundary vertices
+        # have equal internal and external connection.
+        adjacency = [{1: 1.0, 2: 1.0}, {0: 1.0}, {0: 1.0, 3: 1.0}, {2: 1.0}]
+        assignment = np.array([0, 0, 1, 1], dtype=np.int64)
+        refined = refine_partition(adjacency, np.ones(4), assignment, 2, 10.0)
+        assert refined.tolist() == [0, 0, 1, 1]
+
+    def test_rebalance_load_tie_resolves_to_lowest_part(self):
+        # Part 0 carries 5 of 7 unit vertices; parts 1 and 2 are
+        # equally light, so the first move must go to part 1.
+        assignment = np.array([0, 0, 0, 0, 0, 1, 2], dtype=np.int64)
+        balanced = rebalance([{}] * 7, np.ones(7), assignment, 3, 4.0)
+        assert balanced.tolist() == [1, 0, 0, 0, 0, 1, 2]
+
+    def test_rebalance_stops_when_part_is_lightest(self):
+        # Both parts exceed the cap, but part 0 (load 2) is already the
+        # lightest: the drain stops without counting a move, so the
+        # level keeps its live connection matrix.
+        csr = csr_from_adjacency([{}] * 3)
+        state = _LevelState(csr, 2)
+        state.connection_flat = live = np.zeros(6)
+        assignment = np.array([0, 0, 1], dtype=np.int64)
+        weights = np.array([1.0, 1.0, 5.0])
+        balanced = _rebalance_passes(csr, weights, assignment, 2, 1.5, state)
+        assert balanced.tolist() == [0, 0, 1]
+        assert state.connection_flat is live
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), k=st.integers(2, 5))
+def test_refine_dirty_rows_match_incremental_scatter(seed, k):
+    """Property: halving every edge weight makes the weights fractional,
+    which switches refinement from the incremental connection scatter to
+    the dirty-row rebuild. Halving is exact in binary floating point,
+    so both protocols must commit the same moves."""
+    graph, n = random_graph(seed)
+    adjacency = [graph.neighbors(v) for v in range(n)]
+    halved = [{v: w / 2 for v, w in row.items()} for row in adjacency]
+    assume(not _LevelState(csr_from_adjacency(halved), k).integral)
+    weights = np.maximum(graph.vertex_weights(), 1.0)
+    start = np.random.default_rng(seed).integers(0, k, size=n)
+    cap = 1.2 * float(weights.sum()) / k
+    integral = refine_partition(adjacency, weights, start.copy(), k, cap)
+    fractional = refine_partition(halved, weights, start.copy(), k, cap)
+    assert np.array_equal(integral, fractional)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), k=st.integers(2, 5))
+def test_polish_level_dirty_rows_match_incremental_scatter(seed, k):
+    """Property: the same halving argument over a whole level's polish,
+    where integral weights carry the live connection matrix from phase
+    to phase and fractional ones rebuild it."""
+    graph, n = random_graph(seed)
+    adjacency = [graph.neighbors(v) for v in range(n)]
+    halved = [{v: w / 2 for v, w in row.items()} for row in adjacency]
+    assume(not _LevelState(csr_from_adjacency(halved), k).integral)
+    weights = np.maximum(graph.vertex_weights(), 1.0)
+    start = np.random.default_rng(seed).integers(0, k, size=n)
+    strict = 1.1 * float(weights.sum()) / k
+    relaxed = strict + float(weights.max())
+    integral = polish_level(adjacency, weights, start.copy(), k, relaxed, strict)
+    fractional = polish_level(halved, weights, start.copy(), k, relaxed, strict)
+    assert np.array_equal(integral, fractional)
 
 
 class TestPartitionGraph:

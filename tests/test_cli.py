@@ -161,13 +161,6 @@ class TestCommands:
         assert "streaming" in out
         assert "decoder" not in out
 
-    def test_bench_env_reports_numba_only(self, capsys):
-        assert main(["bench", "--env"]) == 0
-        out = capsys.readouterr().out
-        assert "metis kernels" in out
-        assert "fast extra" in out
-        assert "csv" not in out and "arrow" not in out
-
     def test_matrix_tabulates_any_summary_metric(self, capsys):
         from repro.experiments import preset_matrix, run_matrix
 

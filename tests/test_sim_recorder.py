@@ -1,4 +1,4 @@
-"""Unit tests for the result recorder."""
+"""Unit tests for the run summaries."""
 
 import json
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.allocation.hash_based import HashAllocator
 from repro.sim.engine import Simulation, SimulationConfig
-from repro.sim.recorder import ResultRecorder, summarize_results
+from repro.sim.recorder import summarize_results
 
 
 @pytest.fixture
@@ -35,26 +35,3 @@ class TestSummarize:
     def test_values_json_serialisable(self, result):
         json.dumps(summarize_results(result))
 
-
-class TestRecorder:
-    def test_record_and_filter(self, result):
-        recorder = ResultRecorder()
-        recorder.record(result, experiment="table1", extra={"note": "a"})
-        recorder.record(result, experiment="table2")
-        assert len(recorder) == 2
-        table1 = [e for e in recorder.entries if e["experiment"] == "table1"]
-        assert len(table1) == 1
-        assert table1[0]["note"] == "a"
-
-    def test_save_and_load_roundtrip(self, result, tmp_path):
-        recorder = ResultRecorder()
-        recorder.record(result, experiment="table1")
-        path = recorder.save(tmp_path / "results.json")
-        loaded = ResultRecorder.load(path)
-        assert len(loaded) == 1
-        assert loaded.entries[0]["experiment"] == "table1"
-
-    def test_entries_are_read_only_view(self, result):
-        recorder = ResultRecorder()
-        recorder.record(result, experiment="e")
-        assert isinstance(recorder.entries, tuple)
