@@ -18,36 +18,18 @@ two costs the paper's difficulty parameter ``eta`` abstracts.
 per-shard state stores and tracks in-flight receipts in a columnar
 :class:`~repro.chain.receipts.ReceiptLedger` (read them as columns via
 ``executor.ledger.view()``; there is no per-receipt object). Each
-block's withdraw/intra phase runs one of two committers, picked by
-block size:
+block's withdraw/intra phase runs one committer, a per-transfer loop
+in transaction order: a sender can spend an intra-shard credit that
+lands earlier in the same block, a transfer whose sender cannot cover
+``value + fee`` fails without side effects, and the result is exact
+for any amounts.
 
-* a block with fewer than ``_BATCH_MIN_BLOCK`` (96) transfers runs the
-  scalar committer, a per-transfer loop whose fixed cost undercuts
-  numpy's on small blocks — the benchmark's synthetic and replay
-  workloads (8 to 50 transfers per block) take this path;
-* a larger block — the paper's Ethereum range, ~150 transfers per
-  block — runs the batched committer: it classifies the whole block at
-  once, splits senders into a *fast* set (opening balance covers their
-  total debits — every transfer succeeds regardless of in-block
-  ordering) and a *slow* remainder (potential overdrafts, or senders
-  funded by in-block credits), resolves the slow set with an exact
-  sequential scan over only the transfers that touch it, and then
-  applies all balance effects with one ordered scatter (``np.add.at``
-  over the per-block delta stream, preserving the scalar per-account
-  operation order).
+Settlement is columnar: it pops the due prefix of the receipt ledger
+via its due-block index and credits each target shard with one
+scatter, in pinned ``(due_block, tx_id)`` order.
 
-Settlement is columnar at every block size: it pops the due prefix of
-the receipt ledger via its due-block index and credits each target
-shard with one scatter, in pinned ``(due_block, tx_id)`` order.
-
-The two committers are element-for-element equivalent (the property
-tests force one or the other by patching ``_BATCH_MIN_BLOCK``); the
-equivalence is bit-exact whenever transfer amounts are integer-valued
-(every trace, test and example in this repository — with arbitrary
-floats, fast/slow classification can differ from the sequential
-reference by one ulp on adversarial amounts). Conservation of total
-balance — no value created or destroyed, in-flight receipts included —
-is the key invariant, property-tested in
+Conservation of total balance — no value created or destroyed,
+in-flight receipts included — is the key invariant, property-tested in
 ``tests/test_chain_crossshard.py``.
 
 Receipt relay optionally routes through the simulated message plane
@@ -77,11 +59,6 @@ from repro.chain.receipts import ReceiptBatch, ReceiptLedger
 from repro.chain.state import StateRegistry
 from repro.chain.transaction import Transaction, TransactionBatch
 from repro.errors import ChainError, UnknownAccountError, ValidationError
-
-#: Below this many transfers the scalar committer beats the batched
-#: one (fixed numpy overhead per block); both produce identical state.
-_BATCH_MIN_BLOCK = 96
-
 
 @dataclass
 class ExecutionReport:
@@ -355,172 +332,9 @@ class CrossShardExecutor:
         report: ExecutionReport,
         fees: Optional[np.ndarray] = None,
     ) -> None:
-        if len(senders) == 0:
-            return
-        if len(senders) >= _BATCH_MIN_BLOCK:
-            self._apply_transfers_batched(
-                block, senders, receivers, amounts, sender_shards,
-                receiver_shards, report, fees,
-            )
-        else:
-            self._apply_transfers_scalar(
-                block, senders, receivers, amounts, sender_shards,
-                receiver_shards, report, fees,
-            )
-
-    def _apply_transfers_batched(
-        self,
-        block: int,
-        senders: np.ndarray,
-        receivers: np.ndarray,
-        amounts: np.ndarray,
-        sender_shards: np.ndarray,
-        receiver_shards: np.ndarray,
-        report: ExecutionReport,
-        fees: Optional[np.ndarray] = None,
-    ) -> None:
-        """Vectorised withdraw/intra phase over one block.
-
-        Every account participating in the transfer phase lives on its
-        mapped shard (intra credits go to the sender's shard, which for
-        an intra transfer *is* the receiver's mapped shard), so the
-        block gathers each unique account's balance once, resolves
-        outcomes, applies one ordered delta stream, and scatters the
-        results back per shard. A fee, when present, debits with its
-        transfer (sender pays ``value + fee``) and accrues to the
-        executor's collected-fees pool.
-        """
-        n = len(senders)
-        debits = amounts if fees is None else amounts + fees
-        intra = sender_shards == receiver_shards
-        unique_accounts, inverse = np.unique(
-            np.concatenate([senders, receivers]), return_inverse=True
-        )
-        sender_idx = inverse[:n]
-        receiver_idx = inverse[n:]
-        n_unique = len(unique_accounts)
-        account_shard = np.empty(n_unique, dtype=np.int64)
-        account_shard[sender_idx] = sender_shards
-        account_shard[receiver_idx] = receiver_shards
-
-        shard_groups = [
-            (shard, account_shard == shard)
-            for shard in np.unique(account_shard).tolist()
-        ]
-        opening = np.empty(n_unique, dtype=np.float64)
-        for shard, group in shard_groups:
-            opening[group] = self.registry.store_of(shard).balances_of(
-                unique_accounts[group]
-            )
-
-        # Fast senders: opening balance covers their total debits, so
-        # every transfer succeeds regardless of in-block credit order.
-        # The rest — potential overdrafts — are resolved by an exact
-        # sequential scan over the transfers that touch them (their own
-        # debits plus any intra credit that could fund them).
-        totals = np.bincount(sender_idx, weights=debits, minlength=n_unique)
-        is_sender = np.zeros(n_unique, dtype=bool)
-        is_sender[sender_idx] = True
-        slow = is_sender & (opening < totals)
-        success = np.ones(n, dtype=bool)
-        if slow.any():
-            relevant = np.flatnonzero(
-                slow[sender_idx] | (intra & slow[receiver_idx])
-            )
-            balances = dict(
-                zip(
-                    np.flatnonzero(slow).tolist(),
-                    opening[slow].tolist(),
-                )
-            )
-            slow_l = slow.tolist()
-            sender_idx_l = sender_idx.tolist()
-            receiver_idx_l = receiver_idx.tolist()
-            amounts_l = amounts.tolist()
-            debits_l = debits.tolist() if fees is not None else amounts_l
-            intra_l = intra.tolist()
-            for i in relevant.tolist():
-                s = sender_idx_l[i]
-                debit = debits_l[i]
-                if slow_l[s]:
-                    balance = balances[s]
-                    if debit > balance:
-                        success[i] = False
-                        continue
-                    balances[s] = balance - debit
-                if intra_l[i]:
-                    r = receiver_idx_l[i]
-                    if slow_l[r]:
-                        balances[r] += amounts_l[i]
-
-        # Ordered delta stream: (debit, intra-credit) per successful
-        # transfer, in transaction order — np.add.at applies elements
-        # sequentially, so each account's balance evolves through the
-        # exact float operation sequence of the scalar reference.
-        ok_senders = sender_idx[success]
-        ok_amounts = amounts[success]
-        ok_receivers = receiver_idx[success]
-        ok_intra = intra[success]
-        m = len(ok_senders)
-        stream_idx = np.empty(2 * m, dtype=np.int64)
-        stream_amt = np.empty(2 * m, dtype=np.float64)
-        stream_idx[0::2] = ok_senders
-        stream_amt[0::2] = -debits[success]
-        stream_idx[1::2] = ok_receivers
-        stream_amt[1::2] = ok_amounts
-        keep = np.ones(2 * m, dtype=bool)
-        keep[1::2] = ok_intra  # cross-shard credits ride receipts instead
-        closing = opening.copy()
-        np.add.at(closing, stream_idx[keep], stream_amt[keep])
-
-        nonce_bumps = np.bincount(ok_senders, minlength=n_unique)
-        touched = np.zeros(n_unique, dtype=bool)
-        touched[ok_senders] = True
-        touched[ok_receivers[ok_intra]] = True
-        for shard, group in shard_groups:
-            write = group & touched
-            if write.any():
-                self.registry.store_of(shard).write_back(
-                    unique_accounts[write],
-                    closing[write],
-                    nonce_bumps[write],
-                )
-
-        # Withdraw-phase receipts, with tx ids assigned in transaction
-        # order over the successful transfers (failed ones consume no id).
-        ordinal = np.cumsum(success) - 1
-        cross_ok = success & ~intra
-        if cross_ok.any():
-            self._issue_receipts(
-                block,
-                tx_ids=self._next_tx_id + ordinal[cross_ok],
-                senders=senders[cross_ok],
-                receivers=receivers[cross_ok],
-                amounts=amounts[cross_ok],
-                source_shards=sender_shards[cross_ok],
-                target_shards=receiver_shards[cross_ok],
-            )
-        self._next_tx_id += m
-        if fees is not None and m:
-            collected = float(fees[success].sum())
-            self.collected_fees += collected
-            report.fees_collected += collected
-        report.intra_executed += int(ok_intra.sum())
-        report.withdraws += int(cross_ok.sum())
-        report.failed += int(n - m)
-
-    def _apply_transfers_scalar(
-        self,
-        block: int,
-        senders: np.ndarray,
-        receivers: np.ndarray,
-        amounts: np.ndarray,
-        sender_shards: np.ndarray,
-        receiver_shards: np.ndarray,
-        report: ExecutionReport,
-        fees: Optional[np.ndarray] = None,
-    ) -> None:
-        """Per-transfer reference committer (equivalence baseline)."""
+        """Withdraw/intra phase of one block, one transfer at a time,
+        in transaction order (the in-block contract in the module
+        docstring). Fees accrue to the collected-fees pool."""
         stores = [self.registry.store_of(i) for i in range(self.registry.k)]
         receipt_rows: List[Tuple[int, int, int, float, int, int]] = []
         for i in range(len(senders)):
@@ -575,8 +389,9 @@ class CrossShardExecutor:
         column, when present, debits alongside (sender pays
         ``value + fee``). Shard classification runs once over the whole
         batch through the shared :func:`classify_kernel`; blocks are
-        delimited by change points in the (already block-ordered)
-        ``blocks`` column, exactly as the scalar bucketing loop did.
+        delimited by change points in the ``blocks`` column, which must
+        be non-decreasing (:class:`ValidationError` otherwise — time
+        never runs backwards).
         """
         if amount_per_tx < 0:
             raise ValidationError(
@@ -585,6 +400,13 @@ class CrossShardExecutor:
         reports: List[ExecutionReport] = []
         if len(batch) == 0:
             return reports
+        steps = np.diff(batch.blocks)
+        if (steps < 0).any():
+            back = int(np.argmax(steps < 0))
+            raise ValidationError(
+                f"batch blocks must be non-decreasing, got block "
+                f"{int(batch.blocks[back + 1])} after {int(batch.blocks[back])}"
+            )
         self._check_universe(batch.senders, batch.receivers)
         sender_shards, receiver_shards, _ = classify_kernel(
             batch.senders, batch.receivers, self.mapping.as_array()
@@ -594,7 +416,7 @@ class CrossShardExecutor:
         else:
             amounts = np.full(len(batch), amount_per_tx, dtype=np.float64)
         fees = batch.fees
-        boundaries = np.flatnonzero(np.diff(batch.blocks) != 0) + 1
+        boundaries = np.flatnonzero(steps != 0) + 1
         starts = np.concatenate(([0], boundaries))
         stops = np.concatenate((boundaries, [len(batch)]))
         for start, stop in zip(starts, stops):

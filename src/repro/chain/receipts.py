@@ -12,7 +12,7 @@ no per-receipt object.
 
 Settlement order is part of the observable contract: receipts leave the
 ledger in ``(due_block, tx_id)`` order, pinned by a golden fixture, so
-batched rewrites of the executor cannot silently reorder credits.
+a rewrite of the executor cannot silently reorder credits.
 """
 
 from __future__ import annotations

@@ -234,11 +234,12 @@ class DenseShardStateStore:
     population; the shared :class:`SlotDirectory` translates global
     account ids to local column slots (``home[a] == shard_id`` marks
     membership). Columns grow by doubling as accounts arrive; slots
-    vacated by migration are recycled through a free list. The batched
-    executor's gather/scatter entry points stay single fancy-indexing
-    operations (one extra slot indirection versus full-universe
-    columns), which is what lets the executor scale past 1M accounts
-    without allocating ``k x n_accounts`` cells.
+    vacated by migration are recycled through a free list. The bulk
+    entry points — settlement's ``credit_many`` and migration's
+    ``take_many``/``put_many`` — stay single fancy-indexing operations
+    (one extra slot indirection versus full-universe columns), which is
+    what lets the executor scale past 1M accounts without allocating
+    ``k x n_accounts`` cells.
 
     Account ids at or above the directory capacity — and accounts whose
     state is resident here while their *home* columns live on another
@@ -471,7 +472,7 @@ class DenseShardStateStore:
             self._index.discard(self.shard_id, account)
         return AccountState(balance=balance, nonce=self._extra_non.pop(account))
 
-    # -- columnar bulk access (batched executor hot path) ----------------------
+    # -- columnar bulk access (settlement scatter) ------------------------------
 
     def _fast_bulk_ok(self, accounts: np.ndarray) -> bool:
         """True when the pure-columnar bulk path applies."""
@@ -482,58 +483,6 @@ class DenseShardStateStore:
                 and int(accounts.max()) < self.capacity
             )
         )
-
-    def balances_of(self, accounts: np.ndarray) -> np.ndarray:
-        """Balances of ``accounts`` as an array (zero when never seen)."""
-        if self._fast_bulk_ok(accounts):
-            home = self._dir.home[accounts]
-            mine = home == self.shard_id
-            if mine.all():
-                return self._bal[self._dir.slot[accounts]]
-            result = np.zeros(len(accounts), dtype=np.float64)
-            if mine.any():
-                result[mine] = self._bal[self._dir.slot[accounts[mine]]]
-            return result
-        return np.fromiter(
-            (self.get(a).balance for a in accounts.tolist()),
-            dtype=np.float64,
-            count=len(accounts),
-        )
-
-    def write_back(
-        self,
-        accounts: np.ndarray,
-        balances: np.ndarray,
-        nonce_bumps: np.ndarray,
-    ) -> None:
-        """Scatter updated balances (and nonce increments) back."""
-        if self._fast_bulk_ok(accounts):
-            home = self._dir.home[accounts]
-            new = home == -1
-            if (new | (home == self.shard_id)).all():
-                if new.any():
-                    self._alloc_slots_bulk(np.unique(accounts[new]))
-                slots = self._dir.slot[accounts]
-                self._bal[slots] = balances
-                np.add.at(self._non, slots, nonce_bumps)
-                return
-        for account, balance, bump in zip(
-            accounts.tolist(), balances.tolist(), nonce_bumps.tolist()
-        ):
-            if self._is_home(account):
-                slot = self._dir.slot[account]
-                self._bal[slot] = balance
-                self._non[slot] += bump
-            elif self._can_claim(account):
-                slot = self._alloc_slot(account)
-                self._bal[slot] = balance
-                self._non[slot] = bump
-            else:
-                self._put_extra(
-                    account,
-                    balance,
-                    self._extra_non.get(account, 0) + bump,
-                )
 
     def credit_many(self, accounts: np.ndarray, amounts: np.ndarray) -> None:
         """Apply a stream of credits in order (settlement scatter)."""

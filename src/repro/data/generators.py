@@ -82,8 +82,8 @@ class ValueModelConfig:
       times the value, modelling an NFT-mint/airdrop surge.
 
     Values are rounded up to whole units so every generated amount is
-    integer-valued — which keeps the batched executor's scalar-vs-batch
-    equivalence bit-exact (see :mod:`repro.chain.crossshard`).
+    integer-valued — which keeps every balance sum exact, so
+    conservation checks can compare totals with ``==``.
     ``fee_fraction > 0`` adds a ``fees`` column of
     ``floor(value * fee_fraction)``.
     """

@@ -122,38 +122,7 @@ class ShardStateStore:
             self._index.discard(self.shard_id, account)
         return AccountState(balance=balance, nonce=self._nonces.pop(account))
 
-    # -- columnar bulk access (batched executor hot path) ----------------------
-
-    def balances_of(self, accounts: np.ndarray) -> np.ndarray:
-        """Balances of ``accounts`` as an array (zero when never seen)."""
-        get = self._balances.get
-        return np.fromiter(
-            (get(a, 0.0) for a in accounts.tolist()),
-            dtype=np.float64,
-            count=len(accounts),
-        )
-
-    def write_back(
-        self,
-        accounts: np.ndarray,
-        balances: np.ndarray,
-        nonce_bumps: np.ndarray,
-    ) -> None:
-        """Scatter updated balances (and nonce increments) back.
-
-        Accounts are created on first touch, exactly like the scalar
-        credit/debit path.
-        """
-        bal = self._balances
-        non = self._nonces
-        get_nonce = non.get
-        for account, balance, bump in zip(
-            accounts.tolist(), balances.tolist(), nonce_bumps.tolist()
-        ):
-            bal[account] = balance
-            non[account] = get_nonce(account, 0) + bump
-        if self._index is not None:
-            self._index.add_many(self.shard_id, accounts)
+    # -- columnar bulk access (settlement scatter) ------------------------------
 
     def credit_many(self, accounts: np.ndarray, amounts: np.ndarray) -> None:
         """Apply a stream of credits in order (settlement scatter)."""

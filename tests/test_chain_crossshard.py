@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from committer import force_committer
 from repro.chain.crossshard import CrossShardExecutor
 from repro.chain.mapping import ShardMapping
 from repro.chain.state import StateRegistry
@@ -111,6 +110,65 @@ class TestBatchExecution:
         with pytest.raises(ValidationError):
             executor.execute_batch(TransactionBatch.empty(), amount_per_tx=-1.0)
 
+    def test_blocks_running_backwards_rejected(self):
+        executor = executor_for([0, 1], k=2)
+        executor.fund(0, 10.0)
+        batch = TransactionBatch(
+            np.array([0, 0, 0]), np.array([1, 1, 1]), np.array([5, 3, 5])
+        )
+        with pytest.raises(ValidationError, match="block 3 after 5"):
+            executor.execute_batch(batch)
+        # Rejected before any block ran.
+        assert executor.registry.store_of(0).get(0).balance == 10.0
+        assert executor.in_flight_count() == 0
+
+
+class TestInBlockOrder:
+    """Transfers in one block commit in transaction order: a sender may
+    spend an intra-shard credit received earlier in the block, never one
+    received later, and must cover ``value + fee``."""
+
+    @staticmethod
+    def _run(*transfers):
+        # Accounts 0 and 1 share shard 0; 2 lives on shard 1. Account 1
+        # opens with nothing.
+        executor = executor_for([0, 0, 1], k=2)
+        executor.fund(0, 10.0)
+        return executor, executor.execute_block(0, list(transfers))
+
+    def test_spend_before_intra_credit_fails(self):
+        executor, report = self._run(
+            Transaction(1, 2, value=4.0), Transaction(0, 1, value=5.0)
+        )
+        assert (report.failed, report.withdraws, report.intra_executed) == (
+            1, 0, 1,
+        )
+        assert executor.registry.store_of(0).get(1).balance == 5.0
+        assert executor.registry.store_of(0).get(1).nonce == 0
+
+    def test_spend_after_intra_credit_succeeds(self):
+        executor, report = self._run(
+            Transaction(0, 1, value=5.0), Transaction(1, 2, value=4.0)
+        )
+        assert (report.failed, report.withdraws, report.intra_executed) == (
+            0, 1, 1,
+        )
+        assert executor.registry.store_of(0).get(1).balance == 1.0
+        assert executor.registry.store_of(0).get(1).nonce == 1
+        assert executor.in_flight_value() == 4.0
+
+    def test_value_without_fee_headroom_fails(self):
+        executor, report = self._run(
+            Transaction(0, 1, value=5.0), Transaction(1, 2, value=4.0, fee=2.0)
+        )
+        assert (report.failed, report.withdraws, report.intra_executed) == (
+            1, 0, 1,
+        )
+        assert executor.collected_fees == 0.0
+        assert report.fees_collected == 0.0
+        assert executor.registry.store_of(0).get(1).balance == 5.0
+        assert executor.total_value() == 10.0
+
 
 class TestMigrationInteraction:
     def test_state_follows_allocation(self):
@@ -131,86 +189,18 @@ class TestMigrationInteraction:
         ) == 0
 
 
-class TestBatchedScalarEquivalence:
-    """The batched committer must be indistinguishable from the scalar
-    one: same balances, nonces, receipts, settlement order and reports,
-    across self-transfers, overdrafts and migrations interleaved with
-    pending receipts. Each twin runs every block, whatever its size,
-    through the committer it is named after."""
+class TestMigrationConservation:
+    """Migrations interleaved with pending receipts move state and
+    mapping while receipts naming the old shard are still in flight;
+    no value may be created or destroyed at any step."""
 
     @staticmethod
-    def _twin_executors(assignment, k, relay_delay):
-        return [
-            CrossShardExecutor(
-                StateRegistry(k=k, n_accounts=len(assignment)),
-                ShardMapping(assignment.copy(), k=k),
-                relay_delay_blocks=relay_delay,
-            )
-            for _ in range(2)
-        ]
-
-    @staticmethod
-    def _assert_identical(batched, scalar, k):
-        for shard in range(k):
-            assert (
-                batched.registry.store_of(shard).state_root()
-                == scalar.registry.store_of(shard).state_root()
-            )
-        pending_b, pending_s = batched.ledger.view(), scalar.ledger.view()
-        for column in pending_b._fields:
-            assert np.array_equal(
-                getattr(pending_b, column), getattr(pending_s, column)
-            ), column
-        assert batched.in_flight_value() == scalar.in_flight_value()
-        # Satellite: the O(1) running in-flight total equals the value
-        # recomputed from the pending columns.
-        assert batched.in_flight_value() == pytest.approx(
-            float(batched.ledger.view().amounts.sum())
+    def _assert_conserved(executor, genesis):
+        # Integer amounts keep every float sum exact.
+        assert executor.total_value() == genesis
+        assert executor.in_flight_value() == float(
+            executor.ledger.view().amounts.sum()
         )
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n_accounts=st.integers(2, 16),
-        k=st.integers(1, 4),
-        relay_delay=st.integers(0, 3),
-        seed=st.integers(0, 10_000),
-    )
-    def test_randomized_batches(self, n_accounts, k, relay_delay, seed):
-        rng = np.random.default_rng(seed)
-        assignment = rng.integers(0, k, size=n_accounts)
-        batched, scalar = self._twin_executors(assignment, k, relay_delay)
-        for account in range(n_accounts):
-            amount = float(rng.integers(0, 12))
-            batched.fund(account, amount)
-            scalar.fund(account, amount)
-
-        n_tx = int(rng.integers(0, 700))
-        # Self-transfers included; small balances force overdrafts.
-        senders = rng.integers(0, n_accounts, size=n_tx)
-        receivers = rng.integers(0, n_accounts, size=n_tx)
-        amounts = rng.integers(0, 7, size=n_tx).astype(np.float64)
-        blocks = np.sort(rng.integers(0, 4, size=n_tx))
-        batch = TransactionBatch(senders, receivers, blocks, amounts)
-
-        with force_committer(batched=True):
-            reports_b = batched.execute_batch(batch)
-        with force_committer(batched=False):
-            reports_s = scalar.execute_batch(batch)
-        assert len(reports_b) == len(reports_s)
-        for rb, rs in zip(reports_b, reports_s):
-            assert (
-                rb.block, rb.intra_executed, rb.withdraws,
-                rb.deposits_settled, rb.failed, rb.relay_latencies,
-            ) == (
-                rs.block, rs.intra_executed, rs.withdraws,
-                rs.deposits_settled, rs.failed, rs.relay_latencies,
-            )
-        self._assert_identical(batched, scalar, k)
-        final_b = batched.settle_all(from_block=4)
-        final_s = scalar.settle_all(from_block=4)
-        assert final_b.deposits_settled == final_s.deposits_settled
-        assert final_b.relay_latencies == final_s.relay_latencies
-        self._assert_identical(batched, scalar, k)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -222,11 +212,12 @@ class TestBatchedScalarEquivalence:
         self, n_accounts, k, seed
     ):
         rng = np.random.default_rng(seed)
-        assignment = rng.integers(0, k, size=n_accounts)
-        batched, scalar = self._twin_executors(assignment, k, relay_delay=2)
+        executor = executor_for(
+            rng.integers(0, k, size=n_accounts), k, relay_delay=2
+        )
         for account in range(n_accounts):
-            batched.fund(account, 20.0)
-            scalar.fund(account, 20.0)
+            executor.fund(account, 20.0)
+        genesis = executor.total_value()
 
         block = 0
         for _ in range(6):
@@ -234,30 +225,23 @@ class TestBatchedScalarEquivalence:
             senders = rng.integers(0, n_accounts, size=n_tx)
             receivers = rng.integers(0, n_accounts, size=n_tx)
             amounts = rng.integers(0, 5, size=n_tx).astype(np.float64)
-            batch = TransactionBatch(
-                senders, receivers, np.full(n_tx, block), amounts
+            executor.execute_batch(
+                TransactionBatch(
+                    senders, receivers, np.full(n_tx, block), amounts
+                )
             )
-            with force_committer(batched=True):
-                batched.execute_batch(batch)
-            with force_committer(batched=False):
-                scalar.execute_batch(batch)
-            # Migrate a random account mid-flight: state and mapping
-            # move while receipts naming its old shard are pending.
+            self._assert_conserved(executor, genesis)
             account = int(rng.integers(0, n_accounts))
             to_shard = int(rng.integers(0, k))
-            batched.apply_migration_batch(
+            executor.apply_migration_batch(
                 np.array([account]), np.array([to_shard])
             )
-            scalar.apply_migration_batch(
-                np.array([account]), np.array([to_shard])
-            )
-            batched.mapping.assign(account, to_shard)
-            scalar.mapping.assign(account, to_shard)
+            executor.mapping.assign(account, to_shard)
+            self._assert_conserved(executor, genesis)
             block += int(rng.integers(1, 3))
-        batched.settle_all(from_block=block)
-        scalar.settle_all(from_block=block)
-        self._assert_identical(batched, scalar, k)
-        assert batched.total_value() == pytest.approx(scalar.total_value())
+        executor.settle_all(from_block=block)
+        self._assert_conserved(executor, genesis)
+        assert executor.in_flight_count() == 0
 
 
 @settings(max_examples=40, deadline=None)

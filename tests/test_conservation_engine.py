@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from committer import force_committer
 from repro.allocation.txallo import TxAlloAllocator
 from repro.chain.crossshard import CrossShardExecutor
 from repro.chain.ledger import Ledger
@@ -62,9 +61,8 @@ def _build_world(n_accounts, k, seed, relay_delay, network=None):
     seed=st.integers(0, 500),
     k=st.integers(2, 4),
     relay_delay=st.integers(0, 2),
-    batched=st.booleans(),
 )
-def test_total_value_conserved_through_full_loop(seed, k, relay_delay, batched):
+def test_total_value_conserved_through_full_loop(seed, k, relay_delay):
     n_accounts = 60
     params, trace, allocator, mapping, executor, ledger = _build_world(
         n_accounts, k, seed, relay_delay
@@ -86,8 +84,7 @@ def test_total_value_conserved_through_full_loop(seed, k, relay_delay, batched):
         valued = TransactionBatch(
             batch.senders, batch.receivers, batch.blocks, values
         )
-        with force_committer(batched):
-            reports = ledger.execute_epoch(valued)
+        reports = ledger.execute_epoch(valued)
         for report in reports:
             assert executor.total_value() == pytest.approx(
                 genesis, abs=1e-9, rel=0

@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from committer import force_committer
 from migration_reference import ReferenceChain
 from state_reference import STATE_BACKENDS, make_registry
 from repro.chain.beacon import BeaconChain, CommitReport
@@ -419,30 +418,33 @@ class TestReceiptForwarding:
     """Relay deposits follow a receiver that migrated in flight."""
 
     @pytest.mark.parametrize("backend", STATE_BACKENDS)
-    @pytest.mark.parametrize("batched_executor", [True, False])
-    def test_deposit_lands_on_current_shard(self, backend, batched_executor):
+    @pytest.mark.parametrize("receiver_funded", [True, False])
+    def test_deposit_lands_on_current_shard(self, backend, receiver_funded):
+        # An unfunded receiver has no state for the migration to move:
+        # the deposit must still create it on its current phi shard.
         mapping = ShardMapping(np.array([0, 1, 2, 0]), k=3)
         registry = make_registry(backend, 3, n_accounts=4)
         executor = CrossShardExecutor(registry, mapping, relay_delay_blocks=3)
         executor.fund(0, 10.0)
-        executor.fund(1, 5.0)
+        opening = 5.0 if receiver_funded else 0.0
+        if receiver_funded:
+            executor.fund(1, opening)
         genesis = executor.total_value()
 
         # Block 0: account 0 (shard 0) pays account 1 (shard 1) — the
         # receipt targets shard 1 at issue time.
-        with force_committer(batched=batched_executor):
-            executor.execute_block(
-                0,
-                TransactionBatch(
-                    np.array([0]), np.array([1]), np.array([0]), np.array([4.0])
-                ),
-            )
+        executor.execute_block(
+            0,
+            TransactionBatch(
+                np.array([0]), np.array([1]), np.array([0]), np.array([4.0])
+            ),
+        )
         assert executor.ledger.view().target_shards[0] == 1
 
         # Receiver migrates to shard 2 while the receipt is in flight.
         mapping.assign(1, 2)
         executor.apply_migration_batch(np.array([1]), np.array([2]))
-        assert registry.locate(1) == 2
+        assert registry.locate(1) == (2 if receiver_funded else None)
 
         # The deposit becomes due: it must follow the receiver to
         # shard 2 (the current phi shard), not credit stale shard 1.
@@ -450,7 +452,7 @@ class TestReceiptForwarding:
         assert report.deposits_settled == 1
         assert registry.locate(1) == 2
         assert 1 not in registry.store_of(1)
-        assert registry.store_of(2).get(1).balance == 9.0
+        assert registry.store_of(2).get(1).balance == opening + 4.0
         assert executor.total_value() == genesis
 
     def test_unmigrated_receiver_still_settles_on_issue_shard(self):
