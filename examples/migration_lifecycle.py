@@ -1,14 +1,18 @@
 """Walk through Figure 2: the full life of an account migration.
 
 Reproduces the paper's toy example — k = 2 shards, epochs of tau = 2
-blocks — driving the real chain substrate objects step by step:
+blocks — driving the same chain substrate objects the simulation engine
+executes, step by step:
 
 1. a client on shard 2 proposes intra-/cross-shard transactions and a
    migration request;
-2. shard miners commit transactions into shard blocks while the beacon
-   committee commits the migration request into a beacon block;
-3. at the epoch reconfiguration, miners sync the beacon chain, update
-   their local mapping ``phi``, reshuffle, and migrate account state.
+2. the shards execute the transactions (a cross-shard transfer is a
+   withdraw on the sender's shard, then a deposit on the receiver's
+   shard one block later) while the beacon chain commits the migration
+   request;
+3. at the epoch reconfiguration, every shard syncs the beacon chain,
+   updates its local mapping ``phi``, and the migrated account's state
+   moves to its new shard in the same state sync.
 
 Run with::
 
@@ -28,9 +32,11 @@ from repro import (
     TransactionBatch,
     WorkloadOracle,
 )
-from repro.chain import MigrationRequestBatch
+from repro.chain import CrossShardExecutor, MigrationRequestBatch, StateRegistry
+from repro.chain.state import STATE_RECORD_BYTES
 
 ALICE, BOB, CAROL, DAVE = 0, 1, 2, 3
+GENESIS_BALANCE = 10.0
 
 
 def main() -> None:
@@ -39,7 +45,11 @@ def main() -> None:
     # Alice starts on shard 1 (the paper's "originally in shard 2" —
     # shard ids are 0-based here); her friends live on shard 0.
     mapping = ShardMapping(np.array([1, 0, 0, 1]), k=2)
-    ledger = Ledger(params, mapping, miners_per_shard=3)
+    registry = StateRegistry(2, n_accounts=4)
+    executor = CrossShardExecutor(registry, mapping)
+    executor.fund_many(np.arange(4), GENESIS_BALANCE)
+    genesis_supply = executor.total_value()
+    ledger = Ledger(params, executor)
     print(f"initial allocation: {dict(enumerate(mapping.as_array().tolist()))}")
 
     # --- Propose phase -----------------------------------------------------------
@@ -69,32 +79,41 @@ def main() -> None:
     assert request is not None, "two of three peers are on shard 0"
 
     # --- Commit phase -----------------------------------------------------------
-    stats = ledger.process_epoch(epoch_txs)
-    print(
-        f"epoch 0 committed: {stats.intra_shard} intra-shard, "
-        f"{stats.cross_shard} cross-shard transactions"
-    )
+    reports = ledger.execute_epoch(epoch_txs)
+    for report in reports:
+        print(
+            f"epoch 0, block {report.block}: {report.intra_executed} intra, "
+            f"{report.withdraws} withdraw(s), "
+            f"{report.deposits_settled} deposit(s) settled"
+        )
+    assert [
+        (r.intra_executed, r.withdraws, r.deposits_settled) for r in reports
+    ] == [(0, 2, 0), (2, 0, 2)]
     ledger.submit_migration_batch(
         MigrationRequestBatch.from_requests([request])
     )
-    report = ledger.commit_migrations(capacity=int(params.derive_capacity(4)))
+    committed = ledger.commit_migrations(
+        0, capacity=int(params.derive_capacity(4))
+    )
     print(
-        f"beacon chain committed {report.committed_count} migration "
+        f"beacon chain committed {committed.committed_count} migration "
         f"request(s) in block {len(ledger.beacon) - 1}"
     )
 
     # --- Migration phase (epoch reconfiguration) ----------------------------------
-    reconfig = ledger.reconfigure()
+    reconfig = ledger.reconfigure(0)
     print(
         f"reconfiguration: {reconfig.migrations_applied} account(s) migrated, "
-        f"{reconfig.reshuffle.moved_count} miner(s) reshuffled, "
-        f"{reconfig.total_communication_bytes:.0f} bytes synchronised"
+        f"{reconfig.state_moved_bytes:.0f} state bytes moved"
     )
     print(
         "allocation after epoch 0: "
         f"{dict(enumerate(ledger.mapping.as_array().tolist()))}"
     )
-    assert ledger.mapping.shard_of(ALICE) == decision.best_shard
+    assert reconfig.migrations_applied == 1
+    assert reconfig.state_moved_bytes == STATE_RECORD_BYTES  # one account
+    # Alice's state followed her to her Pilot best shard.
+    assert registry.locate(ALICE) == decision.best_shard == 0
 
     # Afterwards Alice's transactions with Bob and Carol are intra-shard.
     followup = TransactionBatch.from_transactions(
@@ -103,15 +122,16 @@ def main() -> None:
             Transaction(ALICE, CAROL, block=3),
         ]
     )
-    stats = ledger.process_epoch(followup)
-    print(
-        f"epoch 1: {stats.intra_shard}/{stats.total_transactions} "
-        "transactions are now intra-shard"
-    )
+    reports = ledger.execute_epoch(followup)
+    intra = sum(r.intra_executed for r in reports)
+    print(f"epoch 1: {intra}/{len(followup)} transactions are now intra-shard")
+    assert intra == len(followup) and not any(r.withdraws for r in reports)
+
+    executor.settle_all(from_block=3)
+    assert executor.total_value() == genesis_supply == 4 * GENESIS_BALANCE
+    print(f"total value {executor.total_value():.1f} — conserved exactly")
     ledger.beacon.verify()
-    for shard in ledger.shards:
-        shard.verify()
-    print("all chains verified — hash links intact")
+    print("beacon chain verified — hash links intact")
 
 
 if __name__ == "__main__":

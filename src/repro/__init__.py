@@ -41,11 +41,8 @@ from repro.chain import (
     Transaction,
     TransactionBatch,
     ShardMapping,
-    Mempool,
-    ShardChain,
     BeaconChain,
     Ledger,
-    MinerPool,
     OverheadModel,
 )
 from repro.chain.migration import MigrationRequest
@@ -109,11 +106,8 @@ __all__ = [
     "Transaction",
     "TransactionBatch",
     "ShardMapping",
-    "Mempool",
-    "ShardChain",
     "BeaconChain",
     "Ledger",
-    "MinerPool",
     "OverheadModel",
     "MigrationRequest",
     "Pilot",

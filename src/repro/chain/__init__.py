@@ -1,10 +1,10 @@
 """Sharded-blockchain substrate.
 
 This subpackage implements the blockchain model from Section III-A of the
-paper: ``k`` shard chains plus one beacon chain, an account-shard mapping
-``phi`` (Definition 1), miners with Elastico-style periodic reshuffling,
-the mempool, and the epoch-reconfiguration procedure that applies
-client-proposed account migrations.
+paper: ``k`` shards, each a state store run by the cross-shard executor,
+plus one beacon chain, an account-shard mapping ``phi`` (Definition 1),
+workload analytics over the mempool, and the epoch-reconfiguration
+procedure that applies client-proposed account migrations.
 """
 
 from repro.chain.params import ProtocolParams
@@ -12,14 +12,11 @@ from repro.chain.account import Address, AccountRegistry
 from repro.chain.transaction import Transaction, TransactionBatch
 from repro.chain.block import Block, BlockHeader, compute_block_hash, GENESIS_HASH
 from repro.chain.mapping import ShardMapping
-from repro.chain.mempool import Mempool
-from repro.chain.shard import ShardChain
 from repro.chain.beacon import BeaconChain, CommitReport
 from repro.chain.segments import DEFAULT_SEGMENT_ROWS, SegmentedCommitLog
 from repro.chain.migration import MigrationRequest, MigrationRequestBatch
-from repro.chain.miner import Miner, MinerPool, ReshuffleReport
 from repro.chain.epoch import EpochReconfigurator, ReconfigurationReport
-from repro.chain.ledger import Ledger, EpochStats
+from repro.chain.ledger import Ledger
 from repro.chain.network import OverheadModel, OverheadEstimate, TX_RECORD_BYTES
 from repro.chain.netsim import (
     NETWORK_IDEAL,
@@ -59,21 +56,15 @@ __all__ = [
     "compute_block_hash",
     "GENESIS_HASH",
     "ShardMapping",
-    "Mempool",
-    "ShardChain",
     "BeaconChain",
     "CommitReport",
     "SegmentedCommitLog",
     "DEFAULT_SEGMENT_ROWS",
     "MigrationRequest",
     "MigrationRequestBatch",
-    "Miner",
-    "MinerPool",
-    "ReshuffleReport",
     "EpochReconfigurator",
     "ReconfigurationReport",
     "Ledger",
-    "EpochStats",
     "OverheadModel",
     "OverheadEstimate",
     "TX_RECORD_BYTES",

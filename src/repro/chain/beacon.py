@@ -300,17 +300,3 @@ class BeaconChain:
         consumers with a sync height never touch the full log.
         """
         return list(self.iter_committed_batches(block_height))
-
-    def apply_to_mapping(
-        self, mapping: ShardMapping, since_height: int = 0
-    ) -> int:
-        """Apply committed MRs to ``mapping`` in place; return count applied.
-
-        Vectorised per committed block through
-        :func:`apply_batch_to_mapping`; streams the height window one
-        block at a time instead of materialising the batch list.
-        """
-        return sum(
-            apply_batch_to_mapping(batch, mapping)
-            for batch in self.iter_committed_batches(since_height)
-        )

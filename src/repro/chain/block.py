@@ -1,4 +1,4 @@
-"""Blocks and hash chaining for shard chains and the beacon chain."""
+"""Blocks and hash chaining: the beacon chain's block format."""
 
 from __future__ import annotations
 
@@ -37,9 +37,8 @@ def payload_digest(items: Sequence[object]) -> str:
 class BlockHeader:
     """Immutable block header.
 
-    ``chain_id`` distinguishes shard chains (``"shard-3"``) from the
-    beacon chain (``"beacon"``) so identical payloads on different chains
-    hash differently.
+    ``chain_id`` (``"beacon"`` for the beacon chain) is bound into the
+    hash, so identical payloads on different chains hash differently.
     """
 
     chain_id: str

@@ -2,16 +2,16 @@
 
 Every ``tau`` beacon blocks the system reconfigures:
 
-1. **Beacon sync** — each miner pulls the beacon blocks committed during
+1. **Beacon sync** — each shard pulls the beacon blocks committed during
    the previous epoch and updates its locally stored mapping ``phi``.
-2. **Reshuffle + state sync** — miners are reshuffled across shards; each
-   moved miner synchronises the state of the accounts ``phi^{-1}(j)`` of
-   its new shard ``j``. Account migration rides the same synchronisation,
-   so Mosaic adds no extra communication round (Section III-B-2).
+2. **State sync** — the state of every migrated account moves from its
+   old shard's store to its new one. Account migration rides the state
+   synchronisation that reconfiguration already does, so Mosaic adds no
+   extra communication round (Section III-B-2).
 
 :class:`EpochReconfigurator` performs those steps against the substrate
-objects and reports the communication volume involved, which feeds the
-efficiency comparison of Table VI / Fig. 1.
+objects and reports the bytes Mosaic adds to them: the beacon sync and
+the migrated accounts' state.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.chain.beacon import BeaconChain, apply_batch_to_mapping, mr_announcement_bytes
 from repro.chain.mapping import ShardMapping
-from repro.chain.miner import MinerPool, ReshuffleReport
 from repro.chain.netsim import BEACON_SHARD, MSG_BEACON_ANNOUNCE, MessageBus
 from repro.chain.network import MR_RECORD_BYTES
 from repro.chain.state import STATE_RECORD_BYTES
@@ -41,8 +40,6 @@ class ReconfigurationReport:
     migrations_applied: int
     beacon_blocks_synced: int
     beacon_sync_bytes: float
-    reshuffle: Optional[ReshuffleReport]
-    state_sync_bytes: float
     migration_extra_bytes: float = 0.0
     #: Actual account-state bytes moved between shard stores when the
     #: reconfigurator drives a cross-shard executor (0 without one).
@@ -53,12 +50,8 @@ class ReconfigurationReport:
 
     @property
     def total_communication_bytes(self) -> float:
-        """All bytes moved during this reconfiguration."""
-        return (
-            self.beacon_sync_bytes
-            + self.state_sync_bytes
-            + self.migration_extra_bytes
-        )
+        """The bytes Mosaic adds to this reconfiguration."""
+        return self.beacon_sync_bytes + self.migration_extra_bytes
 
 
 class EpochReconfigurator:
@@ -67,7 +60,6 @@ class EpochReconfigurator:
     def __init__(
         self,
         beacon: BeaconChain,
-        miner_pool: Optional[MinerPool] = None,
         executor: Optional["CrossShardExecutor"] = None,
         compact_slack: Optional[float] = None,
         bus: Optional[MessageBus] = None,
@@ -77,7 +69,6 @@ class EpochReconfigurator:
                 f"compact_slack must be >= 0, got {compact_slack}"
             )
         self._beacon = beacon
-        self._miner_pool = miner_pool
         self._executor = executor
         #: When the substrate routes messages through the simulated
         #: network, each reconfiguration announces the epoch's committed
@@ -93,13 +84,14 @@ class EpochReconfigurator:
         self.compact_slack = compact_slack
 
     def run(self, epoch: int, mapping: ShardMapping) -> ReconfigurationReport:
-        """Run one reconfiguration: sync beacon, apply MRs, reshuffle.
+        """Run one reconfiguration: sync beacon, apply MRs, move state.
 
-        ``mapping`` is updated in place, exactly as each miner updates its
-        local ``phi``. The report separates the beacon-sync bytes (new in
-        Mosaic, bounded by MR volume) from the state-sync bytes that
-        conventional reshuffling already pays, plus the extra state bytes
-        for migrated accounts.
+        ``mapping`` is updated in place, exactly as each shard updates its
+        local ``phi``. The report gives the beacon-sync bytes (new in
+        Mosaic, bounded by MR volume) and the state bytes of the migrated
+        accounts. The state sync that conventional reshuffling already
+        pays is the same for every compared framework, so it is not
+        charged here.
         """
         if epoch < 0:
             raise SimulationError(f"epoch must be >= 0, got {epoch}")
@@ -141,22 +133,7 @@ class EpochReconfigurator:
                 size_bytes=mr_announcement_bytes(request_count),
             )
 
-        reshuffle_report: Optional[ReshuffleReport] = None
-        state_sync_bytes = 0.0
-        if self._miner_pool is not None:
-            reshuffle_report = self._miner_pool.reshuffle(epoch)
-            # Every moved miner downloads the state of its new shard. We
-            # charge the average shard state size per moved miner.
-            if mapping.n_accounts and self._miner_pool.k:
-                avg_shard_accounts = mapping.n_accounts / self._miner_pool.k
-                state_sync_bytes = (
-                    reshuffle_report.moved_count
-                    * avg_shard_accounts
-                    * STATE_RECORD_BYTES
-                )
-
-        # Migrated accounts move state between shards once each. Miners
-        # that did not move still fetch migrated-in account state; this is
+        # Migrated accounts move state between shards once each; this is
         # the only migration-specific state traffic.
         migration_extra_bytes = float(applied * STATE_RECORD_BYTES)
 
@@ -171,8 +148,6 @@ class EpochReconfigurator:
             migrations_applied=applied,
             beacon_blocks_synced=new_blocks,
             beacon_sync_bytes=beacon_sync_bytes,
-            reshuffle=reshuffle_report,
-            state_sync_bytes=state_sync_bytes,
             migration_extra_bytes=migration_extra_bytes,
             state_moved_bytes=state_moved_bytes,
             compacted_bytes=compacted_bytes,

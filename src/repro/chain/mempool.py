@@ -1,4 +1,4 @@
-"""Mempool: the repository of pending transactions.
+"""Workload analytics over the mempool of pending transactions.
 
 The mempool plays two roles in the paper:
 
@@ -9,23 +9,21 @@ The mempool plays two roles in the paper:
    transactions that will commit in the *next* epoch ("it is from
    analyzing transactions in the next epoch in this simulation").
 
-:class:`Mempool` therefore wraps a pending :class:`TransactionBatch` and
-can compute the per-shard workload vector under a given mapping. The
-pool is columnar end to end: batches flow mempool -> miner -> executor
--> epoch metrics as parallel numpy arrays, and per-transaction
-:class:`Transaction` objects exist only as lazy views (``batch.at(i)``,
-iteration) for tests and error messages.
+A mempool here is just a pending :class:`TransactionBatch`; this module
+classifies its transactions as intra-/cross-shard under a mapping and
+computes the per-shard workload vector from them, both on the batch's
+numpy columns.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.chain.kernels import classify_kernel, workload_kernel
 from repro.chain.mapping import ShardMapping
-from repro.chain.transaction import Transaction, TransactionBatch
+from repro.chain.transaction import TransactionBatch
 from repro.errors import UnknownAccountError
 
 
@@ -56,37 +54,3 @@ def shard_workloads(
     """
     sender_shards, receiver_shards, is_cross = classify_transactions(batch, mapping)
     return workload_kernel(sender_shards, receiver_shards, is_cross, mapping.k, eta)
-
-
-class Mempool:
-    """A pool of pending transactions plus workload analytics."""
-
-    def __init__(self, pending: Optional[TransactionBatch] = None) -> None:
-        self._pending = pending if pending is not None else TransactionBatch.empty()
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    @property
-    def pending(self) -> TransactionBatch:
-        """The pending transactions currently in the pool."""
-        return self._pending
-
-    def add(self, transaction: Transaction) -> None:
-        """Append a single pending transaction."""
-        single = TransactionBatch.from_transactions([transaction])
-        self._pending = self._pending.concat(single)
-
-    def add_batch(self, batch: TransactionBatch) -> None:
-        """Append a batch of pending transactions."""
-        self._pending = self._pending.concat(batch)
-
-    def replace(self, batch: TransactionBatch) -> None:
-        """Replace the entire pool (simulation epoch roll-over)."""
-        self._pending = batch
-
-    def drain(self) -> TransactionBatch:
-        """Remove and return everything currently pending."""
-        drained = self._pending
-        self._pending = TransactionBatch.empty()
-        return drained

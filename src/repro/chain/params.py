@@ -8,7 +8,7 @@
   *each* involved shard (``eta > 1`` reflects the multi-round cross-shard
   consensus).
 * ``tau``    — epoch length in beacon-chain blocks; epoch reconfiguration
-  (miner reshuffling + account migration) runs every ``tau`` blocks.
+  (beacon sync + account migration) runs every ``tau`` blocks.
 * ``beta``   — the client confidence ratio of known expected future
   transactions used by Pilot's fusion rule (Eq. 2).
 * ``capacity_per_epoch`` — ``lambda``: the workload units one shard can
@@ -18,7 +18,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
@@ -62,10 +62,6 @@ class ProtocolParams:
             raise ConfigurationError(f"seed must be an int, got {self.seed!r}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-
-    def with_updates(self, **changes: object) -> "ProtocolParams":
-        """Return a copy with the given fields replaced (re-validated)."""
-        return replace(self, **changes)
 
     def derive_capacity(self, epoch_transaction_count: int) -> float:
         """Return ``lambda`` for an epoch with the given transaction count.

@@ -60,45 +60,6 @@ class NetworkError(ChainError):
     """A simulated network operation failed or was misconfigured."""
 
 
-class DeliveryExpired(NetworkError):
-    """A simulated message passed its delivery deadline undelivered.
-
-    Every transmission attempt either dropped or would have landed past
-    the message's retry-policy deadline. The
-    :class:`~repro.chain.netsim.MessageBus` reports expiries as arrays
-    (:class:`~repro.chain.netsim.Expiries`) rather than raising, so
-    consumers (e.g. the receipt transport, which turns expired receipts
-    into sender refunds) decide whether an expiry is an error or a
-    protocol event; this is the typed error for the former, and the
-    per-message expiry record of the object-heap reference bus
-    (``tests/netsim_reference.py``). Carries the message class, bus
-    sequence number, endpoints, issue and deadline blocks, and the
-    original payload.
-    """
-
-    def __init__(
-        self,
-        message_class: str,
-        seq: int,
-        src: int,
-        dst: int,
-        issued_block: int,
-        deadline_block: int,
-        payload: object = None,
-    ) -> None:
-        super().__init__(
-            f"{message_class} message {seq} ({src} -> {dst}) expired at "
-            f"block {deadline_block} (issued at block {issued_block})"
-        )
-        self.message_class = message_class
-        self.seq = int(seq)
-        self.src = int(src)
-        self.dst = int(dst)
-        self.issued_block = int(issued_block)
-        self.deadline_block = int(deadline_block)
-        self.payload = payload
-
-
 class MigrationError(ReproError):
     """A migration request is malformed or cannot be applied."""
 

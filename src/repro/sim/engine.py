@@ -378,9 +378,14 @@ class SimulationResult:
 class ExecutionSubstrate:
     """The chain substrate the unified engine drives per epoch.
 
-    Owns a :class:`~repro.chain.ledger.Ledger` (beacon chain + epoch
-    reconfigurator) over a :class:`~repro.chain.crossshard.CrossShardExecutor`
-    with per-shard state stores, genesis-funded either with a uniform
+    Owns a :class:`~repro.chain.ledger.Ledger` — the paper's
+    ``L = (S_1, ..., S_k, BC)``: a
+    :class:`~repro.chain.crossshard.CrossShardExecutor` over per-shard
+    state stores, the beacon chain and the epoch reconfigurator. The
+    engine drives it through four calls per executed epoch:
+    ``execute_epoch``, then ``submit_migration_batch``,
+    ``commit_migrations`` and ``reconfigure`` with the engine's epoch
+    index. The stores are genesis-funded either with a uniform
     supply (the legacy default) or with caller-supplied per-account
     balances (``funding_balances`` — the engine derives them from the
     trace's observed value flow in ``funding="observed"`` mode, through
@@ -435,8 +440,7 @@ class ExecutionSubstrate:
             beacon = BeaconChain(spill_dir=config.beacon_spill_dir)
         self.ledger = Ledger(
             config.params,
-            self.mapping,
-            executor=self.executor,
+            self.executor,
             beacon=beacon,
             compact_slack=config.compact_slack,
         )
@@ -557,9 +561,9 @@ class ExecutionSubstrate:
             epoch=epoch,
         )
         self.ledger.submit_migration_batch(batch)
-        self.ledger.commit_migrations(capacity=None)
+        self.ledger.commit_migrations(epoch, capacity=None)
         compactions = self.registry.compaction_count
-        self.ledger.reconfigure()
+        self.ledger.reconfigure(epoch)
         counters["chain.state.compactions"] = (
             self.registry.compaction_count - compactions
         )

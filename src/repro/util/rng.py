@@ -4,7 +4,7 @@ Everything stochastic in the library flows through a single root seed so
 that simulations are reproducible end to end. Sub-components derive
 independent streams with :func:`derive_seed`, which hashes the root seed
 together with a string label; this avoids accidental stream correlation
-between, say, the trace generator and miner reshuffling.
+between, say, the trace generator and the simulated network.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class RngFactory:
 
         rngs = RngFactory(seed=7)
         gen_trace = rngs.generator("trace")
-        gen_shuffle = rngs.generator("miner-reshuffle")
+        gen_network = rngs.generator("netsim")
     """
 
     def __init__(self, seed: int = 0) -> None:

@@ -12,7 +12,10 @@ formulation of the same protocol so property tests can check
   objects; :func:`prioritize_requests` is its gain rule alone;
 * :class:`ReferenceChain` — an object beacon plus reconfigurator that
   commits with :func:`select_requests` and replays each committed
-  request through ``mapping.assign`` and ``StateRegistry.migrate``.
+  request through ``mapping.assign`` and ``StateRegistry.migrate``;
+* :func:`apply_committed` — applies a ``BeaconChain``'s committed
+  batches to a mapping with no state movement, the batch-side oracle
+  the reference chain is compared with.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.chain.beacon import BeaconChain, apply_batch_to_mapping
 from repro.chain.mapping import ShardMapping
 from repro.chain.migration import MigrationRequest
 from repro.chain.state import StateRegistry
@@ -155,3 +159,14 @@ class ReferenceChain:
                     request.account, current, request.to_shard
                 )
         return ReferenceSync(len(requests), applied, moved)
+
+
+def apply_committed(
+    beacon: BeaconChain, mapping: ShardMapping, since_height: int = 0
+) -> int:
+    """Apply ``beacon``'s committed MRs from ``since_height`` on to
+    ``mapping`` in place, block by block; return the count applied."""
+    return sum(
+        apply_batch_to_mapping(batch, mapping)
+        for batch in beacon.iter_committed_batches(since_height)
+    )

@@ -5,7 +5,7 @@ in-flight state lives in columns keyed by bus sequence number, heap
 entries are plain integer tuples, and :meth:`advance` returns arrays.
 This module keeps the per-object formulation it replaced — one
 :class:`_Pending` per message, one :class:`Delivery` per delivered
-copy, refunds read back from :class:`~repro.errors.DeliveryExpired`
+copy, refunds read back from :class:`DeliveryExpired`
 payloads, duplicate receipts deduplicated by tx id — so property tests
 can drive both through the same sends and compare delivery streams,
 expiries, :class:`~repro.chain.netsim.BusStats`, ledger columns and the
@@ -34,7 +34,42 @@ from repro.chain.netsim import (
     BusStats,
     NetworkModel,
 )
-from repro.errors import DeliveryExpired
+from repro.errors import NetworkError
+
+
+class DeliveryExpired(NetworkError):
+    """A simulated message passed its delivery deadline undelivered.
+
+    Every transmission attempt either dropped or would have landed past
+    the message's retry-policy deadline. The production
+    :class:`~repro.chain.netsim.MessageBus` reports expiries as arrays
+    (:class:`~repro.chain.netsim.Expiries`); this is the per-message
+    expiry record of the reference bus. Carries the message class, bus
+    sequence number, endpoints, issue and deadline blocks, and the
+    original payload.
+    """
+
+    def __init__(
+        self,
+        message_class: str,
+        seq: int,
+        src: int,
+        dst: int,
+        issued_block: int,
+        deadline_block: int,
+        payload: object = None,
+    ) -> None:
+        super().__init__(
+            f"{message_class} message {seq} ({src} -> {dst}) expired at "
+            f"block {deadline_block} (issued at block {issued_block})"
+        )
+        self.message_class = message_class
+        self.seq = int(seq)
+        self.src = int(src)
+        self.dst = int(dst)
+        self.issued_block = int(issued_block)
+        self.deadline_block = int(deadline_block)
+        self.payload = payload
 
 
 def link_down(model: NetworkModel, src: int, dst: int, block: int) -> bool:

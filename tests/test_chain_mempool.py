@@ -1,12 +1,12 @@
-"""Unit tests for the mempool and workload classification."""
+"""Unit tests for mempool workload classification."""
 
 import numpy as np
 import pytest
 
 from repro.chain.mapping import ShardMapping
-from repro.chain.mempool import Mempool, classify_transactions, shard_workloads
-from repro.chain.transaction import Transaction, TransactionBatch
-from repro.errors import ValidationError
+from repro.chain.mempool import classify_transactions, shard_workloads
+from repro.chain.transaction import TransactionBatch
+from repro.errors import UnknownAccountError, ValidationError
 
 
 class TestClassify:
@@ -25,6 +25,11 @@ class TestClassify:
         mapping = ShardMapping(np.array([0, 1]), k=2)
         _, _, is_cross = classify_transactions(batch, mapping)
         assert not is_cross[0]
+
+    def test_rejects_accounts_beyond_the_mapping(self, small_mapping):
+        batch = TransactionBatch(np.array([100]), np.array([0]))
+        with pytest.raises(UnknownAccountError):
+            classify_transactions(batch, small_mapping)
 
 
 class TestShardWorkloads:
@@ -46,26 +51,3 @@ class TestShardWorkloads:
     def test_empty_batch_zero_workloads(self, small_mapping):
         omega = shard_workloads(TransactionBatch.empty(), small_mapping, 2.0)
         assert (omega == 0).all()
-
-
-class TestMempool:
-    def test_add_and_len(self):
-        pool = Mempool()
-        pool.add(Transaction(0, 1))
-        assert len(pool) == 1
-
-    def test_add_batch(self, small_batch):
-        pool = Mempool()
-        pool.add_batch(small_batch)
-        assert len(pool) == 6
-
-    def test_replace(self, small_batch):
-        pool = Mempool(small_batch)
-        pool.replace(TransactionBatch.empty())
-        assert len(pool) == 0
-
-    def test_drain_empties_pool(self, small_batch):
-        pool = Mempool(small_batch)
-        drained = pool.drain()
-        assert len(drained) == 6
-        assert len(pool) == 0

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netsim_reference import ReferenceBus, ReferenceTransport
+from netsim_reference import DeliveryExpired, ReferenceBus, ReferenceTransport
 from repro.chain.netsim import (
     BEACON_SHARD,
     MESSAGE_CLASSES,
@@ -42,7 +42,7 @@ from repro.chain.netsim import (
     network_spec,
 )
 from repro.chain.receipts import COLUMNS, ReceiptLedger
-from repro.errors import ConfigurationError, DeliveryExpired, NetworkError
+from repro.errors import ConfigurationError, NetworkError
 
 
 def run_bus(spec, seed, sends, horizon=None):

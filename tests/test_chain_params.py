@@ -1,5 +1,7 @@
 """Unit tests for ProtocolParams."""
 
+import dataclasses
+
 import pytest
 
 from repro.chain.params import ProtocolParams
@@ -53,10 +55,10 @@ class TestBehaviour:
     def test_with_updates_revalidates(self):
         params = ProtocolParams(k=4)
         with pytest.raises(ConfigurationError):
-            params.with_updates(k=0)
+            dataclasses.replace(params, k=0)
 
     def test_with_updates_changes_field(self):
-        params = ProtocolParams(k=4).with_updates(eta=5.0)
+        params = dataclasses.replace(ProtocolParams(k=4), eta=5.0)
         assert params.eta == 5.0
         assert params.k == 4
 

@@ -15,6 +15,7 @@ Three properties carry the spill design:
 import numpy as np
 import pytest
 
+from migration_reference import apply_committed
 from repro.chain.beacon import BeaconChain
 from repro.chain.mapping import ShardMapping
 from repro.chain.migration import MigrationRequestBatch
@@ -238,8 +239,8 @@ class TestSpilledBeaconEquivalence:
             assert (
                 report_spill.committed_count == report_memory.committed_count
             )
-            memory.apply_to_mapping(mapping_memory, since_height=epoch)
-            spilled.apply_to_mapping(mapping_spill, since_height=epoch)
+            apply_committed(memory, mapping_memory, since_height=epoch)
+            apply_committed(spilled, mapping_spill, since_height=epoch)
             np.testing.assert_array_equal(
                 mapping_spill.as_array(), mapping_memory.as_array()
             )

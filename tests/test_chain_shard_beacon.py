@@ -1,15 +1,13 @@
-"""Unit tests for shard chains and the beacon chain."""
+"""Unit tests for the beacon chain."""
 
 import numpy as np
 import pytest
 
-from migration_reference import prioritize_requests
+from migration_reference import apply_committed, prioritize_requests
 from repro.chain.beacon import BeaconChain
-from repro.chain.block import Block, GENESIS_HASH
 from repro.chain.mapping import ShardMapping
 from repro.chain.migration import MigrationRequest, MigrationRequestBatch
-from repro.chain.shard import ShardChain
-from repro.errors import BlockLinkError, MigrationError, ValidationError
+from repro.errors import MigrationError, ValidationError
 
 
 def mr(account, src=0, dst=1, gain=1.0, epoch=0):
@@ -20,48 +18,6 @@ def mr(account, src=0, dst=1, gain=1.0, epoch=0):
 
 def submit(beacon, *requests):
     beacon.submit_batch(MigrationRequestBatch.from_requests(requests))
-
-
-class TestShardChain:
-    def test_append_links_blocks(self):
-        chain = ShardChain(0)
-        first = chain.append_block(["a"], epoch=0)
-        second = chain.append_block(["b"], epoch=0)
-        assert second.header.parent_hash == first.block_hash
-        assert chain.height == 1
-        chain.verify()
-
-    def test_tip_hash_starts_at_genesis(self):
-        assert ShardChain(0).tip_hash == GENESIS_HASH
-
-    def test_append_existing_validates_chain_id(self):
-        chain = ShardChain(0)
-        foreign = Block.build("shard-1", 0, GENESIS_HASH, [])
-        with pytest.raises(BlockLinkError):
-            chain.append_existing(foreign)
-
-    def test_append_existing_validates_height(self):
-        chain = ShardChain(0)
-        wrong_height = Block.build("shard-0", 5, GENESIS_HASH, [])
-        with pytest.raises(BlockLinkError):
-            chain.append_existing(wrong_height)
-
-    def test_append_existing_validates_parent(self):
-        chain = ShardChain(0)
-        chain.append_block(["a"])
-        orphan = Block.build("shard-0", 1, GENESIS_HASH, [])
-        with pytest.raises(BlockLinkError):
-            chain.append_existing(orphan)
-
-    def test_append_existing_accepts_valid_block(self):
-        chain = ShardChain(0)
-        block = Block.build("shard-0", 0, GENESIS_HASH, ["x"])
-        chain.append_existing(block)
-        assert chain.tip == block
-
-    def test_rejects_negative_shard_id(self):
-        with pytest.raises(ValidationError):
-            ShardChain(-1)
 
 
 class TestPrioritizeRequests:
@@ -140,7 +96,7 @@ class TestBeaconChain:
         mapping = ShardMapping(np.array([0, 0]), k=2)
         submit(beacon, mr(1, src=0, dst=1))
         beacon.commit_epoch(epoch=0, mapping=mapping)
-        applied = beacon.apply_to_mapping(mapping)
+        applied = apply_committed(beacon, mapping)
         assert applied == 1
         assert mapping.shard_of(1) == 1
 

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -199,8 +201,8 @@ class TestCommands:
                 n_blocks=400,
                 seed=9,
             ),
-            params=scenario_module.get_scenario("paper-default").params.with_updates(
-                k=4, tau=40
+            params=dataclasses.replace(
+                scenario_module.get_scenario("paper-default").params, k=4, tau=40
             ),
             history_fraction=0.8,
         )

@@ -52,7 +52,7 @@ def _build_world(n_accounts, k, seed, relay_delay, network=None):
         relay_delay_blocks=relay_delay,
         network=network,
     )
-    ledger = Ledger(params, mapping, miners_per_shard=2, executor=executor)
+    ledger = Ledger(params, executor)
     return params, trace, allocator, mapping, executor, ledger
 
 
@@ -115,8 +115,8 @@ def test_total_value_conserved_through_full_loop(seed, k, relay_delay):
         ledger.submit_migration_batch(
             MigrationRequestBatch.from_requests(requests)
         )
-        ledger.commit_migrations(capacity=None)
-        ledger.reconfigure()  # applies MRs to phi AND moves state
+        ledger.commit_migrations(view.index, capacity=None)
+        ledger.reconfigure(view.index)  # applies MRs to phi AND moves state
         assert executor.total_value() == pytest.approx(
             genesis, abs=1e-9, rel=0
         ), f"value drift after reconfiguration of epoch {view.index}"
@@ -193,8 +193,8 @@ def test_total_value_conserved_under_lossy_network(seed, k, relay_delay):
         ledger.submit_migration_batch(
             MigrationRequestBatch.from_requests(requests)
         )
-        ledger.commit_migrations(capacity=None)
-        ledger.reconfigure()
+        ledger.commit_migrations(view.index, capacity=None)
+        ledger.reconfigure(view.index)
         assert executor.total_value() == pytest.approx(
             genesis, abs=1e-9, rel=0
         ), f"value drift after reconfiguration of epoch {view.index}"
@@ -254,8 +254,8 @@ def test_lossy_refunds_credit_the_senders_current_shard():
         ledger.submit_migration_batch(
             MigrationRequestBatch.from_requests(requests)
         )
-        ledger.commit_migrations(capacity=None)
-        ledger.reconfigure()
+        ledger.commit_migrations(view.index, capacity=None)
+        ledger.reconfigure(view.index)
     executor.settle_all(from_block=int(trace.batch.blocks.max()) + 1)
     assert executor.total_value() == pytest.approx(genesis, abs=1e-9, rel=0)
     assert executor.in_flight_count() == 0

@@ -11,6 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from migration_reference import apply_committed
 from repro.chain.beacon import BeaconChain
 from repro.chain.block import Block, BlockHeader, GENESIS_HASH, payload_digest
 from repro.chain.crossshard import CrossShardExecutor
@@ -18,7 +19,6 @@ from repro.chain.ledger import Ledger
 from repro.chain.mapping import ShardMapping
 from repro.chain.migration import MigrationRequestBatch
 from repro.chain.params import ProtocolParams
-from repro.chain.shard import ShardChain
 from repro.chain.state import StateRegistry
 from repro.chain.transaction import TransactionBatch
 from repro.errors import (
@@ -26,6 +26,7 @@ from repro.errors import (
     ChainError,
     MappingError,
     SimulationError,
+    UnknownAccountError,
     ValidationError,
 )
 
@@ -39,15 +40,20 @@ def one_request(account, from_shard=0, to_shard=1):
 
 class TestChainTampering:
     def test_rewritten_block_breaks_verification(self):
-        chain = ShardChain(0)
-        chain.append_block(["tx-a"])
-        chain.append_block(["tx-b"])
-        # An attacker swaps out the middle block for a forged one with
-        # the same height but different content.
-        forged = Block.build("shard-0", 0, GENESIS_HASH, ["tx-evil"])
-        chain._blocks[0] = forged  # simulate storage compromise
+        beacon = BeaconChain()
+        beacon.submit_batch(one_request(1))
+        beacon.commit_epoch(epoch=0)
+        beacon.submit_batch(one_request(2))
+        beacon.commit_epoch(epoch=1)
+        beacon.verify()
+        # An attacker swaps out block 0 for a forged one with the same
+        # height and parent but different content.
+        forged = Block.build(
+            BeaconChain.CHAIN_ID, 0, GENESIS_HASH, [one_request(3)]
+        )
+        beacon._blocks[0] = forged  # simulate storage compromise
         with pytest.raises(BlockLinkError):
-            chain.verify()
+            beacon.verify()
 
     def test_payload_swap_is_rejected_at_construction(self):
         original = Block.build("shard-0", 0, GENESIS_HASH, ["tx-a"])
@@ -82,10 +88,11 @@ class TestMappingCorruption:
 
     def test_ledger_rejects_foreign_accounts(self, params):
         mapping = ShardMapping(np.zeros(4, dtype=np.int64), k=params.k)
-        ledger = Ledger(params, mapping)
+        executor = CrossShardExecutor(StateRegistry(k=params.k), mapping)
+        ledger = Ledger(params, executor)
         alien = TransactionBatch(np.array([99]), np.array([0]))
-        with pytest.raises(SimulationError):
-            ledger.process_epoch(alien)
+        with pytest.raises(UnknownAccountError):
+            ledger.execute_epoch(alien)
 
     def test_stale_migration_cannot_corrupt_mapping(self):
         """A request referencing the account's *old* shard is dropped,
@@ -94,7 +101,7 @@ class TestMappingCorruption:
         mapping = ShardMapping(np.array([0, 0]), k=2)
         beacon.submit_batch(one_request(0))
         beacon.commit_epoch(epoch=0, mapping=mapping)
-        beacon.apply_to_mapping(mapping)
+        apply_committed(beacon, mapping)
         assert mapping.shard_of(0) == 1
         # Replay the identical (now stale) request.
         beacon.submit_batch(one_request(0))
@@ -111,8 +118,9 @@ class TestComponentMismatch:
 
     def test_ledger_rejects_k_mismatch(self, params):
         mapping = ShardMapping(np.zeros(2, dtype=np.int64), k=params.k + 1)
+        executor = CrossShardExecutor(StateRegistry(k=params.k + 1), mapping)
         with pytest.raises(SimulationError):
-            Ledger(params, mapping)
+            Ledger(params, executor)
 
     def test_engine_rejects_allocator_changing_k(self, tiny_trace, params):
         from repro.allocation.base import AllocationUpdate, Allocator, UpdateContext

@@ -127,24 +127,35 @@ class TestBetaImprovesPerformance:
 
 class TestLedgerIntegration:
     def test_full_substrate_round(self, tiny_trace, params):
-        """Drive the real chain substrate with Mosaic migration requests."""
+        """Drive the executed chain substrate with Mosaic migration
+        requests: value stays exactly conserved and every migrated
+        account's state lands on its new shard."""
+        import numpy as np
+
+        from repro.allocation.base import UpdateContext
+        from repro.chain.crossshard import CrossShardExecutor
         from repro.chain.ledger import Ledger
-        from repro.chain.mapping import ShardMapping
+        from repro.chain.state import StateRegistry
 
         history, evaluation = tiny_trace.split(0.9)
         allocator = MosaicAllocator()
-        mapping = allocator.initialize(history, params)
-        ledger = Ledger(params, mapping.copy(), miners_per_shard=3)
+        mapping = allocator.initialize(history, params).copy()
+        executor = CrossShardExecutor(
+            StateRegistry(params.k, n_accounts=mapping.n_accounts), mapping
+        )
+        executor.fund_many(np.arange(mapping.n_accounts), 10.0)
+        genesis = executor.total_value()
+        ledger = Ledger(params, executor)
 
         epochs = evaluation.epoch_list(params.tau)
-        from repro.allocation.base import UpdateContext
-
         committed_total = 0
         for i, view in enumerate(epochs):
             if len(view.batch) == 0:
                 continue
-            stats = ledger.process_epoch(view.batch)
-            assert stats.total_transactions == len(view.batch)
+            reports = ledger.execute_epoch(view.batch)
+            assert sum(
+                r.intra_executed + r.withdraws + r.failed for r in reports
+            ) == len(view.batch)
             mempool = epochs[i + 1].batch if i + 1 < len(epochs) else view.batch
             context = UpdateContext(
                 epoch=view.index,
@@ -156,12 +167,17 @@ class TestLedgerIntegration:
             allocator.update(ledger.mapping, context)
             ledger.submit_migration_batch(allocator.last_outcome.batch)
             report = ledger.commit_migrations(
-                capacity=int(context.capacity)
+                view.index, capacity=int(context.capacity)
             )
             committed_total += report.committed_count
-            reconfig = ledger.reconfigure()
+            reconfig = ledger.reconfigure(view.index)
             assert reconfig.migrations_applied == report.committed_count
+            assert executor.total_value() == genesis
+            moved = report.committed_batch.accounts
+            np.testing.assert_array_equal(
+                executor.registry.locate_many(moved),
+                ledger.mapping.as_array()[moved],
+            )
+        assert committed_total > 0
         ledger.beacon.verify()
-        for chain in ledger.shards:
-            chain.verify()
         assert ledger.beacon.committed_count == committed_total

@@ -1,6 +1,8 @@
 """Public API surface tests: every exported name resolves, works and is
 used."""
 
+import ast
+import dataclasses
 import importlib
 import tokenize
 from pathlib import Path
@@ -106,6 +108,46 @@ def test_every_export_has_a_consumer():
     assert set(ORACLES) <= exported, "an ORACLES entry is no longer exported"
 
 
+def _imported_modules():
+    """Every module an import statement names in the modules under
+    :data:`CONSUMER_DIRS`.
+
+    Only import statements in code count, so a module named in a
+    docstring, string or comment is not imported. ``from a.b import c``
+    names both ``a.b`` and ``a.b.c`` (``c`` may be a submodule).
+    Package ``__init__.py`` files count here: importing a module to
+    re-export its names is a use of the module, and whether those names
+    have a consumer is :func:`test_every_export_has_a_consumer`'s job.
+    """
+    modules = set()
+    for directory in CONSUMER_DIRS:
+        for path in sorted((REPO / directory).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    modules.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    modules.add(node.module)
+                    modules.update(
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    )
+    return modules
+
+
+def test_every_module_has_an_importer():
+    """Each module under ``src/repro/`` is imported by some code in
+    :data:`CONSUMER_DIRS`; a module nothing imports is dead and is
+    deleted or moved into the tests."""
+    imported = _imported_modules()
+    src = REPO / "src"
+    modules = (
+        ".".join(path.relative_to(src).with_suffix("").parts)
+        for path in (src / "repro").rglob("*.py")
+        if path.name not in ("__init__.py", "__main__.py")
+    )
+    orphans = sorted(module for module in modules if module not in imported)
+    assert not orphans, f"modules no code imports: {orphans}"
+
+
 class TestMinimalWorkflows:
     """Smoke-level end-to-end flows through the public API only."""
 
@@ -162,7 +204,7 @@ class TestMinimalWorkflows:
             trace_config=EthereumTraceConfig(
                 n_accounts=300, n_transactions=2_000, n_blocks=300, seed=8
             ),
-            params=base.params.with_updates(tau=60),
+            params=dataclasses.replace(base.params, tau=60),
             history_fraction=0.8,
         )
         summaries = run_comparison(tiny, methods=["hash-random"])

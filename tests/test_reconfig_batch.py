@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from migration_reference import ReferenceChain
+from migration_reference import ReferenceChain, apply_committed
 from state_reference import STATE_BACKENDS, make_registry
 from repro.chain.beacon import BeaconChain, CommitReport
 from repro.chain.crossshard import CrossShardExecutor
@@ -117,7 +117,7 @@ class TestBeaconBatchEquivalence:
             reference_map = ShardMapping(mapping_array.copy(), k=K)
             beacon_map = ShardMapping(mapping_array.copy(), k=K)
             applied = reference.reconfigure(reference_map).migrations_applied
-            assert beacon.apply_to_mapping(beacon_map) == applied
+            assert apply_committed(beacon, beacon_map) == applied
             assert reference_map == beacon_map
 
     def test_pure_batch_round_preserves_proposal_epoch(self):

@@ -1,5 +1,7 @@
 """Unit tests for scenario presets and run_comparison."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -53,7 +55,7 @@ class TestRunComparison:
                 n_blocks=600,
                 seed=6,
             ),
-            params=base.params.with_updates(tau=60),
+            params=dataclasses.replace(base.params, tau=60),
             history_fraction=0.8,
         )
 

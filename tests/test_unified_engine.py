@@ -12,15 +12,19 @@ state migration). The contracts pinned here:
 * the dense state store reproduces the per-shard state roots and
   result totals recorded from the dict-store engine run it replaced;
 * the executed-value fields only exist where they mean something
-  (summaries, engine modes).
+  (summaries, engine modes);
+* beacon blocks carry the engine's epoch index, empty epochs included.
 """
 
 import numpy as np
 import pytest
 
 from repro.allocation.hash_based import HashAllocator
+from repro.allocation.metis_like import MetisLikeAllocator
 from repro.chain.params import ProtocolParams
+from repro.chain.transaction import TransactionBatch
 from repro.core.mosaic import MosaicAllocator
+from repro.data.trace import Trace
 from repro.errors import SimulationError
 from repro.sim.engine import Simulation, SimulationConfig, SimulationResult
 from repro.sim.recorder import summarize_results
@@ -175,6 +179,41 @@ DICT_RUN_TOTALS = {
     "mean_normalized_throughput": 1.1114452421818397,
     "mean_input_bytes": 82.08110119047619,
 }
+
+
+class TestBeaconEpochs:
+    def test_beacon_blocks_carry_the_engine_epoch(self):
+        """Activity on blocks 0-9 and 20-29 with ``tau=5`` leaves two
+        empty epochs the loop skips; the beacon blocks after them must
+        still be stamped with the engine's epoch, the one their MR
+        batches carry."""
+        rng = np.random.default_rng(0)
+        blocks = np.sort(
+            np.concatenate(
+                [rng.integers(0, 10, 200), rng.integers(20, 30, 200)]
+            )
+        )
+        senders = rng.integers(0, 40, 400)
+        receivers = (senders + 1 + rng.integers(0, 39, 400)) % 40
+        trace = Trace(TransactionBatch(senders, receivers, blocks))
+        config = SimulationConfig(
+            params=ProtocolParams(k=4, eta=2.0, tau=5, seed=3),
+            history_epochs=1,
+            execute_values=True,
+        )
+        simulation = Simulation(trace, MetisLikeAllocator(), config)
+        result = simulation.run()
+        record_epochs = [record.epoch for record in result.records]
+        assert record_epochs == [0, 3, 4]
+        stamped = [
+            (block.header.epoch, block.payload[0].epoch)
+            for block in simulation.substrate.ledger.beacon.blocks
+            if block.payload
+        ]
+        assert len(stamped) == 3
+        for header_epoch, batch_epoch in stamped:
+            assert header_epoch == batch_epoch
+            assert header_epoch in record_epochs
 
 
 class TestBackendEquivalenceEndToEnd:
