@@ -471,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sizing-index",
         action="store_true",
         help="also write the <output>.sizing.npz sidecar so streamed "
-        "observed-funding replays skip the sizing pass (one-pass ingest)",
+        "replays skip the sizing pass and its spool",
     )
     generate.set_defaults(handler=_command_generate)
 

@@ -27,7 +27,7 @@ import numpy as np
 from repro.chain.account import AccountRegistry, address_from_id
 from repro.chain.transaction import TransactionBatch
 from repro.data.trace import Trace
-from repro.errors import DataError, MalformedRowError
+from repro.errors import DataError, MalformedRowError, ValidationError
 
 #: Columns written/accepted, a subset of ethereum-etl's transactions.csv.
 ETL_COLUMNS = ("hash", "block_number", "from_address", "to_address", "value")
@@ -43,7 +43,7 @@ class _RowDecoder:
     Resolves the header once, then turns each raw CSV row into an
     ``(sender, receiver, block, value, fee)`` tuple — or ``None`` for
     rows the paper's account-graph construction skips (contract
-    creations, self-transfers). Bad cells raise
+    creations, self-transfers). Bad cells, addresses included, raise
     :class:`MalformedRowError` with the file and 1-based line number.
     """
 
@@ -139,8 +139,18 @@ class _RowDecoder:
                     ) from None
                 if fee < 0 or fee != fee:
                     raise MalformedRowError(self.path, line, f"bad fee {raw_fee!r}")
-        sender = self.registry.register(from_address)
-        receiver = self.registry.register(to_address)
+        try:
+            sender = self.registry.register(from_address)
+        except ValidationError as exc:
+            raise MalformedRowError(
+                self.path, line, f"bad from_address: {exc}"
+            ) from None
+        try:
+            receiver = self.registry.register(to_address)
+        except ValidationError as exc:
+            raise MalformedRowError(
+                self.path, line, f"bad to_address: {exc}"
+            ) from None
         if sender == receiver:
             return None  # self-transfers carry no allocation signal
         return sender, receiver, block, value, fee

@@ -1,46 +1,52 @@
-"""Persisted sizing index for two-pass CSV ingest.
+"""Sizing pass and its persisted index for CSV ingest.
 
 The streaming engine's bounded protocol needs three facts before the
 first epoch can run: the total row count (to place the history cut),
 the account-universe size (to size mappings and state columns), and —
 for observed-funding executed runs — the canonical funding partials.
-A CSV extract can only answer after a full read, so every replay pays
-a *sizing pass* that streams the whole file once and throws the
-chunks away (ROADMAP PR 7 headroom).
+A CSV extract can only answer after a full read, so a replay starts
+with a *sizing pass* (:func:`sizing_pass`) over the whole file. The
+engine spools every chunk that pass decodes and replays the spool into
+the epoch loop, so each row is decoded once per replay.
 
-This module persists that pass as a sidecar next to the extract
+This module also persists that pass as a sidecar next to the extract
 (``trace.csv`` -> ``trace.csv.sizing.npz``) holding::
 
     (n_rows, universe, canonical funding partials)
 
 plus the stat fingerprint (size, mtime_ns) of the CSV it was built
 from. :meth:`CsvTraceSource.sizing_index` loads it and
-:class:`~repro.sim.engine.Simulation` skips the sizing pass when it matches —
-observed-funding replays become one-pass. A sidecar that *disagrees*
-with its file (the extract was regenerated, truncated, or appended-to)
-raises the typed :class:`~repro.errors.SizingIndexError` rather than
-silently funding a stale universe; a missing sidecar simply means "no
-index" and the two-pass protocol runs as before.
+:class:`~repro.sim.engine.Simulation` skips the sizing pass when it
+matches: the one decode then feeds the epoch loop directly and nothing
+is spooled. A sidecar that *disagrees* with its file (the extract was
+regenerated, truncated, or appended-to) raises the typed
+:class:`~repro.errors.SizingIndexError` rather than silently funding a
+stale universe; a missing sidecar simply means "no index" and the
+sizing pass runs.
 
-Bit-exactness contract: the stored partials are the accumulator's
-surviving pre-headroom array padded to the universe
+Bit-exactness contract: the partials are the accumulator's surviving
+pre-headroom array padded to the universe
 (``ObservedFundingAccumulator(headroom=0.0).finalise(n_accounts)``),
 and :meth:`SizingIndex.funding_balances` replays the tail of
-``finalise`` — zero-init, prefix add, headroom scale — so an indexed
-run's genesis funding is bit-identical to the sizing pass it skipped,
-for any ``funding_headroom``.
+``finalise`` — zero-init, prefix add, headroom scale — so genesis
+funding from an index, live or persisted, is bit-identical to an
+accumulator finalised with the run's ``funding_headroom``.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 import numpy as np
 
 from repro.errors import SizingIndexError, ValidationError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.chain.transaction import TransactionBatch
+    from repro.data.source import TraceSource
 
 #: Sidecar format version; bumped on any layout change so older
 #: sidecars invalidate loudly instead of being misread.
@@ -58,13 +64,16 @@ def sizing_index_path(csv_path: Union[str, Path]) -> Path:
 
 @dataclass(frozen=True)
 class SizingIndex:
-    """One sizing pass, persisted: row count, universe, funding partials.
+    """One sizing pass: row count, universe, funding partials.
 
     ``partials`` is the length-``n_accounts`` pre-headroom funding
     array (all zeros for a valueless metric trace — storing it
     unconditionally keeps the format single-shape); ``values_present``
     records whether any decoded chunk carried a value column, which the
-    engine needs to normalise the second-pass chunk stream.
+    engine needs to normalise the chunk stream it replays.
+    ``file_size``/``file_mtime_ns`` fingerprint the CSV a persisted
+    index was built from; they are None for a live pass's index, which
+    is never written.
     """
 
     n_rows: int
@@ -72,16 +81,16 @@ class SizingIndex:
     max_account_id: int
     values_present: bool
     partials: np.ndarray
-    file_size: int
-    file_mtime_ns: int
+    file_size: Optional[int] = None
+    file_mtime_ns: Optional[int] = None
 
     def funding_balances(self, n_accounts: int, headroom: float) -> np.ndarray:
         """Replay ``ObservedFundingAccumulator.finalise`` from the partials.
 
         Must be called with the index's own universe size (the engine
-        derives both from the same sidecar); the replication below is
+        derives both from the same index); the replication below is
         the exact tail of ``finalise`` so the result is bit-identical
-        to the sizing pass this index replaced.
+        to an accumulator finalised with ``headroom``.
         """
         if n_accounts != self.n_accounts:
             raise ValidationError(
@@ -97,6 +106,38 @@ class SizingIndex:
         return balances
 
 
+def sizing_pass(
+    chunks: Iterable["TransactionBatch"], source: "TraceSource"
+) -> SizingIndex:
+    """Consume ``chunks`` (one pass over ``source``) and size the run.
+
+    Counts rows, accumulates the funding partials in canonical chunk
+    order (so any chunk size yields the same partials) and resolves the
+    universe: the source's first-seen registry when it resolved one,
+    else ``max_account_id + 1``. The engine's live sizing pass and
+    :func:`build_sizing_index` both run this.
+    """
+    from repro.chain.economics import ObservedFundingAccumulator
+
+    accumulator = ObservedFundingAccumulator(headroom=0.0)
+    values_present = False
+    for chunk in chunks:
+        accumulator.add(chunk)
+        if chunk.values is not None:
+            values_present = True
+    resolved = source.resolved_n_accounts()
+    if resolved is None:
+        resolved = accumulator.max_account_id + 1
+    n_accounts = max(int(resolved), 0)
+    return SizingIndex(
+        n_rows=accumulator.rows,
+        n_accounts=n_accounts,
+        max_account_id=accumulator.max_account_id,
+        values_present=values_present,
+        partials=accumulator.finalise(n_accounts),
+    )
+
+
 def build_sizing_index(
     csv_path: Union[str, Path],
     chunk_rows: Optional[int] = None,
@@ -105,12 +146,9 @@ def build_sizing_index(
 
     Streams the file through a fresh :class:`CsvTraceSource` (its own
     registry, so building an index never perturbs a live decode) and
-    resolves the universe exactly as the engine's sizing pass does:
-    the decoder's first-seen registry when it saw any row, else
-    ``max_account_id + 1``. The funding partials accumulate in
-    canonical chunk order, so any ``chunk_rows`` yields the same index.
+    stamps the result with the file's stat fingerprint, taken before
+    the pass so a file rewritten during it reads as stale.
     """
-    from repro.chain.economics import ObservedFundingAccumulator
     from repro.data.source import DEFAULT_CHUNK_ROWS, CsvTraceSource
 
     csv_path = Path(csv_path)
@@ -119,23 +157,8 @@ def build_sizing_index(
         csv_path,
         chunk_rows=chunk_rows if chunk_rows is not None else DEFAULT_CHUNK_ROWS,
     )
-    accumulator = ObservedFundingAccumulator(headroom=0.0)
-    values_present = False
-    for chunk in source.chunks():
-        accumulator.add(chunk)
-        if chunk.values is not None:
-            values_present = True
-    resolved = source.resolved_n_accounts()
-    if resolved is None:
-        resolved = accumulator.max_account_id + 1
-    n_accounts = max(int(resolved), 0)
-    partials = accumulator.finalise(n_accounts)
-    return SizingIndex(
-        n_rows=accumulator.rows,
-        n_accounts=n_accounts,
-        max_account_id=accumulator.max_account_id,
-        values_present=values_present,
-        partials=partials,
+    return replace(
+        sizing_pass(source.chunks(), source),
         file_size=stat.st_size,
         file_mtime_ns=stat.st_mtime_ns,
     )

@@ -269,12 +269,13 @@ class CsvTraceSource(TraceSource):
 class ChunkIteratorSource(TraceSource):
     """One-shot source over an already-started chunk iterator.
 
-    The streaming engine's two-pass protocol consumes a source's
-    history prefix chunk by chunk and hands the *remainder* of the live
-    iterator to :class:`EpochStream` through this adapter;
-    ``n_accounts`` carries the full-universe size resolved during the
-    sizing pass (the iterator itself can no longer answer that for the
-    rows already consumed).
+    The streaming engine consumes the history prefix of its chunk
+    stream (a spool replay, a sidecar-sized decode or a re-iterated
+    materialised trace) chunk by chunk and hands the *remainder* of
+    that iterator to :class:`EpochStream` through this adapter;
+    ``n_accounts`` carries the full-universe size resolved up front
+    (the iterator itself can no longer answer that for the rows
+    already consumed).
     """
 
     def __init__(

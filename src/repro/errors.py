@@ -106,9 +106,9 @@ class SizingIndexError(DataError):
     Raised when the sidecar exists but disagrees with the file it
     describes (size/mtime drift, format-version skew, or a corrupt
     archive) — a stale index silently funding the wrong universe would
-    be far worse than re-running the sizing pass, so mismatches are
-    loud. A *missing* sidecar is not an error: loaders return None and
-    consumers fall back to the two-pass protocol.
+    be far worse than running the sizing pass, so mismatches are loud.
+    A *missing* sidecar is not an error: loaders return None and
+    consumers fall back to the sizing pass + spool replay protocol.
     """
 
     def __init__(self, path: object, reason: str) -> None:

@@ -48,9 +48,11 @@ conservation drift, compactions — goes into one channel,
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass, field
 from itertools import chain as iter_chain
 from math import fsum
+from pathlib import Path
 from typing import (
     Callable,
     Dict,
@@ -68,6 +70,7 @@ from repro.allocation.base import Allocator, UpdateContext
 from repro.chain.mapping import ShardMapping
 from repro.chain.params import ProtocolParams
 from repro.chain.transaction import TransactionBatch
+from repro.data.sizing import SizingIndex, sizing_pass
 from repro.data.source import (
     ChunkIteratorSource,
     EpochStream,
@@ -736,9 +739,9 @@ def _normalised_chunks(
     Streamed CSV decode activates the value column only at the first
     nonzero value, so chunks before that point are valueless even when
     the materialised trace carries the column (with literal zeros).
-    When the sizing pass resolved that values exist, this wrapper
-    restores the column on every chunk — making the second pass's
-    history and epoch batches column-identical to the materialised
+    When the sizing index says values exist, this wrapper restores the
+    column on every replayed chunk — spooled or re-streamed — making
+    the history and epoch batches column-identical to the materialised
     split, which executed replays require (a valueless batch transfers
     the default amount, not 0.0).
     """
@@ -752,6 +755,53 @@ def _normalised_chunks(
                 chunk.fees,
             )
         yield chunk
+
+
+#: :class:`TransactionBatch` columns in constructor order.
+_BATCH_COLUMNS = ("senders", "receivers", "blocks", "values", "fees")
+
+
+class _ChunkSpool:
+    """On-disk copy of one pass over a chunk stream, for one replay.
+
+    :meth:`record` passes the chunks through unchanged and saves each
+    one as an ``.npz`` of its present columns, so the replay keeps the
+    pass's chunk boundaries, order and absent ``values``/``fees``
+    columns (the lazy value-column flag). :meth:`replay` loads them
+    back one at a time: nothing spooled stays in memory. The caller
+    owns ``directory`` and removes it; a failed read raises.
+    """
+
+    def __init__(self, directory: str) -> None:
+        self._directory = Path(directory)
+        self._n_chunks = 0
+
+    def _path(self, index: int) -> Path:
+        return self._directory / f"chunk-{index:08d}.npz"
+
+    def record(
+        self, chunks: Iterable[TransactionBatch]
+    ) -> Iterator[TransactionBatch]:
+        for chunk in chunks:
+            columns = {
+                name: getattr(chunk, name)
+                for name in _BATCH_COLUMNS
+                if getattr(chunk, name) is not None
+            }
+            np.savez(self._path(self._n_chunks), **columns)
+            self._n_chunks += 1
+            yield chunk
+
+    def replay(self) -> Iterator[TransactionBatch]:
+        for index in range(self._n_chunks):
+            with np.load(self._path(index)) as payload:
+                chunk = TransactionBatch(
+                    *(
+                        payload[name] if name in payload else None
+                        for name in _BATCH_COLUMNS
+                    )
+                )
+            yield chunk
 
 
 def _consume_history_fraction(
@@ -833,11 +883,15 @@ class Simulation:
     * **count-prefixed fast path** — the source knows its length up
       front (:meth:`~repro.data.source.TraceSource.size_hint`): one
       streaming pass, history split placed from the known count;
-    * **two-pass** — length unknown (CSV): a persisted sizing sidecar,
-      or else a sizing pass, counts rows, resolves the account universe
-      and (in observed-funding mode) accumulates genesis balances; the
-      second pass re-streams through the history split into the epoch
-      loop;
+    * **sizing pass + spool replay** — length unknown (CSV): the
+      sizing pass decodes every row once, counting rows, resolving the
+      account universe and accumulating the funding partials, and
+      spools each decoded chunk to a run-scoped temporary directory;
+      the spool then replays through the history split into the epoch
+      loop. A persisted sizing sidecar answers the same questions
+      without a pass, and the one decode feeds the loop directly. A
+      materialised source that needs observed funding sizes over its
+      chunks and re-iterates them (numpy views), spooling nothing;
     * **unbounded** — the source never ends
       (:class:`~repro.data.source.FollowCsvTraceSource`): no sizing
       pass is possible, so the run requires the absolute
@@ -877,59 +931,56 @@ class Simulation:
         return self._run_bounded()
 
     def _run_bounded(self) -> SimulationResult:
-        """Size the universe up front, then stream the second pass."""
+        """Size the run, then stream it; a CSV row is decoded once."""
         config = self.config
         need_funding = (
             config.execute_values and config.funding == FUNDING_OBSERVED
         )
         hint = self.source.size_hint()
-        funding: Optional[np.ndarray] = None
-        values_present = False
-
         if hint is not None and not need_funding:
             total_rows, n_accounts = hint
-        else:
-            # A persisted sizing sidecar (repro generate --sizing-index)
-            # answers everything the sizing pass would — row count,
-            # universe, canonical funding partials — so an indexed CSV
-            # replay is one-pass. Stale sidecars raise SizingIndexError
-            # inside sizing_index(); missing ones return None.
-            index = self.source.sizing_index()
-            if index is not None:
-                total_rows = index.n_rows
-                n_accounts = index.n_accounts
-                values_present = index.values_present
-                if need_funding:
-                    funding = index.funding_balances(
-                        n_accounts, config.funding_headroom
-                    )
-            else:
-                # Sizing pass: count rows, resolve the account universe,
-                # and accumulate observed funding in canonical chunk order.
-                from repro.chain.economics import ObservedFundingAccumulator
+            return self._run_stream(
+                iter(self.source.chunks()), total_rows, n_accounts, None
+            )
 
-                accumulator = ObservedFundingAccumulator(
-                    headroom=config.funding_headroom
+        def run_sized(
+            index: SizingIndex, chunks: Iterable[TransactionBatch]
+        ) -> SimulationResult:
+            funding: Optional[np.ndarray] = None
+            if need_funding:
+                funding = index.funding_balances(
+                    index.n_accounts, config.funding_headroom
                 )
-                for chunk in self.source.chunks():
-                    accumulator.add(chunk)
-                    if chunk.values is not None:
-                        values_present = True
-                total_rows = accumulator.rows
-                resolved = self.source.resolved_n_accounts()
-                if resolved is None:
-                    resolved = accumulator.max_account_id + 1
-                n_accounts = max(int(resolved), 0)
-                if need_funding:
-                    funding = accumulator.finalise(n_accounts)
+            chunks = iter(chunks)
+            if index.values_present:
+                chunks = _normalised_chunks(chunks)
+            return self._run_stream(
+                chunks, index.n_rows, index.n_accounts, funding
+            )
 
-        chunks = iter(self.source.chunks())
-        if values_present:
-            chunks = _normalised_chunks(chunks)
-        cut = int(round(total_rows * config.resolved_history_fraction))
-        return self._run_stream(
-            chunks, max(0, min(total_rows, cut)), n_accounts, funding
-        )
+        # A persisted sizing sidecar (repro generate --sizing-index)
+        # answers everything the sizing pass would. Stale sidecars
+        # raise SizingIndexError inside sizing_index(); missing ones
+        # return None.
+        index = self.source.sizing_index()
+        if index is not None:
+            return run_sized(index, self.source.chunks())
+        if hint is not None:
+            # Materialised chunks are numpy views: both passes are free.
+            return run_sized(
+                sizing_pass(self.source.chunks(), self.source),
+                self.source.chunks(),
+            )
+        # The source decodes: spool the sizing pass and replay the
+        # spool. The directory goes however the run ends — at the end
+        # of the trace, at max_epochs with the replay unfinished, or on
+        # an exception.
+        with tempfile.TemporaryDirectory(prefix="repro-spool-") as directory:
+            spool = _ChunkSpool(directory)
+            index = sizing_pass(
+                spool.record(self.source.chunks()), self.source
+            )
+            return run_sized(index, spool.replay())
 
     def _run_unbounded(self) -> SimulationResult:
         """Start from the history's universe and grow it as ids appear."""
@@ -947,21 +998,24 @@ class Simulation:
                 "universe; follow runs are metrics-only"
             )
         return self._run_stream(
-            iter(self.source.chunks()), cut=0, n_accounts=None, funding=None
+            iter(self.source.chunks()),
+            total_rows=0,
+            n_accounts=None,
+            funding=None,
         )
 
     def _run_stream(
         self,
         chunks: Iterator[TransactionBatch],
-        cut: int,
+        total_rows: int,
         n_accounts: Optional[int],
         funding: Optional[np.ndarray],
     ) -> SimulationResult:
         """History split → initial mapping → epoch stream → epoch loop.
 
-        ``cut`` is the fractional split's row count (unused when
-        ``history_epochs`` places the split); ``n_accounts=None`` takes
-        the universe from the history itself (unbounded sources).
+        ``total_rows`` places the fractional split (unused when
+        ``history_epochs`` places it); ``n_accounts=None`` takes the
+        universe from the history itself (unbounded sources).
         """
         config = self.config
         params = config.params
@@ -970,7 +1024,10 @@ class Simulation:
                 chunks, params.tau, config.history_epochs
             )
         else:
-            history_chunks, leftover = _consume_history_fraction(chunks, cut)
+            cut = int(round(total_rows * config.resolved_history_fraction))
+            history_chunks, leftover = _consume_history_fraction(
+                chunks, max(0, min(total_rows, cut))
+            )
         history = Trace(
             TransactionBatch.concat_many(history_chunks)
             if history_chunks

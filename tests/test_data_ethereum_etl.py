@@ -247,6 +247,31 @@ class TestMalformedRows:
         assert excinfo.value.line == 2
         assert "fee" in excinfo.value.reason
 
+    @pytest.mark.parametrize("column", ["from_address", "to_address"])
+    def test_bad_address_carries_file_and_line(self, tmp_path, column):
+        """A non-hex address is a malformed row, from both decoders."""
+        bad = "0xnothex"
+        sender, receiver = (
+            (bad, self.B) if column == "from_address" else (self.A, bad)
+        )
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            self.HEADER
+            + f"0x0,1,{self.A},{self.B},2\n"
+            + f"0x1,2,{sender},{receiver},2\n"
+        )
+        from repro.data import CsvTraceSource
+
+        def stream(p):
+            return list(CsvTraceSource(p).chunks())
+
+        for decode in (read_transactions_csv, stream):
+            with pytest.raises(MalformedRowError) as excinfo:
+                decode(path)
+            assert excinfo.value.line == 3
+            assert excinfo.value.path.endswith("bad.csv")
+            assert column in excinfo.value.reason
+
     def test_blank_lines_are_skipped(self, tmp_path):
         """csv.DictReader skipped blank rows; the decoder must too."""
         path = tmp_path / "gappy.csv"

@@ -26,7 +26,7 @@ from repro.data import (
     read_transactions_csv,
     write_transactions_csv,
 )
-from repro.errors import DataError, MalformedRowError, ValidationError
+from repro.errors import DataError, MalformedRowError
 
 ADDR_A = "0x" + "aa" * 20
 ADDR_B = "0x" + "bb" * 20
@@ -227,12 +227,12 @@ class TestErrorFixturesPythonPath:
         with pytest.raises(MalformedRowError, match="out of order"):
             list(CsvTraceSource(path).chunks())
 
-    def test_invalid_address_raises_validation_error(self, tmp_path):
+    def test_invalid_address_names_line(self, tmp_path):
         path = write_csv(
             tmp_path / "addr.csv",
             [f"0x0,1,{ADDR_A},0x1234,5.0"],
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(MalformedRowError, match=r"\.csv:2: bad to_address"):
             list(CsvTraceSource(path).chunks())
 
     def test_negative_value_names_line(self, tmp_path):

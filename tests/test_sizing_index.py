@@ -1,7 +1,7 @@
-"""Persisted sizing index: one-pass streamed replays of CSV extracts.
+"""Persisted sizing index: spool-free streamed replays of CSV extracts.
 
 The sidecar must make an indexed streamed run bit-identical to the
-two-pass run it replaces (rows, universe, values-present flag and —
+sizing-pass run it replaces (rows, universe, values-present flag and —
 for observed funding — the genesis balances), return None when absent,
 and fail loudly with the typed :class:`SizingIndexError` whenever the
 extract drifted out from under it.

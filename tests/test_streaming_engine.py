@@ -10,6 +10,7 @@ across live-tail and static replays.
 """
 
 import dataclasses
+import tempfile
 import threading
 import time
 
@@ -82,6 +83,19 @@ def assert_same_substrate(streamed, reference):
     assert streamed.total_value() == reference.total_value()
 
 
+def count_passes(source):
+    """Wrap ``source.chunks``; the returned list grows once per pass."""
+    passes = []
+    chunks = source.chunks
+
+    def counted():
+        passes.append(None)
+        yield from chunks()
+
+    source.chunks = counted
+    return passes
+
+
 def csv_pair(path, chunk_rows=599):
     """A streaming CSV source plus the reference's decode of the same file.
 
@@ -138,7 +152,10 @@ class TestWindowedEquivalence:
         write_transactions_csv(path, generate_ethereum_like_trace(PLAIN_CONFIG))
         config = SimulationConfig(params=params())
         source, trace = csv_pair(path)
+        passes = count_passes(source)
         streamed = Simulation(source, HashAllocator(), config).run()
+        # The sizing pass is the only decode; the run replays its spool.
+        assert len(passes) == 1
         materialised, _ = run_materialised(trace, HashAllocator(), config)
         assert_identical_records(streamed, materialised)
 
@@ -170,8 +187,10 @@ class TestWindowedEquivalence:
             funding="observed",
         )
         source, trace = csv_pair(path)
+        passes = count_passes(source)
         sim = Simulation(source, HashAllocator(), config)
         streamed = sim.run()
+        assert len(passes) == 1
         materialised, reference = run_materialised(
             trace, HashAllocator(), config
         )
@@ -259,6 +278,49 @@ class TestWindowedEquivalence:
         assert any(r.migrations for r in records)
         assert any(r.counters["chain.state.compactions"] for r in records)
         assert list((tmp_path / "spill").glob("seg-*.mrlog"))
+
+
+class TestSpool:
+    def test_spool_is_removed_however_the_run_ends(self, tmp_path, monkeypatch):
+        """Normal end, max_epochs early stop and a raising allocator
+        each leave no spool directory behind."""
+        path = tmp_path / "trace.csv"
+        write_transactions_csv(path, generate_ethereum_like_trace(PLAIN_CONFIG))
+        spool_root = tmp_path / "tmp"
+        spool_root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool_root))
+
+        def spools():
+            return list(spool_root.glob("repro-spool-*"))
+
+        def run(allocator, **overrides):
+            config = SimulationConfig(
+                params=params(), history_epochs=2, **overrides
+            )
+            source = CsvTraceSource(path, chunk_rows=599)
+            return Simulation(source, allocator, config).run()
+
+        full = run(HashAllocator()).records
+        assert not spools()
+        # Stops before the replay has read the whole spool.
+        assert len(run(HashAllocator(), max_epochs=2).records) < len(full)
+        assert not spools()
+
+        class Boom(Exception):
+            pass
+
+        live = []
+
+        def update(*args, **kwargs):
+            live.append(spools())
+            raise Boom
+
+        allocator = HashAllocator()
+        allocator.update = update
+        with pytest.raises(Boom):
+            run(allocator)
+        assert live and live[0], "the spool was not on disk mid-run"
+        assert not spools()
 
 
 class TestHistoryKnobs:
