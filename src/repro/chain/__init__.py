@@ -33,7 +33,6 @@ from repro.chain.netsim import (
 from repro.chain.state import (
     AccountState,
     DenseShardStateStore,
-    ResidencyIndex,
     SlotDirectory,
     StateRegistry,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "network_spec",
     "AccountState",
     "DenseShardStateStore",
-    "ResidencyIndex",
     "SlotDirectory",
     "StateRegistry",
     "CrossShardExecutor",

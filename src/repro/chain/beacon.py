@@ -152,7 +152,7 @@ class BeaconChain:
 
         In spill mode every payload is re-read from its segment — O(all
         committed rows); windowed consumers use
-        :meth:`iter_committed_batches` / :meth:`batches_since` instead.
+        :meth:`iter_committed_batches` instead.
         """
         if self._spill is not None:
             return tuple(
@@ -277,8 +277,9 @@ class BeaconChain:
         """Lazily yield per-block committed batches from ``block_height``.
 
         One non-empty batch per block, in block order, holding a single
-        block's rows at a time. In spill mode the rows stream straight
-        off the segment files.
+        block's rows at a time — so a caller can apply them block by
+        block (one account can move in two epochs' blocks). In spill
+        mode the rows stream straight off the segment files.
         """
         if self._spill is not None:
             for _height, batch in self._spill.iter_batches(
@@ -289,14 +290,3 @@ class BeaconChain:
         for block in self._blocks[max(0, block_height):]:
             if block.payload:
                 yield block.payload[0]
-
-    def batches_since(self, block_height: int) -> List[MigrationRequestBatch]:
-        """Per-block committed MRs as columnar batches, in block order.
-
-        One batch per non-empty block, so callers that must preserve
-        cross-block ordering — the same account can legitimately move
-        twice across two epochs' blocks — can apply them block by block.
-        Materialises only the requested height window; unbounded-run
-        consumers with a sync height never touch the full log.
-        """
-        return list(self.iter_committed_batches(block_height))

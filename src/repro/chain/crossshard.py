@@ -104,6 +104,11 @@ class CrossShardExecutor:
             raise ValidationError(
                 f"registry has k={registry.k}, mapping has k={mapping.k}"
             )
+        if registry.n_accounts < mapping.n_accounts:
+            raise ValidationError(
+                f"registry holds {registry.n_accounts} accounts, mapping "
+                f"covers {mapping.n_accounts}"
+            )
         if relay_delay_blocks < 0:
             raise ValidationError(
                 f"relay_delay_blocks must be >= 0, got {relay_delay_blocks}"
@@ -457,8 +462,8 @@ class CrossShardExecutor:
         """Move migrated accounts' state between shards; returns bytes moved.
 
         The caller updates ``self.mapping`` (the ledger shares it).
-        Residency resolves through the registry's index in one
-        vectorised lookup and state moves as grouped per-shard
+        Residency resolves in one vectorised read of the registry's
+        ``home`` column and state moves as grouped per-shard
         gather/scatter (see :meth:`StateRegistry.migrate_batch`).
         Accounts must be unique within one batch — beacon commitment
         rounds guarantee it.

@@ -4,7 +4,7 @@ An unbounded run commits migration batches forever; keeping every one
 in memory makes the beacon O(trace). :class:`SegmentedCommitLog` spills
 committed :class:`~repro.chain.migration.MigrationRequestBatch` rows to
 append-only columnar segment files and keeps only a height -> record
-index in memory, so ``batches_since(height)`` reads exactly the height
+index in memory, so ``iter_batches(height)`` reads exactly the height
 window a caller asks for.
 
 Segment format (version 1, little-endian, byte-stable — identical
@@ -311,9 +311,3 @@ class SegmentedCommitLog:
         for position in range(self._first_at_or_above(start_height), len(self._records)):
             record = self._records[position]
             yield record.height, self._load(record)
-
-    def batches_since(
-        self, height: int
-    ) -> List[Tuple[int, MigrationRequestBatch]]:
-        """Materialise :meth:`iter_batches` for a height window."""
-        return list(self.iter_batches(height))

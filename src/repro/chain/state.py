@@ -7,20 +7,23 @@ reconfiguration moves account state between stores (the migration
 traffic the paper accounts for), and the cross-shard executor
 (:mod:`repro.chain.crossshard`) debits and credits across stores.
 
-:class:`DenseShardStateStore` is the one store: per-shard balance and
-nonce columns with a first-fit free list. A :class:`SlotDirectory`
-shared by all stores of a registry maps each global account id to its
-*home* shard and a local column slot, so a shard's columns are sized to
-its own population instead of the whole account universe (k-fold less
-memory than full-universe columns). Ids beyond the directory capacity
-— and the rare account whose state is resident on a shard other than
-its home — spill into a fallback dict so sparse stragglers stay
-correct.
+Single residency is the contract: like ``phi`` (Definition 1), the
+state layer gives every account at most one *home* shard. A
+:class:`SlotDirectory` shared by all stores of a registry records it —
+``home[a]`` (``-1`` while no shard holds ``a``) and the local column
+slot. Only the home store may write an account; a write to any other
+shard raises :class:`~repro.errors.ResidencyError`, an id outside the
+directory raises :class:`~repro.errors.UnknownAccountError`, and an
+account homed nowhere claims a slot on the shard that first writes it.
+State changes home only by migration (``remove``/``put``,
+``take_many``/``put_many``).
 
-:class:`StateRegistry` holds one store per shard plus a
-:class:`ResidencyIndex` (account -> holding shards, incremental per
-mutation) so ``locate`` is O(1). The scalar-dict store and the O(k)
-scan ``locate`` it replaced live in ``tests/state_reference.py``, the
+:class:`DenseShardStateStore` is the one store: per-shard balance and
+nonce columns with a first-fit free list, sized to the shard's own
+population instead of the whole account universe (k-fold less memory
+than full-universe columns). :class:`StateRegistry` holds one store
+per shard; its ``locate`` is a read of ``home``. The scalar-dict store
+and the O(k) scan ``locate`` live in ``tests/state_reference.py``, the
 oracle the equivalence property suites compare the dense store with.
 """
 
@@ -29,11 +32,17 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ChainError, StateMigrationError, ValidationError
+from repro.errors import (
+    ChainError,
+    ResidencyError,
+    StateMigrationError,
+    UnknownAccountError,
+    ValidationError,
+)
 
 #: Serialised size of one account state record (address, balance, nonce,
 #: storage-root digest) — the bytes charged per migrated account.
@@ -85,125 +94,6 @@ def _state_root_digest(items: List[Tuple[int, float, int]]) -> str:
     return "0x" + hasher.hexdigest()
 
 
-class ResidencyIndex:
-    """Global account -> holding-shards index (per-account bitmasks).
-
-    A ``(capacity, n_words)`` uint64 bitmask matrix — bit ``j`` of word
-    ``j // 64`` set when shard ``j``'s store holds the account — plus a
-    spill dict (arbitrary-width Python-int masks) for ids beyond the
-    capacity. One word covers up to 64 shards; larger ``n_shards``
-    simply widen the matrix, so no shard count falls back to the O(k)
-    store scan any more. Stores maintain the index incrementally on
-    every membership change — execute scatters, settlements, migrations
-    — so :meth:`get_shard` answers "which shard holds this account's
-    state" in O(words), and :meth:`shards_of` vectorises the lookup for
-    batched reconfiguration.
-
-    An account *can* be resident on more than one shard (a relay
-    settlement can credit a shard the account has since migrated away
-    from); the index then reports the lowest holding shard id — exactly
-    what an O(k) scan over the stores in shard order returns, which the
-    equivalence property suite pins against the scan oracle (including
-    at k = 80, where the old single-int64 layout could not index at
-    all).
-    """
-
-    __slots__ = ("capacity", "n_shards", "n_words", "_mask", "_extra")
-
-    def __init__(self, capacity: int, n_shards: int = 64) -> None:
-        if capacity < 0:
-            raise ValidationError(f"capacity must be >= 0, got {capacity}")
-        if n_shards < 1:
-            raise ValidationError(f"n_shards must be >= 1, got {n_shards}")
-        self.capacity = int(capacity)
-        self.n_shards = int(n_shards)
-        self.n_words = (self.n_shards + 63) // 64
-        self._mask = np.zeros((self.capacity, self.n_words), dtype=np.uint64)
-        self._extra: Dict[int, int] = {}
-
-    def add(self, shard: int, account: int) -> None:
-        if 0 <= account < self.capacity:
-            self._mask[account, shard >> 6] |= np.uint64(1 << (shard & 63))
-        else:
-            self._extra[account] = self._extra.get(account, 0) | (1 << shard)
-
-    def discard(self, shard: int, account: int) -> None:
-        if 0 <= account < self.capacity:
-            self._mask[account, shard >> 6] &= np.uint64(
-                ~(1 << (shard & 63)) & 0xFFFFFFFFFFFFFFFF
-            )
-            return
-        mask = self._extra.get(account, 0) & ~(1 << shard)
-        if mask:
-            self._extra[account] = mask
-        else:
-            self._extra.pop(account, None)
-
-    def add_many(self, shard: int, accounts: np.ndarray) -> None:
-        if len(accounts) == 0:
-            return
-        if int(accounts.min()) >= 0 and int(accounts.max()) < self.capacity:
-            # Duplicate ids all OR in the same bit — buffering is safe.
-            self._mask[accounts, shard >> 6] |= np.uint64(1 << (shard & 63))
-            return
-        for account in accounts.tolist():
-            self.add(shard, account)
-
-    def discard_many(self, shard: int, accounts: np.ndarray) -> None:
-        if len(accounts) == 0:
-            return
-        if int(accounts.min()) >= 0 and int(accounts.max()) < self.capacity:
-            self._mask[accounts, shard >> 6] &= np.uint64(
-                ~(1 << (shard & 63)) & 0xFFFFFFFFFFFFFFFF
-            )
-            return
-        for account in accounts.tolist():
-            self.discard(shard, account)
-
-    def get_shard(self, account: int) -> Optional[int]:
-        """Lowest shard id holding ``account``, or None."""
-        if 0 <= account < self.capacity:
-            for word_index, word in enumerate(self._mask[account].tolist()):
-                if word:
-                    return (word_index << 6) + (word & -word).bit_length() - 1
-            return None
-        mask = self._extra.get(account, 0)
-        if mask == 0:
-            return None
-        return (mask & -mask).bit_length() - 1
-
-    def shards_of(self, accounts: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`get_shard`; ``-1`` marks non-residents."""
-        accounts = np.asarray(accounts, dtype=np.int64)
-        if len(accounts) == 0:
-            return np.zeros(0, dtype=np.int64)
-        if int(accounts.min()) >= 0 and int(accounts.max()) < self.capacity:
-            masks = self._mask[accounts]  # (n, n_words)
-            occupied = masks != 0
-            resident = occupied.any(axis=1)
-            # First non-empty word per row (0 for non-residents, which
-            # the `resident` mask overrides below).
-            first_word = np.argmax(occupied, axis=1)
-            words = masks[np.arange(len(accounts)), first_word]
-            lowest_bit = words & (~words + np.uint64(1))
-            # frexp exponents are exact for powers of two (and map the
-            # zero mask to exponent 0, i.e. bit -1).
-            bits = np.frexp(lowest_bit.astype(np.float64))[1].astype(np.int64) - 1
-            shards = (first_word.astype(np.int64) << 6) + bits
-            shards[~resident] = -1
-            return shards
-        return np.array(
-            [
-                -1 if (shard := self.get_shard(a)) is None else shard
-                for a in accounts.tolist()
-            ],
-            dtype=np.int64,
-        )
-
-    def nbytes(self) -> int:
-        return int(self._mask.nbytes)
-
-
 class SlotDirectory:
     """Shared global-id -> (home shard, local slot) directory.
 
@@ -227,6 +117,8 @@ class SlotDirectory:
         return int(self.home.nbytes + self.slot.nbytes)
 
 
+
+
 class DenseShardStateStore:
     """The shard state store: compacted per-shard state columns.
 
@@ -241,10 +133,13 @@ class DenseShardStateStore:
     what lets the executor scale past 1M accounts without allocating
     ``k x n_accounts`` cells.
 
-    Account ids at or above the directory capacity — and accounts whose
-    state is resident here while their *home* columns live on another
-    shard (a relay settlement can do that) — spill into a fallback dict
-    pair with the scalar-dict semantics.
+    Writes (``put``, ``credit``, ``debit``, ``credit_many``,
+    ``put_many``) honour the single-residency contract of the module
+    docstring: an account homed on another shard raises
+    :class:`~repro.errors.ResidencyError`, an id outside the directory
+    :class:`~repro.errors.UnknownAccountError`, and a bulk write checks
+    every row before it mutates anything. Reads treat both as
+    non-resident.
 
     Observable behaviour — balances, nonces, membership, state roots,
     error cases — is identical to the scalar-dict store kept as the
@@ -257,7 +152,6 @@ class DenseShardStateStore:
         shard_id: int,
         capacity: int,
         directory: Optional[SlotDirectory] = None,
-        index: Optional[ResidencyIndex] = None,
     ) -> None:
         if shard_id < 0:
             raise ValidationError(f"shard_id must be >= 0, got {shard_id}")
@@ -266,15 +160,11 @@ class DenseShardStateStore:
         self.shard_id = shard_id
         self.capacity = int(capacity)
         self._dir = directory if directory is not None else SlotDirectory(capacity)
-        self._index = index
         self._bal = np.zeros(0, dtype=np.float64)
         self._non = np.zeros(0, dtype=np.int64)
         self._used = 0
         self._free: List[int] = []
         self._count = 0
-        # Fallback for ids >= capacity and off-home residents.
-        self._extra_bal: Dict[int, float] = {}
-        self._extra_non: Dict[int, int] = {}
         #: Physical bytes rewritten by the most recent :meth:`compact`.
         self.last_compact_moved_bytes = 0
 
@@ -303,8 +193,6 @@ class DenseShardStateStore:
         self._dir.home[account] = self.shard_id
         self._dir.slot[account] = slot
         self._count += 1
-        if self._index is not None:
-            self._index.add(self.shard_id, account)
         return slot
 
     def _alloc_slots_bulk(self, accounts: np.ndarray) -> None:
@@ -327,8 +215,6 @@ class DenseShardStateStore:
         self._dir.home[accounts] = self.shard_id
         self._dir.slot[accounts] = slots
         self._count += n_new
-        if self._index is not None:
-            self._index.add_many(self.shard_id, accounts)
 
     def _free_slot(self, account: int) -> None:
         slot = int(self._dir.slot[account])
@@ -337,8 +223,6 @@ class DenseShardStateStore:
         self._free.append(slot)
         self._dir.home[account] = -1
         self._count -= 1
-        if self._index is not None:
-            self._index.discard(self.shard_id, account)
 
     def _is_home(self, account: int) -> bool:
         return (
@@ -346,29 +230,42 @@ class DenseShardStateStore:
             and self._dir.home[account] == self.shard_id
         )
 
-    def _can_claim(self, account: int) -> bool:
-        """True when ``account`` may take a home slot here: in capacity,
-        homed nowhere, and not already spilled into this store's extras
-        (promotion would double-count the membership)."""
-        return (
-            0 <= account < self.capacity
-            and self._dir.home[account] == -1
-            and account not in self._extra_bal
-        )
+    def _check_claimable(self, account: int) -> None:
+        """Raise unless ``account``, not homed here, is homed nowhere.
 
-    def _put_extra(self, account: int, balance: float, nonce: int) -> None:
-        if account not in self._extra_bal:
-            self._count += 1
-            if self._index is not None:
-                self._index.add(self.shard_id, account)
-        self._extra_bal[account] = balance
-        self._extra_non[account] = nonce
+        The write paths call it once the home-hit fast path has missed,
+        so the hit itself costs no extra work.
+        """
+        if not 0 <= account < self.capacity:
+            raise UnknownAccountError(account)
+        home = int(self._dir.home[account])
+        if home != -1:
+            raise ResidencyError(account, home, self.shard_id)
+
+    def _claimable_mask(self, accounts: np.ndarray) -> np.ndarray:
+        """Which of ``accounts`` are homed nowhere (bulk writes claim them).
+
+        The bulk twin of :meth:`_check_claimable`: raises for the first
+        unknown id, else for the first id homed on another shard, before
+        the caller mutates anything.
+        """
+        if len(accounts) and (
+            int(accounts.min()) < 0 or int(accounts.max()) >= self.capacity
+        ):
+            unknown = (accounts < 0) | (accounts >= self.capacity)
+            raise UnknownAccountError(int(accounts[np.argmax(unknown)]))
+        home = self._dir.home[accounts]
+        new = home == -1
+        if not (new | (home == self.shard_id)).all():
+            i = int(np.argmax(~new & (home != self.shard_id)))
+            raise ResidencyError(int(accounts[i]), int(home[i]), self.shard_id)
+        return new
 
     def __len__(self) -> int:
         return self._count
 
     def __contains__(self, account: int) -> bool:
-        return self._is_home(account) or account in self._extra_bal
+        return self._is_home(account)
 
     def accounts(self) -> Iterator[int]:
         """Resident account ids (unspecified order)."""
@@ -376,35 +273,25 @@ class DenseShardStateStore:
             self._dir.home == self.shard_id
         ).tolist():
             yield account
-        yield from self._extra_bal
 
     def get(self, account: int) -> AccountState:
-        """State of ``account``; a fresh zero state when never seen."""
-        if self._is_home(account):
-            slot = self._dir.slot[account]
-            return AccountState(
-                balance=float(self._bal[slot]), nonce=int(self._non[slot])
-            )
-        balance = self._extra_bal.get(account)
-        if balance is None:
+        """State of ``account``; a fresh zero state when not resident."""
+        if not self._is_home(account):
             return AccountState()
-        return AccountState(balance=balance, nonce=self._extra_non[account])
+        slot = self._dir.slot[account]
+        return AccountState(
+            balance=float(self._bal[slot]), nonce=int(self._non[slot])
+        )
 
     def put(self, account: int, state: AccountState) -> None:
         """Install ``state`` for ``account``."""
-        if account < 0:
-            raise ValidationError(f"account must be >= 0, got {account}")
         if self._is_home(account):
             slot = self._dir.slot[account]
-            self._bal[slot] = state.balance
-            self._non[slot] = state.nonce
-            return
-        if self._can_claim(account):
+        else:
+            self._check_claimable(account)
             slot = self._alloc_slot(account)
-            self._bal[slot] = state.balance
-            self._non[slot] = state.nonce
-            return
-        self._put_extra(account, state.balance, state.nonce)
+        self._bal[slot] = state.balance
+        self._non[slot] = state.nonce
 
     def credit(self, account: int, amount: float) -> AccountState:
         """Add funds (creating the account on first touch)."""
@@ -415,14 +302,10 @@ class DenseShardStateStore:
             balance = float(self._bal[slot]) + amount
             self._bal[slot] = balance
             return AccountState(balance=balance, nonce=int(self._non[slot]))
-        if self._can_claim(account):
-            slot = self._alloc_slot(account)
-            self._bal[slot] = amount
-            return AccountState(balance=amount, nonce=0)
-        balance = self._extra_bal.get(account, 0.0) + amount
-        nonce = self._extra_non.get(account, 0)
-        self._put_extra(account, balance, nonce)
-        return AccountState(balance=balance, nonce=nonce)
+        self._check_claimable(account)
+        slot = self._alloc_slot(account)
+        self._bal[slot] = amount
+        return AccountState(balance=amount, nonce=0)
 
     def debit(self, account: int, amount: float) -> AccountState:
         """Remove funds; raises :class:`ChainError` when underfunded."""
@@ -438,66 +321,36 @@ class DenseShardStateStore:
             self._bal[slot] = balance
             self._non[slot] = nonce
             return AccountState(balance=balance, nonce=nonce)
-        if self._can_claim(account):
-            if amount > 0.0:
-                raise ChainError(f"insufficient balance: 0.0 < {amount}")
-            slot = self._alloc_slot(account)
-            self._non[slot] = 1
-            return AccountState(balance=0.0, nonce=1)
-        balance = self._extra_bal.get(account, 0.0)
-        if amount > balance:
-            raise ChainError(f"insufficient balance: {balance} < {amount}")
-        balance -= amount
-        nonce = self._extra_non.get(account, 0) + 1
-        self._put_extra(account, balance, nonce)
-        return AccountState(balance=balance, nonce=nonce)
+        self._check_claimable(account)
+        if amount > 0.0:
+            raise ChainError(f"insufficient balance: 0.0 < {amount}")
+        slot = self._alloc_slot(account)
+        self._non[slot] = 1
+        return AccountState(balance=0.0, nonce=1)
 
     def remove(self, account: int) -> AccountState:
         """Remove and return an account's state (for migration)."""
-        if self._is_home(account):
-            slot = self._dir.slot[account]
-            state = AccountState(
-                balance=float(self._bal[slot]), nonce=int(self._non[slot])
-            )
-            self._free_slot(account)
-            return state
-        try:
-            balance = self._extra_bal.pop(account)
-        except KeyError:
+        if not self._is_home(account):
             raise ChainError(
                 f"account {account} is not resident on shard {self.shard_id}"
-            ) from None
-        self._count -= 1
-        if self._index is not None:
-            self._index.discard(self.shard_id, account)
-        return AccountState(balance=balance, nonce=self._extra_non.pop(account))
+            )
+        slot = self._dir.slot[account]
+        state = AccountState(
+            balance=float(self._bal[slot]), nonce=int(self._non[slot])
+        )
+        self._free_slot(account)
+        return state
 
     # -- columnar bulk access (settlement scatter) ------------------------------
 
-    def _fast_bulk_ok(self, accounts: np.ndarray) -> bool:
-        """True when the pure-columnar bulk path applies."""
-        return not self._extra_bal and (
-            len(accounts) == 0
-            or (
-                int(accounts.min()) >= 0
-                and int(accounts.max()) < self.capacity
-            )
-        )
-
     def credit_many(self, accounts: np.ndarray, amounts: np.ndarray) -> None:
         """Apply a stream of credits in order (settlement scatter)."""
-        if self._fast_bulk_ok(accounts):
-            home = self._dir.home[accounts]
-            new = home == -1
-            if (new | (home == self.shard_id)).all():
-                if new.any():
-                    self._alloc_slots_bulk(np.unique(accounts[new]))
-                # np.add.at applies duplicate indices sequentially,
-                # matching the scalar path's in-order accumulation.
-                np.add.at(self._bal, self._dir.slot[accounts], amounts)
-                return
-        for account, amount in zip(accounts.tolist(), amounts.tolist()):
-            self.credit(account, float(amount))
+        new = self._claimable_mask(accounts)
+        if new.any():
+            self._alloc_slots_bulk(np.unique(accounts[new]))
+        # np.add.at applies duplicate indices sequentially, matching the
+        # scalar path's in-order accumulation.
+        np.add.at(self._bal, self._dir.slot[accounts], amounts)
 
     # -- bulk migration (batched reconfiguration hot path) ---------------------
 
@@ -509,33 +362,22 @@ class DenseShardStateStore:
         A non-resident account raises :class:`ChainError` before
         anything is removed.
         """
-        if self._fast_bulk_ok(accounts) and len(accounts):
-            home = self._dir.home[accounts]
-            if (home == self.shard_id).all():
-                slots = self._dir.slot[accounts]
-                balances = self._bal[slots].copy()
-                nonces = self._non[slots].copy()
-                self._bal[slots] = 0.0
-                self._non[slots] = 0
-                self._free.extend(slots.tolist())
-                self._dir.home[accounts] = -1
-                self._count -= len(accounts)
-                if self._index is not None:
-                    self._index.discard_many(self.shard_id, accounts)
-                return balances, nonces
-        for account in accounts.tolist():
-            if account not in self:
-                raise ChainError(
-                    f"account {account} is not resident on shard "
-                    f"{self.shard_id}"
-                )
-        n = len(accounts)
-        balances = np.empty(n, dtype=np.float64)
-        nonces = np.empty(n, dtype=np.int64)
-        for i, account in enumerate(accounts.tolist()):
-            state = self.remove(account)
-            balances[i] = state.balance
-            nonces[i] = state.nonce
+        inside = (accounts >= 0) & (accounts < self.capacity)
+        resident = inside.copy()
+        resident[inside] = self._dir.home[accounts[inside]] == self.shard_id
+        if not resident.all():
+            missing = int(accounts[np.argmin(resident)])
+            raise ChainError(
+                f"account {missing} is not resident on shard {self.shard_id}"
+            )
+        slots = self._dir.slot[accounts]
+        balances = self._bal[slots].copy()
+        nonces = self._non[slots].copy()
+        self._bal[slots] = 0.0
+        self._non[slots] = 0
+        self._free.extend(slots.tolist())
+        self._dir.home[accounts] = -1
+        self._count -= len(accounts)
         return balances, nonces
 
     def put_many(
@@ -545,54 +387,31 @@ class DenseShardStateStore:
         nonces: np.ndarray,
     ) -> None:
         """Install state rows in bulk (the columnar twin of ``put``)."""
-        if self._fast_bulk_ok(accounts):
-            home = self._dir.home[accounts]
-            new = home == -1
-            if (new | (home == self.shard_id)).all():
-                if new.any():
-                    self._alloc_slots_bulk(np.unique(accounts[new]))
-                slots = self._dir.slot[accounts]
-                self._bal[slots] = balances
-                self._non[slots] = nonces
-                return
-        for account, balance, nonce in zip(
-            accounts.tolist(), balances.tolist(), nonces.tolist()
-        ):
-            if self._is_home(account):
-                slot = self._dir.slot[account]
-                self._bal[slot] = balance
-                self._non[slot] = nonce
-            elif self._can_claim(account):
-                slot = self._alloc_slot(account)
-                self._bal[slot] = balance
-                self._non[slot] = nonce
-            else:
-                self._put_extra(account, balance, int(nonce))
+        new = self._claimable_mask(accounts)
+        if new.any():
+            self._alloc_slots_bulk(np.unique(accounts[new]))
+        slots = self._dir.slot[accounts]
+        self._bal[slots] = balances
+        self._non[slots] = nonces
 
     def total_balance(self) -> float:
         """Sum of resident balances (float64 pairwise ``np.sum``)."""
-        dense = float(np.sum(self._bal[: self._used], dtype=np.float64))
-        if not self._extra_bal:
-            return dense
-        return math.fsum([dense, *self._extra_bal.values()])
+        return float(np.sum(self._bal[: self._used], dtype=np.float64))
 
     def state_root(self) -> str:
         """Deterministic digest over the sorted account states."""
         resident = np.flatnonzero(self._dir.home == self.shard_id)
         slots = self._dir.slot[resident]
-        items = [
-            (int(a), float(b), int(n))
-            for a, b, n in zip(
-                resident.tolist(),
-                self._bal[slots].tolist(),
-                self._non[slots].tolist(),
-            )
-        ]
-        items.extend(
-            (account, balance, self._extra_non[account])
-            for account, balance in self._extra_bal.items()
+        return _state_root_digest(
+            [
+                (int(a), float(b), int(n))
+                for a, b, n in zip(
+                    resident.tolist(),
+                    self._bal[slots].tolist(),
+                    self._non[slots].tolist(),
+                )
+            ]
         )
-        return _state_root_digest(items)
 
     def column_nbytes(self) -> int:
         """Bytes held by this store's state columns."""
@@ -602,68 +421,6 @@ class DenseShardStateStore:
         """Slots vacated by migration but still held by the columns."""
         return len(self._free)
 
-    def slot_stats(self) -> Dict[str, int]:
-        """Column slot telemetry: capacity, free and live slots.
-
-        ``free_slots`` is the free list plus the unallocated tail, so
-        fragmentation is measured against the full column capacity.
-        Spilled accounts hold no slot and are not counted.
-        """
-        capacity = len(self._bal)
-        live = self._count - len(self._extra_bal)
-        return {
-            "capacity_slots": capacity,
-            "free_slots": capacity - live,
-            "live_slots": live,
-        }
-
-    def rehomeable_extras(self) -> int:
-        """Spill-dict entries that :meth:`compact` could re-home now.
-
-        O(spill size); lets :meth:`StateRegistry.compact_stores`
-        trigger a compaction for stranded spill entries even when the
-        free list alone would not cross the slack threshold.
-        """
-        if not self._extra_bal:
-            return 0
-        return sum(
-            1
-            for account in self._extra_bal
-            if 0 <= account < self.capacity
-            and self._dir.home[account] == -1
-        )
-
-    def _rehome_extras(self) -> int:
-        """Re-slot spilled accounts that may claim a home slot again.
-
-        A relay settlement can credit an account here while its home
-        columns live elsewhere; once the other shard removes it, the
-        spill entry is the only residency left — in capacity, homed
-        nowhere — yet it would stay in the fallback dict forever.
-        Compaction re-homes those entries into fresh column slots.
-        Ids beyond the directory capacity and genuinely off-home
-        residents stay spilled (they have no legal slot here).
-        """
-        if not self._extra_bal:
-            return 0
-        eligible = [
-            account
-            for account in self._extra_bal
-            if 0 <= account < self.capacity
-            and self._dir.home[account] == -1
-        ]
-        for account in eligible:
-            balance = self._extra_bal.pop(account)
-            nonce = self._extra_non.pop(account)
-            # _alloc_slot re-adds the membership this spill entry held.
-            self._count -= 1
-            if self._index is not None:
-                self._index.discard(self.shard_id, account)
-            slot = self._alloc_slot(account)
-            self._bal[slot] = balance
-            self._non[slot] = nonce
-        return len(eligible)
-
     def compact(self) -> int:
         """Re-slot resident accounts into fresh right-sized columns.
 
@@ -672,14 +429,11 @@ class DenseShardStateStore:
         pass rebuilds the columns at the smallest power-of-two capacity
         covering the live population (slot order preserved, so state
         roots and iteration order are untouched), clears the free list
-        and rewrites the directory's slots. Eligible spill-dict entries
-        are re-homed into fresh slots first (see :meth:`_rehome_extras`).
-        Returns the column bytes reclaimed. O(live accounts) — callers
-        gate it behind a slack threshold (see
-        :meth:`StateRegistry.compact_stores`).
+        and rewrites the directory's slots. Returns the column bytes
+        reclaimed. O(live accounts) — callers gate it behind a slack
+        threshold (see :meth:`StateRegistry.compact_stores`).
         """
         before = self.column_nbytes()
-        self._rehome_extras()
         resident = np.flatnonzero(self._dir.home == self.shard_id)
         count = len(resident)
         old_slots = None
@@ -712,18 +466,17 @@ class StateRegistry:
     """All shards' state stores plus migration between them.
 
     One first-fit :class:`DenseShardStateStore` per shard behind a
-    shared :class:`SlotDirectory` sized by ``n_accounts``, with a dict
-    fallback for ids beyond that capacity — so size the registry to
-    the account universe, or every account spills. A
-    :class:`ResidencyIndex` (multi-word bitmasks, so any ``k``) makes
-    :meth:`locate` O(1). :meth:`compact_stores` re-slots stores whose
-    free slots grew past a slack threshold after heavy migration churn
-    and feeds the registry's compaction counters
-    (:attr:`compaction_count`, :attr:`compacted_bytes_total`,
-    :attr:`compact_moved_bytes_total`).
+    shared :class:`SlotDirectory` with room for ids ``[0, n_accounts)``
+    — size it to the account universe; any other id is unknown to every
+    store. The directory's ``home`` column is the single record of
+    where an account lives, so :meth:`locate` is one read.
+    :meth:`compact_stores` re-slots stores whose free slots grew past a
+    slack threshold after heavy migration churn and feeds the
+    registry's compaction counters (:attr:`compaction_count`,
+    :attr:`compacted_bytes_total`, :attr:`compact_moved_bytes_total`).
     """
 
-    def __init__(self, k: int, n_accounts: int = 0) -> None:
+    def __init__(self, k: int, n_accounts: int) -> None:
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
         if n_accounts < 0:
@@ -733,22 +486,11 @@ class StateRegistry:
         self.compaction_count = 0
         self.compacted_bytes_total = 0
         self.compact_moved_bytes_total = 0
-        self._index = ResidencyIndex(self.n_accounts, n_shards=k)
         self._directory = SlotDirectory(self.n_accounts)
         self.stores: Tuple[DenseShardStateStore, ...] = tuple(
-            DenseShardStateStore(
-                shard,
-                self.n_accounts,
-                directory=self._directory,
-                index=self._index,
-            )
+            DenseShardStateStore(shard, self.n_accounts, directory=self._directory)
             for shard in range(k)
         )
-
-    @property
-    def residency_index(self) -> ResidencyIndex:
-        """The incremental account->shard index (multi-word, any k)."""
-        return self._index
 
     def store_of(self, shard: int) -> DenseShardStateStore:
         if not 0 <= shard < self.k:
@@ -756,12 +498,20 @@ class StateRegistry:
         return self.stores[shard]
 
     def locate(self, account: int) -> Optional[int]:
-        """Shard currently holding ``account``'s state, or None (O(1))."""
-        return self._index.get_shard(account)
+        """Home shard of ``account``'s state, or None (O(1))."""
+        if 0 <= account < self.n_accounts:
+            home = int(self._directory.home[account])
+            if home >= 0:
+                return home
+        return None
 
     def locate_many(self, accounts: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`locate`; ``-1`` marks non-residents."""
-        return self._index.shards_of(accounts)
+        accounts = np.asarray(accounts, dtype=np.int64)
+        known = (accounts >= 0) & (accounts < self.n_accounts)
+        shards = np.full(len(accounts), -1, dtype=np.int64)
+        shards[known] = self._directory.home[accounts[known]]
+        return shards
 
     def migrate(self, account: int, from_shard: int, to_shard: int) -> int:
         """Move an account's state between shards; returns bytes moved.
@@ -792,13 +542,12 @@ class StateRegistry:
         """Move many accounts to their target shards; returns bytes moved.
 
         The columnar twin of a ``locate`` + :meth:`migrate` loop:
-        residency resolves through the index in one vectorised lookup,
-        then state moves grouped per source shard (one bulk take each)
-        and per target shard (one bulk put each). Accounts must be
-        unique within the batch — the beacon's per-epoch commitment
-        rounds guarantee that. Non-resident accounts and accounts
-        already on their target are free no-ops, exactly like the
-        scalar path.
+        residency resolves in one vectorised read of ``home``, then
+        state moves grouped per source shard (one bulk take each) and
+        per target shard (one bulk put each). Accounts must be unique
+        within the batch — the beacon's per-epoch commitment rounds
+        guarantee that. Non-resident accounts and accounts already on
+        their target are free no-ops, exactly like the scalar path.
         """
         accounts = np.asarray(accounts, dtype=np.int64)
         to_shards = np.asarray(to_shards, dtype=np.int64)
@@ -858,11 +607,7 @@ class StateRegistry:
         reclaimed = 0
         for store in self.stores:
             slack = store.slack_slots()
-            over_threshold = slack and slack > min_slack * max(1, len(store))
-            # Stranded spill entries (in capacity, homed nowhere) are
-            # re-homed by compact() but never grow the free list, so
-            # they qualify a store independently of the slack check.
-            if over_threshold or store.rehomeable_extras():
+            if slack and slack > min_slack * max(1, len(store)):
                 reclaimed += store.compact()
                 self.compaction_count += 1
                 self.compact_moved_bytes_total += store.last_compact_moved_bytes
@@ -882,8 +627,8 @@ class StateRegistry:
         """Bytes held in numpy state structures across the registry.
 
         Sums the per-shard state columns plus the shared slot directory
-        and residency index — the figure the compaction memory test
-        compares against the full-universe-columns layout.
+        — the figure the compaction memory test compares against the
+        full-universe-columns layout.
         """
         columns = sum(store.column_nbytes() for store in self.stores)
-        return int(columns + self._directory.nbytes() + self._index.nbytes())
+        return int(columns + self._directory.nbytes())

@@ -32,6 +32,25 @@ class UnknownAccountError(MappingError):
         self.account = account
 
 
+class ResidencyError(MappingError):
+    """A state write named a shard that is not the account's home.
+
+    Each account's state lives on exactly one shard (``phi`` of
+    Definition 1), so a write elsewhere means a caller routed by a
+    stale shard. Deliberately not a :class:`ChainError`: the executor
+    counts ``ChainError`` as a failed transfer, and a misrouted write
+    must surface, never pass as one.
+    """
+
+    def __init__(self, account: int, home: int, shard: int) -> None:
+        super().__init__(
+            f"account {account} is homed on shard {home}, not shard {shard}"
+        )
+        self.account = account
+        self.home = home
+        self.shard = shard
+
+
 class ChainError(ReproError):
     """A blockchain substrate operation failed (bad block, broken link)."""
 

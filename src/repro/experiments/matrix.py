@@ -362,7 +362,7 @@ PRESETS: Dict[str, Callable[[int], ScenarioMatrix]] = {
     ),
     # Metis recomputes a full partition every epoch, so each executed
     # epoch floods the beacon with migration requests: the columnar
-    # beacon commit, the residency index and grouped state movement.
+    # beacon commit, the home-shard lookup and grouped state movement.
     "realloc-smoke": lambda seed: ScenarioMatrix(
         name="realloc-smoke",
         methods=("metis",),

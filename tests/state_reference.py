@@ -2,34 +2,39 @@
 
 Production keeps shard state in one store,
 ``repro.chain.state.DenseShardStateStore``: first-fit columns behind a
-shared slot directory, with a spill dict for stragglers. This module
-keeps the plain formulation — two dicts per shard, membership found by
-scanning the stores in shard order — so property tests can drive both
-through the same operations and compare balances, nonces, membership,
-state roots and residency after every step:
+shared slot directory whose ``home`` column is the one record of where
+an account lives. This module keeps the plain formulation — two dicts
+per shard, residency found by scanning the stores in shard order — so
+property tests can drive both through the same operations and compare
+balances, nonces, membership, state roots, residency and raised errors
+after every step. It shares no structure with the code it checks:
 
 * :class:`ShardStateStore` — the dict store, honouring the dense
-  store's full contract (scalar, bulk and migration entry points);
-* :func:`dict_registry` — a ``StateRegistry`` whose stores are swapped
-  for dict stores sharing its residency index, so ``locate``,
-  ``migrate_batch`` and ``compact_stores`` run unchanged over them;
-* :func:`locate_scan` — the O(k) scan the residency index replaced.
+  store's full contract (scalar, bulk and migration entry points, and
+  the single-residency write rules: an id outside ``[0, capacity)``
+  raises ``UnknownAccountError``, an account held by a sibling store
+  raises ``ResidencyError``, bulk writes check before they mutate);
+* :func:`dict_registry` — a ``StateRegistry`` whose stores are dict
+  stores and whose ``locate``/``locate_many`` are the scan, so
+  ``migrate``, ``migrate_batch`` and ``compact_stores`` run unchanged
+  over them;
+* :func:`locate_scan` — the O(k) scan.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.chain.state import (
-    AccountState,
-    ResidencyIndex,
-    StateRegistry,
-    _state_root_digest,
+from repro.chain.state import AccountState, StateRegistry, _state_root_digest
+from repro.errors import (
+    ChainError,
+    ResidencyError,
+    UnknownAccountError,
+    ValidationError,
 )
-from repro.errors import ChainError, ValidationError
 
 #: Parametrisation ids of the equivalence suites: the oracle and
 #: production.
@@ -42,21 +47,25 @@ class ShardStateStore:
     """The state of all accounts resident on one shard, in two dicts.
 
     Balances and nonces live in two parallel scalar dicts; ``get``
-    materialises an :class:`AccountState` lazily. When an ``index`` is
-    attached (by :func:`dict_registry`), every membership change is
-    mirrored into it. The slot and compaction hooks are no-ops: dicts
-    hold no columns.
+    materialises an :class:`AccountState` lazily. ``peers`` lists every
+    store of the registry (this one included); a write scans it for
+    another holder of the account. The slot and compaction hooks are
+    no-ops: dicts hold no columns.
     """
 
     def __init__(
-        self, shard_id: int, index: Optional[ResidencyIndex] = None
+        self,
+        shard_id: int,
+        capacity: int,
+        peers: Sequence["ShardStateStore"] = (),
     ) -> None:
         if shard_id < 0:
             raise ValidationError(f"shard_id must be >= 0, got {shard_id}")
         self.shard_id = shard_id
+        self.capacity = capacity
+        self._peers = peers
         self._balances: Dict[int, float] = {}
         self._nonces: Dict[int, int] = {}
-        self._index = index
 
     def __len__(self) -> int:
         return len(self._balances)
@@ -68,8 +77,27 @@ class ShardStateStore:
         """Resident account ids (unspecified order)."""
         return iter(self._balances)
 
+    def _check_writable(self, account: int) -> None:
+        """Raise unless this store may write ``account``."""
+        if not 0 <= account < self.capacity:
+            raise UnknownAccountError(account)
+        if account in self._balances:
+            return
+        for peer in self._peers:
+            if peer is not self and account in peer:
+                raise ResidencyError(account, peer.shard_id, self.shard_id)
+
+    def _check_writable_many(self, accounts: np.ndarray) -> None:
+        """Bulk twin: the first unknown id wins, then the first stray."""
+        ids = accounts.tolist()
+        for account in ids:
+            if not 0 <= account < self.capacity:
+                raise UnknownAccountError(account)
+        for account in ids:
+            self._check_writable(account)
+
     def get(self, account: int) -> AccountState:
-        """State of ``account``; a fresh zero state when never seen."""
+        """State of ``account``; a fresh zero state when not resident."""
         balance = self._balances.get(account)
         if balance is None:
             return AccountState()
@@ -77,10 +105,7 @@ class ShardStateStore:
 
     def put(self, account: int, state: AccountState) -> None:
         """Install ``state`` for ``account``."""
-        if account < 0:
-            raise ValidationError(f"account must be >= 0, got {account}")
-        if self._index is not None and account not in self._balances:
-            self._index.add(self.shard_id, account)
+        self._check_writable(account)
         self._balances[account] = state.balance
         self._nonces[account] = state.nonce
 
@@ -88,8 +113,7 @@ class ShardStateStore:
         """Add funds (creating the account on first touch)."""
         if amount < 0:
             raise ValidationError(f"credit amount must be >= 0, got {amount}")
-        if self._index is not None and account not in self._balances:
-            self._index.add(self.shard_id, account)
+        self._check_writable(account)
         balance = self._balances.get(account, 0.0) + amount
         self._balances[account] = balance
         nonce = self._nonces.setdefault(account, 0)
@@ -99,11 +123,10 @@ class ShardStateStore:
         """Remove funds; raises :class:`ChainError` when underfunded."""
         if amount < 0:
             raise ValidationError(f"debit amount must be >= 0, got {amount}")
+        self._check_writable(account)
         balance = self._balances.get(account, 0.0)
         if amount > balance:
             raise ChainError(f"insufficient balance: {balance} < {amount}")
-        if self._index is not None and account not in self._balances:
-            self._index.add(self.shard_id, account)
         balance -= amount
         nonce = self._nonces.get(account, 0) + 1
         self._balances[account] = balance
@@ -118,21 +141,18 @@ class ShardStateStore:
             raise ChainError(
                 f"account {account} is not resident on shard {self.shard_id}"
             ) from None
-        if self._index is not None:
-            self._index.discard(self.shard_id, account)
         return AccountState(balance=balance, nonce=self._nonces.pop(account))
 
     # -- columnar bulk access (settlement scatter) ------------------------------
 
     def credit_many(self, accounts: np.ndarray, amounts: np.ndarray) -> None:
         """Apply a stream of credits in order (settlement scatter)."""
+        self._check_writable_many(accounts)
         bal = self._balances
         non = self._nonces
         for account, amount in zip(accounts.tolist(), amounts.tolist()):
             bal[account] = bal.get(account, 0.0) + amount
             non.setdefault(account, 0)
-        if self._index is not None:
-            self._index.add_many(self.shard_id, accounts)
 
     # -- bulk migration (batched reconfiguration hot path) ---------------------
 
@@ -160,8 +180,6 @@ class ShardStateStore:
             (bal.pop(a) for a in ids), dtype=np.float64, count=n
         )
         nonces = np.fromiter((non.pop(a) for a in ids), dtype=np.int64, count=n)
-        if self._index is not None:
-            self._index.discard_many(self.shard_id, accounts)
         return balances, nonces
 
     def put_many(
@@ -171,6 +189,7 @@ class ShardStateStore:
         nonces: np.ndarray,
     ) -> None:
         """Install state rows in bulk (the columnar twin of ``put``)."""
+        self._check_writable_many(accounts)
         bal = self._balances
         non = self._nonces
         for account, balance, nonce in zip(
@@ -178,8 +197,6 @@ class ShardStateStore:
         ):
             bal[account] = balance
             non[account] = nonce
-        if self._index is not None:
-            self._index.add_many(self.shard_id, accounts)
 
     def total_balance(self) -> float:
         """Exactly-rounded sum of resident balances (conservation checks)."""
@@ -202,48 +219,12 @@ class ShardStateStore:
         """Vacated-but-unreleased slots (0: dicts shrink themselves)."""
         return 0
 
-    def rehomeable_extras(self) -> int:
-        """Spill entries :meth:`compact` could re-home (0: no spill)."""
-        return 0
-
     def compact(self) -> int:
         """No-op (no columns); returns bytes reclaimed (0)."""
         return 0
 
     #: Physical bytes rewritten by the most recent :meth:`compact` call.
     last_compact_moved_bytes: int = 0
-
-    def slot_stats(self) -> Dict[str, int]:
-        """Slot telemetry (no columns: capacity and free slots are 0)."""
-        return {
-            "capacity_slots": 0,
-            "free_slots": 0,
-            "live_slots": len(self._balances),
-        }
-
-
-def dict_registry(k: int, n_accounts: int = 0) -> StateRegistry:
-    """A ``StateRegistry`` running on dict stores (the oracle side).
-
-    The stores share the registry's residency index, so every registry
-    method — ``locate``, ``migrate``, ``migrate_batch``,
-    ``compact_stores`` — behaves exactly as over the dense stores.
-    """
-    registry = StateRegistry(k, n_accounts=n_accounts)
-    registry.stores = tuple(
-        ShardStateStore(shard, index=registry.residency_index)
-        for shard in range(k)
-    )
-    return registry
-
-
-def make_registry(backend: str, k: int, n_accounts: int = 0) -> StateRegistry:
-    """The oracle registry for ``"dict"``, production for ``"dense"``."""
-    if backend == BACKEND_DICT:
-        return dict_registry(k, n_accounts)
-    if backend == BACKEND_DENSE:
-        return StateRegistry(k, n_accounts=n_accounts)
-    raise ValueError(f"unknown backend {backend!r}; use one of {STATE_BACKENDS}")
 
 
 def locate_scan(registry: StateRegistry, account: int) -> Optional[int]:
@@ -252,3 +233,38 @@ def locate_scan(registry: StateRegistry, account: int) -> Optional[int]:
         if account in store:
             return store.shard_id
     return None
+
+
+class _DictStateRegistry(StateRegistry):
+    """``StateRegistry`` over dict stores, locating by the scan."""
+
+    def __init__(self, k: int, n_accounts: int) -> None:
+        super().__init__(k, n_accounts)
+        peers: List[ShardStateStore] = []
+        for shard in range(k):
+            peers.append(ShardStateStore(shard, self.n_accounts, peers))
+        self.stores = tuple(peers)
+
+    def locate(self, account: int) -> Optional[int]:
+        return locate_scan(self, account)
+
+    def locate_many(self, accounts: np.ndarray) -> np.ndarray:
+        located = (locate_scan(self, int(a)) for a in np.asarray(accounts))
+        return np.array(
+            [-1 if shard is None else shard for shard in located],
+            dtype=np.int64,
+        )
+
+
+def dict_registry(k: int, n_accounts: int) -> StateRegistry:
+    """A ``StateRegistry`` running on dict stores (the oracle side)."""
+    return _DictStateRegistry(k, n_accounts)
+
+
+def make_registry(backend: str, k: int, n_accounts: int) -> StateRegistry:
+    """The oracle registry for ``"dict"``, production for ``"dense"``."""
+    if backend == BACKEND_DICT:
+        return dict_registry(k, n_accounts)
+    if backend == BACKEND_DENSE:
+        return StateRegistry(k, n_accounts=n_accounts)
+    raise ValueError(f"unknown backend {backend!r}; use one of {STATE_BACKENDS}")

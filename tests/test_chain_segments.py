@@ -79,7 +79,7 @@ class TestRoundTrip:
             log.append(height, batch([height]))
         since = [height for height, _batch in log.iter_batches(3)]
         assert since == [5, 6]
-        assert [h for h, _ in log.batches_since(0)] == [0, 2, 5, 6]
+        assert [h for h, _ in log.iter_batches(0)] == [0, 2, 5, 6]
 
     def test_rotation_splits_rows_across_segment_files(self, tmp_path):
         log = SegmentedCommitLog(tmp_path, segment_rows=4)
@@ -247,8 +247,8 @@ class TestSpilledBeaconEquivalence:
         # Pure-batch rounds: block hashes (and so the tip) are identical.
         assert spilled.tip_hash == memory.tip_hash
         assert spilled.committed_count == memory.committed_count
-        memory_batches = memory.batches_since(0)
-        spill_batches = spilled.batches_since(0)
+        memory_batches = list(memory.iter_committed_batches(0))
+        spill_batches = list(spilled.iter_committed_batches(0))
         assert len(spill_batches) == len(memory_batches)
         for left, right in zip(spill_batches, memory_batches):
             np.testing.assert_array_equal(left.accounts, right.accounts)

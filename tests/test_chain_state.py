@@ -105,19 +105,19 @@ class TestShardStateStore:
 
 class TestStateRegistry:
     def test_store_lookup(self):
-        registry = StateRegistry(k=3)
+        registry = StateRegistry(k=3, n_accounts=8)
         assert registry.store_of(2).shard_id == 2
         with pytest.raises(ValidationError):
             registry.store_of(3)
 
     def test_locate(self):
-        registry = StateRegistry(k=2)
+        registry = StateRegistry(k=2, n_accounts=8)
         registry.store_of(1).credit(7, 1.0)
         assert registry.locate(7) == 1
         assert registry.locate(8) is None
 
     def test_migrate_moves_state_and_preserves_balance(self):
-        registry = StateRegistry(k=2)
+        registry = StateRegistry(k=2, n_accounts=8)
         registry.store_of(0).credit(7, 9.0)
         before = registry.total_balance()
         moved = registry.migrate(7, 0, 1)
@@ -127,9 +127,9 @@ class TestStateRegistry:
         assert registry.total_balance() == before
 
     def test_migrate_untouched_account_is_free(self):
-        registry = StateRegistry(k=2)
+        registry = StateRegistry(k=2, n_accounts=8)
         assert registry.migrate(7, 0, 1) == 0
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValidationError):
-            StateRegistry(k=0)
+            StateRegistry(k=0, n_accounts=8)

@@ -88,7 +88,9 @@ class TestMappingCorruption:
 
     def test_ledger_rejects_foreign_accounts(self, params):
         mapping = ShardMapping(np.zeros(4, dtype=np.int64), k=params.k)
-        executor = CrossShardExecutor(StateRegistry(k=params.k), mapping)
+        executor = CrossShardExecutor(
+            StateRegistry(k=params.k, n_accounts=4), mapping
+        )
         ledger = Ledger(params, executor)
         alien = TransactionBatch(np.array([99]), np.array([0]))
         with pytest.raises(UnknownAccountError):
@@ -114,11 +116,21 @@ class TestComponentMismatch:
     def test_executor_rejects_k_mismatch(self):
         mapping = ShardMapping(np.zeros(2, dtype=np.int64), k=2)
         with pytest.raises(ValidationError):
-            CrossShardExecutor(StateRegistry(k=3), mapping)
+            CrossShardExecutor(StateRegistry(k=3, n_accounts=2), mapping)
+
+    def test_executor_rejects_undersized_registry(self):
+        """A registry smaller than the mapping's universe is refused up
+        front, before any block could half-apply against it."""
+        mapping = ShardMapping(np.array([0, 1, 1]), k=2)
+        with pytest.raises(ValidationError, match="registry holds 2 accounts"):
+            CrossShardExecutor(StateRegistry(k=2, n_accounts=2), mapping)
+        CrossShardExecutor(StateRegistry(k=2, n_accounts=3), mapping)
 
     def test_ledger_rejects_k_mismatch(self, params):
         mapping = ShardMapping(np.zeros(2, dtype=np.int64), k=params.k + 1)
-        executor = CrossShardExecutor(StateRegistry(k=params.k + 1), mapping)
+        executor = CrossShardExecutor(
+            StateRegistry(k=params.k + 1, n_accounts=2), mapping
+        )
         with pytest.raises(SimulationError):
             Ledger(params, executor)
 
@@ -283,7 +295,7 @@ class TestEconomicAbuse:
         """A sender spamming transfers it cannot afford leaves every
         balance intact — failures must be side-effect free."""
         mapping = ShardMapping(np.array([0, 1]), k=2)
-        executor = CrossShardExecutor(StateRegistry(k=2), mapping)
+        executor = CrossShardExecutor(StateRegistry(k=2, n_accounts=2), mapping)
         executor.fund(0, 1.0)
         before = executor.total_value()
         from repro.chain.transaction import Transaction
@@ -296,7 +308,7 @@ class TestEconomicAbuse:
         assert executor.total_value() == before
 
     def test_double_remove_is_detected(self):
-        registry = StateRegistry(k=2)
+        registry = StateRegistry(k=2, n_accounts=2)
         registry.store_of(0).credit(1, 5.0)
         registry.store_of(0).remove(1)
         with pytest.raises(ChainError):

@@ -109,7 +109,9 @@ class TestBeaconBatchEquivalence:
 
         # The committed log the miners sync from agrees too.
         assert [
-            r for batch in beacon.batches_since(0) for r in _requests_in(batch)
+            r
+            for batch in beacon.iter_committed_batches(0)
+            for r in _requests_in(batch)
         ] == committed
         if use_mapping:
             # (Without the stale filter, out-of-range target shards can
@@ -147,11 +149,11 @@ class TestBeaconBatchEquivalence:
             MigrationRequestBatch(np.array([1]), np.array([1]), np.array([0]))
         )
         beacon.commit_epoch(epoch=1)
-        batches = beacon.batches_since(0)
+        batches = list(beacon.iter_committed_batches(0))
         assert [len(b) for b in batches] == [1, 1]
         assert batches[0].accounts.tolist() == [0]
         assert batches[1].accounts.tolist() == [1]
-        assert [len(b) for b in beacon.batches_since(1)] == [1]
+        assert [len(b) for b in beacon.iter_committed_batches(1)] == [1]
 
     def test_empty_round_still_appends_a_block(self):
         beacon = BeaconChain()

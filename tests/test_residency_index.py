@@ -1,15 +1,16 @@
-"""Residency-index-vs-locate equivalence, and dense-store compaction.
+"""Home-column residency vs the scan ``locate``, and dense compaction.
 
-The registry's :class:`ResidencyIndex` replaces the O(k) store scan on
-the migration path, and it is load-bearing: a relay settlement can
-leave account state resident off the phi shard (or on *two* shards),
-so the index must report exactly what the scan reports under any
-interleaving of execution, migration and settlement. The property
-suite here drives the production registry and the dict-store oracle
-registry of ``state_reference`` through randomized op streams and
-compares ``locate`` (index) against ``locate_scan`` (the scan oracle)
-after every step; the oracle's dict stores maintain the same shared
-index, so this also checks the oracle itself.
+Single residency: every account's state lives on at most one shard,
+its *home*, and ``StateRegistry.locate``/``locate_many`` are reads of
+the slot directory's ``home`` column. The property suite here drives
+the production registry and the dict-store oracle registry of
+``state_reference`` through randomized execute/migrate/settle op
+streams (at k = 16 and k = 80) and checks after every step that
+``home`` equals the O(k) store scan and names the shard phi maps the
+account to — receipt forwarding routes every deposit and refund
+through the current mapping, so no settlement can leave state off its
+home. The unit cases pin that a second residency or an id beyond
+capacity raises instead.
 
 The compaction contract rides along: per-shard local-slot columns must
 cut the dense store's numpy footprint at least 4x against the old
@@ -32,21 +33,30 @@ from state_reference import (
 
 from repro.chain.crossshard import CrossShardExecutor
 from repro.chain.mapping import ShardMapping
-from repro.chain.state import ResidencyIndex, StateRegistry
+from repro.chain.state import AccountState, StateRegistry
 from repro.chain.transaction import TransactionBatch
-from repro.errors import StateMigrationError
+from repro.errors import (
+    ResidencyError,
+    StateMigrationError,
+    UnknownAccountError,
+)
 
 N_ACCOUNTS = 30
-K = 4
+K = 16
 
 
-def _assert_index_matches_scan(registry: StateRegistry) -> None:
+def _assert_home_matches_scan(
+    registry: StateRegistry, mapping: ShardMapping
+) -> None:
     ids = np.arange(N_ACCOUNTS + 5, dtype=np.int64)  # includes unknown ids
     expected = [locate_scan(registry, int(a)) for a in ids]
     for account, want in zip(ids.tolist(), expected):
         assert registry.locate(account) == want, account
     packed = registry.locate_many(ids)
     assert packed.tolist() == [-1 if w is None else w for w in expected]
+    # Every account is funded at genesis, so each one is resident — on
+    # exactly the shard phi names.
+    assert packed[:N_ACCOUNTS].tolist() == mapping.as_array().tolist()
 
 
 _OPS = st.lists(
@@ -77,90 +87,68 @@ _OPS = st.lists(
 )
 
 
-@settings(max_examples=40, deadline=None)
-@given(ops=_OPS, seed=st.integers(0, 1_000), backend=st.sampled_from(STATE_BACKENDS))
-def test_index_equals_scan_under_execute_migrate_settle(ops, seed, backend):
+def _run_ops(ops, k, backend, seed, relay_delay_blocks, spread=1, check=None):
+    """Fund a registry, then replay ``ops`` through an executor.
+
+    A migrate op's target shard is scaled by ``spread``; ``check`` runs
+    on ``(registry, mapping)`` after funding and after every op.
+    """
+    check = check or (lambda *_: None)
     rng = np.random.default_rng(seed)
-    mapping = ShardMapping(rng.integers(0, K, size=N_ACCOUNTS), k=K)
-    registry = make_registry(backend, K, n_accounts=N_ACCOUNTS)
-    executor = CrossShardExecutor(registry, mapping, relay_delay_blocks=2)
+    mapping = ShardMapping(rng.integers(0, k, size=N_ACCOUNTS), k=k)
+    registry = make_registry(backend, k, n_accounts=N_ACCOUNTS)
+    executor = CrossShardExecutor(
+        registry, mapping, relay_delay_blocks=relay_delay_blocks
+    )
     executor.fund_many(
         np.arange(N_ACCOUNTS, dtype=np.int64),
         rng.integers(0, 30, size=N_ACCOUNTS).astype(np.float64),
     )
-    _assert_index_matches_scan(registry)
-
+    check(registry, mapping)
     block = 0
     for op in ops:
         if op[0] == "execute":
             _, rows = op
-            senders = np.array([r[0] for r in rows], dtype=np.int64)
-            receivers = np.array([r[1] for r in rows], dtype=np.int64)
-            amounts = np.array([r[2] for r in rows], dtype=np.float64)
             executor.execute_block(
                 block,
                 TransactionBatch(
-                    senders, receivers, np.full(len(rows), block), amounts
+                    np.array([r[0] for r in rows], dtype=np.int64),
+                    np.array([r[1] for r in rows], dtype=np.int64),
+                    np.full(len(rows), block),
+                    np.array([r[2] for r in rows], dtype=np.float64),
                 ),
             )
             block += 1
         elif op[0] == "migrate":
             _, account, to_shard = op
-            mapping.assign(account, to_shard)
-            executor.apply_migration_batch(
-                np.array([account]), np.array([to_shard])
-            )
+            shard = to_shard * spread
+            mapping.assign(account, shard)
+            executor.apply_migration_batch(np.array([account]), np.array([shard]))
         else:
-            _, gap = op
-            block += gap
+            block += op[1]
             executor.execute_block(block, [])
             block += 1
-        _assert_index_matches_scan(registry)
-
+        check(registry, mapping)
     # Flush everything and check once more at quiescence.
     executor.settle_all(from_block=block)
-    _assert_index_matches_scan(registry)
+    check(registry, mapping)
+    return registry
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=_OPS, seed=st.integers(0, 1_000), backend=st.sampled_from(STATE_BACKENDS))
+def test_index_equals_scan_under_execute_migrate_settle(ops, seed, backend):
+    _run_ops(ops, K, backend, seed, 2, check=_assert_home_matches_scan)
 
 
 @settings(max_examples=25, deadline=None)
 @given(ops=_OPS, seed=st.integers(0, 1_000))
 def test_dict_and_dense_agree_on_residency(ops, seed):
     """Oracle and production walk one op stream to the same residency."""
-    registries = {}
-    for backend in STATE_BACKENDS:
-        rng = np.random.default_rng(seed)
-        mapping = ShardMapping(rng.integers(0, K, size=N_ACCOUNTS), k=K)
-        registry = make_registry(backend, K, n_accounts=N_ACCOUNTS)
-        executor = CrossShardExecutor(registry, mapping, relay_delay_blocks=1)
-        executor.fund_many(
-            np.arange(N_ACCOUNTS, dtype=np.int64),
-            rng.integers(0, 30, size=N_ACCOUNTS).astype(np.float64),
-        )
-        block = 0
-        for op in ops:
-            if op[0] == "execute":
-                _, rows = op
-                executor.execute_block(
-                    block,
-                    TransactionBatch(
-                        np.array([r[0] for r in rows], dtype=np.int64),
-                        np.array([r[1] for r in rows], dtype=np.int64),
-                        np.full(len(rows), block),
-                        np.array([r[2] for r in rows], dtype=np.float64),
-                    ),
-                )
-                block += 1
-            elif op[0] == "migrate":
-                _, account, to_shard = op
-                mapping.assign(account, to_shard)
-                executor.apply_migration_batch(
-                    np.array([account]), np.array([to_shard])
-                )
-            else:
-                block += op[1]
-                executor.execute_block(block, [])
-                block += 1
-        registries[backend] = registry
+    registries = {
+        backend: _run_ops(ops, K, backend, seed, 1)
+        for backend in STATE_BACKENDS
+    }
     ids = np.arange(N_ACCOUNTS, dtype=np.int64)
     assert (
         registries[BACKEND_DICT].locate_many(ids).tolist()
@@ -169,130 +157,105 @@ def test_dict_and_dense_agree_on_residency(ops, seed):
 
 
 class TestWideShardCounts:
-    """k > 63: the multi-word mask must keep index == scan."""
+    """k > 63: shard ids past one 64-bit word keep home == scan."""
 
     K_WIDE = 80
 
     @settings(max_examples=20, deadline=None)
     @given(ops=_OPS, seed=st.integers(0, 1_000), backend=st.sampled_from(STATE_BACKENDS))
     def test_index_equals_scan_at_k80(self, ops, seed, backend):
-        rng = np.random.default_rng(seed)
         k = self.K_WIDE
-        mapping = ShardMapping(rng.integers(0, k, size=N_ACCOUNTS), k=k)
-        registry = make_registry(backend, k, n_accounts=N_ACCOUNTS)
-        executor = CrossShardExecutor(registry, mapping, relay_delay_blocks=2)
-        executor.fund_many(
-            np.arange(N_ACCOUNTS, dtype=np.int64),
-            rng.integers(0, 30, size=N_ACCOUNTS).astype(np.float64),
+        # Spread migrations across the whole wide shard range.
+        _run_ops(
+            ops, k, backend, seed, 2, spread=k // K,
+            check=_assert_home_matches_scan,
         )
-        _assert_index_matches_scan(registry)
-        block = 0
-        for op in ops:
-            if op[0] == "execute":
-                _, rows = op
-                executor.execute_block(
-                    block,
-                    TransactionBatch(
-                        np.array([r[0] for r in rows], dtype=np.int64),
-                        np.array([r[1] for r in rows], dtype=np.int64),
-                        np.full(len(rows), block),
-                        np.array([r[2] for r in rows], dtype=np.float64),
-                    ),
-                )
-                block += 1
-            elif op[0] == "migrate":
-                _, account, to_shard = op
-                # Spread migrations across the whole wide shard range.
-                wide_shard = to_shard * (k // K)
-                mapping.assign(account, wide_shard)
-                executor.apply_migration_batch(
-                    np.array([account]), np.array([wide_shard])
-                )
-            else:
-                block += op[1]
-                executor.execute_block(block, [])
-                block += 1
-            _assert_index_matches_scan(registry)
-        executor.settle_all(from_block=block)
-        _assert_index_matches_scan(registry)
 
     def test_word_boundary_shards(self):
-        """Shards 63, 64 and 127 straddle the 64-bit word boundary."""
-        index = ResidencyIndex(8, n_shards=130)
-        assert index.n_words == 3
-        index.add(127, 1)
-        index.add(64, 1)
-        assert index.get_shard(1) == 64
-        index.add(63, 1)
-        assert index.get_shard(1) == 63
-        index.discard(63, 1)
-        index.discard(64, 1)
-        assert index.get_shard(1) == 127
-        assert index.shards_of(np.array([1, 0])).tolist() == [127, -1]
-        index.discard(127, 1)
-        assert index.get_shard(1) is None
+        """Shards 63, 64 and 127 straddle a 64-bit word boundary."""
+        registry = StateRegistry(130, n_accounts=8)
+        registry.store_of(127).credit(1, 2.0)
+        assert registry.locate(1) == 127
+        registry.migrate(1, 127, 64)
+        assert registry.locate(1) == 64
+        registry.migrate(1, 64, 63)
+        assert registry.locate_many(np.array([1, 0])).tolist() == [63, -1]
+        registry.store_of(63).remove(1)
+        assert registry.locate(1) is None
 
     def test_bulk_ops_across_words(self):
-        index = ResidencyIndex(16, n_shards=100)
+        registry = StateRegistry(100, n_accounts=16)
+        store = registry.store_of(75)
         accounts = np.array([2, 5, 9], dtype=np.int64)
-        index.add_many(75, accounts)
-        assert index.shards_of(np.arange(16)).tolist() == [
+        store.put_many(accounts, np.ones(3), np.zeros(3, dtype=np.int64))
+        assert registry.locate_many(np.arange(16)).tolist() == [
             75 if i in (2, 5, 9) else -1 for i in range(16)
         ]
-        index.discard_many(75, np.array([5], dtype=np.int64))
-        assert index.get_shard(5) is None
-        assert index.get_shard(9) == 75
+        store.take_many(np.array([5], dtype=np.int64))
+        assert registry.locate(5) is None
+        assert registry.locate(9) == 75
 
-    def test_spill_dict_handles_wide_shards(self):
-        index = ResidencyIndex(4, n_shards=100)
-        index.add(90, 1_000)  # beyond capacity -> spill dict
-        assert index.get_shard(1_000) == 90
-        assert index.shards_of(np.array([1_000, 0])).tolist() == [90, -1]
-        index.discard(90, 1_000)
-        assert index.get_shard(1_000) is None
+    def test_beyond_capacity_raises_at_wide_k(self):
+        registry = StateRegistry(100, n_accounts=4)
+        with pytest.raises(UnknownAccountError):
+            registry.store_of(90).credit(1_000, 1.0)
+        assert registry.locate(1_000) is None
+        assert registry.locate_many(np.array([1_000, 0])).tolist() == [-1, -1]
 
 
 class TestResidencyIndexUnit:
-    def test_lowest_shard_wins_on_multi_residency(self):
-        index = ResidencyIndex(8)
-        index.add(3, 1)
-        index.add(1, 1)
-        assert index.get_shard(1) == 1
-        index.discard(1, 1)
-        assert index.get_shard(1) == 3
-        index.discard(3, 1)
-        assert index.get_shard(1) is None
+    """``home`` is the residency index: one shard per account."""
+
+    def test_second_residency_raises(self):
+        registry = StateRegistry(8, n_accounts=8)
+        registry.store_of(3).credit(1, 2.0)
+        with pytest.raises(ResidencyError) as raised:
+            registry.store_of(1).credit(1, 1.0)
+        assert (raised.value.account, raised.value.home, raised.value.shard) == (
+            1,
+            3,
+            1,
+        )
+        assert registry.locate(1) == 3
+        assert len(registry.store_of(1)) == 0
+        registry.store_of(3).remove(1)
+        assert registry.locate(1) is None
 
     def test_spill_ids_beyond_capacity(self):
-        index = ResidencyIndex(4)
-        index.add(2, 100)
-        assert index.get_shard(100) == 2
-        assert index.shards_of(np.array([100, 1])).tolist() == [2, -1]
-        index.discard(2, 100)
-        assert index.get_shard(100) is None
+        registry = StateRegistry(4, n_accounts=4)
+        with pytest.raises(UnknownAccountError):
+            registry.store_of(2).put(100, AccountState(balance=1.0))
+        assert registry.locate(100) is None
+        assert registry.locate_many(np.array([100, 1])).tolist() == [-1, -1]
 
     def test_shards_of_vectorised_matches_scalar(self):
-        index = ResidencyIndex(16)
+        registry = StateRegistry(8, n_accounts=16)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            index.add(int(rng.integers(0, 8)), int(rng.integers(0, 16)))
+            account = int(rng.integers(0, 16))
+            home = registry.locate(account)
+            shard = int(rng.integers(0, 8)) if home is None else home
+            registry.store_of(shard).credit(account, 1.0)
         ids = np.arange(16, dtype=np.int64)
-        packed = index.shards_of(ids)
+        packed = registry.locate_many(ids)
         for account, got in zip(ids.tolist(), packed.tolist()):
-            want = index.get_shard(account)
+            want = registry.locate(account)
             assert got == (-1 if want is None else want)
 
     def test_add_many_discard_many(self):
-        index = ResidencyIndex(10)
-        index.add_many(5, np.array([1, 3, 3, 7], dtype=np.int64))
-        assert index.get_shard(3) == 5
-        index.discard_many(5, np.array([3, 7], dtype=np.int64))
-        assert index.get_shard(3) is None
-        assert index.get_shard(1) == 5
+        registry = StateRegistry(6, n_accounts=10)
+        store = registry.store_of(5)
+        store.credit_many(
+            np.array([1, 3, 3, 7], dtype=np.int64), np.ones(4)
+        )
+        assert registry.locate(3) == 5
+        assert store.get(3).balance == 2.0
+        store.take_many(np.array([3, 7], dtype=np.int64))
+        assert registry.locate(3) is None
+        assert registry.locate(1) == 5
 
-    def test_registry_exposes_index_and_wrong_source_still_raises(self):
+    def test_wrong_source_still_raises(self):
         registry = StateRegistry(3, n_accounts=8)
-        assert isinstance(registry.residency_index, ResidencyIndex)
         registry.store_of(2).credit(5, 4.0)
         assert registry.locate(5) == 2
         with pytest.raises(StateMigrationError, match="resident on shard 2"):
@@ -307,7 +270,7 @@ class TestDenseCompactionMemory:
         balance column, one int64 nonce column and one bool residency
         bitmap over the whole universe: k * n * 17 bytes. The compacted
         layout holds one slot per live account plus the shared
-        directory/index, independent of k.
+        directory, independent of k.
         """
         n_accounts, k = 1_000_000, 16
         registry = StateRegistry(k=k, n_accounts=n_accounts)
@@ -327,8 +290,9 @@ class TestDenseCompactionMemory:
     def test_memory_accounting_counts_columns_directory_and_index(self):
         registry = StateRegistry(k=2, n_accounts=100)
         base = registry.state_memory_nbytes()
-        # Directory (100 * 12) + index (100 * 8), no columns yet.
-        assert base == 100 * (4 + 8) + 100 * 8
+        # Directory (100 * 12: int32 home + int64 slot, home being the
+        # residency index), no columns yet.
+        assert base == 100 * (4 + 8)
         registry.store_of(0).credit(1, 5.0)
         assert registry.state_memory_nbytes() > base
 
@@ -365,9 +329,9 @@ class TestDenseCompaction:
         after = registry.state_memory_nbytes()
         assert after == before - reclaimed
         # Bound: live slots (16 B each, power-of-two headroom <= 2x)
-        # plus the shared directory and index — churn-independent.
-        directory_and_index = n_accounts * (4 + 8) + n_accounts * 8
-        assert after <= 2 * n_accounts * 16 + directory_and_index
+        # plus the shared directory — churn-independent.
+        directory = n_accounts * (4 + 8)
+        assert after <= 2 * n_accounts * 16 + directory
         # Observable state is untouched.
         assert [s.state_root() for s in registry.stores] == roots_before
         assert registry.total_balance() == n_accounts * 1.0

@@ -2,13 +2,15 @@
 
 The dense store must be observably identical to the scalar-dict store
 kept in ``state_reference``: same balances, nonces, membership, state
-roots and totals under any interleaving of scalar ops, columnar bulk
-ops, scalar and batched migrations and compaction. The property suite
-here drives a production registry and the oracle registry through the
-same randomized op streams and compares them after every step; the
-targeted cases below pin the same equivalence at multi-word residency
-scale (k > 64), for ids spilled past the slot directory capacity, and
-for compact-time spill re-homing.
+roots, totals and raised errors under any interleaving of scalar ops,
+columnar bulk ops, scalar and batched migrations and compaction. The
+property suite here drives a production registry and the oracle
+registry through the same randomized op streams — writes mostly to the
+account's home shard, sometimes to a random one — and compares them
+after every step; the targeted cases below pin the same equivalence at
+k > 64, and the single-residency contract: a write to a shard that is
+not the account's home, or for an id beyond the registry capacity,
+raises the same typed error on both sides and changes nothing.
 """
 
 import math
@@ -27,12 +29,18 @@ from state_reference import (
 )
 
 from repro.chain.state import (
-    STATE_RECORD_BYTES,
     AccountState,
     DenseShardStateStore,
     StateRegistry,
 )
-from repro.errors import ChainError, StateMigrationError, ValidationError
+from repro.errors import (
+    ChainError,
+    MappingError,
+    ResidencyError,
+    StateMigrationError,
+    UnknownAccountError,
+    ValidationError,
+)
 
 N_ACCOUNTS = 24
 K = 3
@@ -57,17 +65,29 @@ def _assert_equivalent(dict_reg: StateRegistry, dense_reg: StateRegistry):
     assert dict_reg.total_balance() == dense_reg.total_balance()
 
 
+def _outcome(write):
+    """A write's result, or its typed error as (type, message)."""
+    try:
+        return write()
+    except (ChainError, MappingError) as exc:
+        return type(exc).__name__, str(exc)
+
+
 _ACCOUNT = st.integers(0, N_ACCOUNTS - 1)
 _AMOUNT = st.integers(0, 40)
+#: None writes to the account's home shard (``account % K`` while it
+#: has none); a shard id writes there, which may be off home.
+_TARGET = st.one_of(st.none(), st.none(), st.integers(0, K - 1))
 
 _SCALAR_AND_BULK_OPS = (
-    st.tuples(st.just("credit"), _ACCOUNT, _AMOUNT),
-    st.tuples(st.just("debit"), _ACCOUNT, _AMOUNT),
-    st.tuples(st.just("put"), _ACCOUNT, _AMOUNT),
+    st.tuples(st.just("credit"), _ACCOUNT, _AMOUNT, _TARGET),
+    st.tuples(st.just("debit"), _ACCOUNT, _AMOUNT, _TARGET),
+    st.tuples(st.just("put"), _ACCOUNT, _AMOUNT, _TARGET),
     st.tuples(st.just("migrate"), _ACCOUNT, st.integers(0, K - 1)),
     st.tuples(
         st.just("credit_many"),
         st.lists(st.tuples(_ACCOUNT, _AMOUNT), min_size=1, max_size=6),
+        _TARGET,
     ),
 )
 
@@ -92,40 +112,46 @@ _CHURN_OPS = st.lists(
 )
 
 
-def _shard_of(account: int) -> int:
-    return account % K
+def _home_of(registries, account: int) -> int:
+    """The account's shard, agreed by both registries, or its default."""
+    located = {reg.locate(account) for reg in registries}
+    assert len(located) == 1
+    (shard,) = located
+    return account % K if shard is None else shard
 
 
 def _apply_and_compare(ops):
     """Drive oracle and production through ``ops``, comparing each step."""
     dict_reg, dense_reg = _registries()
+    registries = (dict_reg, dense_reg)
     for op in ops:
         kind = op[0]
         if kind in ("credit", "debit", "put"):
-            _, account, amount = op
-            shard = _shard_of(account)
-            stores = (dict_reg.store_of(shard), dense_reg.store_of(shard))
+            _, account, amount, target = op
+            shard = _home_of(registries, account) if target is None else target
+            stores = [reg.store_of(shard) for reg in registries]
             if kind == "credit":
-                results = [s.credit(account, float(amount)) for s in stores]
-                assert results[0] == results[1]
+                outcomes = [
+                    _outcome(lambda s=s: s.credit(account, float(amount)))
+                    for s in stores
+                ]
             elif kind == "put":
                 state = AccountState(balance=float(amount), nonce=amount % 5)
-                for s in stores:
-                    s.put(account, state)
+                outcomes = [
+                    _outcome(lambda s=s: s.put(account, state)) for s in stores
+                ]
             else:
-                outcomes = []
-                for s in stores:
-                    try:
-                        outcomes.append(s.debit(account, float(amount)))
-                    except ChainError:
-                        outcomes.append("overdraft")
-                assert outcomes[0] == outcomes[1]
+                outcomes = [
+                    _outcome(lambda s=s: s.debit(account, float(amount)))
+                    for s in stores
+                ]
+            assert outcomes[0] == outcomes[1]
         elif kind == "migrate":
             _, account, to_shard = op
             outcomes = []
-            for reg in (dict_reg, dense_reg):
+            for reg in registries:
                 current = reg.locate(account)
-                from_shard = current if current is not None else _shard_of(account)
+                from_shard = current if current is not None else account % K
                 if from_shard == to_shard:
                     outcomes.append("same")
                     continue
@@ -135,26 +161,31 @@ def _apply_and_compare(ops):
             _, entries = op
             accounts = np.array([e[0] for e in entries], dtype=np.int64)
             targets = np.array([e[1] for e in entries], dtype=np.int64)
-            moved = [
-                reg.migrate_batch(accounts, targets)
-                for reg in (dict_reg, dense_reg)
-            ]
+            moved = [reg.migrate_batch(accounts, targets) for reg in registries]
             assert moved[0] == moved[1]
         elif kind == "credit_many":
-            _, entries = op
+            _, entries, target = op
             accounts = np.array([e[0] for e in entries], dtype=np.int64)
             amounts = np.array([e[1] for e in entries], dtype=np.float64)
-            shards = accounts % K
+            if target is None:
+                shards = np.array(
+                    [_home_of(registries, a) for a in accounts.tolist()]
+                )
+            else:
+                shards = np.full(len(accounts), target)
             for shard in np.unique(shards).tolist():
                 mask = shards == shard
-                dict_reg.store_of(shard).credit_many(
-                    accounts[mask], amounts[mask]
-                )
-                dense_reg.store_of(shard).credit_many(
-                    accounts[mask], amounts[mask]
-                )
+                outcomes = [
+                    _outcome(
+                        lambda reg=reg: reg.store_of(shard).credit_many(
+                            accounts[mask], amounts[mask]
+                        )
+                    )
+                    for reg in registries
+                ]
+                assert outcomes[0] == outcomes[1]
         elif kind == "compact":
-            for reg in (dict_reg, dense_reg):
+            for reg in registries:
                 reg.compact_stores(min_slack=0.0)
         _assert_equivalent(dict_reg, dense_reg)
 
@@ -179,15 +210,10 @@ def _assert_registries_match(reference: StateRegistry, other: StateRegistry):
     assert reference.total_balance() == other.total_balance()
 
 
-def _spilled(store: DenseShardStateStore) -> int:
-    """Residents held in the spill dict rather than a column slot."""
-    return len(store) - store.slot_stats()["live_slots"]
-
-
 class TestLargeKMultiWordResidency:
-    """k > 64 drives the residency index into multi-word bitmasks; the
-    dense store must stay root-identical to the dict store through
-    batched churn and compaction at that scale."""
+    """k > 64 (past one 64-bit word of shard ids): the dense store must
+    stay root-identical to the dict store through batched churn and
+    compaction at that scale."""
 
     K_LARGE = 80
     N = 640
@@ -228,9 +254,9 @@ class TestLargeKMultiWordResidency:
 
 
 class TestBeyondCapacitySpill:
-    """Ids past the preallocated capacity live in the spill dict; the
-    dense store must treat them exactly like the dict store does,
-    through compaction included."""
+    """Every write of an id past the registry capacity raises
+    ``UnknownAccountError`` on both backends alike, and reads treat it
+    as non-resident, through compaction included."""
 
     def test_spilled_ids_stay_equivalent_through_compact(self):
         capacity = 8
@@ -242,100 +268,40 @@ class TestBeyondCapacitySpill:
             s0, s1 = reg.store_of(0), reg.store_of(1)
             for account in range(capacity):  # fill the dense columns
                 s0.credit(account, 2.0)
-            for account in range(capacity, capacity + 5):  # spill
-                s0.put(account, AccountState(balance=7.0, nonce=1))
-            s0.debit(capacity + 2, 3.0)
-            reg.migrate(capacity + 3, 0, 1)
-            s1.credit(capacity + 7, 9.0)
+            for account in range(capacity, capacity + 5):
+                with pytest.raises(UnknownAccountError):
+                    s0.put(account, AccountState(balance=7.0, nonce=1))
+            with pytest.raises(UnknownAccountError):
+                s0.debit(capacity + 2, 3.0)
+            assert reg.migrate(capacity + 3, 0, 1) == 0
+            with pytest.raises(UnknownAccountError):
+                s1.credit(capacity + 7, 9.0)
             reg.compact_stores(min_slack=0.0)
+            assert reg.locate(capacity + 3) is None
+            assert reg.total_balance() == capacity * 2.0
         _assert_registries_match(*registries)
 
     def test_beyond_capacity_ids_never_claim_slots(self):
         registry = StateRegistry(2, n_accounts=4)
         store = registry.store_of(0)
-        store.put(11, AccountState(balance=1.0))
+        with pytest.raises(UnknownAccountError):
+            store.put(11, AccountState(balance=1.0))
         store.compact()
-        assert store.slot_stats()["capacity_slots"] == 0
-        assert store.get(11) == AccountState(balance=1.0)
-
-
-class TestSpillRehoming:
-    """``compact()`` re-homes spill-dict accounts into fresh slots when
-    capacity allows, instead of leaving them spilled indefinitely —
-    with observable state (roots) untouched."""
-
-    def test_compact_rehomes_freed_spill_entries(self):
-        registry = StateRegistry(2, n_accounts=8)
-        s0, s1 = registry.store_of(0), registry.store_of(1)
-        s0.credit(3, 10.0)  # home resident of shard 0
-        # Multi-residency: shard 1 must hold 3 too (relay settlement
-        # shape) — in capacity but homed elsewhere, so it spills.
-        s1.put(3, AccountState(balance=5.0, nonce=1))
-        assert _spilled(s1) == 1
-        s0.remove(3)  # the home residency ends; the spill copy stays
-        root_before = s1.state_root()
-        s1.compact()
-        assert _spilled(s1) == 0
-        assert s1.state_root() == root_before
-        assert s1.get(3) == AccountState(balance=5.0, nonce=1)
-
-    def test_compact_rehoming_matches_dict_backend(self):
-        registries = tuple(
-            make_registry(b, 2, n_accounts=8)
-            for b in STATE_BACKENDS
-        )
-        for reg in registries:
-            s0, s1 = reg.store_of(0), reg.store_of(1)
-            for account in (1, 3, 5):
-                s0.credit(account, 10.0)
-                s1.put(account, AccountState(balance=5.0, nonce=1))
-            s0.remove(3)
-            s0.remove(5)
-            reg.compact_stores(min_slack=0.0)
-        dense_s1 = registries[1].store_of(1)
-        assert _spilled(dense_s1) == 1  # 1 is still homed on shard 0
-        _assert_registries_match(*registries)
-
-    def test_spill_heavy_churn_shrinks_spill_and_keeps_roots(self):
-        n = 32
-        registry = StateRegistry(2, n_accounts=n)
-        s0, s1 = registry.store_of(0), registry.store_of(1)
-        for account in range(n):
-            s0.credit(account, 1.0)
-        # Spill half the universe into shard 1 while still homed at 0.
-        for account in range(0, n, 2):
-            s1.put(account, AccountState(balance=2.0, nonce=1))
-        # End the home residencies, stranding the spill entries.
-        for account in range(0, n, 2):
-            s0.remove(account)
-        assert _spilled(s1) == n // 2
-        roots_before = [s.state_root() for s in registry.stores]
-        registry.compact_stores(min_slack=0.0)
-        assert _spilled(s1) == 0
-        assert [s.state_root() for s in registry.stores] == roots_before
-        assert registry.total_balance() == (n // 2) * 1.0 + (n // 2) * 2.0
-
-    def test_still_homed_elsewhere_stays_spilled(self):
-        registry = StateRegistry(2, n_accounts=8)
-        s0, s1 = registry.store_of(0), registry.store_of(1)
-        s0.credit(3, 10.0)
-        s1.put(3, AccountState(balance=5.0))
-        s1.compact()  # 3 is still homed on shard 0: no legal slot here
-        assert _spilled(s1) == 1
-        assert s1.get(3) == AccountState(balance=5.0)
+        assert store.column_nbytes() == 0
+        assert len(store) == 0
+        assert store.get(11) == AccountState()
+        assert registry.locate_many(np.array([11, -1, 3])).tolist() == [-1] * 3
 
 
 def _fragmentation(registry: StateRegistry) -> dict:
     """Free and live slots over every store's column capacity."""
-    totals = {"free_slots": 0, "capacity_slots": 0, "live_slots": 0}
-    for store in registry.stores:
-        for key, value in store.slot_stats().items():
-            totals[key] += value
-    capacity = totals["capacity_slots"]
+    capacity = sum(store.column_nbytes() // 16 for store in registry.stores)
+    live = sum(len(store) for store in registry.stores)
+    free = capacity - live
     return {
-        "fragmentation": totals["free_slots"] / capacity if capacity else 0.0,
-        "occupancy": totals["live_slots"] / capacity if capacity else 0.0,
-        "live_slots": totals["live_slots"],
+        "fragmentation": free / capacity if capacity else 0.0,
+        "occupancy": live / capacity if capacity else 0.0,
+        "live_slots": live,
     }
 
 
@@ -363,41 +329,129 @@ class TestSlotTelemetry:
 
 
 class TestDenseFallback:
-    """Ids beyond the preallocated capacity spill into the dict fallback."""
+    """Ids beyond the preallocated capacity: standalone stores reject
+    them exactly like the dict store does, bulk writes atomically."""
 
     def test_sparse_ids_behave_like_dict_store(self):
         dense = DenseShardStateStore(0, capacity=4)
-        reference = ShardStateStore(0)
+        reference = ShardStateStore(0, capacity=4)
         for store in (dense, reference):
             store.credit(2, 10.0)      # in capacity
-            store.credit(100, 7.0)     # beyond capacity
-            store.debit(100, 3.0)
-            store.credit_many(
-                np.array([2, 100, 3]), np.array([1.0, 1.0, 5.0])
-            )
+            with pytest.raises(UnknownAccountError, match="100"):
+                store.credit(100, 7.0)
+            with pytest.raises(UnknownAccountError, match="100"):
+                store.debit(100, 3.0)
+            with pytest.raises(UnknownAccountError, match="100"):
+                store.credit_many(
+                    np.array([2, 100, 3]), np.array([1.0, 1.0, 5.0])
+                )
         assert dense.state_root() == reference.state_root()
-        assert dense.total_balance() == reference.total_balance()
-        assert len(dense) == len(reference) == 3
-        assert 100 in dense
-        assert dense.get(100) == reference.get(100)
+        assert dense.total_balance() == reference.total_balance() == 10.0
+        assert len(dense) == len(reference) == 1
+        assert 100 not in dense
+        assert dense.get(100) == reference.get(100) == AccountState()
 
     def test_sparse_remove_and_migrate(self):
         registry = StateRegistry(2, n_accounts=4)
-        registry.store_of(0).credit(50, 9.0)
-        moved = registry.migrate(50, 0, 1)
-        assert moved == STATE_RECORD_BYTES
-        assert registry.locate(50) == 1
-        assert registry.store_of(1).get(50).balance == 9.0
+        with pytest.raises(UnknownAccountError):
+            registry.store_of(0).credit(50, 9.0)
+        # Never resident anywhere: migrating it is a free no-op.
+        assert registry.migrate(50, 0, 1) == 0
+        assert registry.locate(50) is None
+        with pytest.raises(ChainError, match="not resident"):
+            registry.store_of(0).remove(50)
 
-    def test_mixed_put_many_spills_correctly(self):
-        # One in-capacity id and one beyond it: the spill branch
-        # ``migrate_batch`` takes for stragglers.
+    def test_mixed_put_many_raises_before_writing(self):
+        # One in-capacity id and one beyond it: nothing is installed.
         dense = DenseShardStateStore(0, capacity=4)
-        dense.put_many(
-            np.array([1, 9]), np.array([5.0, 6.0]), np.array([1, 2])
-        )
-        assert dense.get(1) == AccountState(balance=5.0, nonce=1)
-        assert dense.get(9) == AccountState(balance=6.0, nonce=2)
+        with pytest.raises(UnknownAccountError, match="9"):
+            dense.put_many(
+                np.array([1, 9]), np.array([5.0, 6.0]), np.array([1, 2])
+            )
+        assert len(dense) == 0
+        assert dense.get(1) == AccountState()
+
+
+def _write(entry: str, store, account: int) -> None:
+    """Call one write entry point of ``store`` for ``account``."""
+    ids = np.array([0, account], dtype=np.int64)  # 0 is homed on shard 0
+    if entry == "put":
+        store.put(account, AccountState(balance=3.0, nonce=2))
+    elif entry == "credit":
+        store.credit(account, 3.0)
+    elif entry == "debit":
+        store.debit(account, 1.0)
+    elif entry == "credit_many":
+        store.credit_many(ids, np.array([1.0, 3.0]))
+    else:
+        store.put_many(ids, np.array([1.0, 3.0]), np.array([0, 2]))
+
+
+class TestSingleResidency:
+    """One home per account: an off-home or unknown write raises the
+    same typed error on the dense store and the dict oracle, before it
+    changes anything."""
+
+    N = 6
+
+    def _registry(self, backend: str) -> StateRegistry:
+        registry = make_registry(backend, 2, n_accounts=self.N)
+        registry.store_of(0).credit(0, 4.0)
+        registry.store_of(1).credit(1, 5.0)  # homed on shard 1
+        return registry
+
+    @pytest.mark.parametrize(
+        "entry", ["put", "credit", "debit", "credit_many", "put_many"]
+    )
+    @pytest.mark.parametrize("case", ["off-home", "beyond-capacity"])
+    def test_rejected_write_raises_alike_and_changes_nothing(self, entry, case):
+        errors = []
+        for backend in STATE_BACKENDS:
+            registry = self._registry(backend)
+            before = [
+                (sorted(s.accounts()), s.state_root()) for s in registry.stores
+            ]
+            account = 1 if case == "off-home" else self.N
+            with pytest.raises(MappingError) as raised:
+                _write(entry, registry.store_of(0), account)
+            errors.append(raised.value)
+            after = [
+                (sorted(s.accounts()), s.state_root()) for s in registry.stores
+            ]
+            assert after == before
+            assert registry.total_balance() == 9.0
+            assert registry.locate(1) == 1
+        dict_error, dense_error = errors
+        assert type(dict_error) is type(dense_error)
+        assert str(dict_error) == str(dense_error)
+        if case == "off-home":
+            assert isinstance(dense_error, ResidencyError)
+            assert not isinstance(dense_error, ChainError)
+            assert (dense_error.account, dense_error.home, dense_error.shard) == (
+                1,
+                1,
+                0,
+            )
+        else:
+            assert isinstance(dense_error, UnknownAccountError)
+            assert dense_error.account == self.N
+
+    @pytest.mark.parametrize("backend", STATE_BACKENDS)
+    def test_negative_id_is_unknown(self, backend):
+        registry = self._registry(backend)
+        with pytest.raises(UnknownAccountError):
+            registry.store_of(0).credit(-1, 1.0)
+        assert registry.locate(-1) is None
+
+    @pytest.mark.parametrize("backend", STATE_BACKENDS)
+    def test_homed_nowhere_claims_on_first_write(self, backend):
+        registry = self._registry(backend)
+        registry.store_of(1).put(3, AccountState(balance=2.0, nonce=1))
+        assert registry.locate(3) == 1
+        registry.store_of(1).remove(3)
+        assert registry.locate(3) is None
+        registry.store_of(0).credit(3, 1.0)  # homed nowhere again
+        assert registry.locate(3) == 0
 
 
 class TestMigrationSemantics:
@@ -434,7 +488,10 @@ class TestMigrationSemantics:
             assert registry.locate(account) == locate_scan(registry, account)
 
     def test_remove_raises_chain_error_not_key_error(self):
-        for store in (ShardStateStore(0), DenseShardStateStore(0, capacity=4)):
+        for store in (
+            ShardStateStore(0, capacity=4),
+            DenseShardStateStore(0, capacity=4),
+        ):
             with pytest.raises(ChainError):
                 store.remove(1)
             with pytest.raises(ChainError):
@@ -445,7 +502,7 @@ class TestExactTotals:
     """fsum/np.sum accumulation keeps conservation checks tight."""
 
     def test_dict_total_is_exactly_rounded(self):
-        store = ShardStateStore(0)
+        store = ShardStateStore(0, capacity=11)
         store.credit(0, 1e16)
         for account in range(1, 11):
             store.credit(account, 1.0)
@@ -474,6 +531,10 @@ class TestRegistryConstruction:
     def test_rejects_negative_capacity(self):
         with pytest.raises(ValidationError):
             StateRegistry(2, n_accounts=-1)
+
+    def test_requires_the_account_universe(self):
+        with pytest.raises(TypeError):
+            StateRegistry(2)  # type: ignore[call-arg]
 
     def test_stores_are_sized_to_the_universe(self):
         registry = StateRegistry(2, n_accounts=10)

@@ -278,6 +278,19 @@ class TestWindowedEquivalence:
         assert any(r.migrations for r in records)
         assert any(r.counters["chain.state.compactions"] for r in records)
         assert list((tmp_path / "spill").glob("seg-*.mrlog"))
+        # Single residency held throughout: every resident's home is the
+        # shard phi names, and no epoch created or destroyed value.
+        registry = sim.substrate.registry
+        ids = np.arange(registry.n_accounts, dtype=np.int64)
+        located = registry.locate_many(ids)
+        resident = located >= 0
+        assert resident.any()
+        phi = sim.substrate.mapping.as_array()[ids]
+        assert (located[resident] == phi[resident]).all()
+        assert all(
+            r.counters["chain.crossshard.conservation_drift"] == 0
+            for r in records
+        )
 
 
 class TestSpool:

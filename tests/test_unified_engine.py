@@ -239,7 +239,8 @@ class TestBackendEquivalenceEndToEnd:
 class TestSizedStores:
     def test_executed_cell_never_spills(self):
         """The engine sizes its registry to the trace's account universe,
-        so every resident holds a column slot when the run ends."""
+        so every account holds exactly one home — the shard phi names —
+        when the run ends."""
         from repro.experiments import preset_matrix
 
         (cell,) = preset_matrix("realloc-smoke").cells()
@@ -247,10 +248,12 @@ class TestSizedStores:
             cell.trace.build(), cell.build_allocator(), cell.simulation_config()
         )
         sim.run()
-        stores = sim.substrate.registry.stores
-        assert sum(len(store) for store in stores) > 0
-        for store in stores:
-            assert len(store) - store.slot_stats()["live_slots"] == 0
+        substrate = sim.substrate
+        registry = substrate.registry
+        assert registry.n_accounts == substrate.mapping.n_accounts
+        ids = np.arange(registry.n_accounts, dtype=np.int64)
+        assert (registry.locate_many(ids) == substrate.mapping.as_array()).all()
+        assert sum(len(store) for store in registry.stores) == len(ids)
 
 
 class TestResultAggregationRegression:
