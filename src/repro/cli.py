@@ -95,11 +95,6 @@ def _command_generate(args: argparse.Namespace) -> int:
     trace = generate_ethereum_like_trace(_trace_config(args))
     rows = write_transactions_csv(args.output, trace)
     print(f"wrote {rows:,} transactions to {args.output}")
-    if args.sizing_index:
-        from repro.data.sizing import write_sizing_index
-
-        sidecar = write_sizing_index(args.output)
-        print(f"wrote sizing index to {sidecar}")
     return 0
 
 
@@ -467,12 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_trace_arguments(generate)
     generate.add_argument("output", help="output CSV path")
-    generate.add_argument(
-        "--sizing-index",
-        action="store_true",
-        help="also write the <output>.sizing.npz sidecar so streamed "
-        "replays skip the sizing pass and its spool",
-    )
     generate.set_defaults(handler=_command_generate)
 
     simulate = subparsers.add_parser(

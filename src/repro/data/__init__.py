@@ -17,7 +17,6 @@ from repro.data.etl import (
     FEE_COLUMN,
 )
 from repro.data.source import (
-    ChunkIteratorSource,
     CsvTraceSource,
     EpochStream,
     FollowCsvTraceSource,
@@ -42,7 +41,6 @@ __all__ = [
     "FEE_COLUMN",
     "TraceSource",
     "MaterialisedTraceSource",
-    "ChunkIteratorSource",
     "CsvTraceSource",
     "FollowCsvTraceSource",
     "EpochStream",

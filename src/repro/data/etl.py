@@ -10,10 +10,12 @@ documented extension for traces generated with a fee model — rides
 along the same way.
 
 Malformed rows raise :class:`~repro.errors.MalformedRowError` carrying
-the file name and 1-based line number, so one bad row in a huge extract
-is findable without re-running the decode. The chunked, bounded-memory
-decoder lives in :mod:`repro.data.source` (:class:`CsvTraceSource`)
-and shares the row parsing defined here.
+the file name and 1-based physical line number (``csv.reader.line_num``,
+the last line of a record whose quoted cell spans lines), so one bad
+row in a huge extract is findable without re-running the decode. The
+chunked, bounded-memory decoders live in :mod:`repro.data.source`
+(:class:`CsvTraceSource`, :class:`FollowCsvTraceSource`) and share the
+row parsing defined here.
 """
 
 from __future__ import annotations
@@ -233,8 +235,8 @@ def read_transactions_csv(
         decoder = _RowDecoder(path, fieldnames, registry)
         has_values = decoder.has_values
         has_fees = decoder.has_fees
-        for line, row in enumerate(reader, start=2):
-            decoded = decoder.decode(line, row)
+        for row in reader:
+            decoded = decoder.decode(reader.line_num, row)
             if decoded is None:
                 continue
             sender, receiver, block, value, fee = decoded

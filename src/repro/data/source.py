@@ -1,18 +1,17 @@
 """Trace sources: chunked, bounded-memory trace ingest.
 
 A :class:`TraceSource` is where transactions come *from* — an ETL CSV
-on disk, a live-appended CSV, an iterator of batches, or an
-already-materialised trace (a generated trace is replayed through
-:class:`MaterialisedTraceSource`). It yields block-ordered
-:class:`TransactionBatch` chunks of bounded size, with
-``values``/``fees`` columns carried through, so the data layer can feed
-the engine without ever holding more than a chunk of decoded Python
-state at a time:
+on disk, a live-appended CSV, or an already-materialised trace (a
+generated trace is replayed through :class:`MaterialisedTraceSource`).
+It yields block-ordered :class:`TransactionBatch` chunks of bounded
+size, with ``values``/``fees`` columns carried through, so the data
+layer can feed the engine without ever holding more than a chunk of
+decoded Python state at a time:
 
 * :meth:`TraceSource.materialise` assembles the chunks into a
   :class:`Trace` in one concatenation pass — the compatibility bridge
   that keeps every existing ``Trace`` caller working;
-* :class:`EpochStream` slices a source into the *same*
+* :class:`EpochStream` slices a chunk stream into the *same*
   :class:`EpochView` sequence ``Trace.epochs`` produces, buffering only
   the current epoch plus one chunk (equivalence under randomized chunk
   sizes is property-tested in ``tests/test_data_source.py``).
@@ -27,11 +26,9 @@ from __future__ import annotations
 import csv
 import io
 import time
+from itertools import chain as iter_chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple, Union
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.data.sizing import SizingIndex
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -81,18 +78,6 @@ class TraceSource:
         """
         return None
 
-    def sizing_index(self) -> Optional["SizingIndex"]:
-        """Persisted sizing sidecar, when one exists and matches.
-
-        The slow-path twin of :meth:`size_hint`: file-backed sources
-        whose extract ships a sizing index return it here so the
-        engine can skip the sizing pass *and* recover the canonical
-        funding partials without re-streaming. Raises
-        :class:`~repro.errors.SizingIndexError` on a stale sidecar;
-        returns None when the source has no persisted index.
-        """
-        return None
-
     def materialise(self) -> Trace:
         """Assemble every chunk into a materialised :class:`Trace`."""
         batches = list(self.chunks())
@@ -136,7 +121,107 @@ class MaterialisedTraceSource(TraceSource):
         return self.trace
 
 
-class CsvTraceSource(TraceSource):
+class _CsvChunkSource(TraceSource):
+    """Shared chunk loop of the CSV sources.
+
+    :meth:`_chunk_loop` turns raw CSV rows into block-ordered
+    :class:`TransactionBatch` chunks of at most ``chunk_rows`` rows; a
+    subclass supplies the rows and the ``csv.reader`` that numbers them.
+    """
+
+    #: Parenthesised hint of the out-of-order :class:`MalformedRowError`.
+    _order_hint: str
+
+    def __init__(
+        self,
+        path: Union[str, Path],
+        chunk_rows: int,
+        registry: Optional[AccountRegistry],
+    ) -> None:
+        if chunk_rows < 1:
+            raise DataError(f"chunk_rows must be >= 1, got {chunk_rows}")
+        self.path = Path(path)
+        self.chunk_rows = int(chunk_rows)
+        self.registry = registry if registry is not None else AccountRegistry()
+        self.name = self.path.name
+        self.peak_buffer_rows = 0
+
+    def _chunk_loop(
+        self,
+        fieldnames: Optional[List[str]],
+        rows: Iterable[Optional[List[str]]],
+        reader: "csv._reader",
+    ) -> Iterator[TransactionBatch]:
+        """Decode ``rows`` into chunks; a ``None`` row flushes the buffer.
+
+        ``reader.line_num`` names the physical line of each row (the
+        last line of a record whose quoted cell spans lines).
+        """
+        decoder = _RowDecoder(self.path, fieldnames, self.registry)
+        has_values = decoder.has_values
+        has_fees = decoder.has_fees
+        chunk_rows = self.chunk_rows
+        senders: List[int] = []
+        receivers: List[int] = []
+        blocks: List[int] = []
+        values: List[float] = []
+        fees: List[float] = []
+        # Lazy value-column activation: False until a nonzero value is
+        # decoded, so an all-zero column never materialises (see the
+        # CsvTraceSource docstring).
+        values_active = False
+        last_block = -1
+        for row in iter_chain(rows, (None,)):
+            if row is not None:
+                line = reader.line_num
+                decoded = decoder.decode(line, row)
+                if decoded is None:
+                    continue
+                sender, receiver, block, value, fee = decoded
+                if block < last_block:
+                    raise MalformedRowError(
+                        self.path,
+                        line,
+                        f"block {block} out of order after {last_block} "
+                        f"({self._order_hint})",
+                    )
+                last_block = block
+                senders.append(sender)
+                receivers.append(receiver)
+                blocks.append(block)
+                if has_values:
+                    values.append(value)
+                    if value and not values_active:
+                        values_active = True
+                if has_fees:
+                    fees.append(fee)
+                if len(senders) < chunk_rows:
+                    continue
+            elif not senders:
+                continue
+            self.peak_buffer_rows = max(self.peak_buffer_rows, len(senders))
+            batch = TransactionBatch(
+                np.asarray(senders, dtype=np.int64),
+                np.asarray(receivers, dtype=np.int64),
+                np.asarray(blocks, dtype=np.int64),
+                np.asarray(values, dtype=np.float64) if values_active else None,
+                np.asarray(fees, dtype=np.float64) if has_fees else None,
+            )
+            # Hold neither the row lists nor, once resumed, the chunk
+            # while the consumer and the next decode run.
+            senders.clear()
+            receivers.clear()
+            blocks.clear()
+            values.clear()
+            fees.clear()
+            yield batch
+            del batch
+
+    def resolved_n_accounts(self) -> Optional[int]:
+        return len(self.registry) or None
+
+
+class CsvTraceSource(_CsvChunkSource):
     """Chunked, bounded-memory decode of an ethereum-etl CSV.
 
     Rows decode straight into numpy chunks of ``chunk_rows``; at no
@@ -170,6 +255,11 @@ class CsvTraceSource(TraceSource):
     passes it.
     """
 
+    _order_hint = (
+        "streamed decode requires block-ordered rows; "
+        "use read_transactions_csv for unsorted files"
+    )
+
     def __init__(
         self,
         path: Union[str, Path],
@@ -177,145 +267,87 @@ class CsvTraceSource(TraceSource):
         registry: Optional[AccountRegistry] = None,
         decoder: str = "python",
     ) -> None:
-        if chunk_rows < 1:
-            raise DataError(f"chunk_rows must be >= 1, got {chunk_rows}")
+        super().__init__(path, chunk_rows, registry)
         if decoder != "python":
             raise DataError(
                 f"decoder must be 'python' (the only CSV decoder), "
                 f"got {decoder!r}"
             )
-        self.path = Path(path)
-        self.chunk_rows = int(chunk_rows)
-        self.registry = registry if registry is not None else AccountRegistry()
-        self.name = self.path.name
-        self.peak_buffer_rows = 0
 
     def chunks(self) -> Iterator[TransactionBatch]:
-        senders: List[int] = []
-        receivers: List[int] = []
-        blocks: List[int] = []
-        values: List[float] = []
-        fees: List[float] = []
-        # Lazy value-column activation: False until a nonzero value is
-        # decoded, so an all-zero column never materialises (see class
-        # docstring).
-        values_active = False
-
-        def flush(decoder: _RowDecoder) -> TransactionBatch:
-            batch = TransactionBatch(
-                np.asarray(senders, dtype=np.int64),
-                np.asarray(receivers, dtype=np.int64),
-                np.asarray(blocks, dtype=np.int64),
-                np.asarray(values, dtype=np.float64)
-                if values_active
-                else None,
-                np.asarray(fees, dtype=np.float64) if decoder.has_fees else None,
-            )
-            senders.clear()
-            receivers.clear()
-            blocks.clear()
-            values.clear()
-            fees.clear()
-            return batch
-
-        last_block = -1
         with self.path.open(newline="") as handle:
             reader = csv.reader(handle)
-            fieldnames = next(reader, None)
-            decoder = _RowDecoder(self.path, fieldnames, self.registry)
-            has_values = decoder.has_values
-            has_fees = decoder.has_fees
-            for line, row in enumerate(reader, start=2):
-                decoded = decoder.decode(line, row)
-                if decoded is None:
-                    continue
-                sender, receiver, block, value, fee = decoded
-                if block < last_block:
-                    raise MalformedRowError(
-                        self.path,
-                        line,
-                        f"block {block} out of order after {last_block} "
-                        "(streamed decode requires block-ordered rows; "
-                        "use read_transactions_csv for unsorted files)",
-                    )
-                last_block = block
-                senders.append(sender)
-                receivers.append(receiver)
-                blocks.append(block)
-                if has_values:
-                    values.append(value)
-                    if value and not values_active:
-                        values_active = True
-                if has_fees:
-                    fees.append(fee)
-                if len(senders) >= self.chunk_rows:
-                    self.peak_buffer_rows = max(
-                        self.peak_buffer_rows, len(senders)
-                    )
-                    yield flush(decoder)
-            self.peak_buffer_rows = max(self.peak_buffer_rows, len(senders))
-            if senders:
-                yield flush(decoder)
-
-    def resolved_n_accounts(self) -> Optional[int]:
-        return len(self.registry) or None
-
-    def sizing_index(self) -> Optional["SizingIndex"]:
-        from repro.data.sizing import load_sizing_index
-
-        return load_sizing_index(self.path)
+            yield from self._chunk_loop(next(reader, None), reader, reader)
 
 
-class ChunkIteratorSource(TraceSource):
-    """One-shot source over an already-started chunk iterator.
+class _TailLines:
+    """Lines of a growing file, fed to one ``csv.reader``.
 
-    The streaming engine consumes the history prefix of its chunk
-    stream (a spool replay, a sidecar-sized decode or a re-iterated
-    materialised trace) chunk by chunk and hands the *remainder* of
-    that iterator to :class:`EpochStream` through this adapter;
-    ``n_accounts`` carries the full-universe size resolved up front
-    (the iterator itself can no longer answer that for the rows
-    already consumed).
+    ``__next__`` returns each complete line as it appears. On EOF
+    between records (``in_record`` False) it stops once so the consumer
+    can flush its buffer; the next call sleeps ``poll_interval`` and
+    re-reads. A ``csv.reader`` whose input stopped at a record boundary
+    resumes on its next call. Inside a record (a quoted cell spanning
+    lines, or a line the writer has not finished) it waits without
+    stopping. After ``idle_timeout`` quiet seconds it returns an
+    unterminated final line, if any, sets ``finished`` and stops.
     """
 
     def __init__(
-        self,
-        chunks_iter: Iterator[TransactionBatch],
-        n_accounts: Optional[int] = None,
-        name: str = "chunk-iterator",
+        self, handle: io.BufferedReader, poll_interval: float, idle_timeout: float
     ) -> None:
-        self._iter = chunks_iter
-        self._n_accounts = None if n_accounts is None else int(n_accounts)
-        self._consumed = False
-        self.name = name
+        self._handle = handle
+        self._poll_interval = poll_interval
+        self._idle_timeout = idle_timeout
+        self._waited = 0.0
+        self._flushed = False
+        self.in_record = False
+        self.finished = False
 
-    def chunks(self) -> Iterator[TransactionBatch]:
-        if self._consumed:
-            raise DataError(
-                f"{self.name}: a chunk-iterator source is one-shot and "
-                "was already consumed"
-            )
-        self._consumed = True
-        return self._iter
+    def __iter__(self) -> "_TailLines":
+        return self
 
-    def resolved_n_accounts(self) -> Optional[int]:
-        return self._n_accounts
+    def __next__(self) -> str:
+        handle = self._handle
+        while True:
+            pos = handle.tell()
+            raw = handle.readline()
+            if raw.endswith(b"\n"):
+                self._waited = 0.0
+                self.in_record = True
+                return raw.decode("utf-8")
+            # EOF, or a line the writer has not finished yet: rewind so
+            # the next poll re-reads it whole.
+            handle.seek(pos)
+            if self._waited >= self._idle_timeout:
+                self.finished = True
+                if raw:
+                    handle.seek(pos + len(raw))
+                    return raw.decode("utf-8")
+                raise StopIteration
+            if not self.in_record and not self._flushed:
+                self._flushed = True
+                raise StopIteration
+            self._flushed = False
+            time.sleep(self._poll_interval)
+            self._waited += self._poll_interval
 
 
-class FollowCsvTraceSource(TraceSource):
+class FollowCsvTraceSource(_CsvChunkSource):
     """Tail a growing ethereum-etl CSV: ``tail -f`` as a trace source.
 
-    Rows decode exactly as in :class:`CsvTraceSource` (same
-    :class:`_RowDecoder`, same skip/typed-error semantics, same lazy
-    value-column activation, same block-order enforcement) but
+    Rows decode exactly as in :class:`CsvTraceSource` (the same chunk
+    loop: same :class:`_RowDecoder`, skip/typed-error semantics, lazy
+    value-column activation and block-order enforcement) but
     end-of-file is not end-of-trace: on EOF the source flushes whatever
     rows are buffered as a chunk, sleeps ``poll_interval`` seconds, and
     re-reads — epochs appear downstream roughly one poll after the
     writer appends them. A partially-written last line (no trailing
-    newline yet) is left in place until a later poll completes it. The
-    stream ends when no new complete row arrives for ``idle_timeout``
-    seconds; an unterminated final line is decoded at that point
-    (writers should terminate the file with a newline).
+    newline yet), or a record whose quoted cell spans lines, is left
+    in place until a later poll completes it. The stream ends when no
+    new complete line arrives for ``idle_timeout`` seconds; an
+    unterminated final line is decoded at that point (writers should
+    terminate the file with a newline).
 
     ``unbounded = True``: no consumer may run a sizing pass over this
     source, so the streaming engine requires ``history_epochs`` (the
@@ -323,6 +355,7 @@ class FollowCsvTraceSource(TraceSource):
     """
 
     unbounded = True
+    _order_hint = "a followed file must append in block order"
 
     def __init__(
         self,
@@ -332,148 +365,56 @@ class FollowCsvTraceSource(TraceSource):
         poll_interval: float = 0.2,
         idle_timeout: float = 10.0,
     ) -> None:
-        if chunk_rows < 1:
-            raise DataError(f"chunk_rows must be >= 1, got {chunk_rows}")
+        super().__init__(path, chunk_rows, registry)
         if poll_interval <= 0:
             raise DataError(
                 f"poll_interval must be > 0, got {poll_interval}"
             )
         if idle_timeout <= 0:
             raise DataError(f"idle_timeout must be > 0, got {idle_timeout}")
-        self.path = Path(path)
-        self.chunk_rows = int(chunk_rows)
-        self.registry = registry if registry is not None else AccountRegistry()
         self.poll_interval = float(poll_interval)
         self.idle_timeout = float(idle_timeout)
         self.name = f"follow:{self.path.name}"
-        self.peak_buffer_rows = 0
-
-    def _follow_lines(self, handle: io.BufferedReader) -> Iterator[Optional[str]]:
-        """Yield complete lines as they appear; ``None`` marks a quiet poll.
-
-        A ``None`` is the flush hint: the file had no new complete line,
-        so the consumer should surface whatever it buffered before this
-        generator sleeps. Returns once the file has been quiet for
-        ``idle_timeout`` seconds, yielding an unterminated final line
-        (if any) just before stopping.
-        """
-        waited = 0.0
-        while True:
-            pos = handle.tell()
-            raw = handle.readline()
-            if raw.endswith(b"\n"):
-                waited = 0.0
-                yield raw.decode("utf-8")
-                continue
-            # EOF, or a line the writer has not finished yet: rewind so
-            # the next poll re-reads it whole.
-            handle.seek(pos)
-            if waited >= self.idle_timeout:
-                if raw:
-                    handle.seek(pos + len(raw))
-                    yield raw.decode("utf-8")
-                return
-            yield None
-            time.sleep(self.poll_interval)
-            waited += self.poll_interval
 
     def chunks(self) -> Iterator[TransactionBatch]:
-        senders: List[int] = []
-        receivers: List[int] = []
-        blocks: List[int] = []
-        values: List[float] = []
-        fees: List[float] = []
-        values_active = False
-
-        def flush(decoder: _RowDecoder) -> TransactionBatch:
-            batch = TransactionBatch(
-                np.asarray(senders, dtype=np.int64),
-                np.asarray(receivers, dtype=np.int64),
-                np.asarray(blocks, dtype=np.int64),
-                np.asarray(values, dtype=np.float64)
-                if values_active
-                else None,
-                np.asarray(fees, dtype=np.float64) if decoder.has_fees else None,
-            )
-            senders.clear()
-            receivers.clear()
-            blocks.clear()
-            values.clear()
-            fees.clear()
-            return batch
-
         with self.path.open("rb") as handle:
-            lines = self._follow_lines(handle)
-            fieldnames: Optional[List[str]] = None
-            for item in lines:
-                if item is None:
-                    continue
-                fieldnames = next(csv.reader([item]), None)
-                break
-            decoder = _RowDecoder(self.path, fieldnames, self.registry)
-            has_values = decoder.has_values
-            has_fees = decoder.has_fees
-            last_block = -1
-            line_no = 2
-            for item in lines:
-                if item is None:
-                    if senders:
-                        self.peak_buffer_rows = max(
-                            self.peak_buffer_rows, len(senders)
-                        )
-                        yield flush(decoder)
-                    continue
-                row = next(csv.reader([item]), [])
-                decoded = decoder.decode(line_no, row)
-                line_no += 1
-                if decoded is None:
-                    continue
-                sender, receiver, block, value, fee = decoded
-                if block < last_block:
-                    raise MalformedRowError(
-                        self.path,
-                        line_no - 1,
-                        f"block {block} out of order after {last_block} "
-                        "(a followed file must append in block order)",
-                    )
-                last_block = block
-                senders.append(sender)
-                receivers.append(receiver)
-                blocks.append(block)
-                if has_values:
-                    values.append(value)
-                    if value and not values_active:
-                        values_active = True
-                if has_fees:
-                    fees.append(fee)
-                if len(senders) >= self.chunk_rows:
-                    self.peak_buffer_rows = max(
-                        self.peak_buffer_rows, len(senders)
-                    )
-                    yield flush(decoder)
-            self.peak_buffer_rows = max(self.peak_buffer_rows, len(senders))
-            if senders:
-                yield flush(decoder)
+            lines = _TailLines(handle, self.poll_interval, self.idle_timeout)
+            reader = csv.reader(lines)
+            fieldnames = None
+            while fieldnames is None and not lines.finished:
+                fieldnames = next(reader, None)
+            lines.in_record = False
 
-    def resolved_n_accounts(self) -> Optional[int]:
-        return len(self.registry) or None
+            def rows() -> Iterator[Optional[List[str]]]:
+                """Every row, plus ``None`` at each quiet poll."""
+                while True:
+                    for row in reader:
+                        lines.in_record = False
+                        yield row
+                    if lines.finished:
+                        return
+                    yield None
+
+            yield from self._chunk_loop(fieldnames, rows(), reader)
 
 
 class EpochStream:
-    """Slice a :class:`TraceSource` into ``tau``-block epochs, streaming.
+    """Slice a block-ordered chunk stream into ``tau``-block epochs.
 
-    Yields the exact :class:`EpochView` sequence
-    ``Trace.epochs(tau, max_epochs)`` yields for the materialised trace
-    — same indices, block spans, and batch contents, including the
-    empty views for block-range gaps — while holding at most the
-    current epoch plus one source chunk (``peak_buffer_rows`` records
-    the high-water mark; the equivalence and the bound are pinned in
-    ``tests/test_data_source.py``).
+    ``chunks`` is any iterable of :class:`TransactionBatch` chunks — a
+    source's :meth:`TraceSource.chunks`, or the remainder of one the
+    engine has already taken its history prefix from. Yields the exact
+    :class:`EpochView` sequence ``Trace.epochs(tau, max_epochs)``
+    yields for the materialised trace — same indices, block spans, and
+    batch contents, including the empty views for block-range gaps —
+    while holding at most the current epoch plus one chunk
+    (``peak_buffer_rows`` records the high-water mark; the equivalence
+    and the bound are pinned in ``tests/test_data_source.py``).
     """
 
     def __init__(
         self,
-        source: TraceSource,
+        chunks: Iterable[TransactionBatch],
         tau: int,
         max_epochs: Optional[int] = None,
     ) -> None:
@@ -481,7 +422,7 @@ class EpochStream:
             raise DataError(f"tau must be >= 1, got {tau}")
         if max_epochs is not None and max_epochs < 1:
             raise DataError(f"max_epochs must be >= 1, got {max_epochs}")
-        self.source = source
+        self.chunks = chunks
         self.tau = int(tau)
         self.max_epochs = max_epochs
         self.peak_buffer_rows = 0
@@ -527,7 +468,7 @@ class EpochStream:
             pending = [remainder] if len(remainder) else []
             pending_rows = len(remainder)
 
-        for chunk in self.source.chunks():
+        for chunk in self.chunks:
             if len(chunk) == 0:
                 continue
             if epoch_start is None:

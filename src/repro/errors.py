@@ -119,23 +119,6 @@ class MalformedRowError(DataError):
         self.reason = reason
 
 
-class SizingIndexError(DataError):
-    """A persisted sizing sidecar does not match its CSV extract.
-
-    Raised when the sidecar exists but disagrees with the file it
-    describes (size/mtime drift, format-version skew, or a corrupt
-    archive) — a stale index silently funding the wrong universe would
-    be far worse than running the sizing pass, so mismatches are loud.
-    A *missing* sidecar is not an error: loaders return None and
-    consumers fall back to the sizing pass + spool replay protocol.
-    """
-
-    def __init__(self, path: object, reason: str) -> None:
-        super().__init__(f"{path}: {reason}")
-        self.path = str(path)
-        self.reason = reason
-
-
 class SimulationError(ReproError):
     """The simulation engine was driven into an invalid state."""
 

@@ -71,12 +71,7 @@ from repro.chain.mapping import ShardMapping
 from repro.chain.params import ProtocolParams
 from repro.chain.transaction import TransactionBatch
 from repro.data.sizing import SizingIndex, sizing_pass
-from repro.data.source import (
-    ChunkIteratorSource,
-    EpochStream,
-    MaterialisedTraceSource,
-    TraceSource,
-)
+from repro.data.source import EpochStream, MaterialisedTraceSource, TraceSource
 from repro.data.trace import EpochView, Trace
 from repro.errors import SimulationError
 from repro.sim.metrics import epoch_metrics
@@ -392,7 +387,7 @@ class ExecutionSubstrate:
     supply (the legacy default) or with caller-supplied per-account
     balances (``funding_balances`` — the engine derives them from the
     trace's observed value flow in ``funding="observed"`` mode, through
-    the sizing pass or a persisted sizing index). The substrate keeps
+    the sizing pass). The substrate keeps
     its *own* mapping object — synchronised to the engine's
     value-for-value — so the metrics path's object flow (and thus its
     numbers) is untouched by execution. It needs only the universe
@@ -739,8 +734,8 @@ def _normalised_chunks(
     Streamed CSV decode activates the value column only at the first
     nonzero value, so chunks before that point are valueless even when
     the materialised trace carries the column (with literal zeros).
-    When the sizing index says values exist, this wrapper restores the
-    column on every replayed chunk — spooled or re-streamed — making
+    When the sizing pass saw values, this wrapper restores the column
+    on every replayed chunk — spooled or re-iterated — making
     the history and epoch batches column-identical to the materialised
     split, which executed replays require (a valueless batch transfers
     the default amount, not 0.0).
@@ -888,10 +883,9 @@ class Simulation:
       account universe and accumulating the funding partials, and
       spools each decoded chunk to a run-scoped temporary directory;
       the spool then replays through the history split into the epoch
-      loop. A persisted sizing sidecar answers the same questions
-      without a pass, and the one decode feeds the loop directly. A
-      materialised source that needs observed funding sizes over its
-      chunks and re-iterates them (numpy views), spooling nothing;
+      loop. A materialised source that needs observed funding sizes
+      over its chunks and re-iterates them (numpy views), spooling
+      nothing;
     * **unbounded** — the source never ends
       (:class:`~repro.data.source.FollowCsvTraceSource`): no sizing
       pass is possible, so the run requires the absolute
@@ -948,9 +942,7 @@ class Simulation:
         ) -> SimulationResult:
             funding: Optional[np.ndarray] = None
             if need_funding:
-                funding = index.funding_balances(
-                    index.n_accounts, config.funding_headroom
-                )
+                funding = index.funding_balances(config.funding_headroom)
             chunks = iter(chunks)
             if index.values_present:
                 chunks = _normalised_chunks(chunks)
@@ -958,13 +950,6 @@ class Simulation:
                 chunks, index.n_rows, index.n_accounts, funding
             )
 
-        # A persisted sizing sidecar (repro generate --sizing-index)
-        # answers everything the sizing pass would. Stale sidecars
-        # raise SizingIndexError inside sizing_index(); missing ones
-        # return None.
-        index = self.source.sizing_index()
-        if index is not None:
-            return run_sized(index, self.source.chunks())
         if hint is not None:
             # Materialised chunks are numpy views: both passes are free.
             return run_sized(
@@ -1045,11 +1030,8 @@ class Simulation:
         seen = np.zeros(mapping.n_accounts, dtype=bool)
         seen[history.active_accounts()] = True
 
-        remainder = iter_chain([leftover] if leftover is not None else [], chunks)
         evaluation = EpochStream(
-            ChunkIteratorSource(
-                remainder, n_accounts=n_accounts, name=self.source.name
-            ),
+            iter_chain([leftover] if leftover is not None else [], chunks),
             params.tau,
             config.max_epochs,
         )

@@ -2,8 +2,8 @@
 
 Production runs every simulation through one streaming front end,
 :class:`repro.sim.engine.Simulation`: it places the history split chunk
-by chunk, sizes the universe from a sizing pass or index, accumulates
-observed funding incrementally, and slices epochs with ``EpochStream``.
+by chunk, sizes the universe from a sizing pass, accumulates observed
+funding incrementally, and slices epochs with ``EpochStream``.
 This module keeps the eager formulation of the same Section V protocol
 so equivalence tests can check that streaming path against an
 independent one:

@@ -46,6 +46,7 @@ class TestParser:
             ["matrix", "--decoder", "python"],
             ["simulate", "--decoder", "python"],
             ["simulate", "--state-backend", "dense"],
+            ["generate", "out.csv", "--sizing-index"],
         ],
     )
     def test_retired_flags_are_rejected(self, argv):

@@ -19,6 +19,7 @@ from repro.data import (
     CsvTraceSource,
     EpochStream,
     EthereumTraceConfig,
+    FollowCsvTraceSource,
     MaterialisedTraceSource,
     Trace,
     ValueModelConfig,
@@ -157,7 +158,7 @@ class TestCsvSource:
         eager, _ = read_transactions_csv(path)
         assert eager.batch.values is None
         streamed_epochs = list(
-            EpochStream(CsvTraceSource(path, chunk_rows=64), tau=50)
+            EpochStream(CsvTraceSource(path, chunk_rows=64).chunks(), tau=50)
         )
         for got, want in zip(streamed_epochs, eager.epoch_list(50)):
             assert_batches_equal(got.batch, want.batch)
@@ -262,6 +263,46 @@ class TestErrorFixturesPythonPath:
         assert registry.address_of(1) == ADDR_B
 
 
+class TestReadersAgree:
+    """The eager reader, the chunked source and the followed source
+    decode the same rows from valid CSV, a quoted cell spanning a
+    newline included, and name the same physical line on a bad row."""
+
+    READERS = {
+        "eager": lambda path: read_transactions_csv(path)[0],
+        "chunked": lambda path: CsvTraceSource(path, chunk_rows=2).materialise(),
+        "follow": lambda path: FollowCsvTraceSource(
+            path, chunk_rows=2, poll_interval=0.01, idle_timeout=0.05
+        ).materialise(),
+    }
+
+    def _write(self, path, last_block):
+        return write_csv(
+            path,
+            [
+                f"0x0,1,{ADDR_A},{ADDR_B},5.0",
+                f"0x1,2,{ADDR_A},{ADDR_C},1.0",
+                f"0x2,2,{ADDR_B},{ADDR_C},2.0",
+                f'"0x3\n",3,{ADDR_C},{ADDR_A},4.0',  # lines 5-6
+                f"0x4,{last_block},{ADDR_A},{ADDR_B},1.0",  # line 7
+            ],
+        )
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_multiline_record_and_bad_row_line(self, tmp_path, reader):
+        read = self.READERS[reader]
+        trace = read(self._write(tmp_path / "good.csv", "4"))
+        assert trace.batch.senders.tolist() == [0, 0, 1, 2, 0]
+        assert trace.batch.receivers.tolist() == [1, 2, 2, 0, 1]
+        assert trace.batch.blocks.tolist() == [1, 2, 2, 3, 4]
+        assert trace.batch.values.tolist() == [5.0, 1.0, 2.0, 4.0, 1.0]
+
+        bad = self._write(tmp_path / "bad.csv", "oops")
+        with pytest.raises(MalformedRowError) as excinfo:
+            read(bad)
+        assert str(excinfo.value) == f"{bad}:7: bad block_number 'oops'"
+
+
 class TestEpochStream:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -277,7 +318,7 @@ class TestEpochStream:
             valued_config(n_transactions=1_200, n_blocks=200, seed=seed)
         )
         source = MaterialisedTraceSource(trace, chunk_rows=chunk_rows)
-        streamed = list(EpochStream(source, tau, max_epochs))
+        streamed = list(EpochStream(source.chunks(), tau, max_epochs))
         materialised = trace.epoch_list(tau, max_epochs)
         assert len(streamed) == len(materialised)
         for got, want in zip(streamed, materialised):
@@ -295,7 +336,7 @@ class TestEpochStream:
             len(view) for view in trace.epoch_list(tau)
         )
         stream = EpochStream(
-            MaterialisedTraceSource(trace, chunk_rows=chunk_rows), tau
+            MaterialisedTraceSource(trace, chunk_rows=chunk_rows).chunks(), tau
         )
         total = sum(len(view) for view in stream)
         assert total == len(trace)
@@ -315,21 +356,21 @@ class TestEpochStream:
                     yield chunk
 
         source = CountingSource(trace, chunk_rows=50)
-        epochs = list(EpochStream(source, tau=10, max_epochs=2))
+        epochs = list(EpochStream(source.chunks(), tau=10, max_epochs=2))
         assert [e.index for e in epochs] == [0, 1]
         assert sum(pulled) < len(trace)  # the tail was never pulled
 
     def test_empty_source_yields_nothing(self):
         empty = Trace(TransactionBatch.empty(), n_accounts=1)
-        assert list(EpochStream(MaterialisedTraceSource(empty), 10)) == []
+        assert list(EpochStream(MaterialisedTraceSource(empty).chunks(), 10)) == []
 
     def test_rejects_bad_parameters(self):
         trace = Trace(TransactionBatch.empty(), n_accounts=1)
         source = MaterialisedTraceSource(trace)
         with pytest.raises(DataError):
-            EpochStream(source, tau=0)
+            EpochStream(source.chunks(), tau=0)
         with pytest.raises(DataError):
-            EpochStream(source, tau=5, max_epochs=0)
+            EpochStream(source.chunks(), tau=5, max_epochs=0)
 
     def test_csv_source_streams_epochs_end_to_end(self, tmp_path):
         trace = generate_ethereum_like_trace(valued_config())
@@ -337,7 +378,7 @@ class TestEpochStream:
         write_transactions_csv(path, trace)
         eager, _ = read_transactions_csv(path)
         streamed = list(
-            EpochStream(CsvTraceSource(path, chunk_rows=211), tau=25)
+            EpochStream(CsvTraceSource(path, chunk_rows=211).chunks(), tau=25)
         )
         for got, want in zip(streamed, eager.epoch_list(25)):
             assert_batches_equal(got.batch, want.batch)

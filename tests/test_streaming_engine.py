@@ -28,7 +28,6 @@ from repro.data.ethereum import (
 from repro.data.etl import write_transactions_csv
 from repro.data.generators import ValueModelConfig
 from repro.data.source import (
-    ChunkIteratorSource,
     CsvTraceSource,
     FollowCsvTraceSource,
     MaterialisedTraceSource,
@@ -441,14 +440,6 @@ class TestSourceProtocol:
         # A CSV cannot know its row count without a pass: no hint.
         assert CsvTraceSource(path).size_hint() is None
 
-    def test_chunk_iterator_source_is_one_shot(self):
-        trace = generate_ethereum_like_trace(PLAIN_CONFIG)
-        inner = MaterialisedTraceSource(trace, chunk_rows=701)
-        adapter = ChunkIteratorSource(inner.chunks(), trace.n_accounts)
-        assert sum(len(c) for c in adapter.chunks()) == len(trace)
-        with pytest.raises(DataError, match="one-shot"):
-            list(adapter.chunks())
-
     def test_follow_source_validates_intervals(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("hash,from_address,to_address,block_number\n")
@@ -456,6 +447,40 @@ class TestSourceProtocol:
             FollowCsvTraceSource(path, poll_interval=0.0)
         with pytest.raises(DataError):
             FollowCsvTraceSource(path, idle_timeout=0.0)
+
+    def test_follow_source_flushes_at_quiet_polls(self, tmp_path):
+        """Buffered rows surface at the first quiet poll, long before
+        the idle timeout, and a record whose quoted cell is still open
+        waits for the writer to close it."""
+        a, b = "0x" + "aa" * 20, "0x" + "bb" * 20
+        path = tmp_path / "grow.csv"
+        path.write_text(
+            "hash,block_number,from_address,to_address,value\n"
+            f"0x0,1,{a},{b},1.0\n"
+        )
+        source = FollowCsvTraceSource(
+            path, chunk_rows=100, poll_interval=0.01, idle_timeout=5.0
+        )
+        chunks = source.chunks()
+        start = time.monotonic()
+        assert next(chunks).blocks.tolist() == [1]
+        assert time.monotonic() - start < 2.0
+
+        with path.open("a") as handle:
+            handle.write('"0x1\n')
+
+        def close_the_cell():
+            time.sleep(0.1)
+            with path.open("a") as handle:
+                handle.write(f'",2,{b},{a},2.0\n')
+
+        thread = threading.Thread(target=close_the_cell)
+        thread.start()
+        try:
+            assert next(chunks).blocks.tolist() == [2]
+        finally:
+            thread.join()
+            chunks.close()
 
     def test_follow_source_is_python_decoder_only(self, tmp_path):
         """A followed file decodes the same rows as the chunked source
