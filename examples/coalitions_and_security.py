@@ -111,12 +111,14 @@ def settlement_demo() -> None:
     executor.fund(0, 100.0)
     print(f"total value before: {executor.total_value():.0f}")
 
-    report = executor.execute_block(0, [Transaction(0, 1, value=30.0)])
+    (report,) = executor.execute_batch(
+        TransactionBatch.from_transactions([Transaction(0, 1, value=30.0)])
+    )
     print(
         f"block 0: {report.withdraws} withdraw committed on the source "
         f"shard; {executor.in_flight_value():.0f} units in flight"
     )
-    report = executor.execute_block(1, [])
+    report = executor.settle(1)
     print(
         f"block 1: {report.deposits_settled} deposit settled on the "
         f"target shard after {report.mean_relay_latency:.0f} block relay"

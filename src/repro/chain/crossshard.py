@@ -32,32 +32,34 @@ Conservation of total balance — no value created or destroyed,
 in-flight receipts included — is the key invariant, property-tested in
 ``tests/test_chain_crossshard.py``.
 
-Receipt relay optionally routes through the simulated message plane
-(:mod:`repro.chain.netsim`): with ``network=None`` receipts append to
-the ledger directly with ``due_block = block + relay_delay_blocks``
-(the reference path above); with a
-:class:`~repro.chain.netsim.NetworkModel` they ride a
-:class:`~repro.chain.netsim.MessageBus`, settlement keys off
-*delivered* blocks, redelivered copies settle idempotently (receipt-id
-dedup), and receipts whose delivery deadline passes are aborted with a
-sender refund — all still conservation-exact (undelivered value counts
-as in-flight). The ``ideal`` model is bit-identical to the direct path
-by construction.
+Receipts always ride a :class:`~repro.chain.netsim.ReceiptTransport`
+over the simulated message plane (:mod:`repro.chain.netsim`);
+``network=None`` means the ``ideal`` model. On the ideal model a
+receipt joins the ledger at issue with ``due_block = block +
+relay_delay_blocks`` — the relay schedule the settlement golden
+(``tests/test_golden_settlement.py``) pins. On a degraded model
+settlement keys off *delivered* blocks, redelivered copies settle
+idempotently (receipt-id dedup), and receipts whose delivery deadline
+passes are aborted with a sender refund — all still
+conservation-exact (undelivered value counts as in-flight).
+
+Transfers enter through one door, :meth:`CrossShardExecutor.execute_batch`;
+:meth:`~CrossShardExecutor.settle` runs a block's settlement alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.chain.kernels import classify_kernel
 from repro.chain.mapping import ShardMapping
-from repro.chain.netsim import NetworkModel, ReceiptTransport
-from repro.chain.receipts import ReceiptBatch, ReceiptLedger
+from repro.chain.netsim import NETWORK_IDEAL, NetworkModel, ReceiptTransport
+from repro.chain.receipts import ReceiptLedger
 from repro.chain.state import StateRegistry
-from repro.chain.transaction import Transaction, TransactionBatch
+from repro.chain.transaction import DEFAULT_TRANSFER_AMOUNT, TransactionBatch
 from repro.errors import ChainError, UnknownAccountError, ValidationError
 
 @dataclass
@@ -117,12 +119,9 @@ class CrossShardExecutor:
         self.mapping = mapping
         self.relay_delay_blocks = relay_delay_blocks
         self._ledger = ReceiptLedger()
-        #: Receipts ride the simulated message plane when a network
-        #: model is attached; ``None`` keeps the direct-append path.
-        self._transport = (
-            ReceiptTransport(network, relay_delay_blocks)
-            if network is not None
-            else None
+        self._transport = ReceiptTransport(
+            network if network is not None else NetworkModel(NETWORK_IDEAL),
+            relay_delay_blocks,
         )
         self._next_tx_id = 0
         #: Fees debited from senders on successful transfers. Fees
@@ -170,25 +169,18 @@ class CrossShardExecutor:
         return self._ledger
 
     @property
-    def network_transport(self) -> Optional[ReceiptTransport]:
-        """The receipt transport, when receipts ride a simulated network."""
+    def network_transport(self) -> ReceiptTransport:
+        """The transport every receipt rides."""
         return self._transport
 
     def in_flight_value(self) -> float:
         """Value locked in receipts — ledger total plus value still on
-        the wire (undelivered, unexpired messages) when receipts ride a
-        simulated network."""
-        total = self._ledger.total_amount
-        if self._transport is not None:
-            total += self._transport.pending_value()
-        return total
+        the wire (undelivered, unexpired messages)."""
+        return self._ledger.total_amount + self._transport.pending_value()
 
     def in_flight_count(self) -> int:
         """Pending receipts: awaiting settlement or still on the wire."""
-        count = len(self._ledger)
-        if self._transport is not None:
-            count += self._transport.pending_count()
-        return count
+        return len(self._ledger) + self._transport.pending_count()
 
     def total_value(self) -> float:
         """Resident balances + in-flight receipts + fees — conserved."""
@@ -199,57 +191,6 @@ class CrossShardExecutor:
         )
 
     # -- execution -----------------------------------------------------------------
-
-    def execute_block(
-        self,
-        block: int,
-        transactions: Union[Sequence[Transaction], TransactionBatch],
-    ) -> ExecutionReport:
-        """Execute one block: settle due receipts, then apply transfers.
-
-        Deposits for receipts issued at block ``b`` become due at block
-        ``b + relay_delay_blocks``. Transfers whose sender cannot cover
-        the amount (plus fee) fail without side effects. ``transactions``
-        may be a columnar :class:`TransactionBatch` (its ``values`` /
-        ``fees`` columns, when present, supply per-transfer amounts and
-        fees) or a sequence of :class:`Transaction` objects.
-        """
-        report = ExecutionReport(block=block)
-        self._settle_due(block, report)
-        if isinstance(transactions, TransactionBatch):
-            senders = transactions.senders
-            receivers = transactions.receivers
-            amounts = transactions.amounts()
-            fees = transactions.fees
-        else:
-            senders = np.array(
-                [tx.sender for tx in transactions], dtype=np.int64
-            )
-            receivers = np.array(
-                [tx.receiver for tx in transactions], dtype=np.int64
-            )
-            amounts = np.array(
-                [tx.value for tx in transactions], dtype=np.float64
-            )
-            fees = np.array([tx.fee for tx in transactions], dtype=np.float64)
-            if not fees.any():
-                fees = None
-        self._check_universe(senders, receivers)
-        sender_shards, receiver_shards, _ = classify_kernel(
-            senders, receivers, self.mapping.as_array()
-        )
-        self._apply_transfers(
-            block, senders, receivers, amounts, sender_shards, receiver_shards,
-            report, fees=fees,
-        )
-        return report
-
-    def _check_universe(self, senders: np.ndarray, receivers: np.ndarray) -> None:
-        if len(senders) == 0:
-            return
-        top = max(int(senders.max()), int(receivers.max()))
-        if top >= self.mapping.n_accounts:
-            raise UnknownAccountError(top)
 
     def _settle_due(self, block: int, report: ExecutionReport) -> None:
         """Settle receipts that have aged past the relay delay.
@@ -264,13 +205,13 @@ class CrossShardExecutor:
         in flight, the deposit follows it to the shard now holding the
         account instead of stranding value on the stale shard.
 
-        With a network transport attached, the bus is drained first:
-        newly *delivered* receipts join the ledger keyed by their
-        delivery block (so they settle in this pass), and expired ones
-        abort with a refund to the sender — also via the current
-        mapping, since the sender may have migrated since the withdraw.
+        On a degraded network the bus is drained first: newly
+        *delivered* receipts join the ledger keyed by their delivery
+        block (so they settle in this pass), and expired ones abort
+        with a refund to the sender — also via the current mapping,
+        since the sender may have migrated since the withdraw.
         """
-        if self._transport is not None and not self._transport.is_ideal:
+        if not self._transport.is_ideal:
             before_dups = self._transport.duplicates_deduped
             refunds = self._transport.poll(block, self._ledger)
             report.duplicates_deduped += (
@@ -295,34 +236,6 @@ class CrossShardExecutor:
         report.relay_latencies.extend(
             (block - due.issued_blocks).tolist()
         )
-
-    def _issue_receipts(
-        self,
-        block: int,
-        tx_ids: np.ndarray,
-        senders: np.ndarray,
-        receivers: np.ndarray,
-        amounts: np.ndarray,
-        source_shards: np.ndarray,
-        target_shards: np.ndarray,
-    ) -> None:
-        """Emit one block's withdraw receipts — ledger or message bus."""
-        if self._transport is None:
-            self._ledger.append_batch(
-                tx_ids=tx_ids,
-                senders=senders,
-                receivers=receivers,
-                amounts=amounts,
-                source_shards=source_shards,
-                target_shards=target_shards,
-                issued_block=block,
-                due_block=block + self.relay_delay_blocks,
-            )
-        else:
-            self._transport.issue(
-                self._ledger, block, tx_ids, senders, receivers, amounts,
-                source_shards, target_shards,
-            )
 
     # -- the block committer --------------------------------------------------------
 
@@ -374,7 +287,8 @@ class CrossShardExecutor:
             self._next_tx_id += 1
         if receipt_rows:
             columns = list(zip(*receipt_rows))
-            self._issue_receipts(
+            self._transport.issue(
+                self._ledger,
                 block,
                 tx_ids=np.asarray(columns[0], dtype=np.int64),
                 senders=np.asarray(columns[1], dtype=np.int64),
@@ -384,24 +298,19 @@ class CrossShardExecutor:
                 target_shards=np.asarray(columns[5], dtype=np.int64),
             )
 
-    def execute_batch(
-        self, batch: TransactionBatch, amount_per_tx: float = 1.0
-    ) -> List[ExecutionReport]:
-        """Execute a batch block by block.
+    def execute_batch(self, batch: TransactionBatch) -> List[ExecutionReport]:
+        """Execute a batch block by block: each block settles its due
+        receipts, then applies its transfers.
 
         Amounts come from the batch's ``values`` column when present,
-        else every transfer moves ``amount_per_tx`` units; a ``fees``
-        column, when present, debits alongside (sender pays
-        ``value + fee``). Shard classification runs once over the whole
-        batch through the shared :func:`classify_kernel`; blocks are
-        delimited by change points in the ``blocks`` column, which must
-        be non-decreasing (:class:`ValidationError` otherwise — time
-        never runs backwards).
+        else every transfer moves :data:`DEFAULT_TRANSFER_AMOUNT`
+        units; a ``fees`` column, when present, debits alongside
+        (sender pays ``value + fee``). Shard classification runs once
+        over the whole batch through the shared :func:`classify_kernel`;
+        blocks are delimited by change points in the ``blocks`` column,
+        which must be non-decreasing (:class:`ValidationError`
+        otherwise — time never runs backwards).
         """
-        if amount_per_tx < 0:
-            raise ValidationError(
-                f"amount_per_tx must be >= 0, got {amount_per_tx}"
-            )
         reports: List[ExecutionReport] = []
         if len(batch) == 0:
             return reports
@@ -412,24 +321,21 @@ class CrossShardExecutor:
                 f"batch blocks must be non-decreasing, got block "
                 f"{int(batch.blocks[back + 1])} after {int(batch.blocks[back])}"
             )
-        self._check_universe(batch.senders, batch.receivers)
+        top = max(int(batch.senders.max()), int(batch.receivers.max()))
+        if top >= self.mapping.n_accounts:
+            raise UnknownAccountError(top)
         sender_shards, receiver_shards, _ = classify_kernel(
             batch.senders, batch.receivers, self.mapping.as_array()
         )
-        if batch.values is not None:
-            amounts = batch.values
-        else:
-            amounts = np.full(len(batch), amount_per_tx, dtype=np.float64)
+        amounts = batch.amounts(DEFAULT_TRANSFER_AMOUNT)
         fees = batch.fees
         boundaries = np.flatnonzero(steps != 0) + 1
         starts = np.concatenate(([0], boundaries))
         stops = np.concatenate((boundaries, [len(batch)]))
         for start, stop in zip(starts, stops):
-            block = int(batch.blocks[start])
-            report = ExecutionReport(block=block)
-            self._settle_due(block, report)
+            report = self.settle(int(batch.blocks[start]))
             self._apply_transfers(
-                block,
+                report.block,
                 batch.senders[start:stop],
                 batch.receivers[start:stop],
                 amounts[start:stop],
@@ -441,31 +347,24 @@ class CrossShardExecutor:
             reports.append(report)
         return reports
 
+    def settle(self, block: int) -> ExecutionReport:
+        """Settle the receipts due at ``block`` (a block with no transfers)."""
+        report = ExecutionReport(block=block)
+        self._settle_due(block, report)
+        return report
+
     def settle_all(self, from_block: int) -> ExecutionReport:
         """Force-settle every pending receipt (end-of-epoch flush).
 
-        With a network transport the horizon extends to the last block
-        at which the bus can still deliver or expire a message, so the
-        flush also resolves everything on the wire (delivering what it
-        can, refunding the rest).
+        The flush block is ``from_block + relay_delay_blocks``, pushed
+        later on a degraded network to the last block at which the bus
+        can still deliver or expire a message, so the flush also
+        resolves everything on the wire (delivering what it can,
+        refunding the rest).
         """
-        horizon = from_block + self.relay_delay_blocks
-        if self._transport is not None:
-            horizon = max(horizon, self._transport.horizon())
-        return self.execute_block(horizon, [])
-
-    # -- migration interaction -------------------------------------------------------
-
-    def apply_migration_batch(
-        self, accounts: np.ndarray, to_shards: np.ndarray
-    ) -> int:
-        """Move migrated accounts' state between shards; returns bytes moved.
-
-        The caller updates ``self.mapping`` (the ledger shares it).
-        Residency resolves in one vectorised read of the registry's
-        ``home`` column and state moves as grouped per-shard
-        gather/scatter (see :meth:`StateRegistry.migrate_batch`).
-        Accounts must be unique within one batch — beacon commitment
-        rounds guarantee it.
-        """
-        return self.registry.migrate_batch(accounts, to_shards)
+        return self.settle(
+            max(
+                from_block + self.relay_delay_blocks,
+                self._transport.horizon(),
+            )
+        )

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.chain.kernels import select_migrations_kernel
 from repro.chain.migration import MigrationRequest
-from repro.chain.transaction import TransactionBatch
+from repro.chain.transaction import DEFAULT_TRANSFER_AMOUNT, TransactionBatch
 from repro.errors import ConfigurationError, MigrationError, ValidationError
 
 
@@ -44,7 +44,7 @@ FUNDING_CHUNK_ROWS = 65_536
 
 def _funding_chunk_partial(chunk: TransactionBatch) -> np.ndarray:
     """Outflow-per-sender partial for one canonical chunk."""
-    outflow = chunk.amounts(default=1.0)
+    outflow = chunk.amounts(DEFAULT_TRANSFER_AMOUNT)
     if chunk.fees is not None:
         outflow = outflow + chunk.fees
     return np.bincount(chunk.senders, weights=outflow)
@@ -68,9 +68,10 @@ def observed_funding_balances(
     get zero. ``headroom`` scales the result (0.1 = +10%) for scenarios
     that add synthetic traffic on top of the replay.
 
-    Batches without a ``values`` column fund each send at the
-    executor's default transfer amount of 1.0, so metric traces stay
-    replayable under observed funding.
+    Batches without a ``values`` column fund each send at
+    :data:`~repro.chain.transaction.DEFAULT_TRANSFER_AMOUNT`, the
+    amount the executor moves, so metric traces stay replayable under
+    observed funding.
 
     Accumulation is canonically chunked (:data:`FUNDING_CHUNK_ROWS`):
     partial sums are combined in fixed 65 536-row slices so
@@ -102,8 +103,10 @@ class ObservedFundingAccumulator:
 
     Feed it source chunks in row order (:meth:`add`), then
     :meth:`finalise` with the resolved universe size — the result is
-    bit-identical to the eager function over the materialised
-    concatenation of those chunks, for *any* incoming chunk sizes.
+    bit-identical to the eager function (at zero headroom) over the
+    materialised concatenation of those chunks, for *any* incoming
+    chunk sizes. Headroom is applied by the caller
+    (:meth:`repro.data.sizing.SizingIndex.funding_balances`).
     Two mechanisms make that hold:
 
     * rows buffer to exact :data:`FUNDING_CHUNK_ROWS` boundaries before
@@ -119,10 +122,7 @@ class ObservedFundingAccumulator:
       ``TransactionBatch.concat_many`` materialises.
     """
 
-    def __init__(self, headroom: float = 0.0) -> None:
-        if headroom < 0:
-            raise ValidationError(f"headroom must be >= 0, got {headroom}")
-        self.headroom = float(headroom)
+    def __init__(self) -> None:
         self._pending: List[TransactionBatch] = []
         self._pending_rows = 0
         self._activated = False
@@ -187,7 +187,8 @@ class ObservedFundingAccumulator:
         return acc
 
     def finalise(self, n_accounts: int) -> np.ndarray:
-        """Flush the buffer and return the length-``n_accounts`` balances."""
+        """Flush the buffer and return the length-``n_accounts``
+        pre-headroom balances."""
         if self._finalised:
             raise ValidationError("funding accumulator already finalised")
         if n_accounts < 0:
@@ -206,8 +207,6 @@ class ObservedFundingAccumulator:
         assert acc is not None
         balances = np.zeros(n_accounts, dtype=np.float64)
         balances[: len(acc)] += acc
-        if self.headroom:
-            balances *= 1.0 + self.headroom
         return balances
 
 

@@ -9,15 +9,17 @@ Every ``tau`` beacon blocks the system reconfigures:
    synchronisation that reconfiguration already does, so Mosaic adds no
    extra communication round (Section III-B-2).
 
-:class:`EpochReconfigurator` performs those steps against the substrate
-objects and reports the bytes Mosaic adds to them: the beacon sync and
-the migrated accounts' state.
+:class:`EpochReconfigurator` performs those steps against the beacon
+chain, the state registry and the message bus, and reports the bytes
+Mosaic adds to them: the beacon sync and the migrated accounts' state.
+The beacon sync rides the bus as one MR-batch announcement to every
+shard; on the ideal network that is a counter bump.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -25,11 +27,8 @@ from repro.chain.beacon import BeaconChain, apply_batch_to_mapping, mr_announcem
 from repro.chain.mapping import ShardMapping
 from repro.chain.netsim import BEACON_SHARD, MSG_BEACON_ANNOUNCE, MessageBus
 from repro.chain.network import MR_RECORD_BYTES
-from repro.chain.state import STATE_RECORD_BYTES
+from repro.chain.state import STATE_RECORD_BYTES, StateRegistry
 from repro.errors import SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.chain.crossshard import CrossShardExecutor
 
 
 @dataclass
@@ -41,8 +40,7 @@ class ReconfigurationReport:
     beacon_blocks_synced: int
     beacon_sync_bytes: float
     migration_extra_bytes: float = 0.0
-    #: Actual account-state bytes moved between shard stores when the
-    #: reconfigurator drives a cross-shard executor (0 without one).
+    #: Actual account-state bytes moved between shard stores.
     state_moved_bytes: float = 0.0
     #: Column bytes reclaimed by post-migration store compaction
     #: (0 unless the reconfigurator was built with a compact threshold).
@@ -60,19 +58,18 @@ class EpochReconfigurator:
     def __init__(
         self,
         beacon: BeaconChain,
-        executor: Optional["CrossShardExecutor"] = None,
+        registry: StateRegistry,
+        bus: MessageBus,
         compact_slack: Optional[float] = None,
-        bus: Optional[MessageBus] = None,
     ) -> None:
         if compact_slack is not None and compact_slack < 0:
             raise SimulationError(
                 f"compact_slack must be >= 0, got {compact_slack}"
             )
         self._beacon = beacon
-        self._executor = executor
-        #: When the substrate routes messages through the simulated
-        #: network, each reconfiguration announces the epoch's committed
-        #: MR batches to every shard over this bus (the beacon sync the
+        self._registry = registry
+        #: Each reconfiguration announces the epoch's committed MR
+        #: batches to every shard over this bus (the beacon sync the
         #: analytic model only charges bytes for).
         self._bus = bus
         self._synced_height = 0
@@ -102,12 +99,11 @@ class EpochReconfigurator:
         synced_from = self._synced_height
         self._synced_height = len(self._beacon)
 
-        # Account state follows the allocation: when the reconfigurator
-        # drives an executor, the same committed MRs move balances
-        # between shard stores, riding the state-sync phase as in
-        # Section III-B-2. Each block's committed batch applies as
-        # grouped gather/scatter moves (per source, then per target
-        # shard); blocks apply in order because an account can
+        # Account state follows the allocation: the same committed MRs
+        # move balances between shard stores, riding the state-sync
+        # phase as in Section III-B-2. Each block's committed batch
+        # applies as grouped gather/scatter moves (per source, then per
+        # target shard); blocks apply in order because an account can
         # legitimately move in two different epochs' blocks.
         state_moved_bytes = 0.0
         request_count = 0
@@ -115,16 +111,15 @@ class EpochReconfigurator:
         for batch in self._beacon.iter_committed_batches(synced_from):
             request_count += len(batch)
             applied += apply_batch_to_mapping(batch, mapping)
-            if self._executor is not None:
-                in_universe = batch.accounts < mapping.n_accounts
-                state_moved_bytes += float(
-                    self._executor.apply_migration_batch(
-                        batch.accounts[in_universe],
-                        batch.to_shards[in_universe],
-                    )
+            in_universe = batch.accounts < mapping.n_accounts
+            state_moved_bytes += float(
+                self._registry.migrate_batch(
+                    batch.accounts[in_universe],
+                    batch.to_shards[in_universe],
                 )
+            )
         beacon_sync_bytes = float(request_count * MR_RECORD_BYTES)
-        if self._bus is not None and request_count:
+        if request_count:
             self._bus.send_many(
                 MSG_BEACON_ANNOUNCE,
                 BEACON_SHARD,
@@ -138,9 +133,9 @@ class EpochReconfigurator:
         migration_extra_bytes = float(applied * STATE_RECORD_BYTES)
 
         compacted_bytes = 0.0
-        if self.compact_slack is not None and self._executor is not None:
+        if self.compact_slack is not None:
             compacted_bytes = float(
-                self._executor.registry.compact_stores(self.compact_slack)
+                self._registry.compact_stores(self.compact_slack)
             )
 
         return ReconfigurationReport(

@@ -42,29 +42,25 @@ class Ledger:
         # Callers that need a segment-spilled committed log pass their
         # own BeaconChain(spill_dir=...); the default stays in-memory.
         self.beacon = beacon if beacon is not None else BeaconChain()
-        # Reconfiguration announces committed MR batches over the
-        # executor's message bus when receipts ride a simulated network.
-        transport = executor.network_transport
-        # ``compact_slack`` threads straight through to the epoch
-        # reconfigurator: when set, every reconfiguration ends with a
-        # slack-gated state-store compaction pass.
+        # Reconfiguration moves state in the executor's registry and
+        # announces committed MR batches over its receipts' message bus.
+        # ``compact_slack`` threads straight through: when set, every
+        # reconfiguration ends with a slack-gated compaction pass.
         self.reconfigurator = EpochReconfigurator(
             self.beacon,
-            executor,
+            executor.registry,
+            executor.network_transport.bus,
             compact_slack=compact_slack,
-            bus=transport.bus if transport is not None else None,
         )
 
-    def execute_epoch(
-        self, batch: TransactionBatch, amount_per_tx: float = 1.0
-    ) -> List[ExecutionReport]:
+    def execute_epoch(self, batch: TransactionBatch) -> List[ExecutionReport]:
         """Run the epoch's transfers through the cross-shard executor.
 
         The batch flows to the two-phase relay committer entirely
         columnar, one :class:`ExecutionReport` per block. Amounts come
         from the batch's ``values`` column when present.
         """
-        return self.executor.execute_batch(batch, amount_per_tx=amount_per_tx)
+        return self.executor.execute_batch(batch)
 
     # -- migration & reconfiguration ----------------------------------------------
 

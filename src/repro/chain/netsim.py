@@ -33,17 +33,16 @@ The per-object formulation this replaced is the test oracle
 ``tests/netsim_reference.py``: property tests drive both with the same
 sends and compare delivery streams, ledgers and the Generator state.
 
-Ideal-model bit-identity
-------------------------
-The ``ideal`` spec is a *null model*: :meth:`MessageBus.send_many` only
-bumps counters (no events, no RNG draws), and
-:meth:`ReceiptTransport.issue` appends receipts to the
-:class:`~repro.chain.receipts.ReceiptLedger` with exactly the direct
-path's arguments (``due_block = block + relay_delay_blocks``). The ideal
-path therefore produces byte-identical ledgers, settlement order, state
-roots and digests to an executor built with ``network=None`` — enforced
-by equivalence tests and a perf-gated overhead budget, not by sampling
-a distribution whose parameters happen to be zero.
+The ideal model
+---------------
+The ``ideal`` spec is a *null model*, and ``CrossShardExecutor``'s
+default: :meth:`MessageBus.send_many` only bumps counters (no events,
+no RNG draws), and :meth:`ReceiptTransport.issue` appends receipts to
+the :class:`~repro.chain.receipts.ReceiptLedger` at issue with
+``due_block = block + relay_delay_blocks``. Its settlement schedule is
+therefore exactly the relay schedule — pinned by the settlement golden
+``tests/test_golden_settlement.py`` — rather than a sample of a
+distribution whose parameters happen to be zero.
 """
 
 from __future__ import annotations
@@ -288,8 +287,8 @@ class NetworkSpec:
 _SPECS: Dict[str, NetworkSpec] = {
     spec.name: spec
     for spec in (
-        # Null model: counters only, no events. Bit-identical to the
-        # direct-call path by construction (see module docstring).
+        # Null model: counters only, no events; receipts settle on the
+        # relay schedule exactly (see module docstring).
         NetworkSpec(name=NETWORK_IDEAL),
         # Same-datacenter links: sub-block jitter only.
         NetworkSpec(name="lan", jitter_blocks=1, drop_prob=0.001),
@@ -653,14 +652,14 @@ _RECEIPT = MESSAGE_CLASSES.index(MSG_RECEIPT)
 class ReceiptTransport:
     """Routes withdraw-phase receipts through a :class:`MessageBus`.
 
-    The executor issues receipts here instead of appending them to the
-    ledger directly; :meth:`poll` (called at the top of every settle
-    pass) drains the bus, appends first copies of delivered receipts to
-    the ledger keyed by their *delivered* block, counts redelivered
-    copies as deduplicated, and returns ``(tx_id, sender, amount)``
-    refund rows for expired receipts. A receipt's tx id comes from the
-    executor's monotone counter, so each message carries a distinct
-    receipt and the bus's copy counter is an exact dedup key.
+    The executor issues every receipt here; :meth:`poll` (called at the
+    top of every settle pass) drains the bus, appends first copies of
+    delivered receipts to the ledger keyed by their *delivered* block,
+    counts redelivered copies as deduplicated, and returns
+    ``(tx_id, sender, amount)`` refund rows for expired receipts. A
+    receipt's tx id comes from the executor's monotone counter, so each
+    message carries a distinct receipt and the bus's copy counter is an
+    exact dedup key.
     Undelivered value is an exact ``fsum`` over the bus's unresolved
     receipt amounts (no incremental float drift), so
     ``ledger total + pending_value`` keeps conservation checks tight at
@@ -692,7 +691,10 @@ class ReceiptTransport:
         return fsum(self.bus.gather("amount", seqs).tolist())
 
     def horizon(self) -> int:
-        """A block by which every in-flight message has resolved."""
+        """A block by which every in-flight message has resolved (0 on
+        the ideal model, whose bus never holds a message)."""
+        if self.model.is_ideal:
+            return 0
         return self.bus.horizon + 1
 
     def drain_staleness(self) -> List[int]:
@@ -717,8 +719,8 @@ class ReceiptTransport:
         if len(tx_ids) == 0:
             return
         if self.model.is_ideal:
-            # Bit-identical to the direct path: same append, same
-            # arguments, same ledger bytes. Only the counters move.
+            # The relay schedule itself: the receipt joins the ledger
+            # now, due a relay delay later. Only the counters move.
             self.bus.send_many(MSG_RECEIPT, source_shards, target_shards, block)
             ledger.append_batch(
                 tx_ids=tx_ids,

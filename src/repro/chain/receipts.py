@@ -114,11 +114,11 @@ class ReceiptLedger:
     ) -> None:
         """Issue a batch of receipts sharing one due block.
 
-        ``issued_block`` is a scalar on the direct path (receipts issued
-        and appended in the same block) but may be a per-row array when
-        the network transport appends a delivered group — messages that
-        left different blocks and landed together, whose shared due
-        block is the *delivery* block.
+        ``issued_block`` is a scalar on the ideal transport (receipts
+        issued and appended in the same block) but may be a per-row
+        array when a degraded network appends a delivered group —
+        messages that left different blocks and landed together, whose
+        shared due block is the *delivery* block.
         """
         count = len(tx_ids)
         if count == 0:

@@ -21,6 +21,10 @@ from repro.errors import ValidationError
 #: storage/communication (Table VI).  Roughly an Ethereum ETL CSV row.
 TX_RECORD_BYTES = 109
 
+#: Units a transfer moves when its batch carries no ``values`` column
+#: (metric traces): the executor moves it and observed funding funds it.
+DEFAULT_TRANSFER_AMOUNT = 1.0
+
 
 @dataclass(frozen=True)
 class Transaction:

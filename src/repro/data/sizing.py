@@ -9,13 +9,13 @@ with a *sizing pass* (:func:`sizing_pass`) over the whole file. The
 engine spools every chunk that pass decodes and replays the spool into
 the epoch loop, so each row is decoded once per replay.
 
-Bit-exactness contract: the partials are the accumulator's surviving
+Bit-exactness contract: the partials are the accumulator's
 pre-headroom array padded to the universe
-(``ObservedFundingAccumulator(headroom=0.0).finalise(n_accounts)``),
-and :meth:`SizingIndex.funding_balances` replays the tail of
-``finalise`` — zero-init, prefix add, headroom scale — so genesis
-funding from the pass is bit-identical to an accumulator finalised
-with the run's ``funding_headroom``.
+(``ObservedFundingAccumulator().finalise(n_accounts)``), and
+:meth:`SizingIndex.funding_balances` scales them exactly as the eager
+:func:`~repro.chain.economics.observed_funding_balances` scales its
+sums, so genesis funding from the pass is bit-identical to the eager
+function with the run's ``funding_headroom``.
 """
 
 from __future__ import annotations
@@ -48,16 +48,12 @@ class SizingIndex:
     partials: np.ndarray
 
     def funding_balances(self, headroom: float) -> np.ndarray:
-        """Replay ``ObservedFundingAccumulator.finalise`` from the partials.
-
-        Funds the index's own universe; the replication below is the
-        exact tail of ``finalise`` so the result is bit-identical to an
-        accumulator finalised with ``headroom``.
-        """
+        """Genesis balances for the index's own universe: the partials
+        scaled by ``1 + headroom`` — bit-identical to
+        ``observed_funding_balances(trace, n_accounts, headroom)``."""
         if headroom < 0:
             raise ValidationError(f"headroom must be >= 0, got {headroom}")
-        balances = np.zeros(self.n_accounts, dtype=np.float64)
-        balances[: len(self.partials)] += self.partials
+        balances = self.partials.copy()
         if headroom:
             balances *= 1.0 + headroom
         return balances
@@ -75,7 +71,7 @@ def sizing_pass(
     """
     from repro.chain.economics import ObservedFundingAccumulator
 
-    accumulator = ObservedFundingAccumulator(headroom=0.0)
+    accumulator = ObservedFundingAccumulator()
     values_present = False
     for chunk in chunks:
         accumulator.add(chunk)

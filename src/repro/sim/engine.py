@@ -52,8 +52,8 @@ import tempfile
 from dataclasses import dataclass, field
 from itertools import chain as iter_chain
 from math import fsum
-from pathlib import Path
 from typing import (
+    BinaryIO,
     Callable,
     Dict,
     Iterable,
@@ -138,10 +138,10 @@ class SimulationConfig:
     funding_headroom: float = 0.0
     beacon_spill_dir: Optional[str] = None
     #: Which simulated network receipts ride (see
-    #: :mod:`repro.chain.netsim`): ``"ideal"`` (default, bit-identical
-    #: to the direct path), ``"lan"``, ``"wan"`` or ``"lossy"``. A
-    #: non-ideal network requires ``execute_values`` — there is no
-    #: message plane to degrade in a metrics-only run.
+    #: :mod:`repro.chain.netsim`): ``"ideal"`` (default, settles on
+    #: the relay schedule exactly), ``"lan"``, ``"wan"`` or
+    #: ``"lossy"``. A non-ideal network requires ``execute_values`` —
+    #: there is no message plane to degrade in a metrics-only run.
     network: str = NETWORK_IDEAL
     #: When set, every epoch's reconfiguration ends with a slack-gated
     #: state-store compaction pass (see
@@ -417,10 +417,8 @@ class ExecutionSubstrate:
         self.config = config
         self.mapping = mapping.copy()
         self.registry = StateRegistry(config.params.k, n_accounts=n_accounts)
-        # Every executed run routes receipts through the message plane;
-        # the default ideal model takes the bulk fast path that appends
-        # to the ledger with the direct path's exact arguments, so the
-        # flag-default behaviour stays byte-identical.
+        # Receipts ride the message plane; the default ideal model
+        # settles them on the relay schedule exactly.
         self.network = NetworkModel(
             config.network, seed=derive_seed(config.params.seed, "netsim")
         )
@@ -462,7 +460,7 @@ class ExecutionSubstrate:
     ) -> None:
         """Mirror first-seen placements: update phi and move state."""
         self.mapping.assign_many(accounts, shards)
-        self.executor.apply_migration_batch(accounts, shards)
+        self.registry.migrate_batch(accounts, shards)
 
     def execute_epoch(
         self, batch: TransactionBatch, counters: Dict[str, float]
@@ -759,44 +757,38 @@ _BATCH_COLUMNS = ("senders", "receivers", "blocks", "values", "fees")
 class _ChunkSpool:
     """On-disk copy of one pass over a chunk stream, for one replay.
 
-    :meth:`record` passes the chunks through unchanged and saves each
-    one as an ``.npz`` of its present columns, so the replay keeps the
-    pass's chunk boundaries, order and absent ``values``/``fees``
-    columns (the lazy value-column flag). :meth:`replay` loads them
-    back one at a time: nothing spooled stays in memory. The caller
-    owns ``directory`` and removes it; a failed read raises.
+    :meth:`record` passes the chunks through unchanged and appends each
+    one to ``file`` as a presence mask of its columns followed by every
+    present column (``np.save``), so the replay keeps the pass's chunk
+    boundaries, order and absent ``values``/``fees`` columns (the lazy
+    value-column flag). :meth:`replay` seeks back to the start and
+    loads them one at a time: nothing spooled stays in memory. The
+    caller owns ``file``; a failed read raises.
     """
 
-    def __init__(self, directory: str) -> None:
-        self._directory = Path(directory)
+    def __init__(self, file: BinaryIO) -> None:
+        self._file = file
         self._n_chunks = 0
-
-    def _path(self, index: int) -> Path:
-        return self._directory / f"chunk-{index:08d}.npz"
 
     def record(
         self, chunks: Iterable[TransactionBatch]
     ) -> Iterator[TransactionBatch]:
         for chunk in chunks:
-            columns = {
-                name: getattr(chunk, name)
-                for name in _BATCH_COLUMNS
-                if getattr(chunk, name) is not None
-            }
-            np.savez(self._path(self._n_chunks), **columns)
+            columns = [getattr(chunk, name) for name in _BATCH_COLUMNS]
+            np.save(self._file, np.array([c is not None for c in columns]))
+            for column in columns:
+                if column is not None:
+                    np.save(self._file, column)
             self._n_chunks += 1
             yield chunk
 
     def replay(self) -> Iterator[TransactionBatch]:
-        for index in range(self._n_chunks):
-            with np.load(self._path(index)) as payload:
-                chunk = TransactionBatch(
-                    *(
-                        payload[name] if name in payload else None
-                        for name in _BATCH_COLUMNS
-                    )
-                )
-            yield chunk
+        self._file.seek(0)
+        for _ in range(self._n_chunks):
+            present = np.load(self._file).tolist()
+            yield TransactionBatch(
+                *(np.load(self._file) if here else None for here in present)
+            )
 
 
 def _consume_history_fraction(
@@ -957,11 +949,12 @@ class Simulation:
                 self.source.chunks(),
             )
         # The source decodes: spool the sizing pass and replay the
-        # spool. The directory goes however the run ends — at the end
-        # of the trace, at max_epochs with the replay unfinished, or on
-        # an exception.
-        with tempfile.TemporaryDirectory(prefix="repro-spool-") as directory:
-            spool = _ChunkSpool(directory)
+        # spool. The spool file is unlinked at creation, so the kernel
+        # frees it however the run ends — at the end of the trace, at
+        # max_epochs with the replay unfinished, on an exception or on
+        # a signal that kills the process.
+        with tempfile.TemporaryFile(prefix="repro-spool-") as file:
+            spool = _ChunkSpool(file)
             index = sizing_pass(
                 spool.record(self.source.chunks()), self.source
             )

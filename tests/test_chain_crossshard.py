@@ -1,5 +1,7 @@
 """Unit and property tests for the cross-shard relay protocol."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,13 @@ from hypothesis import strategies as st
 
 from repro.chain.crossshard import CrossShardExecutor
 from repro.chain.mapping import ShardMapping
+from repro.chain.netsim import NETWORK_IDEAL, NetworkModel
 from repro.chain.state import StateRegistry
-from repro.chain.transaction import Transaction, TransactionBatch
+from repro.chain.transaction import (
+    DEFAULT_TRANSFER_AMOUNT,
+    Transaction,
+    TransactionBatch,
+)
 from repro.errors import ValidationError
 
 
@@ -18,11 +25,20 @@ def executor_for(assignment, k, relay_delay=1):
     return CrossShardExecutor(registry, mapping, relay_delay_blocks=relay_delay)
 
 
+def run_block(executor, block, *transfers):
+    """Execute ``transfers`` as block ``block``; return its report."""
+    batch = TransactionBatch.from_transactions(
+        [dataclasses.replace(t, block=block) for t in transfers]
+    )
+    (report,) = executor.execute_batch(batch)
+    return report
+
+
 class TestIntraShardExecution:
     def test_transfer_moves_funds(self):
         executor = executor_for([0, 0], k=2)
         executor.fund(0, 10.0)
-        report = executor.execute_block(0, [Transaction(0, 1, value=3.0)])
+        report = run_block(executor, 0, Transaction(0, 1, value=3.0))
         assert report.intra_executed == 1
         assert executor.registry.store_of(0).get(0).balance == 7.0
         assert executor.registry.store_of(0).get(1).balance == 3.0
@@ -30,7 +46,7 @@ class TestIntraShardExecution:
     def test_underfunded_transfer_fails_cleanly(self):
         executor = executor_for([0, 0], k=2)
         executor.fund(0, 1.0)
-        report = executor.execute_block(0, [Transaction(0, 1, value=5.0)])
+        report = run_block(executor, 0, Transaction(0, 1, value=5.0))
         assert report.failed == 1
         assert executor.registry.store_of(0).get(0).balance == 1.0
         assert executor.registry.store_of(0).get(1).balance == 0.0
@@ -40,14 +56,14 @@ class TestCrossShardExecution:
     def test_two_phase_transfer(self):
         executor = executor_for([0, 1], k=2, relay_delay=1)
         executor.fund(0, 10.0)
-        first = executor.execute_block(0, [Transaction(0, 1, value=4.0)])
+        first = run_block(executor, 0, Transaction(0, 1, value=4.0))
         assert first.withdraws == 1
         # Funds are locked in flight, not yet delivered.
         assert executor.registry.store_of(0).get(0).balance == 6.0
         assert executor.registry.store_of(1).get(1).balance == 0.0
         assert executor.in_flight_value() == 4.0
 
-        second = executor.execute_block(1, [])
+        second = executor.settle(1)
         assert second.deposits_settled == 1
         assert second.relay_latencies == [1]
         assert executor.registry.store_of(1).get(1).balance == 4.0
@@ -56,22 +72,22 @@ class TestCrossShardExecution:
     def test_zero_delay_settles_next_call(self):
         executor = executor_for([0, 1], k=2, relay_delay=0)
         executor.fund(0, 2.0)
-        executor.execute_block(0, [Transaction(0, 1, value=2.0)])
-        report = executor.execute_block(0, [])
+        run_block(executor, 0, Transaction(0, 1, value=2.0))
+        report = executor.settle(0)
         assert report.deposits_settled == 1
 
     def test_longer_delay_holds_receipts(self):
         executor = executor_for([0, 1], k=2, relay_delay=3)
         executor.fund(0, 2.0)
-        executor.execute_block(0, [Transaction(0, 1, value=2.0)])
-        assert executor.execute_block(1, []).deposits_settled == 0
-        assert executor.execute_block(2, []).deposits_settled == 0
-        assert executor.execute_block(3, []).deposits_settled == 1
+        run_block(executor, 0, Transaction(0, 1, value=2.0))
+        assert executor.settle(1).deposits_settled == 0
+        assert executor.settle(2).deposits_settled == 0
+        assert executor.settle(3).deposits_settled == 1
 
     def test_settle_all_flushes(self):
         executor = executor_for([0, 1], k=2, relay_delay=5)
         executor.fund(0, 2.0)
-        executor.execute_block(0, [Transaction(0, 1, value=2.0)])
+        run_block(executor, 0, Transaction(0, 1, value=2.0))
         report = executor.settle_all(from_block=0)
         assert report.deposits_settled == 1
         assert executor.in_flight_value() == 0.0
@@ -79,11 +95,35 @@ class TestCrossShardExecution:
     def test_mean_relay_latency(self):
         executor = executor_for([0, 1], k=2, relay_delay=2)
         executor.fund(0, 5.0)
-        executor.execute_block(0, [Transaction(0, 1, value=1.0)])
-        executor.execute_block(1, [Transaction(0, 1, value=1.0)])
-        report = executor.execute_block(3, [])
+        run_block(executor, 0, Transaction(0, 1, value=1.0))
+        run_block(executor, 1, Transaction(0, 1, value=1.0))
+        report = executor.settle(3)
         assert report.deposits_settled == 2
         assert report.mean_relay_latency == pytest.approx(2.5)
+
+
+@pytest.mark.parametrize("relay_delay", [0, 1, 3])
+@pytest.mark.parametrize("from_block", [0, 5])
+def test_ideal_settle_all_flushes_on_the_relay_schedule(relay_delay, from_block):
+    """The ideal transport holds no message, so the flush lands exactly
+    at ``from_block + relay_delay_blocks``, one relay delay after issue."""
+    mapping = ShardMapping(np.array([0, 1]), k=2)
+    executor = CrossShardExecutor(
+        StateRegistry(k=2, n_accounts=2),
+        mapping,
+        relay_delay_blocks=relay_delay,
+        network=NetworkModel(NETWORK_IDEAL),
+    )
+    executor.fund(0, 10.0)
+    run_block(
+        executor, from_block,
+        Transaction(0, 1, value=2.0), Transaction(0, 1, value=3.0),
+    )
+    report = executor.settle_all(from_block=from_block)
+    assert report.block == from_block + relay_delay
+    assert report.relay_latencies == [relay_delay, relay_delay]
+    assert report.settled_value == 5.0
+    assert executor.in_flight_count() == 0
 
 
 class TestBatchExecution:
@@ -96,7 +136,7 @@ class TestBatchExecution:
             np.array([2, 1, 0]),
             np.array([0, 0, 1]),
         )
-        reports = executor.execute_batch(batch, amount_per_tx=1.0)
+        reports = executor.execute_batch(batch)
         assert [r.block for r in reports] == [0, 1]
         assert reports[0].intra_executed == 1  # 0 -> 2 on shard 0
         assert reports[0].withdraws == 1       # 0 -> 1 cross
@@ -105,10 +145,33 @@ class TestBatchExecution:
         executor = executor_for([0, 1], k=2)
         assert executor.execute_batch(TransactionBatch.empty()) == []
 
-    def test_negative_amount_rejected(self):
-        executor = executor_for([0, 1], k=2)
-        with pytest.raises(ValidationError):
-            executor.execute_batch(TransactionBatch.empty(), amount_per_tx=-1.0)
+    def test_valueless_batch_moves_default_amount_whatever_the_split(self):
+        """A batch without a values column moves DEFAULT_TRANSFER_AMOUNT
+        per transfer, with the same reports and in-flight value whether
+        it runs in one call or one call per block."""
+        batch = TransactionBatch(
+            np.array([0, 0, 2, 1, 0]),
+            np.array([1, 2, 1, 2, 1]),
+            np.array([0, 0, 1, 1, 3]),
+        )
+
+        def run(batches):
+            executor = executor_for([0, 1, 0], k=2, relay_delay=2)
+            executor.fund_many(np.arange(3), 10.0)
+            reports = [r for b in batches for r in executor.execute_batch(b)]
+            return executor, reports
+
+        whole, whole_reports = run([batch])
+        split, split_reports = run([batch[0:2], batch[2:4], batch[4:5]])
+        assert whole_reports == split_reports
+        assert [r.block for r in whole_reports] == [0, 1, 3]
+        assert [r.withdraws for r in whole_reports] == [1, 2, 1]
+        # Block 3 settles the three receipts of blocks 0 and 1; block
+        # 3's own receipt is still in flight.
+        assert whole_reports[2].settled_value == 3 * DEFAULT_TRANSFER_AMOUNT
+        assert whole.in_flight_value() == DEFAULT_TRANSFER_AMOUNT
+        assert split.in_flight_value() == whole.in_flight_value()
+        assert whole.total_value() == 30.0
 
     def test_blocks_running_backwards_rejected(self):
         executor = executor_for([0, 1], k=2)
@@ -134,7 +197,7 @@ class TestInBlockOrder:
         # opens with nothing.
         executor = executor_for([0, 0, 1], k=2)
         executor.fund(0, 10.0)
-        return executor, executor.execute_block(0, list(transfers))
+        return executor, run_block(executor, 0, *transfers)
 
     def test_spend_before_intra_credit_fails(self):
         executor, report = self._run(
@@ -174,17 +237,17 @@ class TestMigrationInteraction:
     def test_state_follows_allocation(self):
         executor = executor_for([0, 0], k=2)
         executor.fund(0, 8.0)
-        moved = executor.apply_migration_batch(np.array([0]), np.array([1]))
+        moved = executor.registry.migrate_batch(np.array([0]), np.array([1]))
         executor.mapping.assign(0, 1)
         assert moved > 0
         assert executor.registry.locate(0) == 1
         # Transfers now execute from the new shard.
-        report = executor.execute_block(0, [Transaction(0, 1, value=1.0)])
+        report = run_block(executor, 0, Transaction(0, 1, value=1.0))
         assert report.withdraws == 1  # 1 still lives on shard 0
 
     def test_migrating_unknown_account_is_noop(self):
         executor = executor_for([0, 0], k=2)
-        assert executor.apply_migration_batch(
+        assert executor.registry.migrate_batch(
             np.array([1]), np.array([1])
         ) == 0
 
@@ -233,7 +296,7 @@ class TestMigrationConservation:
             self._assert_conserved(executor, genesis)
             account = int(rng.integers(0, n_accounts))
             to_shard = int(rng.integers(0, k))
-            executor.apply_migration_batch(
+            executor.registry.migrate_batch(
                 np.array([account]), np.array([to_shard])
             )
             executor.mapping.assign(account, to_shard)
@@ -269,8 +332,8 @@ def test_value_conservation(n_accounts, k, n_tx, relay_delay, seed):
         if sender == receiver:
             continue
         amount = float(rng.integers(0, 10))
-        executor.execute_block(
-            block, [Transaction(int(sender), int(receiver), value=amount)]
+        run_block(
+            executor, block, Transaction(int(sender), int(receiver), value=amount)
         )
         block += int(rng.integers(0, 3))
     executor.settle_all(from_block=block)

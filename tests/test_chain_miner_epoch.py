@@ -7,10 +7,19 @@ from repro.chain.beacon import BeaconChain
 from repro.chain.epoch import EpochReconfigurator
 from repro.chain.mapping import ShardMapping
 from repro.chain.migration import MigrationRequestBatch
+from repro.chain.netsim import NETWORK_IDEAL, MessageBus, NetworkModel
 from repro.chain.network import MR_RECORD_BYTES
-from repro.chain.state import STATE_RECORD_BYTES
+from repro.chain.state import STATE_RECORD_BYTES, StateRegistry
 from repro.errors import SimulationError
 
+
+def reconfigurator_for(beacon, k=2, n_accounts=4):
+    """A reconfigurator over an unfunded registry and an ideal bus."""
+    return EpochReconfigurator(
+        beacon,
+        StateRegistry(k=k, n_accounts=n_accounts),
+        MessageBus(NetworkModel(NETWORK_IDEAL)),
+    )
 
 
 def one_request(account, from_shard=0, to_shard=1):
@@ -31,7 +40,7 @@ class TestEpochReconfigurator:
     def test_applies_migrations_and_reports_bytes(self):
         beacon = self._beacon_with_requests()
         mapping = ShardMapping(np.zeros(4, dtype=np.int64), k=2)
-        reconfigurator = EpochReconfigurator(beacon)
+        reconfigurator = reconfigurator_for(beacon)
         report = reconfigurator.run(epoch=0, mapping=mapping)
         assert report.migrations_applied == 2
         assert mapping.shard_of(1) == 1
@@ -45,7 +54,7 @@ class TestEpochReconfigurator:
     def test_sync_height_advances(self):
         beacon = self._beacon_with_requests()
         mapping = ShardMapping(np.zeros(4, dtype=np.int64), k=2)
-        reconfigurator = EpochReconfigurator(beacon)
+        reconfigurator = reconfigurator_for(beacon)
         first = reconfigurator.run(epoch=0, mapping=mapping)
         assert first.migrations_applied > 0
         # Second run with no new blocks applies nothing.
@@ -54,7 +63,7 @@ class TestEpochReconfigurator:
         assert report.beacon_sync_bytes == 0
 
     def test_rejects_negative_epoch(self):
-        reconfigurator = EpochReconfigurator(BeaconChain())
+        reconfigurator = reconfigurator_for(BeaconChain(), n_accounts=1)
         mapping = ShardMapping(np.zeros(1, dtype=np.int64), k=2)
         with pytest.raises(SimulationError):
             reconfigurator.run(epoch=-1, mapping=mapping)

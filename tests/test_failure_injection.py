@@ -298,11 +298,11 @@ class TestEconomicAbuse:
         executor = CrossShardExecutor(StateRegistry(k=2, n_accounts=2), mapping)
         executor.fund(0, 1.0)
         before = executor.total_value()
-        from repro.chain.transaction import Transaction
+        from repro.chain.transaction import TransactionBatch
 
         for block in range(5):
-            report = executor.execute_block(
-                block, [Transaction(0, 1, value=100.0)]
+            (report,) = executor.execute_batch(
+                TransactionBatch([0], [1], [block], [100.0])
             )
             assert report.failed == 1
         assert executor.total_value() == before

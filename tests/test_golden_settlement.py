@@ -64,7 +64,7 @@ def _run_workload():
             )
         if step == 5:
             # Migrate an account while receipts naming it are pending.
-            executor.apply_migration_batch(
+            executor.registry.migrate_batch(
                 np.array([3]), np.array([(mapping.shard_of(3) + 1) % k])
             )
             mapping.assign(3, (mapping.shard_of(3) + 1) % k)

@@ -177,7 +177,10 @@ def _build_world(seed, backend, n_accounts=40, relay_delay=2, compact_slack=None
     )
     beacon = BeaconChain()
     reconfigurator = EpochReconfigurator(
-        beacon, executor=executor, compact_slack=compact_slack
+        beacon,
+        registry,
+        executor.network_transport.bus,
+        compact_slack=compact_slack,
     )
     return rng, mapping, registry, executor, beacon, reconfigurator
 
@@ -203,14 +206,13 @@ def _run_world(
     syncs = []
     for epoch in range(epochs):
         n_tx = 12
-        executor.execute_block(
-            block,
+        executor.execute_batch(
             TransactionBatch(
                 rng.integers(0, n_accounts, size=n_tx),
                 rng.integers(0, n_accounts, size=n_tx),
                 np.full(n_tx, block),
                 rng.integers(0, 5, size=n_tx).astype(np.float64),
-            ),
+            )
         )
         block += 1
         # A repartition proposal for a random subset.
@@ -317,14 +319,13 @@ class TestConservationAcrossBatchedReconfigurations:
         for epoch in range(4):
             for _ in range(3):
                 n_tx = int(rng.integers(1, 25))
-                executor.execute_block(
-                    block,
+                executor.execute_batch(
                     TransactionBatch(
                         rng.integers(0, n_accounts, size=n_tx),
                         rng.integers(0, n_accounts, size=n_tx),
                         np.full(n_tx, block),
                         rng.integers(0, 6, size=n_tx).astype(np.float64),
-                    ),
+                    )
                 )
                 block += 1
                 assert executor.total_value() == pytest.approx(
@@ -435,22 +436,21 @@ class TestReceiptForwarding:
 
         # Block 0: account 0 (shard 0) pays account 1 (shard 1) — the
         # receipt targets shard 1 at issue time.
-        executor.execute_block(
-            0,
+        executor.execute_batch(
             TransactionBatch(
                 np.array([0]), np.array([1]), np.array([0]), np.array([4.0])
-            ),
+            )
         )
         assert executor.ledger.view().target_shards[0] == 1
 
         # Receiver migrates to shard 2 while the receipt is in flight.
         mapping.assign(1, 2)
-        executor.apply_migration_batch(np.array([1]), np.array([2]))
+        registry.migrate_batch(np.array([1]), np.array([2]))
         assert registry.locate(1) == (2 if receiver_funded else None)
 
         # The deposit becomes due: it must follow the receiver to
         # shard 2 (the current phi shard), not credit stale shard 1.
-        report = executor.execute_block(3, [])
+        report = executor.settle(3)
         assert report.deposits_settled == 1
         assert registry.locate(1) == 2
         assert 1 not in registry.store_of(1)
@@ -462,11 +462,10 @@ class TestReceiptForwarding:
         registry = StateRegistry(k=2, n_accounts=2)
         executor = CrossShardExecutor(registry, mapping, relay_delay_blocks=1)
         executor.fund(0, 3.0)
-        executor.execute_block(
-            0,
+        executor.execute_batch(
             TransactionBatch(
                 np.array([0]), np.array([1]), np.array([0]), np.array([2.0])
-            ),
+            )
         )
-        executor.execute_block(1, [])
+        executor.settle(1)
         assert registry.store_of(1).get(1).balance == 2.0

@@ -109,24 +109,23 @@ def _run_ops(ops, k, backend, seed, relay_delay_blocks, spread=1, check=None):
     for op in ops:
         if op[0] == "execute":
             _, rows = op
-            executor.execute_block(
-                block,
+            executor.execute_batch(
                 TransactionBatch(
                     np.array([r[0] for r in rows], dtype=np.int64),
                     np.array([r[1] for r in rows], dtype=np.int64),
                     np.full(len(rows), block),
                     np.array([r[2] for r in rows], dtype=np.float64),
-                ),
+                )
             )
             block += 1
         elif op[0] == "migrate":
             _, account, to_shard = op
             shard = to_shard * spread
             mapping.assign(account, shard)
-            executor.apply_migration_batch(np.array([account]), np.array([shard]))
+            registry.migrate_batch(np.array([account]), np.array([shard]))
         else:
             block += op[1]
-            executor.execute_block(block, [])
+            executor.settle(block)
             block += 1
         check(registry, mapping)
     # Flush everything and check once more at quiescence.
@@ -378,7 +377,10 @@ class TestDenseCompaction:
         executor.fund_many(np.arange(n_accounts, dtype=np.int64), 1.0)
         beacon = BeaconChain()
         reconfigurator = EpochReconfigurator(
-            beacon, executor=executor, compact_slack=0.5
+            beacon,
+            registry,
+            executor.network_transport.bus,
+            compact_slack=0.5,
         )
         accounts = np.arange(n_accounts, dtype=np.int64)
         # Epoch 0: everyone leaves shard 0 -> its columns are all holes.
@@ -399,8 +401,13 @@ class TestDenseCompaction:
     def test_reconfigurator_without_threshold_never_compacts(self):
         from repro.chain.beacon import BeaconChain
         from repro.chain.epoch import EpochReconfigurator
+        from repro.chain.netsim import NETWORK_IDEAL, MessageBus, NetworkModel
 
-        reconfigurator = EpochReconfigurator(BeaconChain())
+        reconfigurator = EpochReconfigurator(
+            BeaconChain(),
+            StateRegistry(k=2, n_accounts=4),
+            MessageBus(NetworkModel(NETWORK_IDEAL)),
+        )
         assert reconfigurator.compact_slack is None
         report = reconfigurator.run(0, ShardMapping(np.zeros(4, dtype=np.int64), k=2))
         assert report.compacted_bytes == 0.0

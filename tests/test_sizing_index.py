@@ -1,16 +1,16 @@
 """Sizing pass: the row count, universe and funding partials of a replay.
 
 The pass must size a CSV extract identically whatever its chunk size,
-:meth:`SizingIndex.funding_balances` must be bit-identical to an
-:class:`ObservedFundingAccumulator` finalised with the same headroom,
-and a ``.sizing.npz`` file an older checkout left beside an extract
-must not change a run.
+:meth:`SizingIndex.funding_balances` must be bit-identical to the eager
+:func:`observed_funding_balances` over the materialised extract at the
+same headroom, and a ``.sizing.npz`` file an older checkout left
+beside an extract must not change a run.
 """
 
 import numpy as np
 
 from repro.allocation.hash_based import HashAllocator
-from repro.chain.economics import ObservedFundingAccumulator
+from repro.chain.economics import observed_funding_balances
 from repro.chain.params import ProtocolParams
 from repro.data.ethereum import EthereumTraceConfig, generate_ethereum_like_trace
 from repro.data.etl import write_transactions_csv
@@ -62,17 +62,17 @@ class TestBuildAndLoad:
         assert small.values_present and large.values_present
         assert np.array_equal(small.partials, large.partials)
 
-    def test_funding_balances_matches_accumulator_bit_exactly(self, tmp_path):
+    def test_funding_balances_match_eager_oracle_bit_exactly(self, tmp_path):
         path = _write_csv(tmp_path, VALUED_CONFIG)
-        index = _sizing(path)
+        index = _sizing(path, chunk_rows=733)
+        source = CsvTraceSource(path, chunk_rows=100_000, decoder="python")
+        (trace,) = list(source.chunks())
         for headroom in (0.0, 0.25):
-            accumulator = ObservedFundingAccumulator(headroom=headroom)
-            source = CsvTraceSource(path, chunk_rows=733, decoder="python")
-            for chunk in source.chunks():
-                accumulator.add(chunk)
-            expected = accumulator.finalise(index.n_accounts)
+            expected = observed_funding_balances(
+                trace, index.n_accounts, headroom=headroom
+            )
             replayed = index.funding_balances(headroom)
-            assert np.array_equal(replayed, expected)
+            assert replayed.tobytes() == expected.tobytes()
 
 
 class TestLeftoverSidecar:

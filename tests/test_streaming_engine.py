@@ -10,13 +10,19 @@ across live-tail and static replays.
 """
 
 import dataclasses
+import os
+import signal
+import subprocess
+import sys
 import tempfile
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from engine_reference import run_materialised
 from repro.allocation.hash_based import HashAllocator
 from repro.allocation.metis_like import MetisLikeAllocator
@@ -292,18 +298,48 @@ class TestWindowedEquivalence:
         )
 
 
+#: A CSV replay whose allocator announces its first epoch update on
+#: stdout and then stalls, so the parent can kill it mid-run.
+_STALLING_REPLAY = """
+import sys, time
+from repro.allocation.hash_based import HashAllocator
+from repro.chain.params import ProtocolParams
+from repro.data.source import CsvTraceSource
+from repro.sim.engine import Simulation, SimulationConfig
+
+class Stalling(HashAllocator):
+    def update(self, *args, **kwargs):
+        print("epoch", flush=True)
+        time.sleep(60)
+
+config = SimulationConfig(
+    params=ProtocolParams(k=4, eta=2.0, tau=40, seed=7), history_epochs=2
+)
+Simulation(CsvTraceSource(sys.argv[1], chunk_rows=599), Stalling(), config).run()
+"""
+
+
 class TestSpool:
     def test_spool_is_removed_however_the_run_ends(self, tmp_path, monkeypatch):
         """Normal end, max_epochs early stop and a raising allocator
-        each leave no spool directory behind."""
+        each close the spool, and TMPDIR holds nothing at any point:
+        the spool file has no name even mid-run."""
         path = tmp_path / "trace.csv"
         write_transactions_csv(path, generate_ethereum_like_trace(PLAIN_CONFIG))
         spool_root = tmp_path / "tmp"
         spool_root.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(spool_root))
+        opened = []
+        temporary_file = tempfile.TemporaryFile
 
-        def spools():
-            return list(spool_root.glob("repro-spool-*"))
+        def recording_temporary_file(*args, **kwargs):
+            opened.append(temporary_file(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", recording_temporary_file)
+
+        def leftovers():
+            return list(spool_root.iterdir())
 
         def run(allocator, **overrides):
             config = SimulationConfig(
@@ -313,10 +349,12 @@ class TestSpool:
             return Simulation(source, allocator, config).run()
 
         full = run(HashAllocator()).records
-        assert not spools()
+        assert len(opened) == 1 and opened[0].closed
+        assert not leftovers()
         # Stops before the replay has read the whole spool.
         assert len(run(HashAllocator(), max_epochs=2).records) < len(full)
-        assert not spools()
+        assert len(opened) == 2 and opened[1].closed
+        assert not leftovers()
 
         class Boom(Exception):
             pass
@@ -324,15 +362,47 @@ class TestSpool:
         live = []
 
         def update(*args, **kwargs):
-            live.append(spools())
+            live.append((opened[-1].closed, leftovers()))
             raise Boom
 
         allocator = HashAllocator()
         allocator.update = update
         with pytest.raises(Boom):
             run(allocator)
-        assert live and live[0], "the spool was not on disk mid-run"
-        assert not spools()
+        assert live == [(False, [])], "the spool was closed or named mid-run"
+        assert len(opened) == 3 and opened[2].closed
+        assert not leftovers()
+
+    def test_sigterm_leaves_tmpdir_empty(self, tmp_path):
+        """A replay killed by SIGTERM, whose default handler exits
+        without unwinding, leaves nothing under TMPDIR."""
+        path = tmp_path / "trace.csv"
+        write_transactions_csv(path, generate_ethereum_like_trace(PLAIN_CONFIG))
+        spool_root = tmp_path / "tmp"
+        spool_root.mkdir()
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(
+            os.environ,
+            TMPDIR=str(spool_root),
+            PYTHONPATH=os.pathsep.join(
+                filter(None, (src, os.environ.get("PYTHONPATH")))
+            ),
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", _STALLING_REPLAY, str(path)],
+            stdout=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        try:
+            assert child.stdout.readline() == "epoch\n"
+            child.send_signal(signal.SIGTERM)
+            assert child.wait(timeout=30) == -signal.SIGTERM
+        finally:
+            child.kill()
+            child.wait()
+            child.stdout.close()
+        assert list(spool_root.iterdir()) == []
 
 
 class TestHistoryKnobs:

@@ -219,7 +219,7 @@ class TestFeeEquivalenceAndConservation:
             values=np.array([8.0]),
             fees=np.array([3.0]),  # 8 + 3 > 10: must abort
         )
-        report = executor.execute_block(0, batch)
+        (report,) = executor.execute_batch(batch)
         assert report.failed == 1
         assert executor.collected_fees == 0.0
         assert registry.store_of(0).get(0).balance == 10.0
