@@ -94,8 +94,8 @@ class BeaconChain:
     * **segment-spilled** (``spill_dir=<path>``) — committed batches
       append to a height-indexed on-disk
       :class:`~repro.chain.segments.SegmentedCommitLog` and only block
-      *headers* stay in memory, so an unbounded run's beacon footprint
-      is O(epoch window), not O(run). Commit decisions and block hashes
+      *headers* stay in memory, so the beacon's footprint no longer
+      grows with the committed rows. Commit decisions and block hashes
       are identical to in-memory mode.
     """
 

@@ -8,13 +8,13 @@ two invariants of Definition 1 hold by construction:
 * **Completeness** — every account has a shard (no cell is unset; cells
   are initialised before use and `validate()` rejects out-of-range ids).
 
-The mapping additionally supports growing when new accounts appear, bulk
-migration application, and inverse lookups ``phi^{-1}(i)``.
+The mapping additionally supports bulk migration application and
+inverse lookups ``phi^{-1}(i)``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -139,32 +139,6 @@ class ShardMapping:
         if new_shards.min() < 0 or new_shards.max() >= self._k:
             raise MappingError("shard id out of range in bulk assignment")
         self._shard_of[ids] = new_shards
-
-    def grow(self, n_accounts: int, fill_shards: Optional[np.ndarray] = None) -> None:
-        """Extend the mapping to cover ``n_accounts`` accounts.
-
-        New accounts must be given shards via ``fill_shards`` (length =
-        number of added accounts); completeness forbids unassigned cells.
-        """
-        added = n_accounts - len(self._shard_of)
-        if added < 0:
-            raise MappingError(
-                f"cannot shrink mapping from {len(self._shard_of)} to {n_accounts}"
-            )
-        if added == 0:
-            return
-        if fill_shards is None:
-            raise MappingError(
-                f"growing by {added} accounts requires fill_shards (completeness)"
-            )
-        fill = np.asarray(fill_shards, dtype=np.int64)
-        if fill.shape != (added,):
-            raise MappingError(
-                f"fill_shards must have shape ({added},), got {fill.shape}"
-            )
-        if len(fill) and (fill.min() < 0 or fill.max() >= self._k):
-            raise MappingError("fill shard id out of range")
-        self._shard_of = np.concatenate([self._shard_of, fill])
 
     # -- validation & diffing ----------------------------------------------
 

@@ -1,7 +1,8 @@
 """Height-indexed on-disk segments for the beacon's committed log.
 
-An unbounded run commits migration batches forever; keeping every one
-in memory makes the beacon O(trace). :class:`SegmentedCommitLog` spills
+The in-memory beacon keeps every committed batch for the whole run, so
+its footprint grows with the run's committed migrations rather than
+with the epoch window. :class:`SegmentedCommitLog` spills
 committed :class:`~repro.chain.migration.MigrationRequestBatch` rows to
 append-only columnar segment files and keeps only a height -> record
 index in memory, so ``iter_batches(height)`` reads exactly the height

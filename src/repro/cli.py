@@ -107,9 +107,6 @@ def _command_simulate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.follow and not args.input:
-        print("error: --follow requires --input", file=sys.stderr)
-        return 2
     params = ProtocolParams(
         k=args.shards, eta=args.eta, tau=args.tau, beta=args.beta, seed=args.seed
     )
@@ -121,29 +118,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
         beacon_spill_dir=args.beacon_spill,
         network=args.network,
     )
-
-    on_record = None
-    if args.follow:
-        from repro.data.source import FollowCsvTraceSource
-
-        source = FollowCsvTraceSource(
-            args.input,
-            poll_interval=args.follow_poll,
-            idle_timeout=args.follow_idle,
-        )
-        print(
-            f"following {args.input} (poll {args.follow_poll}s, "
-            f"idle timeout {args.follow_idle}s) — ctrl-c to stop"
-        )
-
-        def on_record(record) -> None:
-            print(
-                f"epoch {record.epoch}: {record.transactions:,} tx, "
-                f"cross-shard {record.cross_shard_ratio:.2%}, "
-                f"{record.migrations} migration(s)"
-            )
-
-    elif args.input:
+    if args.input:
         from repro.data.source import CsvTraceSource
 
         source = CsvTraceSource(args.input)
@@ -151,7 +126,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
     else:
         source = generate_ethereum_like_trace(_trace_config(args))
         print(f"generated {len(source):,} synthetic transactions")
-    result = Simulation(source, factory(), config, on_record).run()
+    result = Simulation(source, factory(), config).run()
     summary = summarize_results(result)
     rows = [
         ["epochs", summary["epochs"]],
@@ -507,28 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="place the history/evaluation split an absolute number of "
         "epochs after the first block instead of at a fraction of "
-        "the rows (required for --follow)",
-    )
-    simulate.add_argument(
-        "--follow",
-        action="store_true",
-        help="tail a growing ethereum-etl CSV (--input) through the "
-        "unbounded streaming engine, printing metrics per epoch; "
-        "requires --history-epochs, metrics-only",
-    )
-    simulate.add_argument(
-        "--follow-poll",
-        type=float,
-        default=0.2,
-        metavar="SECONDS",
-        help="poll interval while waiting for new rows in --follow",
-    )
-    simulate.add_argument(
-        "--follow-idle",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="end a --follow run after this long with no new rows",
+        "the rows",
     )
     simulate.add_argument(
         "--beacon-spill",

@@ -150,12 +150,14 @@ class MosaicAllocator(Allocator):
         """Bring ``_rows`` up to date with ``mapping`` and the edge list.
 
         1. Re-home: every account whose shard differs from ``_phi_seen``
-           (committed MRs, new-account placement, growth) moves its
-           folded edge weight between shard columns of its neighbours'
-           rows.
+           (committed MRs, new-account placement) moves its folded edge
+           weight between shard columns of its neighbours' rows. An
+           account the last sync did not cover (the first sync after
+           :meth:`initialize`, or a mapping of another size) counts as
+           moved.
         2. Fold: edges absorbed since the last sync add their weight
-           under the current mapping; a counterparty not yet mapped
-           contributes once the mapping grows over it (step 1).
+           under the current mapping; a counterparty the mapping does
+           not cover yet contributes once a later mapping does (step 1).
 
         Counts are integers, so every row equals a fresh scan of the
         history under ``mapping`` regardless of summation order.

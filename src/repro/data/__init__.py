@@ -19,7 +19,6 @@ from repro.data.etl import (
 from repro.data.source import (
     CsvTraceSource,
     EpochStream,
-    FollowCsvTraceSource,
     MaterialisedTraceSource,
     TraceSource,
 )
@@ -42,6 +41,5 @@ __all__ = [
     "TraceSource",
     "MaterialisedTraceSource",
     "CsvTraceSource",
-    "FollowCsvTraceSource",
     "EpochStream",
 ]

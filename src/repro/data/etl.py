@@ -13,9 +13,8 @@ Malformed rows raise :class:`~repro.errors.MalformedRowError` carrying
 the file name and 1-based physical line number (``csv.reader.line_num``,
 the last line of a record whose quoted cell spans lines), so one bad
 row in a huge extract is findable without re-running the decode. The
-chunked, bounded-memory decoders live in :mod:`repro.data.source`
-(:class:`CsvTraceSource`, :class:`FollowCsvTraceSource`) and share the
-row parsing defined here.
+chunked, bounded-memory decoder :class:`~repro.data.source.CsvTraceSource`
+shares the row parsing defined here.
 """
 
 from __future__ import annotations

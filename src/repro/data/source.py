@@ -1,7 +1,7 @@
 """Trace sources: chunked, bounded-memory trace ingest.
 
 A :class:`TraceSource` is where transactions come *from* — an ETL CSV
-on disk, a live-appended CSV, or an already-materialised trace (a
+on disk or an already-materialised trace (a
 generated trace is replayed through :class:`MaterialisedTraceSource`).
 It yields block-ordered :class:`TransactionBatch` chunks of bounded
 size, with ``values``/``fees`` columns carried through, so the data
@@ -24,9 +24,6 @@ peak buffering is proportional to ``chunk_rows``, never to the trace.
 from __future__ import annotations
 
 import csv
-import io
-import time
-from itertools import chain as iter_chain
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -56,10 +53,6 @@ class TraceSource:
     name: str = "source"
     #: High-water mark of decoded rows buffered at once (set by chunks()).
     peak_buffer_rows: int = 0
-    #: True for open-ended sources (e.g. a tailed file) whose chunk
-    #: stream has no predetermined end — consumers must not run a
-    #: sizing pass over them.
-    unbounded: bool = False
 
     def chunks(self) -> Iterator[TransactionBatch]:
         raise NotImplementedError
@@ -121,107 +114,7 @@ class MaterialisedTraceSource(TraceSource):
         return self.trace
 
 
-class _CsvChunkSource(TraceSource):
-    """Shared chunk loop of the CSV sources.
-
-    :meth:`_chunk_loop` turns raw CSV rows into block-ordered
-    :class:`TransactionBatch` chunks of at most ``chunk_rows`` rows; a
-    subclass supplies the rows and the ``csv.reader`` that numbers them.
-    """
-
-    #: Parenthesised hint of the out-of-order :class:`MalformedRowError`.
-    _order_hint: str
-
-    def __init__(
-        self,
-        path: Union[str, Path],
-        chunk_rows: int,
-        registry: Optional[AccountRegistry],
-    ) -> None:
-        if chunk_rows < 1:
-            raise DataError(f"chunk_rows must be >= 1, got {chunk_rows}")
-        self.path = Path(path)
-        self.chunk_rows = int(chunk_rows)
-        self.registry = registry if registry is not None else AccountRegistry()
-        self.name = self.path.name
-        self.peak_buffer_rows = 0
-
-    def _chunk_loop(
-        self,
-        fieldnames: Optional[List[str]],
-        rows: Iterable[Optional[List[str]]],
-        reader: "csv._reader",
-    ) -> Iterator[TransactionBatch]:
-        """Decode ``rows`` into chunks; a ``None`` row flushes the buffer.
-
-        ``reader.line_num`` names the physical line of each row (the
-        last line of a record whose quoted cell spans lines).
-        """
-        decoder = _RowDecoder(self.path, fieldnames, self.registry)
-        has_values = decoder.has_values
-        has_fees = decoder.has_fees
-        chunk_rows = self.chunk_rows
-        senders: List[int] = []
-        receivers: List[int] = []
-        blocks: List[int] = []
-        values: List[float] = []
-        fees: List[float] = []
-        # Lazy value-column activation: False until a nonzero value is
-        # decoded, so an all-zero column never materialises (see the
-        # CsvTraceSource docstring).
-        values_active = False
-        last_block = -1
-        for row in iter_chain(rows, (None,)):
-            if row is not None:
-                line = reader.line_num
-                decoded = decoder.decode(line, row)
-                if decoded is None:
-                    continue
-                sender, receiver, block, value, fee = decoded
-                if block < last_block:
-                    raise MalformedRowError(
-                        self.path,
-                        line,
-                        f"block {block} out of order after {last_block} "
-                        f"({self._order_hint})",
-                    )
-                last_block = block
-                senders.append(sender)
-                receivers.append(receiver)
-                blocks.append(block)
-                if has_values:
-                    values.append(value)
-                    if value and not values_active:
-                        values_active = True
-                if has_fees:
-                    fees.append(fee)
-                if len(senders) < chunk_rows:
-                    continue
-            elif not senders:
-                continue
-            self.peak_buffer_rows = max(self.peak_buffer_rows, len(senders))
-            batch = TransactionBatch(
-                np.asarray(senders, dtype=np.int64),
-                np.asarray(receivers, dtype=np.int64),
-                np.asarray(blocks, dtype=np.int64),
-                np.asarray(values, dtype=np.float64) if values_active else None,
-                np.asarray(fees, dtype=np.float64) if has_fees else None,
-            )
-            # Hold neither the row lists nor, once resumed, the chunk
-            # while the consumer and the next decode run.
-            senders.clear()
-            receivers.clear()
-            blocks.clear()
-            values.clear()
-            fees.clear()
-            yield batch
-            del batch
-
-    def resolved_n_accounts(self) -> Optional[int]:
-        return len(self.registry) or None
-
-
-class CsvTraceSource(_CsvChunkSource):
+class CsvTraceSource(TraceSource):
     """Chunked, bounded-memory decode of an ethereum-etl CSV.
 
     Rows decode straight into numpy chunks of ``chunk_rows``; at no
@@ -237,7 +130,8 @@ class CsvTraceSource(_CsvChunkSource):
     which sorts after decoding. Contract creations and self-transfers
     are skipped and malformed cells raise, exactly as in the eager
     reader, so both paths see the same rows and assign the same dense
-    account ids.
+    account ids. ``csv.reader.line_num`` names the physical line of
+    each row (the last line of a record whose quoted cell spans lines).
 
     Like the eager reader, an **all-zero value column** decodes as no
     value column at all (metric-only and pre-value files carry literal
@@ -255,11 +149,6 @@ class CsvTraceSource(_CsvChunkSource):
     passes it.
     """
 
-    _order_hint = (
-        "streamed decode requires block-ordered rows; "
-        "use read_transactions_csv for unsorted files"
-    )
-
     def __init__(
         self,
         path: Union[str, Path],
@@ -267,135 +156,98 @@ class CsvTraceSource(_CsvChunkSource):
         registry: Optional[AccountRegistry] = None,
         decoder: str = "python",
     ) -> None:
-        super().__init__(path, chunk_rows, registry)
+        if chunk_rows < 1:
+            raise DataError(f"chunk_rows must be >= 1, got {chunk_rows}")
         if decoder != "python":
             raise DataError(
                 f"decoder must be 'python' (the only CSV decoder), "
                 f"got {decoder!r}"
             )
+        self.path = Path(path)
+        self.chunk_rows = int(chunk_rows)
+        self.registry = registry if registry is not None else AccountRegistry()
+        self.name = self.path.name
+        self.peak_buffer_rows = 0
 
     def chunks(self) -> Iterator[TransactionBatch]:
         with self.path.open(newline="") as handle:
             reader = csv.reader(handle)
-            yield from self._chunk_loop(next(reader, None), reader, reader)
+            decoder = _RowDecoder(self.path, next(reader, None), self.registry)
+            has_values = decoder.has_values
+            has_fees = decoder.has_fees
+            chunk_rows = self.chunk_rows
+            senders: List[int] = []
+            receivers: List[int] = []
+            blocks: List[int] = []
+            values: List[float] = []
+            fees: List[float] = []
+            # Lazy value-column activation: False until a nonzero value
+            # is decoded, so an all-zero column never materialises.
+            values_active = False
+            last_block = -1
+            for row in reader:
+                line = reader.line_num
+                decoded = decoder.decode(line, row)
+                if decoded is None:
+                    continue
+                sender, receiver, block, value, fee = decoded
+                if block < last_block:
+                    raise MalformedRowError(
+                        self.path,
+                        line,
+                        f"block {block} out of order after {last_block} "
+                        "(streamed decode requires block-ordered rows; "
+                        "use read_transactions_csv for unsorted files)",
+                    )
+                last_block = block
+                senders.append(sender)
+                receivers.append(receiver)
+                blocks.append(block)
+                if has_values:
+                    values.append(value)
+                    if value and not values_active:
+                        values_active = True
+                if has_fees:
+                    fees.append(fee)
+                if len(senders) == chunk_rows:
+                    yield self._flush(
+                        senders, receivers, blocks, values, fees, values_active
+                    )
+            if senders:
+                yield self._flush(
+                    senders, receivers, blocks, values, fees, values_active
+                )
 
-
-class _TailLines:
-    """Lines of a growing file, fed to one ``csv.reader``.
-
-    ``__next__`` returns each complete line as it appears. On EOF
-    between records (``in_record`` False) it stops once so the consumer
-    can flush its buffer; the next call sleeps ``poll_interval`` and
-    re-reads. A ``csv.reader`` whose input stopped at a record boundary
-    resumes on its next call. Inside a record (a quoted cell spanning
-    lines, or a line the writer has not finished) it waits without
-    stopping. After ``idle_timeout`` quiet seconds it returns an
-    unterminated final line, if any, sets ``finished`` and stops.
-    """
-
-    def __init__(
-        self, handle: io.BufferedReader, poll_interval: float, idle_timeout: float
-    ) -> None:
-        self._handle = handle
-        self._poll_interval = poll_interval
-        self._idle_timeout = idle_timeout
-        self._waited = 0.0
-        self._flushed = False
-        self.in_record = False
-        self.finished = False
-
-    def __iter__(self) -> "_TailLines":
-        return self
-
-    def __next__(self) -> str:
-        handle = self._handle
-        while True:
-            pos = handle.tell()
-            raw = handle.readline()
-            if raw.endswith(b"\n"):
-                self._waited = 0.0
-                self.in_record = True
-                return raw.decode("utf-8")
-            # EOF, or a line the writer has not finished yet: rewind so
-            # the next poll re-reads it whole.
-            handle.seek(pos)
-            if self._waited >= self._idle_timeout:
-                self.finished = True
-                if raw:
-                    handle.seek(pos + len(raw))
-                    return raw.decode("utf-8")
-                raise StopIteration
-            if not self.in_record and not self._flushed:
-                self._flushed = True
-                raise StopIteration
-            self._flushed = False
-            time.sleep(self._poll_interval)
-            self._waited += self._poll_interval
-
-
-class FollowCsvTraceSource(_CsvChunkSource):
-    """Tail a growing ethereum-etl CSV: ``tail -f`` as a trace source.
-
-    Rows decode exactly as in :class:`CsvTraceSource` (the same chunk
-    loop: same :class:`_RowDecoder`, skip/typed-error semantics, lazy
-    value-column activation and block-order enforcement) but
-    end-of-file is not end-of-trace: on EOF the source flushes whatever
-    rows are buffered as a chunk, sleeps ``poll_interval`` seconds, and
-    re-reads — epochs appear downstream roughly one poll after the
-    writer appends them. A partially-written last line (no trailing
-    newline yet), or a record whose quoted cell spans lines, is left
-    in place until a later poll completes it. The stream ends when no
-    new complete line arrives for ``idle_timeout`` seconds; an
-    unterminated final line is decoded at that point (writers should
-    terminate the file with a newline).
-
-    ``unbounded = True``: no consumer may run a sizing pass over this
-    source, so the streaming engine requires ``history_epochs`` (the
-    absolute history split) and metrics-only execution for it.
-    """
-
-    unbounded = True
-    _order_hint = "a followed file must append in block order"
-
-    def __init__(
+    def _flush(
         self,
-        path: Union[str, Path],
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
-        registry: Optional[AccountRegistry] = None,
-        poll_interval: float = 0.2,
-        idle_timeout: float = 10.0,
-    ) -> None:
-        super().__init__(path, chunk_rows, registry)
-        if poll_interval <= 0:
-            raise DataError(
-                f"poll_interval must be > 0, got {poll_interval}"
-            )
-        if idle_timeout <= 0:
-            raise DataError(f"idle_timeout must be > 0, got {idle_timeout}")
-        self.poll_interval = float(poll_interval)
-        self.idle_timeout = float(idle_timeout)
-        self.name = f"follow:{self.path.name}"
+        senders: List[int],
+        receivers: List[int],
+        blocks: List[int],
+        values: List[float],
+        fees: List[float],
+        values_active: bool,
+    ) -> TransactionBatch:
+        """One chunk from the decoded row lists, which are left empty.
 
-    def chunks(self) -> Iterator[TransactionBatch]:
-        with self.path.open("rb") as handle:
-            lines = _TailLines(handle, self.poll_interval, self.idle_timeout)
-            reader = csv.reader(lines)
-            fieldnames = None
-            while fieldnames is None and not lines.finished:
-                fieldnames = next(reader, None)
-            lines.in_record = False
+        ``values`` becomes a column only once ``values_active``; ``fees``
+        only when the file has a fee column (the list is empty otherwise).
+        Clearing the lists keeps no row state alive while the consumer
+        and the next decode run.
+        """
+        self.peak_buffer_rows = max(self.peak_buffer_rows, len(senders))
+        batch = TransactionBatch(
+            np.asarray(senders, dtype=np.int64),
+            np.asarray(receivers, dtype=np.int64),
+            np.asarray(blocks, dtype=np.int64),
+            np.asarray(values, dtype=np.float64) if values_active else None,
+            np.asarray(fees, dtype=np.float64) if fees else None,
+        )
+        for column in (senders, receivers, blocks, values, fees):
+            column.clear()
+        return batch
 
-            def rows() -> Iterator[Optional[List[str]]]:
-                """Every row, plus ``None`` at each quiet poll."""
-                while True:
-                    for row in reader:
-                        lines.in_record = False
-                        yield row
-                    if lines.finished:
-                        return
-                    yield None
-
-            yield from self._chunk_loop(fieldnames, rows(), reader)
+    def resolved_n_accounts(self) -> Optional[int]:
+        return len(self.registry) or None
 
 
 class EpochStream:

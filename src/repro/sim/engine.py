@@ -119,8 +119,7 @@ class SimulationConfig:
     The history split is placed either *relatively* —
     ``history_fraction`` of the rows, default 0.9, which needs the
     total row count — or *absolutely* — the first ``history_epochs``
-    ``tau``-block epochs, which doesn't, and is therefore what
-    unbounded (``--follow``) streaming runs require. Setting both is a
+    ``tau``-block epochs, which doesn't. Setting both is a
     configuration error.
     """
 
@@ -565,23 +564,15 @@ class ExecutionSubstrate:
         )
 
 
-@dataclass
-class _LoopState:
-    """Mutable engine state threaded through the epoch loop."""
-
-    mapping: ShardMapping
-    seen: np.ndarray
-
-
 def _run_epoch_loop(
     views: "Iterable[EpochView]",
-    state: _LoopState,
+    mapping: ShardMapping,
+    seen: np.ndarray,
     allocator: Allocator,
     config: SimulationConfig,
     substrate: Optional[ExecutionSubstrate],
     result: SimulationResult,
     on_record: Optional[Callable[[EpochRecord], None]] = None,
-    allow_growth: bool = False,
 ) -> None:
     """The evaluation loop of :class:`Simulation`.
 
@@ -593,11 +584,9 @@ def _run_epoch_loop(
     still occupy lookahead positions, and the lookahead mempool is the
     *next view's batch object*, empty or not.
 
-    ``allow_growth`` (unbounded follow runs only) extends ``phi`` and
-    the seen-set when a window references accounts beyond the current
-    universe; gap ids (allocated but never yet transacting) fill to
-    shard 0, and their real placement happens through the normal
-    new-account rule when they first appear.
+    ``mapping`` is the initial allocation; each epoch's update replaces
+    it. ``seen`` marks the accounts already placed (the history's) and
+    is updated in place as new accounts appear.
     """
     params = config.params
     empty = TransactionBatch.empty()
@@ -617,19 +606,7 @@ def _run_epoch_loop(
         else:
             mempool = batch
 
-        if allow_growth:
-            needed = max(batch.max_account_id(), mempool.max_account_id()) + 1
-            have = state.mapping.n_accounts
-            if needed > have:
-                fill = np.zeros(needed - have, dtype=np.int64)
-                state.mapping.grow(needed, fill)
-                grown_seen = np.zeros(needed, dtype=bool)
-                grown_seen[:have] = state.seen
-                state.seen = grown_seen
-
         capacity = params.derive_capacity(len(batch))
-        mapping = state.mapping
-        seen = state.seen
 
         # 1. Place accounts never seen before.
         touched = batch.touched_accounts()
@@ -678,7 +655,7 @@ def _run_epoch_loop(
             raise SimulationError("allocator changed k during update")
         if substrate is not None:
             substrate.reconfigure(view.index, update.mapping, counters)
-        state.mapping = update.mapping
+        mapping = update.mapping
 
         record = EpochRecord(
             epoch=view.index,
@@ -836,8 +813,7 @@ def _consume_history_epochs(
     """Take ``Trace.split_epochs``'s head off a chunk stream.
 
     The head is every row with ``block < first_block + n_epochs * tau``
-    — an absolute boundary needing no total row count, which is what
-    unbounded sources require.
+    — an absolute boundary needing no total row count.
     """
     history: List[TransactionBatch] = []
     boundary: Optional[int] = None
@@ -854,8 +830,6 @@ def _consume_history_epochs(
     return history, None
 
 
-
-
 class Simulation:
     """Drives one allocator over one trace source under one configuration.
 
@@ -865,7 +839,7 @@ class Simulation:
     materialises the trace: it consumes epochs from
     :class:`~repro.data.source.EpochStream` one window at a time, so the
     loop's working set is the history prefix plus two epoch views.
-    Three ingest protocols, picked automatically:
+    Two ingest protocols, picked automatically:
 
     * **count-prefixed fast path** — the source knows its length up
       front (:meth:`~repro.data.source.TraceSource.size_hint`): one
@@ -873,23 +847,18 @@ class Simulation:
     * **sizing pass + spool replay** — length unknown (CSV): the
       sizing pass decodes every row once, counting rows, resolving the
       account universe and accumulating the funding partials, and
-      spools each decoded chunk to a run-scoped temporary directory;
-      the spool then replays through the history split into the epoch
-      loop. A materialised source that needs observed funding sizes
-      over its chunks and re-iterates them (numpy views), spooling
-      nothing;
-    * **unbounded** — the source never ends
-      (:class:`~repro.data.source.FollowCsvTraceSource`): no sizing
-      pass is possible, so the run requires the absolute
-      ``history_epochs`` split and metrics-only execution; the account
-      universe grows as new ids appear.
+      spools each decoded chunk to one anonymous temporary file (see
+      :class:`_ChunkSpool`); the spool then replays through the history
+      split into the epoch loop. A materialised source that needs
+      observed funding sizes over its chunks and re-iterates them
+      (numpy views), spooling nothing.
 
     The eager protocol (``Trace.split`` + ``Trace.epochs`` + eager
     observed funding) lives on as the test oracle
     ``tests/engine_reference.py``; ``tests/test_streaming_engine.py``
     pins bit-exact equality with it — same epoch records, state roots
-    and settlement order. ``on_record`` fires after each epoch record
-    (live progress for ``--follow``).
+    and settlement order. ``on_record`` is called with each epoch
+    record right after it is appended to the result.
     """
 
     def __init__(
@@ -911,12 +880,6 @@ class Simulation:
         self.substrate: Optional[ExecutionSubstrate] = None
 
     def run(self) -> SimulationResult:
-        """Stream the full evaluation protocol; return the result."""
-        if self.source.unbounded:
-            return self._run_unbounded()
-        return self._run_bounded()
-
-    def _run_bounded(self) -> SimulationResult:
         """Size the run, then stream it; a CSV row is decoded once."""
         config = self.config
         need_funding = (
@@ -960,40 +923,17 @@ class Simulation:
             )
             return run_sized(index, spool.replay())
 
-    def _run_unbounded(self) -> SimulationResult:
-        """Start from the history's universe and grow it as ids appear."""
-        config = self.config
-        if config.history_epochs is None:
-            raise SimulationError(
-                f"source {self.source.name!r} is unbounded: a fractional "
-                "history split needs the total row count; set "
-                "history_epochs to place the split absolutely"
-            )
-        if config.execute_values:
-            raise SimulationError(
-                f"source {self.source.name!r} is unbounded: value "
-                "execution needs genesis funding over a closed account "
-                "universe; follow runs are metrics-only"
-            )
-        return self._run_stream(
-            iter(self.source.chunks()),
-            total_rows=0,
-            n_accounts=None,
-            funding=None,
-        )
-
     def _run_stream(
         self,
         chunks: Iterator[TransactionBatch],
         total_rows: int,
-        n_accounts: Optional[int],
+        n_accounts: int,
         funding: Optional[np.ndarray],
     ) -> SimulationResult:
         """History split → initial mapping → epoch stream → epoch loop.
 
         ``total_rows`` places the fractional split (unused when
-        ``history_epochs`` places it); ``n_accounts=None`` takes the
-        universe from the history itself (unbounded sources).
+        ``history_epochs`` places it).
         """
         config = self.config
         params = config.params
@@ -1012,7 +952,6 @@ class Simulation:
             else TransactionBatch.empty(),
             n_accounts=n_accounts,
         )
-        n_accounts = history.n_accounts
         mapping = _initial_mapping(self.allocator, history, params, n_accounts)
 
         substrate: Optional[ExecutionSubstrate] = None
@@ -1036,13 +975,13 @@ class Simulation:
         )
         _run_epoch_loop(
             evaluation,
-            _LoopState(mapping=mapping, seen=seen),
+            mapping,
+            seen,
             self.allocator,
             config,
             substrate,
             result,
             on_record=self.on_record,
-            allow_growth=self.source.unbounded,
         )
         return result
 

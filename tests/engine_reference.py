@@ -33,7 +33,6 @@ from repro.sim.engine import (
     SimulationConfig,
     SimulationResult,
     _initial_mapping,
-    _LoopState,
     _run_epoch_loop,
 )
 
@@ -75,7 +74,8 @@ def run_materialised(
     )
     _run_epoch_loop(
         evaluation.epochs(params.tau, config.max_epochs),
-        _LoopState(mapping=mapping, seen=seen),
+        mapping,
+        seen,
         allocator,
         config,
         substrate,

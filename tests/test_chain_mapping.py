@@ -96,23 +96,6 @@ class TestMutation:
         clone.assign(0, 1)
         assert small_mapping.shard_of(0) == 0
 
-    def test_grow_requires_fill(self, small_mapping):
-        with pytest.raises(MappingError, match="completeness"):
-            small_mapping.grow(7)
-
-    def test_grow_with_fill(self, small_mapping):
-        small_mapping.grow(7, np.array([1, 0]))
-        assert small_mapping.n_accounts == 7
-        assert small_mapping.shard_of(5) == 1
-
-    def test_grow_rejects_shrink(self, small_mapping):
-        with pytest.raises(MappingError):
-            small_mapping.grow(2, np.array([]))
-
-    def test_grow_same_size_is_noop(self, small_mapping):
-        small_mapping.grow(5)
-        assert small_mapping.n_accounts == 5
-
 
 class TestDiff:
     def test_diff_lists_changed_accounts(self, small_mapping):

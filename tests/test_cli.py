@@ -47,6 +47,9 @@ class TestParser:
             ["simulate", "--decoder", "python"],
             ["simulate", "--state-backend", "dense"],
             ["generate", "out.csv", "--sizing-index"],
+            ["simulate", "--follow"],
+            ["simulate", "--follow-poll", "0.2"],
+            ["simulate", "--follow-idle", "10"],
         ],
     )
     def test_retired_flags_are_rejected(self, argv):

@@ -275,7 +275,6 @@ _operation = st.one_of(
     st.tuples(st.just("absorb"), _pairs),
     st.tuples(st.just("commit"), _moves),
     st.tuples(st.just("assign"), _moves),
-    st.tuples(st.just("grow"), st.integers(1, 4)),
     st.tuples(
         st.just("replace"), st.lists(st.integers(0, K - 1), max_size=N_IDS)
     ),
@@ -318,10 +317,6 @@ class TestHistoryRows:
             allocator._absorb_batch(pair_batch(arg))
         elif op == "compact":
             allocator._compact()
-        elif op == "grow":
-            mapping.grow(
-                mapping.n_accounts + arg, np.zeros(arg, dtype=np.int64)
-            )
         elif op == "replace":
             # An unrelated mapping, possibly smaller than the last one.
             mapping = ShardMapping(np.array(arg, dtype=np.int64), k=K)

@@ -19,7 +19,6 @@ from repro.data import (
     CsvTraceSource,
     EpochStream,
     EthereumTraceConfig,
-    FollowCsvTraceSource,
     MaterialisedTraceSource,
     Trace,
     ValueModelConfig,
@@ -264,16 +263,13 @@ class TestErrorFixturesPythonPath:
 
 
 class TestReadersAgree:
-    """The eager reader, the chunked source and the followed source
-    decode the same rows from valid CSV, a quoted cell spanning a
-    newline included, and name the same physical line on a bad row."""
+    """The eager reader and the chunked source decode the same rows
+    from valid CSV, a quoted cell spanning a newline included, and name
+    the same physical line on a bad row."""
 
     READERS = {
         "eager": lambda path: read_transactions_csv(path)[0],
         "chunked": lambda path: CsvTraceSource(path, chunk_rows=2).materialise(),
-        "follow": lambda path: FollowCsvTraceSource(
-            path, chunk_rows=2, poll_interval=0.01, idle_timeout=0.05
-        ).materialise(),
     }
 
     def _write(self, path, last_block):

@@ -83,8 +83,6 @@ class TestMappingCorruption:
             mapping.assign(0, 5)
         with pytest.raises(MappingError):
             mapping.assign_many(np.array([0]), np.array([5]))
-        with pytest.raises(MappingError):
-            mapping.grow(6, np.array([0, 9]))
 
     def test_ledger_rejects_foreign_accounts(self, params):
         mapping = ShardMapping(np.zeros(4, dtype=np.int64), k=params.k)

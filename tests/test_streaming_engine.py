@@ -3,10 +3,8 @@
 The contract under test: ``Simulation(source, ...)`` produces
 **bit-identical** epoch records, state roots and total value to the
 eager protocol of ``tests/engine_reference.py`` over the materialised
-trace, for every bounded source kind and engine mode — streaming is a
-memory-shape change, never a results change. The unbounded (follow)
-protocol additionally pins its typed preconditions and its determinism
-across live-tail and static replays.
+trace, for every source kind and engine mode — streaming is a
+memory-shape change, never a results change.
 """
 
 import dataclasses
@@ -15,8 +13,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +31,9 @@ from repro.data.etl import write_transactions_csv
 from repro.data.generators import ValueModelConfig
 from repro.data.source import (
     CsvTraceSource,
-    FollowCsvTraceSource,
     MaterialisedTraceSource,
 )
-from repro.errors import DataError, SimulationError
+from repro.errors import SimulationError
 from repro.sim.engine import EpochRecord, Simulation, SimulationConfig
 
 #: Every deterministic EpochRecord field — everything but the two
@@ -158,9 +153,15 @@ class TestWindowedEquivalence:
         config = SimulationConfig(params=params())
         source, trace = csv_pair(path)
         passes = count_passes(source)
-        streamed = Simulation(source, HashAllocator(), config).run()
+        seen = []
+        streamed = Simulation(
+            source, HashAllocator(), config, on_record=seen.append
+        ).run()
         # The sizing pass is the only decode; the run replays its spool.
         assert len(passes) == 1
+        # on_record sees every record once, in order, as it is appended.
+        assert len(seen) == len(streamed.records)
+        assert all(a is b for a, b in zip(seen, streamed.records))
         materialised, _ = run_materialised(trace, HashAllocator(), config)
         assert_identical_records(streamed, materialised)
 
@@ -421,83 +422,6 @@ class TestHistoryKnobs:
         assert config.resolved_history_fraction == pytest.approx(0.9)
 
 
-class TestUnboundedProtocol:
-    def _static_csv(self, tmp_path, config=PLAIN_CONFIG):
-        path = tmp_path / "follow.csv"
-        write_transactions_csv(path, generate_ethereum_like_trace(config))
-        return path
-
-    def _follow_source(self, path, idle_timeout=0.4):
-        return FollowCsvTraceSource(
-            path, chunk_rows=599, poll_interval=0.02, idle_timeout=idle_timeout
-        )
-
-    def test_requires_history_epochs(self, tmp_path):
-        path = self._static_csv(tmp_path)
-        with pytest.raises(SimulationError, match="history_epochs"):
-            Simulation(
-                self._follow_source(path),
-                HashAllocator(),
-                SimulationConfig(params=params()),
-            ).run()
-
-    def test_rejects_execute_values(self, tmp_path):
-        path = self._static_csv(tmp_path)
-        with pytest.raises(SimulationError, match="metrics-only"):
-            Simulation(
-                self._follow_source(path),
-                HashAllocator(),
-                SimulationConfig(
-                    params=params(), history_epochs=2, execute_values=True
-                ),
-            ).run()
-
-    def test_follow_over_static_file(self, tmp_path):
-        path = self._static_csv(tmp_path)
-        seen = []
-        result = Simulation(
-            self._follow_source(path),
-            HashAllocator(),
-            SimulationConfig(params=params(), history_epochs=2),
-            on_record=seen.append,
-        ).run()
-        assert result.records
-        assert [r.epoch for r in seen] == [r.epoch for r in result.records]
-
-    def test_live_tail_matches_static_replay(self, tmp_path):
-        """Rows appended mid-run commit identically to a static replay."""
-        complete = self._static_csv(tmp_path)
-        lines = complete.read_text().splitlines(keepends=True)
-        half = len(lines) // 2
-        growing = tmp_path / "growing.csv"
-        growing.write_text("".join(lines[:half]))
-
-        def writer():
-            with growing.open("a") as handle:
-                for start in range(half, len(lines), 400):
-                    time.sleep(0.05)
-                    handle.write("".join(lines[start : start + 400]))
-                    handle.flush()
-
-        thread = threading.Thread(target=writer)
-        config = SimulationConfig(params=params(), history_epochs=2)
-        thread.start()
-        try:
-            live = Simulation(
-                self._follow_source(growing, idle_timeout=1.5),
-                HashAllocator(),
-                config,
-            ).run()
-        finally:
-            thread.join()
-        static = Simulation(
-            self._follow_source(growing),
-            HashAllocator(),
-            config,
-        ).run()
-        assert_identical_records(live, static)
-
-
 class TestSourceProtocol:
     def test_size_hints(self, tmp_path):
         trace = generate_ethereum_like_trace(PLAIN_CONFIG)
@@ -509,58 +433,3 @@ class TestSourceProtocol:
         write_transactions_csv(path, trace)
         # A CSV cannot know its row count without a pass: no hint.
         assert CsvTraceSource(path).size_hint() is None
-
-    def test_follow_source_validates_intervals(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("hash,from_address,to_address,block_number\n")
-        with pytest.raises(DataError):
-            FollowCsvTraceSource(path, poll_interval=0.0)
-        with pytest.raises(DataError):
-            FollowCsvTraceSource(path, idle_timeout=0.0)
-
-    def test_follow_source_flushes_at_quiet_polls(self, tmp_path):
-        """Buffered rows surface at the first quiet poll, long before
-        the idle timeout, and a record whose quoted cell is still open
-        waits for the writer to close it."""
-        a, b = "0x" + "aa" * 20, "0x" + "bb" * 20
-        path = tmp_path / "grow.csv"
-        path.write_text(
-            "hash,block_number,from_address,to_address,value\n"
-            f"0x0,1,{a},{b},1.0\n"
-        )
-        source = FollowCsvTraceSource(
-            path, chunk_rows=100, poll_interval=0.01, idle_timeout=5.0
-        )
-        chunks = source.chunks()
-        start = time.monotonic()
-        assert next(chunks).blocks.tolist() == [1]
-        assert time.monotonic() - start < 2.0
-
-        with path.open("a") as handle:
-            handle.write('"0x1\n')
-
-        def close_the_cell():
-            time.sleep(0.1)
-            with path.open("a") as handle:
-                handle.write(f'",2,{b},{a},2.0\n')
-
-        thread = threading.Thread(target=close_the_cell)
-        thread.start()
-        try:
-            assert next(chunks).blocks.tolist() == [2]
-        finally:
-            thread.join()
-            chunks.close()
-
-    def test_follow_source_is_python_decoder_only(self, tmp_path):
-        """A followed file decodes the same rows as the chunked source
-        and offers no decoder knob."""
-        path = tmp_path / "x.csv"
-        write_transactions_csv(path, generate_ethereum_like_trace(PLAIN_CONFIG))
-        source = FollowCsvTraceSource(
-            path, poll_interval=0.01, idle_timeout=0.02
-        )
-        rows = sum(len(chunk) for chunk in source.chunks())
-        assert rows == len(CsvTraceSource(path, decoder="python").materialise())
-        with pytest.raises(TypeError):
-            FollowCsvTraceSource(path, decoder="python")
