@@ -433,3 +433,24 @@ class TestSourceProtocol:
         write_transactions_csv(path, trace)
         # A CSV cannot know its row count without a pass: no hint.
         assert CsvTraceSource(path).size_hint() is None
+
+
+class TestUnboundedProtocol:
+    """Every run is bounded: a CSV, even one that was once tailed, replays
+    to its end under ``history_epochs``, as the tailing mode did over a
+    file that stopped growing."""
+
+    def test_follow_over_static_file(self, tmp_path):
+        path = tmp_path / "follow.csv"
+        write_transactions_csv(path, generate_ethereum_like_trace(PLAIN_CONFIG))
+        config = SimulationConfig(params=params(), history_epochs=2)
+        source, trace = csv_pair(path)
+        assert not hasattr(source, "unbounded")
+        seen = []
+        result = Simulation(
+            source, HashAllocator(), config, on_record=seen.append
+        ).run()
+        assert result.records
+        assert [r.epoch for r in seen] == [r.epoch for r in result.records]
+        materialised, _ = run_materialised(trace, HashAllocator(), config)
+        assert_identical_records(result, materialised)
