@@ -14,23 +14,33 @@ Both shards therefore spend consensus work on the same transfer, and
 the receiver's funds arrive one (or more) relay latencies later — the
 two costs the paper's difficulty parameter ``eta`` abstracts.
 
-:class:`CrossShardExecutor` executes transaction batches against the
-per-shard state stores and tracks in-flight receipts in a columnar
+Each :meth:`CrossShardExecutor.execute_batch` call (one epoch) is one
+pass. The pass keeps the per-block skeleton: every block drains the
+bus, settles its due receipts, then applies its transfers in
+transaction order and issues its receipts, tx ids going to the block's
+successes in order. A sender can spend an intra-shard credit that lands
+earlier in the same block, a transfer whose sender cannot cover
+``value + fee`` fails without side effects, and the result is exact for
+any amounts. The pass first classifies the epoch's senders: a *safe*
+sender (homed on its mapped shard, integer-valued debits summing below
+2**53, opening balance covering them all) can never abort, since
+credits only add. Every other account is *exact*. Events that touch an
+exact account — its debits and every credit it receives — run through
+the scalar store calls in sequence order inside the block loop; all
+other debits, nonce bumps, fees and credits are gathered and committed
+when the pass ends as one ordered scatter per shard. Each account's
+events keep their order, so state roots equal a per-transfer commit's
+bit for bit. The per-transfer committer lives on as the test oracle
+``tests/executor_reference.py``. In-flight receipts sit in a columnar
 :class:`~repro.chain.receipts.ReceiptLedger` (read them as columns via
-``executor.ledger.view()``; there is no per-receipt object). Each
-block's withdraw/intra phase runs one committer, a per-transfer loop
-in transaction order: a sender can spend an intra-shard credit that
-lands earlier in the same block, a transfer whose sender cannot cover
-``value + fee`` fails without side effects, and the result is exact
-for any amounts.
-
-Settlement is columnar: it pops the due prefix of the receipt ledger
-via its due-block index and credits each target shard with one
-scatter, in pinned ``(due_block, tx_id)`` order.
+``executor.ledger.view()``; there is no per-receipt object), popped in
+pinned ``(due_block, tx_id)`` order.
 
 Conservation of total balance — no value created or destroyed,
 in-flight receipts included — is the key invariant, property-tested in
-``tests/test_chain_crossshard.py``.
+``tests/test_chain_crossshard.py``. Each block's report carries its
+deltas (debited, credited, fees collected, in-flight change), which sum
+to zero.
 
 Receipts always ride a :class:`~repro.chain.netsim.ReceiptTransport`
 over the simulated message plane (:mod:`repro.chain.netsim`);
@@ -50,7 +60,7 @@ Transfers enter through one door, :meth:`CrossShardExecutor.execute_batch`;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -82,6 +92,14 @@ class ExecutionReport:
     refunded_value: float = 0.0
     #: Redelivered receipt copies discarded by the idempotent settle.
     duplicates_deduped: int = 0
+    #: Block-boundary conservation deltas: value debited from senders
+    #: (``value + fee``), value credited to balances (intra transfers,
+    #: deposits, refunds) and the change of in-flight value (withdrawn
+    #: minus settled minus refunded). With ``fees_collected`` they sum
+    #: to zero in every block.
+    debited_value: float = 0.0
+    credited_value: float = 0.0
+    in_flight_delta: float = 0.0
     relay_latencies: List[int] = field(default_factory=list)
 
     @property
@@ -192,124 +210,61 @@ class CrossShardExecutor:
 
     # -- execution -----------------------------------------------------------------
 
-    def _settle_due(self, block: int, report: ExecutionReport) -> None:
-        """Settle receipts that have aged past the relay delay.
+    def _exact_accounts(
+        self, senders: np.ndarray, debits: np.ndarray
+    ) -> Optional[np.ndarray]:
+        """Flag the epoch's *exact* accounts (``None`` when there are none).
 
-        The relayed deposit rides a later target-shard block. Deposits
-        are credited in ``(due_block, tx_id)`` order — receipts of one
-        target shard apply as one ordered columnar scatter.
-
-        Deposits route through the *current* mapping (receipt
-        forwarding): a receipt commits to the target shard computed at
-        issue time, but if the receiver migrated while the receipt was
-        in flight, the deposit follows it to the shard now holding the
-        account instead of stranding value on the stale shard.
-
-        On a degraded network the bus is drained first: newly
-        *delivered* receipts join the ledger keyed by their delivery
-        block (so they settle in this pass), and expired ones abort
-        with a refund to the sender — also via the current mapping,
-        since the sender may have migrated since the withdraw.
+        A sender is *safe* when it is homed on its mapped shard, every
+        debit it sends (``amount + fee``) is integer-valued, their sum
+        stays below 2**53 and its opening balance covers that sum. Such
+        a sender can never abort this epoch, however its credits
+        interleave: credits only add, every partial sum of its debits is
+        exact and rounding is monotone, so each debit finds the rest of
+        the sum still covered. Every other sender is exact. The flags
+        span the account universe, so any credit's receiver looks up.
         """
-        if not self._transport.is_ideal:
-            before_dups = self._transport.duplicates_deduped
-            refunds = self._transport.poll(block, self._ledger)
-            report.duplicates_deduped += (
-                self._transport.duplicates_deduped - before_dups
-            )
-            for _tx_id, sender, amount in refunds:
-                shard = self.mapping.shard_of(sender)
-                self.registry.store_of(shard).credit(sender, amount)
-                report.refunds_settled += 1
-                report.refunded_value += amount
-        due = self._ledger.pop_due(block)
-        if len(due) == 0:
-            return
-        current_targets = self.mapping.shards_of(due.receivers)
-        for shard in np.unique(current_targets).tolist():
-            on_shard = current_targets == shard
-            self.registry.store_of(int(shard)).credit_many(
-                due.receivers[on_shard], due.amounts[on_shard]
-            )
-        report.deposits_settled += len(due)
-        report.settled_value += float(due.amounts.sum())
-        report.relay_latencies.extend(
-            (block - due.issued_blocks).tolist()
+        ids, inverse = np.unique(senders, return_inverse=True)
+        totals = np.bincount(inverse, weights=debits, minlength=len(ids))
+        fractional = np.bincount(
+            inverse, weights=debits != np.floor(debits), minlength=len(ids)
         )
-
-    # -- the block committer --------------------------------------------------------
-
-    def _apply_transfers(
-        self,
-        block: int,
-        senders: np.ndarray,
-        receivers: np.ndarray,
-        amounts: np.ndarray,
-        sender_shards: np.ndarray,
-        receiver_shards: np.ndarray,
-        report: ExecutionReport,
-        fees: Optional[np.ndarray] = None,
-    ) -> None:
-        """Withdraw/intra phase of one block, one transfer at a time,
-        in transaction order (the in-block contract in the module
-        docstring). Fees accrue to the collected-fees pool."""
-        stores = [self.registry.store_of(i) for i in range(self.registry.k)]
-        receipt_rows: List[Tuple[int, int, int, float, int, int]] = []
-        for i in range(len(senders)):
-            sender_shard = int(sender_shards[i])
-            amount = float(amounts[i])
-            fee = float(fees[i]) if fees is not None else 0.0
-            source = stores[sender_shard]
-            try:
-                source.debit(int(senders[i]), amount + fee)
-            except ChainError:
-                report.failed += 1
-                continue
-            if fee:
-                self.collected_fees += fee
-                report.fees_collected += fee
-            receiver_shard = int(receiver_shards[i])
-            if sender_shard == receiver_shard:
-                source.credit(int(receivers[i]), amount)
-                report.intra_executed += 1
-            else:
-                receipt_rows.append(
-                    (
-                        self._next_tx_id,
-                        int(senders[i]),
-                        int(receivers[i]),
-                        amount,
-                        sender_shard,
-                        receiver_shard,
-                    )
-                )
-                report.withdraws += 1
-            self._next_tx_id += 1
-        if receipt_rows:
-            columns = list(zip(*receipt_rows))
-            self._transport.issue(
-                self._ledger,
-                block,
-                tx_ids=np.asarray(columns[0], dtype=np.int64),
-                senders=np.asarray(columns[1], dtype=np.int64),
-                receivers=np.asarray(columns[2], dtype=np.int64),
-                amounts=np.asarray(columns[3], dtype=np.float64),
-                source_shards=np.asarray(columns[4], dtype=np.int64),
-                target_shards=np.asarray(columns[5], dtype=np.int64),
+        homes = self.registry.locate_many(ids)
+        safe = (
+            (homes == self.mapping.as_array()[ids])
+            & (fractional == 0)
+            & (totals < 2.0**53)
+        )
+        balances = np.zeros(len(ids), dtype=np.float64)
+        for shard in np.unique(homes[safe]).tolist():
+            on_shard = safe & (homes == shard)
+            balances[on_shard] = self.registry.store_of(shard).balances_many(
+                ids[on_shard]
             )
+        safe &= balances >= totals
+        if safe.all():
+            return None
+        exact = np.zeros(self.mapping.n_accounts, dtype=bool)
+        exact[ids[~safe]] = True
+        return exact
 
     def execute_batch(self, batch: TransactionBatch) -> List[ExecutionReport]:
-        """Execute a batch block by block: each block settles its due
-        receipts, then applies its transfers.
+        """Execute a batch (one epoch) in one pass, block by block.
 
-        Amounts come from the batch's ``values`` column when present,
-        else every transfer moves :data:`DEFAULT_TRANSFER_AMOUNT`
-        units; a ``fees`` column, when present, debits alongside
-        (sender pays ``value + fee``). Shard classification runs once
-        over the whole batch through the shared :func:`classify_kernel`;
-        blocks are delimited by change points in the ``blocks`` column,
-        which must be non-decreasing (:class:`ValidationError`
-        otherwise — time never runs backwards).
+        Each block drains the bus, settles its due receipts, then
+        applies its transfers in transaction order and issues its
+        receipts; balances commit when the pass ends (module
+        docstring). Amounts come from the batch's ``values`` column
+        when present, else every transfer moves
+        :data:`DEFAULT_TRANSFER_AMOUNT` units; a ``fees`` column, when
+        present, debits alongside (sender pays ``value + fee``). Shard
+        classification runs once over the whole batch through the
+        shared :func:`classify_kernel`; blocks are delimited by change
+        points in the ``blocks`` column, which must be non-decreasing
+        (:class:`ValidationError` otherwise — time never runs
+        backwards). A write routed off an account's home raises
+        :class:`~repro.errors.ResidencyError` and leaves the pass's
+        gathered events uncommitted: the executor is then unusable.
         """
         reports: List[ExecutionReport] = []
         if len(batch) == 0:
@@ -327,30 +282,33 @@ class CrossShardExecutor:
         sender_shards, receiver_shards, _ = classify_kernel(
             batch.senders, batch.receivers, self.mapping.as_array()
         )
-        amounts = batch.amounts(DEFAULT_TRANSFER_AMOUNT)
-        fees = batch.fees
+        epoch = _EpochPass(
+            self,
+            batch.senders,
+            batch.receivers,
+            batch.amounts(DEFAULT_TRANSFER_AMOUNT),
+            batch.fees,
+            sender_shards,
+            receiver_shards,
+        )
         boundaries = np.flatnonzero(steps != 0) + 1
         starts = np.concatenate(([0], boundaries))
         stops = np.concatenate((boundaries, [len(batch)]))
-        for start, stop in zip(starts, stops):
-            report = self.settle(int(batch.blocks[start]))
-            self._apply_transfers(
-                report.block,
-                batch.senders[start:stop],
-                batch.receivers[start:stop],
-                amounts[start:stop],
-                sender_shards[start:stop],
-                receiver_shards[start:stop],
-                report,
-                fees=fees[start:stop] if fees is not None else None,
-            )
+        for start, stop in zip(starts.tolist(), stops.tolist()):
+            report = ExecutionReport(block=int(batch.blocks[start]))
+            epoch.settle(report)
+            epoch.transfer(report, start, stop)
             reports.append(report)
+        epoch.commit(reports, starts)
         return reports
 
     def settle(self, block: int) -> ExecutionReport:
         """Settle the receipts due at ``block`` (a block with no transfers)."""
         report = ExecutionReport(block=block)
-        self._settle_due(block, report)
+        empty = np.zeros(0, dtype=np.int64)
+        epoch = _EpochPass(self, empty, empty, np.zeros(0), None, empty, empty)
+        epoch.settle(report)
+        epoch.commit()
         return report
 
     def settle_all(self, from_block: int) -> ExecutionReport:
@@ -368,3 +326,224 @@ class CrossShardExecutor:
                 self._transport.horizon(),
             )
         )
+
+
+def _accumulate(total: float, values: np.ndarray) -> float:
+    """``total + v0 + v1 + ...`` added left to right, as a scalar loop adds."""
+    if not len(values):
+        return total
+    return float(np.cumsum(np.concatenate(([total], values)))[-1])
+
+
+class _EpochPass:
+    """One ``execute_batch`` pass: block skeleton, exact scan, bulk commit.
+
+    Events of *exact* accounts (:meth:`CrossShardExecutor._exact_accounts`)
+    — their debits and every credit they receive — run through the
+    scalar store calls in sequence order as the blocks go by. Every
+    other debit, nonce bump, intra credit, deposit and refund joins one
+    stream in sequence order, committed by :meth:`commit` as one ordered
+    scatter per shard. Events on different accounts commute and each
+    account's events keep their order, so balances, nonces and state
+    roots equal a per-transfer commit's bit for bit.
+    """
+
+    def __init__(
+        self,
+        executor: CrossShardExecutor,
+        senders: np.ndarray,
+        receivers: np.ndarray,
+        amounts: np.ndarray,
+        fees: Optional[np.ndarray],
+        sender_shards: np.ndarray,
+        receiver_shards: np.ndarray,
+    ) -> None:
+        registry = executor.registry
+        self.executor = executor
+        self.stores = [registry.store_of(i) for i in range(registry.k)]
+        self.senders = senders
+        self.receivers = receivers
+        self.amounts = amounts
+        self.fees = fees
+        self.sender_shards = sender_shards.astype(np.int64, copy=False)
+        self.receiver_shards = receiver_shards.astype(np.int64, copy=False)
+        self.debits = amounts if fees is None else amounts + fees
+        self.intra = sender_shards == receiver_shards
+        self.cross = ~self.intra
+        self.ok = np.ones(len(senders), dtype=bool)
+        # Transfer events in transaction order: slot 2i is transfer i's
+        # debit, slot 2i+1 its intra-shard credit; ``gather`` marks the
+        # ones the bulk commit applies.
+        self.tx_accounts = np.column_stack((senders, receivers)).ravel()
+        self.tx_deltas = np.column_stack((-self.debits, amounts)).ravel()
+        gather = np.column_stack((np.ones(len(senders), dtype=bool), self.intra))
+        self.exact = executor._exact_accounts(senders, self.debits)
+        self.scan = np.zeros(0, dtype=np.int64)
+        if self.exact is not None:
+            self.exact_senders = self.exact[senders]
+            self.exact_receivers = self.exact[receivers]
+            gather[:, 0] = ~self.exact_senders
+            gather[:, 1] &= ~self.exact_receivers
+            self.scan = np.flatnonzero(
+                self.exact_senders | (self.intra & self.exact_receivers)
+            )
+        self.gather = gather.ravel()
+        self.accounts: List[np.ndarray] = []
+        self.deltas: List[np.ndarray] = []
+
+    def settle(self, report: ExecutionReport) -> None:
+        """Drain the bus, then settle the receipts due at ``report.block``.
+
+        Deposits are credited in ``(due_block, tx_id)`` order and route
+        through the *current* mapping (receipt forwarding): a receipt
+        commits to the target shard computed at issue time, but if the
+        receiver migrated while the receipt was in flight, the deposit
+        follows it to the shard now holding the account instead of
+        stranding value on the stale shard.
+
+        On a degraded network the bus is drained first: newly
+        *delivered* receipts join the ledger keyed by their delivery
+        block (so they settle in this pass), and expired ones abort
+        with a refund to the sender — also via the current mapping,
+        since the sender may have migrated since the withdraw.
+        """
+        executor = self.executor
+        transport = executor._transport
+        if not transport.is_ideal:
+            before_dups = transport.duplicates_deduped
+            refunds = transport.poll(report.block, executor._ledger)
+            report.duplicates_deduped += (
+                transport.duplicates_deduped - before_dups
+            )
+            for _tx_id, _sender, amount in refunds:
+                report.refunds_settled += 1
+                report.refunded_value += amount
+            if refunds:
+                self._credit(
+                    np.array([row[1] for row in refunds], dtype=np.int64),
+                    np.array([row[2] for row in refunds], dtype=np.float64),
+                )
+        due = executor._ledger.pop_due(report.block)
+        if len(due):
+            self._credit(due.receivers, due.amounts)
+            report.deposits_settled += len(due)
+            report.settled_value += float(due.amounts.sum())
+            report.relay_latencies.extend(
+                (report.block - due.issued_blocks).tolist()
+            )
+        report.credited_value = report.settled_value + report.refunded_value
+        report.in_flight_delta = -report.credited_value
+
+    def _credit(self, accounts: np.ndarray, amounts: np.ndarray) -> None:
+        """Credit settled receipts on the shards phi maps them to now."""
+        if self.exact is not None:
+            scalar = self.exact[accounts]
+            if scalar.any():
+                shards = self.executor.mapping.shards_of(accounts[scalar])
+                for account, amount, shard in zip(
+                    accounts[scalar].tolist(),
+                    amounts[scalar].tolist(),
+                    shards.tolist(),
+                ):
+                    self.stores[shard].credit(account, amount)
+                accounts, amounts = accounts[~scalar], amounts[~scalar]
+        self.accounts.append(accounts)
+        self.deltas.append(amounts)
+
+    def transfer(self, report: ExecutionReport, start: int, stop: int) -> None:
+        """Apply transfers ``[start, stop)`` and issue the block's receipts.
+
+        Tx ids go to the block's successes in transaction order.
+        """
+        executor = self.executor
+        failed = 0
+        if len(self.scan):
+            lo, hi = np.searchsorted(self.scan, (start, stop)).tolist()
+            for i in self.scan[lo:hi].tolist():
+                failed += self._scan(i)
+        ok = self.ok[start:stop]
+        rows = np.flatnonzero(ok & self.cross[start:stop])
+        tx_ids = executor._next_tx_id + (
+            (np.cumsum(ok) - 1)[rows] if failed else rows
+        )
+        executor._next_tx_id += stop - start - failed
+        rows += start
+        report.failed = failed
+        report.withdraws = len(rows)
+        report.intra_executed = stop - start - failed - len(rows)
+        if self.fees is not None:
+            report.fees_collected = _accumulate(0.0, self.fees[start:stop][ok])
+        if len(rows):
+            executor._transport.issue(
+                executor._ledger,
+                report.block,
+                tx_ids=tx_ids,
+                senders=self.senders[rows],
+                receivers=self.receivers[rows],
+                amounts=self.amounts[rows],
+                source_shards=self.sender_shards[rows],
+                target_shards=self.receiver_shards[rows],
+            )
+        events = slice(2 * start, 2 * stop)
+        keep = self.gather[events]
+        self.accounts.append(self.tx_accounts[events][keep])
+        self.deltas.append(self.tx_deltas[events][keep])
+
+    def _scan(self, i: int) -> int:
+        """Run transfer ``i``'s exact events through the scalar store
+        calls; 1 when its debit fails (no side effects), else 0."""
+        store = self.stores[int(self.sender_shards[i])]
+        if self.exact_senders[i]:
+            try:
+                store.debit(int(self.senders[i]), float(self.debits[i]))
+            except ChainError:
+                self.ok[i] = False
+                self.gather[2 * i + 1] = False
+                return 1
+        if self.intra[i] and self.exact_receivers[i]:
+            store.credit(int(self.receivers[i]), float(self.amounts[i]))
+        return 0
+
+    def commit(
+        self,
+        reports: Sequence[ExecutionReport] = (),
+        starts: Optional[np.ndarray] = None,
+    ) -> None:
+        """Apply the gathered stream, collect the fees and add each
+        block's transfer deltas to its report (``starts``: the block's
+        first row)."""
+        executor = self.executor
+        if self.fees is not None:
+            executor.collected_fees = _accumulate(
+                executor.collected_fees, self.fees[self.ok]
+            )
+        if self.accounts:
+            accounts = np.concatenate(self.accounts)
+            deltas = np.concatenate(self.deltas)
+            shards = executor.mapping.shards_of(accounts)
+            safe = self.gather[0::2]
+            debited = self.senders[safe]
+            debited_shards = self.sender_shards[safe]
+            for shard in np.unique(shards).tolist():
+                on_shard = shards == shard
+                self.stores[shard].apply_many(
+                    accounts[on_shard],
+                    deltas[on_shard],
+                    debited[debited_shards == shard],
+                )
+        if reports:
+            ok = self.ok
+            debited_value, intra_value, withdrawn_value = (
+                np.add.reduceat(np.where(mask, values, 0.0), starts).tolist()
+                for mask, values in (
+                    (ok, self.debits),
+                    (ok & self.intra, self.amounts),
+                    (ok & self.cross, self.amounts),
+                )
+            )
+            for report, debited, intra, withdrawn in zip(
+                reports, debited_value, intra_value, withdrawn_value
+            ):
+                report.debited_value = debited
+                report.credited_value += intra
+                report.in_flight_delta += withdrawn

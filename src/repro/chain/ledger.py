@@ -56,9 +56,13 @@ class Ledger:
     def execute_epoch(self, batch: TransactionBatch) -> List[ExecutionReport]:
         """Run the epoch's transfers through the cross-shard executor.
 
-        The batch flows to the two-phase relay committer entirely
-        columnar, one :class:`ExecutionReport` per block. Amounts come
-        from the batch's ``values`` column when present.
+        The batch runs as one epoch pass of the two-phase relay
+        executor: blocks keep their settle-then-transfer order, senders
+        that cannot abort commit in one ordered scatter per shard when
+        the pass ends, the rest through an exact per-transfer scan. One
+        :class:`ExecutionReport` per block, carrying its conservation
+        deltas. Amounts come from the batch's ``values`` column when
+        present.
         """
         return self.executor.execute_batch(batch)
 

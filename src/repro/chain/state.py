@@ -352,6 +352,30 @@ class DenseShardStateStore:
         # scalar path's in-order accumulation.
         np.add.at(self._bal, self._dir.slot[accounts], amounts)
 
+    def balances_many(self, accounts: np.ndarray) -> np.ndarray:
+        """Balances of ``accounts`` (0.0 where not resident here)."""
+        home = self._dir.home[accounts] == self.shard_id
+        balances = np.zeros(len(accounts), dtype=np.float64)
+        balances[home] = self._bal[self._dir.slot[accounts[home]]]
+        return balances
+
+    def apply_many(
+        self, accounts: np.ndarray, deltas: np.ndarray, debited: np.ndarray
+    ) -> None:
+        """Apply signed balance deltas in order; bump each debit's nonce.
+
+        The executor's end-of-epoch commit: ``deltas`` are credits
+        (>= 0) and debits (< 0) in event order, from senders the
+        executor proved cannot overdraw, and ``debited`` names the
+        sender of each debit. Accounts homed nowhere claim a slot, as
+        with :meth:`credit_many`.
+        """
+        new = self._claimable_mask(accounts)
+        if new.any():
+            self._alloc_slots_bulk(np.unique(accounts[new]))
+        np.add.at(self._bal, self._dir.slot[accounts], deltas)
+        np.add.at(self._non, self._dir.slot[debited], 1)
+
     # -- bulk migration (batched reconfiguration hot path) ---------------------
 
     def take_many(

@@ -10,6 +10,7 @@ examples, wallets, and block bodies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterator, Optional, Sequence
 
@@ -24,6 +25,13 @@ TX_RECORD_BYTES = 109
 #: Units a transfer moves when its batch carries no ``values`` column
 #: (metric traces): the executor moves it and observed funding funds it.
 DEFAULT_TRANSFER_AMOUNT = 1.0
+
+
+def _finite_nonnegative(column: np.ndarray) -> bool:
+    """True when every entry is finite and >= 0 (NaN fails both tests)."""
+    return not len(column) or bool(
+        column.min() >= 0 and np.isfinite(column).all()
+    )
 
 
 @dataclass(frozen=True)
@@ -48,8 +56,8 @@ class Transaction:
             )
         if self.block < 0:
             raise ValidationError(f"block must be >= 0, got {self.block}")
-        if self.value < 0 or self.fee < 0:
-            raise ValidationError("value and fee must be >= 0")
+        if not (0 <= self.value < math.inf and 0 <= self.fee < math.inf):
+            raise ValidationError("value and fee must be finite and >= 0")
 
     @property
     def accounts(self) -> FrozenSet[int]:
@@ -111,14 +119,18 @@ class TransactionBatch:
             values = np.asarray(values, dtype=np.float64)
             if values.shape != senders.shape:
                 raise ValidationError("values must match senders in shape")
-            if len(values) and values.min() < 0:
-                raise ValidationError("transaction values must be >= 0")
+            if not _finite_nonnegative(values):
+                raise ValidationError(
+                    "transaction values must be finite and >= 0"
+                )
         if fees is not None:
             fees = np.asarray(fees, dtype=np.float64)
             if fees.shape != senders.shape:
                 raise ValidationError("fees must match senders in shape")
-            if len(fees) and fees.min() < 0:
-                raise ValidationError("transaction fees must be >= 0")
+            if not _finite_nonnegative(fees):
+                raise ValidationError(
+                    "transaction fees must be finite and >= 0"
+                )
         if len(senders) and (senders.min() < 0 or receivers.min() < 0):
             raise ValidationError("account ids must be >= 0")
         self.senders = senders

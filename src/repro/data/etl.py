@@ -20,6 +20,7 @@ shares the row parsing defined here.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
@@ -124,7 +125,7 @@ class _RowDecoder:
                     raise MalformedRowError(
                         self.path, line, f"bad value {raw_value!r}"
                     ) from None
-                if value < 0 or value != value:  # negative or NaN
+                if not 0 <= value < math.inf:  # negative, NaN or infinite
                     raise MalformedRowError(
                         self.path, line, f"bad value {raw_value!r}"
                     )
@@ -138,7 +139,7 @@ class _RowDecoder:
                     raise MalformedRowError(
                         self.path, line, f"bad fee {raw_fee!r}"
                     ) from None
-                if fee < 0 or fee != fee:
+                if not 0 <= fee < math.inf:
                     raise MalformedRowError(self.path, line, f"bad fee {raw_fee!r}")
         try:
             sender = self.registry.register(from_address)

@@ -26,7 +26,7 @@ import json
 import time
 from pathlib import Path
 from statistics import median
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.data.ethereum import EthereumTraceConfig, generate_ethereum_like_trace
 from repro.errors import ExperimentError
@@ -112,17 +112,17 @@ def _valued_extract(n_rows: int) -> Path:
     return path
 
 
-def memory_microbench(
-    n_rows: int = 1_000_000,
-    mode: str = "windowed",
+def _memory_run(
+    n_rows: int,
+    mode: str,
     chunk_rows: int = 65_536,
     history_epochs: int = 4,
-) -> float:
-    """Peak traced allocation (MB) for a metrics run over ``n_rows`` rows.
+) -> Callable[[], None]:
+    """The memory bench's measured step: a metrics run over ``n_rows``.
 
     Both modes run the same hash-random metrics :class:`Simulation`
-    over the benchmark's valued CSV extract and report tracemalloc's
-    peak; they differ only in the source the engine streams from:
+    over the benchmark's valued CSV extract; they differ only in the
+    source the engine streams from:
 
     * ``mode="windowed"`` streams the chunked
       :class:`~repro.data.source.CsvTraceSource` — the engine holds the
@@ -131,14 +131,9 @@ def memory_microbench(
     * ``mode="materialised"`` first decodes the whole file into a
       :class:`Trace` and streams that — O(total rows).
 
-    The pair feeds the snapshot's
-    ``peak_rss_mb_{windowed,materialised}_1m`` entries; the sublinearity
-    gate in ``tests/test_perf_gate.py`` rests on the gap between them.
-    Peaks are traced *allocations* (tracemalloc), not process RSS — a
-    stable, interpreter-independent proxy for the same quantity.
+    The extract is written (or reused) before the step is returned, so
+    input generation never sets the step's peak.
     """
-    import tracemalloc
-
     from repro.allocation.hash_based import HashAllocator
     from repro.chain.params import ProtocolParams
     from repro.data.source import CsvTraceSource
@@ -159,10 +154,34 @@ def memory_microbench(
         history_epochs=history_epochs,
     )
     source = CsvTraceSource(csv_path, chunk_rows=chunk_rows)
-    tracemalloc.start()
-    try:
+
+    def run() -> None:
         data = source if mode == "windowed" else source.materialise()
         Simulation(data, HashAllocator(), config).run()
+
+    return run
+
+
+def memory_microbench(
+    n_rows: int = 1_000_000,
+    mode: str = "windowed",
+    chunk_rows: int = 65_536,
+    history_epochs: int = 4,
+) -> float:
+    """Peak traced allocation (MB) of the memory bench's step.
+
+    Runs :func:`_memory_run`'s step for ``mode`` under tracemalloc. The
+    pair feeds the snapshot's ``peak_rss_mb_{windowed,materialised}_1m``
+    entries. Peaks are traced *allocations* (tracemalloc), not process
+    RSS — a stable, interpreter-independent proxy for the same
+    quantity.
+    """
+    import tracemalloc
+
+    run = _memory_run(n_rows, mode, chunk_rows, history_epochs)
+    tracemalloc.start()
+    try:
+        run()
         peak_bytes = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

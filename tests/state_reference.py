@@ -154,6 +154,26 @@ class ShardStateStore:
             bal[account] = bal.get(account, 0.0) + amount
             non.setdefault(account, 0)
 
+    def balances_many(self, accounts: np.ndarray) -> np.ndarray:
+        """Balances of ``accounts`` (0.0 where not resident here)."""
+        return np.array(
+            [self._balances.get(a, 0.0) for a in accounts.tolist()],
+            dtype=np.float64,
+        )
+
+    def apply_many(
+        self, accounts: np.ndarray, deltas: np.ndarray, debited: np.ndarray
+    ) -> None:
+        """Apply signed balance deltas in order; bump each debit's nonce."""
+        self._check_writable_many(accounts)
+        bal = self._balances
+        non = self._nonces
+        for account, delta in zip(accounts.tolist(), deltas.tolist()):
+            bal[account] = bal.get(account, 0.0) + delta
+            non.setdefault(account, 0)
+        for account in debited.tolist():
+            non[account] += 1
+
     # -- bulk migration (batched reconfiguration hot path) ---------------------
 
     def take_many(

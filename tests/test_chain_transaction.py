@@ -38,6 +38,12 @@ class TestTransaction:
         with pytest.raises(ValidationError):
             Transaction(sender=0, receiver=1, value=-1.0)
 
+    @pytest.mark.parametrize("field", ["value", "fee"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_amounts(self, field, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            Transaction(sender=0, receiver=1, **{field: bad})
+
     def test_self_transfer_accounts(self):
         tx = Transaction(sender=3, receiver=3)
         assert tx.accounts == frozenset({3})
@@ -57,6 +63,16 @@ class TestTransactionBatch:
     def test_negative_ids_rejected(self):
         with pytest.raises(ValidationError):
             TransactionBatch(np.array([-1]), np.array([2]))
+
+    @pytest.mark.parametrize("column", ["values", "fees"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_amounts_rejected(self, column, bad):
+        """A NaN or infinite amount would slip past a ``min() < 0``
+        check and turn the executor's conserved total into NaN."""
+        amounts = {"values": np.array([1.0, 2.0]), "fees": np.zeros(2)}
+        amounts[column][1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            TransactionBatch(np.array([0, 1]), np.array([1, 0]), **amounts)
 
     def test_blocks_default_to_zero(self):
         batch = TransactionBatch(np.array([0]), np.array([1]))

@@ -4,8 +4,9 @@ Drives the complete substrate pipeline — allocator updates, beacon-
 committed migrations with state movement, and cross-shard execution
 with relay settlement — for several epochs, checking at **every block
 boundary** that total value (resident balances plus in-flight receipts)
-equals the genesis supply. No step of the columnar pipeline may create
-or destroy value.
+equals the genesis supply: each block's reported deltas cancel, and
+their running sums match the state at the end of the epoch. No step of
+the columnar pipeline may create or destroy value.
 """
 
 import numpy as np
@@ -31,6 +32,41 @@ def _migration_pairs(old, new):
     return zip(
         moved.tolist(), old.shards_of(moved).tolist(), new.shards_of(moved).tolist()
     )
+
+
+def _execute_checking_block_deltas(ledger, executor, batch):
+    """Run one epoch and check its per-block conservation deltas.
+
+    The epoch commits as one pass, so the block boundaries are visible
+    only through each report's deltas: debited, credited, fees
+    collected and the in-flight change must cancel in every block, and
+    their running sums must equal the change of resident balances, the
+    fee pool and in-flight value over the whole epoch.
+    """
+    balances = executor.registry.total_balance()
+    fees = executor.collected_fees
+    in_flight = executor.in_flight_value()
+    reports = ledger.execute_epoch(batch)
+    for report in reports:
+        net = (
+            report.credited_value
+            - report.debited_value
+            + report.fees_collected
+            + report.in_flight_delta
+        )
+        assert net == pytest.approx(0.0, abs=1e-9), (
+            f"value drift in block {report.block}"
+        )
+    assert balances + sum(
+        r.credited_value - r.debited_value for r in reports
+    ) == pytest.approx(executor.registry.total_balance(), abs=1e-9)
+    assert fees + sum(r.fees_collected for r in reports) == pytest.approx(
+        executor.collected_fees, abs=1e-9
+    )
+    assert in_flight + sum(r.in_flight_delta for r in reports) == (
+        pytest.approx(executor.in_flight_value(), abs=1e-9)
+    )
+    return reports
 
 
 def _build_world(n_accounts, k, seed, relay_delay, network=None):
@@ -84,11 +120,10 @@ def test_total_value_conserved_through_full_loop(seed, k, relay_delay):
         valued = TransactionBatch(
             batch.senders, batch.receivers, batch.blocks, values
         )
-        reports = ledger.execute_epoch(valued)
-        for report in reports:
-            assert executor.total_value() == pytest.approx(
-                genesis, abs=1e-9, rel=0
-            ), f"value drift after block {report.block}"
+        _execute_checking_block_deltas(ledger, executor, valued)
+        assert executor.total_value() == pytest.approx(
+            genesis, abs=1e-9, rel=0
+        ), f"value drift after epoch {view.index}"
 
         # Allocator proposes the next mapping; committed moves become
         # beacon MRs whose state migration rides reconfiguration.
@@ -165,10 +200,10 @@ def test_total_value_conserved_under_lossy_network(seed, k, relay_delay):
         valued = TransactionBatch(
             batch.senders, batch.receivers, batch.blocks, values
         )
-        for report in ledger.execute_epoch(valued):
-            assert executor.total_value() == pytest.approx(
-                genesis, abs=1e-9, rel=0
-            ), f"value drift after block {report.block}"
+        _execute_checking_block_deltas(ledger, executor, valued)
+        assert executor.total_value() == pytest.approx(
+            genesis, abs=1e-9, rel=0
+        ), f"value drift after epoch {view.index}"
 
         context = UpdateContext(
             epoch=view.index,

@@ -236,6 +236,21 @@ class TestMalformedRows:
         with pytest.raises(MalformedRowError, match="value"):
             read_transactions_csv(path)
 
+    @pytest.mark.parametrize("column", ["value", "fee"])
+    def test_infinite_amount_rejected(self, tmp_path, column):
+        path = tmp_path / "bad.csv"
+        cells = {"value": "inf", "fee": "1"} if column == "value" else {
+            "value": "1", "fee": "inf"
+        }
+        path.write_text(
+            "hash,block_number,from_address,to_address,value,fee\n"
+            f"0x0,1,{self.A},{self.B},{cells['value']},{cells['fee']}\n"
+        )
+        with pytest.raises(MalformedRowError) as excinfo:
+            read_transactions_csv(path)
+        assert excinfo.value.line == 2
+        assert excinfo.value.reason == f"bad {column} 'inf'"
+
     def test_bad_fee_carries_file_and_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(

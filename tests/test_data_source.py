@@ -243,6 +243,14 @@ class TestErrorFixturesPythonPath:
         with pytest.raises(MalformedRowError, match=r"\.csv:2: "):
             list(CsvTraceSource(path).chunks())
 
+    def test_infinite_value_names_line(self, tmp_path):
+        path = write_csv(
+            tmp_path / "inf.csv",
+            [f"0x0,1,{ADDR_A},{ADDR_B},5.0", f"0x1,2,{ADDR_A},{ADDR_C},inf"],
+        )
+        with pytest.raises(MalformedRowError, match=r"\.csv:3: bad value 'inf'"):
+            list(CsvTraceSource(path).chunks())
+
     def test_skips_contract_creations_and_self_transfers(self, tmp_path):
         path = write_csv(
             tmp_path / "skip.csv",

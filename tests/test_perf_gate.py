@@ -4,7 +4,8 @@ The gate re-runs what ``BENCH_baseline.json`` records that the
 end-to-end benchmark (``benchmarks/e2e/``) does not: the
 ``repro matrix --preset smoke`` grid and the Metis refine microbench
 must stay within 3x of the committed snapshot, and the windowed engine
-must hold O(window) memory at scale.
+must hold O(window) memory at scale (peak RSS growth measured in fresh
+child processes; ``/proc/self/status`` is only read).
 3x is far above normal machine jitter but well below the slowdowns that
 accidental de-vectorisation causes. Per-layer timings (executor,
 message bus, beacon commit, state movement, CSV decode) are bounded by
@@ -13,14 +14,18 @@ with ``python -m repro bench`` after an intentional performance change.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Dict, List
 
 import pytest
 
+import repro
 from repro.errors import ExperimentError
 from repro.experiments.bench import (
-    memory_microbench,
+    _valued_extract,
     refine_microbench,
     smoke_seconds,
 )
@@ -199,19 +204,59 @@ class TestPerfSmokeGate:
     def test_live_windowed_memory_sublinear(self):
         """The windowed engine must actually hold O(window) memory.
 
-        Runs both modes of the memory microbench at 400k rows (reusing
-        the config-keyed cached CSV, shared between the two modes) and
-        requires the windowed peak to undercut the materialised one
-        with margin. tracemalloc peaks are allocation counts, not
-        timings, so this gate is essentially jitter-free.
+        Runs both modes of the memory bench's step at 400k rows over
+        the config-keyed cached CSV (written here first, so input
+        generation never sets a child's peak), each in a fresh child
+        process, and requires the windowed peak RSS growth to undercut
+        the materialised one with margin.
         """
         baseline = load_baseline(BASELINE_PATH)
         if baseline.get("peak_rss_mb_windowed_1m") is None:
             pytest.skip("snapshot predates the memory entries")
         n_rows = int(1_000_000 * MEMORY_SCALE)
-        windowed = memory_microbench(n_rows=n_rows, mode="windowed")
-        materialised = memory_microbench(n_rows=n_rows, mode="materialised")
+        _valued_extract(n_rows)
+        windowed = _child_rss_growth_mb(n_rows, "windowed")
+        materialised = _child_rss_growth_mb(n_rows, "materialised")
         assert windowed <= 0.85 * materialised, (
             f"windowed peak ({windowed:.1f}MB) is not below 85% of the "
             f"materialised peak ({materialised:.1f}MB) at 400k rows"
         )
+
+
+#: Child-process body of the memory gate: the growth of the peak
+#: resident set (``VmHWM``) over the resident set at the start of the
+#: step, in MB. A fresh child's high-water mark covers its own life
+#: only, so nothing needs resetting.
+_RSS_CHILD = """
+import sys
+from repro.experiments.bench import _memory_run
+
+def status_kb(field):
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith(field + ":"):
+                return int(line.split()[1])
+
+run = _memory_run(int(sys.argv[1]), sys.argv[2])
+start = status_kb("VmRSS")
+run()
+print((status_kb("VmHWM") - start) / 1024)
+"""
+
+
+def _child_rss_growth_mb(n_rows: int, mode: str) -> float:
+    """Peak RSS growth (MB) of the memory bench's step in a fresh child."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", _RSS_CHILD, str(n_rows), mode],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=600,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
+    return float(child.stdout.split()[-1])
