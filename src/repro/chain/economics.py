@@ -53,20 +53,18 @@ def _funding_chunk_partial(chunk: TransactionBatch) -> np.ndarray:
 def observed_funding_balances(
     batch: TransactionBatch,
     n_accounts: int,
-    headroom: float = 0.0,
 ) -> np.ndarray:
     """Per-account genesis balances sufficient to replay ``batch``.
 
     One vectorised sufficiency pass: every account is funded with its
-    total observed outflow — the sum of the values (plus fees) it sends
-    anywhere in the trace. That bound is *relay-safe*: cross-shard
-    credits arrive a relay delay late, so an exact prefix-min schedule
-    that counts incoming credits would under-fund receivers whose
-    spending rides in-flight deposits; total outflow covers every debit
-    regardless of settlement timing, which is what makes replayed
-    traces settle with zero overdraft aborts. Accounts that never send
-    get zero. ``headroom`` scales the result (0.1 = +10%) for scenarios
-    that add synthetic traffic on top of the replay.
+    total observed outflow — the sum of the amounts (plus fees) it
+    sends anywhere in the trace. That bound is *relay-safe*:
+    cross-shard credits arrive a relay delay late, so an exact
+    prefix-min schedule that counts incoming credits would under-fund
+    receivers whose spending rides in-flight deposits; total outflow
+    covers every debit regardless of settlement timing, which is what
+    makes replayed traces settle with zero overdraft aborts. Accounts
+    that never send get zero.
 
     Batches without a ``values`` column fund each send at
     :data:`~repro.chain.transaction.DEFAULT_TRANSFER_AMOUNT`, the
@@ -80,8 +78,6 @@ def observed_funding_balances(
     """
     if n_accounts < 0:
         raise ValidationError(f"n_accounts must be >= 0, got {n_accounts}")
-    if headroom < 0:
-        raise ValidationError(f"headroom must be >= 0, got {headroom}")
     if len(batch) and batch.max_account_id() >= n_accounts:
         raise ValidationError(
             f"batch references account {batch.max_account_id()} but the "
@@ -93,8 +89,6 @@ def observed_funding_balances(
             batch[start : start + FUNDING_CHUNK_ROWS]
         )
         balances[: len(partial)] += partial
-    if headroom:
-        balances *= 1.0 + headroom
     return balances
 
 
@@ -103,33 +97,18 @@ class ObservedFundingAccumulator:
 
     Feed it source chunks in row order (:meth:`add`), then
     :meth:`finalise` with the resolved universe size — the result is
-    bit-identical to the eager function (at zero headroom) over the
-    materialised concatenation of those chunks, for *any* incoming
-    chunk sizes. Headroom is applied by the caller
-    (:meth:`repro.data.sizing.SizingIndex.funding_balances`).
-    Two mechanisms make that hold:
-
-    * rows buffer to exact :data:`FUNDING_CHUNK_ROWS` boundaries before
-      a partial is computed, reproducing the eager function's canonical
-      partial-sum order;
-    * the value column activates lazily in streamed CSV decode (chunks
-      are valueless until the first nonzero value), and whether a row's
-      weight is ``1.0 + fee`` (no value column in the final trace) or
-      ``value-or-0.0 + fee`` (column present) is unknowable until the
-      stream resolves it — so *two* hypothesis accumulators run until
-      the first valued chunk kills the no-values one. Activation is
-      monotone, so the surviving hypothesis matches what
-      ``TransactionBatch.concat_many`` materialises.
+    bit-identical to the eager function over the materialised
+    concatenation of those chunks, for *any* incoming chunk sizes:
+    rows buffer to exact :data:`FUNDING_CHUNK_ROWS` boundaries before a
+    partial is computed, reproducing the eager function's canonical
+    partial-sum order. The chunks of one stream carry the same columns
+    (:meth:`TransactionBatch.concat_many` rejects anything else).
     """
 
     def __init__(self) -> None:
         self._pending: List[TransactionBatch] = []
         self._pending_rows = 0
-        self._activated = False
-        # H1: the trace never carries values (weight = 1.0 + fee).
-        self._h1: "np.ndarray | None" = np.zeros(0, dtype=np.float64)
-        # H2: the trace carries values (weight = value-or-0.0 + fee).
-        self._h2 = np.zeros(0, dtype=np.float64)
+        self._balances = np.zeros(0, dtype=np.float64)
         self._max_id = -1
         self._rows = 0
         self._finalised = False
@@ -152,9 +131,6 @@ class ObservedFundingAccumulator:
             return
         self._rows += len(chunk)
         self._max_id = max(self._max_id, chunk.max_account_id())
-        if chunk.values is not None and not self._activated:
-            self._activated = True
-            self._h1 = None
         self._pending.append(chunk)
         self._pending_rows += len(chunk)
         while self._pending_rows >= FUNDING_CHUNK_ROWS:
@@ -165,30 +141,16 @@ class ObservedFundingAccumulator:
             self._pending_rows = len(rest)
 
     def _consume(self, chunk: TransactionBatch) -> None:
-        fees = chunk.fees
-        if self._h1 is not None:
-            self._h1 = self._accumulate(self._h1, _funding_chunk_partial(chunk))
-        values = (
-            chunk.values
-            if chunk.values is not None
-            else np.zeros(len(chunk), dtype=np.float64)
-        )
-        weights = values + fees if fees is not None else values
-        partial = np.bincount(chunk.senders, weights=weights)
-        self._h2 = self._accumulate(self._h2, partial)
-
-    @staticmethod
-    def _accumulate(acc: np.ndarray, partial: np.ndarray) -> np.ndarray:
-        if len(partial) > len(acc):
+        partial = _funding_chunk_partial(chunk)
+        if len(partial) > len(self._balances):
             grown = np.zeros(len(partial), dtype=np.float64)
-            grown[: len(acc)] = acc
-            acc = grown
-        acc[: len(partial)] += partial
-        return acc
+            grown[: len(self._balances)] = self._balances
+            self._balances = grown
+        self._balances[: len(partial)] += partial
 
     def finalise(self, n_accounts: int) -> np.ndarray:
         """Flush the buffer and return the length-``n_accounts``
-        pre-headroom balances."""
+        balances."""
         if self._finalised:
             raise ValidationError("funding accumulator already finalised")
         if n_accounts < 0:
@@ -203,10 +165,8 @@ class ObservedFundingAccumulator:
             self._pending = []
             self._pending_rows = 0
         self._finalised = True
-        acc = self._h2 if self._activated else self._h1
-        assert acc is not None
         balances = np.zeros(n_accounts, dtype=np.float64)
-        balances[: len(acc)] += acc
+        balances[: len(self._balances)] += self._balances
         return balances
 
 

@@ -187,12 +187,6 @@ class TransactionBatch:
             return self.values
         return np.full(len(self), default, dtype=np.float64)
 
-    def fee_amounts(self, default: float = 0.0) -> np.ndarray:
-        """Per-transfer fees: the ``fees`` column, or ``default``."""
-        if self.fees is not None:
-            return self.fees
-        return np.full(len(self), default, dtype=np.float64)
-
     @classmethod
     def empty(cls) -> "TransactionBatch":
         """An empty batch."""
@@ -235,23 +229,7 @@ class TransactionBatch:
 
     def concat(self, other: "TransactionBatch") -> "TransactionBatch":
         """Concatenate two batches (order preserved: self then other)."""
-        if self.values is None and other.values is None:
-            values = None
-        else:
-            values = np.concatenate(
-                [self.amounts(), other.amounts()]
-            )
-        if self.fees is None and other.fees is None:
-            fees = None
-        else:
-            fees = np.concatenate([self.fee_amounts(), other.fee_amounts()])
-        return TransactionBatch(
-            np.concatenate([self.senders, other.senders]),
-            np.concatenate([self.receivers, other.receivers]),
-            np.concatenate([self.blocks, other.blocks]),
-            values,
-            fees,
-        )
+        return TransactionBatch.concat_many([self, other])
 
     @classmethod
     def concat_many(
@@ -259,24 +237,31 @@ class TransactionBatch:
     ) -> "TransactionBatch":
         """Concatenate many batches in one pass (order preserved).
 
-        The single-allocation twin of folding :meth:`concat` — this is
-        what trace-source materialisation uses so assembling a trace
-        from chunks stays O(total rows). Optional columns materialise
-        whenever any input batch carries them.
+        This is what trace-source materialisation uses, so assembling a
+        trace from chunks stays O(total rows). Every non-empty input
+        must carry the same optional columns: zero-filling a missing
+        ``values`` column would turn its default-amount transfers into
+        zero-amount ones, so mixed presence raises
+        :class:`ValidationError`.
         """
         batches = [b for b in batches if len(b)]
         if not batches:
             return cls.empty()
         if len(batches) == 1:
             return batches[0]
-        has_values = any(b.values is not None for b in batches)
-        has_fees = any(b.fees is not None for b in batches)
+        layouts = {(b.values is not None, b.fees is not None) for b in batches}
+        if len(layouts) > 1:
+            raise ValidationError(
+                "cannot concatenate batches with different optional "
+                "columns (values/fees present in some, absent in others)"
+            )
+        ((has_values, has_fees),) = layouts
         return cls(
             np.concatenate([b.senders for b in batches]),
             np.concatenate([b.receivers for b in batches]),
             np.concatenate([b.blocks for b in batches]),
-            np.concatenate([b.amounts() for b in batches]) if has_values else None,
-            np.concatenate([b.fee_amounts() for b in batches]) if has_fees else None,
+            np.concatenate([b.values for b in batches]) if has_values else None,
+            np.concatenate([b.fees for b in batches]) if has_fees else None,
         )
 
     def involving(self, account_id: int) -> "TransactionBatch":

@@ -31,9 +31,10 @@ from repro.chain.params import ProtocolParams
 from repro.data.ethereum import EthereumTraceConfig, generate_ethereum_like_trace
 from repro.data.etl import write_transactions_csv
 from repro.errors import ReproError
+from repro.experiments.matrix import ALLOCATOR_BUILDERS, ENGINE_MODES, PRESETS
 from repro.sim.engine import Simulation, SimulationConfig
 from repro.sim.recorder import SUMMARY_METRICS, summarize_results
-from repro.sim.scenario import DEFAULT_METHODS, SCENARIOS, get_scenario, run_comparison
+from repro.sim.scenario import SCENARIOS, get_scenario, run_comparison
 from repro.util.formatting import format_bytes, format_seconds, render_table
 
 
@@ -99,11 +100,11 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 
 def _command_simulate(args: argparse.Namespace) -> int:
-    factory = DEFAULT_METHODS.get(args.method)
-    if factory is None:
+    build = ALLOCATOR_BUILDERS.get(args.method)
+    if build is None:
         print(
             f"error: unknown method {args.method!r}; "
-            f"available: {sorted(DEFAULT_METHODS)}",
+            f"available: {sorted(ALLOCATOR_BUILDERS)}",
             file=sys.stderr,
         )
         return 2
@@ -126,7 +127,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
     else:
         source = generate_ethereum_like_trace(_trace_config(args))
         print(f"generated {len(source):,} synthetic transactions")
-    result = Simulation(source, factory(), config).run()
+    result = Simulation(source, build(args.seed), config).run()
     summary = summarize_results(result)
     rows = [
         ["epochs", summary["epochs"]],
@@ -411,8 +412,6 @@ def _command_scenarios(_args: argparse.Namespace) -> int:
 
 def _engine_modes(text: str) -> Tuple[str, ...]:
     """Parse ``--engine-modes``; an unknown mode is a usage error."""
-    from repro.experiments.matrix import ENGINE_MODES
-
     modes = tuple(text.split(","))
     unknown = [mode for mode in modes if mode not in ENGINE_MODES]
     if unknown:
@@ -424,8 +423,6 @@ def _engine_modes(text: str) -> Tuple[str, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.experiments.matrix import PRESETS
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Mosaic: client-driven account allocation (reproduction)",
@@ -449,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--method",
         default="mosaic-pilot",
-        help=f"allocator ({', '.join(sorted(DEFAULT_METHODS))})",
+        help=f"allocator ({', '.join(sorted(ALLOCATOR_BUILDERS))})",
     )
     simulate.add_argument("--shards", "-k", type=int, default=16)
     simulate.add_argument("--eta", type=float, default=2.0)

@@ -34,13 +34,14 @@ import numpy as np
 from repro.allocation.base import AllocationUpdate, Allocator, UpdateContext
 from repro.chain.mapping import ShardMapping
 from repro.chain.migration import MigrationRequestBatch
+from repro.chain.network import OMEGA_ENTRY_BYTES
 from repro.chain.params import ProtocolParams
 from repro.chain.transaction import TransactionBatch
 from repro.core.interaction import interaction_matrix
 from repro.core.migration import BatchOutcome, MigrationPolicy
 from repro.core.pilot import batch_pilot_decisions
 from repro.data.trace import Trace
-from repro.workload.observer import OMEGA_ENTRY_BYTES, WorkloadOracle
+from repro.workload.observer import WorkloadOracle
 
 #: Compact the accumulated edge list when it exceeds this many rows.
 _COMPACT_THRESHOLD = 2_000_000

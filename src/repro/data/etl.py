@@ -3,11 +3,16 @@
 The paper collects its dataset with Ethereum ETL. This module reads and
 writes the subset of that CSV schema the evaluation needs, so a real
 extract can be dropped into the same pipeline as the synthetic traces.
-The ``value`` column is carried faithfully into the batch's ``values``
-column (a replayed extract settles the volume it recorded, not a
-synthetic per-transfer default); an optional ``fee`` column — our
-documented extension for traces generated with a fee model — rides
-along the same way.
+
+**Column rule.** An optional column is present in a decoded batch iff
+the file's header names it, whatever its cells hold: a ``value`` column
+becomes the batch's ``values`` (a replayed extract settles the volume
+it recorded, zeros included), and a ``fee`` column — our documented
+extension for traces generated with a fee model — becomes ``fees``.
+Without a ``value`` column every transfer moves
+:data:`~repro.chain.transaction.DEFAULT_TRANSFER_AMOUNT`. The writer
+emits each optional column only for traces that carry it, so every
+trace round-trips with the same columns.
 
 Malformed rows raise :class:`~repro.errors.MalformedRowError` carrying
 the file name and 1-based physical line number (``csv.reader.line_num``,
@@ -31,11 +36,15 @@ from repro.chain.transaction import TransactionBatch
 from repro.data.trace import Trace
 from repro.errors import DataError, MalformedRowError, ValidationError
 
-#: Columns written/accepted, a subset of ethereum-etl's transactions.csv.
-ETL_COLUMNS = ("hash", "block_number", "from_address", "to_address", "value")
+#: Columns every written file carries, a subset of ethereum-etl's
+#: transactions.csv.
+ETL_COLUMNS = ("hash", "block_number", "from_address", "to_address")
+
+#: Optional per-transfer value column (ethereum-etl's ``value``).
+VALUE_COLUMN = "value"
 
 #: Optional per-transfer fee column (our extension; absent from real
-#: ethereum-etl extracts, written only for traces that carry fees).
+#: ethereum-etl extracts).
 FEE_COLUMN = "fee"
 
 
@@ -45,7 +54,9 @@ class _RowDecoder:
     Resolves the header once, then turns each raw CSV row into an
     ``(sender, receiver, block, value, fee)`` tuple — or ``None`` for
     rows the paper's account-graph construction skips (contract
-    creations, self-transfers). Bad cells, addresses included, raise
+    creations, self-transfers). ``has_values``/``has_fees`` say which
+    optional columns the header names (the module's column rule); an
+    absent column decodes as 0.0. Bad cells, addresses included, raise
     :class:`MalformedRowError` with the file and 1-based line number.
     """
 
@@ -66,7 +77,7 @@ class _RowDecoder:
         self._from_idx = fieldnames.index("from_address")
         self._to_idx = fieldnames.index("to_address")
         self._value_idx = (
-            fieldnames.index("value") if "value" in fieldnames else None
+            fieldnames.index(VALUE_COLUMN) if VALUE_COLUMN in fieldnames else None
         )
         self._fee_idx = (
             fieldnames.index(FEE_COLUMN) if FEE_COLUMN in fieldnames else None
@@ -166,10 +177,9 @@ def write_transactions_csv(
     """Write ``trace`` as an ethereum-etl style CSV; return rows written.
 
     When no registry is supplied, deterministic synthetic addresses are
-    derived from the integer ids. The ``value`` column carries the
-    batch's ``values`` (0 for metric-only traces); a ``fee`` column is
-    appended only when the trace carries fees, so fee-free files keep
-    the exact ethereum-etl column subset.
+    derived from the integer ids. ``value`` and ``fee`` columns are
+    written only for traces that carry them (see the module's column
+    rule).
     """
     path = Path(path)
     batch = trace.batch
@@ -179,22 +189,22 @@ def write_transactions_csv(
             return registry.address_of(account_id)
         return address_from_id(account_id)
 
-    values = batch.values
-    fees = batch.fees
-    columns = ETL_COLUMNS + ((FEE_COLUMN,) if fees is not None else ())
+    optional = [
+        (name, column)
+        for name, column in ((VALUE_COLUMN, batch.values), (FEE_COLUMN, batch.fees))
+        if column is not None
+    ]
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(columns)
+        writer.writerow(ETL_COLUMNS + tuple(name for name, _ in optional))
         for i in range(len(batch)):
             row = [
                 f"0x{i:064x}",
                 int(batch.blocks[i]),
                 to_address(int(batch.senders[i])),
                 to_address(int(batch.receivers[i])),
-                float(values[i]) if values is not None else 0,
             ]
-            if fees is not None:
-                row.append(float(fees[i]))
+            row.extend(float(column[i]) for _, column in optional)
             writer.writerow(row)
     return len(batch)
 
@@ -210,14 +220,8 @@ def read_transactions_csv(
     account-graph construction. Rows may appear in any block order —
     the whole file is decoded, then stable-sorted by block. For
     bounded-memory ingest of large block-ordered extracts use
-    :class:`repro.data.source.CsvTraceSource` instead.
-
-    An **all-zero value column** is treated as absent: that is what
-    the writer emits for metric-only traces (and what every pre-value
-    file carries), and materialising it would silently turn executed
-    replays of those files into zero-amount transfers instead of the
-    executor's default amount. Real extracts always carry non-zero
-    values somewhere, so genuine value columns are unaffected.
+    :class:`repro.data.source.CsvTraceSource` instead; this reader is
+    its test oracle.
     """
     path = Path(path)
     if registry is None:
@@ -249,16 +253,11 @@ def read_transactions_csv(
                 fees.append(fee)
 
     order = np.argsort(np.asarray(blocks, dtype=np.int64), kind="stable")
-    values_column = None
-    if decoder.has_values:
-        values_column = np.asarray(values, dtype=np.float64)[order]
-        if not values_column.any():
-            values_column = None  # all-zero column = no value signal
     batch = TransactionBatch(
         np.asarray(senders, dtype=np.int64)[order],
         np.asarray(receivers, dtype=np.int64)[order],
         np.asarray(blocks, dtype=np.int64)[order],
-        values_column,
-        np.asarray(fees, dtype=np.float64)[order] if decoder.has_fees else None,
+        np.asarray(values, dtype=np.float64)[order] if has_values else None,
+        np.asarray(fees, dtype=np.float64)[order] if has_fees else None,
     )
     return Trace(batch, n_accounts=len(registry)), registry

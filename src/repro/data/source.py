@@ -130,18 +130,10 @@ class CsvTraceSource(TraceSource):
     which sorts after decoding. Contract creations and self-transfers
     are skipped and malformed cells raise, exactly as in the eager
     reader, so both paths see the same rows and assign the same dense
-    account ids. ``csv.reader.line_num`` names the physical line of
-    each row (the last line of a record whose quoted cell spans lines).
-
-    Like the eager reader, an **all-zero value column** decodes as no
-    value column at all (metric-only and pre-value files carry literal
-    zeros; materialising them would replay zero-amount transfers
-    instead of the executor's default). Streaming can't look ahead, so
-    the column activates lazily: chunks stay three/four-column until
-    the first nonzero value appears, after which every chunk carries
-    the column — :meth:`TransactionBatch.concat_many` re-materialises
-    the skipped leading zeros, so the assembled trace is identical to
-    the eager read.
+    account ids, and every chunk carries the optional columns the
+    header names (the column rule of :mod:`repro.data.etl`).
+    ``csv.reader.line_num`` names the physical line of each row (the
+    last line of a record whose quoted cell spans lines).
 
     ``decoder`` accepts only ``"python"`` (the :class:`_RowDecoder`
     loop); any other value raises :class:`DataError`. It survives as a
@@ -181,9 +173,6 @@ class CsvTraceSource(TraceSource):
             blocks: List[int] = []
             values: List[float] = []
             fees: List[float] = []
-            # Lazy value-column activation: False until a nonzero value
-            # is decoded, so an all-zero column never materialises.
-            values_active = False
             last_block = -1
             for row in reader:
                 line = reader.line_num
@@ -205,18 +194,12 @@ class CsvTraceSource(TraceSource):
                 blocks.append(block)
                 if has_values:
                     values.append(value)
-                    if value and not values_active:
-                        values_active = True
                 if has_fees:
                     fees.append(fee)
                 if len(senders) == chunk_rows:
-                    yield self._flush(
-                        senders, receivers, blocks, values, fees, values_active
-                    )
+                    yield self._flush(senders, receivers, blocks, values, fees)
             if senders:
-                yield self._flush(
-                    senders, receivers, blocks, values, fees, values_active
-                )
+                yield self._flush(senders, receivers, blocks, values, fees)
 
     def _flush(
         self,
@@ -225,21 +208,19 @@ class CsvTraceSource(TraceSource):
         blocks: List[int],
         values: List[float],
         fees: List[float],
-        values_active: bool,
     ) -> TransactionBatch:
         """One chunk from the decoded row lists, which are left empty.
 
-        ``values`` becomes a column only once ``values_active``; ``fees``
-        only when the file has a fee column (the list is empty otherwise).
-        Clearing the lists keeps no row state alive while the consumer
-        and the next decode run.
+        ``values``/``fees`` become columns when the file has them (the
+        lists are empty otherwise). Clearing the lists keeps no row
+        state alive while the consumer and the next decode run.
         """
         self.peak_buffer_rows = max(self.peak_buffer_rows, len(senders))
         batch = TransactionBatch(
             np.asarray(senders, dtype=np.int64),
             np.asarray(receivers, dtype=np.int64),
             np.asarray(blocks, dtype=np.int64),
-            np.asarray(values, dtype=np.float64) if values_active else None,
+            np.asarray(values, dtype=np.float64) if values else None,
             np.asarray(fees, dtype=np.float64) if fees else None,
         )
         for column in (senders, receivers, blocks, values, fees):

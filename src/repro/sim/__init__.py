@@ -24,7 +24,6 @@ from repro.sim.recorder import summarize_results
 from repro.sim.scenario import (
     Scenario,
     SCENARIOS,
-    DEFAULT_METHODS,
     get_scenario,
     run_comparison,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "summarize_results",
     "Scenario",
     "SCENARIOS",
-    "DEFAULT_METHODS",
     "get_scenario",
     "run_comparison",
 ]

@@ -21,8 +21,8 @@ The loop is columnar end to end: every epoch is a
 :class:`~repro.data.source.TraceSource`, metrics run through the fused
 numpy kernels, and no per-transaction Python object is ever
 materialised on this path. :class:`Simulation` is the one front end,
-whether the source is a CSV extract, a generator, a tailed file or an
-already-materialised :class:`Trace`.
+whether the source is a CSV extract or an already-materialised
+:class:`Trace`.
 
 **Unified execution.** With ``execute_values=True`` the same loop also
 drives the chain substrate: a :class:`~repro.chain.ledger.Ledger` with
@@ -134,7 +134,6 @@ class SimulationConfig:
     initial_balance: float = 100.0
     relay_delay_blocks: int = 1
     funding: str = FUNDING_UNIFORM
-    funding_headroom: float = 0.0
     beacon_spill_dir: Optional[str] = None
     #: Which simulated network receipts ride (see
     #: :mod:`repro.chain.netsim`): ``"ideal"`` (default, settles on
@@ -199,10 +198,6 @@ class SimulationConfig:
         if self.funding not in FUNDING_MODES:
             raise SimulationError(
                 f"funding must be one of {FUNDING_MODES}, got {self.funding!r}"
-            )
-        if self.funding_headroom < 0:
-            raise SimulationError(
-                f"funding_headroom must be >= 0, got {self.funding_headroom}"
             )
         from repro.chain.netsim import NETWORK_SPEC_NAMES
 
@@ -701,32 +696,6 @@ def _initial_mapping(
     return mapping
 
 
-def _normalised_chunks(
-    chunks: "Iterator[TransactionBatch]",
-) -> "Iterator[TransactionBatch]":
-    """Re-materialise lazily-skipped zero values on a chunk stream.
-
-    Streamed CSV decode activates the value column only at the first
-    nonzero value, so chunks before that point are valueless even when
-    the materialised trace carries the column (with literal zeros).
-    When the sizing pass saw values, this wrapper restores the column
-    on every replayed chunk — spooled or re-iterated — making
-    the history and epoch batches column-identical to the materialised
-    split, which executed replays require (a valueless batch transfers
-    the default amount, not 0.0).
-    """
-    for chunk in chunks:
-        if chunk.values is None and len(chunk):
-            chunk = TransactionBatch(
-                chunk.senders,
-                chunk.receivers,
-                chunk.blocks,
-                np.zeros(len(chunk), dtype=np.float64),
-                chunk.fees,
-            )
-        yield chunk
-
-
 #: :class:`TransactionBatch` columns in constructor order.
 _BATCH_COLUMNS = ("senders", "receivers", "blocks", "values", "fees")
 
@@ -737,10 +706,10 @@ class _ChunkSpool:
     :meth:`record` passes the chunks through unchanged and appends each
     one to ``file`` as a presence mask of its columns followed by every
     present column (``np.save``), so the replay keeps the pass's chunk
-    boundaries, order and absent ``values``/``fees`` columns (the lazy
-    value-column flag). :meth:`replay` seeks back to the start and
-    loads them one at a time: nothing spooled stays in memory. The
-    caller owns ``file``; a failed read raises.
+    boundaries, order and absent ``values``/``fees`` columns.
+    :meth:`replay` seeks back to the start and loads them one at a
+    time: nothing spooled stays in memory. The caller owns ``file``; a
+    failed read raises.
     """
 
     def __init__(self, file: BinaryIO) -> None:
@@ -895,14 +864,11 @@ class Simulation:
         def run_sized(
             index: SizingIndex, chunks: Iterable[TransactionBatch]
         ) -> SimulationResult:
-            funding: Optional[np.ndarray] = None
-            if need_funding:
-                funding = index.funding_balances(config.funding_headroom)
-            chunks = iter(chunks)
-            if index.values_present:
-                chunks = _normalised_chunks(chunks)
             return self._run_stream(
-                chunks, index.n_rows, index.n_accounts, funding
+                iter(chunks),
+                index.n_rows,
+                index.n_accounts,
+                index.partials if need_funding else None,
             )
 
         if hint is not None:

@@ -8,16 +8,12 @@ workload regimes the paper's introduction motivates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.allocation.base import Allocator
-from repro.allocation.hash_based import HashAllocator
-from repro.allocation.metis_like import MetisLikeAllocator
-from repro.allocation.orbit import OrbitAllocator
-from repro.allocation.txallo import TxAlloAllocator
 from repro.chain.params import ProtocolParams
-from repro.core.mosaic import MosaicAllocator
 from repro.data.ethereum import EthereumTraceConfig, generate_ethereum_like_trace
 from repro.data.trace import Trace
 from repro.errors import ConfigurationError
@@ -107,16 +103,6 @@ SCENARIOS: Dict[str, Scenario] = {
     )
 }
 
-#: Default method set, keyed by display name.
-DEFAULT_METHODS: Dict[str, AllocatorFactory] = {
-    "mosaic-pilot": lambda: MosaicAllocator(initializer=TxAlloAllocator()),
-    "txallo": lambda: TxAlloAllocator(mode="full"),
-    "orbit": OrbitAllocator,
-    "metis": MetisLikeAllocator,
-    "hash-random": HashAllocator,
-}
-
-
 def get_scenario(name: str) -> Scenario:
     """Look up a built-in scenario by name."""
     try:
@@ -138,13 +124,20 @@ def run_comparison(
     Args:
         scenario: the scenario to run (use :func:`get_scenario` or build
             your own).
-        methods: subset of method names (default: all of
-            ``DEFAULT_METHODS``).
+        methods: subset of method names (default: every
+            :data:`~repro.experiments.matrix.ALLOCATOR_BUILDERS` key,
+            each built with the scenario's seed).
         trace: pre-built trace to reuse across calls (default: generate
             from the scenario).
         factories: custom method-name -> allocator-factory map.
     """
-    catalogue = dict(DEFAULT_METHODS)
+    # Imported here: repro.experiments imports this package's engine.
+    from repro.experiments.matrix import ALLOCATOR_BUILDERS
+
+    seed = scenario.params.seed
+    catalogue: Dict[str, AllocatorFactory] = {
+        name: partial(build, seed) for name, build in ALLOCATOR_BUILDERS.items()
+    }
     if factories:
         catalogue.update(factories)
     chosen = list(methods) if methods is not None else list(catalogue)

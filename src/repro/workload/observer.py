@@ -21,9 +21,6 @@ from repro.chain.mempool import shard_workloads
 from repro.chain.transaction import TransactionBatch
 from repro.errors import ValidationError
 
-#: Bytes a client downloads per oracle query: k entries of 8 bytes.
-OMEGA_ENTRY_BYTES = 8
-
 
 @dataclass(frozen=True)
 class WorkloadSnapshot:

@@ -58,7 +58,7 @@ def run_materialised(
         funding = None
         if config.funding == FUNDING_OBSERVED:
             funding = observed_funding_balances(
-                trace.batch, trace.n_accounts, headroom=config.funding_headroom
+                trace.batch, trace.n_accounts
             )
         substrate = ExecutionSubstrate(
             trace.n_accounts, mapping, config, funding

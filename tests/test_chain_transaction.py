@@ -114,6 +114,34 @@ class TestTransactionBatch:
         combined = small_batch.concat(small_batch)
         assert len(combined) == 12
 
+    def test_concat_many_rejects_mixed_column_presence(self, small_batch):
+        """Zero-filling the valueless part would turn its default-amount
+        transfers into zero-amount ones, so mixed columns raise."""
+        n = len(small_batch)
+        valued = TransactionBatch(
+            small_batch.senders,
+            small_batch.receivers,
+            small_batch.blocks,
+            values=np.ones(n),
+        )
+        feed = TransactionBatch(
+            small_batch.senders,
+            small_batch.receivers,
+            small_batch.blocks,
+            fees=np.ones(n),
+        )
+        mixed = ([small_batch, valued], [valued, small_batch], [small_batch, feed])
+        for parts in mixed:
+            with pytest.raises(ValidationError, match="optional columns"):
+                TransactionBatch.concat_many(parts)
+        with pytest.raises(ValidationError):
+            small_batch.concat(valued)
+        # Empty parts carry no rows to fill and never conflict.
+        joined = TransactionBatch.concat_many(
+            [TransactionBatch.empty(), valued, valued]
+        )
+        assert joined.values.tolist() == [1.0] * (2 * n)
+
     def test_involving(self, small_batch):
         own = small_batch.involving(0)
         assert len(own) == 3  # 0->1, 0->2, 4->0

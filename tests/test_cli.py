@@ -179,6 +179,36 @@ class TestCommands:
         assert main(argv + ["--metric", "total_nonsense"]) == 2
         assert "unknown metric 'total_nonsense'" in capsys.readouterr().err
 
+    def test_simulate_builds_every_registered_method(self, capsys):
+        """``--method`` takes any ``ALLOCATOR_BUILDERS`` key, txallo-a
+        included."""
+        small = ["--accounts", "300", "--transactions", "2000", "--blocks", "300"]
+        code = main(
+            ["simulate", "--method", "txallo-a", "--shards", "4", "--tau", "40"]
+            + small
+        )
+        assert code == 0
+        assert "cross-shard ratio" in capsys.readouterr().out
+
+    def test_simulate_seeds_the_allocator(self, monkeypatch, capsys):
+        from repro.allocation.hash_based import HashAllocator
+        from repro.experiments.matrix import ALLOCATOR_BUILDERS
+
+        seeds = []
+
+        def build(seed):
+            seeds.append(seed)
+            return HashAllocator()
+
+        monkeypatch.setitem(ALLOCATOR_BUILDERS, "metis", build)
+        small = ["--accounts", "300", "--transactions", "2000", "--blocks", "300"]
+        code = main(
+            ["simulate", "--method", "metis", "--seed", "7", "--shards", "4"]
+            + small
+        )
+        assert code == 0
+        assert seeds == [7]
+
     def test_simulate_unknown_method(self, capsys):
         code = main(["simulate", "--method", "nope"])
         assert code == 2

@@ -181,15 +181,15 @@ class TestEtlRoundtrip:
         assert np.array_equal(loaded.batch.fees, trace.batch.fees)
 
     def test_valueless_trace_round_trips_valueless(self, tmp_path):
-        """An all-zero value column (what the writer emits for metric
-        traces, and what every pre-value file carries) must read back
-        as *no* value column, so executed replays keep the executor's
-        default transfer amount instead of moving zero."""
+        """A metric trace is written without a value column and reads
+        back with *no* value column from both readers, so executed
+        replays keep the executor's default transfer amount instead of
+        moving zero."""
         trace = generate_ethereum_like_trace(small_config(n_transactions=40))
         path = tmp_path / "plain.csv"
         write_transactions_csv(path, trace)
         header = path.read_text().splitlines()[0]
-        assert header == "hash,block_number,from_address,to_address,value"
+        assert header == "hash,block_number,from_address,to_address"
         loaded, _ = read_transactions_csv(path)
         assert loaded.batch.values is None
         assert loaded.batch.fees is None  # no fee column written

@@ -141,21 +141,24 @@ class TestCsvSource:
         trace = CsvTraceSource(path).materialise()
         assert len(trace) == 0
 
-    def test_all_zero_value_column_is_absent_in_chunks_too(self, tmp_path):
-        """The zero-column rule holds at chunk level, not just after
-        materialise, so EpochStream and Trace.epochs see identical
-        batches for metric-only files."""
-        trace = generate_ethereum_like_trace(
-            valued_config(value_model=None, n_transactions=300)
-        )
-        path = tmp_path / "plain.csv"
+    def test_all_zero_value_column_is_kept_in_chunks_too(self, tmp_path):
+        """A ``value`` header makes a value column whatever its cells
+        hold: every chunk of an all-zero file carries zeros, so
+        EpochStream and Trace.epochs see identical batches."""
+        trace = generate_ethereum_like_trace(valued_config(n_transactions=300))
+        trace.batch.values[:] = 0.0
+        path = tmp_path / "zeros.csv"
         write_transactions_csv(path, trace)
         source = CsvTraceSource(path, chunk_rows=64)
         chunks = list(source.chunks())
-        assert all(c.values is None for c in chunks)
-        assert CsvTraceSource(path).materialise().batch.values is None
+        assert len(chunks) > 1
+        assert all(
+            c.values is not None and not c.values.any() for c in chunks
+        )
+        streamed = CsvTraceSource(path).materialise()
         eager, _ = read_transactions_csv(path)
-        assert eager.batch.values is None
+        assert_batches_equal(streamed.batch, eager.batch)
+        assert np.array_equal(eager.batch.values, np.zeros(len(trace)))
         streamed_epochs = list(
             EpochStream(CsvTraceSource(path, chunk_rows=64).chunks(), tau=50)
         )

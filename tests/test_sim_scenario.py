@@ -5,8 +5,8 @@ import dataclasses
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.matrix import ALLOCATOR_BUILDERS
 from repro.sim.scenario import (
-    DEFAULT_METHODS,
     SCENARIOS,
     Scenario,
     get_scenario,
@@ -99,4 +99,22 @@ class TestRunComparison:
             "orbit",
             "metis",
             "hash-random",
-        } <= set(DEFAULT_METHODS)
+            "txallo-a",
+        } <= set(ALLOCATOR_BUILDERS)
+
+    def test_builders_take_the_scenario_seed(self, small_scenario):
+        from repro.allocation.metis_like import MetisLikeAllocator
+        from repro.sim.engine import Simulation
+        from repro.sim.recorder import summarize_results
+
+        summaries = run_comparison(small_scenario, methods=["metis"])
+        trace = small_scenario.build_trace()
+        seeded = summarize_results(
+            Simulation(
+                trace,
+                MetisLikeAllocator(seed=small_scenario.params.seed),
+                small_scenario.simulation_config(),
+            ).run()
+        )
+        for key in ("mean_cross_shard_ratio", "total_migrations"):
+            assert summaries["metis"][key] == seeded[key]

@@ -1,10 +1,10 @@
 """Sizing pass: the row count, universe and funding partials of a replay.
 
 The pass must size a CSV extract identically whatever its chunk size,
-:meth:`SizingIndex.funding_balances` must be bit-identical to the eager
-:func:`observed_funding_balances` over the materialised extract at the
-same headroom, and a ``.sizing.npz`` file an older checkout left
-beside an extract must not change a run.
+its partials must be bit-identical to the eager
+:func:`observed_funding_balances` over the materialised extract, and a
+``.sizing.npz`` file an older checkout left beside an extract must not
+change a run.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ import numpy as np
 from repro.allocation.hash_based import HashAllocator
 from repro.chain.economics import observed_funding_balances
 from repro.chain.params import ProtocolParams
+from repro.chain.transaction import DEFAULT_TRANSFER_AMOUNT
 from repro.data.ethereum import EthereumTraceConfig, generate_ethereum_like_trace
 from repro.data.etl import write_transactions_csv
 from repro.data.generators import ValueModelConfig
@@ -47,11 +48,19 @@ def _sizing(path, chunk_rows=DEFAULT_CHUNK_ROWS):
 
 
 class TestBuildAndLoad:
-    def test_valueless_trace_has_no_values_flag(self, tmp_path):
+    def test_valueless_trace_funds_default_amounts(self, tmp_path):
+        """A file without a value column sizes as valueless: each send
+        is funded at the default transfer amount."""
         path = _write_csv(tmp_path, PLAIN_CONFIG)
-        index = _sizing(path)
-        assert not index.values_present
+        index = _sizing(path, chunk_rows=97)
+        (trace,) = list(
+            CsvTraceSource(path, chunk_rows=100_000, decoder="python").chunks()
+        )
+        assert trace.values is None
         assert index.n_rows == 2_000
+        expected = observed_funding_balances(trace, index.n_accounts)
+        assert index.partials.tobytes() == expected.tobytes()
+        assert index.partials.sum() == 2_000 * DEFAULT_TRANSFER_AMOUNT
 
     def test_chunk_rows_do_not_change_the_index(self, tmp_path):
         path = _write_csv(tmp_path, VALUED_CONFIG)
@@ -59,7 +68,6 @@ class TestBuildAndLoad:
         large = _sizing(path, chunk_rows=100_000)
         assert small.n_rows == large.n_rows == 4_000
         assert small.n_accounts == large.n_accounts
-        assert small.values_present and large.values_present
         assert np.array_equal(small.partials, large.partials)
 
     def test_funding_balances_match_eager_oracle_bit_exactly(self, tmp_path):
@@ -67,12 +75,9 @@ class TestBuildAndLoad:
         index = _sizing(path, chunk_rows=733)
         source = CsvTraceSource(path, chunk_rows=100_000, decoder="python")
         (trace,) = list(source.chunks())
-        for headroom in (0.0, 0.25):
-            expected = observed_funding_balances(
-                trace, index.n_accounts, headroom=headroom
-            )
-            replayed = index.funding_balances(headroom)
-            assert replayed.tobytes() == expected.tobytes()
+        assert trace.values is not None
+        expected = observed_funding_balances(trace, index.n_accounts)
+        assert index.partials.tobytes() == expected.tobytes()
 
 
 class TestLeftoverSidecar:
@@ -85,7 +90,6 @@ class TestLeftoverSidecar:
             params=ProtocolParams(k=4, eta=2.0, tau=20, seed=3),
             execute_values=True,
             funding=FUNDING_OBSERVED,
-            funding_headroom=0.25,
         )
 
         def run():

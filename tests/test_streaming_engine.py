@@ -23,6 +23,7 @@ from engine_reference import run_materialised
 from repro.allocation.hash_based import HashAllocator
 from repro.allocation.metis_like import MetisLikeAllocator
 from repro.chain.params import ProtocolParams
+from repro.chain.transaction import TransactionBatch
 from repro.data.ethereum import (
     EthereumTraceConfig,
     generate_ethereum_like_trace,
@@ -33,6 +34,7 @@ from repro.data.source import (
     CsvTraceSource,
     MaterialisedTraceSource,
 )
+from repro.data.trace import Trace
 from repro.errors import SimulationError
 from repro.sim.engine import EpochRecord, Simulation, SimulationConfig
 
@@ -205,14 +207,13 @@ class TestWindowedEquivalence:
         assert_same_substrate(sim.substrate, reference)
 
     def test_executed_run_with_zero_value_prefix(self, tmp_path):
-        """Lazy value activation mid-file must not change executed bits.
+        """A zero-value prefix must not change executed bits.
 
-        The chunked decoder keeps the value column inactive until the
-        first nonzero value, so pre-activation chunks are valueless;
-        the engine's second pass re-materialises explicit zero columns
-        (a valueless batch would otherwise transfer the 1.0 default).
-        Two history epochs start the evaluation inside the zero prefix,
-        so whole epochs are cut from valueless chunks.
+        Every chunk carries the header's value column, zeros included,
+        so the zero-amount prefix replays as zero-amount transfers (a
+        valueless batch would transfer the 1.0 default). Two history
+        epochs start the evaluation inside the zero prefix, so whole
+        epochs are cut from all-zero chunks.
         """
         trace = generate_ethereum_like_trace(VALUED_CONFIG)
         cut = int(len(trace) * 0.6)
@@ -231,6 +232,43 @@ class TestWindowedEquivalence:
         materialised, reference = run_materialised(
             decoded, HashAllocator(), config
         )
+        assert_identical_records(streamed, materialised)
+        assert_same_substrate(sim.substrate, reference)
+
+    def test_all_zero_values_replay_as_materialised(self, tmp_path):
+        """A valued trace whose values are all zero keeps a zero value
+        column through the CSV source, so its observed-funding replay
+        settles what the materialised trace settles: nothing."""
+        trace = generate_ethereum_like_trace(VALUED_CONFIG)
+        trace.batch.values[:] = 0.0
+        path = tmp_path / "zeros.csv"
+        write_transactions_csv(path, trace)
+        source, decoded = csv_pair(path)
+        assert all(
+            c.values is not None and not c.values.any()
+            for c in CsvTraceSource(path, chunk_rows=599).chunks()
+        )
+        # The materialised run: the decoded ids with the trace's columns.
+        zeros = Trace(
+            TransactionBatch(
+                decoded.batch.senders,
+                decoded.batch.receivers,
+                decoded.batch.blocks,
+                trace.batch.values,
+                trace.batch.fees,
+            ),
+            n_accounts=decoded.n_accounts,
+        )
+        config = SimulationConfig(
+            params=params(), execute_values=True, funding="observed"
+        )
+        sim = Simulation(source, HashAllocator(), config)
+        streamed = sim.run()
+        materialised, reference = run_materialised(
+            zeros, HashAllocator(), config
+        )
+        assert any(r.executed_transactions for r in streamed.records)
+        assert streamed.total_settled_volume == 0.0
         assert_identical_records(streamed, materialised)
         assert_same_substrate(sim.substrate, reference)
 

@@ -100,15 +100,6 @@ class TestObservedFunding:
         )
         assert observed_funding_balances(batch, 3).tolist() == [2.0, 1.0, 0.0]
 
-    def test_headroom_scales(self):
-        batch = TransactionBatch(
-            senders=np.array([0]),
-            receivers=np.array([1]),
-            blocks=np.array([0]),
-            values=np.array([10.0]),
-        )
-        assert observed_funding_balances(batch, 2, headroom=0.5)[0] == 15.0
-
     def test_validation(self):
         batch = TransactionBatch(
             senders=np.array([4]), receivers=np.array([1]), blocks=np.array([0])
@@ -116,7 +107,7 @@ class TestObservedFunding:
         with pytest.raises(ValidationError):
             observed_funding_balances(batch, 3)
         with pytest.raises(ValidationError):
-            observed_funding_balances(batch, 5, headroom=-0.1)
+            observed_funding_balances(batch, -1)
 
     def test_bad_funding_mode_rejected(self):
         with pytest.raises(SimulationError):
@@ -263,9 +254,9 @@ class TestStreamedRunEquivalence:
 
     def test_valueless_round_trip_settles_default_amounts(self, tmp_path):
         """generate -> CSV -> replay of a metric-only trace must settle
-        the executor's default transfer amounts — the written all-zero
-        value column must not turn the replay into zero-amount
-        transfers (ids are renumbered by first appearance across a
+        the executor's default transfer amounts — the file has no value
+        column, so the replay moves no zero-amount transfers (ids are
+        renumbered by first appearance across a
         round trip, so volumes are compared against nonzero, not
         against the direct run)."""
         direct = generate_ethereum_like_trace(
