@@ -50,7 +50,6 @@ from repro.core import (
     Pilot,
     PilotDecision,
     Client,
-    MigrationPolicy,
     MosaicAllocator,
     Coalition,
     interaction_distribution,
@@ -113,7 +112,6 @@ __all__ = [
     "Pilot",
     "PilotDecision",
     "Client",
-    "MigrationPolicy",
     "MosaicAllocator",
     "Coalition",
     "interaction_distribution",

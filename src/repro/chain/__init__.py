@@ -12,10 +12,10 @@ from repro.chain.account import Address, AccountRegistry
 from repro.chain.transaction import Transaction, TransactionBatch
 from repro.chain.block import Block, BlockHeader, compute_block_hash, GENESIS_HASH
 from repro.chain.mapping import ShardMapping
-from repro.chain.beacon import BeaconChain, CommitReport
+from repro.chain.beacon import BeaconChain
 from repro.chain.segments import DEFAULT_SEGMENT_ROWS, SegmentedCommitLog
 from repro.chain.migration import MigrationRequest, MigrationRequestBatch
-from repro.chain.epoch import EpochReconfigurator, ReconfigurationReport
+from repro.chain.epoch import EpochReconfigurator
 from repro.chain.ledger import Ledger
 from repro.chain.network import OverheadModel, OverheadEstimate, TX_RECORD_BYTES
 from repro.chain.netsim import (
@@ -56,13 +56,11 @@ __all__ = [
     "GENESIS_HASH",
     "ShardMapping",
     "BeaconChain",
-    "CommitReport",
     "SegmentedCommitLog",
     "DEFAULT_SEGMENT_ROWS",
     "MigrationRequest",
     "MigrationRequestBatch",
     "EpochReconfigurator",
-    "ReconfigurationReport",
     "Ledger",
     "OverheadModel",
     "OverheadEstimate",

@@ -14,74 +14,15 @@ the single commitment rule in the code base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Union
-
-import numpy as np
 
 from repro.chain.block import GENESIS_HASH, Block, BlockHeader
 from repro.chain.kernels import select_migrations_kernel
 from repro.chain.mapping import ShardMapping
 from repro.chain.migration import MigrationRequestBatch
 from repro.chain.segments import DEFAULT_SEGMENT_ROWS, SegmentedCommitLog
-from repro.errors import BlockLinkError, MigrationError
-
-
-@dataclass
-class CommitReport:
-    """Outcome of one epoch's migration-request commitment round.
-
-    ``committed_batch`` holds the committed rows in commitment order;
-    ``rejected_batch`` the stale, duplicate and over-capacity rows in no
-    particular order.
-    """
-
-    epoch: int
-    proposed: int
-    committed_batch: MigrationRequestBatch
-    rejected_batch: MigrationRequestBatch
-
-    @property
-    def committed_count(self) -> int:
-        return len(self.committed_batch)
-
-
-def apply_batch_to_mapping(
-    batch: MigrationRequestBatch, mapping: ShardMapping
-) -> int:
-    """Bulk-apply one block's committed batch to ``mapping``.
-
-    In-universe rows assign through ``assign_many`` (deduplicated
-    keep-last within the block, preserving sequential last-write-wins
-    semantics; commitment rounds dedup per account anyway). Returns the
-    number of applied rows, duplicates included, matching a sequential
-    per-request loop.
-    """
-    in_universe = batch.accounts < mapping.n_accounts
-    accounts = batch.accounts[in_universe]
-    targets = batch.to_shards[in_universe]
-    if len(accounts) == 0:
-        return 0
-    # Keep-last dedup: reverse, keep first occurrence.
-    _, first_pos = np.unique(accounts[::-1], return_index=True)
-    keep = len(accounts) - 1 - first_pos
-    mapping.assign_many(accounts[keep], targets[keep])
-    return len(accounts)
-
-
-def mr_announcement_bytes(request_count: int) -> float:
-    """Wire size of one beacon MR-batch announcement to one shard.
-
-    Miners learn committed migrations by syncing the beacon chain; on
-    the simulated message plane that sync is modelled as one
-    announcement per shard per reconfiguration, carrying the epoch's
-    committed MR records (the same ``MR_RECORD_BYTES`` unit the Table VI
-    overhead model charges for beacon replication).
-    """
-    from repro.chain.network import MR_RECORD_BYTES
-
-    return float(max(int(request_count), 0) * MR_RECORD_BYTES)
+from repro.errors import BlockLinkError, MigrationError, ValidationError
 
 
 class BeaconChain:
@@ -216,29 +157,35 @@ class BeaconChain:
         epoch: int,
         capacity: Optional[int] = None,
         mapping: Optional[ShardMapping] = None,
-    ) -> CommitReport:
-        """Run one commitment round: validate, prioritise, and block-commit.
+    ) -> MigrationRequestBatch:
+        """Run one commitment round; return the committed batch.
 
         When ``mapping`` is provided, requests whose ``from_shard`` no
         longer matches the account's current shard are rejected (stale
         requests, e.g. the client raced a previous migration). The round
         runs through :func:`~repro.chain.kernels.select_migrations_kernel`
-        and the committed batch becomes the block payload.
+        and the committed batch, in commitment order, becomes the block
+        payload.
 
         The proposal epoch survives when all pending batches agree on
         one; otherwise the committed batch carries the commit round's
-        epoch (a batch has a single epoch column).
+        epoch (a batch has a single epoch column). A bad ``epoch`` or
+        ``capacity`` raises before the round consumes the pending
+        requests, so a corrected retry still commits them.
         """
-        proposed = self._pending
-        self._pending = []
-        proposal_epochs = {batch.epoch for batch in proposed}
+        if epoch < 0:
+            raise ValidationError(f"epoch must be >= 0, got {epoch}")
+        if capacity is not None and capacity < 0:
+            raise ValidationError(f"capacity must be >= 0, got {capacity}")
+        proposal_epochs = {batch.epoch for batch in self._pending}
         combined = MigrationRequestBatch.concat(
-            proposed,
+            self._pending,
             epoch=(
                 proposal_epochs.pop() if len(proposal_epochs) == 1 else epoch
             ),
         )
-        committed_idx, rejected_idx = select_migrations_kernel(
+        self._pending = []
+        committed_idx, _ = select_migrations_kernel(
             combined.accounts,
             combined.from_shards,
             combined.to_shards,
@@ -247,27 +194,22 @@ class BeaconChain:
             mapping.k if mapping is not None else None,
             capacity,
         )
-        committed_batch = combined.take_batch(committed_idx)
+        committed = combined.take_batch(committed_idx)
         block = Block.build(
             chain_id=self.CHAIN_ID,
             height=len(self),
             parent_hash=self.tip_hash,
-            payload=[committed_batch] if len(committed_batch) else [],
+            payload=[committed] if len(committed) else [],
             epoch=epoch,
         )
         if self._spill is not None:
             self._headers.append(block.header)
-            if len(committed_batch):
-                self._spill.append(block.header.height, committed_batch)
+            if len(committed):
+                self._spill.append(block.header.height, committed)
         else:
             self._blocks.append(block)
-        self._committed_count += len(committed_batch)
-        return CommitReport(
-            epoch=epoch,
-            proposed=len(combined),
-            committed_batch=committed_batch,
-            rejected_batch=combined.take_batch(rejected_idx),
-        )
+        self._committed_count += len(committed)
+        return committed
 
     # -- miner-side synchronisation ---------------------------------------------
 

@@ -69,10 +69,10 @@ class BlockHeader:
 class Block:
     """A block: header plus an opaque tuple of payload items.
 
-    Shard blocks carry :class:`repro.chain.transaction.Transaction` ids or
-    counts; beacon blocks carry one committed
-    :class:`repro.chain.migration.MigrationRequestBatch`. The chain
-    classes enforce payload types; ``Block`` itself stays generic.
+    The beacon chain is the only chain that builds blocks: each carries
+    one committed :class:`repro.chain.migration.MigrationRequestBatch`,
+    or nothing for an empty round. :class:`~repro.chain.beacon.BeaconChain`
+    enforces the payload type; ``Block`` itself stays generic.
     """
 
     header: BlockHeader

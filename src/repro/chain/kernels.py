@@ -17,7 +17,7 @@ the pure-ndarray kernels in this module:
 * **Migration accounting** — stale-filtering, per-account dedup and
   gain-prioritised capacity capping of one epoch's migration requests
   over columnar arrays (:func:`select_migrations_kernel`, consumed by
-  ``core/migration.py`` / ``chain/migration.py``).
+  ``chain/beacon.py``, ``core/mosaic.py`` and ``chain/economics.py``).
 
 Each kernel is element-for-element equivalent to the scalar reference
 path it replaces; ``tests/test_kernels_equivalence.py`` property-tests
@@ -198,9 +198,8 @@ def select_migrations_kernel(
         safe_accounts = np.where(in_universe, accounts, 0)
         valid &= np.where(in_universe, shard_of[safe_accounts] == from_shards, False)
     valid_idx = indices[valid]
-    stale_idx = indices[~valid]
     if len(valid_idx) == 0:
-        return valid_idx, stale_idx
+        return valid_idx, indices[~valid]
 
     if fifo:
         # Keep the first submission per account, in submission order.
@@ -218,16 +217,8 @@ def select_migrations_kernel(
         commit_order = np.lexsort((accounts[survivors], -gains[survivors]))
         keep = survivors[commit_order]
 
-    if capacity is not None and capacity < len(keep):
-        committed = keep[:capacity]
-        over = keep[capacity:]
-    else:
-        committed = keep
-        over = keep[:0]
+    committed = keep[:capacity] if capacity is not None else keep
     committed_mask = np.zeros(n, dtype=bool)
     committed_mask[committed] = True
-    rejected = indices[~committed_mask]
-    # Preserve the committed order; rejected indices carry no order
-    # guarantee but include duplicates, over-capacity and stale entries.
-    _ = over, stale_idx
-    return committed, rejected
+    # Duplicates, over-capacity and stale entries, in index order.
+    return committed, indices[~committed_mask]

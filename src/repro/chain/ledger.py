@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.chain.beacon import BeaconChain, CommitReport
+from repro.chain.beacon import BeaconChain
 from repro.chain.crossshard import CrossShardExecutor, ExecutionReport
-from repro.chain.epoch import EpochReconfigurator, ReconfigurationReport
+from repro.chain.epoch import EpochReconfigurator
 from repro.chain.migration import MigrationRequestBatch
 from repro.chain.params import ProtocolParams
 from repro.chain.transaction import TransactionBatch
@@ -74,12 +74,14 @@ class Ledger:
 
     def commit_migrations(
         self, epoch: int, capacity: Optional[int]
-    ) -> CommitReport:
-        """Commit epoch ``epoch``'s MRs on the beacon chain (capacity-capped)."""
+    ) -> MigrationRequestBatch:
+        """Commit epoch ``epoch``'s MRs on the beacon chain (capacity-capped);
+        return the committed batch."""
         return self.beacon.commit_epoch(
             epoch=epoch, capacity=capacity, mapping=self.mapping
         )
 
-    def reconfigure(self, epoch: int) -> ReconfigurationReport:
-        """Run the reconfiguration that closes epoch ``epoch``."""
+    def reconfigure(self, epoch: int) -> int:
+        """Run the reconfiguration that closes epoch ``epoch``; return
+        the number of committed MRs applied."""
         return self.reconfigurator.run(epoch, self.mapping)

@@ -89,9 +89,15 @@ class ShardMapping:
     def shards_of(self, account_ids: np.ndarray) -> np.ndarray:
         """Vectorised ``phi`` lookup for an array of account ids."""
         ids = np.asarray(account_ids, dtype=np.int64)
-        if len(ids) and (ids.min() < 0 or ids.max() >= len(self._shard_of)):
-            raise UnknownAccountError(int(ids.max()))
+        self._check_known(ids)
         return self._shard_of[ids]
+
+    def _check_known(self, ids: np.ndarray) -> None:
+        """Raise :class:`UnknownAccountError` naming the first id outside
+        ``range(n_accounts)``."""
+        if len(ids) and (ids.min() < 0 or ids.max() >= len(self._shard_of)):
+            unknown = (ids < 0) | (ids >= len(self._shard_of))
+            raise UnknownAccountError(int(ids[np.argmax(unknown)]))
 
     def as_array(self) -> np.ndarray:
         """Read-only view of the underlying assignment array."""
@@ -134,8 +140,7 @@ class ShardMapping:
             raise MappingError("account_ids and shards must have equal shape")
         if len(ids) == 0:
             return
-        if ids.min() < 0 or ids.max() >= len(self._shard_of):
-            raise UnknownAccountError(int(ids.max()))
+        self._check_known(ids)
         if new_shards.min() < 0 or new_shards.max() >= self._k:
             raise MappingError("shard id out of range in bulk assignment")
         self._shard_of[ids] = new_shards

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -63,10 +63,10 @@ class MigrationRequest:
 class MigrationRequestBatch:
     """Columnar batch of migration requests (struct-of-arrays).
 
-    One epoch of client proposals as parallel arrays; the beacon chain
-    and the commitment policy (``core/migration.py``) filter and
-    prioritise directly on the arrays. :meth:`from_requests` and
-    :meth:`take` convert to and from :class:`MigrationRequest` objects.
+    One epoch of client proposals as parallel arrays; the commitment
+    kernel filters and prioritises directly on the arrays.
+    :meth:`from_requests` builds a batch from :class:`MigrationRequest`
+    objects.
     """
 
     __slots__ = ("accounts", "from_shards", "to_shards", "gains", "epoch")
@@ -245,16 +245,3 @@ class MigrationRequestBatch:
             f"MigrationRequestBatch(n={len(self)}, epoch={self.epoch}, "
             f"digest={self.content_digest()})"
         )
-
-    def take(self, indices: np.ndarray) -> List[MigrationRequest]:
-        """Materialise the requests at ``indices`` as objects, in order."""
-        return [
-            MigrationRequest(
-                account=int(self.accounts[i]),
-                from_shard=int(self.from_shards[i]),
-                to_shard=int(self.to_shards[i]),
-                gain=float(self.gains[i]),
-                epoch=self.epoch,
-            )
-            for i in np.asarray(indices, dtype=np.int64)
-        ]

@@ -570,8 +570,10 @@ class StateRegistry:
         state moves grouped per source shard (one bulk take each) and
         per target shard (one bulk put each). Accounts must be unique
         within the batch — the beacon's per-epoch commitment rounds
-        guarantee that. Non-resident accounts and accounts already on
-        their target are free no-ops, exactly like the scalar path.
+        guarantee that — and a repeated account raises
+        :class:`ValidationError` before any store changes. Non-resident
+        accounts and accounts already on their target are free no-ops,
+        exactly like the scalar path.
         """
         accounts = np.asarray(accounts, dtype=np.int64)
         to_shards = np.asarray(to_shards, dtype=np.int64)
@@ -579,10 +581,14 @@ class StateRegistry:
             raise ValidationError("accounts/to_shards length mismatch")
         if len(accounts) == 0:
             return 0
-        if len(to_shards) and (
-            int(to_shards.min()) < 0 or int(to_shards.max()) >= self.k
-        ):
+        if int(to_shards.min()) < 0 or int(to_shards.max()) >= self.k:
             raise ValidationError("target shard out of range in migration batch")
+        ordered = np.sort(accounts)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if len(repeated):
+            raise ValidationError(
+                f"account {int(repeated[0])} repeats in migration batch"
+            )
         current = self.locate_many(accounts)
         moving = (current >= 0) & (current != to_shards)
         if not moving.any():

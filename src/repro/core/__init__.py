@@ -8,7 +8,6 @@
   vectorised batch equivalent;
 * :mod:`repro.core.client` — the client/wallet abstraction with its
   local transaction store;
-* :mod:`repro.core.migration` — migration-request policy;
 * :mod:`repro.core.mosaic` — the client-driven framework packaged as an
   :class:`repro.allocation.base.Allocator` for the simulation engine;
 * :mod:`repro.core.coalition` — coalitions of clients deciding jointly.
@@ -32,7 +31,6 @@ from repro.core.cost import (
 )
 from repro.core.pilot import Pilot, PilotDecision, batch_pilot_decisions
 from repro.core.client import Client
-from repro.core.migration import MigrationPolicy
 from repro.core.mosaic import MosaicAllocator
 from repro.core.coalition import Coalition, CoalitionDecision
 from repro.chain.migration import MigrationRequest
@@ -50,7 +48,6 @@ __all__ = [
     "PilotDecision",
     "batch_pilot_decisions",
     "Client",
-    "MigrationPolicy",
     "MosaicAllocator",
     "Coalition",
     "CoalitionDecision",

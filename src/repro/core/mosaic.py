@@ -32,13 +32,13 @@ from typing import Optional
 import numpy as np
 
 from repro.allocation.base import AllocationUpdate, Allocator, UpdateContext
+from repro.chain.kernels import select_migrations_kernel
 from repro.chain.mapping import ShardMapping
 from repro.chain.migration import MigrationRequestBatch
 from repro.chain.network import OMEGA_ENTRY_BYTES
 from repro.chain.params import ProtocolParams
 from repro.chain.transaction import TransactionBatch
 from repro.core.interaction import interaction_matrix
-from repro.core.migration import BatchOutcome, MigrationPolicy
 from repro.core.pilot import batch_pilot_decisions
 from repro.data.trace import Trace
 from repro.workload.observer import WorkloadOracle
@@ -91,7 +91,7 @@ class MosaicAllocator(Allocator):
     # -- history bookkeeping ---------------------------------------------------
 
     def _reset_history(self) -> None:
-        """Forget every absorbed transaction and the last outcome."""
+        """Forget every absorbed transaction and the last proposals."""
         # Accumulated client histories as an aggregated undirected edge
         # list (u < v, weight = interaction count). Edges before
         # ``_folded`` are counted in ``_rows``; the tail is not yet.
@@ -107,9 +107,9 @@ class MosaicAllocator(Allocator):
         # The simulator stores the rows together as one int32 matrix.
         self._rows = np.zeros((0, 0), dtype=np.int32)
         self._phi_seen = np.zeros(0, dtype=np.int64)
-        #: The last epoch's commitment outcome (columnar; ``None``
-        #: before the first update).
-        self.last_outcome: Optional[BatchOutcome] = None
+        #: The last epoch's proposed migration requests, committed or
+        #: not (``None`` before the first update).
+        self.last_requests: Optional[MigrationRequestBatch] = None
 
     def _absorb_batch(self, batch: TransactionBatch) -> None:
         """Append committed transactions to the clients' local stores;
@@ -283,21 +283,32 @@ class MosaicAllocator(Allocator):
             wants = np.zeros(0, dtype=bool)
         elapsed = time.perf_counter() - start
 
-        request_batch = MigrationRequestBatch(
+        requests = MigrationRequestBatch(
             active[wants],
             current[wants],
             best[wants],
             gains[wants],
             epoch=context.epoch,
         )
+        self.last_requests = requests
 
-        # 4. The beacon chain commits at most lambda requests, by gain.
-        # Selection and application run on the columnar batch (the
-        # vectorised migration-accounting kernel).
-        capacity = None if self.unlimited_migrations else int(context.capacity)
-        policy = MigrationPolicy(capacity=capacity, fifo=self.fifo_commitment)
+        # 4. The beacon chain commits at most lambda requests, by gain,
+        # through the same kernel as BeaconChain.commit_epoch; the
+        # committed rows hold one request per account.
+        committed, _ = select_migrations_kernel(
+            requests.accounts,
+            requests.from_shards,
+            requests.to_shards,
+            requests.gains,
+            mapping.as_array(),
+            k,
+            None if self.unlimited_migrations else int(context.capacity),
+            fifo=self.fifo_commitment,
+        )
         new_mapping = mapping.copy()
-        self.last_outcome = policy.apply_batch(request_batch, new_mapping)
+        new_mapping.assign_many(
+            requests.accounts[committed], requests.to_shards[committed]
+        )
 
         n_active = max(1, len(active))
         input_bytes = self._mean_pilot_input_bytes(
@@ -308,8 +319,8 @@ class MosaicAllocator(Allocator):
             execution_time=elapsed,
             unit_time=elapsed / n_active,
             input_bytes=input_bytes,
-            migrations=self.last_outcome.committed_count,
-            proposed_migrations=len(request_batch),
+            migrations=len(committed),
+            proposed_migrations=len(requests),
         )
 
     def place_new_accounts(

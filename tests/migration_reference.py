@@ -15,17 +15,20 @@ formulation of the same protocol so property tests can check
   request through ``mapping.assign`` and ``StateRegistry.migrate``;
 * :func:`apply_committed` — applies a ``BeaconChain``'s committed
   batches to a mapping with no state movement, the batch-side oracle
-  the reference chain is compared with.
+  the reference chain is compared with;
+* :func:`take_requests` — rows of a ``MigrationRequestBatch`` as
+  request objects, so batch results compare with object results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.chain.beacon import BeaconChain, apply_batch_to_mapping
+import numpy as np
+
+from repro.chain.beacon import BeaconChain
 from repro.chain.mapping import ShardMapping
-from repro.chain.migration import MigrationRequest
+from repro.chain.migration import MigrationRequest, MigrationRequestBatch
 from repro.chain.state import StateRegistry
 from repro.errors import ValidationError
 
@@ -105,15 +108,6 @@ def select_requests(
     return deduped[:cut], deduped[cut:] + dropped + stale
 
 
-@dataclass
-class ReferenceSync:
-    """What one :meth:`ReferenceChain.reconfigure` call did."""
-
-    requests_synced: int
-    migrations_applied: int
-    state_moved_bytes: float
-
-
 class ReferenceChain:
     """Object beacon + reconfigurator, one request at a time.
 
@@ -142,10 +136,11 @@ class ReferenceChain:
         self._unsynced.extend(committed)
         return committed, rejected
 
-    def reconfigure(self, mapping: ShardMapping) -> ReferenceSync:
+    def reconfigure(self, mapping: ShardMapping) -> int:
+        """Apply the requests committed since the last call; return the
+        number applied (requests outside ``mapping`` are skipped)."""
         requests, self._unsynced = self._unsynced, []
         applied = 0
-        moved = 0.0
         for request in requests:
             if request.account >= mapping.n_accounts:
                 continue
@@ -155,18 +150,39 @@ class ReferenceChain:
                 continue
             current = self.registry.locate(request.account)
             if current is not None and current != request.to_shard:
-                moved += self.registry.migrate(
-                    request.account, current, request.to_shard
-                )
-        return ReferenceSync(len(requests), applied, moved)
+                self.registry.migrate(request.account, current, request.to_shard)
+        return applied
 
 
 def apply_committed(
     beacon: BeaconChain, mapping: ShardMapping, since_height: int = 0
 ) -> int:
     """Apply ``beacon``'s committed MRs from ``since_height`` on to
-    ``mapping`` in place, block by block; return the count applied."""
-    return sum(
-        apply_batch_to_mapping(batch, mapping)
-        for batch in beacon.iter_committed_batches(since_height)
-    )
+    ``mapping`` in place, request by request; return the count applied
+    (requests outside ``mapping`` are skipped)."""
+    applied = 0
+    for batch in beacon.iter_committed_batches(since_height):
+        for request in take_requests(batch):
+            if request.account < mapping.n_accounts:
+                mapping.assign(request.account, request.to_shard)
+                applied += 1
+    return applied
+
+
+def take_requests(
+    batch: MigrationRequestBatch, indices: Optional[np.ndarray] = None
+) -> Requests:
+    """The rows of ``batch`` at ``indices`` (default: every row) as
+    request objects, in order."""
+    if indices is None:
+        indices = np.arange(len(batch))
+    return [
+        MigrationRequest(
+            account=int(batch.accounts[i]),
+            from_shard=int(batch.from_shards[i]),
+            to_shard=int(batch.to_shards[i]),
+            gain=float(batch.gains[i]),
+            epoch=batch.epoch,
+        )
+        for i in np.asarray(indices, dtype=np.int64)
+    ]

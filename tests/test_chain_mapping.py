@@ -52,6 +52,9 @@ class TestAccessors:
     def test_shards_of_out_of_range(self, small_mapping):
         with pytest.raises(UnknownAccountError):
             small_mapping.shards_of(np.array([5]))
+        with pytest.raises(UnknownAccountError) as error:
+            small_mapping.shards_of(np.array([-1, 3]))
+        assert error.value.account == -1
 
     def test_as_array_is_read_only(self, small_mapping):
         view = small_mapping.as_array()
@@ -81,6 +84,17 @@ class TestMutation:
         small_mapping.assign_many(np.array([0, 1]), np.array([1, 1]))
         assert small_mapping.shard_of(0) == 1
         assert small_mapping.shard_of(1) == 1
+
+    @pytest.mark.parametrize("ids", [[-1, 3], [3, 7, 1], [0, -2, 9]])
+    def test_assign_many_names_the_unknown_id(self, small_mapping, ids):
+        """The error names the first id outside the mapping, not the
+        largest id of the batch."""
+        before = small_mapping.copy()
+        first_bad = next(i for i in ids if not 0 <= i < len(small_mapping))
+        with pytest.raises(UnknownAccountError) as error:
+            small_mapping.assign_many(np.array(ids), np.zeros(len(ids)))
+        assert error.value.account == first_bad
+        assert small_mapping == before
 
     def test_assign_many_shape_mismatch(self, small_mapping):
         with pytest.raises(MappingError):

@@ -9,7 +9,7 @@ from repro.chain.mapping import ShardMapping
 from repro.chain.migration import MigrationRequestBatch
 from repro.chain.netsim import NETWORK_IDEAL, MessageBus, NetworkModel
 from repro.chain.network import MR_RECORD_BYTES
-from repro.chain.state import STATE_RECORD_BYTES, StateRegistry
+from repro.chain.state import StateRegistry
 from repro.errors import SimulationError
 
 
@@ -20,6 +20,21 @@ def reconfigurator_for(beacon, k=2, n_accounts=4):
         StateRegistry(k=k, n_accounts=n_accounts),
         MessageBus(NetworkModel(NETWORK_IDEAL)),
     )
+
+
+def record_sends(reconfigurator):
+    """Record ``(dst, size_bytes)`` of every message the reconfigurator
+    sends from now on (the ideal bus itself keeps no byte counts)."""
+    sends = []
+    bus = reconfigurator._bus
+    send_many = bus.send_many
+
+    def spy(message_class, src, dst, block, **kwargs):
+        sends.append((dst, kwargs.get("size_bytes")))
+        send_many(message_class, src, dst, block, **kwargs)
+
+    bus.send_many = spy
+    return sends
 
 
 def one_request(account, from_shard=0, to_shard=1):
@@ -37,30 +52,28 @@ class TestEpochReconfigurator:
         beacon.commit_epoch(epoch=0)
         return beacon
 
-    def test_applies_migrations_and_reports_bytes(self):
+    def test_applies_and_announces_migrations(self):
         beacon = self._beacon_with_requests()
         mapping = ShardMapping(np.zeros(4, dtype=np.int64), k=2)
         reconfigurator = reconfigurator_for(beacon)
-        report = reconfigurator.run(epoch=0, mapping=mapping)
-        assert report.migrations_applied == 2
+        sends = record_sends(reconfigurator)
+        assert reconfigurator.run(epoch=0, mapping=mapping) == 2
         assert mapping.shard_of(1) == 1
         assert mapping.shard_of(2) == 1
-        assert report.beacon_sync_bytes == 2 * MR_RECORD_BYTES
-        assert report.migration_extra_bytes == 2 * STATE_RECORD_BYTES
-        assert report.total_communication_bytes == 2 * (
-            MR_RECORD_BYTES + STATE_RECORD_BYTES
-        )
+        # One beacon-sync announcement per shard, carrying both MRs.
+        assert [(dst.tolist(), size) for dst, size in sends] == [
+            ([0, 1], 2 * MR_RECORD_BYTES)
+        ]
 
     def test_sync_height_advances(self):
         beacon = self._beacon_with_requests()
         mapping = ShardMapping(np.zeros(4, dtype=np.int64), k=2)
         reconfigurator = reconfigurator_for(beacon)
-        first = reconfigurator.run(epoch=0, mapping=mapping)
-        assert first.migrations_applied > 0
-        # Second run with no new blocks applies nothing.
-        report = reconfigurator.run(epoch=1, mapping=mapping)
-        assert report.migrations_applied == 0
-        assert report.beacon_sync_bytes == 0
+        assert reconfigurator.run(epoch=0, mapping=mapping) > 0
+        sends = record_sends(reconfigurator)
+        # Second run with no new blocks applies and announces nothing.
+        assert reconfigurator.run(epoch=1, mapping=mapping) == 0
+        assert sends == []
 
     def test_rejects_negative_epoch(self):
         reconfigurator = reconfigurator_for(BeaconChain(), n_accounts=1)

@@ -60,10 +60,9 @@ class TestBeaconChain:
     def test_submit_and_commit(self):
         beacon = BeaconChain()
         submit(beacon, mr(1, gain=2.0), mr(2, gain=1.0))
-        report = beacon.commit_epoch(epoch=0, capacity=1)
-        assert report.committed_count == 1
-        assert report.committed_batch.accounts.tolist() == [1]
-        assert len(report.rejected_batch) == 1
+        committed = beacon.commit_epoch(epoch=0, capacity=1)
+        assert committed.accounts.tolist() == [1]
+        assert beacon.committed_count == 1
         assert len(beacon) == 1
         beacon.verify()
 
@@ -80,16 +79,14 @@ class TestBeaconChain:
             mr(0, src=0, dst=1),  # stale: account 0 is on shard 1
             mr(1, src=0, dst=1),  # valid
         )
-        report = beacon.commit_epoch(epoch=0, capacity=10, mapping=mapping)
-        assert report.committed_batch.accounts.tolist() == [1]
-        assert report.rejected_batch.accounts.tolist() == [0]
+        committed = beacon.commit_epoch(epoch=0, capacity=10, mapping=mapping)
+        assert committed.accounts.tolist() == [1]
 
     def test_unknown_account_is_stale(self):
         beacon = BeaconChain()
         mapping = ShardMapping(np.array([0]), k=2)
         submit(beacon, mr(5, src=0, dst=1))
-        report = beacon.commit_epoch(epoch=0, mapping=mapping)
-        assert report.committed_count == 0
+        assert len(beacon.commit_epoch(epoch=0, mapping=mapping)) == 0
 
     def test_apply_to_mapping(self):
         beacon = BeaconChain()
@@ -114,7 +111,22 @@ class TestBeaconChain:
         beacon = BeaconChain()
         submit(beacon, mr(1))
         beacon.commit_epoch(epoch=0)
-        assert beacon.commit_epoch(epoch=1).proposed == 0
+        assert len(beacon.commit_epoch(epoch=1)) == 0
+        assert beacon.committed_count == 1
+
+    @pytest.mark.parametrize(
+        "bad", [dict(epoch=-1), dict(epoch=0, capacity=-1)]
+    )
+    def test_bad_commit_keeps_pending_requests(self, bad):
+        """A commit round that rejects its arguments consumes nothing:
+        the next valid round still commits the submitted request."""
+        beacon = BeaconChain()
+        submit(beacon, mr(1))
+        with pytest.raises(ValidationError):
+            beacon.commit_epoch(**bad)
+        assert len(beacon) == 0
+        assert beacon.commit_epoch(epoch=0).accounts.tolist() == [1]
+        assert beacon.committed_count == 1
 
 
 class TestMigrationRequest:

@@ -1,5 +1,6 @@
 """Unit tests for account state and per-shard state stores."""
 
+import numpy as np
 import pytest
 
 from repro.chain.state import (
@@ -129,6 +130,29 @@ class TestStateRegistry:
     def test_migrate_untouched_account_is_free(self):
         registry = StateRegistry(k=2, n_accounts=8)
         assert registry.migrate(7, 0, 1) == 0
+
+    def test_migrate_batch_rejects_repeated_account_unchanged(self):
+        """A repeated account would free its slot twice; the batch is
+        refused before any store changes."""
+        registry = StateRegistry(k=4, n_accounts=8)
+        registry.store_of(0).credit(1, 5.0)
+        registry.store_of(0).credit(2, 9.0)
+
+        def snapshot():
+            return [
+                (len(store), store.state_root(), store.total_balance())
+                for store in registry.stores
+            ]
+
+        before = snapshot()
+        with pytest.raises(ValidationError, match="account 1 repeats"):
+            registry.migrate_batch(np.array([1, 1]), np.array([2, 3]))
+        assert snapshot() == before
+        assert registry.locate(1) == 0
+        # Two fresh accounts still get distinct slots afterwards.
+        registry.store_of(0).credit(3, 7.0)
+        registry.store_of(0).credit(4, 7.0)
+        assert registry.total_balance() == 28.0
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValidationError):

@@ -1,12 +1,17 @@
-"""Unit tests for the migration-request policy."""
+"""Unit tests for the migration-request commitment rule.
+
+Mosaic's per-epoch cap and the beacon chain's commitment round share
+one rule, ``select_migrations_kernel``: stale filter, per-account
+dedup, then a gain-prioritised (or FIFO) capacity cap.
+"""
 
 import numpy as np
 import pytest
 
+from repro.chain.kernels import select_migrations_kernel
 from repro.chain.mapping import ShardMapping
 from repro.chain.migration import MigrationRequestBatch
-from repro.core.migration import MigrationPolicy
-from repro.errors import MigrationError
+from repro.errors import ValidationError
 
 
 def batch(*rows):
@@ -16,8 +21,18 @@ def batch(*rows):
     return MigrationRequestBatch(accounts, srcs, dsts, gains)
 
 
-def committed_accounts(outcome):
-    return outcome.batch.accounts[outcome.committed_idx].tolist()
+def select(requests, mapping, capacity=None, fifo=False):
+    """``(committed_idx, rejected_idx)`` of one commitment round."""
+    return select_migrations_kernel(
+        requests.accounts,
+        requests.from_shards,
+        requests.to_shards,
+        requests.gains,
+        mapping.as_array(),
+        mapping.k,
+        capacity,
+        fifo=fifo,
+    )
 
 
 @pytest.fixture
@@ -27,60 +42,63 @@ def mapping():
 
 class TestGainPolicy:
     def test_commits_by_gain_under_capacity(self, mapping):
-        policy = MigrationPolicy(capacity=2)
-        outcome = policy.select_batch(batch((1, 1.0), (2, 3.0), (3, 2.0)), mapping)
-        assert committed_accounts(outcome) == [2, 3]
-        assert outcome.batch.accounts[outcome.rejected_idx].tolist() == [1]
+        requests = batch((1, 1.0), (2, 3.0), (3, 2.0))
+        committed, rejected = select(requests, mapping, capacity=2)
+        assert requests.accounts[committed].tolist() == [2, 3]
+        assert requests.accounts[rejected].tolist() == [1]
 
     def test_unlimited_capacity(self, mapping):
-        policy = MigrationPolicy(capacity=None)
-        outcome = policy.select_batch(batch(*[(i, 1.0) for i in range(5)]), mapping)
-        assert outcome.committed_count == 5
+        committed, _ = select(batch(*[(i, 1.0) for i in range(5)]), mapping)
+        assert len(committed) == 5
 
     def test_stale_requests_rejected(self, mapping):
         mapping.assign(1, 2)
-        policy = MigrationPolicy()
-        outcome = policy.select_batch(batch((1, 1.0, 0, 1)), mapping)
-        assert outcome.committed_count == 0
-        assert len(outcome.rejected_idx) == 1
+        committed, rejected = select(batch((1, 1.0, 0, 1)), mapping)
+        assert len(committed) == 0
+        assert len(rejected) == 1
 
     def test_unknown_account_rejected(self, mapping):
-        policy = MigrationPolicy()
-        outcome = policy.select_batch(batch((99, 1.0)), mapping)
-        assert outcome.committed_count == 0
+        committed, _ = select(batch((99, 1.0)), mapping)
+        assert len(committed) == 0
 
     def test_out_of_range_target_rejected(self, mapping):
-        policy = MigrationPolicy()
-        outcome = policy.select_batch(batch((1, 1.0, 0, 7)), mapping)
-        assert outcome.committed_count == 0
+        committed, _ = select(batch((1, 1.0, 0, 7)), mapping)
+        assert len(committed) == 0
 
-    def test_rejects_negative_capacity(self):
-        with pytest.raises(MigrationError):
-            MigrationPolicy(capacity=-1)
+    def test_rejects_negative_capacity(self, mapping):
+        with pytest.raises(ValidationError):
+            select(batch((1, 1.0)), mapping, capacity=-1)
 
 
 class TestFifoPolicy:
     def test_commits_in_submission_order(self, mapping):
-        policy = MigrationPolicy(capacity=2, fifo=True)
-        outcome = policy.select_batch(batch((1, 0.1), (2, 9.0), (3, 5.0)), mapping)
-        assert committed_accounts(outcome) == [1, 2]
+        requests = batch((1, 0.1), (2, 9.0), (3, 5.0))
+        committed, _ = select(requests, mapping, capacity=2, fifo=True)
+        assert requests.accounts[committed].tolist() == [1, 2]
 
     def test_fifo_deduplicates_first_wins(self, mapping):
-        policy = MigrationPolicy(fifo=True)
-        outcome = policy.select_batch(batch((1, 0.1), (1, 9.0)), mapping)
-        assert outcome.committed_count == 1
-        assert outcome.batch.gains[outcome.committed_idx].tolist() == [0.1]
+        requests = batch((1, 0.1), (1, 9.0))
+        committed, _ = select(requests, mapping, fifo=True)
+        assert requests.gains[committed].tolist() == [0.1]
 
 
 class TestApply:
+    """Committed rows apply to ``phi`` with one ``assign_many``, as
+    ``MosaicAllocator.update`` does."""
+
     def test_apply_updates_mapping(self, mapping):
-        policy = MigrationPolicy(capacity=1)
-        outcome = policy.apply_batch(batch((1, 2.0), (2, 1.0)), mapping)
-        assert outcome.committed_count == 1
+        requests = batch((1, 2.0), (2, 1.0))
+        committed, _ = select(requests, mapping, capacity=1)
+        mapping.assign_many(
+            requests.accounts[committed], requests.to_shards[committed]
+        )
+        assert len(committed) == 1
         assert mapping.shard_of(1) == 1
         assert mapping.shard_of(2) == 0  # rejected, unchanged
 
     def test_apply_without_requests(self, mapping):
-        policy = MigrationPolicy()
-        outcome = policy.apply_batch(MigrationRequestBatch.empty(), mapping)
-        assert outcome.committed_count == 0
+        before = mapping.copy()
+        committed, rejected = select(MigrationRequestBatch.empty(), mapping)
+        mapping.assign_many(np.zeros(0, dtype=np.int64), committed)
+        assert len(committed) == len(rejected) == 0
+        assert mapping == before

@@ -12,12 +12,12 @@ from pilot_history_reference import history_psi_scan
 from repro.allocation.base import UpdateContext
 from repro.allocation.hash_based import HashAllocator
 from repro.allocation.txallo import TxAlloAllocator
+from repro.chain.kernels import select_migrations_kernel
 from repro.chain.mapping import ShardMapping
-from repro.chain.migration import MigrationRequestBatch
+from repro.chain.migration import MigrationRequest
 from repro.chain.params import ProtocolParams
 from repro.chain.transaction import TransactionBatch
 from repro.core import mosaic
-from repro.core.migration import MigrationPolicy
 from repro.core.mosaic import MosaicAllocator
 from repro.data.ethereum import EthereumTraceConfig, generate_ethereum_like_trace
 from repro.sim.engine import Simulation, SimulationConfig
@@ -159,24 +159,33 @@ class TestUpdate:
         allocator.update(mapping, context_for(params, committed, mempool))
         return allocator
 
-    def test_last_outcome_batch_holds_every_proposal(self, params):
-        allocator = self._update_with_proposals(params)
-        outcome = allocator.last_outcome
-        assert outcome is not None
-        assert len(outcome.batch) == outcome.committed_count + len(
-            outcome.rejected_idx
+    def test_last_requests_hold_every_proposal(self, params):
+        """``last_requests`` keeps committed and rejected proposals."""
+        mapping = ShardMapping(np.array([1, 0, 0, 0]), k=params.k)
+        allocator = MosaicAllocator()
+        update = allocator.update(
+            mapping,
+            context_for(
+                params,
+                pair_batch([(0, 1), (0, 2), (0, 3)]),
+                pair_batch([(0, 1)]),
+                capacity=0,
+            ),
         )
+        assert update.migrations == 0
+        assert len(allocator.last_requests) == update.proposed_migrations > 0
+        assert update.mapping == mapping
 
     def test_update_builds_no_request_objects(self, params, monkeypatch):
         """The per-epoch update stays columnar: converting the proposal
         batch to request objects would cost one object per proposal."""
 
-        def refuse(self, indices):
-            raise AssertionError("update materialised request objects")
+        def refuse(self):
+            raise AssertionError("update built a MigrationRequest")
 
-        monkeypatch.setattr(MigrationRequestBatch, "take", refuse)
+        monkeypatch.setattr(MigrationRequest, "__post_init__", refuse)
         allocator = self._update_with_proposals(params)
-        assert len(allocator.last_outcome.batch) > 0
+        assert len(allocator.last_requests) > 0
 
 
 class TestPlaceNewAccounts:
@@ -332,11 +341,15 @@ class TestHistoryRows:
                 # request always leaves its current shard.
                 mapping = mapping.copy()
                 current = mapping.shards_of(accounts)
-                batch = MigrationRequestBatch(
+                targets = (current + 1 + shards % (K - 1)) % K
+                committed, _ = select_migrations_kernel(
                     accounts,
                     current,
-                    (current + 1 + shards % (K - 1)) % K,
+                    targets,
                     np.ones(len(accounts)),
+                    mapping.as_array(),
+                    K,
+                    None,
                 )
-                MigrationPolicy().apply_batch(batch, mapping)
+                mapping.assign_many(accounts[committed], targets[committed])
         return mapping

@@ -105,8 +105,7 @@ class TestMappingCorruption:
         assert mapping.shard_of(0) == 1
         # Replay the identical (now stale) request.
         beacon.submit_batch(one_request(0))
-        report = beacon.commit_epoch(epoch=1, mapping=mapping)
-        assert report.committed_count == 0
+        assert len(beacon.commit_epoch(epoch=1, mapping=mapping)) == 0
         assert mapping.shard_of(0) == 1
 
 

@@ -165,15 +165,14 @@ class TestLedgerIntegration:
                 capacity=params.derive_capacity(len(view.batch)),
             )
             allocator.update(ledger.mapping, context)
-            ledger.submit_migration_batch(allocator.last_outcome.batch)
-            report = ledger.commit_migrations(
+            ledger.submit_migration_batch(allocator.last_requests)
+            committed = ledger.commit_migrations(
                 view.index, capacity=int(context.capacity)
             )
-            committed_total += report.committed_count
-            reconfig = ledger.reconfigure(view.index)
-            assert reconfig.migrations_applied == report.committed_count
+            committed_total += len(committed)
+            assert ledger.reconfigure(view.index) == len(committed)
             assert executor.total_value() == genesis
-            moved = report.committed_batch.accounts
+            moved = committed.accounts
             np.testing.assert_array_equal(
                 executor.registry.locate_many(moved),
                 ledger.mapping.as_array()[moved],

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from migration_reference import ReferenceChain, select_requests
+from migration_reference import ReferenceChain, select_requests, take_requests
 from repro.chain.kernels import (
     classify_kernel,
     epoch_metrics_kernel,
@@ -23,7 +23,6 @@ from repro.chain.kernels import (
 from repro.chain.mapping import ShardMapping
 from repro.chain.migration import MigrationRequest, MigrationRequestBatch
 from repro.chain.transaction import TransactionBatch
-from repro.core.migration import MigrationPolicy
 from repro.core.interaction import interaction_matrix
 from repro.core.pilot import Pilot, batch_pilot_decisions
 from repro.sim.metrics import (
@@ -231,27 +230,45 @@ class TestMigrationSelectionKernel:
         n_accounts = int(rng.integers(1, 30))
         mapping = ShardMapping.uniform_random(n_accounts, k, rng)
         requests = random_requests(rng, int(rng.integers(0, 40)), n_accounts + 5, k)
-        policy = MigrationPolicy(capacity=capacity, fifo=fifo)
 
         committed, rejected = select_requests(requests, capacity, mapping, fifo)
         batch = MigrationRequestBatch.from_requests(requests)
-        outcome = policy.select_batch(batch, mapping)
+        committed_idx, rejected_idx = select_migrations_kernel(
+            batch.accounts,
+            batch.from_shards,
+            batch.to_shards,
+            batch.gains,
+            mapping.as_array(),
+            mapping.k,
+            capacity,
+            fifo=fifo,
+        )
 
-        assert batch.take(outcome.committed_idx) == committed
+        assert take_requests(batch, committed_idx) == committed
         assert sorted(
             (r.account, r.from_shard, r.to_shard, r.gain)
-            for r in batch.take(outcome.rejected_idx)
+            for r in take_requests(batch, rejected_idx)
         ) == sorted(
             (r.account, r.from_shard, r.to_shard, r.gain) for r in rejected
         )
 
     def test_empty_batch(self):
-        policy = MigrationPolicy(capacity=3)
-        outcome = policy.select_batch(MigrationRequestBatch.empty())
-        assert outcome.committed_count == 0
-        assert len(outcome.rejected_idx) == 0
+        empty = MigrationRequestBatch.empty()
+        committed, rejected = select_migrations_kernel(
+            empty.accounts,
+            empty.from_shards,
+            empty.to_shards,
+            empty.gains,
+            None,
+            None,
+            3,
+        )
+        assert len(committed) == 0
+        assert len(rejected) == 0
 
     def test_apply_batch_equals_sequential_apply(self):
+        """The kernel's committed rows applied in one ``assign_many``
+        (Mosaic's update) equal a per-request commit and replay."""
         rng = np.random.default_rng(17)
         mapping_a = ShardMapping.uniform_random(20, 4, rng)
         mapping_b = mapping_a.copy()
@@ -273,9 +290,17 @@ class TestMigrationSelectionKernel:
         reference.submit(requests)
         reference.commit_epoch(capacity=5, mapping=mapping_a)
         reference.reconfigure(mapping_a)
-        MigrationPolicy(capacity=5).apply_batch(
-            MigrationRequestBatch.from_requests(requests), mapping_b
+        batch = MigrationRequestBatch.from_requests(requests)
+        committed, _ = select_migrations_kernel(
+            batch.accounts,
+            batch.from_shards,
+            batch.to_shards,
+            batch.gains,
+            mapping_b.as_array(),
+            mapping_b.k,
+            5,
         )
+        mapping_b.assign_many(batch.accounts[committed], batch.to_shards[committed])
         assert mapping_a == mapping_b
 
     def test_kernel_without_mapping_skips_stale_filter(self):

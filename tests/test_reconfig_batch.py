@@ -7,7 +7,7 @@ Three contracts are pinned here:
   ``tests/migration_reference.py`` — same committed set, same
   commitment order, same stale/dedup/capacity decisions;
 * ``EpochReconfigurator.run`` moves exactly the state the per-request
-  reference moves (mappings, state roots, byte accounting), on the
+  reference moves (mappings, state roots, applied counts), on the
   dense store and on the dict-store oracle of ``state_reference``, and
   with per-epoch compaction on the dense store;
 * value is conserved at every block boundary across reconfigurations,
@@ -23,14 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from migration_reference import ReferenceChain, apply_committed
+from migration_reference import ReferenceChain, apply_committed, take_requests
 from state_reference import STATE_BACKENDS, make_registry
-from repro.chain.beacon import BeaconChain, CommitReport
+from repro.chain.beacon import BeaconChain
 from repro.chain.crossshard import CrossShardExecutor
 from repro.chain.epoch import EpochReconfigurator
 from repro.chain.mapping import ShardMapping
 from repro.chain.migration import MigrationRequest, MigrationRequestBatch
-from repro.chain.network import MR_RECORD_BYTES
 from repro.chain.state import StateRegistry
 from repro.chain.transaction import TransactionBatch
 from repro.errors import MigrationError
@@ -55,14 +54,6 @@ _ROWS = st.lists(
     ),
     max_size=30,
 )
-
-
-def _requests_in(batch):
-    return batch.take(np.arange(len(batch)))
-
-
-def _object_rows(requests):
-    return [(r.account, r.from_shard, r.to_shard, r.gain) for r in requests]
 
 
 class TestBeaconBatchEquivalence:
@@ -95,30 +86,27 @@ class TestBeaconBatchEquivalence:
 
         beacon = BeaconChain()
         beacon.submit_batch(MigrationRequestBatch.from_requests(requests))
-        report = beacon.commit_epoch(
+        committed_batch = beacon.commit_epoch(
             epoch=0, capacity=capacity, mapping=mapping()
         )
-        assert isinstance(report, CommitReport)
 
-        # Committed set AND order match exactly; rejected sets match.
-        assert _requests_in(report.committed_batch) == committed
-        assert sorted(_object_rows(_requests_in(report.rejected_batch))) == sorted(
-            _object_rows(rejected)
-        )
-        assert report.proposed == len(requests)
+        # Committed set AND order match exactly; every other proposal
+        # is the reference's rejected set.
+        assert take_requests(committed_batch) == committed
+        assert len(committed_batch) + len(rejected) == len(requests)
 
         # The committed log the miners sync from agrees too.
         assert [
             r
             for batch in beacon.iter_committed_batches(0)
-            for r in _requests_in(batch)
+            for r in take_requests(batch)
         ] == committed
         if use_mapping:
             # (Without the stale filter, out-of-range target shards can
             # commit; applying those raises in both paths alike.)
             reference_map = ShardMapping(mapping_array.copy(), k=K)
             beacon_map = ShardMapping(mapping_array.copy(), k=K)
-            applied = reference.reconfigure(reference_map).migrations_applied
+            applied = reference.reconfigure(reference_map)
             assert apply_committed(beacon, beacon_map) == applied
             assert reference_map == beacon_map
 
@@ -129,10 +117,10 @@ class TestBeaconBatchEquivalence:
                 np.array([0]), np.array([0]), np.array([1]), epoch=3
             )
         )
-        report = beacon.commit_epoch(epoch=7)
-        assert isinstance(report, CommitReport)
-        assert report.committed_batch.epoch == 3
-        assert report.committed_batch.take([0])[0].epoch == 3
+        committed = beacon.commit_epoch(epoch=7)
+        assert committed.epoch == 3
+        assert take_requests(committed)[0].epoch == 3
+        assert beacon.blocks[-1].header.epoch == 7
 
     def test_submit_batch_rejects_non_batches(self):
         beacon = BeaconChain()
@@ -158,8 +146,7 @@ class TestBeaconBatchEquivalence:
     def test_empty_round_still_appends_a_block(self):
         beacon = BeaconChain()
         beacon.submit_batch(MigrationRequestBatch.empty())
-        report = beacon.commit_epoch(epoch=0)
-        assert report.committed_count == 0
+        assert len(beacon.commit_epoch(epoch=0)) == 0
         assert len(beacon) == 1
         beacon.verify()
 
@@ -203,7 +190,7 @@ def _run_world(
     )
     chain = ReferenceChain(registry)
     block = 0
-    syncs = []
+    applied = []
     for epoch in range(epochs):
         n_tx = 12
         executor.execute_batch(
@@ -237,32 +224,18 @@ def _run_world(
                 ]
             )
             chain.commit_epoch(capacity, mapping)
-            sync = chain.reconfigure(mapping)
-            syncs.append(
-                (
-                    sync.migrations_applied,
-                    sync.requests_synced * MR_RECORD_BYTES,
-                    sync.state_moved_bytes,
-                )
-            )
+            applied.append(chain.reconfigure(mapping))
         else:
             beacon.submit_batch(
                 MigrationRequestBatch(movers, from_shards, targets, gains)
             )
             beacon.commit_epoch(epoch=epoch, capacity=capacity, mapping=mapping)
-            report = reconfigurator.run(epoch, mapping)
-            syncs.append(
-                (
-                    report.migrations_applied,
-                    report.beacon_sync_bytes,
-                    report.state_moved_bytes,
-                )
-            )
+            applied.append(reconfigurator.run(epoch, mapping))
     executor.settle_all(from_block=block)
     return (
         mapping.as_array().tolist(),
         [registry.store_of(s).state_root() for s in range(K)],
-        syncs,
+        applied,
         executor.total_value(),
     )
 
@@ -286,8 +259,8 @@ class TestReconfiguratorBatchEquivalence:
     @given(seed=st.integers(0, 500), epochs=st.integers(1, 3))
     def test_compacting_dense_run_matches_dict_reference(self, seed, epochs):
         """Batched moves + per-epoch compaction on the dense store land
-        on the same mapping, state roots, byte accounting and total
-        value as the per-request reference on the dict store."""
+        on the same mapping, state roots, applied counts and total value
+        as the per-request reference on the dict store."""
         assert _run_world(
             seed, "dense", epochs, reference=False, compact_slack=0.0
         ) == _run_world(seed, "dict", epochs, reference=True)

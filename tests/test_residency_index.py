@@ -393,8 +393,9 @@ class TestDenseCompaction:
             )
         )
         beacon.commit_epoch(epoch=0, capacity=None, mapping=mapping)
-        report = reconfigurator.run(0, mapping)
-        assert report.compacted_bytes > 0
+        assert reconfigurator.run(0, mapping) == n_accounts
+        assert registry.compaction_count > 0
+        assert registry.compacted_bytes_total > 0
         assert registry.total_balance() == n_accounts * 1.0
         assert registry.locate(0) == 1
 
@@ -403,11 +404,23 @@ class TestDenseCompaction:
         from repro.chain.epoch import EpochReconfigurator
         from repro.chain.netsim import NETWORK_IDEAL, MessageBus, NetworkModel
 
+        from repro.chain.migration import MigrationRequestBatch
+
+        registry = StateRegistry(k=2, n_accounts=4)
+        registry.store_of(0).credit_many(np.arange(4), np.ones(4))
+        beacon = BeaconChain()
         reconfigurator = EpochReconfigurator(
-            BeaconChain(),
-            StateRegistry(k=2, n_accounts=4),
-            MessageBus(NetworkModel(NETWORK_IDEAL)),
+            beacon, registry, MessageBus(NetworkModel(NETWORK_IDEAL))
         )
         assert reconfigurator.compact_slack is None
-        report = reconfigurator.run(0, ShardMapping(np.zeros(4, dtype=np.int64), k=2))
-        assert report.compacted_bytes == 0.0
+        # Everyone leaves shard 0: its columns are all holes, yet no
+        # compaction runs without a threshold.
+        beacon.submit_batch(
+            MigrationRequestBatch(np.arange(4), np.zeros(4), np.ones(4))
+        )
+        beacon.commit_epoch(epoch=0)
+        mapping = ShardMapping(np.zeros(4, dtype=np.int64), k=2)
+        assert reconfigurator.run(0, mapping) == 4
+        assert registry.store_of(0).slack_slots() == 4
+        assert registry.compaction_count == 0
+        assert registry.compacted_bytes_total == 0

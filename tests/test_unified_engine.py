@@ -13,7 +13,9 @@ state migration). The contracts pinned here:
   result totals recorded from the dict-store engine run it replaced;
 * the executed-value fields only exist where they mean something
   (summaries, engine modes);
-* beacon blocks carry the engine's epoch index, empty epochs included.
+* beacon blocks carry the engine's epoch index, empty epochs included;
+* every migration an allocator commits is committed on the beacon, one
+  block per executed epoch.
 """
 
 import numpy as np
@@ -26,6 +28,7 @@ from repro.chain.transaction import TransactionBatch
 from repro.core.mosaic import MosaicAllocator
 from repro.data.trace import Trace
 from repro.errors import SimulationError
+from repro.experiments import ALLOCATOR_BUILDERS
 from repro.sim.engine import Simulation, SimulationConfig, SimulationResult
 from repro.sim.recorder import summarize_results
 
@@ -214,6 +217,26 @@ class TestBeaconEpochs:
         for header_epoch, batch_epoch in stamped:
             assert header_epoch == batch_epoch
             assert header_epoch in record_epochs
+
+
+class TestMigrationsReachTheBeacon:
+    @pytest.mark.parametrize("method", sorted(ALLOCATOR_BUILDERS))
+    def test_allocator_commits_equal_beacon_commits(self, tiny_trace, method):
+        """The allocator's per-epoch commit (Mosaic's capped round
+        included) is what the beacon commits: the substrate re-commits
+        the mapping change uncapped and loses or adds no MR."""
+        config = SimulationConfig(
+            params=ProtocolParams(k=4, eta=2.0, tau=10, seed=0),
+            history_epochs=10,
+            execute_values=True,
+        )
+        simulation = Simulation(tiny_trace, ALLOCATOR_BUILDERS[method](0), config)
+        result = simulation.run()
+        beacon = simulation.substrate.ledger.beacon
+        assert len(beacon) == len(result.records) > 0
+        assert beacon.committed_count == result.total_migrations
+        if method != "hash-random":
+            assert result.total_migrations > 0
 
 
 class TestBackendEquivalenceEndToEnd:
