@@ -13,8 +13,7 @@ from bench_table1_cross_shard import METHODS, ROW_SETTINGS, collect_summaries
 from conftest import METIS, PILOT, RANDOM, TXALLO, emit
 from repro.analysis.tables import comparison_table
 from repro.chain.mapping import ShardMapping
-from repro.chain.mempool import shard_workloads
-from repro.sim.metrics import workload_deviation
+from repro.sim.metrics import shard_workloads, workload_deviation
 
 
 def test_table3_workload_deviation(benchmark, sim_cache, output_dir, bench_trace):

@@ -3,8 +3,9 @@
 This subpackage implements the blockchain model from Section III-A of the
 paper: ``k`` shards, each a state store run by the cross-shard executor,
 plus one beacon chain, an account-shard mapping ``phi`` (Definition 1),
-workload analytics over the mempool, and the epoch-reconfiguration
-procedure that applies client-proposed account migrations.
+and the epoch-reconfiguration procedure that applies client-proposed
+account migrations. The workload ``omega`` and the other evaluation
+metrics live in :mod:`repro.sim.metrics`.
 """
 
 from repro.chain.params import ProtocolParams

@@ -8,7 +8,7 @@ bounds this by the shard capacity ``lambda`` — and when over-subscribed,
 requests with the largest potential improvement win (Section V-A).
 
 Requests arrive as columnar :class:`MigrationRequestBatch` rounds and
-commit through :func:`~repro.chain.kernels.select_migrations_kernel`,
+commit through :func:`~repro.chain.migration.select_migrations_kernel`,
 the single commitment rule in the code base.
 """
 
@@ -18,9 +18,8 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Union
 
 from repro.chain.block import GENESIS_HASH, Block, BlockHeader
-from repro.chain.kernels import select_migrations_kernel
 from repro.chain.mapping import ShardMapping
-from repro.chain.migration import MigrationRequestBatch
+from repro.chain.migration import MigrationRequestBatch, select_migrations_kernel
 from repro.chain.segments import DEFAULT_SEGMENT_ROWS, SegmentedCommitLog
 from repro.errors import BlockLinkError, MigrationError, ValidationError
 
@@ -163,7 +162,7 @@ class BeaconChain:
         When ``mapping`` is provided, requests whose ``from_shard`` no
         longer matches the account's current shard are rejected (stale
         requests, e.g. the client raced a previous migration). The round
-        runs through :func:`~repro.chain.kernels.select_migrations_kernel`
+        runs through :func:`~repro.chain.migration.select_migrations_kernel`
         and the committed batch, in commitment order, becomes the block
         payload.
 

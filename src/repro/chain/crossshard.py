@@ -64,7 +64,6 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.chain.kernels import classify_kernel
 from repro.chain.mapping import ShardMapping
 from repro.chain.netsim import NETWORK_IDEAL, NetworkModel, ReceiptTransport
 from repro.chain.receipts import ReceiptLedger
@@ -258,11 +257,10 @@ class CrossShardExecutor:
         when present, else every transfer moves
         :data:`DEFAULT_TRANSFER_AMOUNT` units; a ``fees`` column, when
         present, debits alongside (sender pays ``value + fee``). Shard
-        classification runs once over the whole batch through the
-        shared :func:`classify_kernel`; blocks are delimited by change
-        points in the ``blocks`` column, which must be non-decreasing
-        (:class:`ValidationError` otherwise — time never runs
-        backwards). A write routed off an account's home raises
+        lookup in phi runs once over the whole batch; blocks are
+        delimited by change points in the ``blocks`` column, which must
+        be non-decreasing (:class:`ValidationError` otherwise — time
+        never runs backwards). A write routed off an account's home raises
         :class:`~repro.errors.ResidencyError` and leaves the pass's
         gathered events uncommitted: the executor is then unusable.
         """
@@ -279,17 +277,15 @@ class CrossShardExecutor:
         top = max(int(batch.senders.max()), int(batch.receivers.max()))
         if top >= self.mapping.n_accounts:
             raise UnknownAccountError(top)
-        sender_shards, receiver_shards, _ = classify_kernel(
-            batch.senders, batch.receivers, self.mapping.as_array()
-        )
+        phi = self.mapping.as_array()
         epoch = _EpochPass(
             self,
             batch.senders,
             batch.receivers,
             batch.amounts(DEFAULT_TRANSFER_AMOUNT),
             batch.fees,
-            sender_shards,
-            receiver_shards,
+            phi[batch.senders],
+            phi[batch.receivers],
         )
         boundaries = np.flatnonzero(steps != 0) + 1
         starts = np.concatenate(([0], boundaries))

@@ -27,8 +27,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.chain.kernels import select_migrations_kernel
-from repro.chain.migration import MigrationRequest
+from repro.chain.migration import MigrationRequest, select_migrations_kernel
 from repro.chain.transaction import DEFAULT_TRANSFER_AMOUNT, TransactionBatch
 from repro.errors import ConfigurationError, MigrationError, ValidationError
 

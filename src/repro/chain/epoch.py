@@ -26,7 +26,7 @@ from repro.chain.mapping import ShardMapping
 from repro.chain.netsim import BEACON_SHARD, MSG_BEACON_ANNOUNCE, MessageBus
 from repro.chain.network import MR_RECORD_BYTES
 from repro.chain.state import StateRegistry
-from repro.errors import SimulationError
+from repro.errors import MappingError, SimulationError
 
 
 class EpochReconfigurator:
@@ -64,13 +64,23 @@ class EpochReconfigurator:
         their MRs to ``mapping`` in place (exactly as each shard updates
         its local ``phi``) and moves the migrated accounts' state. A
         committed MR whose account lies outside ``mapping`` is synced
-        but not applied.
+        but not applied. A target shard outside ``mapping`` raises
+        :class:`MappingError` before anything changes, so a retry
+        raises again.
         """
         if epoch < 0:
             raise SimulationError(f"epoch must be >= 0, got {epoch}")
         if len(self._beacon) < self._synced_height:
             raise SimulationError("beacon chain shrank; invalid state")
-        synced_from = self._synced_height
+        batches = list(self._beacon.iter_committed_batches(self._synced_height))
+        for batch in batches:
+            if int(batch.to_shards.max()) >= mapping.k:
+                row = int(np.argmax(batch.to_shards >= mapping.k))
+                raise MappingError(
+                    f"committed MR moves account {int(batch.accounts[row])} "
+                    f"to shard {int(batch.to_shards[row])}, outside the "
+                    f"mapping's {mapping.k} shards"
+                )
         self._synced_height = len(self._beacon)
 
         # Account state follows the allocation: the same committed MRs
@@ -81,7 +91,7 @@ class EpochReconfigurator:
         # per account, as ``migrate_batch`` requires.
         request_count = 0
         applied = 0
-        for batch in self._beacon.iter_committed_batches(synced_from):
+        for batch in batches:
             request_count += len(batch)
             in_universe = batch.accounts < mapping.n_accounts
             accounts = batch.accounts[in_universe]

@@ -9,18 +9,20 @@ the largest improvement are prioritised (Section V-A, Parameters).
 :class:`MigrationRequest` is the one-request view a client builds;
 :class:`MigrationRequestBatch` is the columnar form the beacon chain
 and the commitment kernel accept (struct-of-arrays, mirroring
-``TransactionBatch``).
+``TransactionBatch``). :func:`select_migrations_kernel` is that
+kernel: the one commitment rule, called by the beacon chain, Mosaic's
+per-epoch cap and the flooding model.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import MigrationError
+from repro.errors import MigrationError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -245,3 +247,75 @@ class MigrationRequestBatch:
             f"MigrationRequestBatch(n={len(self)}, epoch={self.epoch}, "
             f"digest={self.content_digest()})"
         )
+
+
+def select_migrations_kernel(
+    accounts: np.ndarray,
+    from_shards: np.ndarray,
+    to_shards: np.ndarray,
+    gains: np.ndarray,
+    shard_of: Optional[np.ndarray],
+    k: Optional[int],
+    capacity: Optional[int],
+    fifo: bool = False,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Vectorised migration-request accounting for one epoch.
+
+    Implements the beacon-chain commitment policy over columnar request
+    arrays (indices refer to positions in the input arrays):
+
+    1. **Stale filter** (only when ``shard_of``/``k`` are given): drop
+       requests whose account is outside the mapping, whose target shard
+       is out of range, or whose ``from_shard`` no longer matches the
+       mapping.
+    2. **Dedup** per account — FIFO keeps the first submission, the
+       gain-prioritised mode keeps the highest-gain request (earliest
+       submission wins gain ties, matching the scalar reference).
+    3. **Capacity cap** — FIFO commits in submission order; otherwise
+       requests commit by descending gain, ties broken by account id.
+
+    Returns ``(committed_idx, rejected_idx)``. ``committed_idx`` is in
+    commitment order; ``rejected_idx`` is in no particular order.
+    """
+    n = len(accounts)
+    if not (len(from_shards) == len(to_shards) == len(gains) == n):
+        raise ValidationError("request arrays must have equal length")
+    if capacity is not None and capacity < 0:
+        raise ValidationError(f"capacity must be >= 0, got {capacity}")
+    indices = np.arange(n)
+    if n == 0:
+        return indices, indices.copy()
+
+    valid = np.ones(n, dtype=bool)
+    if shard_of is not None:
+        if k is None:
+            raise ValidationError("k is required when shard_of is given")
+        in_universe = accounts < len(shard_of)
+        valid = in_universe & (to_shards < k)
+        safe_accounts = np.where(in_universe, accounts, 0)
+        valid &= np.where(in_universe, shard_of[safe_accounts] == from_shards, False)
+    valid_idx = indices[valid]
+    if len(valid_idx) == 0:
+        return valid_idx, indices[~valid]
+
+    if fifo:
+        # Keep the first submission per account, in submission order.
+        _, first_pos = np.unique(accounts[valid_idx], return_index=True)
+        keep = valid_idx[np.sort(first_pos)]
+    else:
+        # Highest gain per account; earliest submission wins exact ties
+        # (stable mergesort on (account, -gain) keys).
+        sub = valid_idx
+        order = np.lexsort((sub, -gains[sub]))
+        ranked = sub[order]
+        _, first_pos = np.unique(accounts[ranked], return_index=True)
+        survivors = ranked[np.sort(first_pos)]
+        # Commitment order: descending gain, ties by account id.
+        commit_order = np.lexsort((accounts[survivors], -gains[survivors]))
+        keep = survivors[commit_order]
+
+    committed = keep[:capacity] if capacity is not None else keep
+    committed_mask = np.zeros(n, dtype=bool)
+    committed_mask[committed] = True
+    # Duplicates, over-capacity and stale entries, in index order.
+    return committed, indices[~committed_mask]

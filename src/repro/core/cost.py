@@ -39,10 +39,11 @@ def _validate(psi: np.ndarray, omega: np.ndarray, eta: float) -> tuple:
         raise ValidationError("need at least one shard")
     if eta < 1:
         raise ValidationError(f"eta must be >= 1, got {eta}")
-    if psi.min() < 0:
-        raise ValidationError("psi entries must be >= 0")
-    if omega.min() < 0:
-        raise ValidationError("omega entries must be >= 0")
+    for name, vector in (("psi", psi), ("omega", omega)):
+        if not np.isfinite(vector).all():
+            raise ValidationError(f"{name} entries must be finite")
+        if vector.min() < 0:
+            raise ValidationError(f"{name} entries must be >= 0")
     return psi, omega
 
 

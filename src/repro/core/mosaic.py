@@ -32,16 +32,15 @@ from typing import Optional
 import numpy as np
 
 from repro.allocation.base import AllocationUpdate, Allocator, UpdateContext
-from repro.chain.kernels import select_migrations_kernel
 from repro.chain.mapping import ShardMapping
-from repro.chain.migration import MigrationRequestBatch
+from repro.chain.migration import MigrationRequestBatch, select_migrations_kernel
 from repro.chain.network import OMEGA_ENTRY_BYTES
 from repro.chain.params import ProtocolParams
 from repro.chain.transaction import TransactionBatch
 from repro.core.interaction import interaction_matrix
 from repro.core.pilot import batch_pilot_decisions
 from repro.data.trace import Trace
-from repro.workload.observer import WorkloadOracle
+from repro.sim.metrics import shard_workloads
 
 #: Compact the accumulated edge list when it exceeds this many rows.
 _COMPACT_THRESHOLD = 2_000_000
@@ -257,9 +256,7 @@ class MosaicAllocator(Allocator):
         self._absorb_batch(context.committed)
 
         # 2. The oracle publishes Omega from the pending mempool.
-        oracle = WorkloadOracle(params.eta)
-        snapshot = oracle.publish(context.epoch, context.mempool, mapping)
-        omega = snapshot.omega
+        omega = shard_workloads(context.mempool, mapping, params.eta)
 
         # 3. Active clients run Pilot.
         active = np.union1d(
@@ -341,11 +338,9 @@ class MosaicAllocator(Allocator):
             return new_account_ids.copy()
         k = mapping.k
         if context is not None and len(context.mempool):
-            omega = WorkloadOracle(context.params.eta).publish(
-                context.epoch, context.mempool, mapping
-            ).omega
-            beta = context.params.beta
             eta = context.params.eta
+            beta = context.params.beta
+            omega = shard_workloads(context.mempool, mapping, eta)
             ordered = np.unique(new_account_ids)
             psi_e = interaction_matrix(context.mempool, mapping, ordered)
             psi_h = np.zeros_like(psi_e)

@@ -18,8 +18,9 @@ Protocol per evaluation epoch ``t``:
 
 The loop is columnar end to end: every epoch is a
 :class:`TransactionBatch` window streamed off a
-:class:`~repro.data.source.TraceSource`, metrics run through the fused
-numpy kernels, and no per-transaction Python object is ever
+:class:`~repro.data.source.TraceSource`, the metrics classify each
+batch once (:func:`~repro.sim.metrics.epoch_metrics`), and no
+per-transaction Python object is ever
 materialised on this path. :class:`Simulation` is the one front end,
 whether the source is a CSV extract or an already-materialised
 :class:`Trace`.

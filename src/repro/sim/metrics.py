@@ -1,5 +1,13 @@
-"""Evaluation metrics (Section V-A).
+"""Evaluation metrics (Section V-A): the one home of the workload ``omega``.
 
+* **Classification** — a transaction is cross-shard when its sender and
+  receiver shards differ (self-transfers are intra-shard).
+  :func:`classify` is the only place a batch is checked against the
+  mapping; every metric below classifies a batch at most once.
+* **Workload** — ``omega_i = |T_i^I| + eta * |T_i^C|``: an intra-shard
+  transaction costs its shard 1 unit, a cross-shard one costs each of
+  its two shards ``eta``. It is also the vector the public oracle
+  publishes to clients (Section III-C-2, :mod:`repro.workload`).
 * **Cross-shard transaction ratio** — cross-shard / total transactions.
 * **Workload deviation** — the paper's normalised standard deviation::
 
@@ -20,28 +28,97 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.chain.kernels import (
-    deviation_kernel,
-    epoch_metrics_kernel,
-    throughput_kernel,
-)
 from repro.chain.mapping import ShardMapping
-from repro.chain.mempool import classify_transactions, shard_workloads
 from repro.chain.transaction import TransactionBatch
-from repro.errors import ValidationError
+from repro.errors import UnknownAccountError, ValidationError
+
+
+def classify(
+    batch: TransactionBatch, mapping: ShardMapping
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classify each transaction under ``mapping``.
+
+    Returns ``(sender_shards, receiver_shards, is_cross)``. An account
+    outside the mapping raises :class:`UnknownAccountError` naming the
+    largest id of the batch.
+    """
+    shard_of = mapping.as_array()
+    if len(batch) and batch.max_account_id() >= len(shard_of):
+        raise UnknownAccountError(batch.max_account_id())
+    sender_shards = shard_of[batch.senders]
+    receiver_shards = shard_of[batch.receivers]
+    return sender_shards, receiver_shards, sender_shards != receiver_shards
+
+
+def _omega(
+    sender_shards: np.ndarray,
+    receiver_shards: np.ndarray,
+    is_cross: np.ndarray,
+    k: int,
+    eta: float,
+) -> np.ndarray:
+    if eta < 1:
+        raise ValidationError(f"eta must be >= 1, got {eta}")
+    intra = ~is_cross
+    workloads = np.bincount(sender_shards[intra], minlength=k).astype(np.float64)
+    workloads += eta * np.bincount(sender_shards[is_cross], minlength=k)
+    workloads += eta * np.bincount(receiver_shards[is_cross], minlength=k)
+    return workloads
+
+
+def _deviation(omega: np.ndarray) -> float:
+    if omega.ndim != 1 or len(omega) == 0:
+        raise ValidationError("omega must be a non-empty 1-D vector")
+    if not np.isfinite(omega).all():
+        raise ValidationError("workloads must be finite")
+    if omega.min() < 0:
+        raise ValidationError("workloads must be >= 0")
+    mean = omega.mean()
+    if mean == 0:
+        return 0.0
+    return float(np.sqrt(np.square(omega - mean).sum() / (len(omega) * mean)))
+
+
+def _completed(
+    sender_shards: np.ndarray,
+    receiver_shards: np.ndarray,
+    is_cross: np.ndarray,
+    omega: np.ndarray,
+    capacity: float,
+) -> float:
+    if len(sender_shards) == 0:
+        return 0.0
+    with np.errstate(divide="ignore"):
+        fraction = np.where(omega > 0, np.minimum(1.0, capacity / omega), 1.0)
+    per_tx = np.where(
+        is_cross,
+        np.minimum(fraction[sender_shards], fraction[receiver_shards]),
+        fraction[sender_shards],
+    )
+    return float(per_tx.sum())
+
+
+def shard_workloads(
+    batch: TransactionBatch, mapping: ShardMapping, eta: float
+) -> np.ndarray:
+    """Per-shard workload vector ``omega`` for a batch of transactions."""
+    return _omega(*classify(batch, mapping), mapping.k, eta)
 
 
 def cross_shard_ratio(batch: TransactionBatch, mapping: ShardMapping) -> float:
     """Fraction of transactions touching two shards (0.0 for empty)."""
     if len(batch) == 0:
         return 0.0
-    _, _, is_cross = classify_transactions(batch, mapping)
+    _, _, is_cross = classify(batch, mapping)
     return float(is_cross.mean())
 
 
 def workload_deviation(omega: np.ndarray) -> float:
-    """The paper's workload-deviation formula over a workload vector."""
-    return deviation_kernel(np.asarray(omega, dtype=np.float64))
+    """The paper's workload-deviation formula over a workload vector.
+
+    A negative or non-finite entry raises :class:`ValidationError`.
+    """
+    return _deviation(np.asarray(omega, dtype=np.float64))
 
 
 def throughput(
@@ -61,13 +138,9 @@ def throughput(
         raise ValidationError(f"capacity must be > 0, got {capacity}")
     if len(batch) == 0:
         return 0.0
-    sender_shards, receiver_shards, is_cross = classify_transactions(
-        batch, mapping
-    )
-    omega = shard_workloads(batch, mapping, eta)
-    return throughput_kernel(
-        sender_shards, receiver_shards, is_cross, omega, capacity
-    )
+    classes = classify(batch, mapping)
+    omega = _omega(*classes, mapping.k, eta)
+    return _completed(*classes, omega, capacity)
 
 
 def normalized_throughput(
@@ -105,24 +178,23 @@ def epoch_metrics(
     eta: float,
     capacity: float,
 ) -> Tuple[float, float, float, np.ndarray]:
-    """Convenience bundle: (cross_ratio, deviation, norm_throughput, omega).
+    """One epoch's bundle: (cross_ratio, deviation, norm_throughput, omega).
+
+    The batch is classified once and the result shared by every metric.
 
     The paper's deviation formula is not scale-free (it grows with the
     absolute workload magnitude for a fixed relative imbalance), so the
     evaluation expresses workloads in units of the shard capacity
     ``lambda`` before applying it; this reproduces the magnitude range
     of Table III independently of trace size.
-
-    The whole bundle is computed by the fused
-    :func:`repro.chain.kernels.epoch_metrics_kernel`, which classifies
-    the batch once instead of once per metric.
     """
-    shard_of = mapping.as_array()
-    if len(batch) and batch.max_account_id() >= len(shard_of):
-        raise ValidationError(
-            f"batch references account {batch.max_account_id()} outside "
-            f"the mapping ({len(shard_of)} accounts)"
-        )
-    return epoch_metrics_kernel(
-        batch.senders, batch.receivers, shard_of, mapping.k, eta, capacity
+    if capacity <= 0:
+        raise ValidationError(f"capacity must be > 0, got {capacity}")
+    sender_shards, receiver_shards, is_cross = classify(batch, mapping)
+    omega = _omega(sender_shards, receiver_shards, is_cross, mapping.k, eta)
+    ratio = float(is_cross.mean()) if len(is_cross) else 0.0
+    deviation = _deviation(omega / capacity)
+    completed = _completed(
+        sender_shards, receiver_shards, is_cross, omega, capacity
     )
+    return ratio, deviation, completed / capacity, omega

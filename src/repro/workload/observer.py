@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.chain.mapping import ShardMapping
-from repro.chain.mempool import shard_workloads
 from repro.chain.transaction import TransactionBatch
 from repro.errors import ValidationError
+from repro.sim.metrics import shard_workloads
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,8 @@ class WorkloadSnapshot:
         omega = np.asarray(self.omega, dtype=np.float64)
         if omega.ndim != 1:
             raise ValidationError("omega must be a 1-D vector")
+        if not np.isfinite(omega).all():
+            raise ValidationError("workloads must be finite")
         if len(omega) and omega.min() < 0:
             raise ValidationError("workloads must be >= 0")
         object.__setattr__(self, "omega", omega)

@@ -26,7 +26,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.chain.crossshard import CrossShardExecutor, ExecutionReport
-from repro.chain.kernels import classify_kernel
 from repro.chain.transaction import DEFAULT_TRANSFER_AMOUNT, TransactionBatch
 from repro.errors import ChainError, UnknownAccountError, ValidationError
 
@@ -138,9 +137,9 @@ class ReferenceExecutor(CrossShardExecutor):
         top = max(int(batch.senders.max()), int(batch.receivers.max()))
         if top >= self.mapping.n_accounts:
             raise UnknownAccountError(top)
-        sender_shards, receiver_shards, _ = classify_kernel(
-            batch.senders, batch.receivers, self.mapping.as_array()
-        )
+        phi = self.mapping.as_array()
+        sender_shards = phi[batch.senders]
+        receiver_shards = phi[batch.receivers]
         amounts = batch.amounts(DEFAULT_TRANSFER_AMOUNT)
         fees = batch.fees
         boundaries = np.flatnonzero(steps != 0) + 1

@@ -10,7 +10,7 @@ from repro.chain.migration import MigrationRequestBatch
 from repro.chain.netsim import NETWORK_IDEAL, MessageBus, NetworkModel
 from repro.chain.network import MR_RECORD_BYTES
 from repro.chain.state import StateRegistry
-from repro.errors import SimulationError
+from repro.errors import MappingError, SimulationError
 
 
 def reconfigurator_for(beacon, k=2, n_accounts=4):
@@ -74,6 +74,24 @@ class TestEpochReconfigurator:
         # Second run with no new blocks applies and announces nothing.
         assert reconfigurator.run(epoch=1, mapping=mapping) == 0
         assert sends == []
+
+    def test_out_of_range_target_changes_nothing(self):
+        """A committed MR to a shard beyond the mapping raises before any
+        synced block applies, and a retry raises again."""
+        beacon = BeaconChain()
+        beacon.submit_batch(one_request(1, to_shard=1))
+        beacon.commit_epoch(epoch=0)
+        beacon.submit_batch(one_request(2, to_shard=5))
+        beacon.commit_epoch(epoch=1)
+        mapping = ShardMapping(np.zeros(4, dtype=np.int64), k=2)
+        reconfigurator = reconfigurator_for(beacon)
+        sends = record_sends(reconfigurator)
+        for _ in range(2):
+            with pytest.raises(MappingError, match="account 2 to shard 5"):
+                reconfigurator.run(epoch=1, mapping=mapping)
+        assert mapping.shard_of(1) == 0
+        assert sends == []
+        assert beacon.committed_count == 2
 
     def test_rejects_negative_epoch(self):
         reconfigurator = reconfigurator_for(BeaconChain(), n_accounts=1)

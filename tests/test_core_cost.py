@@ -67,6 +67,14 @@ class TestTransactionCost:
         with pytest.raises(ValidationError):
             transaction_cost(np.array([1.0]), np.array([1.0]), 0, eta=0.5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("vector", ["psi", "omega"])
+    def test_rejects_non_finite_entries(self, vector, bad):
+        vectors = {"psi": np.array([1.0, 1.0]), "omega": np.array([1.0, 1.0])}
+        vectors[vector][0] = bad
+        with pytest.raises(ValidationError, match=f"{vector} entries must be finite"):
+            potential_vector(vectors["psi"], vectors["omega"], eta=2.0)
+
 
 class TestPotential:
     def test_scalar_matches_vector(self):

@@ -8,9 +8,8 @@ dedup, then a gain-prioritised (or FIFO) capacity cap.
 import numpy as np
 import pytest
 
-from repro.chain.kernels import select_migrations_kernel
 from repro.chain.mapping import ShardMapping
-from repro.chain.migration import MigrationRequestBatch
+from repro.chain.migration import MigrationRequestBatch, select_migrations_kernel
 from repro.errors import ValidationError
 
 

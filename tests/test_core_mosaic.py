@@ -12,9 +12,8 @@ from pilot_history_reference import history_psi_scan
 from repro.allocation.base import UpdateContext
 from repro.allocation.hash_based import HashAllocator
 from repro.allocation.txallo import TxAlloAllocator
-from repro.chain.kernels import select_migrations_kernel
 from repro.chain.mapping import ShardMapping
-from repro.chain.migration import MigrationRequest
+from repro.chain.migration import MigrationRequest, select_migrations_kernel
 from repro.chain.params import ProtocolParams
 from repro.chain.transaction import TransactionBatch
 from repro.core import mosaic

@@ -23,6 +23,15 @@ def batch_from_pairs(pairs):
 
 
 class TestPilotDecide:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_omega(self, bad):
+        mapping = ShardMapping(np.array([0, 1, 1, 1]), k=2)
+        history = batch_from_pairs([(0, 1), (0, 2)])
+        with pytest.raises(ValidationError, match="omega entries must be finite"):
+            Pilot(eta=2.0).decide(
+                0, history, TransactionBatch.empty(), np.array([bad, 1.0]), mapping
+            )
+
     def test_moves_toward_interaction_hotspot(self):
         # Account 0 interacts only with accounts on shard 1.
         mapping = ShardMapping(np.array([0, 1, 1, 1]), k=2)

@@ -3,8 +3,9 @@
 Each registered allocator runs one small, fully-deterministic
 simulation cell; every epoch's deterministic metrics are compared
 against the checked-in fixture ``tests/golden/golden_metrics.json`` at
-1e-9 — any numeric drift in the vectorised pipeline (kernels,
-allocators, migration accounting) fails loudly here.
+1e-9 — any numeric drift in the vectorised pipeline (the metrics of
+``repro.sim.metrics``, allocators, migration accounting) fails loudly
+here.
 
 Regenerate the fixture after an *intentional* numeric change with::
 

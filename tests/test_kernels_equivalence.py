@@ -1,9 +1,10 @@
-"""Equivalence property tests: vectorised kernels vs scalar references.
+"""Equivalence property tests: vectorised epoch code vs scalar loops.
 
-The vectorised epoch pipeline is only trustworthy if every kernel is
-element-for-element equivalent to the scalar reference path it
-replaced. These tests pit each kernel against a straightforward
-per-element reimplementation (or the retained scalar API) across
+The vectorised epoch pipeline is only trustworthy if each array
+expression matches a straightforward per-element computation. These
+tests pit the metrics' classification and workload, the epoch-metrics
+bundle, the batch Pilot and the migration commitment kernel against
+per-transaction (or per-client, per-request) reimplementations across
 randomized batches and the edge cases that break naive vectorisation:
 empty epochs, a single shard, and all-new accounts with no history.
 """
@@ -14,21 +15,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from migration_reference import ReferenceChain, select_requests, take_requests
-from repro.chain.kernels import (
-    classify_kernel,
-    epoch_metrics_kernel,
-    select_migrations_kernel,
-    workload_kernel,
-)
 from repro.chain.mapping import ShardMapping
-from repro.chain.migration import MigrationRequest, MigrationRequestBatch
+from repro.chain.migration import (
+    MigrationRequest,
+    MigrationRequestBatch,
+    select_migrations_kernel,
+)
 from repro.chain.transaction import TransactionBatch
 from repro.core.interaction import interaction_matrix
 from repro.core.pilot import Pilot, batch_pilot_decisions
 from repro.sim.metrics import (
+    classify,
     cross_shard_ratio,
     epoch_metrics,
     normalized_throughput,
+    shard_workloads,
     workload_deviation,
 )
 from repro.workload.observer import WorkloadOracle
@@ -54,9 +55,7 @@ class TestClassifyAndWorkloadKernels:
     @given(seed=st.integers(0, 10_000))
     def test_classify_matches_scalar(self, seed):
         batch, mapping = random_case(seed)
-        sender_shards, receiver_shards, is_cross = classify_kernel(
-            batch.senders, batch.receivers, mapping.as_array()
-        )
+        sender_shards, receiver_shards, is_cross = classify(batch, mapping)
         for i in range(len(batch)):
             s = mapping.shard_of(int(batch.senders[i]))
             r = mapping.shard_of(int(batch.receivers[i]))
@@ -68,11 +67,7 @@ class TestClassifyAndWorkloadKernels:
     @given(seed=st.integers(0, 10_000), eta=st.sampled_from([1.0, 2.0, 5.0]))
     def test_workload_matches_scalar(self, seed, eta):
         batch, mapping = random_case(seed)
-        kernel = workload_kernel(
-            *classify_kernel(batch.senders, batch.receivers, mapping.as_array()),
-            mapping.k,
-            eta,
-        )
+        omega = shard_workloads(batch, mapping, eta)
         reference = np.zeros(mapping.k)
         for i in range(len(batch)):
             s = mapping.shard_of(int(batch.senders[i]))
@@ -82,13 +77,11 @@ class TestClassifyAndWorkloadKernels:
             else:
                 reference[s] += eta
                 reference[r] += eta
-        np.testing.assert_allclose(kernel, reference)
+        np.testing.assert_allclose(omega, reference)
 
     def test_single_shard_never_cross(self):
         batch, mapping = random_case(3, k=1)
-        _, _, is_cross = classify_kernel(
-            batch.senders, batch.receivers, mapping.as_array()
-        )
+        _, _, is_cross = classify(batch, mapping)
         assert not is_cross.any()
 
 
@@ -112,8 +105,8 @@ class TestEpochMetricsKernel:
     def test_empty_epoch(self):
         batch = TransactionBatch.empty()
         mapping = ShardMapping(np.zeros(4, dtype=np.int64), k=2)
-        ratio, deviation, norm_thr, omega = epoch_metrics_kernel(
-            batch.senders, batch.receivers, mapping.as_array(), 2, 2.0, 10.0
+        ratio, deviation, norm_thr, omega = epoch_metrics(
+            batch, mapping, 2.0, 10.0
         )
         assert (ratio, deviation, norm_thr) == (0.0, 0.0, 0.0)
         assert np.array_equal(omega, np.zeros(2))

@@ -7,14 +7,87 @@ from hypothesis import strategies as st
 
 from repro.chain.mapping import ShardMapping
 from repro.chain.transaction import TransactionBatch
-from repro.errors import ValidationError
+from repro.errors import UnknownAccountError, ValidationError
 from repro.sim.metrics import (
+    classify,
     cross_shard_ratio,
     epoch_metrics,
     normalized_throughput,
+    shard_workloads,
     throughput,
     workload_deviation,
 )
+from repro.workload.observer import WorkloadOracle
+
+
+class TestClassify:
+    def test_intra_and_cross(self, small_batch, small_mapping):
+        sender_shards, receiver_shards, is_cross = classify(
+            small_batch, small_mapping
+        )
+        # mapping [0,0,1,1,0]: 0->1 intra, 0->2 cross, 1->2 cross,
+        # 2->3 intra, 3->4 cross, 4->0 intra
+        assert list(is_cross) == [False, True, True, False, True, False]
+        assert list(sender_shards) == [0, 0, 0, 1, 1, 0]
+        assert list(receiver_shards) == [0, 1, 1, 1, 0, 0]
+
+    def test_self_transfer_is_intra(self):
+        batch = TransactionBatch(np.array([1]), np.array([1]))
+        mapping = ShardMapping(np.array([0, 1]), k=2)
+        _, _, is_cross = classify(batch, mapping)
+        assert not is_cross[0]
+
+    def test_rejects_accounts_beyond_the_mapping(self, small_mapping):
+        batch = TransactionBatch(np.array([100]), np.array([0]))
+        with pytest.raises(UnknownAccountError):
+            classify(batch, small_mapping)
+
+
+@pytest.mark.parametrize(
+    "entry_point",
+    [
+        lambda b, m: epoch_metrics(b, m, 2.0, 10.0),
+        cross_shard_ratio,
+        lambda b, m: throughput(b, m, 2.0, 10.0),
+        lambda b, m: shard_workloads(b, m, 2.0),
+        lambda b, m: WorkloadOracle(2.0).publish(0, b, m),
+    ],
+    ids=[
+        "epoch_metrics",
+        "cross_shard_ratio",
+        "throughput",
+        "shard_workloads",
+        "WorkloadOracle.publish",
+    ],
+)
+def test_batch_beyond_the_mapping_is_unknown_account(entry_point):
+    """Every entry point raises the same error, naming the account."""
+    batch = TransactionBatch(np.array([0, 7]), np.array([1, 2]))
+    mapping = ShardMapping(np.array([0, 1, 0, 1]), k=2)
+    with pytest.raises(UnknownAccountError, match="unknown account: 7") as info:
+        entry_point(batch, mapping)
+    assert info.value.account == 7
+
+
+class TestShardWorkloads:
+    def test_paper_formula(self, small_batch, small_mapping):
+        # 2 intra in shard 0, 1 intra in shard 1; 3 cross touching both.
+        omega = shard_workloads(small_batch, small_mapping, eta=2.0)
+        assert omega[0] == 2 + 2.0 * 3
+        assert omega[1] == 1 + 2.0 * 3
+
+    def test_eta_one_counts_transactions(self, small_batch, small_mapping):
+        omega = shard_workloads(small_batch, small_mapping, eta=1.0)
+        # Total = intra + 2 * cross at eta=1 (cross counted in 2 shards).
+        assert omega.sum() == 3 + 2 * 3
+
+    def test_rejects_eta_below_one(self, small_batch, small_mapping):
+        with pytest.raises(ValidationError):
+            shard_workloads(small_batch, small_mapping, eta=0.5)
+
+    def test_empty_batch_zero_workloads(self, small_mapping):
+        omega = shard_workloads(TransactionBatch.empty(), small_mapping, 2.0)
+        assert (omega == 0).all()
 
 
 class TestCrossShardRatio:
@@ -47,6 +120,11 @@ class TestWorkloadDeviation:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             workload_deviation(np.zeros(0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            workload_deviation(np.array([bad, 1.0]))
 
     def test_more_imbalance_higher_deviation(self):
         mild = workload_deviation(np.array([4.0, 5.0, 4.5, 4.5]))

@@ -19,6 +19,11 @@ class TestSnapshot:
         with pytest.raises(ValidationError):
             WorkloadSnapshot(epoch=0, omega=np.array([-1.0]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_workloads(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            WorkloadSnapshot(epoch=0, omega=np.array([bad, 1.0]))
+
     def test_rejects_matrix(self):
         with pytest.raises(ValidationError):
             WorkloadSnapshot(epoch=0, omega=np.ones((2, 2)))
