@@ -5,51 +5,32 @@
 3. **Commitment order** — gain-prioritised vs FIFO under congestion.
 
 Each ablation runs the Mosaic allocator with one knob flipped and
-reports the three effectiveness metrics side by side.
+reports the three effectiveness metrics side by side. The two
+allocator variants are registered builders (``mosaic-pilot-unlimited``,
+``mosaic-pilot-fifo``); the trailing oracle is the ``oracle_mode`` of a
+one-cell grid.
 """
 
 from __future__ import annotations
 
-from conftest import PILOT, emit, make_allocator
-from repro.allocation.txallo import TxAlloAllocator
-from repro.core.mosaic import MosaicAllocator
-from repro.sim.recorder import summarize_results
+from conftest import PILOT, emit
 from repro.util.formatting import render_table
 
+#: Row label -> (grid, method) of each variant.
 VARIANTS = {
-    "paper (cap, lookahead, gain)": dict(),
-    "unlimited migrations": dict(unlimited_migrations=True),
-    "fifo commitment": dict(fifo_commitment=True),
+    "paper (cap, lookahead, gain)": ("ablations", PILOT),
+    "unlimited migrations": ("ablations", "mosaic-pilot-unlimited"),
+    "fifo commitment": ("ablations", "mosaic-pilot-fifo"),
+    "trailing oracle": ("ablations-trailing", PILOT),
 }
 
 
-def _mosaic_factory(**kwargs):
-    def factory():
-        return MosaicAllocator(initializer=TxAlloAllocator(), **kwargs)
-
-    return factory
-
-
-def test_ablations(benchmark, sim_cache, output_dir):
+def test_ablations(benchmark, grid, output_dir):
     def run_all():
-        results = {}
-        for label, kwargs in VARIANTS.items():
-            results[label] = sim_cache.run(
-                PILOT,
-                k=16,
-                eta=2.0,
-                allocator_factory=_mosaic_factory(**kwargs),
-                cache_tag=label,
-            )
-        results["trailing oracle"] = sim_cache.run(
-            PILOT,
-            k=16,
-            eta=2.0,
-            oracle_mode="trailing",
-            allocator_factory=_mosaic_factory(),
-            cache_tag="trailing",
-        )
-        return results
+        return {
+            label: next(s for s in grid(name) if s["allocator"] == method)
+            for label, (name, method) in VARIANTS.items()
+        }
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
@@ -60,18 +41,16 @@ def test_ablations(benchmark, sim_cache, output_dir):
         "Workload dev.",
         "Migrations",
     ]
-    rows = []
-    for label, result in results.items():
-        summary = summarize_results(result)
-        rows.append(
-            [
-                label,
-                f"{summary['mean_cross_shard_ratio']:.2%}",
-                f"{summary['mean_normalized_throughput']:.2f}",
-                f"{summary['mean_workload_deviation']:.2f}",
-                summary["total_migrations"],
-            ]
-        )
+    rows = [
+        [
+            label,
+            f"{summary['mean_cross_shard_ratio']:.2%}",
+            f"{summary['mean_normalized_throughput']:.2f}",
+            f"{summary['mean_workload_deviation']:.2f}",
+            summary["total_migrations"],
+        ]
+        for label, summary in results.items()
+    ]
     emit(
         output_dir,
         "ablations",
@@ -79,13 +58,12 @@ def test_ablations(benchmark, sim_cache, output_dir):
         render_table(headers, rows),
     )
 
-    paper = summarize_results(results["paper (cap, lookahead, gain)"])
-    unlimited = summarize_results(results["unlimited migrations"])
+    paper = results["paper (cap, lookahead, gain)"]
+    unlimited = results["unlimited migrations"]
     # Lifting the cap can only increase committed migrations.
     assert unlimited["total_migrations"] >= paper["total_migrations"]
     # Every variant stays in the same effectiveness ballpark: the knobs
     # trade convergence speed, not steady-state quality.
-    for result in results.values():
-        summary = summarize_results(result)
+    for summary in results.values():
         assert summary["mean_cross_shard_ratio"] < 0.95
         assert summary["mean_normalized_throughput"] > 1.0

@@ -9,7 +9,7 @@ plots. The timed section is the axes + normalisation computation.
 
 from __future__ import annotations
 
-from conftest import METIS, PILOT, RANDOM, TXALLO, emit
+from conftest import PILOT, RANDOM, TXALLO, by_setting, emit
 from repro.analysis.radar import RADAR_DIMENSIONS, RadarAxes, radar_scores
 from repro.chain.network import OverheadModel
 from repro.util.formatting import render_table
@@ -17,16 +17,18 @@ from repro.util.formatting import render_table
 METHODS = [PILOT, TXALLO, RANDOM]
 
 
-def test_fig1_radar(benchmark, sim_cache, bench_trace, output_dir):
-    results = {m: sim_cache.run(m, k=16, eta=2.0) for m in METHODS}
-    epochs = max(1, results[PILOT].epochs)
+def test_fig1_radar(benchmark, grid, bench_trace, output_dir):
+    by_key = by_setting(grid("k-sweep"))
+    results = {m: by_key[(m, 16, 2.0)] for m in METHODS}
+    pilot = results[PILOT]
+    epochs = max(1, pilot["epochs"])
     model = OverheadModel(
         total_transactions=len(bench_trace),
         total_accounts=bench_trace.n_accounts,
         k=16,
-        window_transactions=results[PILOT].total_transactions // epochs,
-        committed_migrations=results[PILOT].total_migrations,
-        window_migrations=results[PILOT].total_migrations // epochs,
+        window_transactions=pilot["total_transactions"] // epochs,
+        committed_migrations=pilot["total_migrations"],
+        window_migrations=pilot["total_migrations"] // epochs,
     )
     overheads = {
         PILOT: model.mosaic(),
@@ -37,15 +39,15 @@ def test_fig1_radar(benchmark, sim_cache, bench_trace, output_dir):
     def compute_scores():
         axes = {}
         for method in METHODS:
-            result = results[method]
+            summary = results[method]
             overhead = overheads[method]
             axes[method] = RadarAxes.from_measurements(
-                unit_time=max(result.mean_unit_time, 1e-12),
+                unit_time=max(summary["mean_unit_time"], 1e-12),
                 storage_bytes=overhead.storage_bytes,
                 communication_bytes=overhead.communication_bytes,
-                normalized_throughput=result.mean_normalized_throughput,
-                cross_shard_ratio=result.mean_cross_shard_ratio,
-                workload_deviation=max(result.mean_workload_deviation, 1e-12),
+                normalized_throughput=summary["mean_normalized_throughput"],
+                cross_shard_ratio=summary["mean_cross_shard_ratio"],
+                workload_deviation=max(summary["mean_workload_deviation"], 1e-12),
             )
         return radar_scores(axes)
 

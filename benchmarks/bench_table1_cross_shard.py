@@ -2,18 +2,13 @@
 
 Regenerates the paper's Table I rows — Pilot vs TxAllo vs Metis vs
 hash-random across k in {4, 16, 32} (eta = 2) and eta in {5, 10}
-(k = 16). The timed section is the k-sweep simulation batch.
+(k = 16). The timed section is the k-sweep grid.
 """
 
 from __future__ import annotations
 
-from conftest import METIS, PILOT, RANDOM, TXALLO, emit
+from conftest import METHODS, METIS, PILOT, RANDOM, TXALLO, by_setting, emit
 from repro.analysis.tables import comparison_table
-from repro.sim.recorder import summarize_results
-
-METHODS = [PILOT, TXALLO, METIS, RANDOM]
-K_SWEEP = [4, 16, 32]
-ETA_SWEEP = [5.0, 10.0]
 
 ROW_SETTINGS = [
     {"k": 4, "eta": 2.0, "label": "k = 4"},
@@ -24,31 +19,16 @@ ROW_SETTINGS = [
 ]
 
 
-def collect_summaries(sim_cache):
+def collect_summaries(grid):
     """All 20 simulation summaries backing Tables I-III."""
-    summaries = []
-    for k in K_SWEEP:
-        for method in METHODS:
-            result = sim_cache.run(method, k=k, eta=2.0)
-            summaries.append(summarize_results(result))
-    for eta in ETA_SWEEP:
-        for method in METHODS:
-            result = sim_cache.run(method, k=16, eta=eta)
-            summaries.append(summarize_results(result))
-    return summaries
+    return grid("k-sweep") + grid("eta-sweep")
 
 
-def test_table1_cross_shard_ratio(benchmark, sim_cache, output_dir):
-    def run_k_sweep():
-        # The k-sweep is the heavy half of the Tables I-III workload.
-        for k in K_SWEEP:
-            for method in METHODS:
-                sim_cache.run(method, k=k, eta=2.0)
-        return True
+def test_table1_cross_shard_ratio(benchmark, grid, output_dir):
+    # The k-sweep is the heavy half of the Tables I-III workload.
+    benchmark.pedantic(grid, args=("k-sweep",), rounds=1, iterations=1)
 
-    benchmark.pedantic(run_k_sweep, rounds=1, iterations=1)
-
-    summaries = collect_summaries(sim_cache)
+    summaries = collect_summaries(grid)
     text = comparison_table(
         summaries,
         metric="mean_cross_shard_ratio",
@@ -60,10 +40,8 @@ def test_table1_cross_shard_ratio(benchmark, sim_cache, output_dir):
     emit(output_dir, "table1_cross_shard", "Table I: cross-shard ratio", text)
 
     # Shape assertions mirroring the paper's claims.
-    by_key = {
-        (s["allocator"], s["k"], s["eta"]): s for s in summaries
-    }
-    for k in K_SWEEP:
+    by_key = by_setting(summaries)
+    for k in (4, 16, 32):
         random_ratio = by_key[(RANDOM, k, 2.0)]["mean_cross_shard_ratio"]
         for method in (PILOT, TXALLO, METIS):
             assert by_key[(method, k, 2.0)]["mean_cross_shard_ratio"] < random_ratio

@@ -1,31 +1,20 @@
 """Table II: average normalised throughput improvement (Lambda/lambda).
 
-The timed section is the eta-sweep simulation batch (the k-sweep is
-timed by bench_table1 and shared through the session cache).
+The timed section is the eta-sweep grid (the k-sweep is timed by
+bench_table1 and shared through the session's grid fixture).
 """
 
 from __future__ import annotations
 
-from bench_table1_cross_shard import (
-    ETA_SWEEP,
-    METHODS,
-    ROW_SETTINGS,
-    collect_summaries,
-)
-from conftest import METIS, PILOT, RANDOM, TXALLO, emit
+from bench_table1_cross_shard import ROW_SETTINGS, collect_summaries
+from conftest import METHODS, METIS, PILOT, RANDOM, TXALLO, by_setting, emit
 from repro.analysis.tables import comparison_table
 
 
-def test_table2_throughput(benchmark, sim_cache, output_dir):
-    def run_eta_sweep():
-        for eta in ETA_SWEEP:
-            for method in METHODS:
-                sim_cache.run(method, k=16, eta=eta)
-        return True
+def test_table2_throughput(benchmark, grid, output_dir):
+    benchmark.pedantic(grid, args=("eta-sweep",), rounds=1, iterations=1)
 
-    benchmark.pedantic(run_eta_sweep, rounds=1, iterations=1)
-
-    summaries = collect_summaries(sim_cache)
+    summaries = collect_summaries(grid)
     text = comparison_table(
         summaries,
         metric="mean_normalized_throughput",
@@ -41,7 +30,7 @@ def test_table2_throughput(benchmark, sim_cache, output_dir):
         text,
     )
 
-    by_key = {(s["allocator"], s["k"], s["eta"]): s for s in summaries}
+    by_key = by_setting(summaries)
     # Pattern-aware methods beat random everywhere.
     for k in (4, 16, 32):
         random_throughput = by_key[(RANDOM, k, 2.0)][

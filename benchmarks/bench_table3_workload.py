@@ -1,6 +1,6 @@
 """Table III: average workload deviation across shards.
 
-Reuses the Tables I-II simulation cache; the timed section is the
+Reuses the Tables I-II grids; the timed section is the
 workload-metric kernel itself (classification + deviation over one
 full epoch batch), the per-epoch cost every evaluation pays.
 """
@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from bench_table1_cross_shard import METHODS, ROW_SETTINGS, collect_summaries
-from conftest import METIS, PILOT, RANDOM, TXALLO, emit
+from bench_table1_cross_shard import ROW_SETTINGS, collect_summaries
+from conftest import METHODS, METIS, PILOT, RANDOM, TXALLO, by_setting, emit
 from repro.analysis.tables import comparison_table
 from repro.chain.mapping import ShardMapping
 from repro.sim.metrics import shard_workloads, workload_deviation
 
 
-def test_table3_workload_deviation(benchmark, sim_cache, output_dir, bench_trace):
+def test_table3_workload_deviation(benchmark, grid, output_dir, bench_trace):
     mapping = ShardMapping.uniform_random(
         bench_trace.n_accounts, 16, np.random.default_rng(0)
     )
@@ -28,7 +28,7 @@ def test_table3_workload_deviation(benchmark, sim_cache, output_dir, bench_trace
 
     benchmark(metric_kernel)
 
-    summaries = collect_summaries(sim_cache)
+    summaries = collect_summaries(grid)
     text = comparison_table(
         summaries,
         metric="mean_workload_deviation",
@@ -44,7 +44,7 @@ def test_table3_workload_deviation(benchmark, sim_cache, output_dir, bench_trace
         text,
     )
 
-    by_key = {(s["allocator"], s["k"], s["eta"]): s for s in summaries}
+    by_key = by_setting(summaries)
     # Hash-random is the most balanced up to noise (paper: best in every
     # row; at small scale the pattern-aware methods occasionally tie it).
     for k in (4, 16, 32):

@@ -5,7 +5,8 @@ per client on a few hundred bytes, while G-TxAllo and Metis take
 seconds to minutes on the full transaction graph. Each method's update
 step is timed directly with pytest-benchmark on identical prepared
 state; the A-TxAllo variant is included as in the paper's 'A \\ G'
-split.
+split. The render runs the update of any method whose timing test did
+not run in this session, so a partial run still writes every row.
 """
 
 from __future__ import annotations
@@ -22,56 +23,57 @@ from conftest import (
     TXALLO,
     TXALLO_ADAPTIVE,
     emit,
-    make_allocator,
 )
 from repro.allocation.base import UpdateContext
 from repro.chain.params import ProtocolParams
 from repro.chain.transaction import TransactionBatch
 from repro.core.pilot import Pilot
-from repro.sim.recorder import summarize_results
-from repro.util.formatting import format_bytes, format_seconds
+from repro.experiments import ALLOCATOR_BUILDERS
+from repro.util.formatting import format_bytes, format_seconds, render_table
 from repro.util.rng import RngFactory
 
 TIMED_METHODS = [PILOT, TXALLO_ADAPTIVE, TXALLO, METIS, RANDOM]
 
-_prepared = {}
-_recorded_rows = {}
-
 
 def _prepare(bench_trace, method):
     """Initialise an allocator on the history prefix, ready for update."""
-    if method not in _prepared:
-        params = ProtocolParams(k=16, eta=2.0, tau=BENCH_TAU, seed=BENCH_SEED)
-        allocator = make_allocator(method)
-        history, evaluation = bench_trace.split(0.9)
-        mapping = allocator.initialize(history, params)
-        epochs = evaluation.epoch_list(BENCH_TAU)
-        committed = epochs[0].batch if epochs else TransactionBatch.empty()
-        mempool = epochs[1].batch if len(epochs) > 1 else committed
-        context = UpdateContext(
-            epoch=0,
-            params=params,
-            committed=committed,
-            mempool=mempool,
-            capacity=params.derive_capacity(len(committed)),
-        )
-        _prepared[method] = (allocator, mapping, context)
-    return _prepared[method]
+    params = ProtocolParams(k=16, eta=2.0, tau=BENCH_TAU, seed=BENCH_SEED)
+    allocator = ALLOCATOR_BUILDERS[method](BENCH_SEED)
+    history, evaluation = bench_trace.split(0.9)
+    mapping = allocator.initialize(history, params)
+    epochs = evaluation.epoch_list(BENCH_TAU)
+    committed = epochs[0].batch if epochs else TransactionBatch.empty()
+    mempool = epochs[1].batch if len(epochs) > 1 else committed
+    context = UpdateContext(
+        epoch=0,
+        params=params,
+        committed=committed,
+        mempool=mempool,
+        capacity=params.derive_capacity(len(committed)),
+    )
+    return allocator, mapping, context
+
+
+@pytest.fixture(scope="module")
+def prepared(bench_trace):
+    """Each timed method's allocator, mapping and update context."""
+    return {method: _prepare(bench_trace, method) for method in TIMED_METHODS}
+
+
+@pytest.fixture(scope="module")
+def updates():
+    """The latest update result per method, shared with the render."""
+    return {}
 
 
 @pytest.mark.parametrize("method", TIMED_METHODS)
-def test_table4_update_time(benchmark, bench_trace, method):
-    allocator, mapping, context = _prepare(bench_trace, method)
-    update = benchmark.pedantic(
+def test_table4_update_time(benchmark, prepared, updates, method):
+    allocator, mapping, context = prepared[method]
+    updates[method] = benchmark.pedantic(
         lambda: allocator.update(mapping, context),
         rounds=3 if method in (PILOT, TXALLO_ADAPTIVE, RANDOM) else 1,
         iterations=1,
     )
-    _recorded_rows[method] = {
-        "unit_time": update.unit_time,
-        "total_time": update.execution_time,
-        "input_bytes": update.input_bytes,
-    }
 
 
 def test_table4_scalar_pilot_unit_time(benchmark, bench_trace):
@@ -92,31 +94,24 @@ def test_table4_scalar_pilot_unit_time(benchmark, bench_trace):
         )
     )
     assert 0 <= decision.best_shard < 16
-    _recorded_rows["pilot-scalar"] = {
-        "unit_time": None,  # taken from pytest-benchmark stats
-        "total_time": None,
-        "input_bytes": len(history) * 109 + 16 * 8,
-    }
 
 
-def test_table4_render(output_dir, benchmark):
+def test_table4_render(output_dir, benchmark, prepared, updates):
     """Render Table IV from the recorded update measurements."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    headers = ["Method", "Time per decision unit", "Input data size"]
-    rows = []
     for method in TIMED_METHODS:
-        row = _recorded_rows.get(method)
-        if row is None:
-            continue
-        rows.append(
-            [
-                method,
-                format_seconds(row["unit_time"]),
-                format_bytes(row["input_bytes"]),
-            ]
-        )
-    from repro.util.formatting import render_table
-
+        if method not in updates:
+            allocator, mapping, context = prepared[method]
+            updates[method] = allocator.update(mapping, context)
+    headers = ["Method", "Time per decision unit", "Input data size"]
+    rows = [
+        [
+            method,
+            format_seconds(updates[method].unit_time),
+            format_bytes(updates[method].input_bytes),
+        ]
+        for method in TIMED_METHODS
+    ]
     emit(
         output_dir,
         "table4_efficiency",
@@ -125,8 +120,7 @@ def test_table4_render(output_dir, benchmark):
     )
 
     # Shape: Pilot is orders of magnitude faster and smaller.
-    pilot = _recorded_rows[PILOT]
+    pilot = updates[PILOT]
     for heavy in (TXALLO, METIS):
-        if heavy in _recorded_rows:
-            assert _recorded_rows[heavy]["unit_time"] > 1_000 * pilot["unit_time"]
-            assert _recorded_rows[heavy]["input_bytes"] > 1_000 * pilot["input_bytes"]
+        assert updates[heavy].unit_time > 1_000 * pilot.unit_time
+        assert updates[heavy].input_bytes > 1_000 * pilot.input_bytes

@@ -2,30 +2,19 @@
 
 All clients share the same beta in {0, 0.25, 0.5, 0.75, 1}; the paper
 uses k = 4, eta = 2 for this analysis because allocation is most stable
-with few shards. The timed section is the full five-run sweep.
+with few shards. The timed section is the full five-cell grid.
 """
 
 from __future__ import annotations
 
 from conftest import PILOT, emit
 from repro.analysis.tables import beta_sweep_table
-from repro.sim.recorder import summarize_results
-
-BETAS = [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
-def test_table5_beta_sweep(benchmark, sim_cache, output_dir):
-    def run_sweep():
-        for beta in BETAS:
-            sim_cache.run(PILOT, k=4, eta=2.0, beta=beta)
-        return True
-
-    benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-
-    summaries = [
-        summarize_results(sim_cache.run(PILOT, k=4, eta=2.0, beta=beta))
-        for beta in BETAS
-    ]
+def test_table5_beta_sweep(benchmark, grid, output_dir):
+    summaries = benchmark.pedantic(
+        grid, args=("beta-sweep",), rounds=1, iterations=1
+    )
     text = beta_sweep_table(summaries, allocator=PILOT)
     emit(
         output_dir,

@@ -8,16 +8,16 @@ Table VI. The timed section is the overhead-model evaluation.
 
 from __future__ import annotations
 
-from conftest import PILOT, emit
+from conftest import PILOT, by_setting, emit
 from repro.analysis.tables import overhead_table
 from repro.chain.network import OverheadModel
 
 
-def test_table6_overhead(benchmark, sim_cache, bench_trace, output_dir):
-    result = sim_cache.run(PILOT, k=16, eta=2.0)
-    epochs = max(1, result.epochs)
-    window_transactions = result.total_transactions // epochs
-    window_migrations = result.total_migrations // epochs
+def test_table6_overhead(benchmark, grid, bench_trace, output_dir):
+    pilot = by_setting(grid("k-sweep"))[(PILOT, 16, 2.0)]
+    epochs = max(1, pilot["epochs"])
+    window_transactions = pilot["total_transactions"] // epochs
+    window_migrations = pilot["total_migrations"] // epochs
 
     def build_model():
         return OverheadModel(
@@ -25,7 +25,7 @@ def test_table6_overhead(benchmark, sim_cache, bench_trace, output_dir):
             total_accounts=bench_trace.n_accounts,
             k=16,
             window_transactions=window_transactions,
-            committed_migrations=result.total_migrations,
+            committed_migrations=pilot["total_migrations"],
             window_migrations=window_migrations,
         )
 

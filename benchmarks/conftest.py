@@ -1,46 +1,30 @@
 """Shared infrastructure for the benchmark suite.
 
-Every bench regenerates one table or figure of the paper. Simulation
-results are cached at session scope so tables that share configurations
-(I, II, III all use the same k/eta sweeps) do not recompute them, and
-each bench writes its rendered table to ``benchmarks/output/``.
+Every bench regenerates one table or figure of the paper. The grids
+behind the tables are declared here as :class:`ScenarioMatrix` values
+and run through ``run_matrix``, the same runner as ``repro matrix``;
+each grid runs at most once per session, so tables that share one
+(I, II and III read both sweeps) do not recompute it. Each bench writes
+its rendered table to ``benchmarks/output/``.
 """
 
 from __future__ import annotations
 
+import functools
+from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict
+from typing import Dict, List
 
 import pytest
 
-from repro.allocation.base import Allocator
-from repro.data.ethereum import EthereumTraceConfig, generate_ethereum_like_trace
 from repro.data.trace import Trace
-from repro.experiments import (
-    ALLOCATOR_BUILDERS,
-    MatrixCell,
-    TraceSpec,
-    run_cell,
-    seed_trace_cache,
-)
-from repro.sim.engine import Simulation, SimulationResult
+from repro.experiments import ScenarioMatrix, run_matrix, seed_trace_cache
+from repro.experiments.bench import BENCH_TRACE_SPEC
 
-#: Benchmark-scale trace: large enough for stable shapes, small enough
-#: that the full suite finishes in minutes. tau=40 over the evaluation
-#: tail yields ~10 epochs, mirroring the paper's epoch-wise averaging.
-#: The hub calibration keeps the busiest single account at ~2% of all
-#: transactions, below one shard's 1/k workload share at k = 32 scale —
-#: matching the real dataset, where no single account exceeds a shard's
-#: capacity (a single unsplittable hub above 1/k makes workload balance
-#: unattainable for every allocator and drowns the comparison in noise).
-BENCH_TRACE_CONFIG = EthereumTraceConfig(
-    n_accounts=6_000,
-    n_transactions=80_000,
-    n_blocks=4_000,
-    hub_fraction=0.01,
-    hub_transaction_share=0.12,
-    seed=42,
-)
+#: tau=40 over the evaluation tail yields ~10 epochs, mirroring the
+#: paper's epoch-wise averaging. The benchmark trace keeps the busiest
+#: single account at ~2% of all transactions, below one shard's 1/k
+#: workload share at k = 32 scale, as in the real dataset.
 BENCH_TAU = 40
 BENCH_SEED = 42
 
@@ -54,85 +38,68 @@ TXALLO_ADAPTIVE = "txallo-a"
 METIS = "metis"
 RANDOM = "hash-random"
 
+#: The four methods of Tables I-III.
+METHODS = (PILOT, TXALLO, METIS, RANDOM)
 
-#: The shared trace as an experiments TraceSpec (cells key on it).
-BENCH_TRACE_SPEC = TraceSpec(name="bench", config=BENCH_TRACE_CONFIG)
+
+def _grid(name: str, methods, **axes) -> ScenarioMatrix:
+    return ScenarioMatrix(
+        name=name,
+        methods=tuple(methods),
+        traces=(BENCH_TRACE_SPEC,),
+        tau=BENCH_TAU,
+        seed=BENCH_SEED,
+        **axes,
+    )
 
 
-def make_allocator(name: str) -> Allocator:
-    """Fresh allocator instance for one simulation run.
+_ABLATIONS = _grid(
+    "ablations", (PILOT, "mosaic-pilot-unlimited", "mosaic-pilot-fifo")
+)
 
-    Delegates to the experiments registry (the paper initialises Pilot's
-    phi_0 with TxAllo's result; Metis is seeded for determinism).
-    """
-    try:
-        builder = ALLOCATOR_BUILDERS[name]
-    except KeyError:
-        raise ValueError(f"unknown allocator {name!r}") from None
-    return builder(BENCH_SEED)
+#: Every grid the paper benches read, by name.
+GRIDS: Dict[str, ScenarioMatrix] = {
+    # Tables I-III: k in {4, 16, 32} at eta = 2, and eta in {5, 10} at
+    # k = 16.
+    "k-sweep": _grid("k-sweep", METHODS, ks=(4, 16, 32)),
+    "eta-sweep": _grid("eta-sweep", METHODS, etas=(5.0, 10.0)),
+    # Table V: Pilot across beta at k = 4.
+    "beta-sweep": _grid(
+        "beta-sweep", (PILOT,), ks=(4,), betas=(0.0, 0.25, 0.5, 0.75, 1.0)
+    ),
+    # The ablations, and the paper's Mosaic under the trailing oracle.
+    "ablations": _ABLATIONS,
+    "ablations-trailing": replace(
+        _ABLATIONS,
+        name="ablations-trailing",
+        methods=(PILOT,),
+        oracle_mode="trailing",
+    ),
+}
 
 
 @pytest.fixture(scope="session")
 def bench_trace() -> Trace:
     """The shared benchmark trace (generated once per session)."""
-    return generate_ethereum_like_trace(BENCH_TRACE_CONFIG)
-
-
-class SimulationCache:
-    """Session cache: (allocator, k, eta, beta, oracle, extra) -> result.
-
-    Standard-method runs execute through the experiments runner's
-    ``run_cell`` — the same code path as ``repro matrix`` — against the
-    pre-seeded shared trace. Custom allocator factories (ablation
-    variants) fall back to a direct Simulation under the same derived
-    cell seed, so variant rows stay comparable to the standard tables.
-    """
-
-    def __init__(self, trace: Trace) -> None:
-        self.trace = trace
-        seed_trace_cache(BENCH_TRACE_SPEC, trace)
-        self._results: Dict[tuple, SimulationResult] = {}
-
-    def run(
-        self,
-        allocator_name: str,
-        k: int = 16,
-        eta: float = 2.0,
-        beta: float = 0.0,
-        oracle_mode: str = "lookahead",
-        allocator_factory: Callable[[], Allocator] = None,
-        cache_tag: str = "",
-    ) -> SimulationResult:
-        key = (allocator_name, k, eta, beta, oracle_mode, cache_tag)
-        if key not in self._results:
-            cell = MatrixCell(
-                method=allocator_name,
-                trace=BENCH_TRACE_SPEC,
-                k=k,
-                eta=eta,
-                beta=beta,
-                tau=BENCH_TAU,
-                matrix_seed=BENCH_SEED,
-                oracle_mode=oracle_mode,
-            )
-            if allocator_factory is None:
-                result = run_cell(cell)
-            else:
-                # Same derived seed as the cell path, so ablation
-                # variants stay numerically comparable to the standard
-                # runs in the other tables.
-                config = cell.simulation_config()
-                result = Simulation(self.trace, allocator_factory(), config).run()
-            # Label the result with the display name so tables align even
-            # when a factory builds a variant of a standard allocator.
-            result.allocator_name = allocator_name
-            self._results[key] = result
-        return self._results[key]
+    trace = BENCH_TRACE_SPEC.build()
+    seed_trace_cache(BENCH_TRACE_SPEC, trace)
+    return trace
 
 
 @pytest.fixture(scope="session")
-def sim_cache(bench_trace) -> SimulationCache:
-    return SimulationCache(bench_trace)
+def grid(bench_trace):
+    """``grid(name)``: the summaries of ``GRIDS[name]``, run once."""
+
+    @functools.cache
+    def summaries(name: str) -> List[Dict[str, object]]:
+        return run_matrix(GRIDS[name], strict=True).summaries
+
+    return summaries
+
+
+def by_setting(summaries) -> Dict[tuple, Dict[str, object]]:
+    """Index summaries by ``(allocator, k, eta)``."""
+    return {(s["allocator"], s["k"], s["eta"]): s for s in summaries}
 
 
 @pytest.fixture(scope="session")

@@ -65,7 +65,6 @@ from repro.allocation import (
     OrbitAllocator,
     TransactionGraph,
 )
-from repro.sim.scenario import Scenario, SCENARIOS, get_scenario, run_comparison
 from repro.data import (
     Trace,
     EthereumTraceConfig,
@@ -124,10 +123,6 @@ __all__ = [
     "TxAlloAllocator",
     "OrbitAllocator",
     "TransactionGraph",
-    "Scenario",
-    "SCENARIOS",
-    "get_scenario",
-    "run_comparison",
     "Trace",
     "EthereumTraceConfig",
     "ValueModelConfig",

@@ -3,8 +3,8 @@
 Turns summary dicts (:func:`repro.sim.recorder.summarize_results`)
 into a self-contained Markdown report: one section per
 experiment, one metrics table per section, plus a header describing the
-configuration. ``benchmarks/run_experiments.py`` saves the raw
-summaries; this module renders them for humans.
+configuration. ``repro compare --report`` writes one for a scenario
+preset.
 """
 
 from __future__ import annotations

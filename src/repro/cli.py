@@ -6,9 +6,8 @@ Commands:
   ethereum-etl CSV;
 * ``simulate`` — run one allocator over a trace (CSV or synthetic) and
   print its metrics;
-* ``compare``  — run a named scenario across several methods and print
-  a comparison table (optionally a Markdown report);
-* ``scenarios`` — list the built-in scenarios;
+* ``compare``  — run a named scenario preset across several methods
+  and print a comparison table (optionally a Markdown report);
 * ``matrix`` — run a declarative allocator x trace x parameter grid,
   or a named CI preset (``--preset``), through the (optionally
   parallel) scenario-matrix runner;
@@ -34,7 +33,6 @@ from repro.errors import ReproError
 from repro.experiments.matrix import ALLOCATOR_BUILDERS, ENGINE_MODES, PRESETS
 from repro.sim.engine import Simulation, SimulationConfig
 from repro.sim.recorder import SUMMARY_METRICS, summarize_results
-from repro.sim.scenario import SCENARIOS, get_scenario, run_comparison
 from repro.util.formatting import format_bytes, format_seconds, render_table
 
 
@@ -191,19 +189,22 @@ def _command_simulate(args: argparse.Namespace) -> int:
 
 
 def _command_compare(args: argparse.Namespace) -> int:
-    scenario = get_scenario(args.scenario)
-    methods = args.methods.split(",") if args.methods else None
-    print(f"scenario: {scenario.name} — {scenario.description}")
-    summaries = run_comparison(scenario, methods=methods)
+    from repro.experiments import preset_matrix, run_matrix
+
+    matrix = preset_matrix(args.scenario)
+    if args.methods:
+        matrix = replace(matrix, methods=tuple(args.methods.split(",")))
+    print(f"scenario: {matrix.name}")
+    summaries = run_matrix(matrix, strict=True).summaries
     rows = [
         [
-            name,
+            summary["allocator"],
             f"{summary['mean_cross_shard_ratio']:.2%}",
             f"{summary['mean_normalized_throughput']:.2f}",
             f"{summary['mean_workload_deviation']:.2f}",
             format_seconds(float(summary["mean_unit_time"])),
         ]
-        for name, summary in summaries.items()
+        for summary in summaries
     ]
     print()
     print(
@@ -213,16 +214,9 @@ def _command_compare(args: argparse.Namespace) -> int:
         )
     )
     if args.report:
-        annotated = []
-        for summary in summaries.values():
-            entry = dict(summary)
-            entry["experiment"] = scenario.name
-            annotated.append(entry)
+        annotated = [dict(summary, experiment=matrix.name) for summary in summaries]
         path = write_report(
-            annotated,
-            args.report,
-            title=f"Scenario: {scenario.name}",
-            preamble=scenario.description,
+            annotated, args.report, title=f"Scenario: {matrix.name}"
         )
         print(f"\nreport written to {path}")
     return 0
@@ -402,14 +396,6 @@ def _command_bench(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _command_scenarios(_args: argparse.Namespace) -> int:
-    rows = [
-        [scenario.name, scenario.description] for scenario in SCENARIOS.values()
-    ]
-    print(render_table(["Scenario", "Description"], rows))
-    return 0
-
-
 def _engine_modes(text: str) -> Tuple[str, ...]:
     """Parse ``--engine-modes``; an unknown mode is a usage error."""
     modes = tuple(text.split(","))
@@ -492,21 +478,16 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(handler=_command_simulate)
 
     compare = subparsers.add_parser(
-        "compare", help="run a named scenario across methods"
+        "compare", help="run a named scenario preset across methods"
     )
     compare.add_argument(
-        "--scenario", default="paper-default", help="scenario name"
+        "--scenario", default="paper-default", help="preset name"
     )
     compare.add_argument(
         "--methods", help="comma-separated method subset (default: all)"
     )
     compare.add_argument("--report", help="write a Markdown report here")
     compare.set_defaults(handler=_command_compare)
-
-    scenarios = subparsers.add_parser(
-        "scenarios", help="list built-in scenarios"
-    )
-    scenarios.set_defaults(handler=_command_scenarios)
 
     bench = subparsers.add_parser(
         "bench",

@@ -12,22 +12,22 @@ execution order, worker count and co-scheduled cells.
 Adding a new grid cell means widening one of the axes (methods, traces,
 ``ks``/``etas``/``betas``) or registering a new allocator builder in
 :data:`ALLOCATOR_BUILDERS`; see README.md for a worked example. The
-named CI grids (``repro matrix --preset NAME``) live in :data:`PRESETS`.
+named grids (``repro matrix --preset NAME``, and the scenarios of
+``repro compare --scenario NAME``) live in :data:`PRESETS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.allocation.base import Allocator
 from repro.allocation.hash_based import HashAllocator
 from repro.allocation.metis_like import MetisLikeAllocator
 from repro.allocation.orbit import OrbitAllocator
 from repro.allocation.txallo import TxAlloAllocator
-from typing import Optional
-
 from repro.chain.netsim import NETWORK_IDEAL, NETWORK_SPEC_NAMES
 from repro.chain.params import ProtocolParams
 from repro.core.mosaic import MosaicAllocator
@@ -51,7 +51,10 @@ ENGINE_MODES = (ENGINE_MODE_METRICS, ENGINE_MODE_EXECUTE)
 
 #: Allocator builders, keyed by the display name used in result tables.
 #: Each builder takes the cell seed so stochastic allocators stay
-#: deterministic per cell and independent across cells.
+#: deterministic per cell and independent across cells. The two
+#: ``mosaic-pilot-*`` entries are the ablation variants of the paper's
+#: Mosaic: FIFO instead of gain-ranked commitment, and no lambda cap on
+#: committed migrations.
 ALLOCATOR_BUILDERS: Dict[str, Callable[[int], Allocator]] = {
     "mosaic-pilot": lambda seed: MosaicAllocator(initializer=TxAlloAllocator()),
     "txallo": lambda seed: TxAlloAllocator(mode="full"),
@@ -59,7 +62,23 @@ ALLOCATOR_BUILDERS: Dict[str, Callable[[int], Allocator]] = {
     "metis": lambda seed: MetisLikeAllocator(seed=seed),
     "hash-random": lambda seed: HashAllocator(),
     "orbit": lambda seed: OrbitAllocator(),
+    "mosaic-pilot-fifo": lambda seed: MosaicAllocator(
+        initializer=TxAlloAllocator(), fifo_commitment=True
+    ),
+    "mosaic-pilot-unlimited": lambda seed: MosaicAllocator(
+        initializer=TxAlloAllocator(), unlimited_migrations=True
+    ),
 }
+
+#: The six allocators a named scenario compares, in table order.
+SCENARIO_METHODS = (
+    "mosaic-pilot",
+    "txallo",
+    "txallo-a",
+    "metis",
+    "hash-random",
+    "orbit",
+)
 
 
 @dataclass(frozen=True)
@@ -189,8 +208,10 @@ class ScenarioMatrix:
     ``traces x methods x ks x etas x betas x engine_modes`` in that
     (deterministic) nesting order, all sharing ``tau``/oracle settings.
     Unknown method or engine-mode names fail at construction time, not
-    mid-run. The default single-mode axis (``("metrics",)``) expands to
-    exactly the cells, labels and seeds of the pre-axis grid.
+    mid-run, and so does a k/eta/beta/tau value that
+    :class:`ProtocolParams` rejects. The default single-mode axis
+    (``("metrics",)``) expands to exactly the cells, labels and seeds of
+    the pre-axis grid.
     """
 
     name: str
@@ -256,6 +277,8 @@ class ScenarioMatrix:
             raise ConfigurationError("matrix needs >= 1 method and >= 1 trace")
         if not self.ks or not self.etas or not self.betas or not self.engine_modes:
             raise ConfigurationError("every parameter axis needs >= 1 value")
+        for k, eta, beta in product(self.ks, self.etas, self.betas):
+            ProtocolParams(k=k, eta=eta, tau=self.tau, beta=beta)
 
     def cells(self) -> List[MatrixCell]:
         """Expand the grid in deterministic order."""
@@ -345,10 +368,28 @@ SMOKE_TRACE = default_trace(
     "smoke-trace", n_accounts=600, n_transactions=6_000, n_blocks=400, seed=7
 )
 
-#: Named CI grids for ``repro matrix --preset NAME``; each builder takes
-#: the matrix seed. Every preset finishes in seconds, and the CLI's
-#: modifiers (``--engine-modes``, ``--trace-source``, ``--funding``,
-#: ``--network``, ``--history-epochs``) apply to any of them.
+
+def _scenario(
+    trace: TraceSpec, k: int, eta: float = 2.0, beta: float = 0.0
+) -> Callable[[int], ScenarioMatrix]:
+    """A named scenario: the six allocators on one trace, one setting."""
+    return lambda seed: ScenarioMatrix(
+        name=trace.name,
+        methods=SCENARIO_METHODS,
+        traces=(trace,),
+        ks=(k,),
+        etas=(eta,),
+        betas=(beta,),
+        tau=30,
+        seed=seed,
+    )
+
+
+#: Named grids for ``repro matrix --preset NAME`` and ``repro compare
+#: --scenario NAME``; each builder takes the matrix seed. Every preset
+#: finishes in seconds, and the CLI's modifiers (``--engine-modes``,
+#: ``--trace-source``, ``--funding``, ``--network``,
+#: ``--history-epochs``) apply to any of them.
 PRESETS: Dict[str, Callable[[int], ScenarioMatrix]] = {
     # Two allocator families x two shard counts, metrics only: trace
     # generation, allocation and aggregation end to end.
@@ -399,6 +440,43 @@ PRESETS: Dict[str, Callable[[int], ScenarioMatrix]] = {
         seed=seed,
         engine_modes=(ENGINE_MODE_EXECUTE,),
         funding=FUNDING_OBSERVED,
+    ),
+    # The named scenarios, one setting each. The paper's default
+    # setting scaled to laptop size: k = 16, eta = 2.
+    "paper-default": _scenario(
+        default_trace(
+            "paper-default",
+            n_accounts=4_000,
+            n_transactions=50_000,
+            n_blocks=3_000,
+            seed=1,
+        ),
+        k=16,
+    ),
+    # Few shards (k = 4), where allocation is most stable: the paper's
+    # Table V configuration.
+    "small-shards": _scenario(default_trace("small-shards", seed=2), k=4),
+    # High cross-shard difficulty (eta = 10): cross-shard transactions
+    # dominate shard capacity.
+    "expensive-cross-shard": _scenario(
+        default_trace("expensive-cross-shard", seed=3), k=16, eta=10.0
+    ),
+    # A quarter of the account universe arrives during the evaluation
+    # window: the new-account regime of client-driven placement.
+    "onboarding-wave": _scenario(
+        TraceSpec(
+            name="onboarding-wave",
+            config=replace(
+                default_trace(seed=4).config, new_account_fraction=0.25
+            ),
+        ),
+        k=8,
+        beta=0.5,
+    ),
+    # Clients know 75% of their future transactions (beta = 0.75), the
+    # sweet spot of the paper's Table V.
+    "informed-clients": _scenario(
+        default_trace("informed-clients", seed=5), k=4, beta=0.75
     ),
 }
 

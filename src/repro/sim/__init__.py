@@ -4,8 +4,7 @@
   ratio, workload deviation and throughput;
 * :mod:`repro.sim.engine` — the epoch loop, with optional value
   execution on the chain substrate;
-* :mod:`repro.sim.recorder` — per-run summaries;
-* :mod:`repro.sim.scenario` — named scenarios and method comparisons.
+* :mod:`repro.sim.recorder` — per-run summaries.
 """
 
 from repro.sim.metrics import (
@@ -21,12 +20,6 @@ from repro.sim.engine import (
     EpochRecord,
 )
 from repro.sim.recorder import summarize_results
-from repro.sim.scenario import (
-    Scenario,
-    SCENARIOS,
-    get_scenario,
-    run_comparison,
-)
 
 __all__ = [
     "cross_shard_ratio",
@@ -38,8 +31,4 @@ __all__ = [
     "SimulationResult",
     "EpochRecord",
     "summarize_results",
-    "Scenario",
-    "SCENARIOS",
-    "get_scenario",
-    "run_comparison",
 ]

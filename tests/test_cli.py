@@ -5,6 +5,9 @@ import dataclasses
 import pytest
 
 from repro.cli import build_parser, main
+from repro.data.ethereum import EthereumTraceConfig
+from repro.experiments import ALLOCATOR_BUILDERS, PRESETS, TraceSpec
+from repro.experiments.matrix import SCENARIO_METHODS
 
 
 class TestParser:
@@ -57,12 +60,35 @@ class TestParser:
             build_parser().parse_args(argv)
 
 
+@pytest.fixture
+def tiny_paper_default(monkeypatch):
+    """The ``paper-default`` preset shrunk so a comparison runs fast."""
+    base = PRESETS["paper-default"]
+    trace = TraceSpec(
+        name="paper-default",
+        config=EthereumTraceConfig(
+            n_accounts=400, n_transactions=3_000, n_blocks=400, seed=9
+        ),
+    )
+    monkeypatch.setitem(
+        PRESETS,
+        "paper-default",
+        lambda seed: dataclasses.replace(
+            base(seed), traces=(trace,), ks=(4,), tau=40, history_fraction=0.8
+        ),
+    )
+
+
 class TestCommands:
     def test_scenarios_lists_catalogue(self, capsys):
-        assert main(["scenarios"]) == 0
-        out = capsys.readouterr().out
-        assert "paper-default" in out
-        assert "onboarding-wave" in out
+        """The scenarios are presets: an unknown name lists every one,
+        and the retired ``scenarios`` command is a usage error."""
+        assert main(["compare", "--scenario", "nope"]) == 1
+        err = capsys.readouterr().err
+        assert "paper-default" in err
+        assert "onboarding-wave" in err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["scenarios"])
 
     def test_generate_writes_csv(self, tmp_path, capsys):
         out_path = tmp_path / "trace.csv"
@@ -220,27 +246,7 @@ class TestCommands:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_compare_with_report(self, tmp_path, capsys, monkeypatch):
-        # Shrink the scenario so the comparison runs fast.
-        from repro.data.ethereum import EthereumTraceConfig
-        from repro.sim import scenario as scenario_module
-        from repro.sim.scenario import Scenario
-
-        tiny = Scenario(
-            name="paper-default",
-            description="shrunk for tests",
-            trace_config=EthereumTraceConfig(
-                n_accounts=400,
-                n_transactions=3_000,
-                n_blocks=400,
-                seed=9,
-            ),
-            params=dataclasses.replace(
-                scenario_module.get_scenario("paper-default").params, k=4, tau=40
-            ),
-            history_fraction=0.8,
-        )
-        monkeypatch.setitem(scenario_module.SCENARIOS, "paper-default", tiny)
+    def test_compare_with_report(self, tmp_path, capsys, tiny_paper_default):
         report_path = tmp_path / "report.md"
         code = main(
             [
@@ -256,4 +262,50 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "mosaic-pilot" in out
-        assert report_path.exists()
+        assert "metis" not in out
+        assert "Scenario: paper-default" in report_path.read_text()
+
+    def test_compare_is_run_matrix_over_the_preset(
+        self, capsys, monkeypatch, tiny_paper_default
+    ):
+        """``compare`` prints the summaries ``run_matrix`` gives for the
+        preset, all six methods in order, timing keys aside."""
+        import repro.experiments as experiments
+        from repro.experiments import preset_matrix, run_matrix
+
+        results = []
+
+        def spy(matrix, **kwargs):
+            results.append(run_matrix(matrix, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(experiments, "run_matrix", spy)
+        assert main(["compare", "--scenario", "paper-default"]) == 0
+        (compared,) = results
+        expected = run_matrix(preset_matrix("paper-default"))
+        assert [o.deterministic_summary() for o in compared.outcomes] == [
+            o.deterministic_summary() for o in expected.outcomes
+        ]
+        printed = [
+            line.split()[:4]
+            for line in capsys.readouterr().out.splitlines()
+            if line.split()[:1] and line.split()[0] in ALLOCATOR_BUILDERS
+        ]
+        assert printed == [
+            [
+                summary["allocator"],
+                f"{summary['mean_cross_shard_ratio']:.2%}",
+                f"{summary['mean_normalized_throughput']:.2f}",
+                f"{summary['mean_workload_deviation']:.2f}",
+            ]
+            for summary in expected.summaries
+        ]
+        assert [row[0] for row in printed] == list(SCENARIO_METHODS)
+
+    def test_matrix_rejects_bad_parameter_axes_before_any_cell(self, capsys):
+        small = ["--accounts", "300", "--transactions", "2000", "--blocks", "200"]
+        argv = ["matrix", "--methods", "hash-random", "--shards", "0"]
+        assert main(argv + small) == 1
+        captured = capsys.readouterr()
+        assert "k must be >= 1" in captured.err
+        assert captured.out == ""

@@ -17,6 +17,7 @@ from repro.analysis.tables import comparison_table
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.experiments import (
+    ALLOCATOR_BUILDERS,
     PRESETS,
     ScenarioMatrix,
     default_trace,
@@ -28,6 +29,9 @@ from repro.experiments import (
     write_result_json,
 )
 from repro.experiments import matrix as matrix_module
+from repro.experiments.runner import TIMING_KEYS
+from repro.sim.engine import Simulation
+from repro.sim.recorder import summarize_results
 from repro.util.rng import RngFactory
 
 
@@ -92,6 +96,21 @@ class TestScenarioMatrix:
                 name="bad", methods=("mosaic-pilot",), traces=(), ks=(2,)
             )
 
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            ({"ks": (4, 0)}, "k must be >= 1"),
+            ({"tau": 0}, "tau must be >= 1"),
+            ({"betas": (0.5, 2.0)}, "beta"),
+            ({"etas": (0.5,)}, "eta"),
+        ],
+    )
+    def test_rejects_bad_parameter_axes(self, axes, message):
+        """A value ProtocolParams rejects fails the grid at construction,
+        before any cell runs."""
+        with pytest.raises(ConfigurationError, match=message):
+            replace(tiny_matrix(), **axes)
+
     def test_cell_seeds_are_distinct_and_stable(self):
         matrix = tiny_matrix(seed=123)
         seeds = [cell.cell_seed for cell in matrix.cells()]
@@ -112,6 +131,31 @@ class TestScenarioMatrix:
         for i, a in enumerate(labels):
             for b in labels[i + 1 :]:
                 assert not np.allclose(draws[a], draws[b]), (a, b)
+
+
+class TestAllocatorBuilders:
+    @pytest.mark.parametrize(
+        "method", ["mosaic-pilot", "mosaic-pilot-fifo", "mosaic-pilot-unlimited"]
+    )
+    def test_mosaic_builders_ignore_the_seed(self, method):
+        """Mosaic reads neither its builder seed nor ``params.seed``, so
+        the ablation rows keep their numbers under their own cell seeds
+        (``benchmarks/output/ablations.txt`` depends on it)."""
+        smoke = preset_matrix("smoke")
+        grid = replace(smoke, methods=(method,), ks=(4,), history_fraction=0.5)
+        (cell,) = grid.cells()
+        trace = cell.trace.build()
+        summaries = []
+        for seed in (1, 2):
+            config = cell.simulation_config()
+            config = replace(config, params=replace(config.params, seed=seed))
+            allocator = ALLOCATOR_BUILDERS[method](seed)
+            summary = summarize_results(Simulation(trace, allocator, config).run())
+            summaries.append(
+                {k: v for k, v in summary.items() if k not in TIMING_KEYS}
+            )
+        assert summaries[0] == summaries[1]
+        assert summaries[0]["total_migrations"] > 0
 
 
 class TestRunnerDeterminism:

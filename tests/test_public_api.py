@@ -193,19 +193,21 @@ class TestMinimalWorkflows:
         assert request.to_shard == 1
 
     def test_scenario_flow(self):
-        from repro import get_scenario, run_comparison
         from repro.data.ethereum import EthereumTraceConfig
-        from repro.sim.scenario import Scenario
+        from repro.experiments import TraceSpec, preset_matrix, run_matrix
 
-        base = get_scenario("small-shards")
-        tiny = Scenario(
+        tiny = TraceSpec(
             name="tiny-api",
-            description="api smoke",
-            trace_config=EthereumTraceConfig(
+            config=EthereumTraceConfig(
                 n_accounts=300, n_transactions=2_000, n_blocks=300, seed=8
             ),
-            params=dataclasses.replace(base.params, tau=60),
+        )
+        matrix = dataclasses.replace(
+            preset_matrix("small-shards"),
+            methods=("hash-random",),
+            traces=(tiny,),
+            tau=60,
             history_fraction=0.8,
         )
-        summaries = run_comparison(tiny, methods=["hash-random"])
-        assert "hash-random" in summaries
+        (summary,) = run_matrix(matrix, strict=True).summaries
+        assert summary["allocator"] == "hash-random"
