@@ -91,7 +91,7 @@ class TransactionBatch:
     views wherever numpy allows.
     """
 
-    __slots__ = ("senders", "receivers", "blocks", "values", "fees")
+    __slots__ = ("senders", "receivers", "blocks", "values", "fees", "_touched")
 
     def __init__(
         self,
@@ -138,6 +138,7 @@ class TransactionBatch:
         self.blocks = blocks
         self.values = values
         self.fees = fees
+        self._touched: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.senders)
@@ -270,8 +271,16 @@ class TransactionBatch:
         return self.select(mask)
 
     def touched_accounts(self) -> np.ndarray:
-        """Sorted unique account ids appearing in this batch."""
-        return np.unique(np.concatenate([self.senders, self.receivers]))
+        """Sorted unique account ids appearing in this batch.
+
+        Computed on the first call and returned read-only thereafter:
+        placement and the allocator update both ask for it each epoch.
+        """
+        if self._touched is None:
+            touched = np.unique(np.concatenate([self.senders, self.receivers]))
+            touched.flags.writeable = False
+            self._touched = touched
+        return self._touched
 
     def max_account_id(self) -> int:
         """Largest account id present, or -1 for an empty batch."""

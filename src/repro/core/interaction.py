@@ -67,32 +67,22 @@ def interaction_matrix(
     if len(accounts) > 1 and np.any(np.diff(accounts) <= 0):
         raise ValidationError("accounts must be sorted and unique")
     k = mapping.k
-    matrix = np.zeros((len(accounts), k), dtype=np.float64)
     if len(batch) == 0 or len(accounts) == 0:
-        return matrix
+        return np.zeros((len(accounts), k), dtype=np.float64)
     # Self-transfers have A_Tx - {nu} empty and contribute nothing
     # (matching the scalar interaction_distribution exactly).
-    batch = batch.select(batch.senders != batch.receivers)
-    if len(batch) == 0:
-        return matrix
-
-    sender_shards = mapping.shards_of(batch.senders)
-    receiver_shards = mapping.shards_of(batch.receivers)
-
-    # Sender side: each transaction adds 1 to Psi[sender, shard(receiver)].
-    for ids, counter_shards in (
-        (batch.senders, receiver_shards),
-        (batch.receivers, sender_shards),
-    ):
-        rows = np.searchsorted(accounts, ids)
-        rows = np.clip(rows, 0, len(accounts) - 1)
-        present = accounts[rows] == ids
-        if not present.any():
-            continue
-        keys = rows[present] * k + counter_shards[present]
-        counts = np.bincount(keys, minlength=len(accounts) * k)
-        matrix += counts.reshape(len(accounts), k)
-    return matrix
+    not_self = batch.senders != batch.receivers
+    m = int(not_self.sum())
+    # Each transaction adds 1 to Psi[sender, shard(receiver)] and 1 to
+    # Psi[receiver, shard(sender)]: both orientations in one count.
+    ids = np.concatenate([batch.senders[not_self], batch.receivers[not_self]])
+    shards = mapping.shards_of(ids)
+    counter_shards = np.concatenate([shards[m:], shards[:m]])
+    rows = np.clip(np.searchsorted(accounts, ids), 0, len(accounts) - 1)
+    present = accounts[rows] == ids
+    keys = rows[present] * k + counter_shards[present]
+    counts = np.bincount(keys, minlength=len(accounts) * k)
+    return counts.reshape(len(accounts), k).astype(np.float64)
 
 
 def fuse_distributions(

@@ -19,7 +19,10 @@ Internally, the per-client loop is executed with the vectorised
 tens of thousands of clients stay fast. Each client's history term
 ``Psi_h`` is a row of counts the allocator keeps up to date as
 transactions arrive and the mapping changes, so a client reads its own
-row rather than rescanning the ledger. The per-client cost accounting
+row rather than rescanning the ledger. The history behind the rows is a
+few runs of directed edges sorted by owner, so an epoch's sync touches
+only the edges of the accounts that changed shard and the epoch's new
+edges, not the whole history. The per-client cost accounting
 (time per decision, bytes of input) is what Table IV reports; its timed
 region covers the row sync and read, ``Psi_e`` and Pilot.
 """
@@ -27,7 +30,7 @@ region covers the row sync and read, ``Psi_e`` and Pilot.
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -40,24 +43,52 @@ from repro.chain.transaction import TransactionBatch
 from repro.core.interaction import interaction_matrix
 from repro.core.pilot import batch_pilot_decisions
 from repro.data.trace import Trace
+from repro.errors import ValidationError
 from repro.sim.metrics import shard_workloads
 
-#: Compact the accumulated edge list when it exceeds this many rows.
-_COMPACT_THRESHOLD = 2_000_000
+#: The largest account id the int32 history runs can hold.
+_MAX_ACCOUNT_ID = int(np.iinfo(np.int32).max)
+
+#: One history run: directed edges ``(owner, counterparty, count)`` as
+#: int32 columns, sorted by owner.
+_Run = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _scatter(
-    flat: np.ndarray,
-    k: int,
-    rows: np.ndarray,
-    others: np.ndarray,
-    weights: np.ndarray,
-    shard_of: np.ndarray,
-) -> None:
-    """Add ``weights`` to each row of the flat ``(n, k)`` matrix at its
-    counterparty's shard; counterparties beyond ``shard_of`` are skipped."""
-    mapped = others < len(shard_of)
-    np.add.at(flat, rows[mapped] * k + shard_of[others[mapped]], weights[mapped])
+def _merge_runs(older: _Run, newer: _Run) -> _Run:
+    """Merge two owner-sorted runs by position, ``older`` first among
+    equal owners: each row of ``newer`` lands after the ``older`` rows
+    whose owner is at most its own."""
+    slots = np.searchsorted(older[0], newer[0], side="right")
+    slots += np.arange(len(newer[0]), dtype=slots.dtype)
+    from_older = np.ones(len(older[0]) + len(newer[0]), dtype=bool)
+    from_older[slots] = False
+    merged = []
+    for old_column, new_column in zip(older, newer):
+        column = np.empty(len(from_older), dtype=np.int32)
+        column[from_older] = old_column
+        column[slots] = new_column
+        merged.append(column)
+    return tuple(merged)
+
+
+def _owned_edges(
+    runs: List[_Run], owners: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every edge of ``runs`` whose owner is in ``owners`` (sorted, all
+    below 2**31): its counterparty, its count, and the index in
+    ``owners`` of its owner."""
+    needles = owners.astype(np.int32)  # the runs' dtype: no run is converted
+    others, counts, which = [], [], []
+    for run in runs:
+        first = np.searchsorted(run[0], needles, side="left")
+        lengths = np.searchsorted(run[0], needles, side="right") - first
+        owner_index = np.repeat(np.arange(len(needles)), lengths)
+        starts = np.cumsum(lengths) - lengths
+        at = (first - starts)[owner_index] + np.arange(len(owner_index))
+        others.append(run[1][at])
+        counts.append(run[2][at])
+        which.append(owner_index)
+    return tuple(np.concatenate(column) for column in (others, counts, which))
 
 
 class MosaicAllocator(Allocator):
@@ -91,17 +122,18 @@ class MosaicAllocator(Allocator):
 
     def _reset_history(self) -> None:
         """Forget every absorbed transaction and the last proposals."""
-        # Accumulated client histories as an aggregated undirected edge
-        # list (u < v, weight = interaction count). Edges before
-        # ``_folded`` are counted in ``_rows``; the tail is not yet.
-        self._edge_u = np.zeros(0, dtype=np.int64)
-        self._edge_v = np.zeros(0, dtype=np.int64)
-        self._edge_w = np.zeros(0, dtype=np.int32)
-        self._folded = 0
-        #: One past the largest account id in the edge list.
+        # Accumulated client histories as a short list of runs, oldest
+        # first: each epoch's aggregated edges enter as one run, in both
+        # orientations, and a run merges into its predecessor once that
+        # one is at most twice its size, so there are O(log history)
+        # runs. Runs absorbed since the last sync are also kept, unmerged,
+        # in ``_fresh``: they are not counted in ``_rows`` yet.
+        self._runs: List[_Run] = []
+        self._fresh: List[_Run] = []
+        #: One past the largest absorbed account id.
         self._n_ids = 0
         # Each client holds only its own Psi_h row: ``_rows[a, s]`` counts
-        # a's folded interactions with counterparties that ``_phi_seen``
+        # a's synced interactions with counterparties that ``_phi_seen``
         # puts on shard s (counterparties beyond it contribute nothing).
         # The simulator stores the rows together as one int32 matrix.
         self._rows = np.zeros((0, 0), dtype=np.int32)
@@ -111,54 +143,52 @@ class MosaicAllocator(Allocator):
         self.last_requests: Optional[MigrationRequestBatch] = None
 
     def _absorb_batch(self, batch: TransactionBatch) -> None:
-        """Append committed transactions to the clients' local stores;
-        the next ``_sync_rows`` counts them into the rows."""
-        if len(batch) == 0:
+        """Append committed transactions to the clients' local stores
+        as one run; the next ``_sync_rows`` counts them into the rows."""
+        not_self = batch.senders != batch.receivers
+        if not not_self.any():
             return
-        lo = np.minimum(batch.senders, batch.receivers)
-        hi = np.maximum(batch.senders, batch.receivers)
-        not_self = lo != hi
-        lo, hi = lo[not_self], hi[not_self]
-        if len(lo) == 0:
-            return
-        span = int(hi.max()) + 1
-        unique_keys, counts = np.unique(lo * span + hi, return_counts=True)
-        self._edge_u = np.concatenate([self._edge_u, unique_keys // span])
-        self._edge_v = np.concatenate([self._edge_v, unique_keys % span])
-        self._edge_w = np.concatenate([self._edge_w, counts.astype(np.int32)])
+        senders, receivers = batch.senders[not_self], batch.receivers[not_self]
+        span = int(max(senders.max(), receivers.max())) + 1
+        if span > _MAX_ACCOUNT_ID + 1:
+            raise ValidationError(
+                f"account id {span - 1} does not fit the int32 history "
+                f"(max {_MAX_ACCOUNT_ID})"
+            )
+        # Both orientations of every interaction, counted per directed
+        # pair; the sorted keys put the run in owner order.
+        keys, counts = np.unique(
+            np.concatenate([senders * span + receivers, receivers * span + senders]),
+            return_counts=True,
+        )
+        run = (
+            (keys // span).astype(np.int32),
+            (keys % span).astype(np.int32),
+            counts.astype(np.int32),
+        )
+        self._fresh.append(run)
+        runs = self._runs
+        runs.append(run)
+        while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
+            newer = runs.pop()
+            runs[-1] = _merge_runs(runs[-1], newer)
         self._n_ids = max(self._n_ids, span)
-        if len(self._edge_u) > _COMPACT_THRESHOLD:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Merge duplicate edges, separately in the folded prefix and
-        the unfolded tail, so ``_folded`` still splits the two."""
-        span = self._n_ids
-        parts = []
-        for part in (slice(0, self._folded), slice(self._folded, None)):
-            keys = self._edge_u[part] * span + self._edge_v[part]
-            unique_keys, inverse = np.unique(keys, return_inverse=True)
-            weights = np.bincount(inverse, weights=self._edge_w[part])
-            parts.append((unique_keys, weights.astype(np.int32)))
-        self._folded = len(parts[0][0])
-        keys = np.concatenate([parts[0][0], parts[1][0]])
-        self._edge_u = keys // span
-        self._edge_v = keys % span
-        self._edge_w = np.concatenate([parts[0][1], parts[1][1]])
 
     def _sync_rows(self, mapping: ShardMapping) -> None:
-        """Bring ``_rows`` up to date with ``mapping`` and the edge list.
+        """Bring ``_rows`` up to date with ``mapping`` and the runs.
 
-        1. Re-home: every account whose shard differs from ``_phi_seen``
-           (committed MRs, new-account placement) moves its folded edge
-           weight between shard columns of its neighbours' rows. An
-           account the last sync did not cover (the first sync after
-           :meth:`initialize`, or a mapping of another size) counts as
-           moved.
-        2. Fold: edges absorbed since the last sync add their weight
-           under the current mapping; a counterparty the mapping does
-           not cover yet contributes once a later mapping does (step 1).
+        1. Fold: runs absorbed since the last sync add their weight
+           under ``_phi_seen``, the mapping the rows are valid for.
+        2. Re-home: every account whose shard differs from ``_phi_seen``
+           (committed MRs, new-account placement, a mapping of another
+           size) moves the weight of its edges, found by owner in each
+           run, from its old shard column to its new one in its
+           neighbours' rows. A counterparty a mapping does not cover
+           contributes nothing under it, and its weight arrives once a
+           later mapping covers it.
 
+        The first sync, and a sync under another ``k``, recount every
+        run under ``mapping`` instead. Both steps go into one scatter.
         Counts are integers, so every row equals a fresh scan of the
         history under ``mapping`` regardless of summation order.
         """
@@ -167,14 +197,14 @@ class MosaicAllocator(Allocator):
         n = len(phi)
         n_rows = max(n, self._n_ids)
         if self._rows.shape[1] != k:
+            # First sync, or a new k: count every run afresh under phi.
             self._rows = np.zeros((n_rows, k), dtype=np.int32)
-            self._phi_seen = np.zeros(0, dtype=np.int64)
-            self._folded = 0
+            self._phi_seen = np.array(phi)
+            self._fresh = list(self._runs)
         elif len(self._rows) < n_rows:
             grown = np.zeros((n_rows, k), dtype=np.int32)
             grown[: len(self._rows)] = self._rows
             self._rows = grown
-        flat = self._rows.reshape(-1)
 
         seen = self._phi_seen
         common = min(len(seen), n)
@@ -183,25 +213,35 @@ class MosaicAllocator(Allocator):
             changed = np.concatenate(
                 [changed, np.arange(common, max(len(seen), n))]
             )
-        if len(changed) and self._folded:
-            moved = np.zeros(len(self._rows), dtype=bool)
-            moved[changed] = True
-            for ids, others, w in self._directed(slice(0, self._folded)):
-                sel = np.flatnonzero(moved[others])
-                ids, others, w = ids[sel], others[sel], w[sel]
-                _scatter(flat, k, ids, others, -w, seen)
-                _scatter(flat, k, ids, others, w, phi)
-        self._phi_seen = np.array(phi)
-
-        for ids, others, w in self._directed(slice(self._folded, None)):
-            _scatter(flat, k, ids, others, w, phi)
-        self._folded = len(self._edge_u)
-
-    def _directed(self, part: slice):
-        """Both orientations ``(row owner, counterparty, weight)`` of the
-        edges in ``part``."""
-        u, v, w = self._edge_u[part], self._edge_v[part], self._edge_w[part]
-        return ((u, v, w), (v, u, w))
+        keys, weights = [], []
+        for owners, others, w in self._fresh:
+            mapped = others < len(seen)
+            keys.append(owners[mapped].astype(np.int64) * k + seen[others[mapped]])
+            weights.append(w[mapped])
+        # Only movers with absorbed edges matter; ``changed`` is sorted,
+        # so they, and the movers each mapping covers, are prefixes.
+        movers = changed[: np.searchsorted(changed, self._n_ids)]
+        if len(movers):
+            neighbours, w, which = _owned_edges(self._runs, movers)
+            base = neighbours.astype(np.int64) * k
+            for shard_of, signed in ((seen, -w), (phi, w)):
+                cut = np.searchsorted(movers, len(shard_of))
+                inside = slice(None) if cut == len(movers) else which < cut
+                keys.append(base[inside] + shard_of[movers[:cut]][which[inside]])
+                weights.append(signed[inside])
+        if keys:
+            # The weights stay int32, the rows' dtype: a cast would take
+            # ``np.add.at`` off its fast path.
+            np.add.at(
+                self._rows.reshape(-1),
+                np.concatenate(keys),
+                np.concatenate(weights),
+            )
+        self._fresh = []
+        if len(seen) == n:
+            seen[changed] = phi[changed]
+        else:
+            self._phi_seen = np.array(phi)
 
     # -- Psi evaluation ------------------------------------------------------------
 

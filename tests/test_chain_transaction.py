@@ -152,5 +152,23 @@ class TestTransactionBatch:
         touched = small_batch.touched_accounts()
         assert list(touched) == [0, 1, 2, 3, 4]
 
+    def test_touched_accounts_is_a_read_only_memo(self, small_batch):
+        touched = small_batch.touched_accounts()
+        assert small_batch.touched_accounts() is touched
+        with pytest.raises(ValueError):
+            touched[0] = 99
+        assert list(small_batch.touched_accounts()) == [0, 1, 2, 3, 4]
+
+    def test_derived_batches_have_their_own_touched_accounts(self):
+        batch = TransactionBatch(np.array([0, 1, 5]), np.array([1, 2, 6]))
+        batch.touched_accounts()  # memoised on the parent first
+        picked = batch.select(np.array([True, False, False]))
+        assert list(picked.touched_accounts()) == [0, 1]
+        assert list(batch[1:].touched_accounts()) == [1, 2, 5, 6]
+        other = TransactionBatch(np.array([7]), np.array([8]))
+        joined = TransactionBatch.concat_many([batch, other])
+        assert list(joined.touched_accounts()) == [0, 1, 2, 5, 6, 7, 8]
+        assert list(batch.touched_accounts()) == [0, 1, 2, 5, 6]
+
     def test_max_account_id(self, small_batch):
         assert small_batch.max_account_id() == 4

@@ -1,7 +1,7 @@
 """Unit tests for the MosaicAllocator framework integration."""
 
 import dataclasses
-from unittest import mock
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,9 +16,9 @@ from repro.chain.mapping import ShardMapping
 from repro.chain.migration import MigrationRequest, select_migrations_kernel
 from repro.chain.params import ProtocolParams
 from repro.chain.transaction import TransactionBatch
-from repro.core import mosaic
 from repro.core.mosaic import MosaicAllocator
 from repro.data.ethereum import EthereumTraceConfig, generate_ethereum_like_trace
+from repro.errors import ValidationError
 from repro.sim.engine import Simulation, SimulationConfig
 
 
@@ -281,13 +281,46 @@ _moves = st.lists(
 )
 _operation = st.one_of(
     st.tuples(st.just("absorb"), _pairs),
+    # Eight or more one-edge batches in a row: equal runs merge at least
+    # four levels deep.
+    st.tuples(
+        st.just("burst"),
+        st.lists(
+            st.tuples(st.integers(0, N_IDS - 1), st.integers(0, N_IDS - 2)),
+            min_size=8,
+            max_size=24,
+        ),
+    ),
     st.tuples(st.just("commit"), _moves),
     st.tuples(st.just("assign"), _moves),
+    st.tuples(st.just("place"), _moves),
+    # An unrelated mapping, possibly smaller and under another k.
     st.tuples(
-        st.just("replace"), st.lists(st.integers(0, K - 1), max_size=N_IDS)
+        st.just("replace"),
+        st.tuples(
+            st.integers(2, K), st.lists(st.integers(0, K - 1), max_size=N_IDS)
+        ),
     ),
-    st.tuples(st.just("compact"), st.none()),
 )
+
+
+def directed_edges(pairs):
+    """The ``(owner, other, count)`` rows one absorbed batch of ``pairs``
+    contributes: its interactions counted per pair, in both directions."""
+    counts = Counter()
+    for a, b in pairs:
+        if a != b:
+            counts[(a, b)] += 1
+            counts[(b, a)] += 1
+    return Counter((a, b, c) for (a, b), c in counts.items())
+
+
+def run_edges(allocator):
+    """Every directed edge the allocator's runs hold, as three columns."""
+    runs = allocator._runs
+    if not runs:
+        return (np.zeros(0, dtype=np.int32),) * 3
+    return tuple(np.concatenate(column) for column in zip(*runs))
 
 
 class TestHistoryRows:
@@ -299,40 +332,50 @@ class TestHistoryRows:
         steps=st.lists(
             st.lists(_operation, min_size=1, max_size=3), min_size=1, max_size=8
         ),
-        threshold=st.integers(1, 40),
     )
-    def test_rows_match_full_scan(self, initial, steps, threshold):
+    def test_rows_match_full_scan(self, initial, steps):
         allocator = MosaicAllocator()
         mapping = ShardMapping(np.array(initial), k=K)
-        with mock.patch.object(mosaic, "_COMPACT_THRESHOLD", threshold):
-            for step in steps:
-                for op, arg in step:
-                    mapping = self._apply(allocator, mapping, op, arg)
-                active = np.arange(mapping.n_accounts)
-                rows = allocator._history_psi(active, mapping)
-                expected = history_psi_scan(
-                    allocator._edge_u,
-                    allocator._edge_v,
-                    allocator._edge_w,
-                    active,
-                    mapping,
-                )
-                np.testing.assert_array_equal(rows, expected)
+        absorbed = Counter()
+        for step in steps:
+            for op, arg in step:
+                mapping = self._apply(allocator, mapping, absorbed, op, arg)
+            active = np.arange(mapping.n_accounts)
+            rows = allocator._history_psi(active, mapping)
+            expected = history_psi_scan(*run_edges(allocator), active, mapping)
+            np.testing.assert_array_equal(rows, expected)
+            # The runs hold exactly the absorbed edges, each run sorted
+            # by owner.
+            owners, others, counts = run_edges(allocator)
+            assert Counter(zip(owners, others, counts)) == absorbed
+            for run in allocator._runs:
+                assert all(column.dtype == np.int32 for column in run)
+                assert np.all(np.diff(run[0]) >= 0)
 
     @staticmethod
-    def _apply(allocator, mapping, op, arg):
-        if op == "absorb":
-            allocator._absorb_batch(pair_batch(arg))
-        elif op == "compact":
-            allocator._compact()
+    def _apply(allocator, mapping, absorbed, op, arg):
+        if op in ("absorb", "burst"):
+            batches = (
+                [arg]
+                if op == "absorb"
+                else [[(a, (a + 1 + b) % N_IDS)] for a, b in arg]
+            )
+            for pairs in batches:
+                allocator._absorb_batch(pair_batch(pairs))
+                absorbed.update(directed_edges(pairs))
         elif op == "replace":
-            # An unrelated mapping, possibly smaller than the last one.
-            mapping = ShardMapping(np.array(arg, dtype=np.int64), k=K)
+            k, shards = arg
+            mapping = ShardMapping(np.array(shards, dtype=np.int64) % k, k=k)
         else:
-            moves = [(a, s) for a, s in arg if a < mapping.n_accounts]
+            k = mapping.k
+            moves = [(a, s % k) for a, s in arg if a < mapping.n_accounts]
+            if op == "place":
+                # New-account placement: only ids no batch has named.
+                named = {owner for owner, _, _ in absorbed}
+                moves = [(a, s) for a, s in moves if a not in named]
             accounts = np.array([a for a, _ in moves], dtype=np.int64)
             shards = np.array([s for _, s in moves], dtype=np.int64)
-            if op == "assign":
+            if op in ("assign", "place"):
                 # In place, on the very object the allocator last saw.
                 mapping.assign_many(accounts, shards)
             else:
@@ -340,15 +383,38 @@ class TestHistoryRows:
                 # request always leaves its current shard.
                 mapping = mapping.copy()
                 current = mapping.shards_of(accounts)
-                targets = (current + 1 + shards % (K - 1)) % K
+                targets = (current + 1 + shards % (k - 1)) % k
                 committed, _ = select_migrations_kernel(
                     accounts,
                     current,
                     targets,
                     np.ones(len(accounts)),
                     mapping.as_array(),
-                    K,
+                    k,
                     None,
                 )
                 mapping.assign_many(accounts[committed], targets[committed])
         return mapping
+
+    def test_equal_runs_merge_four_levels_deep(self):
+        # Eight equal one-edge runs end as one run four merges deep:
+        # [2] [4] [6] [6, 2] [10] [10, 2] [10, 4] [16].
+        allocator = MosaicAllocator()
+        mapping = ShardMapping(np.arange(N_IDS) % K, k=K)
+        for a in range(8):
+            allocator._absorb_batch(pair_batch([(a, a + 1)]))
+        assert [len(run[0]) for run in allocator._runs] == [16]
+        active = np.arange(N_IDS)
+        np.testing.assert_array_equal(
+            allocator._history_psi(active, mapping),
+            history_psi_scan(*run_edges(allocator), active, mapping),
+        )
+
+    def test_account_id_beyond_int32_is_rejected(self):
+        allocator = MosaicAllocator()
+        top = np.iinfo(np.int32).max
+        allocator._absorb_batch(pair_batch([(0, top)]))
+        with pytest.raises(ValidationError, match="int32"):
+            allocator._absorb_batch(pair_batch([(1, top + 1)]))
+        owners, others, counts = run_edges(allocator)
+        assert sorted(zip(owners, others, counts)) == [(0, top, 1), (top, 0, 1)]
