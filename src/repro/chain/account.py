@@ -10,7 +10,7 @@ the rest of the library index numpy arrays by account id.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.errors import UnknownAccountError, ValidationError
 
@@ -80,7 +80,19 @@ class AccountRegistry:
 
     def register(self, address: Address) -> int:
         """Register ``address`` (idempotent) and return its id."""
-        addr = _normalize(address)
+        return self._insert(_normalize(address))
+
+    def register_many(self, addresses: Sequence[Address]) -> List[int]:
+        """Register ``addresses`` in order, all or none; return their ids.
+
+        Every address is normalised before any is registered, so a bad
+        one raises :class:`ValidationError` with the registry unchanged.
+        """
+        normalized = [_normalize(address) for address in addresses]
+        return [self._insert(addr) for addr in normalized]
+
+    def _insert(self, addr: Address) -> int:
+        """The id of a normalised address, assigning the next one if new."""
         existing = self._id_of.get(addr)
         if existing is not None:
             return existing

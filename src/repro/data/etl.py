@@ -17,9 +17,17 @@ trace round-trips with the same columns.
 Malformed rows raise :class:`~repro.errors.MalformedRowError` carrying
 the file name and 1-based physical line number (``csv.reader.line_num``,
 the last line of a record whose quoted cell spans lines), so one bad
-row in a huge extract is findable without re-running the decode. The
-chunked, bounded-memory decoder :class:`~repro.data.source.CsvTraceSource`
-shares the row parsing defined here.
+row in a huge extract is findable without re-running the decode.
+
+The per-row decode defined here (:class:`_RowDecoder` and its
+:meth:`~_RowDecoder.decode_rows` loop) is the reference semantics. The
+eager :func:`read_transactions_csv` runs it over the whole file. The
+chunked decoder :class:`~repro.data.source.CsvTraceSource` decodes
+plain slices of a few thousand lines column by column instead, and
+hands any slice whose text ``csv`` might parse differently from
+``str.split`` (or whose cells fail a check) back to the same loop, so
+both readers accept the same files, assign the same account ids and
+raise the same :class:`~repro.errors.MalformedRowError`.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -48,6 +56,21 @@ VALUE_COLUMN = "value"
 FEE_COLUMN = "fee"
 
 
+#: Column lists the per-row loop appends to: senders, receivers,
+#: blocks, values, fees (the last two stay empty when the header lacks
+#: the column).
+RowColumns = Tuple[List[int], List[int], List[int], List[float], List[float]]
+
+#: Decoded columns as arrays: senders, receivers, blocks, values and
+#: fees (``None`` for an optional column the header lacks).
+ColumnArrays = Tuple[
+    np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]
+]
+
+#: First block number an int64 column cannot hold.
+_BLOCK_LIMIT = 1 << 63
+
+
 class _RowDecoder:
     """Shared per-row decode for the eager reader and the chunked source.
 
@@ -58,6 +81,10 @@ class _RowDecoder:
     optional columns the header names (the module's column rule); an
     absent column decodes as 0.0. Bad cells, addresses included, raise
     :class:`MalformedRowError` with the file and 1-based line number.
+
+    An ``ordered`` decoder also rejects a kept row whose block is below
+    ``last_block`` (the block of the last kept row), which is what a
+    streamed decode needs.
     """
 
     def __init__(
@@ -65,6 +92,7 @@ class _RowDecoder:
         path: Path,
         fieldnames: Optional[List[str]],
         registry: AccountRegistry,
+        ordered: bool = False,
     ) -> None:
         if fieldnames is None:
             raise DataError(f"{path} is empty")
@@ -73,34 +101,37 @@ class _RowDecoder:
             raise DataError(f"{path} is missing columns: {sorted(missing)}")
         self.path = path
         self.registry = registry
-        self._block_idx = fieldnames.index("block_number")
-        self._from_idx = fieldnames.index("from_address")
-        self._to_idx = fieldnames.index("to_address")
-        self._value_idx = (
+        self.ordered = ordered
+        self.last_block = -1
+        self.n_columns = len(fieldnames)
+        self.block_idx = fieldnames.index("block_number")
+        self.from_idx = fieldnames.index("from_address")
+        self.to_idx = fieldnames.index("to_address")
+        self.value_idx = (
             fieldnames.index(VALUE_COLUMN) if VALUE_COLUMN in fieldnames else None
         )
-        self._fee_idx = (
+        self.fee_idx = (
             fieldnames.index(FEE_COLUMN) if FEE_COLUMN in fieldnames else None
         )
         self._width = max(
             idx
             for idx in (
-                self._block_idx,
-                self._from_idx,
-                self._to_idx,
-                self._value_idx,
-                self._fee_idx,
+                self.block_idx,
+                self.from_idx,
+                self.to_idx,
+                self.value_idx,
+                self.fee_idx,
             )
             if idx is not None
         ) + 1
 
     @property
     def has_values(self) -> bool:
-        return self._value_idx is not None
+        return self.value_idx is not None
 
     @property
     def has_fees(self) -> bool:
-        return self._fee_idx is not None
+        return self.fee_idx is not None
 
     def decode(
         self, line: int, row: List[str]
@@ -111,11 +142,11 @@ class _RowDecoder:
             raise MalformedRowError(
                 self.path, line, f"expected >= {self._width} columns, got {len(row)}"
             )
-        from_address = row[self._from_idx].strip()
-        to_address = row[self._to_idx].strip()
+        from_address = row[self.from_idx].strip()
+        to_address = row[self.to_idx].strip()
         if not from_address or not to_address:
             return None  # contract creation / malformed endpoint
-        raw_block = row[self._block_idx]
+        raw_block = row[self.block_idx]
         try:
             block = int(raw_block)
         except (TypeError, ValueError):
@@ -126,9 +157,13 @@ class _RowDecoder:
             raise MalformedRowError(
                 self.path, line, f"negative block_number {block}"
             )
+        if block >= _BLOCK_LIMIT:
+            raise MalformedRowError(
+                self.path, line, f"block_number {block} out of range"
+            )
         value = 0.0
-        if self._value_idx is not None:
-            raw_value = row[self._value_idx].strip()
+        if self.value_idx is not None:
+            raw_value = row[self.value_idx].strip()
             if raw_value:
                 try:
                     value = float(raw_value)
@@ -141,8 +176,8 @@ class _RowDecoder:
                         self.path, line, f"bad value {raw_value!r}"
                     )
         fee = 0.0
-        if self._fee_idx is not None:
-            raw_fee = row[self._fee_idx].strip()
+        if self.fee_idx is not None:
+            raw_fee = row[self.fee_idx].strip()
             if raw_fee:
                 try:
                     fee = float(raw_fee)
@@ -167,6 +202,61 @@ class _RowDecoder:
         if sender == receiver:
             return None  # self-transfers carry no allocation signal
         return sender, receiver, block, value, fee
+
+    def as_arrays(self, columns: RowColumns) -> ColumnArrays:
+        """The per-row loop's column lists as arrays."""
+        senders, receivers, blocks, values, fees = columns
+        return (
+            np.asarray(senders, dtype=np.int64),
+            np.asarray(receivers, dtype=np.int64),
+            np.asarray(blocks, dtype=np.int64),
+            np.asarray(values, dtype=np.float64) if self.has_values else None,
+            np.asarray(fees, dtype=np.float64) if self.has_fees else None,
+        )
+
+    def decode_rows(
+        self,
+        reader: Any,
+        columns: RowColumns,
+        line_offset: int = 0,
+        stop_line: Optional[int] = None,
+    ) -> int:
+        """Decode a ``csv.reader``'s rows into ``columns``; return its
+        line count.
+
+        Row lines are ``line_offset + reader.line_num``. With
+        ``stop_line`` the loop returns after the record that reaches
+        that reader line, so a quoted cell spanning past it is still
+        read whole.
+        """
+        senders, receivers, blocks, values, fees = columns
+        has_values = self.has_values
+        has_fees = self.has_fees
+        for row in reader:
+            line = line_offset + reader.line_num
+            decoded = self.decode(line, row)
+            if decoded is not None:
+                sender, receiver, block, value, fee = decoded
+                if self.ordered:
+                    if block < self.last_block:
+                        raise MalformedRowError(
+                            self.path,
+                            line,
+                            f"block {block} out of order after {self.last_block} "
+                            "(streamed decode requires block-ordered rows; "
+                            "use read_transactions_csv for unsorted files)",
+                        )
+                    self.last_block = block
+                senders.append(sender)
+                receivers.append(receiver)
+                blocks.append(block)
+                if has_values:
+                    values.append(value)
+                if has_fees:
+                    fees.append(fee)
+            if stop_line is not None and reader.line_num >= stop_line:
+                break
+        return reader.line_num
 
 
 def write_transactions_csv(
@@ -227,37 +317,15 @@ def read_transactions_csv(
     if registry is None:
         registry = AccountRegistry()
 
-    senders: List[int] = []
-    receivers: List[int] = []
-    blocks: List[int] = []
-    values: List[float] = []
-    fees: List[float] = []
-
+    columns: RowColumns = ([], [], [], [], [])
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
-        fieldnames = next(reader, None)
-        decoder = _RowDecoder(path, fieldnames, registry)
-        has_values = decoder.has_values
-        has_fees = decoder.has_fees
-        for row in reader:
-            decoded = decoder.decode(reader.line_num, row)
-            if decoded is None:
-                continue
-            sender, receiver, block, value, fee = decoded
-            senders.append(sender)
-            receivers.append(receiver)
-            blocks.append(block)
-            if has_values:
-                values.append(value)
-            if has_fees:
-                fees.append(fee)
+        decoder = _RowDecoder(path, next(reader, None), registry)
+        decoder.decode_rows(reader, columns)
 
-    order = np.argsort(np.asarray(blocks, dtype=np.int64), kind="stable")
+    arrays = decoder.as_arrays(columns)
+    order = np.argsort(arrays[2], kind="stable")
     batch = TransactionBatch(
-        np.asarray(senders, dtype=np.int64)[order],
-        np.asarray(receivers, dtype=np.int64)[order],
-        np.asarray(blocks, dtype=np.int64)[order],
-        np.asarray(values, dtype=np.float64)[order] if has_values else None,
-        np.asarray(fees, dtype=np.float64)[order] if has_fees else None,
+        *(None if array is None else array[order] for array in arrays)
     )
     return Trace(batch, n_accounts=len(registry)), registry

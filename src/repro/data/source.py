@@ -24,19 +24,26 @@ peak buffering is proportional to ``chunk_rows``, never to the trace.
 from __future__ import annotations
 
 import csv
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.chain.account import AccountRegistry
 from repro.chain.transaction import TransactionBatch
-from repro.data.etl import _RowDecoder
+from repro.data.etl import ColumnArrays, RowColumns, _RowDecoder
 from repro.data.trace import EpochView, Trace
-from repro.errors import DataError, MalformedRowError
+from repro.errors import DataError, ValidationError
 
-#: Default rows per decoded chunk (~1.5 MB of column data at 5 columns).
+#: Default rows per decoded chunk (65,536 rows x 40 B ~ 2.6 MB of column
+#: data at 5 columns).
 DEFAULT_CHUNK_ROWS = 65_536
+
+#: Most lines :class:`CsvTraceSource` decodes at once. A slice's Python
+#: strings take over 20x the bytes of its decoded columns, so slices stay
+#: a few thousand lines long and a chunk is assembled from many of them.
+SLICE_LINES = 2_048
 
 
 class TraceSource:
@@ -117,11 +124,36 @@ class MaterialisedTraceSource(TraceSource):
 class CsvTraceSource(TraceSource):
     """Chunked, bounded-memory decode of an ethereum-etl CSV.
 
-    Rows decode straight into numpy chunks of ``chunk_rows``; at no
-    point does the decoder hold more than one chunk of Python-object
-    row state, which is what keeps 1M-row (and beyond) ingest flat in
-    memory — ``peak_buffer_rows`` records the high-water mark and is
-    asserted ``<= chunk_rows`` in tests.
+    The file is read in slices of at most :data:`SLICE_LINES` lines and
+    each slice is decoded column by column: its lines are joined and
+    split on commas into one flat cell list, each column is a stride
+    slice of it, numbers convert with one ``map`` per column and are
+    checked with numpy, and each new address string is normalised and
+    registered once per :meth:`chunks` call. A line's terminator (LF,
+    CRLF or a bare CR) stays on its last cell, which the column parses
+    ignore like any padding. A slice takes this path only when
+    ``csv.reader`` would read it exactly as ``str.split`` does — no
+    ``"``, no NUL (which ``csv`` rejects before Python 3.11), no line
+    as long as the ``csv`` field limit, and every line exactly as wide
+    as the header — and every cell it keeps passes its check. Anything
+    else (a quoted cell, a blank, short or long line, a bad or
+    out-of-order cell) sends the slice through the per-row reference
+    loop, :meth:`repro.data.etl._RowDecoder.decode_rows`, over a
+    ``csv.reader`` that starts at the slice's first line and continues
+    into the file, so a quoted cell spanning the slice end is read
+    whole. The columnar path registers nothing until all its checks
+    have passed, so a refused slice leaves the registry as the per-row
+    loop expects it: both paths assign the same dense account ids and
+    raise the same :class:`MalformedRowError`, on the same physical
+    line (the last line of a record whose quoted cell spans lines).
+
+    Decoded slices are assembled into chunks of ``chunk_rows`` rows. A
+    slice never has more lines than the current chunk still lacks rows,
+    so no more than one chunk of decoded rows is ever buffered —
+    ``peak_buffer_rows`` records the high-water mark and is asserted
+    ``<= chunk_rows`` in tests — and one slice of Python strings is the
+    only other decode state, which keeps 1M-row (and beyond) ingest
+    flat in memory.
 
     Streaming requires the file to be block-ordered (real ETL extracts
     are; our writer emits block order). An out-of-order row raises
@@ -129,16 +161,12 @@ class CsvTraceSource(TraceSource):
     files use the eager :func:`repro.data.etl.read_transactions_csv`,
     which sorts after decoding. Contract creations and self-transfers
     are skipped and malformed cells raise, exactly as in the eager
-    reader, so both paths see the same rows and assign the same dense
-    account ids, and every chunk carries the optional columns the
-    header names (the column rule of :mod:`repro.data.etl`).
-    ``csv.reader.line_num`` names the physical line of each row (the
-    last line of a record whose quoted cell spans lines).
+    reader, and every chunk carries the optional columns the header
+    names (the column rule of :mod:`repro.data.etl`).
 
-    ``decoder`` accepts only ``"python"`` (the :class:`_RowDecoder`
-    loop); any other value raises :class:`DataError`. It survives as a
-    one-value argument only because ``benchmarks/e2e/e2e_bench.py``
-    passes it.
+    ``decoder`` accepts only ``"python"``; any other value raises
+    :class:`DataError`. It survives as a one-value argument only because
+    ``benchmarks/e2e/e2e_bench.py`` passes it.
     """
 
     def __init__(
@@ -164,71 +192,164 @@ class CsvTraceSource(TraceSource):
     def chunks(self) -> Iterator[TransactionBatch]:
         with self.path.open(newline="") as handle:
             reader = csv.reader(handle)
-            decoder = _RowDecoder(self.path, next(reader, None), self.registry)
-            has_values = decoder.has_values
-            has_fees = decoder.has_fees
-            chunk_rows = self.chunk_rows
-            senders: List[int] = []
-            receivers: List[int] = []
-            blocks: List[int] = []
-            values: List[float] = []
-            fees: List[float] = []
-            last_block = -1
-            for row in reader:
-                line = reader.line_num
-                decoded = decoder.decode(line, row)
-                if decoded is None:
-                    continue
-                sender, receiver, block, value, fee = decoded
-                if block < last_block:
-                    raise MalformedRowError(
-                        self.path,
-                        line,
-                        f"block {block} out of order after {last_block} "
-                        "(streamed decode requires block-ordered rows; "
-                        "use read_transactions_csv for unsorted files)",
+            decoder = _RowDecoder(
+                self.path, next(reader, None), self.registry, ordered=True
+            )
+            ids: Dict[str, int] = {}
+            line = reader.line_num  # physical lines consumed so far
+            pieces: List[ColumnArrays] = []
+            pending = 0
+            while True:
+                lines = list(
+                    islice(handle, min(SLICE_LINES, self.chunk_rows - pending))
+                )
+                if not lines:
+                    break
+                piece = _decode_columnar(lines, decoder, ids)
+                if piece is None:
+                    rows: RowColumns = ([], [], [], [], [])
+                    line += decoder.decode_rows(
+                        csv.reader(chain(lines, handle)),
+                        rows,
+                        line_offset=line,
+                        stop_line=len(lines),
                     )
-                last_block = block
-                senders.append(sender)
-                receivers.append(receiver)
-                blocks.append(block)
-                if has_values:
-                    values.append(value)
-                if has_fees:
-                    fees.append(fee)
-                if len(senders) == chunk_rows:
-                    yield self._flush(senders, receivers, blocks, values, fees)
-            if senders:
-                yield self._flush(senders, receivers, blocks, values, fees)
+                    piece = decoder.as_arrays(rows)
+                else:
+                    line += len(lines)
+                if len(piece[0]):
+                    pieces.append(piece)
+                    pending += len(piece[0])
+                if pending == self.chunk_rows:
+                    yield self._flush(pieces, pending)
+                    pieces, pending = [], 0
+            if pending:
+                yield self._flush(pieces, pending)
 
-    def _flush(
-        self,
-        senders: List[int],
-        receivers: List[int],
-        blocks: List[int],
-        values: List[float],
-        fees: List[float],
-    ) -> TransactionBatch:
-        """One chunk from the decoded row lists, which are left empty.
-
-        ``values``/``fees`` become columns when the file has them (the
-        lists are empty otherwise). Clearing the lists keeps no row
-        state alive while the consumer and the next decode run.
-        """
-        self.peak_buffer_rows = max(self.peak_buffer_rows, len(senders))
-        batch = TransactionBatch(
-            np.asarray(senders, dtype=np.int64),
-            np.asarray(receivers, dtype=np.int64),
-            np.asarray(blocks, dtype=np.int64),
-            np.asarray(values, dtype=np.float64) if values else None,
-            np.asarray(fees, dtype=np.float64) if fees else None,
+    def _flush(self, pieces: List[ColumnArrays], rows: int) -> TransactionBatch:
+        """One chunk from the decoded slices."""
+        self.peak_buffer_rows = max(self.peak_buffer_rows, rows)
+        if len(pieces) == 1:
+            return TransactionBatch(*pieces[0])
+        return TransactionBatch(
+            *(
+                None if column[0] is None else np.concatenate(column)
+                for column in zip(*pieces)
+            )
         )
-        for column in (senders, receivers, blocks, values, fees):
-            column.clear()
-        return batch
 
     def resolved_n_accounts(self) -> Optional[int]:
         return len(self.registry) or None
+
+
+def _amounts(cells: List[str]) -> np.ndarray:
+    """Parse a value/fee column; ValueError unless every cell is a
+    finite, non-negative float (the per-row rule, blank cells aside)."""
+    column = np.fromiter(map(float, cells), np.float64, len(cells))
+    if not ((column >= 0) & (column < np.inf)).all():
+        raise ValueError("negative, NaN or infinite amount")
+    return column
+
+
+#: The characters a line of a ``newline=""`` file iterator can end in.
+_EOL = ("\r", "\n")
+
+
+def _first_seen(senders: List[str], receivers: List[str]) -> Dict[str, None]:
+    """Address cells in first-seen order, each row's sender first."""
+    interleaved: List[Optional[str]] = [None] * (2 * len(senders))
+    interleaved[0::2] = senders
+    interleaved[1::2] = receivers
+    return dict.fromkeys(interleaved)
+
+
+def _decode_columnar(
+    lines: List[str], decoder: _RowDecoder, ids: Dict[str, int]
+) -> Optional[ColumnArrays]:
+    """Decode one slice of CSV lines column by column.
+
+    Returns the slice's columns, or ``None`` when the slice must go
+    through the per-row loop instead; nothing is registered then.
+    ``ids`` maps each raw address cell seen so far in this ``chunks()``
+    call to its account id, so normalising and registering happen once
+    per distinct cell string.
+    """
+    n_lines = len(lines)
+    n_columns = decoder.n_columns
+    text = ",".join(lines)
+    # csv reads quotes, reads NUL as an error before Python 3.11 and
+    # rejects a cell over its field limit; str.split does none of that.
+    if (
+        '"' in text
+        or "\0" in text
+        or max(map(len, lines)) >= csv.field_size_limit()
+    ):
+        return None
+    # Each line's terminator stays on its last cell, where int(),
+    # float() and str.strip() ignore it as they ignore any padding.
+    # The line ends then mark the cells where every line but the last
+    # must end, so a cell count of exactly n_columns per line proves
+    # the lines are n_columns wide one by one.
+    cells = text.split(",")
+    if len(cells) != n_lines * n_columns or not all(
+        map(str.endswith, cells[n_columns - 1 : -1 : n_columns], repeat(_EOL))
+    ):
+        return None
+
+    def column(index: Optional[int]) -> Optional[List[str]]:
+        return None if index is None else cells[index::n_columns]
+
+    senders = column(decoder.from_idx)
+    receivers = column(decoder.to_idx)
+    blocks = column(decoder.block_idx)
+    values = column(decoder.value_idx)
+    fees = column(decoder.fee_idx)
+    seen = _first_seen(senders, receivers)
+    fresh = seen.keys() - ids.keys()
+    blank = {raw for raw in fresh if not raw.strip()}
+    if blank:  # contract creations: the per-row loop skips them first
+        keep = [
+            sender not in blank and receiver not in blank
+            for sender, receiver in zip(senders, receivers)
+        ]
+        senders, receivers, blocks, values, fees = (
+            None if strings is None else list(compress(strings, keep))
+            for strings in (senders, receivers, blocks, values, fees)
+        )
+        seen = _first_seen(senders, receivers)
+        fresh -= blank
+    n_rows = len(senders)
+    try:
+        block_column = np.fromiter(map(int, blocks), np.int64, n_rows)
+        value_column = None if values is None else _amounts(values)
+        fee_column = None if fees is None else _amounts(fees)
+    except (ValueError, OverflowError):
+        return None
+    if n_rows and (
+        block_column[0] < max(decoder.last_block, 0)
+        or (block_column[1:] < block_column[:-1]).any()
+    ):
+        return None
+    if fresh:
+        new = list(filter(fresh.__contains__, seen))
+        try:
+            new_ids = decoder.registry.register_many([raw.strip() for raw in new])
+        except ValidationError:
+            return None
+        ids.update(zip(new, new_ids))
+    sender_ids = np.fromiter(map(ids.__getitem__, senders), np.int64, n_rows)
+    receiver_ids = np.fromiter(map(ids.__getitem__, receivers), np.int64, n_rows)
+    decoded: ColumnArrays = (
+        sender_ids, receiver_ids, block_column, value_column, fee_column
+    )
+    transfers = sender_ids != receiver_ids
+    if not transfers.all():  # self-transfers: registered, then skipped
+        decoded = tuple(
+            None if array is None else array[transfers] for array in decoded
+        )
+    if len(decoded[2]):
+        decoder.last_block = int(decoded[2][-1])
+    return decoded
 
 
 class EpochStream:

@@ -90,3 +90,19 @@ class TestRegistry:
     def test_iteration_order_matches_ids(self):
         registry = AccountRegistry([ADDR_A, ADDR_B])
         assert list(registry) == [ADDR_A, ADDR_B]
+
+    def test_register_many_matches_register_in_order(self):
+        registry = AccountRegistry([ADDR_B])
+        one_by_one = AccountRegistry([ADDR_B])
+        batch = [ADDR_A, ADDR_B.upper().replace("0X", "0x"), "aa" * 20, "cc" * 20]
+        assert registry.register_many(batch) == [
+            one_by_one.register(address) for address in batch
+        ]
+        assert registry.register_many(batch) == [1, 0, 1, 2]
+        assert list(registry) == list(one_by_one)
+
+    def test_register_many_is_all_or_none(self):
+        registry = AccountRegistry([ADDR_A])
+        with pytest.raises(ValidationError):
+            registry.register_many([ADDR_B, "0x1234"])
+        assert list(registry) == [ADDR_A]

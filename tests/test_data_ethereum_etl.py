@@ -222,6 +222,22 @@ class TestMalformedRows:
         with pytest.raises(MalformedRowError, match="block_number"):
             read_transactions_csv(path)
 
+    def test_block_beyond_int64_rejected(self, tmp_path):
+        """Both readers name the row instead of overflowing the column."""
+        from repro.data import CsvTraceSource
+
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            self.HEADER
+            + f"0x0,1,{self.A},{self.B},0\n"
+            + f"0x1,{2**63},{self.A},{self.B},0\n"
+        )
+        streamed = CsvTraceSource(path).materialise
+        for decode in (lambda: read_transactions_csv(path), streamed):
+            with pytest.raises(MalformedRowError) as excinfo:
+                decode()
+            assert str(excinfo.value) == f"{path}:3: block_number {2**63} out of range"
+
     def test_bad_value_carries_file_and_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(self.HEADER + f"0x0,1,{self.A},{self.B},tomato\n")
