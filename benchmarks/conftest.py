@@ -19,7 +19,7 @@ import pytest
 
 from repro.data.trace import Trace
 from repro.experiments import ScenarioMatrix, run_matrix, seed_trace_cache
-from repro.experiments.bench import BENCH_TRACE_SPEC
+from repro.experiments.matrix import BENCH_TRACE_SPEC
 
 #: tau=40 over the evaluation tail yields ~10 epochs, mirroring the
 #: paper's epoch-wise averaging. The benchmark trace keeps the busiest

@@ -10,11 +10,10 @@ Commands:
   and print a comparison table (optionally a Markdown report);
 * ``matrix`` — run a declarative allocator x trace x parameter grid,
   or a named CI preset (``--preset``), through the (optionally
-  parallel) scenario-matrix runner;
-* ``bench`` — regenerate the ``BENCH_baseline.json`` performance
-  snapshot (Table II matrix, the smoke grid, the Metis refine timing
-  and the 1M-row windowed-vs-materialised memory pair). Per-layer
-  timings of the whole epoch loop come from ``benchmarks/e2e/``.
+  parallel) scenario-matrix runner.
+
+Performance is measured end to end by ``benchmarks/e2e/`` (declared in
+``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -225,7 +224,6 @@ def _command_compare(args: argparse.Namespace) -> int:
 def _command_matrix(args: argparse.Namespace) -> int:
     from repro.experiments import (
         ScenarioMatrix,
-        baseline_snapshot,
         default_trace,
         matrix_table,
         preset_matrix,
@@ -324,76 +322,7 @@ def _command_matrix(args: argparse.Namespace) -> int:
     if args.output:
         path = write_result_json(result, args.output)
         print(f"results written to {path}")
-    if args.baseline:
-        path = baseline_snapshot(result, args.baseline)
-        print(f"baseline snapshot written to {path}")
     return 1 if result.failures else 0
-
-
-def _command_bench(args: argparse.Namespace) -> int:
-    from repro.experiments import cell_delta_rows, run_bench
-
-    print(
-        "running the Table II benchmark workload "
-        f"({args.workers} worker(s)) + refine microbench + smoke grid "
-        "+ 1M-row memory pair"
-    )
-    payload = run_bench(path=args.output, workers=args.workers)
-    print(f"\nsnapshot written to {args.output}")
-    print(f"total_seconds   : {payload['total_seconds']}")
-    print(f"smoke_seconds   : {payload['smoke_seconds']}")
-    print(f"refine_seconds  : {payload['refine_seconds_python']}")
-    if "peak_rss_mb_windowed_1m" in payload:
-        print(
-            f"peak memory 1M  : {payload['peak_rss_mb_windowed_1m']}MB "
-            f"windowed vs {payload['peak_rss_mb_materialised_1m']}MB "
-            "materialised"
-        )
-    if "speedup_vs_reference" in payload:
-        print(f"speedup vs prev : {payload['speedup_vs_reference']}x")
-    delta_rows = cell_delta_rows(payload)
-    if delta_rows:
-        # Per-cell deltas vs the previous snapshot make a drifting cell
-        # visible at a glance instead of hiding inside the total; the
-        # spread column says how noisy the cell's own repeats were, and
-        # Peak MB where each cell's memory actually goes. Deltas inside
-        # the cell's own spread are marked "~" — run-to-run noise, not
-        # a real speedup or regression.
-        from repro.experiments.bench import delta_is_noise
-
-        flagged = 0
-        rows = []
-        for label, ref, now, delta, spread, peak in delta_rows:
-            noise = delta_is_noise(delta, spread)
-            flagged += noise
-            rows.append(
-                [
-                    label,
-                    f"{ref:.3f}s" if ref is not None else "-",
-                    f"{now:.3f}s",
-                    (f"{delta:+.0%}" + (" ~" if noise else ""))
-                    if delta is not None
-                    else "-",
-                    f"{spread:.0%}" if spread is not None else "-",
-                    f"{peak:.1f}" if peak is not None else "-",
-                ]
-            )
-        print()
-        print(
-            render_table(
-                ["Cell", "Reference", "Now", "Delta", "Spread", "Peak MB"],
-                rows,
-            )
-        )
-        if flagged:
-            print(
-                f"~ = delta within the cell's recorded spread "
-                f"({flagged} cell(s) within noise)"
-            )
-    failures = int(payload.get("failures", 0))
-    if failures:
-        print(f"error: {failures} cell(s) failed", file=sys.stderr)
-    return 1 if failures else 0
 
 
 def _engine_modes(text: str) -> Tuple[str, ...]:
@@ -489,20 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--report", help="write a Markdown report here")
     compare.set_defaults(handler=_command_compare)
 
-    bench = subparsers.add_parser(
-        "bench",
-        help="regenerate the BENCH_baseline.json performance snapshot",
-    )
-    bench.add_argument(
-        "--output",
-        default="BENCH_baseline.json",
-        help="snapshot path (default: BENCH_baseline.json)",
-    )
-    bench.add_argument(
-        "--workers", type=int, default=1, help="process count (1 = sequential)"
-    )
-    bench.set_defaults(handler=_command_bench)
-
     matrix = subparsers.add_parser(
         "matrix", help="run an allocator x trace x parameter grid"
     )
@@ -583,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
         "preset which funds from observed flow)",
     )
     matrix.add_argument("--output", help="write full results JSON here")
-    matrix.add_argument("--baseline", help="write a BENCH_baseline.json here")
     matrix.set_defaults(handler=_command_matrix)
 
     return parser

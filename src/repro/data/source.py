@@ -226,6 +226,21 @@ class CsvTraceSource(TraceSource):
             if pending:
                 yield self._flush(pieces, pending)
 
+    def materialise(self) -> Trace:
+        """Assemble every chunk; a file without a data row still gives
+        the optional columns its header names, as
+        :func:`~repro.data.etl.read_transactions_csv` does."""
+        trace = super().materialise()
+        if len(trace):
+            return trace
+        with self.path.open(newline="") as handle:
+            header = next(csv.reader(handle), None)
+        decoder = _RowDecoder(self.path, header, self.registry)
+        return Trace(
+            TransactionBatch(*decoder.as_arrays(([], [], [], [], []))),
+            n_accounts=trace.n_accounts,
+        )
+
     def _flush(self, pieces: List[ColumnArrays], rows: int) -> TransactionBatch:
         """One chunk from the decoded slices."""
         self.peak_buffer_rows = max(self.peak_buffer_rows, rows)

@@ -3,17 +3,14 @@
 The runner's summaries are already shaped like
 ``repro.sim.recorder.summarize_results`` output, so they feed straight
 into ``repro.analysis.tables``; this module adds the glue (row settings
-derived from the grid axes, JSON persistence, and the
-``BENCH_baseline.json`` performance snapshot).
+derived from the grid axes, and JSON persistence of a run).
 """
 
 from __future__ import annotations
 
 import json
-import platform
-import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Union
 
 from repro.analysis.tables import comparison_table
 from repro.experiments.matrix import ScenarioMatrix
@@ -83,45 +80,5 @@ def write_result_json(
             {"cell": o.label, "error": o.error} for o in result.failures
         ],
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    return path
-
-
-def baseline_snapshot(
-    result: MatrixResult,
-    path: Union[str, Path],
-    reference: Optional[Dict[str, object]] = None,
-    notes: Optional[Sequence[str]] = None,
-) -> Path:
-    """Write the ``BENCH_baseline.json`` performance snapshot.
-
-    Records the wall-clock of this run (total and per cell), the
-    deterministic digest, and — when a ``reference`` timing dict with a
-    ``total_seconds`` entry is provided — the speedup against it.
-    """
-    path = Path(path)
-    per_cell = {
-        o.label: round(o.seconds, 3) for o in result.outcomes if o.ok
-    }
-    payload: Dict[str, object] = {
-        "matrix": result.matrix_name,
-        "workers": result.workers,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "recorded_at": time.strftime("%Y-%m-%d %H:%M:%S", time.gmtime()),
-        "total_seconds": round(result.seconds, 3),
-        "cell_seconds": per_cell,
-        "digest": result.deterministic_digest(),
-        "failures": len(result.failures),
-    }
-    if reference is not None:
-        payload["reference"] = reference
-        ref_total = reference.get("total_seconds")
-        if isinstance(ref_total, (int, float)) and result.seconds > 0:
-            payload["speedup_vs_reference"] = round(
-                float(ref_total) / result.seconds, 2
-            )
-    if notes:
-        payload["notes"] = list(notes)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
     return path

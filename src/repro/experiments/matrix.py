@@ -338,6 +338,13 @@ def default_trace(
     )
 
 
+#: The benchmark trace: the paper-table benches (``benchmarks/``) run
+#: their grids over it, and the perf gate partitions its account graph.
+BENCH_TRACE_SPEC = default_trace(
+    "bench", n_accounts=6_000, n_transactions=80_000, n_blocks=4_000, seed=42
+)
+
+
 #: The checked-in ethereum-etl extract the ``etl-smoke`` preset replays,
 #: relative to the repository root.
 ETL_SMOKE_FIXTURE = "tests/fixtures/etl_smoke.csv"

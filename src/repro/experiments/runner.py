@@ -91,10 +91,6 @@ class CellOutcome:
     summary: Optional[Dict[str, object]] = None
     error: Optional[str] = None
     seconds: float = 0.0
-    #: Peak traced allocation (MB) while the cell ran; None unless the
-    #: sweep tracked memory. A measurement, not a result — excluded
-    #: from the deterministic payload like the timing keys.
-    peak_mb: Optional[float] = None
 
     @property
     def ok(self) -> bool:
@@ -143,31 +139,16 @@ class MatrixResult:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _execute_cell_guarded(indexed_cell) -> CellOutcome:
+def _execute_cell_guarded(index: int, cell: MatrixCell) -> CellOutcome:
     """Worker entry point: never raises, always returns an outcome."""
-    index, cell = indexed_cell[0], indexed_cell[1]
-    track_memory = indexed_cell[2] if len(indexed_cell) > 2 else False
     started = time.perf_counter()
     try:
-        if track_memory:
-            import tracemalloc
-
-            tracemalloc.start()
-            try:
-                summary = execute_cell(cell)
-                _, peak_bytes = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            peak_mb = peak_bytes / (1024 * 1024)
-        else:
-            summary = execute_cell(cell)
-            peak_mb = None
+        summary = execute_cell(cell)
         return CellOutcome(
             index=index,
             label=cell.label,
             summary=summary,
             seconds=time.perf_counter() - started,
-            peak_mb=peak_mb,
         )
     except Exception as error:  # noqa: BLE001 - contained by design
         tail = traceback.format_exc().strip().splitlines()[-1]
@@ -183,7 +164,6 @@ def run_matrix(
     matrix: ScenarioMatrix,
     workers: int = 1,
     strict: bool = False,
-    track_memory: bool = False,
 ) -> MatrixResult:
     """Execute every cell of ``matrix``; return outcomes in grid order.
 
@@ -194,23 +174,17 @@ def run_matrix(
             deterministic payload is bit-identical either way.
         strict: raise :class:`ExperimentError` after the sweep when any
             cell failed (the error lists every failed cell).
-        track_memory: measure each cell's peak traced allocation
-            (``CellOutcome.peak_mb``) via tracemalloc. Tracing slows
-            cells down noticeably, so it's opt-in and never affects the
-            deterministic payload.
     """
     cells = matrix.cells()
     started = time.perf_counter()
     outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
     if workers <= 1:
         for index, cell in enumerate(cells):
-            outcomes[index] = _execute_cell_guarded((index, cell, track_memory))
+            outcomes[index] = _execute_cell_guarded(index, cell)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(
-                    _execute_cell_guarded, (index, cell, track_memory)
-                ): (index, cell)
+                pool.submit(_execute_cell_guarded, index, cell): (index, cell)
                 for index, cell in enumerate(cells)
             }
             for future, (index, cell) in futures.items():

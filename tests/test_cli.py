@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.cli import build_parser, main
+from repro import experiments
 from repro.data.ethereum import EthereumTraceConfig
 from repro.experiments import ALLOCATOR_BUILDERS, PRESETS, TraceSpec
 from repro.experiments.matrix import SCENARIO_METHODS
@@ -58,6 +59,42 @@ class TestParser:
     def test_retired_flags_are_rejected(self, argv):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bench"], "invalid choice: 'bench'"),
+            (
+                ["matrix", "--preset", "smoke", "--baseline", "snapshot.json"],
+                "unrecognized arguments: --baseline",
+            ),
+        ],
+    )
+    def test_retired_perf_snapshot_is_a_usage_error(
+        self, argv, message, tmp_path, monkeypatch, capsys
+    ):
+        """The end-to-end benchmark is the one perf record: the snapshot
+        command and flag exit 2 and write no file."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_retired_perf_snapshot_names_are_not_exported(self):
+        retired = {
+            "baseline_snapshot",
+            "cell_delta_rows",
+            "delta_is_noise",
+            "memory_microbench",
+            "refine_microbench",
+            "run_bench",
+            "smoke_seconds",
+            "table2_matrix",
+        }
+        assert not retired & set(experiments.__all__)
+        assert not any(hasattr(experiments, name) for name in retired)
 
 
 @pytest.fixture

@@ -146,6 +146,13 @@ class TestCsvSource:
         assert list(source.chunks()) == []
         trace = CsvTraceSource(path).materialise()
         assert len(trace) == 0
+        # A column is present iff the header names it, rows or none.
+        assert trace.batch.values is not None
+        assert trace.batch.values.dtype == np.float64
+        assert len(trace.batch.values) == 0
+        assert trace.batch.fees is None
+        eager, _ = read_transactions_csv(path)
+        assert_batches_equal(trace.batch, eager.batch)
 
     def test_all_zero_value_column_is_kept_in_chunks_too(self, tmp_path):
         """A ``value`` header makes a value column whatever its cells
@@ -464,9 +471,6 @@ class TestColumnarDecode:
         senders, receivers, blocks, values, fees = columns
         assert list(registry) == addresses
         assert source.peak_buffer_rows <= chunk_rows
-        if not senders:  # no chunk, so no column to carry the header's
-            assert len(streamed) == 0
-            return
         assert_batches_equal(
             streamed.batch,
             TransactionBatch(
