@@ -12,20 +12,26 @@ discrete-event system in *block* time:
   :class:`RetryPolicy` overrides. Presets: ``ideal``, ``lan``, ``wan``
   and ``lossy`` (degraded WAN).
 - :class:`NetworkModel` — a spec plus a seeded RNG. All randomness flows
-  through one ``numpy`` Generator consumed in event order, so a run is a
-  pure function of ``(spec, seed, send sequence)``.
+  through one ``numpy`` PCG64 Generator consumed in attempt order, so a
+  run is a pure function of ``(spec, seed, send sequence)``. The bus
+  reads that stream in bulk through :class:`_StreamReader`, which
+  decodes raw words exactly as the scalar ``random()`` /
+  ``integers(0, n)`` calls would and leaves the Generator where they
+  would have left it.
 - :class:`MessageBus` — the event loop. In-flight messages (relay
   receipts, beacon MR-batch announcements, workload-vector gossip) are
   rows of columns keyed by sequence number and sized to the messages in
-  flight; heap events are plain integer tuples; batches are enqueued
-  with one column write and :meth:`MessageBus.advance` returns arrays.
-  Dropped transmissions retransmit with bounded exponential backoff in
-  blocks; a message whose deadline passes undelivered expires.
+  flight; a pending attempt is one integer on a heap, and deliveries
+  and expiries wait in per-block buckets off the heap; batches are
+  enqueued with one column write and :meth:`MessageBus.advance` returns
+  arrays. Dropped transmissions retransmit with bounded exponential
+  backoff in blocks; a message whose deadline passes undelivered
+  expires.
 - :class:`ReceiptTransport` — the bridge between the
   :class:`~repro.chain.crossshard.CrossShardExecutor` and the bus.
   Receipts ride the bus with their payload as extra columns; settlement
   keys off *delivered* blocks, redelivered copies are recognised by the
-  bus's per-message copy counter (idempotent settle), and expired
+  bus's duplicate flag (idempotent settle), and expired
   receipts turn into sender refunds so value is conserved under every
   fault plan.
 
@@ -48,9 +54,12 @@ distribution whose parameters happen to be zero.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from math import fsum
-from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
+from operator import length_hint
+from typing import DefaultDict, Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -383,8 +392,8 @@ class BusStats:
 
 class Deliveries(NamedTuple):
     """Delivered copies from one :meth:`MessageBus.advance`, in
-    ``(block, seq)`` order; ``duplicate`` marks every copy after the
-    first of its message."""
+    ``(block, seq)`` order; ``duplicate`` marks the echo that follows
+    the first copy of its message."""
 
     blocks: np.ndarray
     seqs: np.ndarray
@@ -398,40 +407,145 @@ class Expiries(NamedTuple):
     seqs: np.ndarray
 
 
-_EVT_ATTEMPT = 0
-_EVT_DELIVER = 1
-_EVT_EXPIRE = 2
+#: A pending attempt is the heap key ``block << _SEQ_BITS | seq``.
+_SEQ_BITS = 40
+_SEQ_MASK = (1 << _SEQ_BITS) - 1
+
+#: Outcome kinds, the low two bits of a ``seq << 2 | kind`` outcome tag:
+#: a message's first copy, its duplicate one block later, its expiry.
+_DELIVER = 0
+_ECHO = 1
+_EXPIRE = 2
+
+#: Raw 64-bit words a :class:`_StreamReader` pulls per refill.
+_CHUNK_WORDS = 256
+_U32 = 0xFFFF_FFFF
+_DOUBLE_SCALE = 2.0**-53
+
+
+class _StreamReader:
+    """Bulk reader of a PCG64 Generator's stream, value for value the
+    scalar calls it replaces.
+
+    Raw words come from ``bit_generator.random_raw`` in chunks of
+    :data:`_CHUNK_WORDS` and are decoded in Python exactly as numpy
+    decodes them: :meth:`random` is ``Generator.random()`` (the top 53
+    bits of one word) and :meth:`integers` is ``int(Generator.integers(0,
+    n))`` (Lemire's bounded method on 32-bit halves, rejection loop
+    included), with PCG64's buffered half-word (``has_uint32`` /
+    ``uinteger``) carried across both. :meth:`close` rewinds the
+    Generator to the snapshot taken at construction, advances it by the
+    words actually decoded and restores the half-word, so the Generator
+    ends exactly where the scalar calls would have left it; reading
+    ahead is invisible.
+    """
+
+    __slots__ = ("_bits", "_start", "_words", "_drawn", "_has_half", "_half")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._bits = rng.bit_generator
+        self._start = self._bits.state
+        self._words = iter(())
+        self._drawn = 0
+        self._has_half = self._start["has_uint32"]
+        self._half = self._start["uinteger"]
+
+    def _refill(self) -> int:
+        words = self._bits.random_raw(_CHUNK_WORDS).tolist()
+        self._drawn += _CHUNK_WORDS
+        self._words = iter(words)
+        return next(self._words)
+
+    def random(self) -> float:
+        """``Generator.random()``: a double in ``[0, 1)``."""
+        try:
+            word = next(self._words)
+        except StopIteration:
+            word = self._refill()
+        return (word >> 11) * _DOUBLE_SCALE
+
+    def _uint32(self) -> int:
+        if self._has_half:
+            self._has_half = 0
+            return self._half
+        try:
+            word = next(self._words)
+        except StopIteration:
+            word = self._refill()
+        self._has_half = 1
+        self._half = word >> 32
+        return word & _U32
+
+    def integers(self, n: int) -> int:
+        """``int(Generator.integers(0, n))`` for ``2 <= n <= 2**32``."""
+        m = self._uint32() * n
+        if m & _U32 < n:
+            threshold = (_U32 + 1 - n) % n
+            while m & _U32 < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+    def close(self) -> None:
+        """Leave the Generator where the scalar calls would have."""
+        # Words pulled, less those still unread in the current chunk.
+        used = self._drawn - length_hint(self._words)
+        bits = self._bits
+        bits.state = self._start
+        # ``advance`` clears the half-word; put the reader's back.
+        state = bits.advance(used).state
+        state["has_uint32"], state["uinteger"] = self._has_half, self._half
+        bits.state = state
 
 
 class MessageBus:
-    """Heap-ordered discrete-event loop over columnar message state.
+    """Discrete-event loop over columnar message state.
 
-    Events are ``(block, seq, event_no, kind)`` integer tuples: delivery
-    order within a block is the deterministic send order, and the
-    monotone event counter breaks residual ties, so the pop sequence —
-    and therefore the RNG consumption order — is a pure function of the
-    send sequence.
+    A pending transmission attempt is one integer on a heap, ``block <<
+    _SEQ_BITS | seq``, so attempts pop in ``(block, seq)`` order: within
+    a block they run in the deterministic send order, and the attempt
+    sequence — and therefore the RNG consumption order — is a pure
+    function of the send sequence. No tie-breaker is needed because a
+    message has at most one attempt pending (a dropped attempt schedules
+    the next, a landed one none), so no two keys share ``(block, seq)``.
+    Sequence numbers must fit :data:`_SEQ_BITS` bits; :meth:`send_many`
+    refuses the send that would overflow them.
+
+    Outcomes draw nothing and no attempt reads them, so they stay off
+    the heap: an attempt files its delivery (and the duplicate, one
+    block later) or its expiry as a ``seq << 2 | kind`` tag in the
+    bucket of the outcome's block, and :meth:`advance` emits the due
+    buckets in ``(block, seq)`` order once its attempts have run. A
+    bucket holds at most one tag per message, and a duplicate always
+    follows its message's one first copy, so the duplicate flag is the
+    tag's kind and no copy counter is kept.
 
     Message ``seq`` is row ``seq - base`` of every column: numpy arrays
     for what is read in bulk (class, endpoints, issue block, resolved
-    flag, caller payload), Python lists for the per-event scalars of the
-    sequential attempt loop. Rows older than the oldest message still on
-    the heap have resolved and are dropped when the rows run out, so
-    storage tracks the messages in flight, not the messages sent.
+    flag, caller payload), Python lists for the per-attempt scalars of
+    the sequential attempt loop. Rows older than the oldest message
+    with a pending event have resolved and are dropped when the rows run
+    out, so storage tracks the messages in flight, not the messages
+    sent.
 
     Under the ideal model :meth:`send_many` is a counter bump: no rows,
-    no heap entries, no RNG draws, nothing for :meth:`advance` to do.
+    no events, no RNG draws, nothing for :meth:`advance` to do.
     """
 
     def __init__(self, model: NetworkModel) -> None:
+        if model.spec.jitter_blocks > _U32:
+            # The jitter draw is ``integers(0, jitter + 1)`` on 32-bit halves.
+            raise ConfigurationError(
+                f"jitter_blocks must be < 2**32, got {model.spec.jitter_blocks}"
+            )
         self.model = model
         self.stats = BusStats()
         #: Highest block this bus has been advanced to.
         self.clock = 0
-        self._heap: List[Tuple[int, int, int, int]] = []
+        self._heap: List[int] = []
+        #: Outcome block -> ``seq << 2 | kind`` tags due then.
+        self._outcomes: DefaultDict[int, List[int]] = defaultdict(list)
         self._next_seq = 0
         self._base = 0
-        self._event_no = 0
         self._max_deadline = 0
         self._retries = [model.spec.retry_for(cls) for cls in MESSAGE_CLASSES]
         self._faults = model.spec.outages + model.spec.partitions
@@ -447,11 +561,12 @@ class MessageBus:
         }
         #: Attempt-loop rows: deadline, fixed delay (relay + extra
         #: latency + serialization), (max_attempts, backoff_blocks),
-        #: attempts so far, delivered copies.
-        self._rows: Tuple[List, ...] = ([], [], [], [], [])
+        #: attempts so far.
+        self._rows: Tuple[List, ...] = ([], [], [], [])
 
     def __len__(self) -> int:
-        return len(self._heap)
+        """Pending events: attempts and outcomes."""
+        return len(self._heap) + sum(map(len, self._outcomes.values()))
 
     @property
     def horizon(self) -> int:
@@ -474,18 +589,26 @@ class MessageBus:
         ``src`` is an array or one shard for every row. Each ``payload``
         array becomes a same-named column, read back with
         :meth:`gather`. Rows take consecutive sequence numbers, so a
-        batch draws exactly as the same sends one at a time.
+        batch draws exactly as the same sends one at a time. The class
+        and delay are checked on every model, the ideal one included,
+        before anything is counted.
         """
-        count = len(dst)
-        self.stats.sent += count
-        if self.model.is_ideal:
-            # Null model: instant, reliable, unobserved by the heap.
-            self.stats.delivered += count
-            return
         if message_class not in MESSAGE_CLASSES:
             raise ConfigurationError(f"unknown message class {message_class!r}")
         if base_delay < 0:
             raise ConfigurationError(f"base_delay must be >= 0, got {base_delay}")
+        count = len(dst)
+        if self.model.is_ideal:
+            # Null model: instant, reliable, unobserved by the heap.
+            self.stats.sent += count
+            self.stats.delivered += count
+            return
+        first = self._next_seq
+        if first + count > 1 << _SEQ_BITS:
+            raise ConfigurationError(
+                f"bus sequence numbers are limited to {_SEQ_BITS} bits"
+            )
+        self.stats.sent += count
         spec = self.model.spec
         block = int(block)
         code = MESSAGE_CLASSES.index(message_class)
@@ -495,7 +618,6 @@ class MessageBus:
         if spec.bandwidth_bytes_per_block:
             delay += int(float(size_bytes) // spec.bandwidth_bytes_per_block)
         self._reserve(count)
-        first = self._next_seq
         rows = slice(first - self._base, first - self._base + count)
         columns = self._columns
         for name, values in (
@@ -506,12 +628,12 @@ class MessageBus:
                 columns[name] = np.zeros(len(columns["class"]), np.asarray(values).dtype)
             columns[name][rows] = values
         retry = (policy.max_attempts, policy.backoff_blocks)
-        for column, value in zip(self._rows, (deadline, delay, retry, 0, 0)):
+        for column, value in zip(self._rows, (deadline, delay, retry, 0)):
             column.extend([value] * count)
         self._max_deadline = max(self._max_deadline, deadline)
+        at, heap, push = block << _SEQ_BITS, self._heap, heapq.heappush
         for seq in range(first, first + count):
-            self._event_no += 1
-            heapq.heappush(self._heap, (block, seq, self._event_no, _EVT_ATTEMPT))
+            push(heap, at | seq)
         self._next_seq = first + count
 
     def gather(self, name: str, seqs: np.ndarray) -> np.ndarray:
@@ -532,51 +654,49 @@ class MessageBus:
     def advance(self, block: int) -> Tuple[Deliveries, Expiries]:
         """Process every event scheduled at or before ``block``.
 
-        Attempts run one at a time in ``(block, seq, event_no)`` order,
-        each drawing from the model's Generator: a drop test (skipped
-        while the link is down), the jitter, the reorder test, and —
-        for a copy that lands by the deadline — the duplicate test.
+        Attempts run one at a time in ``(block, seq)`` order, each
+        drawing from the model's Generator: a drop test (skipped while
+        the link is down), the jitter, the reorder test, and — for a
+        copy that lands by the deadline — the duplicate test. The draws
+        go through a :class:`_StreamReader`, which reads the Generator's
+        stream in bulk and leaves it exactly where these scalar calls
+        would have. The outcomes due by ``block`` then come out as
+        arrays.
         """
         block = int(block)
         self.clock = max(self.clock, block)
+        limit = (block + 1) << _SEQ_BITS
+        if self._heap and self._heap[0] < limit:
+            self._run_attempts(limit)
+        return self._emit_outcomes(block)
+
+    # -- internals ----------------------------------------------------
+
+    def _run_attempts(self, limit: int) -> None:
+        """Run every attempt whose heap key is below ``limit``."""
         spec = self.model.spec
-        random, integers = self.model._rng.random, self.model._rng.integers
+        stream = _StreamReader(self.model._rng)
+        random, integers = stream.random, stream.integers
         drop_p, duplicate_p, reorder_p = (
             spec.drop_prob, spec.duplicate_prob, spec.reorder_prob
         )
         jitter_stop = spec.jitter_blocks + 1 if spec.jitter_blocks else 0
         faults, fault_block, cutting = self._faults, None, []
-        deadlines, delays, retries, attempts, copies = self._rows
-        resolved, srcs, dsts = (
-            self._columns[name] for name in ("resolved", "src", "dst")
-        )
+        deadlines, delays, retries, attempts = self._rows
+        srcs, dsts = self._columns["src"], self._columns["dst"]
         heap, pop, push = self._heap, heapq.heappop, heapq.heappush
-        base, event_no = self._base, self._event_no
+        outcomes, base = self._outcomes, self._base
         dropped = retransmissions = 0
-        #: (block, seq, copies delivered before this one) per copy.
-        delivered: List[Tuple[int, int, int]] = []
-        expired: List[Tuple[int, int]] = []
-        while heap and heap[0][0] <= block:
-            at, seq, _, kind = pop(heap)
+        while heap and heap[0] < limit:
+            key = pop(heap)
+            at, seq = key >> _SEQ_BITS, key & _SEQ_MASK
             row = seq - base
-            if kind == _EVT_DELIVER:
-                n = copies[row]
-                copies[row] = n + 1
-                if not n:
-                    resolved[row] = True
-                delivered.append((at, seq, n))
-                continue
-            if kind == _EVT_EXPIRE:
-                resolved[row] = True
-                expired.append((at, seq))
-                continue
             n = attempts[row] + 1
             attempts[row] = n
             deadline = deadlines[row]
             if faults and at != fault_block:
                 fault_block = at
                 cutting = [f for f in faults if f.active(at)]
-            event_no += 1
             if (
                 cutting and any(f.cuts(srcs[row], dsts[row]) for f in cutting)
             ) or (drop_p > 0.0 and random() < drop_p):
@@ -585,52 +705,63 @@ class MessageBus:
                 retry_at = at + (backoff << (n - 1))
                 if n < max_attempts and retry_at <= deadline:
                     retransmissions += 1
-                    push(heap, (retry_at, seq, event_no, _EVT_ATTEMPT))
+                    push(heap, retry_at << _SEQ_BITS | seq)
                 else:
                     # Out of attempts (or the backoff overshoots): the
                     # timeout fires at the protocol deadline.
-                    push(heap, (deadline, seq, event_no, _EVT_EXPIRE))
+                    outcomes[deadline].append(seq << 2 | _EXPIRE)
                 continue
             deliver_at = at + delays[row]
             if jitter_stop:
-                deliver_at += int(integers(0, jitter_stop))
+                deliver_at += integers(jitter_stop)
             if reorder_p > 0.0 and random() < reorder_p:
                 deliver_at += spec.reorder_jitter_blocks
             if deliver_at > deadline:
                 # Arrived too late to matter: the sender already timed
                 # out, so the copy is discarded in flight.
-                push(heap, (deadline, seq, event_no, _EVT_EXPIRE))
+                outcomes[deadline].append(seq << 2 | _EXPIRE)
                 continue
-            push(heap, (deliver_at, seq, event_no, _EVT_DELIVER))
+            outcomes[deliver_at].append(seq << 2 | _DELIVER)
             if duplicate_p > 0.0 and random() < duplicate_p and deliver_at < deadline:
-                event_no += 1
-                push(heap, (deliver_at + 1, seq, event_no, _EVT_DELIVER))
-        self._event_no = event_no
-        copies_before = np.array(delivered, dtype=np.int64).reshape(-1, 3)
-        expiries = np.array(expired, dtype=np.int64).reshape(-1, 2)
-        stats = self.stats
-        stats.delivered += len(copies_before)
-        stats.dropped += dropped
-        stats.retransmissions += retransmissions
-        stats.duplicates += int(np.count_nonzero(copies_before[:, 2]))
-        stats.expired += len(expiries)
-        return (
-            Deliveries(
-                copies_before[:, 0], copies_before[:, 1], copies_before[:, 2] > 0
-            ),
-            Expiries(expiries[:, 0], expiries[:, 1]),
-        )
+                outcomes[deliver_at + 1].append(seq << 2 | _ECHO)
+        stream.close()
+        self.stats.dropped += dropped
+        self.stats.retransmissions += retransmissions
 
-    # -- internals ----------------------------------------------------
+    def _emit_outcomes(self, block: int) -> Tuple[Deliveries, Expiries]:
+        """Pop the outcome buckets due by ``block`` as arrays."""
+        outcomes = self._outcomes
+        due = sorted(at for at in outcomes if at <= block)
+        buckets = [sorted(outcomes.pop(at)) for at in due]
+        blocks = np.repeat(np.array(due, dtype=np.int64), [len(b) for b in buckets])
+        tags = np.array(list(chain.from_iterable(buckets)), dtype=np.int64)
+        seqs, kinds = tags >> 2, tags & 3
+        self._columns["resolved"][seqs[kinds != _ECHO] - self._base] = True
+        landed = kinds != _EXPIRE
+        echo = kinds[landed] == _ECHO
+        stats = self.stats
+        stats.delivered += len(echo)
+        stats.duplicates += int(np.count_nonzero(echo))
+        stats.expired += len(tags) - len(echo)
+        return (
+            Deliveries(blocks[landed], seqs[landed], echo),
+            Expiries(blocks[~landed], seqs[~landed]),
+        )
 
     def _reserve(self, count: int) -> None:
         """Make room for ``count`` rows, dropping resolved ones first."""
         capacity = len(self._columns["class"])
         if self._next_seq + count - self._base <= capacity:
             return
-        # A message with no event on the heap has resolved, so every
-        # row older than the oldest heap entry can go.
-        base = min((entry[1] for entry in self._heap), default=self._next_seq)
+        # A message with no pending event has resolved, so every row
+        # older than the oldest pending message can go.
+        base = min(
+            chain(
+                (key & _SEQ_MASK for key in self._heap),
+                (tag >> 2 for tags in self._outcomes.values() for tag in tags),
+            ),
+            default=self._next_seq,
+        )
         shift = base - self._base
         live = self._next_seq - base
         # Keep at least half the rows free so drops stay amortised O(1).
@@ -658,8 +789,8 @@ class ReceiptTransport:
     counts redelivered copies as deduplicated, and returns
     ``(tx_id, sender, amount)`` refund rows for expired receipts. A
     receipt's tx id comes from the executor's monotone counter, so each
-    message carries a distinct receipt and the bus's copy counter is an
-    exact dedup key.
+    message carries a distinct receipt and the bus's duplicate flag is
+    an exact dedup key.
     Undelivered value is an exact ``fsum`` over the bus's unresolved
     receipt amounts (no incremental float drift), so
     ``ledger total + pending_value`` keeps conservation checks tight at

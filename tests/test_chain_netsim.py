@@ -12,14 +12,17 @@ Four properties carry the design:
 * **oracle equivalence** — the columnar bus and transport reproduce the
   object-heap reference (``tests/netsim_reference.py``) event for
   event, ledger row for ledger row, down to the Generator state; pinned
-  stream digests keep that guarantee without the oracle.
+  stream digests keep that guarantee without the oracle. The bulk
+  stream reader the bus draws through is checked on its own against
+  scalar Generator calls.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netsim_reference import DeliveryExpired, ReferenceBus, ReferenceTransport
@@ -39,6 +42,9 @@ from repro.chain.netsim import (
     Partition,
     ReceiptTransport,
     RetryPolicy,
+    _CHUNK_WORDS,
+    _SEQ_BITS,
+    _StreamReader,
     network_spec,
 )
 from repro.chain.receipts import COLUMNS, ReceiptLedger
@@ -283,6 +289,80 @@ class TestColumnarBus:
         with pytest.raises(ConfigurationError, match="base_delay"):
             bus.send_many(MSG_RECEIPT, 0, [1], block=0, base_delay=-1)
 
+    @pytest.mark.parametrize("spec", NETWORK_SPEC_NAMES)
+    def test_rejected_sends_count_nothing(self, spec):
+        # Validation comes before any counter moves, on every model:
+        # the ideal one validates too.
+        bus = MessageBus(NetworkModel(spec, seed=0))
+        with pytest.raises(ConfigurationError, match="message class"):
+            bus.send_many("bogus", 0, [1, 2], block=0)
+        with pytest.raises(ConfigurationError, match="base_delay"):
+            bus.send_many(MSG_RECEIPT, 0, [1, 2], block=0, base_delay=-5)
+        assert bus.stats.snapshot() == (0,) * 6
+        assert len(bus) == 0
+        assert len(bus.unresolved(MSG_RECEIPT)) == 0
+
+    def test_sequence_numbers_are_bounded_by_the_key_width(self):
+        bus = MessageBus(NetworkModel("lossy", seed=0))
+        bus._next_seq = bus._base = (1 << _SEQ_BITS) - 1
+        with pytest.raises(ConfigurationError, match="sequence numbers"):
+            bus.send_many(MSG_RECEIPT, 0, [1, 2], block=0)
+        assert bus.stats.sent == 0 and len(bus) == 0
+        bus.send_many(MSG_RECEIPT, 0, [1], block=0)  # the last one fits
+        assert len(bus) == 1
+
+    def test_jitter_must_fit_a_32_bit_bound(self):
+        spec = NetworkSpec(name="wide", jitter_blocks=2**32)
+        with pytest.raises(ConfigurationError, match="jitter_blocks"):
+            MessageBus(NetworkModel(spec, seed=0))
+
+
+# -- bulk stream reader --------------------------------------------------
+
+#: One draw: ``None`` is ``random()``, an int ``n`` is ``integers(0, n)``.
+#: ``2**31 + 1`` and ``3 * 2**30`` reject about half and a quarter of
+#: their 32-bit draws; ``2**32`` takes a half-word as it is.
+_DRAW = st.none() | st.sampled_from([2, 5, 7, 2**31 + 1, 3 * 2**30, 2**32])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    buffered_half=st.booleans(),
+    rounds=st.lists(
+        st.tuples(st.lists(_DRAW, min_size=1, max_size=12), st.integers(1, 80)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+# 1,200 draws: several refill chunks inside one reader.
+@example(seed=0, buffered_half=True, rounds=[([None, 3 * 2**30, 2**31 + 1], 400)])
+def test_stream_reader_matches_scalar_generator_calls(seed, buffered_half, rounds):
+    scalar, bulk = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered_half:
+        # An odd number of 32-bit draws leaves PCG64's half-word buffered.
+        for rng in (scalar, bulk):
+            rng.integers(0, 5)
+        assert bulk.bit_generator.state["has_uint32"] == 1
+    for ops, repeat in rounds:
+        reader = _StreamReader(bulk)
+        for n in ops * repeat:
+            if n is None:
+                assert reader.random() == scalar.random()
+            else:
+                assert reader.integers(n) == int(scalar.integers(0, n))
+        reader.close()
+        # State, increment, has_uint32 and uinteger, all of it.
+        assert bulk.bit_generator.state == scalar.bit_generator.state
+
+
+def test_an_unused_reader_leaves_the_generator_alone():
+    rng = np.random.default_rng(5)
+    rng.integers(0, 5)
+    before = rng.bit_generator.state
+    _StreamReader(rng).close()
+    assert rng.bit_generator.state == before
+
 
 # -- oracle equivalence --------------------------------------------------
 
@@ -386,6 +466,74 @@ def test_bus_matches_the_object_heap_oracle(spec, seed, steps):
     assert (
         bus.model._rng.bit_generator.state == oracle.model._rng.bit_generator.state
     )
+
+
+#: Sends in one block: enough attempts to cross a refill boundary of the
+#: stream reader inside one :meth:`MessageBus.advance`.
+_BURST = 3_000
+
+
+def _burst_matches_the_oracle(spec, seed, block, monkeypatch):
+    """Send :data:`_BURST` mixed-class messages at ``block``, advance to
+    ``block`` and then to the horizon, comparing outcomes, stats and the
+    Generator state with :class:`ReferenceBus` after every advance.
+    Returns the most raw words one reader pulled."""
+    pulled = []
+    close = _StreamReader.close
+
+    def spying_close(reader):
+        pulled.append(reader._drawn)
+        close(reader)
+
+    monkeypatch.setattr(_StreamReader, "close", spying_close)
+    bus = MessageBus(NetworkModel(spec, seed=seed))
+    oracle = ReferenceBus(NetworkModel(spec, seed=seed))
+    rows = np.arange(_BURST)
+    classes = np.array(MESSAGE_CLASSES)[rows % 7 % 3]
+    for cls in MESSAGE_CLASSES:
+        mine = rows[classes == cls]
+        src = np.full(len(mine), BEACON_SHARD) if cls == MSG_BEACON_ANNOUNCE else mine % 4
+        dst = (mine * 5 + 1) % 4
+        bus.send_many(cls, src, dst, block, base_delay=1, size_bytes=100.0)
+        for s, d in zip(src.tolist(), dst.tolist()):
+            oracle.send(cls, s, d, block, 1, 100.0)
+    for target in (block, max(bus.horizon, oracle.horizon)):
+        deliveries, expiries = bus.advance(target)
+        expected, expected_expiries = oracle.advance(target)
+        assert list(
+            zip(
+                deliveries.blocks.tolist(),
+                deliveries.seqs.tolist(),
+                deliveries.duplicate.tolist(),
+            )
+        ) == [(d.block, d.seq, d.duplicate) for d in expected]
+        assert list(zip(expiries.blocks.tolist(), expiries.seqs.tolist())) == [
+            (e.deadline_block, e.seq) for e in expected_expiries
+        ]
+        assert bus.stats.snapshot() == oracle.stats.snapshot()
+        assert (
+            bus.model._rng.bit_generator.state
+            == oracle.model._rng.bit_generator.state
+        )
+    assert len(bus) == len(oracle) == 0
+    return max(pulled, default=0)
+
+
+def test_lossy_burst_matches_the_oracle(monkeypatch):
+    # Block 10 is outside lossy's outage and partition windows, so every
+    # first attempt makes its drop test.
+    pulled = _burst_matches_the_oracle(network_spec("lossy"), 7, 10, monkeypatch)
+    assert pulled > _CHUNK_WORDS
+
+
+@settings(max_examples=10, deadline=None)
+@given(spec=_random_spec(), seed=st.integers(0, 2**16), block=st.integers(0, 30))
+def test_random_spec_burst_matches_the_oracle(spec, seed, block):
+    # A positive drop probability makes every attempt on an uncut link
+    # draw, so a burst reads several chunks.
+    spec = dataclasses.replace(spec, drop_prob=0.3)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _burst_matches_the_oracle(spec, seed, block, monkeypatch)
 
 
 def _ledger_rows(ledger):
