@@ -57,46 +57,76 @@ def _move_gain(
     return colocation - balance_penalty
 
 
-def _commit_move(
-    u: int,
+def _recheck_movers(
+    movers: np.ndarray,
     assignment: np.ndarray,
     loads: np.ndarray,
     degrees: np.ndarray,
+    indptr: np.ndarray,
     edge_v: np.ndarray,
     edge_w: np.ndarray,
-    indptr: np.ndarray,
-    k: int,
-    eta: float,
-    average_load: float,
+    coef: float,
+    avg_denom: float,
     load_cap: float,
-) -> bool:
-    """Re-evaluate account ``u`` under the *current* state and move it.
+) -> int:
+    """Re-check each mover, in order, under the live state and move it.
 
-    The synchronous candidate scan uses round-start loads; this commit
-    step recomputes ``u``'s connection row and the balance penalty
-    against the live assignment/loads, so every applied move is a true
-    improvement at application time (no oscillation from stale scores).
-    Returns True when ``u`` moved.
+    The synchronous candidate scan uses round-start loads and rows; this
+    step recomputes the mover's connection row from its own CSR slice
+    against the live assignment and scores every shard against the live
+    loads, so every applied move is a true improvement at application
+    time (no oscillation from stale scores). The rows of all movers are
+    gathered up front into one pair of Python lists; each row is summed
+    over them in edge order from 0.0. The move goes to the first
+    strictly best feasible shard (the current one is always feasible)
+    when it beats the current shard by more than ``1e-12``. The loop
+    runs on Python mirrors of ``assignment`` and ``loads``; both arrays
+    are updated in place. Returns the number of movers that moved.
     """
-    start, stop = indptr[u], indptr[u + 1]
-    connection = np.bincount(
-        assignment[edge_v[start:stop]],
-        weights=edge_w[start:stop],
-        minlength=k,
+    k = len(loads)
+    starts = indptr[movers]
+    lengths = indptr[movers + 1] - starts
+    # Edge positions of the movers' rows, back to back in mover order.
+    gather = np.arange(int(lengths.sum())) + np.repeat(
+        starts - (np.cumsum(lengths) - lengths), lengths
     )
-    degree = float(degrees[u])
-    scores = _move_gain(connection, loads, degree, eta, average_load)
-    current = int(assignment[u])
-    feasible = loads + degree <= load_cap
-    feasible[current] = True
-    masked = np.where(feasible, scores, -np.inf)
-    best = int(np.argmax(masked))
-    if best == current or not masked[best] > scores[current] + 1e-12:
-        return False
-    assignment[u] = best
-    loads[current] -= degree
-    loads[best] += degree
-    return True
+    row_v = edge_v[gather].tolist()
+    row_w = edge_w[gather].tolist()
+    assignment_l = assignment.tolist()
+    loads_l = loads.tolist()
+    pos = 0
+    neg_inf = -np.inf
+    moved = 0
+    for u, degree, length in zip(
+        movers.tolist(), degrees[movers].tolist(), lengths.tolist()
+    ):
+        end = pos + length
+        conn = [0.0] * k
+        for v, w in zip(row_v[pos:end], row_w[pos:end]):
+            conn[assignment_l[v]] += w
+        pos = end
+        current = assignment_l[u]
+        best_p = 0
+        best_val = neg_inf
+        for p, c in enumerate(conn):
+            if p != current and loads_l[p] + degree > load_cap:
+                continue
+            val = coef * c - degree * (loads_l[p] / avg_denom)
+            if val > best_val:
+                best_val = val
+                best_p = p
+        cur_score = coef * conn[current] - degree * (
+            loads_l[current] / avg_denom
+        )
+        if best_p == current or not best_val > cur_score + 1e-12:
+            continue
+        assignment_l[u] = best_p
+        assignment[u] = best_p
+        loads_l[current] -= degree
+        loads_l[best_p] += degree
+        moved += 1
+    loads[:] = loads_l
+    return moved
 
 
 def g_txallo(
@@ -113,6 +143,11 @@ def g_txallo(
     accounts without edges keep their ``initial`` value (or shard
     ``account_id mod k`` when no initial assignment is given, a
     deterministic stand-in for hash placement).
+
+    Each round scans the accounts that have edges against the
+    round-start state, then re-checks the candidate movers one by one
+    from their own CSR rows (:func:`_recheck_movers`). No connection
+    matrix is kept between the scan and the commits, or between rounds.
     """
     if k < 1:
         raise AllocationError(f"k must be >= 1, got {k}")
@@ -127,56 +162,45 @@ def g_txallo(
     else:
         assignment = np.arange(n, dtype=np.int64) % k
 
-    vertices = np.asarray(graph.vertices(), dtype=np.int64)
-    if len(vertices) == 0:
+    degrees = graph.vertex_weights()
+    # The accounts with edges (``graph.vertices()``); every other
+    # account keeps its shard and carries no load.
+    vertices = np.flatnonzero(degrees > 0)
+    n_rows = len(vertices)
+    if n_rows == 0:
         return assignment
     edge_u, edge_v, edge_w = graph.to_arrays()
     indptr = graph.csr_indptr(edge_u)
-    degrees = graph.vertex_weights()
+    row_degrees = degrees[vertices]
 
     loads = np.bincount(
-        assignment[vertices], weights=degrees[vertices], minlength=k
+        assignment[vertices], weights=row_degrees, minlength=k
     ).astype(np.float64)
     average_load = float(loads.sum()) / k
     load_cap = balance_factor * average_load
 
-    # Deterministic visit order: heaviest accounts first, ties by id.
-    order = vertices[np.lexsort((vertices, -degrees[vertices]))]
-    rows = np.arange(n)
-    # Hoisted per-call state for the scan (edge-key base) and the commit
-    # loop (scalar mirrors; the live re-check reuses the scan's cached
-    # connection rows unless a neighbour moved after the scan).
-    edge_keys = edge_u * k
+    # Deterministic visit order: heaviest accounts first, ties by id
+    # (as positions in ``vertices``, which is sorted by id).
+    order = np.lexsort((vertices, -row_degrees))
+    rows = np.arange(n_rows)
+    # Scan key base: each directed edge's local row (its source's
+    # position in ``vertices``; the stream is sorted by source) times k.
+    edge_keys = np.repeat(rows * k, np.diff(indptr)[vertices])
+    degree_column = row_degrees[:, np.newaxis]
+    max_degree = float(row_degrees.max())
     coef = 2.0 * eta - 1.0
     avg_denom = max(average_load, 1e-12)
-    max_degree = degrees.max() if len(degrees) else 0.0
-    degrees_l = degrees.tolist()
-    assignment_l = assignment.tolist()
-    neg_inf = -np.inf
-    # Integer-valued edge weights make float adds exact, so the
-    # connection matrix is maintained incrementally across commits and
-    # rounds (bit-identical to a fresh scatter); fractional weights
-    # rebuild per round with dirty-row tracking.
-    integral = bool((np.rint(edge_w) == edge_w).all())
-    connection = None
-    connection_flat = None
-    edge_v_k = edge_v * k if integral else None
-    indptr_l = indptr.tolist()
 
     for _ in range(max_rounds):
-        # Synchronous candidate scan: one scatter builds every account's
-        # connection-to-shard row, one matrix op scores all k
-        # destinations (vectorising the former per-account
-        # ``_shard_connections`` dict walk).
-        if connection is None:
-            connection_flat = np.bincount(
-                edge_keys + assignment[edge_v], weights=edge_w, minlength=n * k
-            )
-            connection = connection_flat.reshape(n, k)
-        scores = _move_gain(
-            connection, loads, degrees[:, np.newaxis], eta, average_load
-        )
-        current_scores = scores[rows, assignment]
+        # Synchronous candidate scan: one fresh scatter builds each
+        # account's connection-to-shard row, one matrix op scores all k
+        # destinations.
+        row_assignment = assignment[vertices]
+        connection = np.bincount(
+            edge_keys + assignment[edge_v], weights=edge_w, minlength=n_rows * k
+        ).reshape(n_rows, k)
+        scores = _move_gain(connection, loads, degree_column, eta, average_load)
+        current_scores = scores[rows, row_assignment]
         if loads.max() + max_degree <= load_cap:
             # Even the heaviest account fits everywhere: the dense
             # feasibility mask is all-True, and re-writing the current
@@ -184,68 +208,18 @@ def g_txallo(
             # score matrix directly.
             masked = scores
         else:
-            feasible = loads[np.newaxis, :] + degrees[:, np.newaxis] <= load_cap
+            feasible = loads[np.newaxis, :] + degree_column <= load_cap
             masked = np.where(feasible, scores, -np.inf)
-            masked[rows, assignment] = current_scores
+            masked[rows, row_assignment] = current_scores
         best = np.argmax(masked, axis=1)
-        wants_move = (
-            (best != assignment)
-            & (masked[rows, best] > current_scores + 1e-12)
-            & (degrees > 0)
+        wants_move = (best != row_assignment) & (
+            masked[rows, best] > current_scores + 1e-12
         )
-        movers = order[wants_move[order]]
-        moved = 0
-        dirty = None if integral else np.zeros(n, dtype=bool)
-        loads_l = loads.tolist()
-        for u in movers.tolist():
-            # Exact re-check under the live assignment/loads keeps the
-            # greedy deterministic and monotone despite the synchronous
-            # candidate scan; it is branch-for-branch the masked argmax
-            # of :func:`_commit_move` on plain scalars.
-            start, stop = indptr_l[u], indptr_l[u + 1]
-            if dirty is not None and dirty[u]:
-                conn = np.bincount(
-                    assignment[edge_v[start:stop]],
-                    weights=edge_w[start:stop],
-                    minlength=k,
-                ).tolist()
-            else:
-                conn = connection[u].tolist()
-            degree = degrees_l[u]
-            current = assignment_l[u]
-            best_p = 0
-            best_val = neg_inf
-            for p, c in enumerate(conn):
-                if p != current and loads_l[p] + degree > load_cap:
-                    continue
-                val = coef * c - degree * (loads_l[p] / avg_denom)
-                if val > best_val:
-                    best_val = val
-                    best_p = p
-            cur_score = coef * conn[current] - degree * (
-                loads_l[current] / avg_denom
-            )
-            if best_p == current or not best_val > cur_score + 1e-12:
-                continue
-            assignment_l[u] = best_p
-            assignment[u] = best_p
-            loads_l[current] -= degree
-            loads_l[best_p] += degree
-            if dirty is None:
-                # Neighbour ids are unique within a row of the directed
-                # stream, so fancy-index arithmetic on the flat view is
-                # a safe scatter.
-                w_row = edge_w[start:stop]
-                flat_idx = edge_v_k[start:stop] + current
-                connection_flat[flat_idx] -= w_row
-                flat_idx += best_p - current
-                connection_flat[flat_idx] += w_row
-            else:
-                dirty[edge_v[start:stop]] = True
-            moved += 1
-        loads = np.asarray(loads_l, dtype=np.float64)
-        if dirty is not None:
-            connection = None
+        movers = vertices[order[wants_move[order]]]
+        moved = _recheck_movers(
+            movers, assignment, loads, degrees, indptr, edge_v, edge_w,
+            coef, avg_denom, load_cap,
+        )
         if moved == 0:
             break
     return assignment
@@ -263,7 +237,9 @@ def a_txallo(
 
     Returns ``(new_assignment, moved_count)``. ``graph`` should contain
     at least the recent-window interactions; A-TxAllo's whole point is
-    that it does not need the full ledger.
+    that it does not need the full ledger. The pass re-checks the
+    active accounts that have edges, heaviest first (ties by id),
+    through the same commit rule as G-TxAllo (:func:`_recheck_movers`).
     """
     assignment = np.asarray(assignment, dtype=np.int64).copy()
     active = sorted(
@@ -283,13 +259,11 @@ def a_txallo(
     average_load = float(loads.sum()) / k
     load_cap = balance_factor * max(average_load, 1e-12)
 
-    moved = 0
-    for account in active:
-        if _commit_move(
-            account, assignment, loads, degrees, edge_v, edge_w, indptr,
-            k, eta, average_load, load_cap,
-        ):
-            moved += 1
+    moved = _recheck_movers(
+        np.array(active, dtype=np.int64), assignment, loads, degrees,
+        indptr, edge_v, edge_w, 2.0 * eta - 1.0, max(average_load, 1e-12),
+        load_cap,
+    )
     return assignment, moved
 
 

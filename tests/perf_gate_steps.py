@@ -6,6 +6,8 @@ import them (with ``tests/`` on its ``PYTHONPATH``) without pytest:
 * :func:`smoke_seconds` — median wall time of the CI smoke grid;
 * :func:`refine_seconds` — one full Metis partition of the benchmark
   account graph;
+* :func:`txallo_seconds` — one G-TxAllo over a ``pilot-metrics``-sized
+  history (the phi_0 Mosaic's clients start from);
 * :func:`memory_run` — a windowed or materialised metrics run over a
   valued CSV extract (:func:`valued_extract`), whose peak RSS growth
   the memory gate reads in a fresh child.
@@ -66,6 +68,43 @@ def refine_seconds() -> float:
     for _ in range(3):
         started = time.perf_counter()
         partition_graph(graph, 16, seed=42)
+        timings.append(time.perf_counter() - started)
+    return median(timings)
+
+
+def txallo_seconds() -> float:
+    """Median wall seconds of 3 G-TxAllo runs (k = 16, eta = 2) over the
+    history of the end-to-end ``pilot-metrics`` workload.
+
+    The history is the first 300 epochs of tau = 10 blocks of the seed-0
+    trace of 50,000 accounts (110,000 transactions over 5,500 blocks):
+    24,782 accounts with edges. The graph is built and allocated once
+    untimed before the timed calls.
+    """
+    from repro.allocation.graph import TransactionGraph
+    from repro.allocation.txallo import g_txallo
+    from repro.data.ethereum import (
+        EthereumTraceConfig,
+        generate_ethereum_like_trace,
+    )
+
+    config = EthereumTraceConfig(
+        n_accounts=50_000,
+        n_transactions=110_000,
+        n_blocks=5_500,
+        hub_fraction=0.002,
+        hub_transaction_share=0.25,
+        seed=0,
+    )
+    history, _ = generate_ethereum_like_trace(config).split_epochs(10, 300)
+    graph = TransactionGraph.from_batch(
+        history.batch, n_accounts=history.n_accounts
+    )
+    g_txallo(graph, 16, 2.0)
+    timings = []
+    for _ in range(3):
+        started = time.perf_counter()
+        g_txallo(graph, 16, 2.0)
         timings.append(time.perf_counter() - started)
     return median(timings)
 

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.allocation.base import UpdateContext
 from repro.allocation.graph import TransactionGraph
 from repro.allocation.txallo import TxAlloAllocator, a_txallo, g_txallo
-from repro.chain.mapping import ShardMapping
 from repro.errors import AllocationError
+from txallo_reference import a_txallo_reference, g_txallo_reference
 
 
 def community_graph(n_communities=4, size=10, seed=0):
@@ -159,3 +161,83 @@ class TestTxAlloAllocator:
         update_a = adaptive.update(mapping_a, context)
         update_g = full.update(mapping_g, context)
         assert update_a.input_bytes < update_g.input_bytes
+
+
+@st.composite
+def txallo_cases(draw):
+    """A graph with isolated accounts past its last edge, integral or
+    fractional weights, plus k, eta, a balance factor (1.0 and 1.02
+    keep the feasibility mask busy), an optional initial assignment and
+    an active set with out-of-graph ids."""
+    n_edged = draw(st.integers(2, 40))
+    n_accounts = n_edged + draw(st.integers(0, 3))
+    fractional = draw(st.booleans())
+    weight = (
+        st.sampled_from([0.1, 0.3, 0.7, 1.3, 2.5])
+        if fractional
+        else st.integers(1, 3).map(float)
+    )
+    ids = st.integers(0, n_edged - 1)
+    graph = TransactionGraph(n_accounts)
+    edges = draw(st.lists(st.tuples(ids, ids, weight), max_size=4 * n_edged))
+    for u, v, w in edges:
+        if u != v:
+            graph.add_edge(u, v, w)
+    k = draw(st.integers(1, 16))
+    initial = draw(
+        st.none()
+        | st.lists(
+            st.integers(0, k - 1), min_size=n_accounts, max_size=n_accounts
+        )
+    )
+    return dict(
+        graph=graph,
+        k=k,
+        eta=draw(st.sampled_from([0.75, 1.0, 2.0, 5.0])),
+        balance_factor=draw(st.sampled_from([1.0, 1.02, 1.15, 2.0])),
+        initial=None if initial is None else np.array(initial, dtype=np.int64),
+        active=draw(st.lists(st.integers(-2, n_accounts + 2), max_size=30)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=txallo_cases())
+def test_kernels_match_the_scan_and_commit_reference(case):
+    """Both TxAllo variants equal the dense-scan, ``bincount``-commit
+    reference byte for byte (integral and fractional weights alike)."""
+    graph, k, eta, factor = (
+        case["graph"], case["k"], case["eta"], case["balance_factor"]
+    )
+    got = g_txallo(graph, k, eta, factor, initial=case["initial"])
+    want = g_txallo_reference(graph, k, eta, factor, initial=case["initial"])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    start = case["initial"]
+    if start is None:
+        start = np.arange(graph.n_accounts) % k
+    got_a, moved = a_txallo(graph, start, case["active"], k, eta, factor)
+    want_a, want_moved = a_txallo_reference(
+        graph, start, case["active"], k, eta, factor
+    )
+    assert got_a.tobytes() == want_a.tobytes() and moved == want_moved
+
+
+def test_rows_add_in_edge_order():
+    """Account 0's neighbours on shard 2 weigh 0.3, 0.1, 0.1, 0.1 in edge
+    order: summed that way they make exactly 0.6 and tie shard 1's 0.6,
+    so the first best shard is 1; summed back to front they make
+    0.6000000000000001 and shard 2 would win."""
+    leaves = [(0.3, 2), (0.6, 0), (0.1, 2), (0.6, 1), (0.1, 2), (0.1, 2)]
+    graph = TransactionGraph(1 + len(leaves))
+    for v, (weight, _) in enumerate(leaves, start=1):
+        graph.add_edge(0, v, weight)
+    initial = np.array([0] + [shard for _, shard in leaves])
+
+    result = g_txallo(graph, 3, 2.0, 3.0, max_rounds=1, initial=initial)
+    assert result[0] == 1
+    assert np.array_equal(
+        result,
+        g_txallo_reference(graph, 3, 2.0, 3.0, max_rounds=1, initial=initial),
+    )
+    adapted, moved = a_txallo(graph, initial, [0], 3, 2.0, 3.0)
+    assert moved == 1 and adapted[0] == 1
