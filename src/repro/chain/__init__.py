@@ -34,7 +34,6 @@ from repro.chain.netsim import (
 from repro.chain.state import (
     AccountState,
     DenseShardStateStore,
-    SlotDirectory,
     StateRegistry,
 )
 from repro.chain.receipts import ReceiptBatch, ReceiptLedger
@@ -78,7 +77,6 @@ __all__ = [
     "network_spec",
     "AccountState",
     "DenseShardStateStore",
-    "SlotDirectory",
     "StateRegistry",
     "CrossShardExecutor",
     "ReceiptBatch",

@@ -5,7 +5,8 @@ Every ``tau`` beacon blocks the system reconfigures:
 1. **Beacon sync** — each shard pulls the beacon blocks committed during
    the previous epoch and updates its locally stored mapping ``phi``.
 2. **State sync** — the state of every migrated account moves from its
-   old shard's store to its new one. Account migration rides the state
+   old shard to its new one: the registry rewrites the account's home
+   and charges one state record. Account migration rides the state
    synchronisation that reconfiguration already does, so Mosaic adds no
    extra communication round (Section III-B-2).
 
@@ -16,8 +17,6 @@ network that is a counter bump.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -37,12 +36,7 @@ class EpochReconfigurator:
         beacon: BeaconChain,
         registry: StateRegistry,
         bus: MessageBus,
-        compact_slack: Optional[float] = None,
     ) -> None:
-        if compact_slack is not None and compact_slack < 0:
-            raise SimulationError(
-                f"compact_slack must be >= 0, got {compact_slack}"
-            )
         self._beacon = beacon
         self._registry = registry
         #: Each reconfiguration announces the epoch's committed MR
@@ -50,12 +44,6 @@ class EpochReconfigurator:
         #: analytic model only charges bytes for).
         self._bus = bus
         self._synced_height = 0
-        #: When set, each reconfiguration ends with a dense-store
-        #: compaction pass: any store whose vacated slots exceed
-        #: ``compact_slack`` x its live population is re-slotted so
-        #: migration churn cannot grow columns without bound. ``None``
-        #: (default) never compacts — state layout is untouched.
-        self.compact_slack = compact_slack
 
     def run(self, epoch: int, mapping: ShardMapping) -> int:
         """Run one reconfiguration; return the number of MRs applied.
@@ -84,7 +72,7 @@ class EpochReconfigurator:
         self._synced_height = len(self._beacon)
 
         # Account state follows the allocation: the same committed MRs
-        # move balances between shard stores, riding the state-sync
+        # rehome balances on their new shards, riding the state-sync
         # phase as in Section III-B-2. Blocks apply in order because an
         # account can legitimately move in two different epochs'
         # blocks; within one block the commitment round left one MR
@@ -109,6 +97,4 @@ class EpochReconfigurator:
                 self._bus.clock,
                 size_bytes=float(request_count * MR_RECORD_BYTES),
             )
-        if self.compact_slack is not None:
-            self._registry.compact_stores(self.compact_slack)
         return applied

@@ -1,11 +1,12 @@
 """The composed ledger ``L = (S_1, ..., S_k, BC)`` (Section III-A-1).
 
-The shards ``S_i`` are the executor's per-shard state stores, ``BC`` is
-the beacon chain, and ``phi`` is the mapping the executor routes by.
-One epoch runs four steps on it: execute the epoch's transfers, submit
-the clients' migration requests (MRs), commit them on the beacon chain,
-and reconfigure, which applies the committed MRs to ``phi`` and moves
-the migrated accounts' state in the same pass (Section III-B-2).
+The shards ``S_i`` are the per-shard store views of the executor's
+state table, ``BC`` is the beacon chain, and ``phi`` is the mapping the
+executor routes by. One epoch runs four steps on it: execute the epoch's
+transfers, submit the clients' migration requests (MRs), commit them on
+the beacon chain, and reconfigure, which applies the committed MRs to
+``phi`` and rehomes the migrated accounts' state in the same pass
+(Section III-B-2).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ class Ledger:
         params: ProtocolParams,
         executor: CrossShardExecutor,
         beacon: Optional[BeaconChain] = None,
-        compact_slack: Optional[float] = None,
     ) -> None:
         if executor.mapping.k != params.k:
             raise SimulationError(
@@ -44,13 +44,8 @@ class Ledger:
         self.beacon = beacon if beacon is not None else BeaconChain()
         # Reconfiguration moves state in the executor's registry and
         # announces committed MR batches over its receipts' message bus.
-        # ``compact_slack`` threads straight through: when set, every
-        # reconfiguration ends with a slack-gated compaction pass.
         self.reconfigurator = EpochReconfigurator(
-            self.beacon,
-            executor.registry,
-            executor.network_transport.bus,
-            compact_slack=compact_slack,
+            self.beacon, executor.registry, executor.network_transport.bus
         )
 
     def execute_epoch(self, batch: TransactionBatch) -> List[ExecutionReport]:

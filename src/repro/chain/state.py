@@ -3,35 +3,35 @@
 The allocation layer treats shards as transaction counters; this module
 gives them actual state so the substrate can *execute* transfers. Each
 shard keeps a state store over the accounts ``phi^{-1}(shard)``; epoch
-reconfiguration moves account state between stores (the migration
+reconfiguration moves account state between shards (the migration
 traffic the paper accounts for), and the cross-shard executor
 (:mod:`repro.chain.crossshard`) debits and credits across stores.
 
-Single residency is the contract: like ``phi`` (Definition 1), the
-state layer gives every account at most one *home* shard. A
-:class:`SlotDirectory` shared by all stores of a registry records it —
-``home[a]`` (``-1`` while no shard holds ``a``) and the local column
-slot. Only the home store may write an account; a write to any other
-shard raises :class:`~repro.errors.ResidencyError`, an id outside the
-directory raises :class:`~repro.errors.UnknownAccountError`, and an
-account homed nowhere claims a slot on the shard that first writes it.
-State changes home only by migration (``remove``/``put``,
-``take_many``/``put_many``).
+:class:`StateRegistry` holds one table over the account universe
+``[0, n_accounts)``: ``balance`` (float64), ``nonce`` (int64) and
+``home`` (int32), 20 bytes per account whatever ``k`` is. Single
+residency is the contract: like ``phi`` (Definition 1), ``home[a]``
+names the one shard holding account ``a`` (``-1`` while no shard does,
+and such a row reads 0/0). A shard's store,
+:class:`DenseShardStateStore`, is a view over the rows homed on it.
+Only the home store may write an account; a write to any other shard
+raises :class:`~repro.errors.ResidencyError`, an id outside the
+universe raises :class:`~repro.errors.UnknownAccountError`, and an
+account homed nowhere becomes homed on the shard that first writes it.
 
-:class:`DenseShardStateStore` is the one store: per-shard balance and
-nonce columns with a first-fit free list, sized to the shard's own
-population instead of the whole account universe (k-fold less memory
-than full-universe columns). :class:`StateRegistry` holds one store
-per shard; its ``locate`` is a read of ``home``. The scalar-dict store
-and the O(k) scan ``locate`` live in ``tests/state_reference.py``, the
-oracle the equivalence property suites compare the dense store with.
+A migration rewrites ``home`` and is charged ``STATE_RECORD_BYTES`` per
+moved account: it rides the reconfiguration's state sync (Section
+III-B-2), and no row moves, because nothing can observe where a row is
+stored (``state_root`` sorts by account id). The scalar-dict stores and
+the O(k) scan ``locate`` live in ``tests/state_reference.py``, the
+oracle the equivalence property suites compare the table with.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -61,31 +61,12 @@ class AccountState:
         if self.nonce < 0:
             raise ValidationError(f"nonce must be >= 0, got {self.nonce}")
 
-    def credited(self, amount: float) -> "AccountState":
-        """A copy with ``amount`` added to the balance."""
-        if amount < 0:
-            raise ValidationError(f"credit amount must be >= 0, got {amount}")
-        return replace(self, balance=self.balance + amount)
-
-    def debited(self, amount: float) -> "AccountState":
-        """A copy with ``amount`` removed and the nonce bumped.
-
-        Raises :class:`ChainError` when the balance cannot cover it.
-        """
-        if amount < 0:
-            raise ValidationError(f"debit amount must be >= 0, got {amount}")
-        if amount > self.balance:
-            raise ChainError(
-                f"insufficient balance: {self.balance} < {amount}"
-            )
-        return replace(self, balance=self.balance - amount, nonce=self.nonce + 1)
-
 
 def _state_root_digest(items: List[Tuple[int, float, int]]) -> str:
     """Digest over ``(account, balance, nonce)`` rows sorted by account.
 
     The test oracle's dict store hashes through it too, so a dict store
-    and a dense store holding the same state hash to the same root.
+    and a store view holding the same state hash to the same root.
     """
     hasher = hashlib.sha256()
     for account, balance, nonce in sorted(items):
@@ -94,52 +75,44 @@ def _state_root_digest(items: List[Tuple[int, float, int]]) -> str:
     return "0x" + hasher.hexdigest()
 
 
-class SlotDirectory:
-    """Shared global-id -> (home shard, local slot) directory.
+def _exact_sum(values: np.ndarray) -> float:
+    """``math.fsum(values)``, the exactly-rounded sum, in vector passes.
 
-    One directory serves every dense store of a registry: ``home[a]``
-    is the shard whose columns hold account ``a`` (-1 = no columns
-    anywhere), ``slot[a]`` the position inside that shard's columns.
-    Storing the directory once — instead of full-universe columns per
-    shard — is what cuts the store's memory k-fold.
+    Each round splits every value at one power-of-two ``sigma`` above
+    twice ``len(values)`` times the largest magnitude: the high parts
+    are multiples of ``2**-52 * sigma`` whose partial sums stay within
+    ``sigma``, so they add exactly in any order, and the low parts go on
+    to the next round (the ExtractVector step of Rump, Ogita and
+    Oishi's AccSum). ``math.fsum`` of the round sums rounds once.
+    Integer values below ``2**50 / len(values)`` take one round.
     """
-
-    __slots__ = ("capacity", "home", "slot")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 0:
-            raise ValidationError(f"capacity must be >= 0, got {capacity}")
-        self.capacity = int(capacity)
-        self.home = np.full(self.capacity, -1, dtype=np.int32)
-        self.slot = np.zeros(self.capacity, dtype=np.int64)
-
-    def nbytes(self) -> int:
-        return int(self.home.nbytes + self.slot.nbytes)
-
-
+    sums = []
+    top = max(float(values.max(initial=0.0)), -float(values.min(initial=0.0)))
+    while 0.0 < top < math.inf:
+        sigma = math.ldexp(
+            1.0, math.frexp(top)[1] + len(values).bit_length() + 1
+        )
+        high = values + sigma
+        high -= sigma
+        sums.append(float(high.sum()))
+        values = np.subtract(values, high, out=high)
+        top = max(float(values.max()), -float(values.min()))
+    if top:  # an inf or nan: IEEE semantics, no exact total to round
+        return float(np.sum(values))
+    return math.fsum(sums)
 
 
 class DenseShardStateStore:
-    """The shard state store: compacted per-shard state columns.
+    """One shard's view of the registry's table: the rows homed on it.
 
-    Balances and nonces live in numpy columns sized to this shard's own
-    population; the shared :class:`SlotDirectory` translates global
-    account ids to local column slots (``home[a] == shard_id`` marks
-    membership). Columns grow by doubling as accounts arrive; slots
-    vacated by migration are recycled through a free list. The bulk
-    entry points — settlement's ``credit_many`` and migration's
-    ``take_many``/``put_many`` — stay single fancy-indexing operations
-    (one extra slot indirection versus full-universe columns), which is
-    what lets the executor scale past 1M accounts without allocating
-    ``k x n_accounts`` cells.
-
-    Writes (``put``, ``credit``, ``debit``, ``credit_many``,
-    ``put_many``) honour the single-residency contract of the module
+    Holds no state of its own; ``registry.store_of(shard)`` hands it
+    out. Writes (``put``, ``credit``, ``debit``, ``credit_many``,
+    ``apply_many``) honour the single-residency contract of the module
     docstring: an account homed on another shard raises
-    :class:`~repro.errors.ResidencyError`, an id outside the directory
+    :class:`~repro.errors.ResidencyError`, an id outside the universe
     :class:`~repro.errors.UnknownAccountError`, and a bulk write checks
-    every row before it mutates anything. Reads treat both as
-    non-resident.
+    every row before it writes any. A write homes an account homed
+    nowhere here. Reads treat both error cases as non-resident.
 
     Observable behaviour — balances, nonces, membership, state roots,
     error cases — is identical to the scalar-dict store kept as the
@@ -147,217 +120,119 @@ class DenseShardStateStore:
     suite asserts it.
     """
 
-    def __init__(
-        self,
-        shard_id: int,
-        capacity: int,
-        directory: Optional[SlotDirectory] = None,
-    ) -> None:
-        if shard_id < 0:
-            raise ValidationError(f"shard_id must be >= 0, got {shard_id}")
-        if capacity < 0:
-            raise ValidationError(f"capacity must be >= 0, got {capacity}")
+    def __init__(self, registry: "StateRegistry", shard_id: int) -> None:
         self.shard_id = shard_id
-        self.capacity = int(capacity)
-        self._dir = directory if directory is not None else SlotDirectory(capacity)
-        self._bal = np.zeros(0, dtype=np.float64)
-        self._non = np.zeros(0, dtype=np.int64)
-        self._used = 0
-        self._free: List[int] = []
-        self._count = 0
-        #: Physical bytes rewritten by the most recent :meth:`compact`.
-        self.last_compact_moved_bytes = 0
-
-    # -- slot plumbing ----------------------------------------------------------
-
-    def _grow_columns(self, n_slots: int) -> None:
-        if n_slots <= len(self._bal):
-            return
-        new_capacity = max(16, len(self._bal))
-        while new_capacity < n_slots:
-            new_capacity *= 2
-        for name in ("_bal", "_non"):
-            column = getattr(self, name)
-            grown = np.zeros(new_capacity, dtype=column.dtype)
-            grown[: self._used] = column[: self._used]
-            setattr(self, name, grown)
-
-    def _alloc_slot(self, account: int) -> int:
-        """Claim a zeroed column slot for ``account`` (makes it home)."""
-        if self._free:
-            slot = self._free.pop()
-        else:
-            slot = self._used
-            self._grow_columns(slot + 1)
-            self._used += 1
-        self._dir.home[account] = self.shard_id
-        self._dir.slot[account] = slot
-        self._count += 1
-        return slot
-
-    def _alloc_slots_bulk(self, accounts: np.ndarray) -> None:
-        """Claim slots for many distinct new accounts at once."""
-        n_new = len(accounts)
-        if n_new == 0:
-            return
-        slots = np.empty(n_new, dtype=np.int64)
-        n_recycled = min(len(self._free), n_new)
-        if n_recycled:
-            slots[:n_recycled] = self._free[len(self._free) - n_recycled :]
-            del self._free[len(self._free) - n_recycled :]
-        n_fresh = n_new - n_recycled
-        if n_fresh:
-            self._grow_columns(self._used + n_fresh)
-            slots[n_recycled:] = np.arange(
-                self._used, self._used + n_fresh, dtype=np.int64
-            )
-            self._used += n_fresh
-        self._dir.home[accounts] = self.shard_id
-        self._dir.slot[accounts] = slots
-        self._count += n_new
-
-    def _free_slot(self, account: int) -> None:
-        slot = int(self._dir.slot[account])
-        self._bal[slot] = 0.0
-        self._non[slot] = 0
-        self._free.append(slot)
-        self._dir.home[account] = -1
-        self._count -= 1
+        self.capacity = registry.n_accounts
+        self._balance = registry._balance
+        self._nonce = registry._nonce
+        self._home = registry._home
 
     def _is_home(self, account: int) -> bool:
         return (
             0 <= account < self.capacity
-            and self._dir.home[account] == self.shard_id
+            and self._home[account] == self.shard_id
         )
 
-    def _check_claimable(self, account: int) -> None:
-        """Raise unless ``account``, not homed here, is homed nowhere.
-
-        The write paths call it once the home-hit fast path has missed,
-        so the hit itself costs no extra work.
-        """
+    def _check_writable(self, account: int) -> None:
+        """Raise unless ``account`` is homed here or nowhere."""
         if not 0 <= account < self.capacity:
             raise UnknownAccountError(account)
-        home = int(self._dir.home[account])
-        if home != -1:
+        home = int(self._home[account])
+        if home != self.shard_id and home != -1:
             raise ResidencyError(account, home, self.shard_id)
 
-    def _claimable_mask(self, accounts: np.ndarray) -> np.ndarray:
-        """Which of ``accounts`` are homed nowhere (bulk writes claim them).
-
-        The bulk twin of :meth:`_check_claimable`: raises for the first
-        unknown id, else for the first id homed on another shard, before
-        the caller mutates anything.
-        """
+    def _check_writable_many(self, accounts: np.ndarray) -> None:
+        """The bulk twin of :meth:`_check_writable`: raises for the first
+        unknown id, else for the first id homed on another shard."""
         if len(accounts) and (
             int(accounts.min()) < 0 or int(accounts.max()) >= self.capacity
         ):
             unknown = (accounts < 0) | (accounts >= self.capacity)
             raise UnknownAccountError(int(accounts[np.argmax(unknown)]))
-        home = self._dir.home[accounts]
-        new = home == -1
-        if not (new | (home == self.shard_id)).all():
-            i = int(np.argmax(~new & (home != self.shard_id)))
+        home = self._home[accounts]
+        stray = (home != self.shard_id) & (home != -1)
+        if stray.any():
+            i = int(np.argmax(stray))
             raise ResidencyError(int(accounts[i]), int(home[i]), self.shard_id)
-        return new
 
     def __len__(self) -> int:
-        return self._count
+        return int(np.count_nonzero(self._home == self.shard_id))
 
     def __contains__(self, account: int) -> bool:
         return self._is_home(account)
 
     def accounts(self) -> Iterator[int]:
-        """Resident account ids (unspecified order)."""
-        for account in np.flatnonzero(
-            self._dir.home == self.shard_id
-        ).tolist():
-            yield account
+        """Resident account ids (ascending)."""
+        return iter(np.flatnonzero(self._home == self.shard_id).tolist())
 
     def get(self, account: int) -> AccountState:
         """State of ``account``; a fresh zero state when not resident."""
         if not self._is_home(account):
             return AccountState()
-        slot = self._dir.slot[account]
         return AccountState(
-            balance=float(self._bal[slot]), nonce=int(self._non[slot])
+            balance=float(self._balance[account]),
+            nonce=int(self._nonce[account]),
         )
 
     def put(self, account: int, state: AccountState) -> None:
         """Install ``state`` for ``account``."""
-        if self._is_home(account):
-            slot = self._dir.slot[account]
-        else:
-            self._check_claimable(account)
-            slot = self._alloc_slot(account)
-        self._bal[slot] = state.balance
-        self._non[slot] = state.nonce
+        self._check_writable(account)
+        self._balance[account] = state.balance
+        self._nonce[account] = state.nonce
+        self._home[account] = self.shard_id
 
     def credit(self, account: int, amount: float) -> AccountState:
         """Add funds (creating the account on first touch)."""
         if amount < 0:
             raise ValidationError(f"credit amount must be >= 0, got {amount}")
-        if self._is_home(account):
-            slot = self._dir.slot[account]
-            balance = float(self._bal[slot]) + amount
-            self._bal[slot] = balance
-            return AccountState(balance=balance, nonce=int(self._non[slot]))
-        self._check_claimable(account)
-        slot = self._alloc_slot(account)
-        self._bal[slot] = amount
-        return AccountState(balance=amount, nonce=0)
+        self._check_writable(account)
+        balance = float(self._balance[account]) + amount
+        self._balance[account] = balance
+        self._home[account] = self.shard_id
+        return AccountState(balance=balance, nonce=int(self._nonce[account]))
 
     def debit(self, account: int, amount: float) -> AccountState:
         """Remove funds; raises :class:`ChainError` when underfunded."""
         if amount < 0:
             raise ValidationError(f"debit amount must be >= 0, got {amount}")
-        if self._is_home(account):
-            slot = self._dir.slot[account]
-            balance = float(self._bal[slot])
-            if amount > balance:
-                raise ChainError(f"insufficient balance: {balance} < {amount}")
-            balance -= amount
-            nonce = int(self._non[slot]) + 1
-            self._bal[slot] = balance
-            self._non[slot] = nonce
-            return AccountState(balance=balance, nonce=nonce)
-        self._check_claimable(account)
-        if amount > 0.0:
-            raise ChainError(f"insufficient balance: 0.0 < {amount}")
-        slot = self._alloc_slot(account)
-        self._non[slot] = 1
-        return AccountState(balance=0.0, nonce=1)
+        self._check_writable(account)
+        balance = float(self._balance[account])
+        if amount > balance:
+            raise ChainError(f"insufficient balance: {balance} < {amount}")
+        balance -= amount
+        nonce = int(self._nonce[account]) + 1
+        self._balance[account] = balance
+        self._nonce[account] = nonce
+        self._home[account] = self.shard_id
+        return AccountState(balance=balance, nonce=nonce)
 
     def remove(self, account: int) -> AccountState:
-        """Remove and return an account's state (for migration)."""
+        """Remove and return an account's state; it is then homed nowhere."""
         if not self._is_home(account):
             raise ChainError(
                 f"account {account} is not resident on shard {self.shard_id}"
             )
-        slot = self._dir.slot[account]
-        state = AccountState(
-            balance=float(self._bal[slot]), nonce=int(self._non[slot])
-        )
-        self._free_slot(account)
+        state = self.get(account)
+        self._balance[account] = 0.0
+        self._nonce[account] = 0
+        self._home[account] = -1
         return state
 
     # -- columnar bulk access (settlement scatter) ------------------------------
 
     def credit_many(self, accounts: np.ndarray, amounts: np.ndarray) -> None:
         """Apply a stream of credits in order (settlement scatter)."""
-        new = self._claimable_mask(accounts)
-        if new.any():
-            self._alloc_slots_bulk(np.unique(accounts[new]))
+        self._check_writable_many(accounts)
+        self._home[accounts] = self.shard_id
         # np.add.at applies duplicate indices sequentially, matching the
         # scalar path's in-order accumulation.
-        np.add.at(self._bal, self._dir.slot[accounts], amounts)
+        np.add.at(self._balance, accounts, amounts)
 
     def balances_many(self, accounts: np.ndarray) -> np.ndarray:
         """Balances of ``accounts`` (0.0 where not resident here)."""
-        home = self._dir.home[accounts] == self.shard_id
-        balances = np.zeros(len(accounts), dtype=np.float64)
-        balances[home] = self._bal[self._dir.slot[accounts[home]]]
-        return balances
+        return np.where(
+            self._home[accounts] == self.shard_id, self._balance[accounts], 0.0
+        )
 
     def apply_many(
         self, accounts: np.ndarray, deltas: np.ndarray, debited: np.ndarray
@@ -367,138 +242,45 @@ class DenseShardStateStore:
         The executor's end-of-epoch commit: ``deltas`` are credits
         (>= 0) and debits (< 0) in event order, from senders the
         executor proved cannot overdraw, and ``debited`` names the
-        sender of each debit. Accounts homed nowhere claim a slot, as
-        with :meth:`credit_many`.
+        sender of each debit. Accounts homed nowhere become homed here,
+        as with :meth:`credit_many`.
         """
-        new = self._claimable_mask(accounts)
-        if new.any():
-            self._alloc_slots_bulk(np.unique(accounts[new]))
-        np.add.at(self._bal, self._dir.slot[accounts], deltas)
-        np.add.at(self._non, self._dir.slot[debited], 1)
-
-    # -- bulk migration (batched reconfiguration hot path) ---------------------
-
-    def take_many(
-        self, accounts: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Remove ``accounts`` (all resident here); return their state.
-
-        A non-resident account raises :class:`ChainError` before
-        anything is removed.
-        """
-        inside = (accounts >= 0) & (accounts < self.capacity)
-        resident = inside.copy()
-        resident[inside] = self._dir.home[accounts[inside]] == self.shard_id
-        if not resident.all():
-            missing = int(accounts[np.argmin(resident)])
-            raise ChainError(
-                f"account {missing} is not resident on shard {self.shard_id}"
-            )
-        slots = self._dir.slot[accounts]
-        balances = self._bal[slots].copy()
-        nonces = self._non[slots].copy()
-        self._bal[slots] = 0.0
-        self._non[slots] = 0
-        self._free.extend(slots.tolist())
-        self._dir.home[accounts] = -1
-        self._count -= len(accounts)
-        return balances, nonces
-
-    def put_many(
-        self,
-        accounts: np.ndarray,
-        balances: np.ndarray,
-        nonces: np.ndarray,
-    ) -> None:
-        """Install state rows in bulk (the columnar twin of ``put``)."""
-        new = self._claimable_mask(accounts)
-        if new.any():
-            self._alloc_slots_bulk(np.unique(accounts[new]))
-        slots = self._dir.slot[accounts]
-        self._bal[slots] = balances
-        self._non[slots] = nonces
+        self._check_writable_many(accounts)
+        self._home[accounts] = self.shard_id
+        np.add.at(self._balance, accounts, deltas)
+        np.add.at(self._nonce, debited, 1)
 
     def total_balance(self) -> float:
-        """Sum of resident balances (float64 pairwise ``np.sum``)."""
-        return float(np.sum(self._bal[: self._used], dtype=np.float64))
+        """Exactly-rounded sum of resident balances."""
+        return _exact_sum(self._balance[self._home == self.shard_id])
 
     def state_root(self) -> str:
         """Deterministic digest over the sorted account states."""
-        resident = np.flatnonzero(self._dir.home == self.shard_id)
-        slots = self._dir.slot[resident]
+        resident = np.flatnonzero(self._home == self.shard_id)
         return _state_root_digest(
-            [
-                (int(a), float(b), int(n))
-                for a, b, n in zip(
+            list(
+                zip(
                     resident.tolist(),
-                    self._bal[slots].tolist(),
-                    self._non[slots].tolist(),
+                    self._balance[resident].tolist(),
+                    self._nonce[resident].tolist(),
                 )
-            ]
+            )
         )
-
-    def column_nbytes(self) -> int:
-        """Bytes held by this store's state columns."""
-        return int(self._bal.nbytes + self._non.nbytes)
-
-    def slack_slots(self) -> int:
-        """Slots vacated by migration but still held by the columns."""
-        return len(self._free)
-
-    def compact(self) -> int:
-        """Re-slot resident accounts into fresh right-sized columns.
-
-        Migration churn vacates slots faster than new arrivals reclaim
-        them: the free list grows and the columns never shrink. This
-        pass rebuilds the columns at the smallest power-of-two capacity
-        covering the live population (slot order preserved, so state
-        roots and iteration order are untouched), clears the free list
-        and rewrites the directory's slots. Returns the column bytes
-        reclaimed. O(live accounts) — callers gate it behind a slack
-        threshold (see :meth:`StateRegistry.compact_stores`).
-        """
-        before = self.column_nbytes()
-        resident = np.flatnonzero(self._dir.home == self.shard_id)
-        count = len(resident)
-        old_slots = None
-        if count:
-            old_slots = self._dir.slot[resident]
-            order = np.argsort(old_slots, kind="stable")
-            resident = resident[order]
-            old_slots = old_slots[order]
-        new_capacity = 0
-        if count:
-            new_capacity = 16
-            while new_capacity < count:
-                new_capacity *= 2
-        new_bal = np.zeros(new_capacity, dtype=np.float64)
-        new_non = np.zeros(new_capacity, dtype=np.int64)
-        if count:
-            new_bal[:count] = self._bal[old_slots]
-            new_non[:count] = self._non[old_slots]
-            self._dir.slot[resident] = np.arange(count, dtype=np.int64)
-        self._bal = new_bal
-        self._non = new_non
-        self._used = count
-        self._free = []
-        # First-fit compaction rewrites every live row (bal + nonce).
-        self.last_compact_moved_bytes = count * 16
-        return before - self.column_nbytes()
 
 
 class StateRegistry:
-    """All shards' state stores plus migration between them.
+    """The account-state table and one store view per shard.
 
-    One first-fit :class:`DenseShardStateStore` per shard behind a
-    shared :class:`SlotDirectory` with room for ids ``[0, n_accounts)``
-    — size it to the account universe; any other id is unknown to every
-    store. The directory's ``home`` column is the single record of
-    where an account lives, so :meth:`locate` is one read.
-    :meth:`compact_stores` re-slots stores whose free slots grew past a
-    slack threshold after heavy migration churn and feeds the
-    registry's compaction counters (:attr:`compaction_count`,
-    :attr:`compacted_bytes_total`, :attr:`compact_moved_bytes_total`).
+    Rows for ids ``[0, n_accounts)`` — size it to the account universe;
+    any other id is unknown to every store. ``home`` is the single
+    record of where an account lives, so :meth:`locate` is one read and
+    a migration one write.
     """
+
+    #: Bytes rewritten by compaction, which the table never needs. Read
+    #: by the frozen ``benchmarks/e2e`` harness; goes in harness
+    #: revision part 2.
+    compact_moved_bytes_total = 0
 
     def __init__(self, k: int, n_accounts: int) -> None:
         if k < 1:
@@ -507,13 +289,11 @@ class StateRegistry:
             raise ValidationError(f"n_accounts must be >= 0, got {n_accounts}")
         self.k = k
         self.n_accounts = int(n_accounts)
-        self.compaction_count = 0
-        self.compacted_bytes_total = 0
-        self.compact_moved_bytes_total = 0
-        self._directory = SlotDirectory(self.n_accounts)
+        self._balance = np.zeros(self.n_accounts, dtype=np.float64)
+        self._nonce = np.zeros(self.n_accounts, dtype=np.int64)
+        self._home = np.full(self.n_accounts, -1, dtype=np.int32)
         self.stores: Tuple[DenseShardStateStore, ...] = tuple(
-            DenseShardStateStore(shard, self.n_accounts, directory=self._directory)
-            for shard in range(k)
+            DenseShardStateStore(self, shard) for shard in range(k)
         )
 
     def store_of(self, shard: int) -> DenseShardStateStore:
@@ -524,7 +304,7 @@ class StateRegistry:
     def locate(self, account: int) -> Optional[int]:
         """Home shard of ``account``'s state, or None (O(1))."""
         if 0 <= account < self.n_accounts:
-            home = int(self._directory.home[account])
+            home = int(self._home[account])
             if home >= 0:
                 return home
         return None
@@ -534,7 +314,7 @@ class StateRegistry:
         accounts = np.asarray(accounts, dtype=np.int64)
         known = (accounts >= 0) & (accounts < self.n_accounts)
         shards = np.full(len(accounts), -1, dtype=np.int64)
-        shards[known] = self._directory.home[accounts[known]]
+        shards[known] = self._home[accounts[known]]
         return shards
 
     def migrate(self, account: int, from_shard: int, to_shard: int) -> int:
@@ -547,17 +327,17 @@ class StateRegistry:
         silently dropping it would strand the balance on the wrong
         shard.
         """
-        source = self.store_of(from_shard)
-        target = self.store_of(to_shard)
-        if account not in source:
-            actual = self.locate(account)
-            if actual is not None:
+        self.store_of(from_shard)  # both shard ids must be in range
+        self.store_of(to_shard)
+        home = self.locate(account)
+        if home != from_shard:
+            if home is not None:
                 raise StateMigrationError(
-                    f"account {account} is resident on shard {actual}, "
+                    f"account {account} is resident on shard {home}, "
                     f"not on migration source shard {from_shard}"
                 )
             return 0
-        target.put(account, source.remove(account))
+        self._home[account] = to_shard
         return STATE_RECORD_BYTES
 
     def migrate_batch(
@@ -565,15 +345,13 @@ class StateRegistry:
     ) -> int:
         """Move many accounts to their target shards; returns bytes moved.
 
-        The columnar twin of a ``locate`` + :meth:`migrate` loop:
-        residency resolves in one vectorised read of ``home``, then
-        state moves grouped per source shard (one bulk take each) and
-        per target shard (one bulk put each). Accounts must be unique
-        within the batch — the beacon's per-epoch commitment rounds
-        guarantee that — and a repeated account raises
-        :class:`ValidationError` before any store changes. Non-resident
-        accounts and accounts already on their target are free no-ops,
-        exactly like the scalar path.
+        The columnar twin of a ``locate`` + :meth:`migrate` loop: one
+        read and one write of ``home``. Accounts must be unique within
+        the batch — the beacon's per-epoch commitment rounds guarantee
+        that — and a repeated account raises :class:`ValidationError`
+        before anything changes. Non-resident accounts and accounts
+        already on their target are free no-ops, exactly like the scalar
+        path.
         """
         accounts = np.asarray(accounts, dtype=np.int64)
         to_shards = np.asarray(to_shards, dtype=np.int64)
@@ -591,74 +369,31 @@ class StateRegistry:
             )
         current = self.locate_many(accounts)
         moving = (current >= 0) & (current != to_shards)
-        if not moving.any():
-            return 0
-        acc = accounts[moving]
-        src = current[moving]
-        dst = to_shards[moving]
+        self._home[accounts[moving]] = to_shards[moving]
+        return int(np.count_nonzero(moving)) * STATE_RECORD_BYTES
 
-        order = np.argsort(src, kind="stable")
-        acc, src, dst = acc[order], src[order], dst[order]
-        balances = np.empty(len(acc), dtype=np.float64)
-        nonces = np.empty(len(acc), dtype=np.int64)
-        boundaries = np.flatnonzero(np.diff(src) != 0) + 1
-        starts = np.concatenate(([0], boundaries))
-        stops = np.concatenate((boundaries, [len(acc)]))
-        for start, stop in zip(starts.tolist(), stops.tolist()):
-            taken = self.store_of(int(src[start])).take_many(acc[start:stop])
-            balances[start:stop], nonces[start:stop] = taken
+    def compact_stores(self) -> int:
+        """Reclaim nothing (the table has no slack); returns 0.
 
-        order = np.argsort(dst, kind="stable")
-        acc, dst = acc[order], dst[order]
-        balances, nonces = balances[order], nonces[order]
-        boundaries = np.flatnonzero(np.diff(dst) != 0) + 1
-        starts = np.concatenate(([0], boundaries))
-        stops = np.concatenate((boundaries, [len(acc)]))
-        for start, stop in zip(starts.tolist(), stops.tolist()):
-            self.store_of(int(dst[start])).put_many(
-                acc[start:stop],
-                balances[start:stop],
-                nonces[start:stop],
-            )
-        return len(acc) * STATE_RECORD_BYTES
-
-    def compact_stores(self, min_slack: float = 0.5) -> int:
-        """Compact every store whose vacated slots exceed the threshold.
-
-        A store qualifies when its free list holds more than
-        ``min_slack`` times its live population (so a freshly-settled
-        store is never rebuilt for a handful of holes). Returns the
-        total column bytes reclaimed. Typically driven per epoch by
-        :class:`~repro.chain.epoch.EpochReconfigurator` after heavy
-        migration churn.
+        The frozen ``benchmarks/e2e`` tracer wraps this name; goes in
+        harness revision part 2.
         """
-        if min_slack < 0:
-            raise ValidationError(f"min_slack must be >= 0, got {min_slack}")
-        reclaimed = 0
-        for store in self.stores:
-            slack = store.slack_slots()
-            if slack and slack > min_slack * max(1, len(store)):
-                reclaimed += store.compact()
-                self.compaction_count += 1
-                self.compact_moved_bytes_total += store.last_compact_moved_bytes
-        self.compacted_bytes_total += reclaimed
-        return reclaimed
+        return 0
 
     def total_balance(self) -> float:
         """System-wide balance — invariant under execution + migration.
 
-        Exactly-rounded accumulation (``math.fsum`` over per-store
-        totals) so conservation checks stay tight at millions of
-        accounts.
+        Exactly rounded (``math.fsum`` of every balance), so
+        conservation checks stay tight at millions of accounts and the
+        total does not depend on which shard holds which balance. Rows
+        homed nowhere hold 0.0, so this is one pass over the table.
         """
-        return math.fsum(store.total_balance() for store in self.stores)
+        return _exact_sum(self._balance)
 
     def state_memory_nbytes(self) -> int:
-        """Bytes held in numpy state structures across the registry.
+        """Bytes of the state table: 20 per account.
 
-        Sums the per-shard state columns plus the shared slot directory
-        — the figure the compaction memory test compares against the
-        full-universe-columns layout.
+        Read by the frozen ``benchmarks/e2e`` harness; goes in harness
+        revision part 2.
         """
-        columns = sum(store.column_nbytes() for store in self.stores)
-        return int(columns + self._directory.nbytes())
+        return int(self._balance.nbytes + self._nonce.nbytes + self._home.nbytes)

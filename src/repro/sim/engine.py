@@ -40,9 +40,9 @@ numbers are bit-identical between the two modes.
 
 **Telemetry.** Everything else the substrate measures per epoch — bus
 traffic, drops, retransmissions, refunds, receipt staleness,
-conservation drift, compactions — goes into one channel,
+conservation drift — goes into one channel,
 :attr:`EpochRecord.counters`, keyed by layer (``chain.netsim.*``,
-``chain.crossshard.*``, ``chain.state.*``). A new counter is one
+``chain.crossshard.*``). A new counter is one
 ``counters`` write plus, if the summary should report it, one row of
 :data:`repro.sim.recorder.NETWORK_SUMMARY`.
 """
@@ -104,8 +104,9 @@ class SimulationConfig:
     ``execute_values`` switches on the unified engine: the epoch loop
     additionally executes value transfers through the cross-shard
     executor and moves account state with reconfiguration, on the
-    dense per-shard state stores of :mod:`repro.chain.state`
-    (``state_backend`` accepts only ``"dense"``);
+    account-state table of :mod:`repro.chain.state`
+    (``state_backend`` accepts only ``"dense"``; ``compact_slack`` is
+    accepted and ignored);
     ``funding`` selects the genesis supply (``"uniform"`` — the legacy
     default, every account minted ``initial_balance`` — or
     ``"observed"`` — per-account balances derived from the trace's
@@ -142,12 +143,9 @@ class SimulationConfig:
     #: ``"lossy"``. A non-ideal network requires ``execute_values`` —
     #: there is no message plane to degrade in a metrics-only run.
     network: str = NETWORK_IDEAL
-    #: When set, every epoch's reconfiguration ends with a slack-gated
-    #: state-store compaction pass (see
-    #: :meth:`~repro.chain.state.StateRegistry.compact_stores`): a
-    #: store compacts when its free slots exceed ``compact_slack``
-    #: times its live population. Requires ``execute_values`` — a
-    #: metrics-only run has no state columns to compact.
+    # Accepted and ignored (the state table has nothing to compact):
+    # the frozen benchmarks/e2e/e2e_bench.py passes it. Goes in harness
+    # revision part 2.
     compact_slack: Optional[float] = None
 
     #: Fraction used when neither split knob is set.
@@ -212,16 +210,6 @@ class SimulationConfig:
                 f"network={self.network!r} requires execute_values: "
                 "metrics-only runs have no message plane to degrade"
             )
-        if self.compact_slack is not None:
-            if self.compact_slack < 0:
-                raise SimulationError(
-                    f"compact_slack must be >= 0, got {self.compact_slack}"
-                )
-            if not self.execute_values:
-                raise SimulationError(
-                    "compact_slack requires execute_values: metrics-only "
-                    "runs have no state columns to compact"
-                )
 
 
 @dataclass
@@ -236,9 +224,9 @@ class EpochRecord:
 
     ``counters`` is the substrate's telemetry channel: layer-named
     counters such as ``chain.netsim.retransmissions`` or
-    ``chain.state.compactions``, written by :class:`ExecutionSubstrate`
-    for every executed epoch and empty in metrics-only runs. The
-    run summary reduces them through
+    ``chain.crossshard.conservation_drift``, written by
+    :class:`ExecutionSubstrate` for every executed epoch and empty in
+    metrics-only runs. The run summary reduces them through
     :data:`repro.sim.recorder.NETWORK_SUMMARY`.
     """
 
@@ -429,12 +417,7 @@ class ExecutionSubstrate:
             from repro.chain.beacon import BeaconChain
 
             beacon = BeaconChain(spill_dir=config.beacon_spill_dir)
-        self.ledger = Ledger(
-            config.params,
-            self.executor,
-            beacon=beacon,
-            compact_slack=config.compact_slack,
-        )
+        self.ledger = Ledger(config.params, self.executor, beacon=beacon)
         accounts = np.arange(n_accounts, dtype=np.int64)
         if funding_balances is not None:
             self.executor.fund_many(accounts, funding_balances)
@@ -527,20 +510,17 @@ class ExecutionSubstrate:
             )
         return executed, settled, in_flight, aborts
 
-    def reconfigure(
-        self, epoch: int, target: ShardMapping, counters: Dict[str, float]
-    ) -> None:
+    def reconfigure(self, epoch: int, target: ShardMapping) -> None:
         """Commit the allocator's mapping update as beacon MRs.
 
         Every account whose shard changed becomes one row of a columnar
         :class:`~repro.chain.migration.MigrationRequestBatch` (no
         per-account request objects); the uncapped commitment round
         plus batched reconfiguration applies them to the substrate's
-        phi *and* moves the account state between stores as grouped
-        gather/scatter in the same pass (Section III-B-2 semantics) —
+        phi *and* rehomes the moved accounts' state in the same pass
+        (Section III-B-2 semantics) —
         after which the substrate's mapping equals ``target`` value for
-        value. Writes ``chain.state.compactions``, the stores this
-        epoch's slack-gated compaction pass compacted, to ``counters``.
+        value.
         """
         from repro.chain.migration import MigrationRequestBatch
 
@@ -553,11 +533,7 @@ class ExecutionSubstrate:
         )
         self.ledger.submit_migration_batch(batch)
         self.ledger.commit_migrations(epoch, capacity=None)
-        compactions = self.registry.compaction_count
         self.ledger.reconfigure(epoch)
-        counters["chain.state.compactions"] = (
-            self.registry.compaction_count - compactions
-        )
 
 
 def _run_epoch_loop(
@@ -650,7 +626,7 @@ def _run_epoch_loop(
         if update.mapping.k != params.k:
             raise SimulationError("allocator changed k during update")
         if substrate is not None:
-            substrate.reconfigure(view.index, update.mapping, counters)
+            substrate.reconfigure(view.index, update.mapping)
         mapping = update.mapping
 
         record = EpochRecord(

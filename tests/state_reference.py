@@ -1,23 +1,26 @@
-"""Scalar-dict state store and scan ``locate`` (a test oracle).
+"""Scalar-dict state stores and scan ``locate`` (a test oracle).
 
-Production keeps shard state in one store,
-``repro.chain.state.DenseShardStateStore``: first-fit columns behind a
-shared slot directory whose ``home`` column is the one record of where
-an account lives. This module keeps the plain formulation — two dicts
-per shard, residency found by scanning the stores in shard order — so
-property tests can drive both through the same operations and compare
-balances, nonces, membership, state roots, residency and raised errors
-after every step. It shares no structure with the code it checks:
+Production keeps all account state in one table,
+``repro.chain.state.StateRegistry``: ``balance``, ``nonce`` and
+``home`` rows, with each shard's store a view over the rows homed on
+it and a migration a rewrite of ``home``. This module keeps the plain
+formulation — two dicts per shard, residency found by scanning the
+stores in shard order, a migration a take from one dict and a put into
+another — so property tests can drive both through the same operations
+and compare balances, nonces, membership, state roots, totals,
+residency and raised errors after every step. It shares no code with
+the registry it checks beyond the state-root digest and
+``AccountState``:
 
-* :class:`ShardStateStore` — the dict store, honouring the dense
-  store's full contract (scalar, bulk and migration entry points, and
-  the single-residency write rules: an id outside ``[0, capacity)``
-  raises ``UnknownAccountError``, an account held by a sibling store
-  raises ``ResidencyError``, bulk writes check before they mutate);
-* :func:`dict_registry` — a ``StateRegistry`` whose stores are dict
-  stores and whose ``locate``/``locate_many`` are the scan, so
-  ``migrate``, ``migrate_batch`` and ``compact_stores`` run unchanged
-  over them;
+* :class:`ShardStateStore` — the dict store, honouring the production
+  store's full contract (scalar and bulk entry points, and the
+  single-residency write rules: an id outside ``[0, capacity)`` raises
+  ``UnknownAccountError``, an account held by a sibling store raises
+  ``ResidencyError``, bulk writes check before they mutate), plus the
+  bulk ``take_many``/``put_many`` its registry migrates with;
+* :func:`dict_registry` — a registry over dict stores with its own
+  ``locate`` scan, ``migrate``, grouped ``migrate_batch`` and
+  ``math.fsum`` total;
 * :func:`locate_scan` — the O(k) scan.
 """
 
@@ -28,10 +31,16 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.chain.state import AccountState, StateRegistry, _state_root_digest
+from repro.chain.state import (
+    STATE_RECORD_BYTES,
+    AccountState,
+    StateRegistry,
+    _state_root_digest,
+)
 from repro.errors import (
     ChainError,
     ResidencyError,
+    StateMigrationError,
     UnknownAccountError,
     ValidationError,
 )
@@ -49,8 +58,7 @@ class ShardStateStore:
     Balances and nonces live in two parallel scalar dicts; ``get``
     materialises an :class:`AccountState` lazily. ``peers`` lists every
     store of the registry (this one included); a write scans it for
-    another holder of the account. The slot and compaction hooks are
-    no-ops: dicts hold no columns.
+    another holder of the account.
     """
 
     def __init__(
@@ -231,23 +239,8 @@ class ShardStateStore:
             ]
         )
 
-    def column_nbytes(self) -> int:
-        """Array-column bytes held by this store (0: dicts only)."""
-        return 0
 
-    def slack_slots(self) -> int:
-        """Vacated-but-unreleased slots (0: dicts shrink themselves)."""
-        return 0
-
-    def compact(self) -> int:
-        """No-op (no columns); returns bytes reclaimed (0)."""
-        return 0
-
-    #: Physical bytes rewritten by the most recent :meth:`compact` call.
-    last_compact_moved_bytes: int = 0
-
-
-def locate_scan(registry: StateRegistry, account: int) -> Optional[int]:
+def locate_scan(registry, account: int) -> Optional[int]:
     """Reference O(k) locate: scan the stores in shard order."""
     for store in registry.stores:
         if account in store:
@@ -255,15 +248,25 @@ def locate_scan(registry: StateRegistry, account: int) -> Optional[int]:
     return None
 
 
-class _DictStateRegistry(StateRegistry):
-    """``StateRegistry`` over dict stores, locating by the scan."""
+class _DictStateRegistry:
+    """The registry surface over dict stores, locating by the scan."""
 
     def __init__(self, k: int, n_accounts: int) -> None:
-        super().__init__(k, n_accounts)
+        if k < 1:
+            raise ValidationError(f"k must be >= 1, got {k}")
+        if n_accounts < 0:
+            raise ValidationError(f"n_accounts must be >= 0, got {n_accounts}")
+        self.k = k
+        self.n_accounts = int(n_accounts)
         peers: List[ShardStateStore] = []
         for shard in range(k):
             peers.append(ShardStateStore(shard, self.n_accounts, peers))
         self.stores = tuple(peers)
+
+    def store_of(self, shard: int) -> ShardStateStore:
+        if not 0 <= shard < self.k:
+            raise ValidationError(f"shard {shard} out of range [0, {self.k})")
+        return self.stores[shard]
 
     def locate(self, account: int) -> Optional[int]:
         return locate_scan(self, account)
@@ -275,13 +278,73 @@ class _DictStateRegistry(StateRegistry):
             dtype=np.int64,
         )
 
+    def migrate(self, account: int, from_shard: int, to_shard: int) -> int:
+        """Move one account's state by remove + put; returns bytes moved."""
+        source = self.store_of(from_shard)
+        target = self.store_of(to_shard)
+        if account not in source:
+            actual = self.locate(account)
+            if actual is not None:
+                raise StateMigrationError(
+                    f"account {account} is resident on shard {actual}, "
+                    f"not on migration source shard {from_shard}"
+                )
+            return 0
+        target.put(account, source.remove(account))
+        return STATE_RECORD_BYTES
 
-def dict_registry(k: int, n_accounts: int) -> StateRegistry:
-    """A ``StateRegistry`` running on dict stores (the oracle side)."""
+    def migrate_batch(self, accounts: np.ndarray, to_shards: np.ndarray) -> int:
+        """Move many accounts: one bulk take per source shard, then one
+        bulk put per target shard."""
+        accounts = np.asarray(accounts, dtype=np.int64)
+        to_shards = np.asarray(to_shards, dtype=np.int64)
+        if accounts.shape != to_shards.shape:
+            raise ValidationError("accounts/to_shards length mismatch")
+        if len(accounts) == 0:
+            return 0
+        if int(to_shards.min()) < 0 or int(to_shards.max()) >= self.k:
+            raise ValidationError("target shard out of range in migration batch")
+        ordered = np.sort(accounts)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if len(repeated):
+            raise ValidationError(
+                f"account {int(repeated[0])} repeats in migration batch"
+            )
+        current = self.locate_many(accounts)
+        moving = (current >= 0) & (current != to_shards)
+        if not moving.any():
+            return 0
+        acc = accounts[moving]
+        src = current[moving]
+        dst = to_shards[moving]
+
+        order = np.argsort(src, kind="stable")
+        acc, src, dst = acc[order], src[order], dst[order]
+        balances = np.empty(len(acc), dtype=np.float64)
+        nonces = np.empty(len(acc), dtype=np.int64)
+        for shard in np.unique(src).tolist():
+            rows = src == shard
+            balances[rows], nonces[rows] = self.stores[shard].take_many(
+                acc[rows]
+            )
+        for shard in np.unique(dst).tolist():
+            rows = dst == shard
+            self.stores[shard].put_many(acc[rows], balances[rows], nonces[rows])
+        return len(acc) * STATE_RECORD_BYTES
+
+    def total_balance(self) -> float:
+        """Exactly-rounded sum of every balance."""
+        return math.fsum(
+            balance for store in self.stores for balance in store._balances.values()
+        )
+
+
+def dict_registry(k: int, n_accounts: int) -> _DictStateRegistry:
+    """A registry running on dict stores (the oracle side)."""
     return _DictStateRegistry(k, n_accounts)
 
 
-def make_registry(backend: str, k: int, n_accounts: int) -> StateRegistry:
+def make_registry(backend: str, k: int, n_accounts: int):
     """The oracle registry for ``"dict"``, production for ``"dense"``."""
     if backend == BACKEND_DICT:
         return dict_registry(k, n_accounts)

@@ -18,28 +18,6 @@ class TestAccountState:
         assert state.balance == 0.0
         assert state.nonce == 0
 
-    def test_credit_returns_new_state(self):
-        state = AccountState(balance=1.0)
-        credited = state.credited(2.0)
-        assert credited.balance == 3.0
-        assert state.balance == 1.0  # immutable
-
-    def test_debit_bumps_nonce(self):
-        state = AccountState(balance=5.0, nonce=3).debited(2.0)
-        assert state.balance == 3.0
-        assert state.nonce == 4
-
-    def test_overdraft_rejected(self):
-        with pytest.raises(ChainError, match="insufficient"):
-            AccountState(balance=1.0).debited(2.0)
-
-    def test_negative_amounts_rejected(self):
-        state = AccountState(balance=1.0)
-        with pytest.raises(ValidationError):
-            state.credited(-1.0)
-        with pytest.raises(ValidationError):
-            state.debited(-1.0)
-
     def test_negative_construction_rejected(self):
         with pytest.raises(ValidationError):
             AccountState(balance=-1.0)
@@ -48,8 +26,8 @@ class TestAccountState:
 
 
 def _store() -> DenseShardStateStore:
-    """A standalone shard-0 store with room for ids below 16."""
-    return DenseShardStateStore(0, capacity=16)
+    """Shard 0's store of a one-shard registry of ids below 16."""
+    return StateRegistry(1, n_accounts=16).store_of(0)
 
 
 class TestShardStateStore:
@@ -71,6 +49,15 @@ class TestShardStateStore:
         assert store.get(7).balance == 6.0
         with pytest.raises(ChainError):
             store.debit(7, 100.0)
+
+    def test_negative_amounts_rejected(self):
+        store = _store()
+        store.credit(7, 1.0)
+        with pytest.raises(ValidationError):
+            store.credit(7, -1.0)
+        with pytest.raises(ValidationError):
+            store.debit(7, -1.0)
+        assert store.get(7) == AccountState(balance=1.0)
 
     def test_remove_for_migration(self):
         store = _store()
@@ -132,7 +119,7 @@ class TestStateRegistry:
         assert registry.migrate(7, 0, 1) == 0
 
     def test_migrate_batch_rejects_repeated_account_unchanged(self):
-        """A repeated account would free its slot twice; the batch is
+        """A repeated account would be moved twice; the batch is
         refused before any store changes."""
         registry = StateRegistry(k=4, n_accounts=8)
         registry.store_of(0).credit(1, 5.0)
@@ -149,7 +136,7 @@ class TestStateRegistry:
             registry.migrate_batch(np.array([1, 1]), np.array([2, 3]))
         assert snapshot() == before
         assert registry.locate(1) == 0
-        # Two fresh accounts still get distinct slots afterwards.
+        # Fresh accounts still become resident afterwards.
         registry.store_of(0).credit(3, 7.0)
         registry.store_of(0).credit(4, 7.0)
         assert registry.total_balance() == 28.0

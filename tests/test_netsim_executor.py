@@ -36,7 +36,6 @@ LOSSY_COUNTER_KEYS = [
     "chain.netsim.receipt_staleness_p99",
     "chain.netsim.retransmissions",
     "chain.netsim.timeout_refunds",
-    "chain.state.compactions",
 ]
 
 #: Every key of a lossy executed run's summary.

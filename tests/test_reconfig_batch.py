@@ -1,4 +1,4 @@
-"""Columnar reconfiguration path: beacon batches, grouped state moves.
+"""Columnar reconfiguration path: beacon batches, batched state moves.
 
 Three contracts are pinned here:
 
@@ -8,8 +8,8 @@ Three contracts are pinned here:
   commitment order, same stale/dedup/capacity decisions;
 * ``EpochReconfigurator.run`` moves exactly the state the per-request
   reference moves (mappings, state roots, applied counts), on the
-  dense store and on the dict-store oracle of ``state_reference``, and
-  with per-epoch compaction on the dense store;
+  state table and on the dict-store oracle of ``state_reference``, and
+  from the table to the oracle;
 * value is conserved at every block boundary across reconfigurations,
   and relay deposits follow a receiver that migrated while the receipt
   was in flight (receipt forwarding).
@@ -151,7 +151,7 @@ class TestBeaconBatchEquivalence:
         beacon.verify()
 
 
-def _build_world(seed, backend, n_accounts=40, relay_delay=2, compact_slack=None):
+def _build_world(seed, backend, n_accounts=40, relay_delay=2):
     rng = np.random.default_rng(seed)
     mapping = ShardMapping(rng.integers(0, K, size=n_accounts), k=K)
     registry = make_registry(backend, K, n_accounts=n_accounts)
@@ -164,17 +164,12 @@ def _build_world(seed, backend, n_accounts=40, relay_delay=2, compact_slack=None
     )
     beacon = BeaconChain()
     reconfigurator = EpochReconfigurator(
-        beacon,
-        registry,
-        executor.network_transport.bus,
-        compact_slack=compact_slack,
+        beacon, registry, executor.network_transport.bus
     )
     return rng, mapping, registry, executor, beacon, reconfigurator
 
 
-def _run_world(
-    seed, backend, epochs, reference, capacity=None, compact_slack=None
-):
+def _run_world(seed, backend, epochs, reference, capacity=None):
     """Drive transfers + repartitions for ``epochs`` epochs.
 
     ``reference=True`` commits and applies the migrations through the
@@ -186,7 +181,7 @@ def _run_world(
     """
     n_accounts = 40
     rng, mapping, registry, executor, beacon, reconfigurator = _build_world(
-        seed, backend, n_accounts, compact_slack=compact_slack
+        seed, backend, n_accounts
     )
     chain = ReferenceChain(registry)
     block = 0
@@ -257,12 +252,12 @@ class TestReconfiguratorBatchEquivalence:
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 500), epochs=st.integers(1, 3))
-    def test_compacting_dense_run_matches_dict_reference(self, seed, epochs):
-        """Batched moves + per-epoch compaction on the dense store land
-        on the same mapping, state roots, applied counts and total value
-        as the per-request reference on the dict store."""
+    def test_dense_run_matches_dict_reference(self, seed, epochs):
+        """Batched moves on the state table land on the same mapping,
+        state roots, applied counts and total value as the per-request
+        reference on the dict store."""
         assert _run_world(
-            seed, "dense", epochs, reference=False, compact_slack=0.0
+            seed, "dense", epochs, reference=False
         ) == _run_world(seed, "dict", epochs, reference=True)
 
     def test_wrong_gain_stream_cannot_leak_between_paths(self):

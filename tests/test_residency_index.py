@@ -1,8 +1,8 @@
-"""Home-column residency vs the scan ``locate``, and dense compaction.
+"""Home-column residency vs the scan ``locate``, and the table's memory.
 
 Single residency: every account's state lives on at most one shard,
 its *home*, and ``StateRegistry.locate``/``locate_many`` are reads of
-the slot directory's ``home`` column. The property suite here drives
+the state table's ``home`` column. The property suite here drives
 the production registry and the dict-store oracle registry of
 ``state_reference`` through randomized execute/migrate/settle op
 streams (at k = 16 and k = 80) and checks after every step that
@@ -12,9 +12,10 @@ through the current mapping, so no settlement can leave state off its
 home. The unit cases pin that a second residency or an id beyond
 capacity raises instead.
 
-The compaction contract rides along: per-shard local-slot columns must
-cut the dense store's numpy footprint at least 4x against the old
-full-universe-columns layout at k=16 / 1M accounts.
+The memory contract rides along: the one table (20 bytes per account,
+whatever k) must cut the state's numpy footprint at least 4x against
+the old full-universe-columns-per-shard layout at k=16 / 1M accounts,
+and migration churn must not grow it.
 """
 
 import numpy as np
@@ -26,7 +27,6 @@ from state_reference import (
     BACKEND_DENSE,
     BACKEND_DICT,
     STATE_BACKENDS,
-    dict_registry,
     locate_scan,
     make_registry,
 )
@@ -186,11 +186,11 @@ class TestWideShardCounts:
         registry = StateRegistry(100, n_accounts=16)
         store = registry.store_of(75)
         accounts = np.array([2, 5, 9], dtype=np.int64)
-        store.put_many(accounts, np.ones(3), np.zeros(3, dtype=np.int64))
+        store.credit_many(accounts, np.ones(3))
         assert registry.locate_many(np.arange(16)).tolist() == [
             75 if i in (2, 5, 9) else -1 for i in range(16)
         ]
-        store.take_many(np.array([5], dtype=np.int64))
+        store.remove(5)
         assert registry.locate(5) is None
         assert registry.locate(9) == 75
 
@@ -249,7 +249,8 @@ class TestResidencyIndexUnit:
         )
         assert registry.locate(3) == 5
         assert store.get(3).balance == 2.0
-        store.take_many(np.array([3, 7], dtype=np.int64))
+        for account in (3, 7):
+            store.remove(account)
         assert registry.locate(3) is None
         assert registry.locate(1) == 5
 
@@ -263,13 +264,12 @@ class TestResidencyIndexUnit:
 
 class TestDenseCompactionMemory:
     def test_compacted_columns_cut_memory_4x_at_k16_1m(self):
-        """Per-shard local slots vs full-universe columns: >= 4x smaller.
+        """One table vs full-universe columns per shard: >= 4x smaller.
 
-        The pre-compaction layout allocated per shard one float64
-        balance column, one int64 nonce column and one bool residency
-        bitmap over the whole universe: k * n * 17 bytes. The compacted
-        layout holds one slot per live account plus the shared
-        directory, independent of k.
+        The old layout allocated per shard one float64 balance column,
+        one int64 nonce column and one bool residency bitmap over the
+        whole universe: k * n * 17 bytes. The table holds one row per
+        account, independent of k.
         """
         n_accounts, k = 1_000_000, 16
         registry = StateRegistry(k=k, n_accounts=n_accounts)
@@ -279,33 +279,27 @@ class TestDenseCompactionMemory:
         executor = CrossShardExecutor(registry, mapping)
         executor.fund_many(np.arange(n_accounts, dtype=np.int64), 1.0)
         old_layout_nbytes = k * n_accounts * (8 + 8 + 1)
-        compacted = registry.state_memory_nbytes()
-        assert compacted > 0
-        assert compacted * 4 <= old_layout_nbytes, (
-            f"compacted dense state ({compacted / 1e6:.1f} MB) must be >= 4x "
-            f"below the full-universe layout ({old_layout_nbytes / 1e6:.1f} MB)"
+        table = registry.state_memory_nbytes()
+        assert table > 0
+        assert table * 4 <= old_layout_nbytes, (
+            f"state table ({table / 1e6:.1f} MB) must be >= 4x below the "
+            f"full-universe layout ({old_layout_nbytes / 1e6:.1f} MB)"
         )
 
     def test_memory_accounting_counts_columns_directory_and_index(self):
         registry = StateRegistry(k=2, n_accounts=100)
-        base = registry.state_memory_nbytes()
-        # Directory (100 * 12: int32 home + int64 slot, home being the
-        # residency index), no columns yet.
-        assert base == 100 * (4 + 8)
+        # float64 balance + int64 nonce + int32 home (the residency
+        # index), allocated up front for the whole universe.
+        assert registry.state_memory_nbytes() == 100 * (8 + 8 + 4)
         registry.store_of(0).credit(1, 5.0)
-        assert registry.state_memory_nbytes() > base
+        assert registry.state_memory_nbytes() == 100 * (8 + 8 + 4)
 
 
 class TestDenseCompaction:
-    """compact(): vacated columns shrink after migration churn."""
+    """Migration churn leaves nothing to compact: the table is fixed."""
 
     def _churned_registry(self, n_accounts=5_000, k=4):
-        """Adversarial churn: every account funnels onto one shard.
-
-        Each store allocates slots for arriving accounts while the
-        migrations away leave its own columns full of holes — the
-        free-list growth the compaction pass exists to reclaim.
-        """
+        """Adversarial churn: every account funnels onto one shard."""
         registry = StateRegistry(k=k, n_accounts=n_accounts)
         mapping = ShardMapping(
             np.random.default_rng(0).integers(0, k, size=n_accounts), k=k
@@ -322,15 +316,12 @@ class TestDenseCompaction:
         n_accounts = 5_000
         registry = self._churned_registry(n_accounts=n_accounts)
         roots_before = [s.state_root() for s in registry.stores]
-        before = registry.state_memory_nbytes()
-        reclaimed = registry.compact_stores(min_slack=0.25)
-        assert reclaimed > 0
-        after = registry.state_memory_nbytes()
-        assert after == before - reclaimed
-        # Bound: live slots (16 B each, power-of-two headroom <= 2x)
-        # plus the shared directory — churn-independent.
-        directory = n_accounts * (4 + 8)
-        assert after <= 2 * n_accounts * 16 + directory
+        # Churn-independent: the table's 20 bytes per account.
+        assert registry.state_memory_nbytes() == n_accounts * (8 + 8 + 4)
+        # The kept compaction hook reclaims nothing and moves nothing.
+        assert registry.compact_stores() == 0
+        assert registry.compact_moved_bytes_total == 0
+        assert registry.state_memory_nbytes() == n_accounts * (8 + 8 + 4)
         # Observable state is untouched.
         assert [s.state_root() for s in registry.stores] == roots_before
         assert registry.total_balance() == n_accounts * 1.0
@@ -339,16 +330,9 @@ class TestDenseCompaction:
             locate_scan(registry, int(a)) for a in ids
         ]
 
-    def test_threshold_gates_compaction(self):
-        registry = self._churned_registry()
-        # An absurd slack threshold: nothing qualifies, nothing changes.
-        before = registry.state_memory_nbytes()
-        assert registry.compact_stores(min_slack=1e9) == 0
-        assert registry.state_memory_nbytes() == before
-
     def test_store_stays_usable_after_compaction(self):
         registry = self._churned_registry(n_accounts=200)
-        registry.compact_stores(min_slack=0.0)
+        registry.compact_stores()
         store = registry.store_of(1)
         store.credit(7, 5.0)
         state = store.get(7)
@@ -358,46 +342,6 @@ class TestDenseCompaction:
         )
         assert moved > 0
         assert registry.locate(7) == 2
-
-    def test_dict_backend_compaction_is_a_free_noop(self):
-        """The oracle's dict stores hold no columns to compact."""
-        registry = dict_registry(2, n_accounts=10)
-        registry.store_of(0).credit(1, 2.0)
-        assert registry.compact_stores(min_slack=0.0) == 0
-
-    def test_reconfigurator_compacts_behind_threshold(self):
-        from repro.chain.beacon import BeaconChain
-        from repro.chain.epoch import EpochReconfigurator
-        from repro.chain.migration import MigrationRequestBatch
-
-        n_accounts, k = 2_000, 4
-        registry = StateRegistry(k=k, n_accounts=n_accounts)
-        mapping = ShardMapping(np.zeros(n_accounts, dtype=np.int64), k=k)
-        executor = CrossShardExecutor(registry, mapping)
-        executor.fund_many(np.arange(n_accounts, dtype=np.int64), 1.0)
-        beacon = BeaconChain()
-        reconfigurator = EpochReconfigurator(
-            beacon,
-            registry,
-            executor.network_transport.bus,
-            compact_slack=0.5,
-        )
-        accounts = np.arange(n_accounts, dtype=np.int64)
-        # Epoch 0: everyone leaves shard 0 -> its columns are all holes.
-        beacon.submit_batch(
-            MigrationRequestBatch(
-                accounts,
-                np.zeros(n_accounts, dtype=np.int64),
-                np.full(n_accounts, 1, dtype=np.int64),
-                epoch=0,
-            )
-        )
-        beacon.commit_epoch(epoch=0, capacity=None, mapping=mapping)
-        assert reconfigurator.run(0, mapping) == n_accounts
-        assert registry.compaction_count > 0
-        assert registry.compacted_bytes_total > 0
-        assert registry.total_balance() == n_accounts * 1.0
-        assert registry.locate(0) == 1
 
     def test_reconfigurator_without_threshold_never_compacts(self):
         from repro.chain.beacon import BeaconChain
@@ -412,15 +356,16 @@ class TestDenseCompaction:
         reconfigurator = EpochReconfigurator(
             beacon, registry, MessageBus(NetworkModel(NETWORK_IDEAL))
         )
-        assert reconfigurator.compact_slack is None
-        # Everyone leaves shard 0: its columns are all holes, yet no
-        # compaction runs without a threshold.
+        before = registry.state_memory_nbytes()
+        # Everyone leaves shard 0: only ``home`` changes, so the table
+        # neither grows nor leaves anything behind to compact.
         beacon.submit_batch(
             MigrationRequestBatch(np.arange(4), np.zeros(4), np.ones(4))
         )
         beacon.commit_epoch(epoch=0)
         mapping = ShardMapping(np.zeros(4, dtype=np.int64), k=2)
         assert reconfigurator.run(0, mapping) == 4
-        assert registry.store_of(0).slack_slots() == 4
-        assert registry.compaction_count == 0
-        assert registry.compacted_bytes_total == 0
+        assert len(registry.store_of(0)) == 0
+        assert registry.locate_many(np.arange(4)).tolist() == [1] * 4
+        assert registry.state_memory_nbytes() == before
+        assert registry.total_balance() == 4.0

@@ -1,16 +1,19 @@
-"""Dense store vs the dict-store oracle, and migration semantics.
+"""The state table vs the dict-store oracle, and migration semantics.
 
-The dense store must be observably identical to the scalar-dict store
-kept in ``state_reference``: same balances, nonces, membership, state
-roots, totals and raised errors under any interleaving of scalar ops,
-columnar bulk ops, scalar and batched migrations and compaction. The
-property suite here drives a production registry and the oracle
-registry through the same randomized op streams — writes mostly to the
-account's home shard, sometimes to a random one — and compares them
-after every step; the targeted cases below pin the same equivalence at
-k > 64, and the single-residency contract: a write to a shard that is
-not the account's home, or for an id beyond the registry capacity,
-raises the same typed error on both sides and changes nothing.
+The production registry (one ``balance``/``nonce``/``home`` table with
+a store view per shard) must be observably identical to the scalar-dict
+stores kept in ``state_reference``: same balances, nonces, membership,
+state roots, totals and raised errors under any interleaving of scalar
+ops, columnar bulk ops and scalar and batched migrations. The property
+suite here drives a production registry and the oracle registry through
+the same randomized op streams — writes mostly to the account's home
+shard, sometimes to a random one; integer amounts, and fractional ones
+whose sums round — and compares them after every step, the total
+against ``math.fsum`` of the oracle's balances. The targeted cases below
+pin the same equivalence at k > 64, and the single-residency contract: a
+write to a shard that is not the account's home, or for an id beyond the
+registry capacity, raises the same typed error on both sides and changes
+nothing.
 """
 
 import math
@@ -52,17 +55,24 @@ def _registries():
     return dict_reg, dense_reg
 
 
-def _assert_equivalent(dict_reg: StateRegistry, dense_reg: StateRegistry):
+def _assert_equivalent(dict_reg, dense_reg: StateRegistry):
     for shard in range(K):
         a = dict_reg.store_of(shard)
         b = dense_reg.store_of(shard)
         assert len(a) == len(b)
         assert sorted(a.accounts()) == sorted(b.accounts())
         assert a.state_root() == b.state_root()
+        assert a.total_balance() == b.total_balance()
         for account in a.accounts():
             assert a.get(account) == b.get(account)
-    # Integer-valued balances sum exactly under both fsum and np.sum.
-    assert dict_reg.total_balance() == dense_reg.total_balance()
+    # Exactly rounded, so equal however the balances are spread.
+    balances = [
+        store.get(account).balance
+        for store in dict_reg.stores
+        for account in store.accounts()
+    ]
+    assert dense_reg.total_balance() == math.fsum(balances)
+    assert dict_reg.total_balance() == math.fsum(balances)
 
 
 def _outcome(write):
@@ -74,42 +84,76 @@ def _outcome(write):
 
 
 _ACCOUNT = st.integers(0, N_ACCOUNTS - 1)
-_AMOUNT = st.integers(0, 40)
+_AMOUNT = st.integers(0, 40).map(float)
+#: Multiples of 0.1 (``n * 0.1``, so 0.30000000000000004 among them):
+#: their sums round, unlike the integer amounts of the e2e traces.
+_FRACTIONAL = st.integers(0, 400).map(lambda n: n * 0.1)
 #: None writes to the account's home shard (``account % K`` while it
 #: has none); a shard id writes there, which may be off home.
 _TARGET = st.one_of(st.none(), st.none(), st.integers(0, K - 1))
 
-_SCALAR_AND_BULK_OPS = (
-    st.tuples(st.just("credit"), _ACCOUNT, _AMOUNT, _TARGET),
-    st.tuples(st.just("debit"), _ACCOUNT, _AMOUNT, _TARGET),
-    st.tuples(st.just("put"), _ACCOUNT, _AMOUNT, _TARGET),
-    st.tuples(st.just("migrate"), _ACCOUNT, st.integers(0, K - 1)),
-    st.tuples(
-        st.just("credit_many"),
-        st.lists(st.tuples(_ACCOUNT, _AMOUNT), min_size=1, max_size=6),
-        _TARGET,
-    ),
-)
 
-_OPS = st.lists(st.one_of(*_SCALAR_AND_BULK_OPS), max_size=40)
-
-# Adds batched migration and compaction, which move dense slots around.
-_CHURN_OPS = st.lists(
-    st.one_of(
-        *_SCALAR_AND_BULK_OPS,
+def _scalar_and_bulk_ops(amount):
+    return (
+        st.tuples(st.just("credit"), _ACCOUNT, amount, _TARGET),
+        st.tuples(st.just("debit"), _ACCOUNT, amount, _TARGET),
+        st.tuples(st.just("put"), _ACCOUNT, amount, _TARGET),
+        st.tuples(st.just("migrate"), _ACCOUNT, st.integers(0, K - 1)),
         st.tuples(
-            st.just("migrate_batch"),
+            st.just("credit_many"),
+            st.lists(st.tuples(_ACCOUNT, amount), min_size=1, max_size=6),
+            _TARGET,
+        ),
+        # (account, amount, is_debit) events; a debit takes at most
+        # the balance it finds, as the executor guarantees.
+        st.tuples(
+            st.just("apply_many"),
             st.lists(
-                st.tuples(_ACCOUNT, st.integers(0, K - 1)),
+                st.tuples(_ACCOUNT, amount, st.booleans()),
                 min_size=1,
-                max_size=8,
-                unique_by=lambda t: t[0],
+                max_size=6,
+            ),
+            _TARGET,
+        ),
+    )
+
+
+def _churn_ops(amount):
+    """The scalar and bulk ops plus batched migration."""
+    return st.lists(
+        st.one_of(
+            *_scalar_and_bulk_ops(amount),
+            st.tuples(
+                st.just("migrate_batch"),
+                st.lists(
+                    st.tuples(_ACCOUNT, st.integers(0, K - 1)),
+                    min_size=1,
+                    max_size=8,
+                    unique_by=lambda t: t[0],
+                ),
             ),
         ),
-        st.tuples(st.just("compact")),
-    ),
-    max_size=40,
-)
+        max_size=40,
+    )
+
+
+def _apply_many_rows(reg, entries):
+    """``apply_many`` columns for ``entries``: debits capped at the
+    running balance, in event order, so none overdraws."""
+    running = {}
+    deltas = []
+    for account, amount, is_debit in entries:
+        if account not in running:
+            shard = reg.locate(account)
+            running[account] = (
+                0.0 if shard is None else reg.store_of(shard).get(account).balance
+            )
+        delta = -min(amount, running[account]) if is_debit else amount
+        running[account] += delta
+        deltas.append(delta)
+    accounts = np.array([e[0] for e in entries], dtype=np.int64)
+    debits = np.array([e[2] for e in entries], dtype=bool)
+    return accounts, np.array(deltas, dtype=np.float64), debits
 
 
 def _home_of(registries, account: int) -> int:
@@ -132,17 +176,17 @@ def _apply_and_compare(ops):
             stores = [reg.store_of(shard) for reg in registries]
             if kind == "credit":
                 outcomes = [
-                    _outcome(lambda s=s: s.credit(account, float(amount)))
+                    _outcome(lambda s=s: s.credit(account, amount))
                     for s in stores
                 ]
             elif kind == "put":
-                state = AccountState(balance=float(amount), nonce=amount % 5)
+                state = AccountState(balance=amount, nonce=int(amount) % 5)
                 outcomes = [
                     _outcome(lambda s=s: s.put(account, state)) for s in stores
                 ]
             else:
                 outcomes = [
-                    _outcome(lambda s=s: s.debit(account, float(amount)))
+                    _outcome(lambda s=s: s.debit(account, amount))
                     for s in stores
                 ]
             assert outcomes[0] == outcomes[1]
@@ -163,10 +207,13 @@ def _apply_and_compare(ops):
             targets = np.array([e[1] for e in entries], dtype=np.int64)
             moved = [reg.migrate_batch(accounts, targets) for reg in registries]
             assert moved[0] == moved[1]
-        elif kind == "credit_many":
+        elif kind in ("credit_many", "apply_many"):
             _, entries, target = op
-            accounts = np.array([e[0] for e in entries], dtype=np.int64)
-            amounts = np.array([e[1] for e in entries], dtype=np.float64)
+            if kind == "credit_many":
+                accounts = np.array([e[0] for e in entries], dtype=np.int64)
+                amounts = np.array([e[1] for e in entries], dtype=np.float64)
+            else:
+                accounts, amounts, debits = _apply_many_rows(dict_reg, entries)
             if target is None:
                 shards = np.array(
                     [_home_of(registries, a) for a in accounts.tolist()]
@@ -175,34 +222,43 @@ def _apply_and_compare(ops):
                 shards = np.full(len(accounts), target)
             for shard in np.unique(shards).tolist():
                 mask = shards == shard
-                outcomes = [
-                    _outcome(
-                        lambda reg=reg: reg.store_of(shard).credit_many(
-                            accounts[mask], amounts[mask]
-                        )
+                if kind == "credit_many":
+                    write = lambda store: store.credit_many(
+                        accounts[mask], amounts[mask]
                     )
+                else:
+                    write = lambda store: store.apply_many(
+                        accounts[mask], amounts[mask], accounts[mask & debits]
+                    )
+                outcomes = [
+                    _outcome(lambda reg=reg: write(reg.store_of(shard)))
                     for reg in registries
                 ]
                 assert outcomes[0] == outcomes[1]
-        elif kind == "compact":
-            for reg in registries:
-                reg.compact_stores(min_slack=0.0)
         _assert_equivalent(dict_reg, dense_reg)
 
 
 @settings(max_examples=60, deadline=None)
-@given(ops=_OPS)
+@given(ops=st.lists(st.one_of(*_scalar_and_bulk_ops(_AMOUNT)), max_size=40))
 def test_backends_are_observably_identical(ops):
     _apply_and_compare(ops)
 
 
 @settings(max_examples=60, deadline=None)
-@given(ops=_CHURN_OPS)
-def test_backends_stay_identical_through_batched_migration_and_compaction(ops):
+@given(ops=_churn_ops(_AMOUNT))
+def test_backends_stay_identical_through_batched_migration(ops):
     _apply_and_compare(ops)
 
 
-def _assert_registries_match(reference: StateRegistry, other: StateRegistry):
+@settings(max_examples=60, deadline=None)
+@given(ops=_churn_ops(_FRACTIONAL))
+def test_backends_agree_on_fractional_values(ops):
+    """Fractional funding and deltas: the total stays exactly rounded
+    (``math.fsum`` of the oracle's balances) after every step."""
+    _apply_and_compare(ops)
+
+
+def _assert_registries_match(reference, other):
     for shard in range(reference.k):
         a, b = reference.store_of(shard), other.store_of(shard)
         assert sorted(a.accounts()) == sorted(b.accounts())
@@ -211,9 +267,9 @@ def _assert_registries_match(reference: StateRegistry, other: StateRegistry):
 
 
 class TestLargeKMultiWordResidency:
-    """k > 64 (past one 64-bit word of shard ids): the dense store must
-    stay root-identical to the dict store through batched churn and
-    compaction at that scale."""
+    """k > 64 (past one 64-bit word of shard ids): the state table must
+    stay root-identical to the dict store through batched churn at that
+    scale."""
 
     K_LARGE = 80
     N = 640
@@ -230,12 +286,10 @@ class TestLargeKMultiWordResidency:
             for shard in range(self.K_LARGE):
                 members = ids[home == shard]
                 if len(members):
-                    reg.store_of(shard).put_many(
-                        members,
-                        np.full(len(members), 3.0),
-                        np.zeros(len(members), dtype=np.int64),
+                    reg.store_of(shard).credit_many(
+                        members, np.full(len(members), 3.0)
                     )
-        for round_index in range(6):
+        for _ in range(6):
             churn = rng.choice(self.N, size=self.N // 3, replace=False)
             targets = rng.integers(
                 0, self.K_LARGE, size=len(churn), dtype=np.int64
@@ -245,9 +299,6 @@ class TestLargeKMultiWordResidency:
                 for reg in registries
             }
             assert len(moved) == 1
-            if round_index % 2:
-                for reg in registries:
-                    reg.compact_stores(min_slack=0.25)
             _assert_registries_match(*registries)
             locates = [reg.locate_many(ids).tolist() for reg in registries]
             assert locates[0] == locates[1]
@@ -256,9 +307,9 @@ class TestLargeKMultiWordResidency:
 class TestBeyondCapacitySpill:
     """Every write of an id past the registry capacity raises
     ``UnknownAccountError`` on both backends alike, and reads treat it
-    as non-resident, through compaction included."""
+    as non-resident."""
 
-    def test_spilled_ids_stay_equivalent_through_compact(self):
+    def test_spilled_ids_stay_equivalent(self):
         capacity = 8
         registries = tuple(
             make_registry(b, 2, n_accounts=capacity)
@@ -266,7 +317,7 @@ class TestBeyondCapacitySpill:
         )
         for reg in registries:
             s0, s1 = reg.store_of(0), reg.store_of(1)
-            for account in range(capacity):  # fill the dense columns
+            for account in range(capacity):  # fill every row
                 s0.credit(account, 2.0)
             for account in range(capacity, capacity + 5):
                 with pytest.raises(UnknownAccountError):
@@ -276,7 +327,6 @@ class TestBeyondCapacitySpill:
             assert reg.migrate(capacity + 3, 0, 1) == 0
             with pytest.raises(UnknownAccountError):
                 s1.credit(capacity + 7, 9.0)
-            reg.compact_stores(min_slack=0.0)
             assert reg.locate(capacity + 3) is None
             assert reg.total_balance() == capacity * 2.0
         _assert_registries_match(*registries)
@@ -286,54 +336,18 @@ class TestBeyondCapacitySpill:
         store = registry.store_of(0)
         with pytest.raises(UnknownAccountError):
             store.put(11, AccountState(balance=1.0))
-        store.compact()
-        assert store.column_nbytes() == 0
+        assert registry.state_memory_nbytes() == 4 * (8 + 8 + 4)
         assert len(store) == 0
         assert store.get(11) == AccountState()
         assert registry.locate_many(np.array([11, -1, 3])).tolist() == [-1] * 3
 
 
-def _fragmentation(registry: StateRegistry) -> dict:
-    """Free and live slots over every store's column capacity."""
-    capacity = sum(store.column_nbytes() // 16 for store in registry.stores)
-    live = sum(len(store) for store in registry.stores)
-    free = capacity - live
-    return {
-        "fragmentation": free / capacity if capacity else 0.0,
-        "occupancy": live / capacity if capacity else 0.0,
-        "live_slots": live,
-    }
-
-
-class TestSlotTelemetry:
-    def test_fragmentation_telemetry_reflects_churn(self):
-        registry = StateRegistry(2, n_accounts=4096)
-        ids = np.arange(4096, dtype=np.int64)
-        registry.store_of(0).put_many(
-            ids, np.ones(len(ids)), np.zeros(len(ids), dtype=np.int64)
-        )
-        full = _fragmentation(registry)
-        assert full["occupancy"] == 1.0
-        assert full["fragmentation"] == 0.0
-        registry.migrate_batch(
-            ids[::2], np.ones(len(ids[::2]), dtype=np.int64)
-        )
-        churned = _fragmentation(registry)
-        assert 0.0 < churned["fragmentation"] < 1.0
-        assert churned["live_slots"] == 4096
-        registry.compact_stores(min_slack=0.0)
-        compacted = _fragmentation(registry)
-        assert compacted["fragmentation"] < churned["fragmentation"]
-        assert registry.compaction_count >= 1
-        assert registry.compact_moved_bytes_total > 0
-
-
 class TestDenseFallback:
-    """Ids beyond the preallocated capacity: standalone stores reject
-    them exactly like the dict store does, bulk writes atomically."""
+    """Ids beyond the registry's universe: a store rejects them exactly
+    like the dict store does, bulk writes atomically."""
 
     def test_sparse_ids_behave_like_dict_store(self):
-        dense = DenseShardStateStore(0, capacity=4)
+        dense = StateRegistry(1, n_accounts=4).store_of(0)
         reference = ShardStateStore(0, capacity=4)
         for store in (dense, reference):
             store.credit(2, 10.0)      # in capacity
@@ -361,12 +375,12 @@ class TestDenseFallback:
         with pytest.raises(ChainError, match="not resident"):
             registry.store_of(0).remove(50)
 
-    def test_mixed_put_many_raises_before_writing(self):
-        # One in-capacity id and one beyond it: nothing is installed.
-        dense = DenseShardStateStore(0, capacity=4)
+    def test_mixed_apply_many_raises_before_writing(self):
+        # One in-capacity id and one beyond it: nothing is applied.
+        dense = StateRegistry(1, n_accounts=4).store_of(0)
         with pytest.raises(UnknownAccountError, match="9"):
-            dense.put_many(
-                np.array([1, 9]), np.array([5.0, 6.0]), np.array([1, 2])
+            dense.apply_many(
+                np.array([1, 9]), np.array([5.0, 6.0]), np.array([1])
             )
         assert len(dense) == 0
         assert dense.get(1) == AccountState()
@@ -384,24 +398,24 @@ def _write(entry: str, store, account: int) -> None:
     elif entry == "credit_many":
         store.credit_many(ids, np.array([1.0, 3.0]))
     else:
-        store.put_many(ids, np.array([1.0, 3.0]), np.array([0, 2]))
+        store.apply_many(ids, np.array([1.0, 3.0]), ids[:0])
 
 
 class TestSingleResidency:
     """One home per account: an off-home or unknown write raises the
-    same typed error on the dense store and the dict oracle, before it
+    same typed error on the state table and the dict oracle, before it
     changes anything."""
 
     N = 6
 
-    def _registry(self, backend: str) -> StateRegistry:
+    def _registry(self, backend: str):
         registry = make_registry(backend, 2, n_accounts=self.N)
         registry.store_of(0).credit(0, 4.0)
         registry.store_of(1).credit(1, 5.0)  # homed on shard 1
         return registry
 
     @pytest.mark.parametrize(
-        "entry", ["put", "credit", "debit", "credit_many", "put_many"]
+        "entry", ["put", "credit", "debit", "credit_many", "apply_many"]
     )
     @pytest.mark.parametrize("case", ["off-home", "beyond-capacity"])
     def test_rejected_write_raises_alike_and_changes_nothing(self, entry, case):
@@ -474,13 +488,21 @@ class TestMigrationSemantics:
 
     @pytest.mark.parametrize("backend", STATE_BACKENDS)
     def test_failed_take_many_leaves_state_untouched(self, backend):
+        """A refused bulk move of many accounts (``migrate_batch``) changes nothing."""
         registry = make_registry(backend, 2, n_accounts=8)
         store = registry.store_of(0)
         store.credit(1, 5.0)
         store.credit(2, 7.0)
         root = store.state_root()
-        with pytest.raises(ChainError, match="account 3 is not resident"):
-            store.take_many(np.array([1, 2, 3], dtype=np.int64))
+        with pytest.raises(ValidationError, match="account 2 repeats"):
+            registry.migrate_batch(
+                np.array([1, 2, 2], dtype=np.int64),
+                np.array([1, 1, 0], dtype=np.int64),
+            )
+        with pytest.raises(ValidationError, match="target shard out of range"):
+            registry.migrate_batch(
+                np.array([1, 2], dtype=np.int64), np.array([1, 2], dtype=np.int64)
+            )
         assert registry.total_balance() == 12.0
         assert store.state_root() == root
         assert len(store) == 2
@@ -490,7 +512,7 @@ class TestMigrationSemantics:
     def test_remove_raises_chain_error_not_key_error(self):
         for store in (
             ShardStateStore(0, capacity=4),
-            DenseShardStateStore(0, capacity=4),
+            StateRegistry(1, n_accounts=4).store_of(0),
         ):
             with pytest.raises(ChainError):
                 store.remove(1)
@@ -499,7 +521,7 @@ class TestMigrationSemantics:
 
 
 class TestExactTotals:
-    """fsum/np.sum accumulation keeps conservation checks tight."""
+    """Exactly-rounded totals keep conservation checks tight."""
 
     def test_dict_total_is_exactly_rounded(self):
         store = ShardStateStore(0, capacity=11)
@@ -517,14 +539,15 @@ class TestExactTotals:
             registry.store_of(shard).credit(shard, 1.0)
         assert registry.total_balance() == 1e16 + 3.0
 
-    def test_dense_total_uses_float64_pairwise_sum(self):
-        dense = DenseShardStateStore(0, capacity=1000)
-        dense.credit_many(
+    def test_store_total_is_exactly_rounded(self):
+        registry = StateRegistry(2, n_accounts=1000)
+        registry.store_of(1).credit_many(
             np.arange(1000), np.full(1000, 0.1, dtype=np.float64)
         )
-        assert dense.total_balance() == pytest.approx(
-            math.fsum([0.1] * 1000), abs=1e-9
-        )
+        # A float64 sum of 1000 x 0.1 (pairwise or in order) misses it.
+        assert float(np.sum(np.full(1000, 0.1))) != math.fsum([0.1] * 1000)
+        assert registry.store_of(1).total_balance() == math.fsum([0.1] * 1000)
+        assert registry.total_balance() == math.fsum([0.1] * 1000)
 
 
 class TestRegistryConstruction:

@@ -288,9 +288,9 @@ class TestWindowedEquivalence:
         assert list(tmp_path.glob("seg-*.mrlog")), "no segments spilled"
 
     def test_every_feature_at_once_over_csv(self, tmp_path):
-        """Streamed CSV + dense state + observed funding + lossy network
-        + beacon spill + compaction + absolute history split, against
-        the eager reference over the decoded trace."""
+        """Streamed CSV + executed state + observed funding + lossy
+        network + beacon spill + absolute history split, against the
+        eager reference over the decoded trace."""
         path = tmp_path / "valued.csv"
         write_transactions_csv(
             path, generate_ethereum_like_trace(VALUED_CONFIG)
@@ -301,7 +301,6 @@ class TestWindowedEquivalence:
             funding="observed",
             network="lossy",
             beacon_spill_dir=str(tmp_path / "spill"),
-            compact_slack=0.25,
             history_epochs=3,
         )
         source, trace = csv_pair(path)
@@ -320,7 +319,6 @@ class TestWindowedEquivalence:
         records = streamed.records
         assert any(r.counters["chain.netsim.dropped_messages"] for r in records)
         assert any(r.migrations for r in records)
-        assert any(r.counters["chain.state.compactions"] for r in records)
         assert list((tmp_path / "spill").glob("seg-*.mrlog"))
         # Single residency held throughout: every resident's home is the
         # shard phi names, and no epoch created or destroyed value.
@@ -331,6 +329,13 @@ class TestWindowedEquivalence:
         assert resident.any()
         phi = sim.substrate.mapping.as_array()[ids]
         assert (located[resident] == phi[resident]).all()
+        # The beacon committed every migration, and each one rehomed
+        # state exactly as in the reference.
+        committed = sim.substrate.ledger.beacon.iter_committed_batches(0)
+        assert sum(len(b) for b in committed) == sum(
+            r.migrations for r in records
+        )
+        assert located.tolist() == reference.registry.locate_many(ids).tolist()
         assert all(
             r.counters["chain.crossshard.conservation_drift"] == 0
             for r in records
