@@ -33,6 +33,7 @@ from repro.chain.params import ProtocolParams
 from repro.chain.transaction import TransactionBatch
 from repro.data.trace import Trace
 from repro.errors import ConfigurationError
+from repro.util.idsets import union_ids
 from repro.util.validation import check_probability
 
 
@@ -118,11 +119,11 @@ class OrbitAllocator(Allocator):
             self._window, context.mempool, mapping.n_accounts
         )
         input_bytes = float(estimation.size_bytes())
-        active = np.union1d(
+        active = union_ids(
             context.committed.touched_accounts(),
             context.mempool.touched_accounts(),
+            mapping.n_accounts,
         )
-        active = active[active < mapping.n_accounts]
 
         assignment = mapping.as_array().copy()
         start = time.perf_counter()

@@ -171,10 +171,12 @@ class CrossShardExecutor:
             amounts = np.asarray(amounts, dtype=np.float64)
         if amounts.shape != accounts.shape:
             raise ValidationError("accounts/amounts length mismatch")
-        if len(amounts) and float(amounts.min()) < 0:
-            raise ValidationError("funding amounts must be >= 0")
+        if len(amounts) and not (
+            float(amounts.min()) >= 0 and float(amounts.max()) < np.inf
+        ):
+            raise ValidationError("funding amounts must be finite and >= 0")
         shards = self.mapping.shards_of(accounts)
-        for shard in np.unique(shards).tolist():
+        for shard in np.flatnonzero(np.bincount(shards)).tolist():
             on_shard = shards == shard
             self.registry.store_of(int(shard)).credit_many(
                 accounts[on_shard], amounts[on_shard]
@@ -235,7 +237,7 @@ class CrossShardExecutor:
             & (totals < 2.0**53)
         )
         balances = np.zeros(len(ids), dtype=np.float64)
-        for shard in np.unique(homes[safe]).tolist():
+        for shard in np.flatnonzero(np.bincount(homes[safe])).tolist():
             on_shard = safe & (homes == shard)
             balances[on_shard] = self.registry.store_of(shard).balances_many(
                 ids[on_shard]
@@ -520,7 +522,7 @@ class _EpochPass:
             safe = self.gather[0::2]
             debited = self.senders[safe]
             debited_shards = self.sender_shards[safe]
-            for shard in np.unique(shards).tolist():
+            for shard in np.flatnonzero(np.bincount(shards)).tolist():
                 on_shard = shards == shard
                 self.stores[shard].apply_many(
                     accounts[on_shard],

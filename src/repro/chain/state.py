@@ -102,6 +102,14 @@ def _exact_sum(values: np.ndarray) -> float:
     return math.fsum(sums)
 
 
+def _check_finite(name: str, values: np.ndarray) -> None:
+    """Raise unless every entry is finite: a NaN or an infinity would
+    make every later balance total, and so every conservation check,
+    meaningless."""
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{name} must be finite")
+
+
 class DenseShardStateStore:
     """One shard's view of the registry's table: the rows homed on it.
 
@@ -183,8 +191,10 @@ class DenseShardStateStore:
 
     def credit(self, account: int, amount: float) -> AccountState:
         """Add funds (creating the account on first touch)."""
-        if amount < 0:
-            raise ValidationError(f"credit amount must be >= 0, got {amount}")
+        if not 0 <= amount < math.inf:
+            raise ValidationError(
+                f"credit amount must be finite and >= 0, got {amount}"
+            )
         self._check_writable(account)
         balance = float(self._balance[account]) + amount
         self._balance[account] = balance
@@ -193,8 +203,10 @@ class DenseShardStateStore:
 
     def debit(self, account: int, amount: float) -> AccountState:
         """Remove funds; raises :class:`ChainError` when underfunded."""
-        if amount < 0:
-            raise ValidationError(f"debit amount must be >= 0, got {amount}")
+        if not 0 <= amount < math.inf:
+            raise ValidationError(
+                f"debit amount must be finite and >= 0, got {amount}"
+            )
         self._check_writable(account)
         balance = float(self._balance[account])
         if amount > balance:
@@ -222,6 +234,7 @@ class DenseShardStateStore:
 
     def credit_many(self, accounts: np.ndarray, amounts: np.ndarray) -> None:
         """Apply a stream of credits in order (settlement scatter)."""
+        _check_finite("credit amounts", amounts)
         self._check_writable_many(accounts)
         self._home[accounts] = self.shard_id
         # np.add.at applies duplicate indices sequentially, matching the
@@ -245,6 +258,7 @@ class DenseShardStateStore:
         sender of each debit. Accounts homed nowhere become homed here,
         as with :meth:`credit_many`.
         """
+        _check_finite("balance deltas", deltas)
         self._check_writable_many(accounts)
         self._home[accounts] = self.shard_id
         np.add.at(self._balance, accounts, deltas)

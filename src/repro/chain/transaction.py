@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterator, Optional, Sequence
+from typing import FrozenSet, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.util.idsets import unique_ids
 
 #: On-disk size we charge per committed transaction record when accounting
 #: storage/communication (Table VI).  Roughly an Ethereum ETL CSV row.
@@ -25,6 +26,13 @@ TX_RECORD_BYTES = 109
 #: Units a transfer moves when its batch carries no ``values`` column
 #: (metric traces): the executor moves it and observed funding funds it.
 DEFAULT_TRANSFER_AMOUNT = 1.0
+
+#: A batch's directed-edge table: ``(owner, counterparty, count)``.
+EdgeTable = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: One past the largest account id :func:`directed_edge_table` can key:
+#: ``owner * span + counterparty`` must fit an int64.
+_MAX_EDGE_SPAN = 3_037_000_499
 
 
 def _finite_nonnegative(column: np.ndarray) -> bool:
@@ -91,7 +99,15 @@ class TransactionBatch:
     views wherever numpy allows.
     """
 
-    __slots__ = ("senders", "receivers", "blocks", "values", "fees", "_touched")
+    __slots__ = (
+        "senders",
+        "receivers",
+        "blocks",
+        "values",
+        "fees",
+        "_touched",
+        "_edges",
+    )
 
     def __init__(
         self,
@@ -139,6 +155,7 @@ class TransactionBatch:
         self.values = values
         self.fees = fees
         self._touched: Optional[np.ndarray] = None
+        self._edges: Optional[EdgeTable] = None
 
     def __len__(self) -> int:
         return len(self.senders)
@@ -277,13 +294,54 @@ class TransactionBatch:
         placement and the allocator update both ask for it each epoch.
         """
         if self._touched is None:
-            touched = np.unique(np.concatenate([self.senders, self.receivers]))
+            touched = unique_ids(np.concatenate([self.senders, self.receivers]))
             touched.flags.writeable = False
             self._touched = touched
         return self._touched
+
+    def directed_edges(self) -> EdgeTable:
+        """This batch's :func:`directed_edge_table`, memoised read-only.
+
+        A batch is the mempool of one epoch and the committed batch of
+        the next: ``Psi_e`` counts from the table and Pilot's history
+        absorbs it, so the pairs are keyed once. Derived batches
+        (``select``, slices, ``concat_many``) build their own.
+        """
+        if self._edges is None:
+            self._edges = directed_edge_table(self)
+            for column in self._edges:
+                column.flags.writeable = False
+        return self._edges
 
     def max_account_id(self) -> int:
         """Largest account id present, or -1 for an empty batch."""
         if len(self) == 0:
             return -1
         return int(max(self.senders.max(), self.receivers.max()))
+
+
+def directed_edge_table(batch: TransactionBatch) -> EdgeTable:
+    """Every transfer between two accounts in both orientations, counted
+    per directed pair: int64 columns ``(owner, counterparty, count)``
+    sorted by owner, then counterparty. Self-transfers touch one account
+    and have no edge.
+
+    Not memoised; :meth:`TransactionBatch.directed_edges` is.
+    """
+    not_self = batch.senders != batch.receivers
+    senders, receivers = batch.senders[not_self], batch.receivers[not_self]
+    if len(senders) == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty.copy(), empty.copy()
+    span = int(max(senders.max(), receivers.max())) + 1
+    if span > _MAX_EDGE_SPAN:
+        raise ValidationError(
+            f"account id {span - 1} is too large to key a directed edge "
+            f"(max {_MAX_EDGE_SPAN - 1})"
+        )
+    keys, counts = np.unique(
+        np.concatenate([senders * span + receivers, receivers * span + senders]),
+        return_counts=True,
+    )
+    owners, others = np.divmod(keys, span)
+    return owners, others, counts

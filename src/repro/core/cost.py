@@ -39,12 +39,18 @@ def _validate(psi: np.ndarray, omega: np.ndarray, eta: float) -> tuple:
         raise ValidationError("need at least one shard")
     if eta < 1:
         raise ValidationError(f"eta must be >= 1, got {eta}")
-    for name, vector in (("psi", psi), ("omega", omega)):
-        if not np.isfinite(vector).all():
-            raise ValidationError(f"{name} entries must be finite")
-        if vector.min() < 0:
-            raise ValidationError(f"{name} entries must be >= 0")
+    _check_entries("psi", psi)
+    _check_entries("omega", omega)
     return psi, omega
+
+
+def _check_entries(name: str, values: np.ndarray) -> None:
+    """Raise unless every entry of ``values`` is finite and >= 0."""
+    # Two reductions decide the common case: a NaN fails ``min() >= 0``.
+    if values.size and not (values.min() >= 0 and values.max() < np.inf):
+        if not np.isfinite(values).all():
+            raise ValidationError(f"{name} entries must be finite")
+        raise ValidationError(f"{name} entries must be >= 0")
 
 
 def transaction_cost(
@@ -116,7 +122,14 @@ def potential_matrix(
     """Vectorised Eq. 4 for many accounts: rows are accounts.
 
     ``psi_matrix`` has shape ``(n_accounts, k)``; the result has the same
-    shape with ``result[r, i] = P_i`` for account ``r``.
+    shape with ``result[r, i] = P_i`` for account ``r``. It is the
+    transpose of a C-ordered shard-major ``(k, n_accounts)`` array, so
+    ``result.T`` reduces over shards along contiguous rows. Every entry
+    is computed with :func:`potential_vector`'s operations in its order,
+    and each account's ``psi`` total is the row sum of ``psi_matrix``,
+    so the values are bit for bit those of the one-account formula
+    applied row by row. Non-finite or negative ``psi``/``omega`` entries
+    raise :class:`ValidationError`, as in :func:`potential_vector`.
     """
     psi_matrix = np.asarray(psi_matrix, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64)
@@ -126,5 +139,13 @@ def potential_matrix(
         raise ValidationError("omega length must equal psi_matrix columns")
     if eta < 1:
         raise ValidationError(f"eta must be >= 1, got {eta}")
-    psi_totals = psi_matrix.sum(axis=1, keepdims=True)
-    return ((2.0 * eta - 1.0) * psi_matrix - eta * psi_totals) * omega[np.newaxis, :]
+    _check_entries("psi", psi_matrix)
+    _check_entries("omega", omega)
+    n, k = psi_matrix.shape
+    scaled_totals = psi_matrix.sum(axis=1)
+    scaled_totals *= eta
+    potentials = np.empty((k, n), dtype=np.float64)
+    np.multiply(psi_matrix.T, 2.0 * eta - 1.0, out=potentials)
+    potentials -= scaled_totals
+    potentials *= omega[:, np.newaxis]
+    return potentials.T

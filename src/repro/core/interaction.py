@@ -61,7 +61,10 @@ def interaction_matrix(
     Returns a ``(len(accounts), k)`` matrix whose row ``r`` is
     ``Psi^{accounts[r]}`` computed over ``batch`` under ``mapping``.
     ``accounts`` must be sorted and unique (callers pass the output of
-    ``np.unique``).
+    ``np.unique``). The counts come from the batch's memoised
+    :meth:`~repro.chain.transaction.TransactionBatch.directed_edges`
+    table, so a batch's pairs are keyed once however often it is read;
+    every count is an integer, so the float sums are exact.
     """
     accounts = np.asarray(accounts, dtype=np.int64)
     if len(accounts) > 1 and np.any(np.diff(accounts) <= 0):
@@ -69,20 +72,18 @@ def interaction_matrix(
     k = mapping.k
     if len(batch) == 0 or len(accounts) == 0:
         return np.zeros((len(accounts), k), dtype=np.float64)
-    # Self-transfers have A_Tx - {nu} empty and contribute nothing
-    # (matching the scalar interaction_distribution exactly).
-    not_self = batch.senders != batch.receivers
-    m = int(not_self.sum())
-    # Each transaction adds 1 to Psi[sender, shard(receiver)] and 1 to
-    # Psi[receiver, shard(sender)]: both orientations in one count.
-    ids = np.concatenate([batch.senders[not_self], batch.receivers[not_self]])
-    shards = mapping.shards_of(ids)
-    counter_shards = np.concatenate([shards[m:], shards[:m]])
-    rows = np.clip(np.searchsorted(accounts, ids), 0, len(accounts) - 1)
-    present = accounts[rows] == ids
-    keys = rows[present] * k + counter_shards[present]
-    counts = np.bincount(keys, minlength=len(accounts) * k)
-    return counts.reshape(len(accounts), k).astype(np.float64)
+    # Self-transfers have A_Tx - {nu} empty and have no edge (matching
+    # the scalar interaction_distribution exactly). Each transaction
+    # adds 1 to Psi[sender, shard(receiver)] and 1 to Psi[receiver,
+    # shard(sender)]: the table holds both orientations.
+    owners, others, counts = batch.directed_edges()
+    shards = mapping.shards_of(others)
+    rows = np.clip(np.searchsorted(accounts, owners), 0, len(accounts) - 1)
+    present = accounts[rows] == owners
+    keys = rows[present] * k + shards[present]
+    psi = np.bincount(keys, weights=counts[present], minlength=len(accounts) * k)
+    # bincount answers an empty ``keys`` with int zeros, weights or not.
+    return psi.reshape(len(accounts), k).astype(np.float64, copy=False)
 
 
 def fuse_distributions(
@@ -97,11 +98,15 @@ def fuse_distributions(
     single vectors and on stacked matrices alike.
     """
     check_probability("beta", beta)
-    psi_history = np.asarray(psi_history, dtype=np.float64)
-    psi_expected = np.asarray(psi_expected, dtype=np.float64)
+    psi_history = np.asarray(psi_history)
+    psi_expected = np.asarray(psi_expected)
     if psi_history.shape != psi_expected.shape:
         raise ValidationError(
             f"shape mismatch: history {psi_history.shape} vs "
             f"expected {psi_expected.shape}"
         )
-    return (1.0 - beta) * psi_history + beta * psi_expected
+    # Each term is cast to float64 inside its product (integer counts
+    # convert exactly), and the sum is taken in place.
+    fused = np.multiply(psi_history, 1.0 - beta, dtype=np.float64)
+    fused += np.multiply(psi_expected, beta, dtype=np.float64)
+    return fused

@@ -25,6 +25,22 @@ only the edges of the accounts that changed shard and the epoch's new
 edges, not the whole history. The per-client cost accounting
 (time per decision, bytes of input) is what Table IV reports; its timed
 region covers the row sync and read, ``Psi_e`` and Pilot.
+
+Data layout of one epoch's update:
+
+* ``Psi_h`` is read as int32 rows of the count matrix; Pilot's fusion
+  casts them to float64, and the potentials are one shard-major
+  ``(k, n)`` array (see :mod:`repro.core.pilot`).
+* A batch's pairs are keyed once. Its directed-edge table ``(owner,
+  counterparty, count)`` is memoised on the batch
+  (``TransactionBatch.directed_edges``): ``Psi_e`` counts from it while
+  the batch is the mempool, and the next epoch absorbs the same table,
+  cast to int32, as the new history run. The history batch's table is
+  built unmemoised (``directed_edge_table``), so the long-lived batch
+  does not hold it.
+* The active set is a merge of the two batches' sorted
+  ``touched_accounts``, by ``repro.util.idsets``: on numpy >= 2.3 a
+  plain ``np.unique``/``np.union1d`` takes a slow hash-table path.
 """
 
 from __future__ import annotations
@@ -39,12 +55,13 @@ from repro.chain.mapping import ShardMapping
 from repro.chain.migration import MigrationRequestBatch, select_migrations_kernel
 from repro.chain.network import OMEGA_ENTRY_BYTES
 from repro.chain.params import ProtocolParams
-from repro.chain.transaction import TransactionBatch
+from repro.chain.transaction import EdgeTable, TransactionBatch, directed_edge_table
 from repro.core.interaction import interaction_matrix
 from repro.core.pilot import batch_pilot_decisions
 from repro.data.trace import Trace
 from repro.errors import ValidationError
 from repro.sim.metrics import shard_workloads
+from repro.util.idsets import union_ids, unique_ids
 
 #: The largest account id the int32 history runs can hold.
 _MAX_ACCOUNT_ID = int(np.iinfo(np.int32).max)
@@ -144,28 +161,26 @@ class MosaicAllocator(Allocator):
 
     def _absorb_batch(self, batch: TransactionBatch) -> None:
         """Append committed transactions to the clients' local stores
-        as one run; the next ``_sync_rows`` counts them into the rows."""
-        not_self = batch.senders != batch.receivers
-        if not not_self.any():
+        as one run; the next ``_sync_rows`` counts them into the rows.
+
+        The run is the batch's memoised edge table: the batch was last
+        epoch's mempool, whose table ``Psi_e`` already built."""
+        self._absorb_edges(batch.directed_edges())
+
+    def _absorb_edges(self, edges: EdgeTable) -> None:
+        """Append one owner-sorted edge table as an int32 run."""
+        owners = edges[0]
+        if len(owners) == 0:
             return
-        senders, receivers = batch.senders[not_self], batch.receivers[not_self]
-        span = int(max(senders.max(), receivers.max())) + 1
+        # Every id is an owner (both orientations), so the last owner
+        # is the largest id.
+        span = int(owners[-1]) + 1
         if span > _MAX_ACCOUNT_ID + 1:
             raise ValidationError(
                 f"account id {span - 1} does not fit the int32 history "
                 f"(max {_MAX_ACCOUNT_ID})"
             )
-        # Both orientations of every interaction, counted per directed
-        # pair; the sorted keys put the run in owner order.
-        keys, counts = np.unique(
-            np.concatenate([senders * span + receivers, receivers * span + senders]),
-            return_counts=True,
-        )
-        run = (
-            (keys // span).astype(np.int32),
-            (keys % span).astype(np.int32),
-            counts.astype(np.int32),
-        )
+        run = tuple(column.astype(np.int32) for column in edges)
         self._fresh.append(run)
         runs = self._runs
         runs.append(run)
@@ -253,9 +268,10 @@ class MosaicAllocator(Allocator):
         Evaluates Eq. 1 over each client's stored history against the
         *current* allocation, exactly as wallets re-evaluate their local
         records: each client's row is kept up to date and read directly.
+        The rows are the int32 counts; Pilot's fusion casts them.
         """
         self._sync_rows(mapping)
-        return self._rows[accounts].astype(np.float64)
+        return self._rows[accounts]
 
     @staticmethod
     def _mean_pilot_input_bytes(psi: Optional[np.ndarray], k: int) -> float:
@@ -266,18 +282,22 @@ class MosaicAllocator(Allocator):
         workload vector ``Omega`` (``k`` floats), and a few scalars
         (account id, current shard, ``eta``/``beta``). This is hundreds
         of bytes — the paper measures 228.66 B per account at k = 16 —
-        regardless of how large the ledger grows.
+        regardless of how large the ledger grows. ``psi`` has one row
+        per client and no negative entry, so its non-zero entries are
+        its positive ones.
         """
         sparse_entry_bytes = 10  # 2-byte shard id + 8-byte count
         scalar_overhead = 16
-        nonzero = float((psi > 0).sum(axis=1).mean()) if psi is not None else 0.0
+        nonzero = int(np.count_nonzero(psi)) / len(psi) if psi is not None else 0.0
         return k * OMEGA_ENTRY_BYTES + nonzero * sparse_entry_bytes + scalar_overhead
 
     # -- Allocator interface ---------------------------------------------------------
 
     def initialize(self, history: Trace, params: ProtocolParams) -> ShardMapping:
         self._reset_history()
-        self._absorb_batch(history.batch)
+        # Built here without the memo: the history batch outlives the
+        # run's first epoch, and its table is absorbed only once.
+        self._absorb_edges(directed_edge_table(history.batch))
         if self.initializer is not None:
             return self.initializer.initialize(history, params)
         # Deterministic hash-style fallback initialisation.
@@ -299,11 +319,11 @@ class MosaicAllocator(Allocator):
         omega = shard_workloads(context.mempool, mapping, params.eta)
 
         # 3. Active clients run Pilot.
-        active = np.union1d(
+        active = union_ids(
             context.committed.touched_accounts(),
             context.mempool.touched_accounts(),
+            mapping.n_accounts,
         )
-        active = active[active < mapping.n_accounts]
         start = time.perf_counter()
         if len(active):
             psi_h = self._history_psi(active, mapping)
@@ -348,8 +368,10 @@ class MosaicAllocator(Allocator):
         )
 
         n_active = max(1, len(active))
+        # Both terms are >= 0, so an entry of Psi_h + Psi_e is positive
+        # iff either term is non-zero.
         input_bytes = self._mean_pilot_input_bytes(
-            psi_h + psi_e if len(active) else None, k
+            np.logical_or(psi_h, psi_e) if len(active) else None, k
         )
         return AllocationUpdate(
             mapping=new_mapping,
@@ -381,7 +403,7 @@ class MosaicAllocator(Allocator):
             eta = context.params.eta
             beta = context.params.beta
             omega = shard_workloads(context.mempool, mapping, eta)
-            ordered = np.unique(new_account_ids)
+            ordered = unique_ids(new_account_ids)
             psi_e = interaction_matrix(context.mempool, mapping, ordered)
             psi_h = np.zeros_like(psi_e)
             current = np.zeros(len(ordered), dtype=np.int64)

@@ -9,7 +9,13 @@ the efficiency story of Table IV.
 
 ``batch_pilot_decisions`` is the numerically identical vectorised
 variant the simulation engine uses to run thousands of clients per
-epoch.
+epoch. It lays the potentials out shard-major, ``(k, n)``, so that
+every per-account reduction over shards is an elementwise pass over
+``k`` contiguous rows rather than ``n`` short row reductions. The
+per-account ``Psi`` totals stay the row sums of the ``(n, k)`` fused
+matrix, so fused values with a fractional ``beta`` round as the
+per-client path rounds them. ``tests/pilot_reference.py`` keeps the
+row-wise kernel it replaced as its oracle.
 """
 
 from __future__ import annotations
@@ -138,25 +144,41 @@ def batch_pilot_decisions(
     Returns:
         ``(best_shards, gains)`` where ``gains[r] = P_best - P_current``.
         The tie-breaking matches :meth:`Pilot.decide` exactly.
+
+    The potentials are one shard-major ``(k, n)`` array (see
+    :func:`~repro.core.cost.potential_matrix`). Among the shards within
+    ``1e-12`` of an account's maximum, the least-loaded wins, the lowest
+    id among equal loads: the shards fill ``best`` in the reverse of a
+    stable argsort of ``omega``, so the last write is the first shard in
+    that order. The current shard is kept when it is tied and its load
+    is ``np.isclose`` to the winner's. Non-finite or negative ``Psi`` or
+    ``omega`` entries raise :class:`ValidationError`, as in
+    :meth:`Pilot.decide`.
     """
     psi = fuse_distributions(psi_history, psi_expected, beta)
-    potentials = potential_matrix(psi, omega, eta)
-    n, k = potentials.shape
-    if len(current_shards) != n or len(accounts) != n:
+    omega = np.asarray(omega, dtype=np.float64)
+    potentials = potential_matrix(psi, omega, eta).T
+    k, n = potentials.shape
+    current = np.asarray(current_shards)
+    if len(current) != n or len(accounts) != n:
         raise ValidationError("accounts/current_shards must match psi rows")
+    if n and (current.min() < 0 or current.max() >= k):
+        raise ValidationError(f"current shards must lie in [0, {k})")
 
-    best_values = potentials.max(axis=1, keepdims=True)
-    tied = potentials >= best_values - 1e-12
-    # Among tied shards choose the least-loaded; prefer the current shard
-    # when it matches that minimum (avoids gratuitous migrations).
-    omega_masked = np.where(tied, omega[np.newaxis, :], np.inf)
-    best_shards = np.argmin(omega_masked, axis=1).astype(np.int64)
-    rows = np.arange(n)
-    current_tied = tied[rows, current_shards]
-    current_omega = omega[current_shards]
-    keep_current = current_tied & np.isclose(
-        current_omega, omega_masked[rows, best_shards]
-    )
-    best_shards = np.where(keep_current, current_shards, best_shards)
-    gains = potentials[rows, best_shards] - potentials[rows, current_shards]
+    threshold = potentials.max(axis=0)
+    threshold -= 1e-12
+    tied = potentials >= threshold
+    best = np.empty(n, dtype=np.int64)
+    for shard in np.argsort(omega, kind="stable")[::-1].tolist():
+        np.copyto(best, shard, where=tied[shard])
+    columns = np.arange(n)
+    flat = potentials.reshape(-1)
+    at_current = flat[current * n + columns]
+    at_best = flat[best * n + columns]
+    # Prefer the current shard when it is tied and as lightly loaded as
+    # the winner (avoids gratuitous migrations).
+    close = np.isclose(omega[:, np.newaxis], omega[np.newaxis, :])
+    keep_current = (at_current >= threshold) & close[current, best]
+    best_shards = np.where(keep_current, current, best)
+    gains = np.where(keep_current, at_current, at_best) - at_current
     return best_shards, gains

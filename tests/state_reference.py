@@ -119,8 +119,10 @@ class ShardStateStore:
 
     def credit(self, account: int, amount: float) -> AccountState:
         """Add funds (creating the account on first touch)."""
-        if amount < 0:
-            raise ValidationError(f"credit amount must be >= 0, got {amount}")
+        if not 0 <= amount < math.inf:
+            raise ValidationError(
+                f"credit amount must be finite and >= 0, got {amount}"
+            )
         self._check_writable(account)
         balance = self._balances.get(account, 0.0) + amount
         self._balances[account] = balance
@@ -129,8 +131,10 @@ class ShardStateStore:
 
     def debit(self, account: int, amount: float) -> AccountState:
         """Remove funds; raises :class:`ChainError` when underfunded."""
-        if amount < 0:
-            raise ValidationError(f"debit amount must be >= 0, got {amount}")
+        if not 0 <= amount < math.inf:
+            raise ValidationError(
+                f"debit amount must be finite and >= 0, got {amount}"
+            )
         self._check_writable(account)
         balance = self._balances.get(account, 0.0)
         if amount > balance:
@@ -155,6 +159,8 @@ class ShardStateStore:
 
     def credit_many(self, accounts: np.ndarray, amounts: np.ndarray) -> None:
         """Apply a stream of credits in order (settlement scatter)."""
+        if not all(math.isfinite(a) for a in amounts.tolist()):
+            raise ValidationError("credit amounts must be finite")
         self._check_writable_many(accounts)
         bal = self._balances
         non = self._nonces
@@ -173,6 +179,8 @@ class ShardStateStore:
         self, accounts: np.ndarray, deltas: np.ndarray, debited: np.ndarray
     ) -> None:
         """Apply signed balance deltas in order; bump each debit's nonce."""
+        if not all(math.isfinite(d) for d in deltas.tolist()):
+            raise ValidationError("balance deltas must be finite")
         self._check_writable_many(accounts)
         bal = self._balances
         non = self._nonces

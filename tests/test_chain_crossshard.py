@@ -345,3 +345,14 @@ def test_value_conservation(n_accounts, k, n_tx, relay_delay, seed):
         store = registry.store_of(shard)
         for account in store.accounts():
             assert store.get(account).balance >= 0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_fund_many_rejects_bad_amounts_before_any_credit(bad):
+    executor = executor_for([0, 1, 0], k=2, relay_delay=2)
+    with pytest.raises(ValidationError, match="finite and >= 0"):
+        executor.fund_many(np.arange(3), np.array([1.0, 2.0, bad]))
+    with pytest.raises(ValidationError, match="finite and >= 0"):
+        executor.fund_many(np.arange(3), bad)
+    assert executor.total_value() == 0.0
+

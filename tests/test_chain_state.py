@@ -59,6 +59,25 @@ class TestShardStateStore:
             store.debit(7, -1.0)
         assert store.get(7) == AccountState(balance=1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_amounts_rejected_before_any_write(self, bad):
+        registry = StateRegistry(2, n_accounts=4)
+        store = registry.store_of(0)
+        store.credit(0, 5.0)
+        with pytest.raises(ValidationError, match="finite"):
+            store.credit(1, bad)
+        with pytest.raises(ValidationError, match="finite"):
+            store.debit(0, bad)
+        with pytest.raises(ValidationError, match="finite"):
+            store.credit_many(np.array([0, 1]), np.array([1.0, bad]))
+        with pytest.raises(ValidationError, match="finite"):
+            store.apply_many(
+                np.array([0, 1]), np.array([-1.0, bad]), np.array([0])
+            )
+        assert store.get(0) == AccountState(balance=5.0)
+        assert 1 not in store
+        assert registry.total_balance() == 5.0
+
     def test_remove_for_migration(self):
         store = _store()
         store.credit(7, 10.0)

@@ -1,9 +1,17 @@
 """Unit tests for Transaction and TransactionBatch."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.chain.transaction import Transaction, TransactionBatch
+from repro.chain.transaction import (
+    Transaction,
+    TransactionBatch,
+    directed_edge_table,
+)
 from repro.errors import ValidationError
 
 
@@ -170,5 +178,77 @@ class TestTransactionBatch:
         assert list(joined.touched_accounts()) == [0, 1, 2, 5, 6, 7, 8]
         assert list(batch.touched_accounts()) == [0, 1, 2, 5, 6]
 
+    def test_directed_edges_is_a_read_only_memo(self, small_batch):
+        edges = small_batch.directed_edges()
+        assert small_batch.directed_edges() is edges
+        for column in edges:
+            assert column.dtype == np.int64
+            with pytest.raises(ValueError):
+                column[0] = 99
+        owners, others, counts = edges
+        assert list(zip(owners, others, counts))[:3] == [(0, 1, 1), (0, 2, 1), (0, 4, 1)]
+
+    def test_derived_batches_have_their_own_directed_edges(self):
+        batch = TransactionBatch(np.array([0, 1, 5, 0]), np.array([1, 2, 6, 1]))
+        parent = batch.directed_edges()  # memoised on the parent first
+        picked = batch.select(np.array([True, False, False, False]))
+        assert edge_rows(picked.directed_edges()) == [(0, 1, 1), (1, 0, 1)]
+        assert edge_rows(batch[2:].directed_edges()) == [
+            (0, 1, 1), (1, 0, 1), (5, 6, 1), (6, 5, 1)
+        ]
+        other = TransactionBatch(np.array([7]), np.array([0]))
+        joined = TransactionBatch.concat_many([batch, other])
+        assert joined.directed_edges() is not parent
+        assert edge_rows(joined.directed_edges()) == [
+            (0, 1, 2), (0, 7, 1), (1, 0, 2), (1, 2, 1), (2, 1, 1),
+            (5, 6, 1), (6, 5, 1), (7, 0, 1),
+        ]
+        assert edge_rows(batch.directed_edges()) == edge_rows(parent)
+        assert batch.directed_edges() is parent
+
+    def test_directed_edge_table_is_not_memoised(self, small_batch):
+        table = directed_edge_table(small_batch)
+        assert small_batch._edges is None
+        assert edge_rows(table) == edge_rows(small_batch.directed_edges())
+        assert small_batch.directed_edges() is not table
+
+    def test_self_transfers_and_empty_batches_have_no_edges(self):
+        for batch in (
+            TransactionBatch.empty(),
+            TransactionBatch(np.array([3, 3]), np.array([3, 3])),
+        ):
+            assert all(len(column) == 0 for column in batch.directed_edges())
+            assert all(
+                column.dtype == np.int64 for column in batch.directed_edges()
+            )
+
     def test_max_account_id(self, small_batch):
         assert small_batch.max_account_id() == 4
+
+
+def edge_rows(table):
+    return [tuple(int(x) for x in row) for row in zip(*table)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=40
+    ),
+    offset=st.sampled_from([0, 2**31 - 20]),
+)
+def test_directed_edge_table_counts_both_orientations(pairs, offset):
+    """The table equals a per-transaction count of both orientations of
+    every transfer between two accounts, sorted by (owner,
+    counterparty); self-transfers have no edge."""
+    senders = np.array([a for a, _ in pairs], dtype=np.int64) + offset
+    receivers = np.array([b for _, b in pairs], dtype=np.int64) + offset
+    counted = Counter()
+    for a, b in zip(senders.tolist(), receivers.tolist()):
+        if a != b:
+            counted[(a, b)] += 1
+            counted[(b, a)] += 1
+    expected = sorted((a, b, c) for (a, b), c in counted.items())
+    table = TransactionBatch(senders, receivers).directed_edges()
+    assert edge_rows(table) == expected
+

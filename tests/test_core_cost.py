@@ -108,6 +108,52 @@ class TestPotential:
         with pytest.raises(ValidationError):
             potential_matrix(np.ones((2, 3)), np.ones(2), eta=2.0)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (float("nan"), "finite"),
+            (float("inf"), "finite"),
+            (float("-inf"), "finite"),
+            (-1.0, ">= 0"),
+        ],
+    )
+    @pytest.mark.parametrize("name", ["psi", "omega"])
+    def test_matrix_rejects_what_the_vector_rejects(self, bad, message, name):
+        psi = np.ones((2, 3))
+        omega = np.ones(3)
+        (psi[1] if name == "psi" else omega)[2] = bad
+        for call in (
+            lambda: potential_matrix(psi, omega, eta=2.0),
+            lambda: potential_vector(psi[1], omega, 2.0),
+        ):
+            with pytest.raises(ValidationError, match=f"{name} entries must be {message}"):
+                call()
+
+    def test_matrix_is_a_shard_major_transpose(self):
+        matrix = potential_matrix(np.ones((4, 3)), np.ones(3), eta=2.0)
+        assert matrix.shape == (4, 3)
+        assert matrix.T.flags.c_contiguous
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 6),
+    k=st.integers(1, 40),
+    eta=st.sampled_from([1.0, 1.5, 2.0, 5.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matrix_rows_equal_vector_bit_for_bit(n, k, eta, seed):
+    """Each row of the shard-major matrix is ``potential_vector`` of that
+    row exactly, fractional entries included (the row total is the
+    same pairwise sum)."""
+    rng = np.random.default_rng(seed)
+    psi = rng.random((n, k)) * rng.choice([1e-3, 1.0, 1e3])
+    omega = rng.random(k) * 100
+    matrix = potential_matrix(psi, omega, eta)
+    for row in range(n):
+        expected = potential_vector(psi[row], omega, eta)
+        assert matrix[row].tobytes() == expected.tobytes()
+
 
 @st.composite
 def cost_scenario(draw):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pilot_reference import reference_interaction_matrix
 
 from repro.chain.mapping import ShardMapping
 from repro.chain.transaction import TransactionBatch
@@ -88,6 +89,46 @@ def test_matrix_equals_scalar_for_all_accounts(n_tx, k, seed):
     for account in accounts:
         expected = interaction_distribution(int(account), batch, mapping)
         assert np.array_equal(matrix[account], expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_tx=st.integers(0, 60),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    memo_first=st.booleans(),
+)
+def test_matrix_equals_per_transaction_keying(n_tx, k, seed, memo_first):
+    """Property: counting Psi_e from the batch's edge table equals the
+    per-transaction keying it replaced, byte for byte, with
+    self-transfers, repeated pairs and accounts outside ``accounts``."""
+    rng = np.random.default_rng(seed)
+    n_accounts = 12
+    batch = TransactionBatch(
+        rng.integers(0, n_accounts, size=n_tx),
+        rng.integers(0, n_accounts, size=n_tx),
+    )
+    mapping = ShardMapping(rng.integers(0, k, size=n_accounts), k)
+    accounts = np.flatnonzero(rng.random(n_accounts + 3) < 0.5)
+    if memo_first:
+        batch.directed_edges()
+    matrix = interaction_matrix(batch, mapping, accounts[accounts < n_accounts])
+    expected = reference_interaction_matrix(
+        batch, mapping, accounts[accounts < n_accounts]
+    )
+    assert matrix.dtype == expected.dtype
+    assert matrix.shape == expected.shape
+    assert matrix.tobytes() == expected.tobytes()
+
+
+def test_matrix_builds_and_reads_the_batch_memo(small_batch, small_mapping):
+    """Psi_e and Pilot's history absorb key a batch's pairs once."""
+    assert small_batch._edges is None
+    interaction_matrix(small_batch, small_mapping, np.array([0, 1]))
+    edges = small_batch._edges
+    assert edges is not None
+    interaction_matrix(small_batch, small_mapping, np.array([2, 3]))
+    assert small_batch._edges is edges
 
 
 class TestFusion:

@@ -14,10 +14,13 @@ from repro.allocation.hash_based import HashAllocator
 from repro.allocation.txallo import TxAlloAllocator
 from repro.chain.mapping import ShardMapping
 from repro.chain.migration import MigrationRequest, select_migrations_kernel
+from repro.chain.network import OMEGA_ENTRY_BYTES
 from repro.chain.params import ProtocolParams
-from repro.chain.transaction import TransactionBatch
+from repro.chain.transaction import TransactionBatch, directed_edge_table
+from repro.core.interaction import interaction_matrix
 from repro.core.mosaic import MosaicAllocator
 from repro.data.ethereum import EthereumTraceConfig, generate_ethereum_like_trace
+from repro.data.trace import Trace
 from repro.errors import ValidationError
 from repro.sim.engine import Simulation, SimulationConfig
 
@@ -149,6 +152,58 @@ class TestUpdate:
         # Hundreds of bytes per client, not graph-scale megabytes.
         assert update.input_bytes < 100_000
         assert update.unit_time < 0.01
+
+    def test_input_bytes_count_the_nonzero_entries_of_the_fused_rows(
+        self, params, tiny_trace
+    ):
+        """Table IV's input size: ``(psi > 0).sum(axis=1).mean()`` over
+        ``Psi_h + Psi_e``, as a Python float (it enters run digests by
+        ``repr``)."""
+        allocator = MosaicAllocator()
+        mapping = allocator.initialize(tiny_trace, params)
+        third = len(tiny_trace.batch) // 3
+        committed = tiny_trace.batch[third : 2 * third]
+        mempool = tiny_trace.batch[2 * third :]
+        update = allocator.update(mapping, context_for(params, committed, mempool))
+        active = np.union1d(
+            committed.touched_accounts(), mempool.touched_accounts()
+        )
+        psi = allocator._history_psi(active, mapping) + interaction_matrix(
+            mempool, mapping, active
+        )
+        nonzero = float((psi > 0).sum(axis=1).mean())
+        assert type(update.input_bytes) is float
+        assert update.input_bytes == (
+            params.k * OMEGA_ENTRY_BYTES + nonzero * 10 + 16
+        )
+
+    def test_mempool_edge_table_is_absorbed_next_epoch(self, params):
+        """The mempool's memoised edge table is the run the next epoch
+        absorbs; the history batch keeps no table after initialize."""
+        trace = generate_ethereum_like_trace(
+            EthereumTraceConfig(
+                n_accounts=60, n_transactions=600, n_blocks=60, seed=2
+            )
+        )
+        history = Trace(trace.batch[:200], trace.n_accounts)
+        first, second = trace.batch[200:400], trace.batch[400:]
+        allocator = MosaicAllocator()
+        mapping = allocator.initialize(history, params)
+        assert history.batch._edges is None
+        mapping = allocator.update(
+            mapping, context_for(params, first, second)
+        ).mapping
+        table = second._edges
+        assert table is not None
+        allocator.update(
+            mapping,
+            context_for(params, second, TransactionBatch.empty(), epoch=1),
+        )
+        assert second.directed_edges() is table
+        absorbed = Counter()
+        for batch in (history.batch, first, second):
+            absorbed.update(zip(*directed_edge_table(batch)))
+        assert Counter(zip(*run_edges(allocator))) == absorbed
 
     def _update_with_proposals(self, params):
         mapping = ShardMapping(np.array([1, 0, 0, 0]), k=params.k)

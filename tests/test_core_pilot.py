@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pilot_reference import reference_pilot_decisions
 
 from repro.chain.mapping import ShardMapping
 from repro.chain.transaction import TransactionBatch
@@ -190,3 +191,119 @@ class TestBatchValidation:
                 2.0,
                 0.0,
             )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_omega_as_decide_does(self, bad):
+        with pytest.raises(ValidationError, match="omega entries must be finite"):
+            batch_pilot_decisions(
+                np.arange(2),
+                np.ones((2, 3)),
+                np.zeros((2, 3)),
+                np.array([bad, 1.0, 2.0]),
+                np.zeros(2, dtype=np.int64),
+                2.0,
+                0.0,
+            )
+
+    def test_rejects_negative_omega(self):
+        with pytest.raises(ValidationError, match="omega entries must be >= 0"):
+            batch_pilot_decisions(
+                np.arange(1),
+                np.ones((1, 2)),
+                np.zeros((1, 2)),
+                np.array([-1.0, 1.0]),
+                np.zeros(1, dtype=np.int64),
+                2.0,
+                0.0,
+            )
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (float("nan"), "finite"),
+            (float("inf"), "finite"),
+            (float("-inf"), "finite"),
+            (-5.0, ">= 0"),
+        ],
+    )
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+    def test_rejects_bad_psi_in_either_term(self, bad, message, beta):
+        """The fused ``Psi`` is checked, as ``Pilot.decide`` checks it: a
+        non-finite entry poisons the fusion at any ``beta`` (0 * inf is
+        nan), a negative one only where its term has weight."""
+        for history_bad in (True, False):
+            weight = 1.0 - beta if history_bad else beta
+            if bad < 0 and weight == 0.0:
+                continue
+            psi_h = np.ones((2, 3))
+            psi_e = np.ones((2, 3))
+            (psi_h if history_bad else psi_e)[1, 2] = bad
+            with pytest.raises(ValidationError, match=f"psi entries must be {message}"):
+                batch_pilot_decisions(
+                    np.arange(2),
+                    psi_h,
+                    psi_e,
+                    np.ones(3),
+                    np.zeros(2, dtype=np.int64),
+                    2.0,
+                    beta,
+                )
+
+    @pytest.mark.parametrize("current", [-1, 3])
+    def test_rejects_current_shard_out_of_range(self, current):
+        with pytest.raises(ValidationError, match="current shards"):
+            batch_pilot_decisions(
+                np.arange(2),
+                np.ones((2, 3)),
+                np.ones((2, 3)),
+                np.ones(3),
+                np.array([0, current]),
+                2.0,
+                0.0,
+            )
+
+
+@st.composite
+def kernel_case(draw):
+    """Integer counts (int32 or float64, as the engine and callers pass
+    them), some all-zero rows, and ``omega`` from a few integer levels
+    (some nudged by 1e-9, inside ``np.isclose``) so that ties occur; half
+    the rows start on one of their tied shards."""
+    k = draw(st.integers(1, 40))
+    n = draw(st.integers(0, 25))
+    eta = draw(st.sampled_from([1.0, 1.5, 2.0, 5.0]))
+    beta = draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.75, 1.0]))
+    levels = draw(st.integers(1, 4))
+    dtype = draw(st.sampled_from([np.int32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    active = rng.random((n, 1)) < 0.7
+    psi_h = (rng.integers(0, 4, (n, k)) * active).astype(dtype)
+    psi_e = (rng.integers(0, 3, (n, k)) * (rng.random((n, 1)) < 0.7)).astype(dtype)
+    omega = rng.integers(0, levels, k) * 10.0 + (rng.random(k) < 0.2) * 1e-9
+    current = rng.integers(0, k, n)
+    psi = (1.0 - beta) * psi_h.astype(np.float64) + beta * psi_e
+    potentials = ((2.0 * eta - 1.0) * psi - eta * psi.sum(axis=1, keepdims=True)) * omega
+    for row in np.flatnonzero(rng.random(n) < 0.5):
+        tied = np.flatnonzero(potentials[row] >= potentials[row].max() - 1e-12)
+        current[row] = rng.choice(tied)
+    return psi_h, psi_e, omega, current, eta, beta
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=kernel_case())
+def test_kernel_matches_row_wise_oracle_bit_for_bit(case):
+    """The shard-major kernel equals the row-wise reference exactly:
+    same best shards (and dtype), same gain bit patterns."""
+    psi_h, psi_e, omega, current, eta, beta = case
+    best, gains = batch_pilot_decisions(
+        np.arange(len(current)), psi_h, psi_e, omega, current, eta, beta
+    )
+    expected_best, expected_gains = reference_pilot_decisions(
+        psi_h, psi_e, omega, current, eta, beta
+    )
+    assert best.dtype == expected_best.dtype
+    np.testing.assert_array_equal(best, expected_best)
+    assert gains.dtype == expected_gains.dtype
+    assert gains.tobytes() == expected_gains.tobytes()
+
